@@ -8,13 +8,15 @@
 // The summary is hash-partitioned by source vertex across -shards
 // independent HIGGS trees (0 = one per CPU), so concurrent inserts and
 // queries touching different shards never contend; see internal/shard.
-// Writes POSTed to /v1/ingest go through the asynchronous group-commit
-// pipeline (internal/ingest, DESIGN.md §9) configured by -ingest-mode,
-// -queue-depth, and -commit-interval; /v1/insert stays synchronous.
+// Writes go through the group-commit pipeline (internal/ingest, DESIGN.md
+// §9) configured by -ingest-mode, -queue-depth, and -commit-interval:
+// /v1/ingest answers as soon as a batch is accepted, /v1/insert is the
+// same admission followed by a flush, so it answers once the batch is
+// visible.
 //
 // API (see internal/server and README "Running the server"):
 //
-//	POST /v1/insert    [{"s":1,"d":2,"w":1,"t":100}, ...]   (synchronous)
+//	POST /v1/insert    [{"s":1,"d":2,"w":1,"t":100}, ...]   (200 once visible: ingest + flush)
 //	POST /v1/ingest    [{"s":1,"d":2,"w":1,"t":100}, ...]   (202/429, group commit)
 //	POST /v1/flush     (barrier: 202-accepted edges become visible)
 //	POST /v1/expire    {"cutoff":100}   (sequenced, WAL-logged retention)
@@ -32,10 +34,10 @@
 // Snapshots are written in the sharded framing; -load also accepts legacy
 // unsharded snapshots, which come up as a single shard.
 //
-// Durability (DESIGN.md §12): with -wal-dir, /v1/ingest appends every
-// accepted batch to a segmented write-ahead log in that directory and
-// fsyncs before responding 202, so accepted edges survive a crash — not
-// just an orderly shutdown. -snapshot-interval adds periodic background
+// Durability (DESIGN.md §12): with -wal-dir, /v1/ingest and /v1/insert
+// append every accepted batch to a segmented write-ahead log in that
+// directory and fsync before responding, so accepted edges survive a crash
+// — not just an orderly shutdown. -snapshot-interval adds periodic background
 // snapshots (written atomically to <wal-dir>/snapshot.higgs) after which
 // the log's covered segments are truncated. On startup higgsd recovers by
 // loading the latest snapshot and replaying the log tail. The WAL owns the
@@ -228,8 +230,12 @@ func main() {
 		}
 	}
 
+	common := daemon{
+		addr: *addr, pprofAddr: *pprof, save: *save,
+		cacheBytes: *cacheBytes, admitHeavy: *admitHeavy, admitRate: *admitRate,
+	}
 	if *replFrom != "" {
-		runFollower(*addr, *replFrom, *replicaDir, *snapIvl, *save, *pprof, *cacheBytes, *admitHeavy, *admitRate, anaCfg)
+		runFollower(common, *replFrom, *replicaDir, *snapIvl, anaCfg)
 		return
 	}
 	icfg := ingest.DefaultConfig()
@@ -286,7 +292,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("higgsd: %v", err)
 	}
-	if err := setupReadPath(srv, *cacheBytes, *admitHeavy, *admitRate); err != nil {
+	if err := common.setupReadPath(srv); err != nil {
 		log.Fatalf("higgsd: %v", err)
 	}
 	if anaCfg != nil {
@@ -360,23 +366,69 @@ func main() {
 			return server.ReplicationStatus{Role: server.RolePrimary, PrimarySeq: wlog.SyncedSeq()}
 		})
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	banner := fmt.Sprintf("listening on %s (shards=%d items=%d ingest=%s wal=%v)",
+		*addr, sum.NumShards(), sum.Items(), imode, *walDir != "")
+	common.serve(srv, banner, func(ctx context.Context) {
+		if replSrv != nil {
+			if err := replSrv.Shutdown(ctx); err != nil {
+				log.Printf("higgsd: replication shutdown: %v", err)
+			}
+		}
+		// Drain accepted-but-uncommitted ingest batches before snapshotting:
+		// a 202 means the edge survives an orderly shutdown.
+		if retainer != nil {
+			retainer.Close() // no expires may race the drain or the final snapshot
+		}
+		if snapper != nil {
+			snapper.Close() // stop the background loop before the final snapshot
+		}
+		srv.Close()
+		if snapper != nil {
+			// Final covering snapshot: the next boot loads it and replays an
+			// empty (truncated) tail.
+			if err := snapper.Snap(); err != nil {
+				log.Printf("higgsd: final snapshot: %v", err)
+			} else {
+				log.Printf("higgsd: snapshot saved to %s", snapP)
+			}
+		}
+	})
+	if wlog != nil {
+		if err := wlog.Close(); err != nil {
+			log.Printf("higgsd: wal close: %v", err)
+		}
+	}
+}
 
-	if *pprof != "" {
+// daemon holds the flags the primary and the follower entrypoints share,
+// and the part of a higgsd process's life that is the same for both.
+type daemon struct {
+	addr, pprofAddr, save string
+	cacheBytes            int64
+	admitHeavy            int
+	admitRate             float64
+}
+
+// serve is the tail both roles end in: start the optional pprof listener
+// and the API listener (logging banner once it is about to accept), wait
+// for SIGINT/SIGTERM, stop accepting with a 5 s grace, run the role's
+// drain — which must leave srv closed, so its summary is final — and then
+// write the -save snapshot.
+func (d daemon) serve(srv *server.Server, banner string, drain func(ctx context.Context)) {
+	if d.pprofAddr != "" {
 		// The API server uses its own mux, so DefaultServeMux carries only
 		// the pprof handlers — served on a separate listener that is never
 		// exposed alongside the public API.
 		go func() {
-			log.Printf("higgsd: pprof listening on %s", *pprof)
-			if err := http.ListenAndServe(*pprof, nil); err != nil {
+			log.Printf("higgsd: pprof listening on %s", d.pprofAddr)
+			if err := http.ListenAndServe(d.pprofAddr, nil); err != nil {
 				log.Printf("higgsd: pprof: %v", err)
 			}
 		}()
 	}
-
+	httpSrv := &http.Server{Addr: d.addr, Handler: srv.Handler()}
 	go func() {
-		log.Printf("higgsd: listening on %s (shards=%d items=%d ingest=%s wal=%v)",
-			*addr, sum.NumShards(), sum.Items(), imode, *walDir != "")
+		log.Printf("higgsd: %s", banner)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("higgsd: %v", err)
 		}
@@ -391,68 +443,36 @@ func main() {
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("higgsd: shutdown: %v", err)
 	}
-	if replSrv != nil {
-		if err := replSrv.Shutdown(ctx); err != nil {
-			log.Printf("higgsd: replication shutdown: %v", err)
-		}
-	}
-	// Drain accepted-but-uncommitted ingest batches before snapshotting:
-	// a 202 means the edge survives an orderly shutdown.
-	if retainer != nil {
-		retainer.Close() // no expires may race the drain or the final snapshot
-	}
-	if snapper != nil {
-		snapper.Close() // stop the background loop before the final snapshot
-	}
-	srv.Close()
-	if snapper != nil {
-		// Final covering snapshot: the next boot loads it and replays an
-		// empty (truncated) tail.
-		if err := snapper.Snap(); err != nil {
-			log.Printf("higgsd: final snapshot: %v", err)
-		} else {
-			log.Printf("higgsd: snapshot saved to %s", snapP)
-		}
-	}
-	if *save != "" {
-		if err := writeSnapshot(srv.Summary(), *save); err != nil {
+	drain(ctx)
+	if d.save != "" {
+		if err := ingest.WriteSnapshot(srv.Summary(), d.save); err != nil {
 			log.Fatalf("higgsd: save: %v", err)
 		}
-		log.Printf("higgsd: snapshot saved to %s", *save)
-	}
-	if wlog != nil {
-		if err := wlog.Close(); err != nil {
-			log.Printf("higgsd: wal close: %v", err)
-		}
+		log.Printf("higgsd: snapshot saved to %s", d.save)
 	}
 }
 
-// runFollower is the -replicate-from entrypoint: boot a replication
-// follower (local cache or primary snapshot + WAL tail), serve its summary
-// read-only, and keep tailing until shutdown. A resync — the primary
-// truncated past our resume point — swaps the served summary atomically
-// via server.ReplaceSummary.
 // setupReadPath installs the optional read cache and admission controller
 // (DESIGN.md §16) on a constructed server — shared between the primary and
 // follower entrypoints, since a follower's read path benefits from both at
 // least as much (that is where the read traffic scales out to).
-func setupReadPath(srv *server.Server, cacheBytes int64, admitHeavy int, admitRate float64) error {
-	if cacheBytes > 0 {
-		if err := srv.SetReadCache(cacheBytes); err != nil {
+func (d daemon) setupReadPath(srv *server.Server) error {
+	if d.cacheBytes > 0 {
+		if err := srv.SetReadCache(d.cacheBytes); err != nil {
 			return err
 		}
-		log.Printf("higgsd: read cache enabled (%d bytes)", cacheBytes)
+		log.Printf("higgsd: read cache enabled (%d bytes)", d.cacheBytes)
 	}
-	if admitHeavy > 0 || admitRate > 0 {
+	if d.admitHeavy > 0 || d.admitRate > 0 {
 		ctrl, err := admit.New(admit.Config{
-			HeavyConcurrency: admitHeavy,
-			Rate:             admitRate,
+			HeavyConcurrency: d.admitHeavy,
+			Rate:             d.admitRate,
 		})
 		if err != nil {
 			return err
 		}
 		srv.SetAdmission(ctrl)
-		log.Printf("higgsd: admission control enabled (heavy=%d rate=%v/s)", admitHeavy, admitRate)
+		log.Printf("higgsd: admission control enabled (heavy=%d rate=%v/s)", d.admitHeavy, d.admitRate)
 	}
 	return nil
 }
@@ -473,7 +493,12 @@ func logAnalytics(cfg *analytics.Config) {
 	log.Printf("higgsd: analytics enabled (topk=%d epoch=%ds burst=%.1f)", topk, epoch, burst)
 }
 
-func runFollower(addr, source, dir string, snapIvl time.Duration, save, pprofAddr string, cacheBytes int64, admitHeavy int, admitRate float64, anaCfg *analytics.Config) {
+// runFollower is the -replicate-from entrypoint: boot a replication
+// follower (local cache or primary snapshot + WAL tail), serve its summary
+// read-only, and keep tailing until shutdown. A resync — the primary
+// truncated past our resume point — swaps the served summary atomically
+// via server.ReplaceSummary.
+func runFollower(d daemon, source, dir string, snapIvl time.Duration, anaCfg *analytics.Config) {
 	// The server is built after the follower boots (it serves the booted
 	// summary), but a resync can fire as soon as the tail loop starts; the
 	// swap callback waits for the pointer. ReplaceSummary no-ops when the
@@ -505,7 +530,7 @@ func runFollower(addr, source, dir string, snapIvl time.Duration, save, pprofAdd
 	if err != nil {
 		log.Fatalf("higgsd: %v", err)
 	}
-	if err := setupReadPath(srv, cacheBytes, admitHeavy, admitRate); err != nil {
+	if err := d.setupReadPath(srv); err != nil {
 		log.Fatalf("higgsd: %v", err)
 	}
 	if anaCfg != nil {
@@ -531,42 +556,12 @@ func runFollower(addr, source, dir string, snapIvl time.Duration, save, pprofAdd
 			Resyncs:    st.Resyncs,
 		}
 	})
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
-
-	if pprofAddr != "" {
-		go func() {
-			log.Printf("higgsd: pprof listening on %s", pprofAddr)
-			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
-				log.Printf("higgsd: pprof: %v", err)
-			}
-		}()
-	}
-	go func() {
-		st := f.Status()
-		log.Printf("higgsd: follower of %s listening on %s (shards=%d items=%d applied_seq=%d)",
-			source, addr, srv.Summary().NumShards(), srv.Summary().Items(), st.AppliedSeq)
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			log.Fatalf("higgsd: %v", err)
-		}
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	log.Println("higgsd: shutting down")
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("higgsd: shutdown: %v", err)
-	}
-	f.Close() // stop tailing (and swapping) before touching the summary
-	srv.Close()
-	if save != "" {
-		if err := writeSnapshot(srv.Summary(), save); err != nil {
-			log.Fatalf("higgsd: save: %v", err)
-		}
-		log.Printf("higgsd: snapshot saved to %s", save)
-	}
+	banner := fmt.Sprintf("follower of %s listening on %s (shards=%d items=%d applied_seq=%d)",
+		source, d.addr, srv.Summary().NumShards(), srv.Summary().Items(), f.Status().AppliedSeq)
+	d.serve(srv, banner, func(context.Context) {
+		f.Close() // stop tailing (and swapping) before touching the summary
+		srv.Close()
+	})
 }
 
 // loadOrNewSummary restores the summary at path, or builds a fresh one
@@ -604,22 +599,4 @@ func buildSummary(load string, shards int) (*shard.Summary, error) {
 	cfg := shard.DefaultConfig()
 	cfg.Shards = shards
 	return shard.New(cfg)
-}
-
-func writeSnapshot(sum *shard.Summary, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := sum.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

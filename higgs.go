@@ -458,35 +458,6 @@ func NewBurstQuery(opts ...QueryOption) Query {
 	return applyOptions(query.NewBurst(0), opts)
 }
 
-// EdgeQuery returns an edge-weight query for s→d over [ts, te].
-//
-// Deprecated: use NewEdgeQuery with a Window.
-func EdgeQuery(s, d uint64, ts, te int64) Query { return NewEdgeQuery(s, d, Between(ts, te)) }
-
-// VertexOutQuery returns an outgoing vertex-weight query for v over [ts, te].
-//
-// Deprecated: use NewVertexQuery with a Window.
-func VertexOutQuery(v uint64, ts, te int64) Query { return NewVertexQuery(v, Between(ts, te)) }
-
-// VertexInQuery returns an incoming vertex-weight query for v over [ts, te].
-//
-// Deprecated: use NewVertexQuery with a Window and WithDirection(DirIn).
-func VertexInQuery(v uint64, ts, te int64) Query {
-	return NewVertexQuery(v, Between(ts, te), WithDirection(DirIn))
-}
-
-// PathQuery returns a path-weight query along path over [ts, te].
-//
-// Deprecated: use NewPathQuery with a Window.
-func PathQuery(path []uint64, ts, te int64) Query { return NewPathQuery(path, Between(ts, te)) }
-
-// SubgraphQuery returns a subgraph-weight query over the edge set in [ts, te].
-//
-// Deprecated: use NewSubgraphQuery with a Window.
-func SubgraphQuery(edges [][2]uint64, ts, te int64) Query {
-	return NewSubgraphQuery(edges, Between(ts, te))
-}
-
 // Analytics is the stream-analytics engine (DESIGN.md §17): per-shard
 // count-min sketches plus bounded candidate sets, maintained inside the
 // same write-lock sections that apply edges to the summary, answering

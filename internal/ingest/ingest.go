@@ -5,8 +5,8 @@
 // pays lock overhead proportional to the edge count. The pipeline instead
 // routes accepted edges into one bounded queue per shard; a committer
 // goroutine per shard drains whatever has accumulated and applies it under
-// a single lock acquisition (shard.Summary.InsertShard), so N tiny submits
-// cost ~1 lock per shard per drain.
+// a single lock acquisition (shard.Summary.InsertShardAt), so N tiny
+// submits cost ~1 lock per shard per drain.
 //
 // The base contract is admission, not durability: Submit returning nil
 // means the edges are accepted and will be applied in order, and a later
@@ -49,8 +49,8 @@ const (
 	// acquisitions, so queueing it buys nothing. The pending check keeps a
 	// sequential client's batches applied in submission order.
 	ModeAuto Mode = iota
-	// ModeSync applies every batch synchronously via InsertBatch; Submit
-	// returns after the edges are visible. No queues or committers exist.
+	// ModeSync applies every batch synchronously; Submit returns after the
+	// edges are visible. No queues or committers exist.
 	ModeSync
 	// ModeAsync enqueues every batch; edges become visible after the
 	// shard's committer drains, or at the latest after Flush.
@@ -165,11 +165,11 @@ type queue struct {
 	spare    []stream.Edge // recycled backing array for the next buf
 	enqueued uint64
 	applied  uint64
-	// walSeq is the WAL sequence number of the newest edge in buf (0 when
-	// the pipeline has no WAL). Enqueue order is sequence order per shard
-	// (the WAL's deliver callback runs under the log mutex), so walSeq is
-	// exactly the watermark the whole buffer advances the shard to when a
-	// drain applies it.
+	// walSeq is the WAL sequence number of the newest edge in buf (0 under
+	// the null log). Enqueue order is sequence order per shard (the WAL's
+	// deliver callback runs under the log mutex), so walSeq is exactly the
+	// watermark the whole buffer advances the shard to when a drain
+	// applies it.
 	walSeq uint64
 	// urgent asks the committer to skip its accumulation window on the
 	// next drain. Set (under mu) by Flush; a kick alone is not enough,
@@ -197,12 +197,37 @@ func (q *queue) kickCommitter() {
 	}
 }
 
+// admitLog is what the pipeline needs of a write-ahead log: sequence a
+// record, run the deliver callback that admits it while admission is
+// still serialized, and wait for the record to be durable. *wal.Log is
+// the durable implementation; nullLog stands in when Config.WAL is nil, so
+// the pipeline has one admission path and never asks which it holds.
+type admitLog interface {
+	Append(edges []stream.Edge, deliver func(firstSeq uint64) error) (lastSeq uint64, err error)
+	AppendExpire(cutoff int64, deliver func(seq uint64) error) (seq uint64, err error)
+	WaitSynced(seq uint64) error
+}
+
+// nullLog is "no WAL": nothing is recorded, so nothing has a sequence
+// number (every seq is 0, which the shard watermarks ignore), admission is
+// not serialized (exactly as concurrent Submits without a log never were),
+// and there is nothing to wait for.
+type nullLog struct{}
+
+func (nullLog) Append(_ []stream.Edge, deliver func(uint64) error) (uint64, error) {
+	return 0, deliver(0)
+}
+func (nullLog) AppendExpire(_ int64, deliver func(uint64) error) (uint64, error) {
+	return 0, deliver(0)
+}
+func (nullLog) WaitSynced(uint64) error { return nil }
+
 // Pipeline is an asynchronous group-commit front end over a shard.Summary.
 // It is safe for concurrent use by multiple goroutines.
 type Pipeline struct {
 	sum    *shard.Summary
 	cfg    Config
-	wal    *wal.Log // nil when durability is not configured
+	log    admitLog // Config.WAL, or nullLog when durability is not configured
 	queues []*queue // nil in ModeSync
 	stop   chan struct{}
 	wg     sync.WaitGroup
@@ -227,10 +252,11 @@ func New(sum *shard.Summary, cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		sum:  sum,
 		cfg:  cfg.withDefaults(),
-		wal:  cfg.WAL,
+		log:  nullLog{},
 		stop: make(chan struct{}),
 	}
-	if p.wal != nil {
+	if cfg.WAL != nil {
+		p.log = cfg.WAL
 		// The log owns the durable state from here on: direct
 		// shard.Summary.Expire would be silently undone by crash recovery,
 		// so arm the guard that forces retention through Pipeline.Expire.
@@ -272,6 +298,14 @@ func (p *Pipeline) Pending() int64 {
 // only after the batch's log record is fsync'd, so a nil error also means
 // the batch survives a crash.
 //
+// The batch is delivered (applied or enqueued) inside the log's Append —
+// with a WAL that is under the log mutex, so per-shard admission order is
+// WAL sequence order. A full queue aborts the append before any record is
+// written, so a 429'd batch leaves nothing to replay. A log write or sync
+// failure is returned after delivery: the edges are admitted for this
+// process's lifetime but will not survive a crash, and the log's sticky
+// error makes every later Submit fail the same way.
+//
 // Ordering: batches submitted sequentially by one goroutine are applied to
 // each shard in submission order. Batches submitted concurrently by
 // different goroutines have no defined order, exactly as concurrent
@@ -283,113 +317,24 @@ func (p *Pipeline) Submit(edges []stream.Edge) (applied bool, err error) {
 	if p.closed.Load() {
 		return false, ErrClosed
 	}
-	if p.wal != nil {
-		return p.submitWAL(edges)
-	}
-	if p.cfg.Mode == ModeSync {
-		p.sum.InsertBatch(edges)
-		return true, nil
-	}
-	if len(edges) == 1 {
-		return false, p.enqueueOne(p.sum.ShardFor(edges[0].S), edges[0], 0)
-	}
-	g := p.getGroups()
-	defer p.putGroups(g)
-	p.group(g, edges)
-	if p.cfg.Mode == ModeAuto && len(edges) >= p.cfg.SyncThreshold && p.idle(g) {
-		// Apply the groups already built rather than InsertBatch, which
-		// would re-hash and re-group every edge.
-		for i, run := range g.edges {
-			if len(run) > 0 {
-				p.sum.InsertShard(i, run)
-			}
+	last, err := p.log.Append(edges, func(first uint64) error {
+		syncMode := p.cfg.Mode == ModeSync
+		large := p.cfg.Mode == ModeAuto && len(edges) >= p.cfg.SyncThreshold
+		if len(edges) == 1 && !syncMode && !large {
+			// Bound for a queue whatever the queues hold: skip the grouping.
+			return p.enqueueOne(p.sum.ShardFor(edges[0].S), edges[0], first)
 		}
-		return true, nil
-	}
-	return false, p.enqueueGroups(g)
-}
-
-// batchGroups is the reusable per-submit scratch of the grouping stage:
-// per-shard edge runs, the original index of each run's last edge, WAL
-// sequence marks, and committer kick flags, all indexed by shard. A shard
-// is targeted by the batch iff lastIdx[i] >= 0 (equivalently, its run is
-// non-empty). Instances recycle through Pipeline.gpool and the runs keep
-// their capacity across submits, so steady-state grouping allocates
-// nothing.
-//
-// Ownership: a batchGroups belongs to the submitting goroutine only until
-// enqueueGroups / InsertShard* return — both copy the edges onward (queue
-// buffers, shard matrices) and retain nothing, which is what makes
-// immediate reuse after Submit safe.
-type batchGroups struct {
-	edges   [][]stream.Edge
-	lastIdx []int
-	seqs    []uint64
-	kicks   []bool
-}
-
-// getGroups returns a reset batchGroups sized for the summary's shards.
-//
-//higgsvet:pool-ownership the caller owns the returned groups and releases them via putGroups once the batch is applied
-func (p *Pipeline) getGroups() *batchGroups {
-	g, _ := p.gpool.Get().(*batchGroups)
-	n := p.sum.NumShards()
-	if g == nil || len(g.edges) != n {
-		g = &batchGroups{
-			edges:   make([][]stream.Edge, n),
-			lastIdx: make([]int, n),
-			seqs:    make([]uint64, n),
-			kicks:   make([]bool, n),
-		}
-	}
-	for i := range g.edges {
-		g.edges[i] = g.edges[i][:0]
-		g.lastIdx[i] = -1
-		g.seqs[i] = 0
-		g.kicks[i] = false
-	}
-	return g
-}
-
-func (p *Pipeline) putGroups(g *batchGroups) { p.gpool.Put(g) }
-
-// group partitions a batch by target shard into g, preserving relative
-// order, and records the original index of each group's last edge — what
-// the WAL path needs to derive per-shard maximum sequence numbers from the
-// record's first.
-func (p *Pipeline) group(g *batchGroups, edges []stream.Edge) {
-	for j, e := range edges {
-		i := p.sum.ShardFor(e.S)
-		g.edges[i] = append(g.edges[i], e)
-		g.lastIdx[i] = j
-	}
-}
-
-// submitWAL is Submit's durable path: the batch is delivered (applied or
-// enqueued) inside the log's Append — under the log mutex, so per-shard
-// admission order is WAL sequence order — and then Submit blocks until the
-// group fsync covers the record. A full queue aborts the append before any
-// record is written, so a 429'd batch leaves nothing to replay. A log
-// write or sync failure is returned after delivery: the edges are admitted
-// for this process's lifetime but will not survive a crash, and the log's
-// sticky error makes every later Submit fail the same way.
-func (p *Pipeline) submitWAL(edges []stream.Edge) (applied bool, err error) {
-	g := p.getGroups()
-	defer p.putGroups(g)
-	p.group(g, edges)
-	last, err := p.wal.Append(edges, func(first uint64) error {
-		for i, li := range g.lastIdx {
-			if li >= 0 {
-				g.seqs[i] = first + uint64(li)
-			}
-		}
-		// The sync paths (sync mode; auto mode's large batches) may apply
-		// directly only when every target queue is empty: enqueues happen
-		// under the log mutex we hold, so "idle now" cannot turn into "a
-		// lower sequence is waiting" before we apply — the property that
-		// keeps per-shard applies in sequence order.
-		if p.cfg.Mode == ModeSync ||
-			(p.cfg.Mode == ModeAuto && len(edges) >= p.cfg.SyncThreshold && p.idle(g)) {
+		g := p.getGroups()
+		defer p.putGroups(g)
+		p.group(g, edges, first)
+		// A large batch already amortizes its own lock acquisitions, but it
+		// may apply directly only when every target queue is empty, so that
+		// it cannot overtake queued edges of the same sequential client. On
+		// the WAL path enqueues happen under the log mutex we hold, so "idle
+		// now" cannot turn into "a lower sequence is waiting" before we
+		// apply — the property that keeps per-shard applies in sequence
+		// order. (Sync mode has no queues to overtake.)
+		if syncMode || (large && p.idle(g)) {
 			for i, run := range g.edges {
 				if len(run) > 0 {
 					p.sum.InsertShardAt(i, run, g.seqs[i])
@@ -403,7 +348,61 @@ func (p *Pipeline) submitWAL(edges []stream.Edge) (applied bool, err error) {
 	if err != nil {
 		return applied, err
 	}
-	return applied, p.wal.WaitSynced(last)
+	return applied, p.log.WaitSynced(last)
+}
+
+// batchGroups is the reusable per-submit scratch of the grouping stage:
+// per-shard edge runs, each run's highest WAL sequence number, and
+// committer kick flags, all indexed by shard. A shard is targeted by the
+// batch iff its run is non-empty. Instances recycle through Pipeline.gpool
+// and the runs keep their capacity across submits, so steady-state
+// grouping allocates nothing.
+//
+// Ownership: a batchGroups belongs to the submitting goroutine only until
+// enqueueGroups / InsertShard* return — both copy the edges onward (queue
+// buffers, shard matrices) and retain nothing, which is what makes
+// immediate reuse after Submit safe.
+type batchGroups struct {
+	edges [][]stream.Edge
+	seqs  []uint64
+	kicks []bool
+}
+
+// getGroups returns a reset batchGroups sized for the summary's shards.
+//
+//higgsvet:pool-ownership the caller owns the returned groups and releases them via putGroups once the batch is applied
+func (p *Pipeline) getGroups() *batchGroups {
+	g, _ := p.gpool.Get().(*batchGroups)
+	n := p.sum.NumShards()
+	if g == nil || len(g.edges) != n {
+		g = &batchGroups{
+			edges: make([][]stream.Edge, n),
+			seqs:  make([]uint64, n),
+			kicks: make([]bool, n),
+		}
+	}
+	for i := range g.edges {
+		g.edges[i] = g.edges[i][:0]
+		g.seqs[i] = 0
+		g.kicks[i] = false
+	}
+	return g
+}
+
+func (p *Pipeline) putGroups(g *batchGroups) { p.gpool.Put(g) }
+
+// group partitions a batch by target shard into g, preserving relative
+// order, and records each group's highest sequence number: edge j of a
+// record whose first sequence number is first carries first+j, and 0 — the
+// null log's "no record" — stays 0 for every edge.
+func (p *Pipeline) group(g *batchGroups, edges []stream.Edge, first uint64) {
+	for j, e := range edges {
+		i := p.sum.ShardFor(e.S)
+		g.edges[i] = append(g.edges[i], e)
+		if first != 0 {
+			g.seqs[i] = first + uint64(j)
+		}
+	}
 }
 
 // idle reports whether every shard targeted by groups has an empty backlog
@@ -411,11 +410,8 @@ func (p *Pipeline) submitWAL(edges []stream.Edge) (applied bool, err error) {
 // edges from the same sequential client (and, on the WAL path, cannot
 // overtake a lower sequence number).
 func (p *Pipeline) idle(g *batchGroups) bool {
-	if p.queues == nil {
-		return true
-	}
-	for i, li := range g.lastIdx {
-		if li < 0 {
+	for i, run := range g.edges {
+		if len(run) == 0 {
 			continue
 		}
 		q := p.queues[i]
@@ -436,13 +432,13 @@ func (p *Pipeline) fits(q *queue, n int) bool {
 	return len(q.buf) == 0 || len(q.buf)+n <= p.cfg.QueueDepth
 }
 
-// enqueueOne is the single-edge fast path: no group map, one queue lock.
+// enqueueOne is the single-edge fast path: no grouping, one queue lock.
 // The committer is kicked only on the empty→non-empty transition (an edge
 // appended to a non-empty buffer is already covered by the pending kick,
 // or by the drain that must serialize after this append to empty the
 // buffer) and at capacity, so a stream of tiny submits pays one channel
 // send per drain, not per edge. seq is the edge's WAL sequence number
-// (0 without a WAL).
+// (0 under the null log).
 func (p *Pipeline) enqueueOne(i int, e stream.Edge, seq uint64) error {
 	q := p.queues[i]
 	q.mu.Lock()
@@ -472,11 +468,9 @@ func (p *Pipeline) enqueueOne(i int, e stream.Edge, seq uint64) error {
 // locked in ascending shard order (deadlock-free against concurrent
 // multi-shard submits), capacity is checked for every group, and only then
 // is anything appended. A rejected batch leaves no partial state, so a 429
-// retry cannot double-insert. seqs, when non-nil, carries each group's
-// highest WAL sequence number and advances the queues' walSeq marks.
+// retry cannot double-insert. g.seqs carries each group's highest WAL
+// sequence number and advances the queues' walSeq marks.
 func (p *Pipeline) enqueueGroups(g *batchGroups) error {
-	// Ascending shard order (deadlock-free against concurrent multi-shard
-	// submits) falls out of indexing by shard.
 	unlockTo := func(limit int) {
 		for i := 0; i < limit; i++ {
 			if len(g.edges[i]) > 0 {
@@ -640,8 +634,8 @@ func (p *Pipeline) Flush() {
 // watermark (shard.Summary.ExpireAt), and an expire control record is
 // appended and group-fsync'd before Expire returns — crash recovery
 // replays it at exactly its point in the stream, so expired edges stay
-// expired. Without a WAL, Expire flushes and expires in process memory,
-// the same guarantee every other accepted mutation has.
+// expired. Under the null log the same steps flush and expire in process
+// memory at sequence 0, the guarantee every other accepted mutation has.
 //
 // Expire returns ErrClosed after Close has begun. A WAL write or sync
 // failure is returned after the in-memory expire applied: the summary is
@@ -652,11 +646,7 @@ func (p *Pipeline) Expire(cutoff int64) (dropped int64, err error) {
 	if p.closed.Load() {
 		return 0, ErrClosed
 	}
-	if p.wal == nil {
-		p.Flush()
-		return p.sum.ExpireAt(cutoff, 0), nil
-	}
-	seq, err := p.wal.AppendExpire(cutoff, func(seq uint64) error {
+	seq, err := p.log.AppendExpire(cutoff, func(seq uint64) error {
 		// Under the log mutex no batch can be admitted, so every admitted
 		// edge has a lower sequence number; the flush barrier applies them
 		// all, and the expire lands in exact sequence position.
@@ -667,7 +657,7 @@ func (p *Pipeline) Expire(cutoff int64) (dropped int64, err error) {
 	if err != nil {
 		return dropped, err
 	}
-	return dropped, p.wal.WaitSynced(seq)
+	return dropped, p.log.WaitSynced(seq)
 }
 
 // Close stops admission (further Submits return ErrClosed), drains every

@@ -151,6 +151,12 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		{"insert body too large", "POST", "/v1/insert",
 			`[{"s":1,"d":2,"w":3,"t":4,"pad":"` + strings.Repeat("x", maxBatchBody) + `"}]`,
 			413, httpapi.CodeBodyTooLarge},
+		{"delete body too large", "POST", "/v1/delete",
+			`{"s":1,"d":2,"w":3,"t":4,"pad":"` + strings.Repeat("x", maxBatchBody) + `"}`,
+			413, httpapi.CodeBodyTooLarge},
+		{"subgraph body too large", "POST", "/v1/subgraph",
+			`{"edges":[[1,2]],"ts":0,"te":1,"pad":"` + strings.Repeat("x", maxBatchBody) + `"}`,
+			413, httpapi.CodeBodyTooLarge},
 	}
 	for _, c := range cases {
 		resp := do(t, c.method, ts.URL+c.path, c.body)

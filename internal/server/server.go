@@ -426,12 +426,6 @@ func (s *Server) ReplaceSummary(sum *shard.Summary) error {
 	return nil
 }
 
-// summary returns the current summary.
-func (s *Server) summary() *shard.Summary { return s.st.Load().sum }
-
-// pipeline returns the current ingest pipeline.
-func (s *Server) pipeline() *ingest.Pipeline { return s.st.Load().pipe }
-
 // Summary returns the summary currently being served. A snapshot upload
 // replaces it, so callers persisting state on shutdown must ask the server
 // rather than hold the pointer they constructed it with.
@@ -522,25 +516,13 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// handleInsert accepts a JSON array of edges. The batch is grouped by
-// shard, so concurrent inserts to different shards do not contend.
+// handleInsert accepts a JSON array of edges and answers 200 once they are
+// visible to queries. It is /v1/ingest plus a flush: the batch goes
+// through the served pipeline — so on a WAL-backed server it is logged and
+// fsync'd like any other accepted write, and followers receive it — and a
+// batch the pipeline queued is flushed before the response.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.rejectReplicaWrite(w) {
-		return
-	}
-	b, err := decodeBatch(w, r)
-	if err != nil {
-		httpError(w, decodeStatus(err), "decode: %v", err)
-		return
-	}
-	n := len(b.batch)
-	s.summary().InsertBatch(b.batch)
-	putBatch(b)
-	writeJSON(w, map[string]int{"inserted": n})
+	s.admitBatch(w, r, true)
 }
 
 // handleIngest accepts a JSON array of edges through the group-commit
@@ -550,6 +532,13 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // 429 (with Retry-After): a shard queue is full and nothing was applied or
 // enqueued — retrying the same batch is safe. 503: server shutting down.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	s.admitBatch(w, r, false)
+}
+
+// admitBatch is the one write handler behind /v1/insert (visible: flush a
+// queued batch and answer 200) and /v1/ingest (answer 202 for a queued
+// batch).
+func (s *Server) admitBatch(w http.ResponseWriter, r *http.Request, visible bool) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
@@ -563,8 +552,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := len(b.batch)
-	applied, err := s.pipeline().Submit(b.batch)
+	pipe := s.Pipeline() // the Flush must reach the pipeline that queued the batch
+	applied, err := pipe.Submit(b.batch)
 	putBatch(b)
+	if err == nil && !applied && visible {
+		pipe.Flush()
+		applied = true
+	}
 	switch {
 	case errors.Is(err, ingest.ErrQueueFull):
 		httpapi.ErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeIngestBackpressure,
@@ -624,7 +618,7 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 		httpError(w, decodeStatus(err), "decode: %v", err)
 		return
 	}
-	dropped, err := s.pipeline().Expire(req.Cutoff)
+	dropped, err := s.Pipeline().Expire(req.Cutoff)
 	switch {
 	case errors.Is(err, ingest.ErrClosed):
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")
@@ -640,10 +634,10 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 // across requests, so a steady stream of similar-sized batches decodes
 // without growing either.
 //
-// Ownership: the buffers belong to the handler only until the insert path
-// returns — InsertBatch applies the edges into shard matrices and
-// Pipeline.Submit copies them onward (WAL frame bytes, queue buffers)
-// before returning — which is what makes putBatch safe immediately after.
+// Ownership: the buffers belong to the handler only until Pipeline.Submit
+// returns — it copies the edges onward (WAL frame bytes, queue buffers,
+// shard matrices) before returning — which is what makes putBatch safe
+// immediately after.
 type batchBuf struct {
 	edges []Edge
 	batch []stream.Edge
@@ -701,13 +695,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var e Edge
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&e); err != nil {
-		httpError(w, http.StatusBadRequest, "decode: %v", err)
+		httpError(w, decodeStatus(err), "decode: %v", err)
 		return
 	}
-	ok := s.summary().Delete(stream.Edge{S: e.S, D: e.D, W: e.W, T: e.T})
+	ok := s.Summary().Delete(stream.Edge{S: e.S, D: e.D, W: e.W, T: e.T})
 	writeJSON(w, map[string]bool{"deleted": ok})
 }
 
@@ -830,10 +824,10 @@ func (s *Server) handleSubgraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req subgraphRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode: %v", err)
+		httpError(w, decodeStatus(err), "decode: %v", err)
 		return
 	}
 	s.answerOne(w, r, query.NewSubgraph(req.Edges, req.Ts, req.Te))
@@ -844,9 +838,10 @@ func (s *Server) handleSubgraph(w http.ResponseWriter, r *http.Request) {
 const maxBatchQueries = 65536
 
 // maxBatchBody bounds the /v2/query request body (8 MiB), enforced with
-// http.MaxBytesReader before decoding. The write endpoints (/v1/insert,
-// /v1/ingest) and /v1/expire share the same cap: an edge batch worth more
-// than 8 MiB of JSON should be split, not buffered.
+// http.MaxBytesReader before decoding. Every other JSON body (/v1/insert,
+// /v1/ingest, /v1/expire, /v1/delete, /v1/subgraph) shares the same cap:
+// an edge batch worth more than 8 MiB of JSON should be split, not
+// buffered.
 const maxBatchBody = 8 << 20
 
 // maxSnapshotBody bounds a POST /v1/snapshot upload (1 GiB). Snapshots are
@@ -1096,7 +1091,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.summary().Stats())
+	writeJSON(w, s.Summary().Stats())
 }
 
 // handleSnapshot serves the sharded binary snapshot on GET and replaces
@@ -1107,7 +1102,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		w.Header().Set("Content-Type", "application/octet-stream")
-		if _, err := s.summary().WriteTo(w); err != nil {
+		if _, err := s.Summary().WriteTo(w); err != nil {
 			// Headers are gone; the truncated body signals failure.
 			return
 		}

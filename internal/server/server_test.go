@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"higgs/internal/httpapi"
 	"higgs/internal/ingest"
 	"higgs/internal/shard"
+	"higgs/internal/wal"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -1039,7 +1041,7 @@ func TestWriteBodyCaps(t *testing.T) {
 	if len(huge) <= 8<<20 {
 		t.Fatalf("test body not oversized: %d bytes", len(huge))
 	}
-	for _, path := range []string{"/v1/insert", "/v1/ingest", "/v1/expire"} {
+	for _, path := range []string{"/v1/insert", "/v1/ingest", "/v1/expire", "/v1/delete", "/v1/subgraph"} {
 		resp := post(t, ts.URL+path, huge)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -1072,4 +1074,82 @@ func TestHealthzMemory(t *testing.T) {
 	if mem["total_alloc_bytes"].(float64) <= 0 || mem["mallocs"].(float64) <= 0 {
 		t.Fatalf("memory counters implausibly zero: %v", mem)
 	}
+}
+
+// TestInsertIsLoggedAndVisible: /v1/insert is /v1/ingest plus a flush. On
+// a WAL-backed server in every ingest mode it answers 200 with the edges
+// already visible, and the edges are in the log: replaying the log alone
+// into a fresh summary — what crash recovery and a follower both do —
+// yields them. Before /v1/insert went through the pipeline it applied
+// straight to the summary, so a crash lost them and followers never saw
+// them.
+func TestInsertIsLoggedAndVisible(t *testing.T) {
+	for _, mode := range []ingest.Mode{ingest.ModeSync, ingest.ModeAsync, ingest.ModeAuto} {
+		dir := t.TempDir()
+		log, err := wal.Open(wal.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := shard.DefaultConfig()
+		sum, err := shard.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A commit window no test outlives: only the flush makes it visible.
+		srv, err := NewWithIngest(sum, ingest.Config{Mode: mode, CommitInterval: time.Hour, WAL: log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		seed(t, ts.URL) // requires 200 {"inserted": 3}
+		resp := get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
+		if got := decode[map[string]int64](t, resp); got["weight"] != 7 {
+			t.Errorf("%v: weight right after /v1/insert = %d, want 7", mode, got["weight"])
+		}
+		ts.Close()
+		srv.Close()
+		sum.Close()
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		log, err = wal.Open(wal.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := shard.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := ingest.Recover(recovered, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replayed != 3 || recovered.EdgeWeight(1, 2, 0, 100) != 7 {
+			t.Errorf("%v: recovery from the log alone replayed %d edges, weight %d; want 3 edges, weight 7",
+				mode, replayed, recovered.EdgeWeight(1, 2, 0, 100))
+		}
+		recovered.Close()
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestInsertMapsPipelineErrors: /v1/insert surfaces backpressure and
+// shutdown exactly as /v1/ingest does.
+func TestInsertMapsPipelineErrors(t *testing.T) {
+	srv, ts := newAsyncTestServer(t, 1, ingest.Config{Mode: ingest.ModeAsync, QueueDepth: 4, CommitInterval: time.Hour})
+	// Park three edges behind the 1h commit window — short of the depth
+	// that would cut the window short — then ask for room for two more.
+	resp := post(t, ts.URL+"/v1/ingest", `[{"s":1,"d":2,"w":1,"t":1},{"s":1,"d":2,"w":1,"t":2},{"s":1,"d":2,"w":1,"t":3}]`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest status %d, want 202", resp.StatusCode)
+	}
+	resp = post(t, ts.URL+"/v1/insert", `[{"s":1,"d":2,"w":1,"t":4},{"s":1,"d":2,"w":1,"t":5}]`)
+	checkEnvelope(t, "insert into a full queue", resp, http.StatusTooManyRequests, httpapi.CodeIngestBackpressure)
+	srv.Close()
+	resp = post(t, ts.URL+"/v1/insert", `[{"s":1,"d":2,"w":1,"t":4}]`)
+	checkEnvelope(t, "insert after Close", resp, http.StatusServiceUnavailable, httpapi.CodeShuttingDown)
 }

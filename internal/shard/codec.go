@@ -28,7 +28,8 @@ const (
 )
 
 // WriteTo serializes the sharded summary. Each shard is encoded under its
-// write lock (core's WriteTo seals pending aggregates) together with its
+// write lock (core's WriteTo seals pending aggregates — answer-neutral, so
+// it is not a mutate op and bumps no version) together with its
 // durability watermark — the pair is captured atomically, so a snapshot
 // taken during live WAL-backed ingest is per-shard consistent: the frame
 // holds exactly the edges its watermark claims. Shards not being encoded

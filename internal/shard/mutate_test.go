@@ -1,0 +1,205 @@
+package shard
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+
+	"higgs/internal/stream"
+)
+
+// hookCall is one ApplyObserver callback as the recorder saw it.
+type hookCall struct {
+	hook  string // "apply", "delete" or "expire"
+	shard int
+	ver   uint64 // ShardVersion(shard) read from inside the callback
+}
+
+// recorder is an ApplyObserver that notes which hook ran for which shard
+// and what the shard's version read at that moment. ShardVersion is a
+// lock-free load, so reading it under the write lock is legal.
+type recorder struct {
+	s     *Summary
+	mu    sync.Mutex // all-shard ops call back from one goroutine per shard
+	calls []hookCall
+}
+
+func (r *recorder) note(hook string, shard int) {
+	r.mu.Lock()
+	r.calls = append(r.calls, hookCall{hook, shard, r.s.ShardVersion(shard)})
+	r.mu.Unlock()
+}
+
+func (r *recorder) ObserveApply(i int, _ []stream.Edge) { r.note("apply", i) }
+func (r *recorder) ObserveDelete(i int, _ stream.Edge)  { r.note("delete", i) }
+func (r *recorder) ObserveExpire(i int, _ int64)        { r.note("expire", i) }
+
+// TestMutatorContract pins what mutate promises, through every public
+// entry point (DESIGN.md §12, §16, §17): a shard's version advances by
+// exactly one iff the op changed what queries may answer there; the
+// observer hook for that change runs inside the section, i.e. while
+// ShardVersion still reads the old value; the addressed shards' watermarks
+// become max(old, seq) and nobody else's moves. Stats and WriteTo take the
+// write lock to seal aggregates but are answer-neutral, and reads are
+// reads: none of them may move anything.
+func TestMutatorContract(t *testing.T) {
+	const preSeq = 5 // every shard's watermark before the op under test
+	st := testStream(t, 50, 2_000)
+	last := st[len(st)-1]
+	known := stream.Edge{S: 1, D: 2, W: 3, T: last.T + 1} // present, for Delete
+	fresh := stream.Edge{S: 1, D: 7, W: 1, T: last.T + 2} // same shard as known
+	early := st[0].T - 1                                  // expires nothing
+	late := st[0].T + (last.T-st[0].T)*2/3                // expires whole subtrees
+
+	cases := []struct {
+		name string
+		run  func(s *Summary, owner int)
+		seq  uint64 // the sequence number the op carries
+		all  bool   // addresses every shard; otherwise only known's
+		hook string // expected observer hook; "" with changes = none by design
+		// changes: the op is answer-changing on the shards it addresses
+		// (an expire: on those where it reclaimed, at least one).
+		changes bool
+	}{
+		{name: "Insert", run: func(s *Summary, _ int) { s.Insert(fresh) }, hook: "apply", changes: true},
+		{name: "InsertBatch", run: func(s *Summary, _ int) { s.InsertBatch(st) }, all: true, hook: "apply", changes: true},
+		{name: "InsertShardAt/seq0", run: func(s *Summary, i int) { s.InsertShardAt(i, []stream.Edge{fresh}, 0) }, hook: "apply", changes: true},
+		{name: "InsertShardAt/seq9", run: func(s *Summary, i int) { s.InsertShardAt(i, []stream.Edge{fresh}, 9) }, seq: 9, hook: "apply", changes: true},
+		{name: "InsertShardAt/lower-seq", run: func(s *Summary, i int) { s.InsertShardAt(i, []stream.Edge{fresh}, 3) }, seq: 3, hook: "apply", changes: true},
+		{name: "InsertShardAt/empty", run: func(s *Summary, i int) { s.InsertShardAt(i, nil, 9) }, seq: 9},
+		{name: "Delete/hit", run: func(s *Summary, _ int) {
+			if !s.Delete(known) {
+				t.Error("Delete of a present edge reported not found")
+			}
+		}, hook: "delete", changes: true},
+		{name: "Delete/miss", run: func(s *Summary, _ int) {
+			if s.Delete(stream.Edge{S: known.S, D: 9999, W: 5, T: known.T}) {
+				t.Error("Delete of an absent edge reported found")
+			}
+		}},
+		{name: "Expire/reclaiming", run: func(s *Summary, _ int) { s.Expire(late) }, all: true, hook: "expire", changes: true},
+		{name: "Expire/vacuous", run: func(s *Summary, _ int) {
+			if n := s.Expire(early); n != 0 {
+				t.Errorf("expire before the stream reclaimed %d leaves", n)
+			}
+		}, all: true},
+		{name: "ExpireAt/reclaiming", run: func(s *Summary, _ int) { s.ExpireAt(late, 9) }, seq: 9, all: true, hook: "expire", changes: true},
+		{name: "ExpireAt/vacuous", run: func(s *Summary, _ int) { s.ExpireAt(early, 9) }, seq: 9, all: true},
+		{name: "ExpireShardAt/reclaiming", run: func(s *Summary, i int) { s.ExpireShardAt(i, late, 9) }, seq: 9, hook: "expire", changes: true},
+		{name: "ExpireShardAt/vacuous", run: func(s *Summary, i int) { s.ExpireShardAt(i, early, 9) }, seq: 9},
+		{name: "Finalize", run: func(s *Summary, _ int) { s.Finalize() }, all: true, changes: true},
+		{name: "Close", run: func(s *Summary, _ int) { s.Close() }, all: true, changes: true},
+		{name: "Stats", run: func(s *Summary, _ int) { s.Stats() }, all: true},
+		{name: "WriteTo", run: func(s *Summary, _ int) {
+			if _, err := s.WriteTo(&bytes.Buffer{}); err != nil {
+				t.Error(err)
+			}
+		}, all: true},
+		{name: "reads", run: func(s *Summary, _ int) {
+			s.EdgeWeight(1, 2, 0, last.T+10)
+			s.VertexIn(2, 0, last.T+10)
+			s.Items()
+		}, all: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSharded(t, 2)
+			groups := make([][]stream.Edge, s.NumShards())
+			for _, e := range append(st[:len(st):len(st)], known) {
+				i := s.ShardFor(e.S)
+				groups[i] = append(groups[i], e)
+			}
+			for i, g := range groups {
+				s.InsertShardAt(i, g, preSeq)
+			}
+			owner := s.ShardFor(known.S)
+			rec := &recorder{s: s}
+			s.SetApplyObserver(rec)
+			verBefore := make([]uint64, s.NumShards())
+			for i := range verBefore {
+				verBefore[i] = s.ShardVersion(i)
+			}
+
+			tc.run(s, owner)
+
+			s.SetApplyObserver(nil) // the Cleanup Close is not part of the case
+			notified := make(map[int]bool)
+			for _, c := range rec.calls {
+				if c.hook != tc.hook {
+					t.Errorf("observer hook %q ran on shard %d, want %q", c.hook, c.shard, tc.hook)
+				}
+				if c.ver != verBefore[c.shard] {
+					t.Errorf("hook on shard %d saw version %d, want the pre-op %d: it ran outside the write section", c.shard, c.ver, verBefore[c.shard])
+				}
+				if notified[c.shard] {
+					t.Errorf("shard %d notified twice for one op", c.shard)
+				}
+				notified[c.shard] = true
+			}
+			advanced := 0
+			for i := range verBefore {
+				addressed := tc.all || i == owner
+				delta := s.ShardVersion(i) - verBefore[i]
+				switch {
+				case delta > 1:
+					t.Errorf("shard %d version advanced by %d for one op", i, delta)
+				case delta == 1 && !(addressed && tc.changes):
+					t.Errorf("shard %d version advanced by an op that changed no answer there", i)
+				case delta == 0 && addressed && tc.changes && tc.hook != "expire":
+					t.Errorf("shard %d version did not advance past an answer-changing op", i)
+				}
+				if tc.hook != "" && (delta == 1) != notified[i] {
+					t.Errorf("shard %d: version advanced = %v but observer notified = %v", i, delta == 1, notified[i])
+				}
+				advanced += int(delta)
+
+				wantSeq := uint64(preSeq)
+				if addressed && tc.seq > wantSeq {
+					wantSeq = tc.seq
+				}
+				if got := s.ShardSeq(i); got != wantSeq {
+					t.Errorf("shard %d watermark = %d, want max(%d, seq) = %d", i, got, preSeq, wantSeq)
+				}
+			}
+			if tc.changes && advanced == 0 {
+				t.Errorf("answer-changing op advanced no version (did the expire reclaim nothing?)")
+			}
+			if tc.hook == "" && len(rec.calls) != 0 {
+				t.Errorf("observer ran %d times, want 0", len(rec.calls))
+			}
+		})
+	}
+}
+
+// TestInsertShardAtAllocs: a warm group commit — re-applying a batch that
+// merges into existing leaf slots — must not allocate, with or without an
+// observer registered: mutate's op must stay on the stack.
+func TestInsertShardAtAllocs(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		s, st := fixtureSet(t)
+		if observed {
+			s.SetApplyObserver(&countingObserver{})
+		}
+		lastEdge := st[len(st)-1]
+		i := s.ShardFor(lastEdge.S)
+		batch := []stream.Edge{lastEdge, lastEdge, lastEdge, lastEdge}
+		s.InsertShardAt(i, batch, 1)
+		if n := testing.AllocsPerRun(1000, func() { s.InsertShardAt(i, batch, 1) }); n != 0 {
+			t.Errorf("InsertShardAt (observer=%v) allocates %.2f allocs/op, want 0", observed, n)
+		}
+		if n := testing.AllocsPerRun(1000, func() { s.Insert(lastEdge) }); n != 0 {
+			t.Errorf("Insert (observer=%v) allocates %.2f allocs/op, want 0", observed, n)
+		}
+		s.Close()
+	}
+}
+
+// countingObserver is the cheapest possible ApplyObserver.
+type countingObserver struct{ applies, edges int }
+
+func (c *countingObserver) ObserveApply(_ int, edges []stream.Edge) {
+	c.applies++
+	c.edges += len(edges)
+}
+func (c *countingObserver) ObserveDelete(int, stream.Edge) {}
+func (c *countingObserver) ObserveExpire(int, int64)       {}

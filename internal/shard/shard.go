@@ -64,30 +64,33 @@ func (c Config) Validate() error {
 	return c.Core.Validate()
 }
 
-// slot pairs one core summary with its lock. Insert and Delete take the
-// write lock; queries take the read lock (core queries are mutually
-// concurrency-safe but must not run during mutation).
+// slot pairs one core summary with its lock. Every answer-changing write
+// takes the write lock in mutate and nowhere else; queries take the read
+// lock (core queries are mutually concurrency-safe but must not run during
+// mutation).
 type slot struct {
 	mu  sync.RWMutex
 	sum *core.Summary
 	// seq is the shard's durability watermark: the highest write-ahead-log
 	// sequence number applied to this shard (0 when the shard has never
 	// seen WAL-sequenced edges). It advances under mu together with the
-	// apply (InsertShardAt), so a snapshot frame — serialized under the
-	// same lock — always pairs the shard's contents with the exact
-	// watermark splitting "already in the snapshot" from "replay me"
-	// (DESIGN.md §12).
+	// apply (mutate), so a snapshot frame — serialized under the same lock
+	// — always pairs the shard's contents with the exact watermark
+	// splitting "already in the snapshot" from "replay me" (DESIGN.md §12).
 	seq uint64
-	// ver is the shard's mutation version: a counter bumped inside every
-	// write-lock section that may change query answers (insert, delete,
-	// expire-that-reclaimed, finalize, close) — including the non-durable
-	// seq-0 paths that leave the durability watermark alone. It is the
-	// read cache's invalidation token (DESIGN.md §16): because it only
-	// ever advances, and only under mu, two equal reads of ver bracket a
-	// window in which no mutation completed, so any probe result obtained
-	// inside that window is exactly the state at that version. Read with
-	// atomic.Load so cache hits need no lock at all.
+	// ver is the shard's mutation version: a counter mutate bumps, before
+	// it unlocks, for every op that may change query answers — including
+	// the non-durable seq-0 paths that leave the durability watermark
+	// alone. It is the read cache's invalidation token (DESIGN.md §16):
+	// because it only ever advances, and only under mu, two equal reads of
+	// ver bracket a window in which no mutation completed, so any probe
+	// result obtained inside that window is exactly the state at that
+	// version. Read with atomic.Load so cache hits need no lock at all.
 	ver atomic.Uint64
+	// one is Insert's single-edge batch. The ApplyObserver takes a slice,
+	// and a slice of the caller's stack would escape to the heap on every
+	// Insert; this one is written and read under mu only.
+	one [1]stream.Edge
 }
 
 // ApplyObserver is notified of every answer-changing mutation, from inside
@@ -96,10 +99,10 @@ type slot struct {
 // reader can observe ShardVersion(i) advanced past a mutation, the
 // observer has already seen it. Because every write path in this
 // repository — sync inserts, async group commits, WAL replay, follower
-// replication, deletes, retention expiry — funnels through the shard
-// entry points, one observer covers them all without a new write path.
-// Callbacks run under the shard's write lock: they must be fast and must
-// not call back into the Summary.
+// replication, deletes, retention expiry — is a wrapper over mutate, one
+// observer covers them all without a new write path. Callbacks run under
+// the shard's write lock: they must be fast, must not call back into the
+// Summary, and must not retain the edge slice past the call.
 type ApplyObserver interface {
 	// ObserveApply sees every batch of edges applied to shard i.
 	ObserveApply(shard int, edges []stream.Edge)
@@ -120,8 +123,8 @@ type Summary struct {
 	slots []*slot
 
 	// obs is the registered ApplyObserver (nil when none). An atomic
-	// pointer so registration needs no lock; each mutate path loads it once
-	// inside its write-lock section.
+	// pointer so registration needs no lock; mutate loads it once inside
+	// its write-lock section.
 	obs atomic.Pointer[ApplyObserver]
 
 	// walOwned, once set (MarkWALOwned), marks the summary's durable state
@@ -139,14 +142,6 @@ func (s *Summary) SetApplyObserver(obs ApplyObserver) {
 		return
 	}
 	s.obs.Store(&obs)
-}
-
-// observer returns the registered ApplyObserver or nil.
-func (s *Summary) observer() ApplyObserver {
-	if p := s.obs.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // New returns an empty sharded summary for the given configuration.
@@ -202,21 +197,95 @@ func (s *Summary) ShardFor(v uint64) int {
 	return int(s.part.Hash(v) % uint64(len(s.slots)))
 }
 
+// opKind names the answer-changing operations mutate can run on a shard.
+type opKind uint8
+
+const (
+	opInsert    opKind = iota // apply op.edges in order
+	opInsertOne               // apply op.edge (Insert's single-edge form of opInsert)
+	opDelete                  // remove op.edge if present
+	opExpire                  // drop subtrees wholly before op.cutoff
+	opFinalize                // seal estimator state at end of stream
+	opClose                   // release background resources
+)
+
+// op is one operation for mutate, as plain data rather than a closure so
+// the per-batch hot path (InsertShardAt) allocates nothing.
+type op struct {
+	kind   opKind
+	edges  []stream.Edge
+	edge   stream.Edge
+	cutoff int64
+}
+
+// mutate is the write path: the only place an answer-changing write lock
+// is taken (lock_test.go holds that), and every public mutator is a
+// wrapper over it. Under shard i's lock it runs o against the core
+// summary, advances the durability watermark to max(watermark, seq) — seq
+// 0, the non-durable paths, leaves it alone — and, iff the op changed what
+// queries may answer, notifies the ApplyObserver and then bumps the
+// mutation version, all before unlocking. So "version advanced ⇒ observer
+// notified" (DESIGN.md §16–§17) and "contents ⇔ watermark" (DESIGN.md §12)
+// hold by construction.
+//
+// It returns the op's extent — edges applied, 1 for a delete that found
+// its entry, leaves reclaimed, 1 for Finalize and Close — and the op
+// changed answers exactly when that is positive: an empty batch, a missed
+// delete and a vacuous expire leave the version (and so every read cache)
+// alone. Finalize and Close have no observer hook by design: they change
+// no edge multiset, and the version bump already invalidates cached reads.
+func (s *Summary) mutate(i int, seq uint64, o op) (n int64) {
+	sl := s.slots[i]
+	sl.mu.Lock()
+	switch o.kind {
+	case opInsertOne:
+		sl.one[0] = o.edge
+		o.kind, o.edges = opInsert, sl.one[:]
+		fallthrough
+	case opInsert:
+		for _, e := range o.edges {
+			sl.sum.Insert(e)
+		}
+		n = int64(len(o.edges))
+	case opDelete:
+		if sl.sum.Delete(o.edge) {
+			n = 1
+		}
+	case opExpire:
+		n = int64(sl.sum.Expire(o.cutoff))
+	case opFinalize:
+		sl.sum.Finalize()
+		n = 1
+	case opClose:
+		sl.sum.Close()
+		n = 1
+	}
+	if seq > sl.seq {
+		sl.seq = seq
+	}
+	if n > 0 {
+		if obs := s.obs.Load(); obs != nil {
+			switch o.kind {
+			case opInsert:
+				(*obs).ObserveApply(i, o.edges)
+			case opDelete:
+				(*obs).ObserveDelete(i, o.edge)
+			case opExpire:
+				(*obs).ObserveExpire(i, o.cutoff)
+			}
+		}
+		sl.ver.Add(1)
+	}
+	sl.mu.Unlock()
+	return n
+}
+
 // Insert adds one stream item to the shard of its source vertex.
 // Timestamps must be non-decreasing per shard; since each shard receives a
 // subsequence of the stream, any globally time-ordered stream satisfies
 // this (out-of-order items are clamped per shard, see core.Summary).
 func (s *Summary) Insert(e stream.Edge) {
-	i := s.ShardFor(e.S)
-	sl := s.slots[i]
-	sl.mu.Lock()
-	sl.sum.Insert(e)
-	if obs := s.observer(); obs != nil {
-		one := [1]stream.Edge{e}
-		obs.ObserveApply(i, one[:])
-	}
-	sl.ver.Add(1)
-	sl.mu.Unlock()
+	s.mutate(s.ShardFor(e.S), 0, op{kind: opInsertOne, edge: e})
 }
 
 // InsertBatch adds a batch of stream items, grouping them by shard so each
@@ -224,7 +293,7 @@ func (s *Summary) Insert(e stream.Edge) {
 // order within a shard is preserved.
 func (s *Summary) InsertBatch(edges []stream.Edge) {
 	if len(s.slots) == 1 {
-		s.InsertShard(0, edges)
+		s.InsertShardAt(0, edges, 0)
 		return
 	}
 	groups := make(map[int][]stream.Edge)
@@ -233,41 +302,23 @@ func (s *Summary) InsertBatch(edges []stream.Edge) {
 		groups[i] = append(groups[i], e)
 	}
 	for i, g := range groups {
-		s.InsertShard(i, g)
+		s.InsertShardAt(i, g, 0)
 	}
 }
 
-// InsertShard applies a batch of stream items that all belong to shard i
+// InsertShardAt applies a batch of stream items that all belong to shard i
 // under a single write-lock acquisition — the group-commit primitive
-// internal/ingest builds on (DESIGN.md §9). Every edge must satisfy
+// internal/ingest builds on (DESIGN.md §9) — and advances the shard's
+// durability watermark to seq, the highest write-ahead-log sequence number
+// in the batch, under the same acquisition. Every edge must satisfy
 // ShardFor(e.S) == i; routing an edge to the wrong shard silently corrupts
 // query results, so only callers that partition with ShardFor (as
-// InsertBatch and the ingest committers do) may use this.
-func (s *Summary) InsertShard(i int, edges []stream.Edge) {
-	s.InsertShardAt(i, edges, 0)
-}
-
-// InsertShardAt is InsertShard for WAL-sequenced batches: it applies the
-// edges and advances the shard's durability watermark to seq — the highest
-// write-ahead-log sequence number in the batch — under the same write-lock
-// acquisition. Callers must apply each shard's edges in ascending sequence
-// order (the WAL's deliver callback guarantees admission order is sequence
-// order); seq 0 leaves the watermark untouched, which is how the
-// non-durable paths behave.
+// InsertBatch and the ingest pipeline do) may use this. Callers must apply
+// each shard's edges in ascending sequence order (the WAL's deliver
+// callback guarantees admission order is sequence order); seq 0 leaves the
+// watermark untouched, which is how the non-durable paths behave.
 func (s *Summary) InsertShardAt(i int, edges []stream.Edge, seq uint64) {
-	sl := s.slots[i]
-	sl.mu.Lock()
-	for _, e := range edges {
-		sl.sum.Insert(e)
-	}
-	if seq > sl.seq {
-		sl.seq = seq
-	}
-	if obs := s.observer(); obs != nil && len(edges) > 0 {
-		obs.ObserveApply(i, edges)
-	}
-	sl.ver.Add(1)
-	sl.mu.Unlock()
+	s.mutate(i, seq, op{kind: opInsert, edges: edges})
 }
 
 // ShardSeq returns shard i's durability watermark: every WAL-sequenced
@@ -299,18 +350,7 @@ func (s *Summary) ShardVersion(i int) uint64 {
 // Delete removes one previously inserted item from the shard of its source
 // vertex, reporting whether a matching entry was found.
 func (s *Summary) Delete(e stream.Edge) bool {
-	i := s.ShardFor(e.S)
-	sl := s.slots[i]
-	sl.mu.Lock()
-	ok := sl.sum.Delete(e)
-	if ok {
-		if obs := s.observer(); obs != nil {
-			obs.ObserveDelete(i, e)
-		}
-		sl.ver.Add(1)
-	}
-	sl.mu.Unlock()
-	return ok
+	return s.mutate(s.ShardFor(e.S), 0, op{kind: opDelete, edge: e}) > 0
 }
 
 // ProbeShard evaluates every probe against shard i under a single
@@ -432,35 +472,11 @@ func (s *Summary) MarkWALOwned() { s.walOwned.Store(true) }
 // sequencing against a WAL must order ExpireAt between the applies of
 // lower and higher sequence numbers, exactly as InsertShardAt.
 func (s *Summary) ExpireAt(cutoff int64, seq uint64) int64 {
+	// ExpireShardAt checks too, but on eachShard's goroutines, where a
+	// panic kills the process instead of reaching the caller.
 	s.checkUnloggedExpire(seq)
 	var dropped atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(len(s.slots))
-	for i := range s.slots {
-		run := func(i int) {
-			defer wg.Done()
-			sl := s.slots[i]
-			sl.mu.Lock()
-			n := sl.sum.Expire(cutoff)
-			if seq > sl.seq {
-				sl.seq = seq
-			}
-			if n > 0 {
-				if obs := s.observer(); obs != nil {
-					obs.ObserveExpire(i, cutoff)
-				}
-				sl.ver.Add(1)
-			}
-			sl.mu.Unlock()
-			dropped.Add(int64(n))
-		}
-		if len(s.slots) == 1 {
-			run(i)
-		} else {
-			go run(i)
-		}
-	}
-	wg.Wait()
+	s.eachShard(func(i int) { dropped.Add(s.ExpireShardAt(i, cutoff, seq)) })
 	return dropped.Load()
 }
 
@@ -471,20 +487,7 @@ func (s *Summary) ExpireAt(cutoff int64, seq uint64) int64 {
 // whose watermark already covers the record.
 func (s *Summary) ExpireShardAt(i int, cutoff int64, seq uint64) int64 {
 	s.checkUnloggedExpire(seq)
-	sl := s.slots[i]
-	sl.mu.Lock()
-	n := sl.sum.Expire(cutoff)
-	if seq > sl.seq {
-		sl.seq = seq
-	}
-	if n > 0 {
-		if obs := s.observer(); obs != nil {
-			obs.ObserveExpire(i, cutoff)
-		}
-		sl.ver.Add(1)
-	}
-	sl.mu.Unlock()
-	return int64(n)
+	return s.mutate(i, seq, op{kind: opExpire, cutoff: cutoff})
 }
 
 // checkUnloggedExpire panics on any unlogged (seq 0) expire of a
@@ -500,13 +503,7 @@ func (s *Summary) checkUnloggedExpire(seq uint64) {
 // Finalize marks the end of the stream on every shard concurrently; see
 // core.Summary.Finalize. Finalize is idempotent.
 func (s *Summary) Finalize() {
-	s.eachShard(func(sl *slot) {
-		sl.mu.Lock()
-		//higgsvet:ignore lockversion Finalize has no ApplyObserver hook by design: it changes no edge multiset, only seals estimator state, and the ver bump below already invalidates cached reads
-		sl.sum.Finalize()
-		sl.ver.Add(1)
-		sl.mu.Unlock()
-	})
+	s.eachShard(func(i int) { s.mutate(i, 0, op{kind: opFinalize}) })
 }
 
 // Close releases per-shard background resources. The summary remains
@@ -516,28 +513,22 @@ func (s *Summary) Finalize() {
 // running an ingest.Pipeline must close the pipeline first (which applies
 // everything still queued) and only then close the summary (DESIGN.md §9).
 func (s *Summary) Close() {
-	s.eachShard(func(sl *slot) {
-		sl.mu.Lock()
-		//higgsvet:ignore lockversion Close has no ApplyObserver hook by design: it releases resources without changing the edge multiset, and the ver bump below already invalidates cached reads
-		sl.sum.Close()
-		sl.ver.Add(1)
-		sl.mu.Unlock()
-	})
+	s.eachShard(func(i int) { s.mutate(i, 0, op{kind: opClose}) })
 }
 
-// eachShard runs f on every shard concurrently and waits.
-func (s *Summary) eachShard(f func(*slot)) {
+// eachShard runs f on every shard index concurrently and waits.
+func (s *Summary) eachShard(f func(i int)) {
 	if len(s.slots) == 1 {
-		f(s.slots[0])
+		f(0)
 		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(s.slots))
-	for _, sl := range s.slots {
-		go func(sl *slot) {
+	for i := range s.slots {
+		go func(i int) {
 			defer wg.Done()
-			f(sl)
-		}(sl)
+			f(i)
+		}(i)
 	}
 	wg.Wait()
 }
@@ -554,18 +545,15 @@ type Stats struct {
 // maximum tree height) and AvgLeafUtil (leaf-weighted mean).
 func (s *Summary) Stats() Stats {
 	st := Stats{Shards: len(s.slots), PerShard: make([]core.Stats, len(s.slots))}
-	var wg sync.WaitGroup
-	wg.Add(len(s.slots))
-	for i, sl := range s.slots {
-		go func(i int, sl *slot) {
-			defer wg.Done()
-			// Stats seals closed nodes on demand: a mutation, so write lock.
-			sl.mu.Lock()
-			st.PerShard[i] = sl.sum.Stats()
-			sl.mu.Unlock()
-		}(i, sl)
-	}
-	wg.Wait()
+	s.eachShard(func(i int) {
+		// Stats seals closed nodes on demand: a mutation of the tree, so the
+		// write lock — but an answer-neutral one, so not through mutate:
+		// monitoring traffic must not bump versions and invalidate caches.
+		sl := s.slots[i]
+		sl.mu.Lock()
+		st.PerShard[i] = sl.sum.Stats()
+		sl.mu.Unlock()
+	})
 	var utilWeighted float64
 	for _, ps := range st.PerShard {
 		st.Total.Items += ps.Items

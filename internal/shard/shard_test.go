@@ -318,7 +318,7 @@ func TestInsertShardAtWatermark(t *testing.T) {
 	}
 	// Watermarks only advance: a lower (or zero) seq leaves them alone.
 	s.InsertShardAt(i, []stream.Edge{{S: e.S, D: 3, W: 1, T: 11}}, 5)
-	s.InsertShard(i, []stream.Edge{{S: e.S, D: 4, W: 1, T: 12}})
+	s.InsertShardAt(i, []stream.Edge{{S: e.S, D: 4, W: 1, T: 12}}, 0)
 	if got := s.ShardSeq(i); got != 7 {
 		t.Fatalf("watermark after lower/zero seq = %d, want 7", got)
 	}

@@ -17,9 +17,8 @@ type span struct{ start, end token.Pos }
 // `if cond { mu.Unlock(); ...; return }` block releases the lock for the
 // rest of that block only, while the fallthrough path stays locked.
 type section struct {
-	chain    string   // rendering of the mutex expression, e.g. "sl.mu"
-	baseExpr ast.Expr // the owner expression (X in X.mu); nil for a bare mutex ident
-	write    bool     // Lock/Unlock vs RLock/RUnlock
+	chain string // rendering of the mutex expression, e.g. "sl.mu"
+	write bool   // Lock/Unlock vs RLock/RUnlock
 	span
 	holes []span
 }
@@ -113,7 +112,6 @@ func lockSections(info *types.Info, body *ast.BlockStmt) []section {
 		call     *ast.CallExpr
 		name     string // Lock, RLock, Unlock, RUnlock
 		chain    string
-		baseExpr ast.Expr
 		deferred bool
 		earlyEnd token.Pos // early-exit hole end (NoPos when not early-exit)
 	}
@@ -149,14 +147,10 @@ func lockSections(info *types.Info, body *ast.BlockStmt) []section {
 			return true
 		}
 		// Track the convention: a field named mu, or a bare mutex ident.
-		var baseExpr ast.Expr
-		if muSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-			if muSel.Sel.Name != "mu" {
-				return true
-			}
-			baseExpr = muSel.X
+		if muSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok && muSel.Sel.Name != "mu" {
+			return true
 		}
-		ev := event{call: call, name: name, chain: chain, baseExpr: baseExpr, deferred: deferred[call]}
+		ev := event{call: call, name: name, chain: chain, deferred: deferred[call]}
 		if b := earlyExitBlock(stack); b != nil && !ev.deferred {
 			ev.earlyEnd = b.End()
 		}
@@ -171,7 +165,7 @@ func lockSections(info *types.Info, body *ast.BlockStmt) []section {
 		switch ev.name {
 		case "Lock", "RLock":
 			open = append(open, section{
-				chain: ev.chain, baseExpr: ev.baseExpr, write: write,
+				chain: ev.chain, write: write,
 				span: span{start: ev.call.End()},
 			})
 		case "Unlock", "RUnlock":
@@ -236,37 +230,11 @@ func lockedBody(info *types.Info, fb funcBody) (section, bool) {
 		f := st.Field(i)
 		if f.Name() == "mu" && isMutexType(f.Type()) {
 			return section{
-				chain:    recvName + ".mu",
-				baseExpr: recv.List[0].Names[0],
-				write:    true,
-				span:     span{start: fb.body.Pos(), end: fb.body.End()},
+				chain: recvName + ".mu",
+				write: true,
+				span:  span{start: fb.body.Pos(), end: fb.body.End()},
 			}, true
 		}
 	}
 	return section{}, false
-}
-
-// structHasFields reports whether t (behind pointers) is a struct with
-// every one of the named fields.
-func structHasFields(t types.Type, names ...string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	have := make(map[string]bool, st.NumFields())
-	for i := 0; i < st.NumFields(); i++ {
-		have[st.Field(i).Name()] = true
-	}
-	for _, n := range names {
-		if !have[n] {
-			return false
-		}
-	}
-	return true
 }

@@ -51,3 +51,35 @@ func (p *pipeline) replay(edges []shard.Edge, seq uint64) {
 	//higgsvet:ignore wallorder fixture replay of records already durable in the log
 	p.sum.InsertShardAt(0, edges, seq)
 }
+
+// admitLog is the pipeline's log seam: an interface *wal.Log satisfies.
+type admitLog interface {
+	Append(edges []shard.Edge, deliver func(firstSeq uint64)) error
+}
+
+// notALog has an Append too, but *wal.Log does not satisfy it.
+type notALog interface {
+	Append(n int, deliver func(seq uint64))
+}
+
+type seamed struct {
+	sum   *shard.Summary
+	log   admitLog
+	other notALog
+}
+
+// submit is clean: the callback is the deliver of a wal append reached
+// through the seam.
+func (p *seamed) submit(edges []shard.Edge) error {
+	return p.log.Append(edges, func(firstSeq uint64) {
+		p.sum.InsertShardAt(0, edges, firstSeq)
+	})
+}
+
+// bogus shows the seam is matched by what *wal.Log satisfies, not by a
+// method that happens to be called Append.
+func (p *seamed) bogus(edges []shard.Edge) {
+	p.other.Append(len(edges), func(seq uint64) {
+		p.sum.InsertShardAt(0, edges, seq) // want "outside the wal.Append"
+	})
+}

@@ -1,11 +1,10 @@
 // Package vetrules holds higgsvet's go/analysis suite: mechanical
-// enforcement of the concurrency and API invariants that DESIGN.md §16–§17
+// enforcement of the concurrency and API invariants that DESIGN.md §12–§17
 // state in prose and that -race tests can only probabilistically witness
 // (DESIGN.md §18). Each analyzer is package-local, intra-procedural, and
 // deliberately narrow: it encodes the exact shape the repository's own
-// code uses (named `mu` mutex fields, the `slot` struct, the wal.Log
-// deliver callback), trading generality for zero-configuration precision
-// on this tree.
+// code uses (named `mu` mutex fields, the wal.Log deliver callback),
+// trading generality for zero-configuration precision on this tree.
 //
 // # Suppressions
 //
@@ -32,7 +31,6 @@ import (
 // All returns the full higgsvet suite in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		LockVersion,
 		LockScope,
 		PoolPut,
 		Envelope,

@@ -58,7 +58,7 @@ func runWALOrder(pass *analysis.Pass) (any, error) {
 			if seqIsZeroConst(pass, call) {
 				return true
 			}
-			if underWALAppend(info, stack) {
+			if underWALAppend(pass, stack) {
 				return true
 			}
 			pass.Reportf(call.Pos(),
@@ -70,8 +70,8 @@ func runWALOrder(pass *analysis.Pass) (any, error) {
 }
 
 // underWALAppend reports whether the ancestor stack shows a func literal
-// passed as an argument to an Append/AppendExpire call on a wal type.
-func underWALAppend(info *types.Info, stack []ast.Node) bool {
+// passed as an argument to an Append/AppendExpire call on a wal log.
+func underWALAppend(pass *analysis.Pass, stack []ast.Node) bool {
 	for i := len(stack) - 1; i > 0; i-- {
 		lit, ok := stack[i].(*ast.FuncLit)
 		if !ok {
@@ -87,10 +87,28 @@ func underWALAppend(info *types.Info, stack []ast.Node) bool {
 			}
 			switch calleeName(outer) {
 			case "Append", "AppendExpire":
-				if typeFromPkg(recvType(info, outer), "wal") {
+				if isWALLog(pass.Pkg, recvType(pass.TypesInfo, outer)) {
 					return true
 				}
 			}
+		}
+	}
+	return false
+}
+
+// isWALLog reports whether t is a type of package wal, or an interface
+// that the analyzed package's imported *wal.Log satisfies.
+func isWALLog(pkg *types.Package, t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	iface, ok := t.Underlying().(*types.Interface)
+	if !ok {
+		return typeFromPkg(t, "wal")
+	}
+	for _, imp := range pkg.Imports() {
+		if log := imp.Scope().Lookup("Log"); imp.Name() == "wal" && log != nil {
+			return types.Implements(types.NewPointer(log.Type()), iface)
 		}
 	}
 	return false

@@ -1,4 +1,3 @@
-//lint:file-ignore SA1019 this file deliberately calls the deprecated constructors to pin wrapper equivalence
 package higgs_test
 
 import (
@@ -8,28 +7,22 @@ import (
 	"higgs"
 )
 
-// TestWindowFacade: the Window-based constructors, their options, and the
-// deprecated wrappers must all build the same wire queries.
+// TestWindowFacade: the Window-based constructors and their options build
+// the wire queries they promise.
 func TestWindowFacade(t *testing.T) {
 	w := higgs.Between(0, 500)
-	pairs := []struct {
-		name     string
-		new, old higgs.Query
+	// The scalar vertex kinds carry direction in the kind, not in Dir.
+	for _, c := range []struct {
+		name string
+		q    higgs.Query
+		kind higgs.QueryKind
 	}{
-		{"edge", higgs.NewEdgeQuery(1, 2, w), higgs.EdgeQuery(1, 2, 0, 500)},
-		{"vertex out", higgs.NewVertexQuery(1, w), higgs.VertexOutQuery(1, 0, 500)},
-		{"vertex out explicit", higgs.NewVertexQuery(1, w, higgs.WithDirection(higgs.DirOut)),
-			higgs.VertexOutQuery(1, 0, 500)},
-		{"vertex in", higgs.NewVertexQuery(2, w, higgs.WithDirection(higgs.DirIn)),
-			higgs.VertexInQuery(2, 0, 500)},
-		{"path", higgs.NewPathQuery([]uint64{1, 2}, w), higgs.PathQuery([]uint64{1, 2}, 0, 500)},
-		{"subgraph", higgs.NewSubgraphQuery([][2]uint64{{1, 2}}, w),
-			higgs.SubgraphQuery([][2]uint64{{1, 2}}, 0, 500)},
-	}
-	for _, p := range pairs {
-		if p.new.Kind != p.old.Kind || p.new.Ts != p.old.Ts || p.new.Te != p.old.Te ||
-			p.new.Dir != p.old.Dir || p.new.V != p.old.V || p.new.S != p.old.S {
-			t.Errorf("%s: new %+v != wrapper %+v", p.name, p.new, p.old)
+		{"vertex default", higgs.NewVertexQuery(1, w), higgs.QueryVertexOut},
+		{"vertex out explicit", higgs.NewVertexQuery(1, w, higgs.WithDirection(higgs.DirOut)), higgs.QueryVertexOut},
+		{"vertex in", higgs.NewVertexQuery(1, w, higgs.WithDirection(higgs.DirIn)), higgs.QueryVertexIn},
+	} {
+		if c.q.Kind != c.kind || c.q.Dir != "" || c.q.Ts != 0 || c.q.Te != 500 {
+			t.Errorf("%s: built %+v, want kind %v over [0, 500] with no Dir", c.name, c.q, c.kind)
 		}
 	}
 
