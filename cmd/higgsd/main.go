@@ -114,7 +114,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -130,245 +129,248 @@ import (
 // snapshotName is the snapshot file maintained inside -wal-dir.
 const snapshotName = "snapshot.higgs"
 
-func main() {
+// config is the parsed and validated command line.
+type config struct {
+	addr, pprofAddr, load, save    string
+	shards                         int
+	ingest                         ingest.Config // mode, queue depth, commit interval
+	walDir                         string
+	walSync, snapIvl               time.Duration
+	retWin, retIvl                 time.Duration
+	replAddr, replFrom, replicaDir string
+	analytics                      *analytics.Config // nil without -analytics
+	cacheBytes                     int64
+	admitHeavy                     int
+	admitRate                      float64
+	version                        bool
+}
+
+// errFlags is a command-line error the flag package has already reported
+// on stderr, usage included.
+var errFlags = errors.New("bad command line")
+
+// parseConfig parses and validates the command line (without the program
+// name). Its errors are errFlags, flag.ErrHelp after -h printed the usage,
+// or the first violated rule below.
+func parseConfig(args []string) (config, error) {
 	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		shards  = flag.Int("shards", 0, "summary shard count (0 = one per CPU)")
-		load    = flag.String("load", "", "snapshot file to restore at startup")
-		save    = flag.String("save", "", "snapshot file to write on shutdown")
-		mode    = flag.String("ingest-mode", "auto", `/v1/ingest admission: "sync", "async", or "auto"`)
-		depth   = flag.Int("queue-depth", 4096, "per-shard async ingest queue capacity (edges)")
-		commit  = flag.Duration("commit-interval", 0, "group-commit accumulation window (0 = apply as soon as possible)")
-		walDir  = flag.String("wal-dir", "", "durable state directory: write-ahead log segments + snapshot.higgs (empty = no crash durability)")
-		walSync = flag.Duration("wal-sync-interval", 0, "WAL group-fsync accumulation window — bounds how long a 202 waits for its fsync (0 = sync as soon as dirty)")
-		snapIvl = flag.Duration("snapshot-interval", 0, "background snapshot cadence; requires -wal-dir (0 = snapshot only on shutdown)")
-		retWin  = flag.Duration("retention-window", 0, "sliding retention window: periodically expire edges older than now minus this (0 = keep everything)")
-		retIvl  = flag.Duration("retention-interval", 0, "retention loop cadence; requires -retention-window (0 = window/10, at least 1s)")
-		pprof   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled); keep it private — profiles expose internals")
-
-		replAddr   = flag.String("replication-addr", "", "serve the WAL-shipping replication feed (/repl/*) on this address; requires -wal-dir (empty = disabled); keep it private — it ships the raw log")
-		replFrom   = flag.String("replicate-from", "", "run as a read-only follower of this primary replication URL (e.g. http://primary:9090): reads served, writes answer 403")
-		replicaDir = flag.String("replica-dir", "", "follower state directory holding the local snapshot cache, so restarts resume from disk; requires -replicate-from")
-
-		anaOn    = flag.Bool("analytics", false, "enable the stream-analytics subsystem: heavy-hitter/burst sketches maintained in the committer apply path, served by the delta_vertex/delta_edge/heavy_hitters/burst kinds of /v2/query (DESIGN.md §17)")
-		anaTopK  = flag.Int("analytics-topk", 0, "tracked heavy-hitter candidates per shard and direction (0 = 128); requires -analytics")
-		anaEpoch = flag.Duration("analytics-epoch", 0, "burst-detection epoch length, whole seconds (0 = 1m); requires -analytics")
-		anaBurst = flag.Float64("analytics-burst", 0, "burst threshold: flag a vertex when its current-epoch weight reaches this multiple of its recent-epoch average (0 = 4.0); requires -analytics")
-
-		cacheBytes = flag.Int64("cache-bytes", 0, "watermark-invalidated read cache byte budget across all shards (0 = disabled, minimum 64KiB)")
-		admitHeavy = flag.Int("admit-heavy", 0, "concurrent heavy-query budget; enables admission control (0 = class budgets at defaults unless -admit-rate set)")
-		admitRate  = flag.Float64("admit-rate", 0, "per-client sustained queries/sec token-bucket rate; enables admission control (0 = no per-client rate limit)")
-		version    = flag.Bool("version", false, "print the build version and exit")
+		c        config
+		fs       = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+		mode     string
+		anaOn    bool
+		ana      analytics.Config
+		anaEpoch time.Duration
 	)
-	flag.Parse()
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.shards, "shards", 0, "summary shard count (0 = one per CPU)")
+	fs.StringVar(&c.load, "load", "", "snapshot file to restore at startup")
+	fs.StringVar(&c.save, "save", "", "snapshot file to write on shutdown")
+	fs.StringVar(&mode, "ingest-mode", "auto", `/v1/ingest admission: "sync", "async", or "auto"`)
+	fs.IntVar(&c.ingest.QueueDepth, "queue-depth", 4096, "per-shard async ingest queue capacity (edges)")
+	fs.DurationVar(&c.ingest.CommitInterval, "commit-interval", 0, "group-commit accumulation window (0 = apply as soon as possible)")
+	fs.StringVar(&c.walDir, "wal-dir", "", "durable state directory: write-ahead log segments + snapshot.higgs (empty = no crash durability)")
+	fs.DurationVar(&c.walSync, "wal-sync-interval", 0, "WAL group-fsync accumulation window — bounds how long a 202 waits for its fsync (0 = sync as soon as dirty)")
+	fs.DurationVar(&c.snapIvl, "snapshot-interval", 0, "background snapshot cadence; requires -wal-dir (0 = snapshot only on shutdown)")
+	fs.DurationVar(&c.retWin, "retention-window", 0, "sliding retention window: periodically expire edges older than now minus this (0 = keep everything)")
+	fs.DurationVar(&c.retIvl, "retention-interval", 0, "retention loop cadence; requires -retention-window (0 = window/10, at least 1s)")
+	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled); keep it private — profiles expose internals")
 
-	if *version {
+	fs.StringVar(&c.replAddr, "replication-addr", "", "serve the WAL-shipping replication feed (/repl/*) on this address; requires -wal-dir (empty = disabled); keep it private — it ships the raw log")
+	fs.StringVar(&c.replFrom, "replicate-from", "", "run as a read-only follower of this primary replication URL (e.g. http://primary:9090): reads served, writes answer 403")
+	fs.StringVar(&c.replicaDir, "replica-dir", "", "follower state directory holding the local snapshot cache, so restarts resume from disk; requires -replicate-from")
+
+	fs.BoolVar(&anaOn, "analytics", false, "enable the stream-analytics subsystem: heavy-hitter/burst sketches maintained in the committer apply path, served by the delta_vertex/delta_edge/heavy_hitters/burst kinds of /v2/query (DESIGN.md §17)")
+	fs.IntVar(&ana.TrackK, "analytics-topk", 0, "tracked heavy-hitter candidates per shard and direction (0 = 128); requires -analytics")
+	fs.DurationVar(&anaEpoch, "analytics-epoch", 0, "burst-detection epoch length, whole seconds (0 = 1m); requires -analytics")
+	fs.Float64Var(&ana.BurstFactor, "analytics-burst", 0, "burst threshold: flag a vertex when its current-epoch weight reaches this multiple of its recent-epoch average (0 = 4.0); requires -analytics")
+
+	fs.Int64Var(&c.cacheBytes, "cache-bytes", 0, "watermark-invalidated read cache byte budget across all shards (0 = disabled, minimum 64KiB)")
+	fs.IntVar(&c.admitHeavy, "admit-heavy", 0, "concurrent heavy-query budget; enables admission control (0 = class budgets at defaults unless -admit-rate set)")
+	fs.Float64Var(&c.admitRate, "admit-rate", 0, "per-client sustained queries/sec token-bucket rate; enables admission control (0 = no per-client rate limit)")
+	fs.BoolVar(&c.version, "version", false, "print the build version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return c, err
+		}
+		return c, errFlags
+	}
+
+	var err error
+	if c.ingest.Mode, err = ingest.ParseMode(mode); err != nil {
+		return c, fmt.Errorf("-ingest-mode: %v", err)
+	}
+	follower := c.replFrom != ""
+	// The first rule that holds is the error.
+	for _, rule := range []struct {
+		broken bool
+		msg    string
+	}{
+		// Config treats 0 as "use the default"; an operator passing 0
+		// expects no buffering, which the pipeline does not offer.
+		{c.ingest.QueueDepth <= 0, fmt.Sprintf("-queue-depth %d, need ≥ 1", c.ingest.QueueDepth)},
+		{c.snapIvl < 0, fmt.Sprintf("-snapshot-interval %v, need ≥ 0", c.snapIvl)},
+		{c.walSync < 0, fmt.Sprintf("-wal-sync-interval %v, need ≥ 0", c.walSync)},
+		{c.walDir != "" && c.load != "", "-load conflicts with -wal-dir (the WAL directory owns its snapshot; remove -load)"},
+		{c.retWin < 0, fmt.Sprintf("-retention-window %v, need ≥ 0", c.retWin)},
+		{c.retIvl < 0, fmt.Sprintf("-retention-interval %v, need ≥ 0", c.retIvl)},
+		{c.retIvl > 0 && c.retWin == 0, "-retention-interval requires -retention-window"},
+		{c.replAddr != "" && c.walDir == "", "-replication-addr requires -wal-dir (the feed ships the write-ahead log)"},
+		{c.replicaDir != "" && !follower, "-replica-dir requires -replicate-from"},
+		{follower && c.walDir != "", "-replicate-from conflicts with -wal-dir (a follower's durable state is its primary; use -replica-dir for the local cache)"},
+		{follower && c.load != "", "-replicate-from conflicts with -load (the boot snapshot comes from the primary)"},
+		{follower && c.shards != 0, "-replicate-from conflicts with -shards (the primary's snapshot fixes the shard count)"},
+		{follower && c.retWin > 0, "-replicate-from conflicts with -retention-window (retention runs on the primary and replicates as expire records)"},
+		{c.snapIvl > 0 && c.walDir == "" && c.replicaDir == "", "-snapshot-interval requires -wal-dir (or -replica-dir on a follower)"},
+		{c.cacheBytes < 0, fmt.Sprintf("-cache-bytes %d, need ≥ 0", c.cacheBytes)},
+		{c.admitHeavy < 0, fmt.Sprintf("-admit-heavy %d, need ≥ 0", c.admitHeavy)},
+		{c.admitRate < 0, fmt.Sprintf("-admit-rate %v, need ≥ 0", c.admitRate)},
+		{!anaOn && (ana.TrackK != 0 || anaEpoch != 0 || ana.BurstFactor != 0), "-analytics-topk/-analytics-epoch/-analytics-burst require -analytics"},
+		{ana.TrackK < 0, fmt.Sprintf("-analytics-topk %d, need ≥ 0", ana.TrackK)},
+		{anaEpoch < 0 || anaEpoch%time.Second != 0, fmt.Sprintf("-analytics-epoch %v, need whole seconds ≥ 1s (or 0 for the default)", anaEpoch)},
+		{ana.BurstFactor != 0 && ana.BurstFactor < 1, fmt.Sprintf("-analytics-burst %v, need ≥ 1 (or 0 for the default)", ana.BurstFactor)},
+	} {
+		if rule.broken {
+			return c, errors.New(rule.msg)
+		}
+	}
+	if anaOn {
+		ana.EpochSeconds = int64(anaEpoch / time.Second)
+		c.analytics = &ana
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseConfig(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return
+	case err == errFlags:
+		os.Exit(2)
+	case err != nil:
+		log.Fatalf("higgsd: %v", err)
+	}
+	if c.version {
 		fmt.Printf("higgsd %s\n", server.BuildVersion())
 		return
 	}
+	run := runPrimary
+	if c.replFrom != "" {
+		run = runFollower
+	}
+	if err := run(c); err != nil {
+		log.Fatalf("higgsd: %v", err)
+	}
+}
 
-	imode, err := ingest.ParseMode(*mode)
-	if err != nil {
-		log.Fatalf("higgsd: -ingest-mode: %v", err)
+// serverOptions maps the flags both roles share onto server.Options,
+// logging each optional subsystem they switch on.
+func (c config) serverOptions() (server.Options, error) {
+	opts := server.Options{Ingest: c.ingest, CacheBytes: c.cacheBytes, Analytics: c.analytics}
+	if c.cacheBytes > 0 {
+		log.Printf("higgsd: read cache enabled (%d bytes)", c.cacheBytes)
 	}
-	if *depth <= 0 {
-		// Config treats 0 as "use the default"; an operator passing 0
-		// expects no buffering, which the pipeline does not offer.
-		log.Fatalf("higgsd: -queue-depth %d, need ≥ 1", *depth)
-	}
-	switch {
-	case *snapIvl < 0:
-		log.Fatalf("higgsd: -snapshot-interval %v, need ≥ 0", *snapIvl)
-	case *walSync < 0:
-		log.Fatalf("higgsd: -wal-sync-interval %v, need ≥ 0", *walSync)
-	case *walDir != "" && *load != "":
-		log.Fatal("higgsd: -load conflicts with -wal-dir (the WAL directory owns its snapshot; remove -load)")
-	case *retWin < 0:
-		log.Fatalf("higgsd: -retention-window %v, need ≥ 0", *retWin)
-	case *retIvl < 0:
-		log.Fatalf("higgsd: -retention-interval %v, need ≥ 0", *retIvl)
-	case *retIvl > 0 && *retWin == 0:
-		log.Fatal("higgsd: -retention-interval requires -retention-window")
-	case *replAddr != "" && *walDir == "":
-		log.Fatal("higgsd: -replication-addr requires -wal-dir (the feed ships the write-ahead log)")
-	case *replicaDir != "" && *replFrom == "":
-		log.Fatal("higgsd: -replica-dir requires -replicate-from")
-	case *replFrom != "" && *walDir != "":
-		log.Fatal("higgsd: -replicate-from conflicts with -wal-dir (a follower's durable state is its primary; use -replica-dir for the local cache)")
-	case *replFrom != "" && *load != "":
-		log.Fatal("higgsd: -replicate-from conflicts with -load (the boot snapshot comes from the primary)")
-	case *replFrom != "" && *shards != 0:
-		log.Fatal("higgsd: -replicate-from conflicts with -shards (the primary's snapshot fixes the shard count)")
-	case *replFrom != "" && *retWin > 0:
-		log.Fatal("higgsd: -replicate-from conflicts with -retention-window (retention runs on the primary and replicates as expire records)")
-	case *replFrom != "" && *replAddr != "":
-		log.Fatal("higgsd: -replicate-from conflicts with -replication-addr (chained replication is not supported)")
-	case *snapIvl > 0 && *walDir == "" && *replicaDir == "":
-		log.Fatal("higgsd: -snapshot-interval requires -wal-dir (or -replica-dir on a follower)")
-	case *cacheBytes < 0:
-		log.Fatalf("higgsd: -cache-bytes %d, need ≥ 0", *cacheBytes)
-	case *admitHeavy < 0:
-		log.Fatalf("higgsd: -admit-heavy %d, need ≥ 0", *admitHeavy)
-	case *admitRate < 0:
-		log.Fatalf("higgsd: -admit-rate %v, need ≥ 0", *admitRate)
-	case !*anaOn && (*anaTopK != 0 || *anaEpoch != 0 || *anaBurst != 0):
-		log.Fatal("higgsd: -analytics-topk/-analytics-epoch/-analytics-burst require -analytics")
-	case *anaTopK < 0:
-		log.Fatalf("higgsd: -analytics-topk %d, need ≥ 0", *anaTopK)
-	case *anaEpoch != 0 && *anaEpoch < time.Second:
-		log.Fatalf("higgsd: -analytics-epoch %v, need whole seconds ≥ 1s (or 0 for the default)", *anaEpoch)
-	case *anaBurst != 0 && *anaBurst < 1:
-		log.Fatalf("higgsd: -analytics-burst %v, need ≥ 1 (or 0 for the default)", *anaBurst)
-	}
-
-	var anaCfg *analytics.Config
-	if *anaOn {
-		anaCfg = &analytics.Config{
-			TrackK:       *anaTopK,
-			EpochSeconds: int64(*anaEpoch / time.Second),
-			BurstFactor:  *anaBurst,
-		}
-	}
-
-	common := daemon{
-		addr: *addr, pprofAddr: *pprof, save: *save,
-		cacheBytes: *cacheBytes, admitHeavy: *admitHeavy, admitRate: *admitRate,
-	}
-	if *replFrom != "" {
-		runFollower(common, *replFrom, *replicaDir, *snapIvl, anaCfg)
-		return
-	}
-	icfg := ingest.DefaultConfig()
-	icfg.Mode = imode
-	icfg.QueueDepth = *depth
-	icfg.CommitInterval = *commit
-
-	var (
-		sum   *shard.Summary
-		wlog  *wal.Log
-		eng   *analytics.Engine
-		snapP string
-	)
-	if *walDir != "" {
-		// Recovery: latest snapshot + WAL tail replay (DESIGN.md §12).
-		snapP = filepath.Join(*walDir, snapshotName)
-		sum, err = loadOrNewSummary(snapP, *shards)
+	if c.admitHeavy > 0 || c.admitRate > 0 {
+		ctrl, err := admit.New(admit.Config{HeavyConcurrency: c.admitHeavy, Rate: c.admitRate})
 		if err != nil {
-			log.Fatalf("higgsd: %v", err)
+			return opts, err
 		}
-		if anaCfg != nil {
-			// The engine observes the summary from before the WAL replay, so
-			// the sketches absorb recovered edges exactly like live ones
-			// (DESIGN.md §17). The server adopts it after construction.
-			acfg := *anaCfg
-			acfg.Shards = sum.NumShards()
-			acfg.Seed = sum.Config().Core.Seed
-			if eng, err = analytics.New(acfg); err != nil {
-				log.Fatalf("higgsd: analytics: %v", err)
-			}
-			sum.SetApplyObserver(eng)
+		opts.Admission = ctrl
+		log.Printf("higgsd: admission control enabled (heavy=%d rate=%v/s)", c.admitHeavy, c.admitRate)
+	}
+	if c.analytics != nil {
+		cfg := c.analytics.WithDefaults()
+		log.Printf("higgsd: analytics enabled (topk=%d epoch=%ds burst=%.1f)", cfg.TrackK, cfg.EpochSeconds, cfg.BurstFactor)
+	}
+	return opts, nil
+}
+
+// runPrimary serves a writable summary: obtain it (fresh, -load, or the
+// -wal-dir snapshot), open the server over it — which replays the log —
+// start the background loops, serve.
+func runPrimary(c config) error {
+	opts, err := c.serverOptions()
+	if err != nil {
+		return err
+	}
+	var (
+		wlog     *wal.Log
+		snapper  *ingest.Snapshotter // both loops need the server's pipeline,
+		retainer *ingest.Retainer    // so they are built after server.Open
+		replSrv  *http.Server
+		snapPath = c.load
+	)
+	if c.walDir != "" {
+		// Recovery: latest snapshot + WAL tail replay (DESIGN.md §12).
+		snapPath = filepath.Join(c.walDir, snapshotName)
+		if _, err := os.Stat(snapPath); errors.Is(err, os.ErrNotExist) {
+			snapPath = "" // first boot of this directory
 		}
 		// The WAL group-syncs on its own cadence (-wal-sync-interval): one
 		// fsync covers everything accepted during the accumulation window,
 		// mirroring the role -commit-interval plays for shard locks. The
 		// two are separate knobs because every 202 waits for its covering
 		// fsync — a long commit window must not hold admission hostage.
-		wlog, err = wal.Open(wal.Config{Dir: *walDir, SyncInterval: *walSync})
-		if err != nil {
-			log.Fatalf("higgsd: %v", err)
+		if wlog, err = wal.Open(wal.Config{Dir: c.walDir, SyncInterval: c.walSync}); err != nil {
+			return err
 		}
-		replayed, err := ingest.Recover(sum, wlog)
-		if err != nil {
-			log.Fatalf("higgsd: %v", err)
-		}
-		log.Printf("higgsd: recovered from %s (items=%d, wal replayed %d edges)",
-			*walDir, sum.Items(), replayed)
-		icfg.WAL = wlog
-	} else if sum, err = buildSummary(*load, *shards); err != nil {
-		log.Fatalf("higgsd: %v", err)
+		defer func() {
+			if err := wlog.Close(); err != nil {
+				log.Printf("higgsd: wal close: %v", err)
+			}
+		}()
+		opts.Ingest.WAL = wlog
+		opts.Durability = func() ingest.DurabilityStatus { return snapper.Status() }
 	}
-
-	srv, err := server.NewWithIngest(sum, icfg)
+	if c.retWin > 0 {
+		opts.Retention = func() ingest.RetentionStatus { return retainer.Status() }
+	}
+	sum, err := buildSummary(snapPath, c.shards)
 	if err != nil {
-		log.Fatalf("higgsd: %v", err)
+		return err
 	}
-	if err := common.setupReadPath(srv); err != nil {
-		log.Fatalf("higgsd: %v", err)
-	}
-	if anaCfg != nil {
-		if eng != nil {
-			srv.SetAnalyticsEngine(eng) // the WAL-recovery engine already observes sum
-		} else if err := srv.SetAnalytics(*anaCfg); err != nil {
-			log.Fatalf("higgsd: analytics: %v", err)
-		}
-		logAnalytics(anaCfg)
-	}
-	var snapper *ingest.Snapshotter
-	if wlog != nil {
-		snapper = ingest.NewSnapshotter(sum, srv.Pipeline(), wlog, snapP, *snapIvl,
-			func(err error) { log.Printf("higgsd: background snapshot: %v", err) })
-		snapper.Start()
-		srv.SetDurability(func() server.DurabilityStatus {
-			st := server.DurabilityStatus{
-				WAL:         true,
-				AppendedSeq: wlog.LastSeq(),
-				SyncedSeq:   wlog.SyncedSeq(),
-				Segments:    wlog.Segments(),
-				SnapshotSeq: snapper.LastSeq(),
-			}
-			if at := snapper.LastTime(); !at.IsZero() {
-				st.SnapshotUnix = at.Unix()
-			}
-			return st
-		})
-	}
-	var retainer *ingest.Retainer
-	if *retWin > 0 {
-		// srv.Pipeline (not its value now): a snapshot upload swaps the
-		// serving pipeline, and retention must follow the live one.
-		retainer, err = ingest.NewRetainer(srv.Pipeline, ingest.RetentionConfig{
-			Window:   *retWin,
-			Interval: *retIvl,
-			OnError:  func(err error) { log.Printf("higgsd: retention: %v", err) },
-		})
-		if err != nil {
-			log.Fatalf("higgsd: %v", err)
-		}
-		retainer.Start()
-		srv.SetRetention(func() server.RetentionStatus {
-			st := server.RetentionStatus{
-				Enabled:         true,
-				WindowSeconds:   int64(retainer.Window() / time.Second),
-				IntervalSeconds: int64(retainer.Interval() / time.Second),
-				Runs:            retainer.Runs(),
-				Dropped:         retainer.Dropped(),
-				LastCutoff:      retainer.LastCutoff(),
-			}
-			if at := retainer.LastTime(); !at.IsZero() {
-				st.LastUnix = at.Unix()
-			}
-			return st
-		})
-	}
-	var replSrv *http.Server
-	if *replAddr != "" {
+	if c.replAddr != "" {
 		// The replication feed gets its own listener: it ships raw WAL
 		// bytes and whole snapshots, an operator surface never exposed
 		// alongside the client API.
-		replSrv = &http.Server{Addr: *replAddr, Handler: repl.NewPrimary(sum, wlog).Handler()}
+		prim := repl.NewPrimary(sum, wlog)
+		opts.Replication = prim.Status
+		replSrv = &http.Server{Addr: c.replAddr, Handler: prim.Handler()}
+	}
+	srv, err := server.Open(sum, opts)
+	if err != nil {
+		return err
+	}
+	if wlog != nil {
+		log.Printf("higgsd: recovered from %s (items=%d, wal replayed %d edges)", c.walDir, sum.Items(), srv.Replayed())
+		snapper = ingest.NewSnapshotter(sum, srv.Pipeline(), wlog, filepath.Join(c.walDir, snapshotName), c.snapIvl,
+			func(err error) { log.Printf("higgsd: background snapshot: %v", err) })
+		snapper.Start()
+	}
+	if c.retWin > 0 {
+		// srv.Pipeline (not its value now): a snapshot upload swaps the
+		// serving pipeline, and retention must follow the live one.
+		retainer, err = ingest.NewRetainer(srv.Pipeline, ingest.RetentionConfig{
+			Window:   c.retWin,
+			Interval: c.retIvl,
+			OnError:  func(err error) { log.Printf("higgsd: retention: %v", err) },
+		})
+		if err != nil {
+			return err
+		}
+		retainer.Start()
+	}
+	if replSrv != nil {
 		go func() {
-			log.Printf("higgsd: replication feed listening on %s", *replAddr)
+			log.Printf("higgsd: replication feed listening on %s", c.replAddr)
 			if err := replSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Fatalf("higgsd: replication: %v", err)
 			}
 		}()
-		srv.SetReplication(func() server.ReplicationStatus {
-			return server.ReplicationStatus{Role: server.RolePrimary, PrimarySeq: wlog.SyncedSeq()}
-		})
 	}
 	banner := fmt.Sprintf("listening on %s (shards=%d items=%d ingest=%s wal=%v)",
-		*addr, sum.NumShards(), sum.Items(), imode, *walDir != "")
-	common.serve(srv, banner, func(ctx context.Context) {
+		c.addr, sum.NumShards(), sum.Items(), c.ingest.Mode, wlog != nil)
+	return c.serve(srv, banner, func(ctx context.Context) {
 		if replSrv != nil {
 			if err := replSrv.Shutdown(ctx); err != nil {
 				log.Printf("higgsd: replication shutdown: %v", err)
@@ -389,24 +391,60 @@ func main() {
 			if err := snapper.Snap(); err != nil {
 				log.Printf("higgsd: final snapshot: %v", err)
 			} else {
-				log.Printf("higgsd: snapshot saved to %s", snapP)
+				log.Printf("higgsd: snapshot saved to %s", filepath.Join(c.walDir, snapshotName))
 			}
 		}
 	})
-	if wlog != nil {
-		if err := wlog.Close(); err != nil {
-			log.Printf("higgsd: wal close: %v", err)
-		}
-	}
 }
 
-// daemon holds the flags the primary and the follower entrypoints share,
-// and the part of a higgsd process's life that is the same for both.
-type daemon struct {
-	addr, pprofAddr, save string
-	cacheBytes            int64
-	admitHeavy            int
-	admitRate             float64
+// runFollower is the -replicate-from role: boot a replication follower
+// (local cache or primary snapshot), open a read-only server over its
+// summary, then tail the primary until shutdown. A resync — the primary
+// truncated past our resume point — swaps the served summary atomically
+// via server.ReplaceSummary.
+func runFollower(c config) error {
+	var srv *server.Server // set before the tail loop, OnSwap's only caller, starts
+	f, err := repl.NewFollower(repl.FollowerConfig{
+		Source:           c.replFrom,
+		Dir:              c.replicaDir,
+		SnapshotInterval: c.snapIvl,
+		OnError:          func(err error) { log.Printf("higgsd: replication: %v", err) },
+		OnSwap: func(old, new *shard.Summary) {
+			if err := srv.ReplaceSummary(new); err != nil {
+				log.Printf("higgsd: resync swap: %v", err)
+				return
+			}
+			log.Printf("higgsd: resynced from primary snapshot (items=%d)", new.Items())
+		},
+	})
+	if err != nil {
+		return err
+	}
+	if err := f.Boot(); err != nil {
+		return fmt.Errorf("follower boot: %v", err)
+	}
+	// A follower's summary applies tailed records through the same shard
+	// entry points as ingest, so with -analytics the sketches absorb
+	// everything replicated after boot (the boot snapshot itself is served
+	// but not re-counted — DESIGN.md §17).
+	opts, err := c.serverOptions()
+	if err != nil {
+		return err
+	}
+	opts.Replica = true
+	opts.Replication = f.Status
+	if srv, err = server.Open(f.Summary(), opts); err != nil {
+		return err
+	}
+	if err := f.Start(); err != nil {
+		return err
+	}
+	banner := fmt.Sprintf("follower of %s listening on %s (shards=%d items=%d applied_seq=%d)",
+		c.replFrom, c.addr, srv.Summary().NumShards(), srv.Summary().Items(), f.Status().AppliedSeq)
+	return c.serve(srv, banner, func(context.Context) {
+		f.Close() // stop tailing (and swapping) before touching the summary
+		srv.Close()
+	})
 }
 
 // serve is the tail both roles end in: start the optional pprof listener
@@ -414,19 +452,19 @@ type daemon struct {
 // for SIGINT/SIGTERM, stop accepting with a 5 s grace, run the role's
 // drain — which must leave srv closed, so its summary is final — and then
 // write the -save snapshot.
-func (d daemon) serve(srv *server.Server, banner string, drain func(ctx context.Context)) {
-	if d.pprofAddr != "" {
+func (c config) serve(srv *server.Server, banner string, drain func(ctx context.Context)) error {
+	if c.pprofAddr != "" {
 		// The API server uses its own mux, so DefaultServeMux carries only
 		// the pprof handlers — served on a separate listener that is never
 		// exposed alongside the public API.
 		go func() {
-			log.Printf("higgsd: pprof listening on %s", d.pprofAddr)
-			if err := http.ListenAndServe(d.pprofAddr, nil); err != nil {
+			log.Printf("higgsd: pprof listening on %s", c.pprofAddr)
+			if err := http.ListenAndServe(c.pprofAddr, nil); err != nil {
 				log.Printf("higgsd: pprof: %v", err)
 			}
 		}()
 	}
-	httpSrv := &http.Server{Addr: d.addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: c.addr, Handler: srv.Handler()}
 	go func() {
 		log.Printf("higgsd: %s", banner)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -444,135 +482,17 @@ func (d daemon) serve(srv *server.Server, banner string, drain func(ctx context.
 		log.Printf("higgsd: shutdown: %v", err)
 	}
 	drain(ctx)
-	if d.save != "" {
-		if err := ingest.WriteSnapshot(srv.Summary(), d.save); err != nil {
-			log.Fatalf("higgsd: save: %v", err)
+	if c.save != "" {
+		if err := ingest.WriteSnapshot(srv.Summary(), c.save); err != nil {
+			return fmt.Errorf("save: %v", err)
 		}
-		log.Printf("higgsd: snapshot saved to %s", d.save)
-	}
-}
-
-// setupReadPath installs the optional read cache and admission controller
-// (DESIGN.md §16) on a constructed server — shared between the primary and
-// follower entrypoints, since a follower's read path benefits from both at
-// least as much (that is where the read traffic scales out to).
-func (d daemon) setupReadPath(srv *server.Server) error {
-	if d.cacheBytes > 0 {
-		if err := srv.SetReadCache(d.cacheBytes); err != nil {
-			return err
-		}
-		log.Printf("higgsd: read cache enabled (%d bytes)", d.cacheBytes)
-	}
-	if d.admitHeavy > 0 || d.admitRate > 0 {
-		ctrl, err := admit.New(admit.Config{
-			HeavyConcurrency: d.admitHeavy,
-			Rate:             d.admitRate,
-		})
-		if err != nil {
-			return err
-		}
-		srv.SetAdmission(ctrl)
-		log.Printf("higgsd: admission control enabled (heavy=%d rate=%v/s)", d.admitHeavy, d.admitRate)
+		log.Printf("higgsd: snapshot saved to %s", c.save)
 	}
 	return nil
 }
 
-// logAnalytics reports the effective analytics knobs, resolving the zero
-// values to the engine's documented defaults.
-func logAnalytics(cfg *analytics.Config) {
-	topk, epoch, burst := cfg.TrackK, cfg.EpochSeconds, cfg.BurstFactor
-	if topk == 0 {
-		topk = analytics.DefaultTrackK
-	}
-	if epoch == 0 {
-		epoch = analytics.DefaultEpochSeconds
-	}
-	if burst == 0 {
-		burst = analytics.DefaultBurstFactor
-	}
-	log.Printf("higgsd: analytics enabled (topk=%d epoch=%ds burst=%.1f)", topk, epoch, burst)
-}
-
-// runFollower is the -replicate-from entrypoint: boot a replication
-// follower (local cache or primary snapshot + WAL tail), serve its summary
-// read-only, and keep tailing until shutdown. A resync — the primary
-// truncated past our resume point — swaps the served summary atomically
-// via server.ReplaceSummary.
-func runFollower(d daemon, source, dir string, snapIvl time.Duration, anaCfg *analytics.Config) {
-	// The server is built after the follower boots (it serves the booted
-	// summary), but a resync can fire as soon as the tail loop starts; the
-	// swap callback waits for the pointer. ReplaceSummary no-ops when the
-	// server was already constructed on the swapped-in summary.
-	var srvPtr atomic.Pointer[server.Server]
-	f, err := repl.NewFollower(repl.FollowerConfig{
-		Source:           source,
-		Dir:              dir,
-		SnapshotInterval: snapIvl,
-		OnError:          func(err error) { log.Printf("higgsd: replication: %v", err) },
-		OnSwap: func(old, new *shard.Summary) {
-			for srvPtr.Load() == nil {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if err := srvPtr.Load().ReplaceSummary(new); err != nil {
-				log.Printf("higgsd: resync swap: %v", err)
-				return
-			}
-			log.Printf("higgsd: resynced from primary snapshot (items=%d)", new.Items())
-		},
-	})
-	if err != nil {
-		log.Fatalf("higgsd: %v", err)
-	}
-	if err := f.Start(); err != nil {
-		log.Fatalf("higgsd: follower boot: %v", err)
-	}
-	srv, err := server.NewReplica(f.Summary())
-	if err != nil {
-		log.Fatalf("higgsd: %v", err)
-	}
-	if err := d.setupReadPath(srv); err != nil {
-		log.Fatalf("higgsd: %v", err)
-	}
-	if anaCfg != nil {
-		// A follower's summary applies tailed records through the same shard
-		// entry points as ingest, so the sketches absorb everything
-		// replicated after boot (the boot snapshot itself is served but not
-		// re-counted — DESIGN.md §17); a resync swap rebuilds the engine
-		// with the new summary automatically.
-		if err := srv.SetAnalytics(*anaCfg); err != nil {
-			log.Fatalf("higgsd: analytics: %v", err)
-		}
-		logAnalytics(anaCfg)
-	}
-	srvPtr.Store(srv)
-	srv.SetReplication(func() server.ReplicationStatus {
-		st := f.Status()
-		return server.ReplicationStatus{
-			Role:       server.RoleFollower,
-			Source:     st.Source,
-			AppliedSeq: st.AppliedSeq,
-			PrimarySeq: st.PrimarySeq,
-			Lag:        st.Lag,
-			Resyncs:    st.Resyncs,
-		}
-	})
-	banner := fmt.Sprintf("follower of %s listening on %s (shards=%d items=%d applied_seq=%d)",
-		source, d.addr, srv.Summary().NumShards(), srv.Summary().Items(), f.Status().AppliedSeq)
-	d.serve(srv, banner, func(context.Context) {
-		f.Close() // stop tailing (and swapping) before touching the summary
-		srv.Close()
-	})
-}
-
-// loadOrNewSummary restores the summary at path, or builds a fresh one
-// when no snapshot exists yet — the first boot of a WAL directory.
-func loadOrNewSummary(path string, shards int) (*shard.Summary, error) {
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		return buildSummary("", shards)
-	}
-	return buildSummary(path, shards)
-}
-
+// buildSummary restores the snapshot at load, or builds a fresh summary
+// when load is empty.
 func buildSummary(load string, shards int) (*shard.Summary, error) {
 	if load != "" {
 		f, err := os.Open(load)

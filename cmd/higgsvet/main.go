@@ -1,8 +1,8 @@
 // Command higgsvet is the repository's custom static-analysis suite
 // (DESIGN.md §18). It mechanically enforces the concurrency and API
 // invariants that the design docs state in prose: lock hold-time
-// discipline, sync.Pool ownership, the httpapi JSON error envelope, and
-// WAL-before-apply ordering on the ingest path.
+// discipline, sync.Pool ownership, and WAL-before-apply ordering on the
+// ingest path.
 //
 // It runs two ways:
 //

@@ -252,12 +252,13 @@ type Follower = repl.Follower
 // observers for background errors and resync summary swaps.
 type FollowerConfig = repl.FollowerConfig
 
-// FollowerStatus is a follower's replication state: applied and primary
-// sequence numbers, lag, and the resync count.
+// FollowerStatus is a follower's replication state: its role, applied and
+// primary sequence numbers, lag, and the resync count.
 type FollowerStatus = repl.Status
 
 // NewFollower validates the configuration and returns an unstarted
-// follower; Start performs the boot fetch and launches the tail loop.
+// follower; Start performs the boot fetch and launches the tail loop (call
+// Boot first to build something over Summary before any resync can swap it).
 func NewFollower(cfg FollowerConfig) (*Follower, error) { return repl.NewFollower(cfg) }
 
 // ReadCache is a watermark-invalidated read cache over a Sharded summary

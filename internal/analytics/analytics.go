@@ -89,8 +89,8 @@ const (
 	DefaultBurstMin     = 16
 )
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field resolved to its default.
+func (c Config) WithDefaults() Config {
 	if c.TrackK == 0 {
 		c.TrackK = DefaultTrackK
 	}
@@ -120,7 +120,7 @@ func (c Config) withDefaults() Config {
 
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	if c.Shards < 1 {
 		return fmt.Errorf("analytics: Shards = %d, need ≥ 1", c.Shards)
 	}
@@ -246,7 +246,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	e := &Engine{cfg: cfg, shards: make([]*shardState, cfg.Shards)}
 	for i := range e.shards {
 		out, err := cms.New(cfg.Rows, cfg.Width, cfg.Seed)

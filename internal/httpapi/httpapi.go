@@ -6,12 +6,20 @@
 //
 // so clients branch on "code" instead of parsing English, and a single
 // retry loop handles every endpoint's backpressure.
+//
+// It also holds the route table every HTTP surface is served from
+// (DESIGN.md §10): a handler returns an error naming its status and code
+// (*Err), and the one adapter in Mux renders it — along with the method and
+// read-only-replica rejections no handler checks for itself.
 package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 )
 
 // Stable envelope codes for failures that originate in the HTTP layer
@@ -60,25 +68,93 @@ type Envelope struct {
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
-// Error writes the envelope with the given status, code, and message.
-func Error(w http.ResponseWriter, status int, code, format string, args ...any) {
-	write(w, status, Envelope{Error: fmt.Sprintf(format, args...), Code: code})
+// Err is a handler's failure: the status and stable code of the envelope
+// Mux writes for it. A positive RetryAfterMS is a client pacing hint,
+// sent as retry_after_ms plus the standard Retry-After header (whole
+// seconds, rounded up).
+type Err struct {
+	Status       int
+	Code         string
+	Msg          string
+	RetryAfterMS int64
 }
 
-// ErrorRetry is Error with a client pacing hint: retry_after_ms in the
-// envelope plus the standard Retry-After header (whole seconds, rounded
-// up, minimum 1).
-func ErrorRetry(w http.ResponseWriter, status int, code string, retryAfterMS int64, format string, args ...any) {
-	secs := (retryAfterMS + 999) / 1000
-	if secs < 1 {
-		secs = 1
+func (e *Err) Error() string { return e.Msg }
+
+// Errorf builds an *Err, returned as error so that a handler's nil stays
+// nil.
+func Errorf(status int, code, format string, args ...any) error {
+	return &Err{Status: status, Code: code, Msg: fmt.Sprintf(format, args...)}
+}
+
+func (e *Err) write(w http.ResponseWriter) {
+	if e.RetryAfterMS > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt((e.RetryAfterMS+999)/1000, 10))
 	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	write(w, status, Envelope{Error: fmt.Sprintf(format, args...), Code: code, RetryAfterMS: retryAfterMS})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(e.Status)
+	_ = json.NewEncoder(w).Encode(Envelope{Error: e.Msg, Code: e.Code, RetryAfterMS: e.RetryAfterMS})
 }
 
-func write(w http.ResponseWriter, status int, e Envelope) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(e)
+// Route is one row of an HTTP surface: Handle serves Method requests for
+// Path. Write marks a row that changes the served state, which a read-only
+// replica refuses. A path served under two methods is two rows.
+type Route struct {
+	Path   string
+	Method string
+	Write  bool
+	Handle func(w http.ResponseWriter, r *http.Request) error
+}
+
+// Mux serves a route table. Everything is resolved here, once; a request
+// costs the mux lookup and a scan of its path's one or two rows. In order,
+// a request whose method matches no row of its path answers 405, a Write
+// row on a readOnly surface answers 403, and a non-nil error from Handle is
+// rendered as its envelope — a plain error as 500 internal. A handler that
+// has started its response body must return nil.
+func Mux(routes []Route, readOnly bool) *http.ServeMux {
+	byPath := make(map[string][]Route)
+	for _, rt := range routes {
+		byPath[rt.Path] = append(byPath[rt.Path], rt)
+	}
+	mux := http.NewServeMux()
+	for path, rows := range byPath {
+		methods := make([]string, len(rows))
+		for i, rt := range rows {
+			methods[i] = rt.Method
+		}
+		wrongMethod := &Err{Status: http.StatusMethodNotAllowed, Code: CodeMethodNotAllowed,
+			Msg: strings.Join(methods, " or ") + " required"}
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			for i := range rows {
+				if rows[i].Method == r.Method {
+					if err := rows[i].serve(w, r, readOnly); err != nil {
+						err.write(w)
+					}
+					return
+				}
+			}
+			wrongMethod.write(w)
+		})
+	}
+	return mux
+}
+
+var errReadOnly = &Err{Status: http.StatusForbidden, Code: CodeReadOnlyReplica,
+	Msg: "read-only replica: writes go to the primary"}
+
+// serve runs the row's handler and returns the failure to render, if any.
+func (rt *Route) serve(w http.ResponseWriter, r *http.Request, readOnly bool) *Err {
+	if rt.Write && readOnly {
+		return errReadOnly
+	}
+	err := rt.Handle(w, r)
+	if err == nil {
+		return nil
+	}
+	var e *Err
+	if !errors.As(err, &e) {
+		e = &Err{Status: http.StatusInternalServerError, Code: CodeInternal, Msg: err.Error()}
+	}
+	return e
 }

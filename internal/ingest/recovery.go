@@ -278,19 +278,35 @@ func (s *Snapshotter) Close() {
 	}
 }
 
-// LastSeq returns the sequence number the latest completed snapshot
-// covers (0 before the first).
-func (s *Snapshotter) LastSeq() uint64 { return s.lastSeq.Load() }
-
-// LastTime returns when the latest snapshot completed (zero time before
-// the first).
-func (s *Snapshotter) LastTime() time.Time {
-	u := s.lastUnix.Load()
-	if u == 0 {
-		return time.Time{}
-	}
-	return time.Unix(u, 0)
+// DurabilityStatus is the WAL/snapshot state /healthz reports in its
+// "durability" field (DESIGN.md §12). All sequence numbers are WAL
+// sequences; 0 means "nothing yet". The zero value is a server with no
+// write-ahead log.
+type DurabilityStatus struct {
+	// WAL reports whether a write-ahead log backs /v1/ingest.
+	WAL bool `json:"wal"`
+	// AppendedSeq is the last sequence number appended to the log.
+	AppendedSeq uint64 `json:"appended_seq,omitempty"`
+	// SyncedSeq is the durability frontier: the highest sequence known to
+	// be fsync'd. Every 202 response covers a sequence ≤ SyncedSeq.
+	SyncedSeq uint64 `json:"synced_seq,omitempty"`
+	// Segments is the number of live WAL segment files.
+	Segments int `json:"segments,omitempty"`
+	// SnapshotSeq is the sequence the latest completed snapshot covers;
+	// WAL records at or below it have been (or are about to be) truncated.
+	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
+	// SnapshotUnix is when the latest snapshot completed (Unix seconds).
+	SnapshotUnix int64 `json:"snapshot_unix,omitempty"`
 }
 
-// Path returns the snapshot file the snapshotter writes.
-func (s *Snapshotter) Path() string { return s.path }
+// Status reports the log's frontiers and the latest completed snapshot.
+func (s *Snapshotter) Status() DurabilityStatus {
+	return DurabilityStatus{
+		WAL:          true,
+		AppendedSeq:  s.log.LastSeq(),
+		SyncedSeq:    s.log.SyncedSeq(),
+		Segments:     s.log.Segments(),
+		SnapshotSeq:  s.lastSeq.Load(),
+		SnapshotUnix: s.lastUnix.Load(),
+	}
+}

@@ -162,7 +162,7 @@ func TestRecoverFromSnapshotPlusTail(t *testing.T) {
 	if log.Segments() >= segsBefore {
 		t.Fatalf("snapshot did not truncate the WAL: %d segments before, %d after", segsBefore, log.Segments())
 	}
-	if snapper.LastSeq() == 0 || snapper.LastTime().IsZero() {
+	if snapper.Status().SnapshotSeq == 0 || snapper.Status().SnapshotUnix == 0 {
 		t.Fatal("snapshotter did not record its covered sequence/time")
 	}
 	submitAll(t, p, st[mid:], batch)
@@ -343,9 +343,9 @@ func TestSnapshotterBackgroundLoop(t *testing.T) {
 	st := testStreamFor(t, 200)
 	submitAll(t, p, st, 20)
 	deadline := time.Now().Add(5 * time.Second)
-	for snapper.LastSeq() < uint64(len(st)) {
+	for snapper.Status().SnapshotSeq < uint64(len(st)) {
 		if time.Now().After(deadline) {
-			t.Fatalf("background snapshotter never covered seq %d (at %d)", len(st), snapper.LastSeq())
+			t.Fatalf("background snapshotter never covered seq %d (at %d)", len(st), snapper.Status().SnapshotSeq)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -156,28 +156,36 @@ func (r *Retainer) Close() {
 	}
 }
 
-// Window returns the configured retention horizon.
-func (r *Retainer) Window() time.Duration { return r.cfg.Window }
+// RetentionStatus is the sliding-window retention state /healthz reports
+// in its "retention" field (DESIGN.md §13). All counters cover the
+// background loop; expires issued directly over POST /v1/expire are not
+// included. The zero value is a server with no retention loop.
+type RetentionStatus struct {
+	// Enabled reports whether a background retention loop is running.
+	Enabled bool `json:"enabled"`
+	// WindowSeconds is the sliding retention horizon.
+	WindowSeconds int64 `json:"window_seconds,omitempty"`
+	// IntervalSeconds is the resolved loop cadence.
+	IntervalSeconds int64 `json:"interval_seconds,omitempty"`
+	// Runs is the number of completed retention ticks.
+	Runs int64 `json:"runs,omitempty"`
+	// Dropped is the total number of leaves reclaimed by the loop.
+	Dropped int64 `json:"dropped,omitempty"`
+	// LastCutoff is the latest tick's cutoff timestamp (Unix seconds).
+	LastCutoff int64 `json:"last_cutoff,omitempty"`
+	// LastUnix is when the latest tick completed (Unix seconds).
+	LastUnix int64 `json:"last_unix,omitempty"`
+}
 
-// Interval returns the resolved loop cadence.
-func (r *Retainer) Interval() time.Duration { return r.cfg.Interval }
-
-// Runs returns the number of completed retention ticks.
-func (r *Retainer) Runs() int64 { return r.runs.Load() }
-
-// Dropped returns the total number of leaves reclaimed across all ticks.
-func (r *Retainer) Dropped() int64 { return r.dropped.Load() }
-
-// LastCutoff returns the cutoff timestamp of the latest completed tick
-// (0 before the first).
-func (r *Retainer) LastCutoff() int64 { return r.lastCutoff.Load() }
-
-// LastTime returns when the latest tick completed (zero time before the
-// first).
-func (r *Retainer) LastTime() time.Time {
-	u := r.lastUnix.Load()
-	if u == 0 {
-		return time.Time{}
+// Status reports the loop's configuration and counters.
+func (r *Retainer) Status() RetentionStatus {
+	return RetentionStatus{
+		Enabled:         true,
+		WindowSeconds:   int64(r.cfg.Window / time.Second),
+		IntervalSeconds: int64(r.cfg.Interval / time.Second),
+		Runs:            r.runs.Load(),
+		Dropped:         r.dropped.Load(),
+		LastCutoff:      r.lastCutoff.Load(),
+		LastUnix:        r.lastUnix.Load(),
 	}
-	return time.Unix(u, 0)
 }

@@ -276,13 +276,13 @@ func TestRetainerTicks(t *testing.T) {
 	if dropped <= 0 {
 		t.Fatalf("Tick dropped %d leaves, want > 0", dropped)
 	}
-	if r.Runs() != 1 || r.Dropped() != dropped {
-		t.Fatalf("counters: runs = %d dropped = %d, want 1, %d", r.Runs(), r.Dropped(), dropped)
+	if r.Status().Runs != 1 || r.Status().Dropped != dropped {
+		t.Fatalf("counters: runs = %d dropped = %d, want 1, %d", r.Status().Runs, r.Status().Dropped, dropped)
 	}
-	if want := now.Add(-100 * time.Second).Unix(); r.LastCutoff() != want {
-		t.Fatalf("LastCutoff = %d, want %d", r.LastCutoff(), want)
+	if want := now.Add(-100 * time.Second).Unix(); r.Status().LastCutoff != want {
+		t.Fatalf("LastCutoff = %d, want %d", r.Status().LastCutoff, want)
 	}
-	if r.LastTime().IsZero() {
+	if r.Status().LastUnix == 0 {
 		t.Fatal("LastTime not recorded")
 	}
 	r.Close() // never started: Close must not hang
@@ -304,16 +304,16 @@ func TestRetainerBackgroundLoop(t *testing.T) {
 	}
 	r.Start()
 	deadline := time.Now().Add(5 * time.Second)
-	for r.Runs() == 0 {
+	for r.Status().Runs == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("background retainer never ticked")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	r.Close()
-	runs := r.Runs()
+	runs := r.Status().Runs
 	time.Sleep(5 * time.Millisecond)
-	if r.Runs() != runs {
+	if r.Status().Runs != runs {
 		t.Fatal("retainer kept ticking after Close")
 	}
 }
@@ -371,7 +371,7 @@ func TestRetainerFollowsPipelineSwap(t *testing.T) {
 	if _, err := r.Tick(); err != nil {
 		t.Fatalf("tick after pipeline swap: %v (retention died with the old pipeline)", err)
 	}
-	if r.Runs() != 2 {
-		t.Fatalf("runs = %d, want 2", r.Runs())
+	if r.Status().Runs != 2 {
+		t.Fatalf("runs = %d, want 2", r.Status().Runs)
 	}
 }

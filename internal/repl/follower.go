@@ -68,24 +68,6 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 	return c
 }
 
-// Status is a follower's replication state, served in /healthz's
-// "replication" field.
-type Status struct {
-	// Source is the primary's replication URL.
-	Source string
-	// AppliedSeq is the follower's position: every record at or below it
-	// has been applied (or watermark-skipped as already present).
-	AppliedSeq uint64
-	// PrimarySeq is the primary's durability frontier as of the last
-	// response received from it.
-	PrimarySeq uint64
-	// Lag is max(PrimarySeq−AppliedSeq, 0) — how many sequence numbers the
-	// follower trails the primary's durable state by.
-	Lag uint64
-	// Resyncs counts full snapshot re-fetches forced by 410 Gone.
-	Resyncs int64
-}
-
 // Follower replicates a primary's summary: boot = snapshot fetch (or local
 // cache load) + tail, then live tailing with long-polls. The replicated
 // summary (Summary) is safe for concurrent readers throughout — records
@@ -95,6 +77,7 @@ type Follower struct {
 	cfg FollowerConfig
 
 	sum     atomic.Pointer[shard.Summary]
+	applier *ingest.Applier // Boot's, handed to the tail loop by Start
 	applied atomic.Uint64
 	primary atomic.Uint64
 	resyncs atomic.Int64
@@ -110,7 +93,7 @@ type Follower struct {
 }
 
 // NewFollower validates the configuration and returns an unstarted
-// follower; Start performs the boot fetch.
+// follower; Boot performs the boot fetch and Start launches the tail loop.
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Source == "" {
 		return nil, errors.New("repl: Source must be set")
@@ -121,19 +104,31 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	return f, nil
 }
 
-// Start boots the follower synchronously — load the local snapshot cache
-// if present, else fetch the primary's snapshot — so a caller that gets a
-// nil error holds a servable Summary. It then launches the tail loop.
-func (f *Follower) Start() error {
+// Boot loads the local snapshot cache if present, else fetches the
+// primary's snapshot, so a caller that gets a nil error holds a servable
+// Summary. Nothing tails yet — and so nothing can resync and call OnSwap —
+// until Start: whatever OnSwap needs (the server over Summary) is built in
+// between.
+func (f *Follower) Boot() error {
 	sum, err := f.bootSummary()
 	if err != nil {
 		return err
 	}
 	f.sum.Store(sum)
-	a := ingest.NewApplier(sum)
-	f.setApplied(a.Position())
+	f.applier = ingest.NewApplier(sum)
+	f.setApplied(f.applier.Position())
+	return nil
+}
+
+// Start launches the tail loop, booting first unless Boot already has.
+func (f *Follower) Start() error {
+	if f.applier == nil {
+		if err := f.Boot(); err != nil {
+			return err
+		}
+	}
 	f.started.Store(true)
-	go f.run(a)
+	go f.run(f.applier)
 	return nil
 }
 
@@ -370,6 +365,7 @@ func (f *Follower) Summary() *shard.Summary { return f.sum.Load() }
 // Status returns the follower's replication state.
 func (f *Follower) Status() Status {
 	st := Status{
+		Role:       RoleFollower,
 		Source:     f.cfg.Source,
 		AppliedSeq: f.applied.Load(),
 		PrimarySeq: f.primary.Load(),

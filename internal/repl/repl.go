@@ -51,24 +51,59 @@ func NewPrimary(sum *shard.Summary, log *wal.Log) *Primary {
 	return &Primary{sum: sum, log: log}
 }
 
+// Role names a server's place in replication, reported in /healthz.
+const (
+	// RoleStandalone is a server with no replication configured.
+	RoleStandalone = "standalone"
+	// RolePrimary serves a replication feed (higgsd -replication-addr).
+	RolePrimary = "primary"
+	// RoleFollower is a read-only replica (higgsd -replicate-from).
+	RoleFollower = "follower"
+)
+
+// Status is the replication state /healthz reports in its "replication"
+// field (DESIGN.md §15): the server's role and, for a follower, where it
+// replicates from and how far behind it is.
+type Status struct {
+	// Role is RoleStandalone, RolePrimary, or RoleFollower.
+	Role string `json:"role"`
+	// Source is the primary's replication URL (followers only).
+	Source string `json:"source,omitempty"`
+	// AppliedSeq is the follower's position: every record at or below it
+	// has been applied (or watermark-skipped as already present).
+	AppliedSeq uint64 `json:"applied_seq,omitempty"`
+	// PrimarySeq is the primary's durability frontier — its own on a
+	// primary, as of the last response received from it on a follower.
+	PrimarySeq uint64 `json:"primary_seq,omitempty"`
+	// Lag is max(PrimarySeq−AppliedSeq, 0) — how many sequence numbers the
+	// follower trails the primary's durable state by.
+	Lag uint64 `json:"lag,omitempty"`
+	// Resyncs counts full snapshot re-fetches forced by 410 Gone
+	// (followers only).
+	Resyncs int64 `json:"resyncs,omitempty"`
+}
+
+// Status returns the primary's replication state.
+func (p *Primary) Status() Status {
+	return Status{Role: RolePrimary, PrimarySeq: p.log.SyncedSeq()}
+}
+
 // Handler returns the replication HTTP surface:
 //
 //	GET /repl/info      — JSON: retained floor, appended/synced frontiers, shards
 //	GET /repl/snapshot  — binary summary snapshot (shard codec)
 //	GET /repl/wal       — record stream after ?after=N, long-polling up to ?wait=D
-func (p *Primary) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/repl/info", p.handleInfo)
-	mux.HandleFunc("/repl/snapshot", p.handleSnapshot)
-	mux.HandleFunc("/repl/wal", p.handleWAL)
-	return mux
+func (p *Primary) Handler() http.Handler { return httpapi.Mux(p.routes(), false) }
+
+func (p *Primary) routes() []httpapi.Route {
+	return []httpapi.Route{
+		{Path: "/repl/info", Method: http.MethodGet, Handle: p.handleInfo},
+		{Path: "/repl/snapshot", Method: http.MethodGet, Handle: p.handleSnapshot},
+		{Path: "/repl/wal", Method: http.MethodGet, Handle: p.handleWAL},
+	}
 }
 
-func (p *Primary) handleInfo(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpapi.Error(w, http.StatusMethodNotAllowed, httpapi.CodeMethodNotAllowed, "GET required")
-		return
-	}
+func (p *Primary) handleInfo(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
 		"first_seq":  p.log.FirstSeq(),
@@ -76,6 +111,7 @@ func (p *Primary) handleInfo(w http.ResponseWriter, r *http.Request) {
 		"synced_seq": p.log.SyncedSeq(),
 		"shards":     p.sum.NumShards(),
 	})
+	return nil
 }
 
 // handleSnapshot streams the summary's snapshot. Shards are encoded one at
@@ -83,17 +119,12 @@ func (p *Primary) handleInfo(w http.ResponseWriter, r *http.Request) {
 // with an embedded watermark per shard — exactly what the follower's
 // applier needs to replay the tail without double-applying (the same
 // contract ingest.WriteSnapshot relies on for crash recovery).
-func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpapi.Error(w, http.StatusMethodNotAllowed, httpapi.CodeMethodNotAllowed, "GET required")
-		return
-	}
+func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(SeqHeader, strconv.FormatUint(p.log.SyncedSeq(), 10))
-	if _, err := p.sum.WriteTo(w); err != nil {
-		// Headers are gone; the truncated body fails the follower's decode.
-		return
-	}
+	// Headers are gone; a truncated body fails the follower's decode.
+	_, _ = p.sum.WriteTo(w)
+	return nil
 }
 
 // handleWAL streams every durable record after ?after=N (default 0) in the
@@ -103,26 +134,20 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // truncated behind a snapshot: fetch /repl/snapshot and resume from its
 // watermarks. The SeqHeader reports the frontier the stream was bounded
 // at; a response may carry zero records (frontier unchanged).
-func (p *Primary) handleWAL(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpapi.Error(w, http.StatusMethodNotAllowed, httpapi.CodeMethodNotAllowed, "GET required")
-		return
-	}
+func (p *Primary) handleWAL(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
 	var after uint64
 	if v := q.Get("after"); v != "" {
 		var err error
 		if after, err = strconv.ParseUint(v, 10, 64); err != nil {
-			httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, "after: %v", err)
-			return
+			return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeBadRequest, "after: %v", err)
 		}
 	}
 	var wait time.Duration
 	if v := q.Get("wait"); v != "" {
 		var err error
 		if wait, err = time.ParseDuration(v); err != nil {
-			httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, "wait: %v", err)
-			return
+			return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeBadRequest, "wait: %v", err)
 		}
 		if wait > maxPollWait {
 			wait = maxPollWait
@@ -133,14 +158,13 @@ func (p *Primary) handleWAL(w http.ResponseWriter, r *http.Request) {
 		frontier = p.log.WaitSyncedBeyond(after, wait)
 	}
 	if p.log.FirstSeq() > after+1 {
-		httpapi.Error(w, http.StatusGone, httpapi.CodeTruncated, "requested records truncated; fetch /repl/snapshot")
-		return
+		return httpapi.Errorf(http.StatusGone, httpapi.CodeTruncated, "requested records truncated; fetch /repl/snapshot")
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(SeqHeader, strconv.FormatUint(frontier, 10))
 	sw, err := wal.NewStreamWriter(w)
 	if err != nil {
-		return // client went away
+		return nil // client went away
 	}
 	// A failure mid-stream (including a truncation race) cannot change the
 	// status anymore; the torn body fails the follower's decode and it
@@ -148,4 +172,5 @@ func (p *Primary) handleWAL(w http.ResponseWriter, r *http.Request) {
 	_, _ = p.log.ReadFrom(after, frontier, func(rec wal.Record) error {
 		return sw.Write(rec)
 	})
+	return nil
 }

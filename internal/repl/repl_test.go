@@ -2,11 +2,14 @@ package repl
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"higgs/internal/httpapi"
 	"higgs/internal/ingest"
 	"higgs/internal/shard"
 	"higgs/internal/stream"
@@ -274,5 +277,88 @@ func TestFollowerOnSwapOwnsOldSummary(t *testing.T) {
 		}
 	default:
 		t.Fatal("resync did not invoke OnSwap")
+	}
+}
+
+// TestFollowerBootThenStart is higgsd's wiring: what OnSwap needs (there,
+// the server over the booted summary) is built between Boot and Start, with
+// no synchronization of its own — Boot tails nothing, so no resync can fire
+// before Start, and starting the tail loop orders the assignment before
+// every OnSwap call (run with -race). The follower boots from a cache the
+// primary has truncated past, so the first tail request forces the swap.
+func TestFollowerBootThenStart(t *testing.T) {
+	p := newPrimaryRig(t, 1, 1<<10)
+	st := testStream(t, 1200)
+	third := len(st) / 3
+	p.feed(t, st, 0, third, 0)
+
+	dir := t.TempDir()
+	f1 := newFollowerT(t, FollowerConfig{Source: p.srv.URL, Dir: dir})
+	if !f1.WaitApplied(p.log.LastSeq(), 30*time.Second) {
+		t.Fatal("never caught up")
+	}
+	f1.Close()
+	p.feed(t, st, third, len(st), 0)
+	p.snap(t)
+
+	var served *shard.Summary
+	f2, err := NewFollower(FollowerConfig{
+		Source:        p.srv.URL,
+		Dir:           dir,
+		PollWait:      100 * time.Millisecond,
+		RetryInterval: 20 * time.Millisecond,
+		OnSwap: func(old, new *shard.Summary) {
+			if served != old {
+				t.Errorf("OnSwap(old=%p) while serving %p", old, served)
+			}
+			served = new
+			old.Close()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f2.Status(); got.AppliedSeq != uint64(third) || got.Resyncs != 0 {
+		t.Fatalf("after Boot: %+v, want the cached position %d and no resync", got, third)
+	}
+	served = f2.Summary()
+	if err := f2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	converge(t, p, f2)
+	f2.Close() // the tail loop has exited: reading served is ordered after its writes
+	if served != f2.Summary() || f2.Status().Resyncs < 1 {
+		t.Fatalf("serving %p, follower holds %p after %d resyncs", served, f2.Summary(), f2.Status().Resyncs)
+	}
+}
+
+// TestRoutesRejectOtherMethods walks the route table: the feed is
+// read-only, so every row is a GET and anything else answers the 405
+// envelope — a row added later included.
+func TestRoutesRejectOtherMethods(t *testing.T) {
+	p := newPrimaryRig(t, 2, 1<<20)
+	for _, rt := range NewPrimary(p.sum, p.log).routes() {
+		if rt.Method != http.MethodGet || rt.Write {
+			t.Fatalf("%s %s (write=%v): the replication feed serves reads only", rt.Method, rt.Path, rt.Write)
+		}
+		for _, m := range []string{"POST", "PUT", "DELETE"} {
+			req, err := http.NewRequest(m, p.srv.URL+rt.Path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env httpapi.Envelope
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusMethodNotAllowed || err != nil || env.Code != httpapi.CodeMethodNotAllowed {
+				t.Fatalf("%s %s: status %d, envelope %+v (%v)", m, rt.Path, resp.StatusCode, env, err)
+			}
+		}
 	}
 }

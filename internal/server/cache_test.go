@@ -43,14 +43,11 @@ func summaryWithWeight(t *testing.T, w int64) *shard.Summary {
 // may have swapped — but not yet published — generation a+1).
 func TestNoStaleCacheAcrossReplaceSummary(t *testing.T) {
 	const swaps = 60
-	srv, err := NewReplica(summaryWithWeight(t, 1))
+	srv, err := Open(summaryWithWeight(t, 1), Options{Replica: true, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := srv.SetReadCache(1 << 20); err != nil {
-		t.Fatal(err)
-	}
 
 	var gen atomic.Int64
 	var wg sync.WaitGroup
@@ -129,10 +126,7 @@ func queryEdgeWeight(srv *Server) int64 {
 // TestCacheOverHTTPSwap drives the same swap race over real HTTP, the
 // end-to-end surface a replica's clients use.
 func TestCacheOverHTTPSwap(t *testing.T) {
-	srv, ts := newReplicaServer(t, 2)
-	if err := srv.SetReadCache(1 << 20); err != nil {
-		t.Fatal(err)
-	}
+	srv, ts := serveSummary(t, newSeededSummary(t, 2), Options{Replica: true, CacheBytes: 1 << 20})
 	// Seeded summary: edge 1→2 = 7. Query twice (fill + hit), then swap
 	// and require the new answer immediately.
 	for i := 0; i < 2; i++ {
@@ -175,14 +169,12 @@ func TestSetReadCacheValidates(t *testing.T) {
 // gets 429 with a Retry-After pacing hint on both query surfaces, and
 // recovery is possible (the healthy path still answers once admitted).
 func TestAdmissionShedsWith429(t *testing.T) {
-	srv, ts := newTestServerShards(t, 2)
-	post(t, ts.URL+"/v1/insert", `[{"s":1,"d":2,"w":3,"t":10}]`)
-
 	ctrl, err := admit.New(admit.Config{Rate: 0.000001, Burst: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetAdmission(ctrl)
+	_, ts := openTestServer(t, 2, Options{Admission: ctrl})
+	post(t, ts.URL+"/v1/insert", `[{"s":1,"d":2,"w":3,"t":10}]`)
 
 	// Burst of 2 admits; the third request in the same instant sheds.
 	for i := 0; i < 2; i++ {

@@ -76,11 +76,67 @@ func do(t *testing.T, method, url, body string) *http.Response {
 	return resp
 }
 
+// envelopeCase is one request and the envelope it must be answered with.
+type envelopeCase struct {
+	name   string
+	method string
+	path   string
+	body   string
+	status int
+	code   string
+}
+
+// routeContract derives, from a route table, the rows every route owes the
+// envelope contract — so a route added later cannot skip them. wrongMethod:
+// each of GET/POST/PUT/DELETE that no row of a path serves answers 405.
+// replicaWrite: each Write row answers 403 on a read-only replica.
+// bodyCap: each POST row answers 413 to a body one byte over the shared
+// cap (all whitespace, so the decoder reads to the cap whatever shape it
+// wants), except the rows uncapped names with the reason.
+func routeContract(t *testing.T, routes []httpapi.Route, uncapped map[string]string) (wrongMethod, replicaWrite, bodyCap []envelopeCase) {
+	t.Helper()
+	served := map[string]map[string]bool{}
+	for _, rt := range routes {
+		if served[rt.Path] == nil {
+			served[rt.Path] = map[string]bool{}
+		}
+		served[rt.Path][rt.Method] = true
+		if rt.Write {
+			replicaWrite = append(replicaWrite, envelopeCase{"replica " + rt.Method + " " + rt.Path,
+				rt.Method, rt.Path, "x", 403, httpapi.CodeReadOnlyReplica})
+		}
+		if _, skip := uncapped[rt.Path]; rt.Method == "POST" && !skip {
+			bodyCap = append(bodyCap, envelopeCase{"oversized " + rt.Path,
+				"POST", rt.Path, strings.Repeat(" ", maxBatchBody+1), 413, httpapi.CodeBodyTooLarge})
+		}
+	}
+	for path := range uncapped {
+		if !served[path]["POST"] {
+			t.Fatalf("uncapped names %s, which no POST route serves", path)
+		}
+	}
+	for _, rt := range routes {
+		for _, m := range []string{"GET", "POST", "PUT", "DELETE"} {
+			if methods := served[rt.Path]; !methods[m] {
+				methods[m] = true // once per path
+				wrongMethod = append(wrongMethod, envelopeCase{m + " " + rt.Path, m, rt.Path, "", 405, httpapi.CodeMethodNotAllowed})
+			}
+		}
+	}
+	return wrongMethod, replicaWrite, bodyCap
+}
+
+// uncappedRoutes are the POST routes outside the shared 8 MiB body cap.
+var uncappedRoutes = map[string]string{
+	"/v1/flush":    "reads no body",
+	"/v1/snapshot": "binary upload under its own 1 GiB cap",
+}
+
 // TestErrorEnvelopeContract walks every endpoint's error paths —
 // /v1/*, /v2/query, /healthz on the server mux — and pins the unified
 // envelope shape and code for each.
 func TestErrorEnvelopeContract(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 
 	// A /v2/query batch over the probe budget: each delta_vertex item with
 	// 4096 in-direction candidates plans 2×4×4096 probes on 4 shards, so 40
@@ -103,14 +159,7 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	sb.WriteString("]")
 	overBudget := sb.String()
 
-	cases := []struct {
-		name   string
-		method string
-		path   string
-		body   string
-		status int
-		code   string
-	}{
+	cases := []envelopeCase{
 		// Wrong method, every endpoint.
 		{"insert GET", "GET", "/v1/insert", "", 405, httpapi.CodeMethodNotAllowed},
 		{"ingest GET", "GET", "/v1/ingest", "", 405, httpapi.CodeMethodNotAllowed},
@@ -121,6 +170,12 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		{"snapshot DELETE", "DELETE", "/v1/snapshot", "", 405, httpapi.CodeMethodNotAllowed},
 		{"query GET", "GET", "/v2/query", "", 405, httpapi.CodeMethodNotAllowed},
 		{"healthz POST", "POST", "/healthz", "", 405, httpapi.CodeMethodNotAllowed},
+		// These four had no method check before the route table (DELETE
+		// /v1/stats answered 200).
+		{"edge POST", "POST", "/v1/edge?s=1&d=2&ts=0&te=10", "", 405, httpapi.CodeMethodNotAllowed},
+		{"vertex PUT", "PUT", "/v1/vertex?v=1&ts=0&te=10", "", 405, httpapi.CodeMethodNotAllowed},
+		{"path POST", "POST", "/v1/path?v=1,2&ts=0&te=10", "", 405, httpapi.CodeMethodNotAllowed},
+		{"stats DELETE", "DELETE", "/v1/stats", "", 405, httpapi.CodeMethodNotAllowed},
 
 		// Malformed bodies and parameters.
 		{"insert bad body", "POST", "/v1/insert", `{"not":"an array"}`, 400, httpapi.CodeBadRequest},
@@ -158,6 +213,9 @@ func TestErrorEnvelopeContract(t *testing.T) {
 			`{"edges":[[1,2]],"ts":0,"te":1,"pad":"` + strings.Repeat("x", maxBatchBody) + `"}`,
 			413, httpapi.CodeBodyTooLarge},
 	}
+	wrongMethod, _, bodyCap := routeContract(t, srv.routes(), uncappedRoutes)
+	cases = append(cases, wrongMethod...)
+	cases = append(cases, bodyCap...)
 	for _, c := range cases {
 		resp := do(t, c.method, ts.URL+c.path, c.body)
 		checkEnvelope(t, c.name, resp, c.status, c.code)
@@ -201,12 +259,11 @@ func TestErrorEnvelopeItemCodes(t *testing.T) {
 // TestErrorEnvelopeAdmission: admission shed answers 429 with the envelope,
 // a rate_limited code, and a pacing hint.
 func TestErrorEnvelopeAdmission(t *testing.T) {
-	srv, ts := newTestServer(t)
 	ctrl, err := admit.New(admit.Config{Rate: 0.001, Burst: 1, RetryAfter: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetAdmission(ctrl)
+	_, ts := openTestServer(t, 4, Options{Admission: ctrl})
 	// The first query drains the client's only token; the second sheds.
 	resp := get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=10")
 	resp.Body.Close()
@@ -235,40 +292,32 @@ func TestErrorEnvelopeShutdown(t *testing.T) {
 // TestErrorEnvelopeReplica: every write on a read-only replica answers 403
 // read_only_replica.
 func TestErrorEnvelopeReplica(t *testing.T) {
-	cfg := shard.DefaultConfig()
-	cfg.Shards = 2
-	sum, err := shard.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	srv, ts := openTestServer(t, 2, Options{Replica: true})
+	_, replicaWrite, _ := routeContract(t, srv.routes(), uncappedRoutes)
+	if len(replicaWrite) < 6 {
+		t.Fatalf("route table marks %d write rows, want the six write endpoints at least", len(replicaWrite))
 	}
-	srv, err := NewReplica(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		sum.Close()
-	})
-	for _, c := range []struct{ method, path, body string }{
-		{"POST", "/v1/insert", "[]"},
-		{"POST", "/v1/ingest", "[]"},
-		{"POST", "/v1/flush", ""},
-		{"POST", "/v1/expire", `{"cutoff":1}`},
-		{"POST", "/v1/delete", `{"s":1,"d":2,"w":3,"t":4}`},
-		{"POST", "/v1/snapshot", "x"},
-	} {
+	for _, c := range replicaWrite {
 		resp := do(t, c.method, ts.URL+c.path, c.body)
-		checkEnvelope(t, c.method+" "+c.path, resp, 403, httpapi.CodeReadOnlyReplica)
+		checkEnvelope(t, c.name, resp, c.status, c.code)
+	}
+	// And the reads stay open: no unmarked row answers 403.
+	for _, rt := range srv.routes() {
+		if rt.Write || rt.Method != "GET" {
+			continue
+		}
+		resp := do(t, "GET", ts.URL+rt.Path, "")
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusForbidden || resp.StatusCode == http.StatusMethodNotAllowed {
+			t.Fatalf("GET %s on a replica: status %d", rt.Path, resp.StatusCode)
+		}
 	}
 }
 
-// TestErrorEnvelopeWALOwned: with durability installed, a snapshot upload
+// TestErrorEnvelopeWALOwned: over a write-ahead log, a snapshot upload
 // answers 409 wal_owned.
 func TestErrorEnvelopeWALOwned(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.SetDurability(func() DurabilityStatus { return DurabilityStatus{WAL: true} })
+	_, ts := openTestServer(t, 4, Options{Ingest: ingest.Config{WAL: openTestWAL(t, t.TempDir())}})
 	resp := post(t, ts.URL+"/v1/snapshot", "irrelevant")
 	checkEnvelope(t, "snapshot upload", resp, 409, httpapi.CodeWALOwned)
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"higgs/internal/admit"
+	"higgs/internal/repl"
 	"higgs/internal/shard"
 	"higgs/internal/stream"
 )
@@ -35,16 +36,7 @@ func newSeededSummary(t *testing.T, shards int) *shard.Summary {
 
 func newReplicaServer(t *testing.T, shards int) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := NewReplica(newSeededSummary(t, shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	return srv, ts
+	return serveSummary(t, newSeededSummary(t, shards), Options{Replica: true})
 }
 
 // TestReplicaServesReads checks a read-only replica answers every read
@@ -181,10 +173,9 @@ func TestHealthzContract(t *testing.T) {
 		{
 			name: "primary",
 			build: func(t *testing.T) *httptest.Server {
-				srv, ts := newTestServerShards(t, 2)
-				srv.SetReplication(func() ReplicationStatus {
-					return ReplicationStatus{Role: RolePrimary, PrimarySeq: 42}
-				})
+				_, ts := openTestServer(t, 2, Options{Replication: func() repl.Status {
+					return repl.Status{Role: repl.RolePrimary, PrimarySeq: 42}
+				}})
 				return ts
 			},
 			shards: 2,
@@ -194,17 +185,16 @@ func TestHealthzContract(t *testing.T) {
 		{
 			name: "follower",
 			build: func(t *testing.T) *httptest.Server {
-				srv, ts := newReplicaServer(t, 2)
-				srv.SetReplication(func() ReplicationStatus {
-					return ReplicationStatus{
-						Role:       RoleFollower,
+				_, ts := serveSummary(t, newSeededSummary(t, 2), Options{Replica: true, Replication: func() repl.Status {
+					return repl.Status{
+						Role:       repl.RoleFollower,
 						Source:     "http://primary:7422",
 						AppliedSeq: 40,
 						PrimarySeq: 42,
 						Lag:        2,
 						Resyncs:    1,
 					}
-				})
+				}})
 				return ts
 			},
 			shards: 2,
@@ -323,15 +313,11 @@ func TestHealthzContract(t *testing.T) {
 // read_cache and admission blocks: counters appear once the features are
 // switched on and reflect served traffic.
 func TestHealthzCacheAndAdmissionEnabled(t *testing.T) {
-	srv, ts := newTestServerShards(t, 2)
-	if err := srv.SetReadCache(1 << 20); err != nil {
-		t.Fatal(err)
-	}
 	ctrl, err := admit.New(admit.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetAdmission(ctrl)
+	_, ts := openTestServer(t, 2, Options{CacheBytes: 1 << 20, Admission: ctrl})
 
 	post(t, ts.URL+"/v1/insert", `[{"s":1,"d":2,"w":3,"t":10}]`)
 	// Two identical queries: a miss then a hit.

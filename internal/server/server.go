@@ -5,6 +5,11 @@
 // thin binary around it; README "Running the server" documents every
 // endpoint, status code, and flag.
 //
+// A server is built once, by Open, from Options; every endpoint is a row of
+// one route table (routes, served by httpapi.Mux), whose adapter owns the
+// method and read-only-replica rejections and renders the typed errors
+// handlers return.
+//
 // Concurrency is delegated to package shard: every mutation locks only the
 // shards it touches and queries fan out under per-shard read locks, so
 // requests hitting different shards proceed in parallel — there is no
@@ -21,9 +26,10 @@
 // probe: it reports the serving configuration without touching a shard
 // lock or any query path.
 //
-// Writes have two admission paths. /v1/insert is always synchronous: 200
-// means the edges are applied and visible. /v1/ingest goes through the
-// group-commit pipeline of package ingest (DESIGN.md §9): 202 means the
+// Writes have one admission path, the group-commit pipeline of package
+// ingest (DESIGN.md §9), behind two endpoints. /v1/insert answers 200 once
+// the edges are applied and visible (it flushes a queued batch).
+// /v1/ingest answers as soon as the batch is admitted: 202 means the
 // batch is accepted and will be applied in order — durable for the
 // process's lifetime, drained even on orderly shutdown, and guaranteed
 // visible after a later POST /v1/flush returns — while 429 signals a full
@@ -55,6 +61,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -68,6 +75,7 @@ import (
 	"higgs/internal/ingest"
 	"higgs/internal/query"
 	"higgs/internal/rcache"
+	"higgs/internal/repl"
 	"higgs/internal/shard"
 	"higgs/internal/stream"
 )
@@ -101,174 +109,160 @@ type state struct {
 	eng *analytics.Engine
 }
 
-// Server wraps a sharded HIGGS summary with an HTTP API. The
-// summary/pipeline pair is swapped atomically on snapshot upload, so
-// in-flight requests always see a consistent summary.
+// Server wraps a sharded HIGGS summary with an HTTP API. The serving state
+// is swapped atomically on snapshot upload and replica resync, so in-flight
+// requests always see a consistent summary; everything else is fixed by
+// Open, except the cache budget (SetReadCache).
 type Server struct {
-	st          atomic.Pointer[state]
-	icfg        ingest.Config
-	closed      atomic.Bool
-	replica     bool
-	start       time.Time
-	cacheBytes  atomic.Int64
-	anaCfg      atomic.Pointer[analytics.Config]
-	admission   atomic.Pointer[admit.Controller]
-	durability  atomic.Pointer[func() DurabilityStatus]
-	retention   atomic.Pointer[func() RetentionStatus]
-	replication atomic.Pointer[func() ReplicationStatus]
+	st         atomic.Pointer[state]
+	cacheBytes atomic.Int64
+	closed     atomic.Bool
+	opts       Options
+	start      time.Time
+	replayed   int64
 }
 
-// DurabilityStatus is the WAL/snapshot state /healthz reports (DESIGN.md
-// §12). All sequence numbers are WAL sequences; 0 means "nothing yet".
-type DurabilityStatus struct {
-	// WAL reports whether a write-ahead log backs /v1/ingest.
-	WAL bool `json:"wal"`
-	// AppendedSeq is the last sequence number appended to the log.
-	AppendedSeq uint64 `json:"appended_seq,omitempty"`
-	// SyncedSeq is the durability frontier: the highest sequence known to
-	// be fsync'd. Every 202 response covers a sequence ≤ SyncedSeq.
-	SyncedSeq uint64 `json:"synced_seq,omitempty"`
-	// Segments is the number of live WAL segment files.
-	Segments int `json:"segments,omitempty"`
-	// SnapshotSeq is the sequence the latest completed snapshot covers;
-	// WAL records at or below it have been (or are about to be) truncated.
-	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
-	// SnapshotUnix is when the latest snapshot completed (Unix seconds).
-	SnapshotUnix int64 `json:"snapshot_unix,omitempty"`
+// Options is everything a server is built from. The zero value serves the
+// summary with the default ingest pipeline and nothing optional.
+type Options struct {
+	// Ingest configures the group-commit pipeline behind the write
+	// endpoints (cmd/higgsd maps -ingest-mode, -queue-depth and
+	// -commit-interval onto it). With Ingest.WAL set the log owns the
+	// durable state: Open replays it into the summary, every accepted write
+	// is appended and fsync'd before its response, and POST /v1/snapshot
+	// answers 409 — swapping in a foreign summary would desynchronize its
+	// watermarks from the log's sequences.
+	Ingest ingest.Config
+	// Replica makes the server read-only: every query endpoint works (the
+	// summary is live — a replication follower applies records under
+	// per-shard write locks, exactly like ingest), every write endpoint
+	// answers 403, because a replica's state is defined entirely by the
+	// primary's record stream, and ReplaceSummary is allowed. Ingest is
+	// ignored: no write ever reaches the pipeline.
+	Replica bool
+	// CacheBytes is the byte budget of the watermark-invalidated read cache
+	// in front of the planner (DESIGN.md §16); 0 serves uncached.
+	CacheBytes int64
+	// Analytics, when non-nil, attaches a stream-analytics engine to the
+	// served summary as its apply observer (DESIGN.md §17). Shards and Seed
+	// are derived from the summary; the zero Config selects the documented
+	// defaults.
+	Analytics *analytics.Config
+	// Admission, when non-nil, fronts every query endpoint: shed requests
+	// answer 429 with a Retry-After pacing hint. Write and operational
+	// endpoints are not admission-controlled (ingest has its own
+	// backpressure).
+	Admission *admit.Controller
+	// Durability, Retention and Replication are the probes GET /healthz
+	// calls for the fields of those names; nil reports the zero status (for
+	// Replication, repl.RoleStandalone). They are first called once the
+	// handler serves, so they may read loops started after Open.
+	Durability  func() ingest.DurabilityStatus
+	Retention   func() ingest.RetentionStatus
+	Replication func() repl.Status
 }
 
-// SetDurability installs the probe /healthz calls for the "durability"
-// field and marks the server's durable state as WAL-owned: POST
-// /v1/snapshot is then rejected with 409, because replacing the served
-// summary underneath a live log would desynchronize snapshot watermarks
-// from the log's sequences. cmd/higgsd installs it when -wal-dir is set.
-func (s *Server) SetDurability(fn func() DurabilityStatus) {
-	s.durability.Store(&fn)
-}
-
-// RetentionStatus is the sliding-window retention state /healthz reports
-// (DESIGN.md §13). All counters cover the background loop; expires issued
-// directly over POST /v1/expire are not included.
-type RetentionStatus struct {
-	// Enabled reports whether a background retention loop is running.
-	Enabled bool `json:"enabled"`
-	// WindowSeconds is the sliding retention horizon.
-	WindowSeconds int64 `json:"window_seconds,omitempty"`
-	// IntervalSeconds is the loop cadence.
-	IntervalSeconds int64 `json:"interval_seconds,omitempty"`
-	// Runs is the number of completed retention ticks.
-	Runs int64 `json:"runs,omitempty"`
-	// Dropped is the total number of leaves reclaimed by the loop.
-	Dropped int64 `json:"dropped,omitempty"`
-	// LastCutoff is the latest tick's cutoff timestamp (Unix seconds).
-	LastCutoff int64 `json:"last_cutoff,omitempty"`
-	// LastUnix is when the latest tick completed (Unix seconds).
-	LastUnix int64 `json:"last_unix,omitempty"`
-}
-
-// SetRetention installs the probe /healthz calls for the "retention"
-// field. cmd/higgsd installs it when -retention-window is set.
-func (s *Server) SetRetention(fn func() RetentionStatus) {
-	s.retention.Store(&fn)
-}
-
-// Replication roles reported in /healthz's "replication" field.
-const (
-	// RoleStandalone is a server with no replication configured.
-	RoleStandalone = "standalone"
-	// RolePrimary serves a replication feed (higgsd -replication-addr).
-	RolePrimary = "primary"
-	// RoleFollower is a read-only replica (higgsd -replicate-from).
-	RoleFollower = "follower"
-)
-
-// ReplicationStatus is the replication state /healthz reports (DESIGN.md
-// §15): the server's role and, for a follower, where it replicates from
-// and how far behind it is.
-type ReplicationStatus struct {
-	// Role is RoleStandalone, RolePrimary, or RoleFollower.
-	Role string `json:"role"`
-	// Source is the primary's replication URL (followers only).
-	Source string `json:"source,omitempty"`
-	// AppliedSeq is the follower's position: every WAL record at or below
-	// it is reflected in the served summary.
-	AppliedSeq uint64 `json:"applied_seq,omitempty"`
-	// PrimarySeq is the primary's durability frontier as of the last
-	// replication response the follower received.
-	PrimarySeq uint64 `json:"primary_seq,omitempty"`
-	// Lag is max(PrimarySeq−AppliedSeq, 0) in sequence numbers.
-	Lag uint64 `json:"lag,omitempty"`
-	// Resyncs counts full snapshot re-fetches (followers only).
-	Resyncs int64 `json:"resyncs,omitempty"`
-}
-
-// SetReplication installs the probe /healthz calls for the "replication"
-// field. cmd/higgsd installs it in both replication roles; without it the
-// field reports RoleStandalone.
-func (s *Server) SetReplication(fn func() ReplicationStatus) {
-	s.replication.Store(&fn)
-}
-
-// Pipeline returns the ingest pipeline currently feeding the served
-// summary, so operational layers (the background snapshotter) can flush
-// it. With durability enabled the pair is never swapped.
-func (s *Server) Pipeline() *ingest.Pipeline { return s.st.Load().pipe }
-
-// New returns a server over the given sharded summary with the default
-// ingest pipeline configuration.
-func New(sum *shard.Summary) *Server {
-	s, err := NewWithIngest(sum, ingest.DefaultConfig())
-	if err != nil {
-		// DefaultConfig always validates; reaching here is a bug.
-		panic(err)
+// Open builds a server over the summary: the serving state is attached —
+// read cache and analytics engine included — and only then is
+// opts.Ingest.WAL replayed into the summary (ingest.Recover, DESIGN.md
+// §12), so the engine's sketches absorb recovered edges exactly like live
+// ones.
+func Open(sum *shard.Summary, opts Options) (*Server, error) {
+	if opts.Replica {
+		opts.Ingest = ingest.Config{Mode: ingest.ModeSync}
 	}
-	return s
-}
-
-// NewWithIngest returns a server over the given sharded summary whose
-// /v1/ingest endpoint runs the group-commit pipeline with the given
-// configuration (cmd/higgsd maps -ingest-mode, -queue-depth, and
-// -commit-interval onto it).
-func NewWithIngest(sum *shard.Summary, icfg ingest.Config) (*Server, error) {
-	pipe, err := ingest.New(sum, icfg)
+	s := &Server{opts: opts, start: time.Now()}
+	s.cacheBytes.Store(opts.CacheBytes)
+	st, err := s.newState(sum)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{icfg: icfg, start: time.Now()}
-	s.st.Store(s.newState(sum, pipe))
+	s.st.Store(st)
+	if log := opts.Ingest.WAL; log != nil {
+		// Nothing appends before Open returns, so the pipeline holding the
+		// log does not race the replay.
+		if s.replayed, err = ingest.Recover(sum, log); err != nil {
+			st.pipe.Close()
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
-// newState assembles the swapped-together unit of serving state: summary,
-// pipeline, and — when a cache budget is set — a fresh cache over exactly
-// that summary. Building the cache here, at every swap site, is what makes
-// "bust the cache" and "replace the summary" the same atomic operation.
-func (s *Server) newState(sum *shard.Summary, pipe *ingest.Pipeline) *state {
-	st := &state{sum: sum, pipe: pipe, read: sum}
-	if n := s.cacheBytes.Load(); n > 0 {
-		c, err := rcache.New(sum, rcache.Config{MaxBytes: n})
-		if err != nil {
-			// The budget was validated by SetReadCache; a failure here is a
-			// bug, and serving uncached is strictly safe.
-			return st
-		}
-		st.cache = c
-		st.read = c
+// NewWithIngest is Open with only the ingest configuration set. The
+// signature is frozen: benchmark/ compiles against it.
+func NewWithIngest(sum *shard.Summary, icfg ingest.Config) (*Server, error) {
+	return Open(sum, Options{Ingest: icfg})
+}
+
+// Replayed returns the number of edges Open replayed from the write-ahead
+// log.
+func (s *Server) Replayed() int64 { return s.replayed }
+
+// newState assembles the swapped-together unit of serving state over a
+// summary: its pipeline, a fresh cache when a budget is set, a fresh
+// analytics engine when configured. Building all of it here, at every swap
+// site, is what makes "bust the cache", "restart the sketches" and "replace
+// the summary" the same atomic operation.
+func (s *Server) newState(sum *shard.Summary) (*state, error) {
+	st := &state{sum: sum}
+	err := st.setReader(s.cacheBytes.Load())
+	if err != nil {
+		return nil, err
 	}
-	if cfgp := s.anaCfg.Load(); cfgp != nil {
-		cfg := *cfgp
+	if s.opts.Analytics != nil {
+		cfg := *s.opts.Analytics
 		cfg.Shards = sum.NumShards()
 		cfg.Seed = sum.Config().Core.Seed
-		if eng, err := analytics.New(cfg); err == nil {
-			// Register before the state becomes visible, so the engine sees
-			// every apply the new summary receives once served. The swapped-in
-			// summary's pre-existing contents are not back-filled into the
-			// sketches; heavy hitters re-converge from the live stream.
-			sum.SetApplyObserver(eng)
-			st.eng = eng
+		if st.eng, err = analytics.New(cfg); err != nil {
+			return nil, err
 		}
+		// Registered before the state becomes visible (and before Open
+		// replays the log), so the engine sees every apply the summary
+		// receives from here on. The summary's pre-existing contents are
+		// not back-filled into the sketches; heavy hitters re-converge from
+		// the live stream.
+		sum.SetApplyObserver(st.eng)
 	}
-	return st
+	// Last: the pipeline starts goroutines, and nothing above can fail after.
+	if st.pipe, err = ingest.New(sum, s.opts.Ingest); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// setReader points the state's queries at the summary itself or, with a
+// budget, at a fresh cache over it.
+func (st *state) setReader(maxBytes int64) (err error) {
+	st.read, st.cache = st.sum, nil
+	if maxBytes != 0 {
+		if st.cache, err = rcache.New(st.sum, rcache.Config{MaxBytes: maxBytes}); err != nil {
+			return err
+		}
+		st.read = st.cache
+	}
+	return nil
+}
+
+// swap replaces the served summary. The old pipeline is drained into the
+// old summary before both are closed: in-flight /v1/ingest requests that
+// were already accepted complete their contract against the summary they
+// targeted, even though the swap then discards that summary wholesale.
+func (s *Server) swap(sum *shard.Summary) error {
+	st, err := s.newState(sum)
+	if err != nil {
+		return err
+	}
+	old := s.st.Swap(st)
+	old.pipe.Close()
+	old.sum.Close()
+	if s.closed.Load() {
+		// Close ran concurrently with the swap; nothing may outlive its drain
+		// contract (Close's own loop usually catches this — both closes are
+		// idempotent).
+		st.pipe.Close()
+	}
+	return nil
 }
 
 // defaultDeltaCandidates caps the server-filled candidate set of a
@@ -277,126 +271,24 @@ func (s *Server) newState(sum *shard.Summary, pipe *ingest.Pipeline) *state {
 // convenience default plan thousands of probes.
 const defaultDeltaCandidates = 256
 
-// SetAnalytics enables the stream-analytics subsystem (DESIGN.md §17):
-// an analytics engine is built over the served summary, registered as its
-// apply observer, and rebuilt over the new summary on every later swap —
-// exactly like the read cache, the engine and its summary are one atomic
-// unit. Shards and Seed are derived from the served summary; the zero
-// Config selects the documented defaults. cmd/higgsd maps the -analytics*
-// flags onto it.
-func (s *Server) SetAnalytics(cfg analytics.Config) error {
-	probe := cfg
-	probe.Shards = s.st.Load().sum.NumShards()
-	if err := probe.Validate(); err != nil {
-		return err
-	}
-	s.anaCfg.Store(&cfg)
-	for {
-		old := s.st.Load()
-		if s.st.CompareAndSwap(old, s.newState(old.sum, old.pipe)) {
-			return nil
-		}
-	}
-}
-
-// SetAnalyticsEngine adopts an engine that is already observing the served
-// summary — the WAL-recovery path: cmd/higgsd registers the engine before
-// replaying the log so the sketches absorb recovered edges, then hands it
-// to the server here. Later summary swaps rebuild a fresh engine from the
-// adopted engine's configuration, exactly as SetAnalytics.
-func (s *Server) SetAnalyticsEngine(eng *analytics.Engine) {
-	cfg := eng.Config()
-	s.anaCfg.Store(&cfg)
-	for {
-		old := s.st.Load()
-		next := &state{sum: old.sum, pipe: old.pipe, read: old.read, cache: old.cache, eng: eng}
-		if s.st.CompareAndSwap(old, next) {
-			return
-		}
-		// A concurrent swap installed a state built by newState: it already
-		// carries a fresh engine for its (new) summary, which is correct —
-		// the adopted engine mirrored the old summary. Stop.
-		if s.st.Load().eng != nil {
-			return
-		}
-	}
-}
-
-// SetReadCache installs (or, with maxBytes 0, removes) a watermark-
-// invalidated result cache over the served summary. Every later summary
-// swap — snapshot upload, replica resync — rebuilds a fresh cache over the
-// new summary in the same atomic state swap. Budgets below rcache.MinBytes
-// are rejected.
+// SetReadCache installs (or, with maxBytes 0, removes) the read cache over
+// the served summary, overriding Options.CacheBytes; every later summary
+// swap builds its cache with the new budget. Budgets below rcache.MinBytes
+// are rejected. The signature is frozen: benchmark/ compiles against it.
 func (s *Server) SetReadCache(maxBytes int64) error {
-	if maxBytes != 0 {
-		if err := (rcache.Config{MaxBytes: maxBytes}).Validate(); err != nil {
+	for {
+		old := s.st.Load()
+		next := *old
+		if err := next.setReader(maxBytes); err != nil {
 			return err
 		}
-	}
-	s.cacheBytes.Store(maxBytes)
-	for {
-		old := s.st.Load()
-		if s.st.CompareAndSwap(old, s.newState(old.sum, old.pipe)) {
+		s.cacheBytes.Store(maxBytes)
+		if s.st.CompareAndSwap(old, &next) {
 			return nil
 		}
-		// A snapshot upload or resync swapped concurrently; its state was
-		// built by newState and already reflects the new budget. Retry to
-		// make the call's effect unconditional anyway.
+		// A snapshot upload or resync swapped concurrently; retry so the
+		// call's effect is unconditional.
 	}
-}
-
-// SetAdmission installs an admission controller in front of every query
-// endpoint (nil removes it). Shed requests answer 429 with a Retry-After
-// pacing hint; write and operational endpoints are not admission-controlled
-// (ingest has its own backpressure).
-func (s *Server) SetAdmission(c *admit.Controller) {
-	s.admission.Store(c)
-}
-
-// admitQuery asks the admission controller (if any) to run a request
-// planning the given number of per-shard probes. It returns the release
-// callback and true, or answers 429 + Retry-After itself and returns
-// false. The client key is the peer host, so one tenant's token bucket
-// spans its connections but not its ports.
-func (s *Server) admitQuery(w http.ResponseWriter, r *http.Request, probes int) (func(), bool) {
-	ctrl := s.admission.Load()
-	if ctrl == nil {
-		return func() {}, true
-	}
-	client := r.RemoteAddr
-	if host, _, err := net.SplitHostPort(client); err == nil {
-		client = host
-	}
-	release, err := ctrl.Admit(client, probes)
-	if err != nil {
-		code := httpapi.CodeOverloaded
-		if errors.Is(err, admit.ErrRateLimited) {
-			code = httpapi.CodeRateLimited
-		}
-		ms := ctrl.RetryAfter().Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		httpapi.ErrorRetry(w, http.StatusTooManyRequests, code, ms, "%v", err)
-		return nil, false
-	}
-	return release, true
-}
-
-// NewReplica returns a read-only server over a replication follower's
-// summary: every query endpoint works (the summary is live — the follower
-// applies records under per-shard write locks, exactly like ingest), and
-// every write endpoint answers 403, because a replica's state is defined
-// entirely by the primary's record stream — a local write would fork it.
-// The internal pipeline runs in sync mode purely to satisfy the shared
-// plumbing; no writes ever reach it.
-func NewReplica(sum *shard.Summary) (*Server, error) {
-	s, err := NewWithIngest(sum, ingest.Config{Mode: ingest.ModeSync})
-	if err != nil {
-		return nil, err
-	}
-	s.replica = true
-	return s, nil
 }
 
 // ReplaceSummary swaps the served summary — the replica resync path, wired
@@ -404,32 +296,25 @@ func NewReplica(sum *shard.Summary) (*Server, error) {
 // follower's resume point, the follower re-bootstraps from a fresh
 // snapshot and the server must serve it. The old summary is drained and
 // closed exactly like a snapshot upload's. Only replicas may swap this
-// way; on a writable server the summary pairs with its ingest pipeline
-// and swaps only through POST /v1/snapshot.
+// way; on a writable server the summary swaps only through POST
+// /v1/snapshot.
 func (s *Server) ReplaceSummary(sum *shard.Summary) error {
-	if !s.replica {
+	if !s.opts.Replica {
 		return errors.New("server: ReplaceSummary is replica-only")
 	}
-	if s.st.Load().sum == sum {
-		return nil // already serving it (a swap raced the server's construction)
-	}
-	pipe, err := ingest.New(sum, s.icfg)
-	if err != nil {
-		return err
-	}
-	old := s.st.Swap(s.newState(sum, pipe))
-	old.pipe.Close()
-	old.sum.Close()
-	if s.closed.Load() {
-		pipe.Close()
-	}
-	return nil
+	return s.swap(sum)
 }
 
 // Summary returns the summary currently being served. A snapshot upload
 // replaces it, so callers persisting state on shutdown must ask the server
 // rather than hold the pointer they constructed it with.
 func (s *Server) Summary() *shard.Summary { return s.st.Load().sum }
+
+// Pipeline returns the ingest pipeline currently feeding the served
+// summary, so operational layers (the background snapshotter, the
+// retention loop) can flush and expire through it. With a WAL the pair is
+// never swapped.
+func (s *Server) Pipeline() *ingest.Pipeline { return s.st.Load().pipe }
 
 // Close drains the ingest pipeline: every batch accepted with 202 is
 // applied before Close returns. The summary itself stays open and
@@ -451,56 +336,71 @@ func (s *Server) Close() {
 }
 
 // Handler returns the HTTP handler implementing the API.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/insert", s.handleInsert)
-	mux.HandleFunc("/v1/ingest", s.handleIngest)
-	mux.HandleFunc("/v1/flush", s.handleFlush)
-	mux.HandleFunc("/v1/expire", s.handleExpire)
-	mux.HandleFunc("/v1/delete", s.handleDelete)
-	mux.HandleFunc("/v1/edge", s.handleEdge)
-	mux.HandleFunc("/v1/vertex", s.handleVertex)
-	mux.HandleFunc("/v1/path", s.handlePath)
-	mux.HandleFunc("/v1/subgraph", s.handleSubgraph)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/v2/query", s.handleQueryBatch)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	return mux
+func (s *Server) Handler() http.Handler { return httpapi.Mux(s.routes(), s.opts.Replica) }
+
+// routes is the whole HTTP surface. Method and read-only-replica rejection
+// belong to the table (httpapi.Mux); a handler decodes its parameters,
+// does its work, and returns what went wrong.
+func (s *Server) routes() []httpapi.Route {
+	const get, post = http.MethodGet, http.MethodPost
+	return []httpapi.Route{
+		{Path: "/v1/insert", Method: post, Write: true, Handle: s.admitBatch(true)},
+		{Path: "/v1/ingest", Method: post, Write: true, Handle: s.admitBatch(false)},
+		{Path: "/v1/flush", Method: post, Write: true, Handle: s.handleFlush},
+		{Path: "/v1/expire", Method: post, Write: true, Handle: s.handleExpire},
+		{Path: "/v1/delete", Method: post, Write: true, Handle: s.handleDelete},
+		{Path: "/v1/edge", Method: get, Handle: s.handleEdge},
+		{Path: "/v1/vertex", Method: get, Handle: s.handleVertex},
+		{Path: "/v1/path", Method: get, Handle: s.handlePath},
+		{Path: "/v1/subgraph", Method: post, Handle: s.handleSubgraph},
+		{Path: "/v1/stats", Method: get, Handle: s.handleStats},
+		{Path: "/v1/snapshot", Method: get, Handle: s.handleSnapshotDownload},
+		{Path: "/v1/snapshot", Method: post, Write: true, Handle: s.handleSnapshotUpload},
+		{Path: "/v2/query", Method: post, Handle: s.handleQueryBatch},
+		{Path: "/healthz", Method: get, Handle: s.handleHealthz},
+	}
 }
 
-// httpError writes the unified error envelope (DESIGN.md §17,
-// internal/httpapi) with the status's default code. Paths with a more
-// specific code — admission shed, ingest backpressure, query validation —
-// call httpapi directly.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	code := httpapi.CodeInternal
-	switch status {
-	case http.StatusMethodNotAllowed:
-		code = httpapi.CodeMethodNotAllowed
-	case http.StatusBadRequest:
-		code = httpapi.CodeBadRequest
-	case http.StatusRequestEntityTooLarge:
-		code = httpapi.CodeBodyTooLarge
-	case http.StatusForbidden:
-		code = httpapi.CodeReadOnlyReplica
-	case http.StatusServiceUnavailable:
-		code = httpapi.CodeShuttingDown
-	case http.StatusConflict:
-		code = httpapi.CodeWALOwned
+// bodyErr is the failure of reading or decoding a request body: 413 when
+// the endpoint's byte cap (http.MaxBytesReader) tripped, else 400 with the
+// given code.
+func bodyErr(err error, code, format string, args ...any) error {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status, code = http.StatusRequestEntityTooLarge, httpapi.CodeBodyTooLarge
 	}
-	httpapi.Error(w, status, code, format, args...)
+	return httpapi.Errorf(status, code, format, args...)
 }
 
-// rejectReplicaWrite guards every write endpoint: on a read-only replica
-// it answers 403 and reports true. Writes belong on the primary — a
-// replica's summary is defined by the primary's record stream alone.
-func (s *Server) rejectReplicaWrite(w http.ResponseWriter) bool {
-	if !s.replica {
-		return false
+// decodeBody decodes a request's JSON body into v, capped at maxBatchBody
+// and strict about unknown fields. what, when set, tells the client the
+// shape the body must have.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return bodyErr(err, httpapi.CodeBadRequest, "decode: %s%v", what, err)
 	}
-	httpError(w, http.StatusForbidden, "read-only replica: writes go to the primary")
-	return true
+	return nil
+}
+
+var errShuttingDown = httpapi.Errorf(http.StatusServiceUnavailable, httpapi.CodeShuttingDown, "server shutting down")
+
+// pipelineErr maps a Submit or Expire failure: 429 (with a pacing hint) for
+// a full shard queue — nothing was applied or enqueued, so retrying the
+// same batch is safe — 503 while shutting down, 500 for a WAL write or
+// sync failure (applied in memory, but not crash-durable).
+func pipelineErr(op string, err error) error {
+	switch {
+	case errors.Is(err, ingest.ErrQueueFull):
+		return &httpapi.Err{Status: http.StatusTooManyRequests, Code: httpapi.CodeIngestBackpressure,
+			Msg: "ingest queue full, retry", RetryAfterMS: 1000}
+	case errors.Is(err, ingest.ErrClosed):
+		return errShuttingDown
+	default:
+		return httpapi.Errorf(http.StatusInternalServerError, httpapi.CodeInternal, "%s: %v", op, err)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -516,83 +416,47 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// handleInsert accepts a JSON array of edges and answers 200 once they are
-// visible to queries. It is /v1/ingest plus a flush: the batch goes
-// through the served pipeline — so on a WAL-backed server it is logged and
-// fsync'd like any other accepted write, and followers receive it — and a
-// batch the pipeline queued is flushed before the response.
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	s.admitBatch(w, r, true)
-}
-
-// handleIngest accepts a JSON array of edges through the group-commit
-// pipeline. 200: applied synchronously (sync mode, or auto mode's large
-// batches) and immediately visible. 202: accepted; visible after the
-// shard's next commit, or at the latest once a later /v1/flush returns.
-// 429 (with Retry-After): a shard queue is full and nothing was applied or
-// enqueued — retrying the same batch is safe. 503: server shutting down.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.admitBatch(w, r, false)
-}
-
-// admitBatch is the one write handler behind /v1/insert (visible: flush a
-// queued batch and answer 200) and /v1/ingest (answer 202 for a queued
-// batch).
-func (s *Server) admitBatch(w http.ResponseWriter, r *http.Request, visible bool) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.rejectReplicaWrite(w) {
-		return
-	}
-	b, err := decodeBatch(w, r)
-	if err != nil {
-		httpError(w, decodeStatus(err), "decode: %v", err)
-		return
-	}
-	n := len(b.batch)
-	pipe := s.Pipeline() // the Flush must reach the pipeline that queued the batch
-	applied, err := pipe.Submit(b.batch)
-	putBatch(b)
-	if err == nil && !applied && visible {
-		pipe.Flush()
-		applied = true
-	}
-	switch {
-	case errors.Is(err, ingest.ErrQueueFull):
-		httpapi.ErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeIngestBackpressure,
-			1000, "ingest queue full, retry")
-	case errors.Is(err, ingest.ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, "server shutting down")
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, "ingest: %v", err)
-	case applied:
+// admitBatch is the one write handler, accepting a JSON array of edges
+// through the served pipeline — so on a WAL-backed server the batch is
+// logged and fsync'd like any other accepted write, and followers receive
+// it. Behind /v1/ingest it answers 200 when the batch was applied
+// synchronously (sync mode, or auto mode's large batches) and 202 when it
+// was queued: visible after the shard's next commit, or at the latest once
+// a later /v1/flush returns. Behind /v1/insert (visible) a queued batch is
+// flushed before the response, so the answer is always 200.
+func (s *Server) admitBatch(visible bool) func(http.ResponseWriter, *http.Request) error {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		b, err := decodeBatch(w, r)
+		if err != nil {
+			return err
+		}
+		n := len(b.batch)
+		pipe := s.Pipeline() // the Flush must reach the pipeline that queued the batch
+		applied, err := pipe.Submit(b.batch)
+		putBatch(b)
+		if err != nil {
+			return pipelineErr("ingest", err)
+		}
+		if !applied && !visible {
+			writeJSONStatus(w, http.StatusAccepted, map[string]int{"accepted": n})
+			return nil
+		}
+		if !applied {
+			pipe.Flush()
+		}
 		writeJSON(w, map[string]int{"inserted": n})
-	default:
-		writeJSONStatus(w, http.StatusAccepted, map[string]int{"accepted": n})
+		return nil
 	}
 }
 
 // handleFlush blocks until every edge accepted (202) before the request is
 // applied, then reports the summary's item count. Queries issued after a
 // flush returns observe all previously accepted edges.
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.rejectReplicaWrite(w) {
-		return
-	}
+func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) error {
 	st := s.st.Load()
 	st.pipe.Flush()
 	writeJSON(w, map[string]int64{"items": st.sum.Items()})
-}
-
-// expireRequest is the POST body of /v1/expire.
-type expireRequest struct {
-	Cutoff int64 `json:"cutoff"`
+	return nil
 }
 
 // handleExpire drops every subtree whose entire time range lies before the
@@ -600,33 +464,20 @@ type expireRequest struct {
 // The expire goes through the ingest pipeline so it is sequenced against
 // in-flight 202-accepted batches, and on a WAL-backed deployment it is
 // logged and fsync'd before the response: expired edges stay expired
-// across a crash. 200 reports the number of leaves reclaimed; 503 while
-// shutting down; 500 on a WAL write/sync failure (the expire applied in
-// memory but is not crash-durable).
-func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+// across a crash. 200 reports the number of leaves reclaimed.
+func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) error {
+	var req struct {
+		Cutoff int64 `json:"cutoff"`
 	}
-	if s.rejectReplicaWrite(w) {
-		return
-	}
-	var req expireRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, decodeStatus(err), "decode: %v", err)
-		return
+	if err := decodeBody(w, r, &req, ""); err != nil {
+		return err
 	}
 	dropped, err := s.Pipeline().Expire(req.Cutoff)
-	switch {
-	case errors.Is(err, ingest.ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, "server shutting down")
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, "expire: %v", err)
-	default:
-		writeJSON(w, map[string]int64{"dropped": dropped})
+	if err != nil {
+		return pipelineErr("expire", err)
 	}
+	writeJSON(w, map[string]int64{"dropped": dropped})
+	return nil
 }
 
 // batchBuf is the reusable decode scratch of the write endpoints: the JSON
@@ -652,19 +503,16 @@ func putBatch(b *batchBuf) {
 }
 
 // decodeBatch reads a request body holding a JSON array of edges into
-// pooled decode scratch, capped at maxBatchBody via http.MaxBytesReader
-// (the caller maps *http.MaxBytesError to 413). The caller must putBatch
-// the returned buffer once the batch has been handed to the insert path.
+// pooled decode scratch. The caller must putBatch the returned buffer once
+// the batch has been handed to the insert path.
 //
 //higgsvet:pool-ownership the returned buffer transfers to the caller, which releases it via putBatch; error paths Put before returning
 func decodeBatch(w http.ResponseWriter, r *http.Request) (*batchBuf, error) {
 	b := batchPool.Get().(*batchBuf)
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	dec.DisallowUnknownFields()
 	b.edges = b.edges[:0]
-	if err := dec.Decode(&b.edges); err != nil {
+	if err := decodeBody(w, r, &b.edges, "body must be a JSON array of edges: "); err != nil {
 		putBatch(b)
-		return nil, fmt.Errorf("body must be a JSON array of edges: %w", err)
+		return nil, err
 	}
 	if cap(b.batch) < len(b.edges) {
 		b.batch = make([]stream.Edge, len(b.edges))
@@ -676,139 +524,151 @@ func decodeBatch(w http.ResponseWriter, r *http.Request) (*batchBuf, error) {
 	return b, nil
 }
 
-// decodeStatus maps a decode error to its status code: 413 when the body
-// cap tripped, 400 otherwise.
-func decodeStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.rejectReplicaWrite(w) {
-		return
-	}
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	var e Edge
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&e); err != nil {
-		httpError(w, decodeStatus(err), "decode: %v", err)
-		return
+	if err := decodeBody(w, r, &e, ""); err != nil {
+		return err
 	}
 	ok := s.Summary().Delete(stream.Edge{S: e.S, D: e.D, W: e.W, T: e.T})
 	writeJSON(w, map[string]bool{"deleted": ok})
+	return nil
 }
 
-// queryWindow parses the ts/te query parameters. Window validity (te ≥ ts)
-// is the query planner's job — see query.Query.Validate — so only parse
-// failures are reported here.
-func queryWindow(r *http.Request) (ts, te int64, err error) {
-	ts, err = strconv.ParseInt(r.URL.Query().Get("ts"), 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("ts: %w", err)
-	}
-	te, err = strconv.ParseInt(r.URL.Query().Get("te"), 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("te: %w", err)
-	}
-	return ts, te, nil
+// params reads numeric query parameters, keeping the first parse failure.
+// Window validity (te ≥ ts) is the query planner's job — see
+// query.Query.Validate — so only parse failures are reported here.
+type params struct {
+	q   url.Values
+	err error
 }
 
-func queryU64(r *http.Request, key string) (uint64, error) {
-	v, err := strconv.ParseUint(r.URL.Query().Get(key), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", key, err)
+func (p *params) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf(format, args...)
 	}
-	return v, nil
 }
 
-// answerOne runs one query through the same planner /v2/query batches use
-// (a one-element batch) and writes the v1-shaped response: 400 on a query
-// validation error — an inverted time range, a too-short path — 200 with
-// {"weight": ...} otherwise. The query runs through the state's read
-// prober (the cache, when enabled) and is admission-controlled by its
-// planned probe count, exactly like a one-element batch.
-func (s *Server) answerOne(w http.ResponseWriter, r *http.Request, q query.Query) {
-	st := s.st.Load()
-	release, ok := s.admitQuery(w, r, q.ProbeCount(st.sum.NumShards()))
-	if !ok {
-		return
+func (p *params) u64(key string) uint64 {
+	v, err := strconv.ParseUint(p.q.Get(key), 10, 64)
+	if err != nil {
+		p.fail("%s: %w", key, err)
+	}
+	return v
+}
+
+func (p *params) i64(key string) int64 {
+	v, err := strconv.ParseInt(p.q.Get(key), 10, 64)
+	if err != nil {
+		p.fail("%s: %w", key, err)
+	}
+	return v
+}
+
+// execute is the tail every query endpoint ends in: admit the batch by its
+// planned probe count, then run it through the one planner against the
+// state's read prober (the cache, when enabled) and analytics engine.
+func (s *Server) execute(r *http.Request, st *state, batch []query.Query, probes int) ([]query.Result, error) {
+	release, err := s.admit(r, probes)
+	if err != nil {
+		return nil, err
 	}
 	defer release()
-	res := query.Do(st.read, q)
-	if res.Err != nil {
-		code := query.ErrCode(res.Err)
-		if code == "" {
-			code = httpapi.CodeBadRequest
-		}
-		httpapi.Error(w, http.StatusBadRequest, code, "%v", res.Err)
-		return
+	var eng query.Analytics
+	if st.eng != nil {
+		eng = st.eng
 	}
-	writeJSON(w, map[string]int64{"weight": res.Weight})
+	return query.DoBatchWith(st.read, eng, batch), nil
 }
 
-func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
-	sv, err1 := queryU64(r, "s")
-	dv, err2 := queryU64(r, "d")
-	ts, te, err3 := queryWindow(r)
-	for _, err := range []error{err1, err2, err3} {
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+// admit asks the admission controller (if any) to run a request planning
+// the given number of per-shard probes, returning the release callback or
+// the 429 to answer. The client key is the peer host, so one tenant's
+// token bucket spans its connections but not its ports.
+func (s *Server) admit(r *http.Request, probes int) (release func(), err error) {
+	ctrl := s.opts.Admission
+	if ctrl == nil {
+		return func() {}, nil
 	}
-	s.answerOne(w, r, query.NewEdge(sv, dv, ts, te))
+	client := r.RemoteAddr
+	if host, _, err := net.SplitHostPort(client); err == nil {
+		client = host
+	}
+	if release, err = ctrl.Admit(client, probes); err != nil {
+		code := httpapi.CodeOverloaded
+		if errors.Is(err, admit.ErrRateLimited) {
+			code = httpapi.CodeRateLimited
+		}
+		return nil, &httpapi.Err{Status: http.StatusTooManyRequests, Code: code, Msg: err.Error(),
+			RetryAfterMS: max(ctrl.RetryAfter().Milliseconds(), 1)}
+	}
+	return release, nil
 }
 
-func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
-	v, err1 := queryU64(r, "v")
-	ts, te, err2 := queryWindow(r)
-	for _, err := range []error{err1, err2} {
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+// errCode is the envelope code of a query's validation failure.
+func errCode(err error) string {
+	if code := query.ErrCode(err); code != "" {
+		return code
 	}
-	var q query.Query
-	switch r.URL.Query().Get("dir") {
+	return httpapi.CodeBadRequest
+}
+
+// answerOne serves a /v1 query endpoint: perr is its parameter-decoding
+// failure, q the question otherwise — run as a one-element batch, so the
+// two surfaces cannot disagree — answered in the v1 shape: 400 on a query
+// validation error (an inverted time range, a too-short path), 200 with
+// {"weight": ...} otherwise.
+func (s *Server) answerOne(w http.ResponseWriter, r *http.Request, q query.Query, perr error) error {
+	if perr != nil {
+		return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeBadRequest, "%v", perr)
+	}
+	st := s.st.Load()
+	res, err := s.execute(r, st, []query.Query{q}, q.ProbeCount(st.sum.NumShards()))
+	if err != nil {
+		return err
+	}
+	if err := res[0].Err; err != nil {
+		return httpapi.Errorf(http.StatusBadRequest, errCode(err), "%v", err)
+	}
+	writeJSON(w, map[string]int64{"weight": res[0].Weight})
+	return nil
+}
+
+func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) error {
+	p := params{q: r.URL.Query()}
+	q := query.NewEdge(p.u64("s"), p.u64("d"), p.i64("ts"), p.i64("te"))
+	return s.answerOne(w, r, q, p.err)
+}
+
+func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) error {
+	p := params{q: r.URL.Query()}
+	v, ts, te := p.u64("v"), p.i64("ts"), p.i64("te")
+	q := query.NewVertexOut(v, ts, te)
+	switch p.q.Get("dir") {
 	case "", "out":
-		q = query.NewVertexOut(v, ts, te)
 	case "in":
 		q = query.NewVertexIn(v, ts, te)
 	default:
-		httpError(w, http.StatusBadRequest, "dir must be \"out\" or \"in\"")
-		return
+		p.fail(`dir must be "out" or "in"`)
 	}
-	s.answerOne(w, r, q)
+	return s.answerOne(w, r, q, p.err)
 }
 
-func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
-	ts, te, err := queryWindow(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	parts := strings.Split(r.URL.Query().Get("v"), ",")
+func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) error {
+	p := params{q: r.URL.Query()}
+	ts, te := p.i64("ts"), p.i64("te")
+	parts := strings.Split(p.q.Get("v"), ",")
 	if len(parts) < 2 {
-		httpError(w, http.StatusBadRequest, "v must list ≥ 2 comma-separated vertices")
-		return
+		p.fail("v must list ≥ 2 comma-separated vertices")
 	}
 	path := make([]uint64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
+	for i, part := range parts {
+		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "v[%d]: %v", i, err)
-			return
+			p.fail("v[%d]: %v", i, err)
 		}
 		path[i] = v
 	}
-	s.answerOne(w, r, query.NewPath(path, ts, te))
+	return s.answerOne(w, r, query.NewPath(path, ts, te), p.err)
 }
 
 // subgraphRequest is the POST body of /v1/subgraph.
@@ -818,19 +678,12 @@ type subgraphRequest struct {
 	Te    int64       `json:"te"`
 }
 
-func (s *Server) handleSubgraph(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
+func (s *Server) handleSubgraph(w http.ResponseWriter, r *http.Request) error {
 	var req subgraphRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, decodeStatus(err), "decode: %v", err)
-		return
+	if err := decodeBody(w, r, &req, ""); err != nil {
+		return err
 	}
-	s.answerOne(w, r, query.NewSubgraph(req.Edges, req.Ts, req.Te))
+	return s.answerOne(w, r, query.NewSubgraph(req.Edges, req.Ts, req.Te), nil)
 }
 
 // maxBatchQueries bounds one /v2/query envelope; a larger batch is a
@@ -876,20 +729,10 @@ type batchResult struct {
 // reported in that item's slot without disturbing its neighbors; 400 is
 // returned only when the envelope itself is malformed (not a JSON array,
 // or over the batch size limit).
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
+func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) error {
 	raws, err := decodeBatchEnvelope(w, r)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "%v", err)
-			return
-		}
-		httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadEnvelope, "%v", err)
-		return
+		return bodyErr(err, httpapi.CodeBadEnvelope, "%v", err)
 	}
 	out := make([]batchResult, len(raws))
 	batch := make([]query.Query, 0, len(raws))
@@ -919,26 +762,20 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			q.Candidates = st.eng.CandidateVertices(q.Dir, defaultDeltaCandidates)
 		}
 		if probes += q.ProbeCount(shards); probes > maxBatchProbes {
-			httpapi.Error(w, http.StatusBadRequest, httpapi.CodeProbeBudget,
+			return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeProbeBudget,
 				"batch expands to more than %d per-shard probes; split it", maxBatchProbes)
-			return
 		}
 		batch = append(batch, q)
 		idx = append(idx, i)
 	}
-	release, admitted := s.admitQuery(w, r, probes)
-	if !admitted {
-		return
+	results, err := s.execute(r, st, batch, probes)
+	if err != nil {
+		return err
 	}
-	defer release()
-	var eng query.Analytics
-	if st.eng != nil {
-		eng = st.eng
-	}
-	for j, res := range query.DoBatchWith(st.read, eng, batch) {
+	for j, res := range results {
 		if res.Err != nil {
 			out[idx[j]].Error = res.Err.Error()
-			out[idx[j]].Code = query.ErrCode(res.Err)
+			out[idx[j]].Code = errCode(res.Err)
 			continue
 		}
 		switch batch[j].Kind {
@@ -952,6 +789,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, out)
+	return nil
 }
 
 // decodeBatchEnvelope reads the /v2/query body as a JSON array of raw
@@ -1044,30 +882,26 @@ type AnalyticsStatus struct {
 // handleHealthz is the load-balancer probe: 200 with the serving
 // configuration, computed without touching a shard lock or a query path,
 // so probes stay cheap and never queue behind traffic.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	st := s.st.Load()
-	var durability DurabilityStatus
-	if fn := s.durability.Load(); fn != nil {
-		durability = (*fn)()
+	var durability ingest.DurabilityStatus
+	if s.opts.Durability != nil {
+		durability = s.opts.Durability()
 	}
-	var retention RetentionStatus
-	if fn := s.retention.Load(); fn != nil {
-		retention = (*fn)()
+	var retention ingest.RetentionStatus
+	if s.opts.Retention != nil {
+		retention = s.opts.Retention()
 	}
-	replication := ReplicationStatus{Role: RoleStandalone}
-	if fn := s.replication.Load(); fn != nil {
-		replication = (*fn)()
+	replication := repl.Status{Role: repl.RoleStandalone}
+	if s.opts.Replication != nil {
+		replication = s.opts.Replication()
 	}
 	var readCache ReadCacheStatus
 	if st.cache != nil {
 		readCache = ReadCacheStatus{Enabled: true, Stats: st.cache.Stats()}
 	}
 	var admission AdmissionStatus
-	if ctrl := s.admission.Load(); ctrl != nil {
+	if ctrl := s.opts.Admission; ctrl != nil {
 		admission = AdmissionStatus{Enabled: true, Stats: ctrl.Stats()}
 	}
 	var analyticsStatus AnalyticsStatus
@@ -1088,69 +922,48 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds": int64(time.Since(s.start).Seconds()),
 		"version":        BuildVersion(),
 	})
+	return nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	writeJSON(w, s.Summary().Stats())
+	return nil
 }
 
-// handleSnapshot serves the sharded binary snapshot on GET and replaces
-// the summary from an uploaded snapshot on POST (sharded or legacy
-// unsharded; see shard.Read). A GET during async ingest snapshots whatever
-// has been committed; POST /v1/flush first to capture everything accepted.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if _, err := s.Summary().WriteTo(w); err != nil {
-			// Headers are gone; the truncated body signals failure.
-			return
-		}
-	case http.MethodPost:
-		if s.rejectReplicaWrite(w) {
-			return
-		}
-		if s.closed.Load() {
-			httpError(w, http.StatusServiceUnavailable, "server shutting down")
-			return
-		}
-		if s.durability.Load() != nil {
-			httpError(w, http.StatusConflict,
-				"snapshot upload disabled: durable state is owned by the write-ahead log (-wal-dir)")
-			return
-		}
-		loaded, err := shard.Read(http.MaxBytesReader(w, r.Body, maxSnapshotBody))
-		if err != nil {
-			httpError(w, decodeStatus(err), "snapshot: %v", err)
-			return
-		}
-		pipe, err := ingest.New(loaded, s.icfg)
-		if err != nil {
-			// The config was validated at construction; a failure here
-			// means the summary/config pair is somehow unusable.
-			loaded.Close()
-			httpError(w, http.StatusInternalServerError, "ingest pipeline: %v", err)
-			return
-		}
-		old := s.st.Swap(s.newState(loaded, pipe))
-		// Drain the old pipeline into the old summary before closing both:
-		// in-flight /v1/ingest requests that were already accepted complete
-		// their contract against the summary they targeted, even though the
-		// upload then discards that summary wholesale.
-		old.pipe.Close()
-		old.sum.Close()
-		if s.closed.Load() {
-			// Server.Close ran concurrently with the swap; nothing may
-			// outlive its drain contract (Close's own loop usually catches
-			// this — both closes are idempotent).
-			pipe.Close()
-		}
-		writeJSON(w, map[string]any{
-			"loaded": true,
-			"items":  loaded.Items(),
-			"shards": loaded.NumShards(),
-		})
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "GET or POST required")
+// handleSnapshotDownload serves the sharded binary snapshot. During async
+// ingest it holds whatever has been committed; POST /v1/flush first to
+// capture everything accepted.
+func (s *Server) handleSnapshotDownload(w http.ResponseWriter, r *http.Request) error {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	// Once the body has begun, a truncated one is the only failure signal left.
+	_, _ = s.Summary().WriteTo(w)
+	return nil
+}
+
+// handleSnapshotUpload replaces the summary from an uploaded snapshot
+// (sharded or legacy unsharded; see shard.Read).
+func (s *Server) handleSnapshotUpload(w http.ResponseWriter, r *http.Request) error {
+	if s.closed.Load() {
+		return errShuttingDown
 	}
+	if s.opts.Ingest.WAL != nil {
+		return httpapi.Errorf(http.StatusConflict, httpapi.CodeWALOwned,
+			"snapshot upload disabled: durable state is owned by the write-ahead log (-wal-dir)")
+	}
+	loaded, err := shard.Read(http.MaxBytesReader(w, r.Body, maxSnapshotBody))
+	if err != nil {
+		return bodyErr(err, httpapi.CodeBadRequest, "snapshot: %v", err)
+	}
+	if err := s.swap(loaded); err != nil {
+		// The options were validated by Open; a failure here means the
+		// uploaded summary cannot carry them.
+		loaded.Close()
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	writeJSON(w, map[string]any{
+		"loaded": true,
+		"items":  loaded.Items(),
+		"shards": loaded.NumShards(),
+	})
+	return nil
 }

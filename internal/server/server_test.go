@@ -26,19 +26,45 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 
 func newTestServerShards(t *testing.T, shards int) (*Server, *httptest.Server) {
 	t.Helper()
+	return openTestServer(t, shards, Options{})
+}
+
+// openTestServer serves a fresh summary of the given shard count, opened
+// with opts, until the test ends.
+func openTestServer(t *testing.T, shards int, opts Options) (*Server, *httptest.Server) {
+	t.Helper()
 	cfg := shard.DefaultConfig()
 	cfg.Shards = shards
 	sum, err := shard.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(sum)
+	return serveSummary(t, sum, opts)
+}
+
+func serveSummary(t *testing.T, sum *shard.Summary, opts Options) (*Server, *httptest.Server) {
+	t.Helper()
+	srv, err := Open(sum, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close() // stop the pipeline's committer goroutines
 	})
 	return srv, ts
+}
+
+// openTestWAL opens the write-ahead log in dir, closed when the test ends.
+func openTestWAL(t *testing.T, dir string) *wal.Log {
+	t.Helper()
+	log, err := wal.Open(wal.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
+	return log
 }
 
 func post(t *testing.T, url, body string) *http.Response {
@@ -362,22 +388,7 @@ func TestConcurrentClients(t *testing.T) {
 // mode with the given queue depth and commit interval.
 func newAsyncTestServer(t *testing.T, shards int, icfg ingest.Config) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg := shard.DefaultConfig()
-	cfg.Shards = shards
-	sum, err := shard.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewWithIngest(sum, icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	return srv, ts
+	return openTestServer(t, shards, Options{Ingest: icfg})
 }
 
 // TestIngestAcceptedThenFlushVisible: async writes are 202-accepted, and a
@@ -862,16 +873,16 @@ func TestV2QueryItemCapStreams(t *testing.T) {
 }
 
 func TestHealthzDurability(t *testing.T) {
-	srv, ts := newTestServerShards(t, 2)
+	_, ts := newTestServerShards(t, 2)
 	// Without durability configured, /healthz reports wal=false.
 	got := decode[map[string]any](t, get(t, ts.URL+"/healthz"))
 	d, ok := got["durability"].(map[string]any)
 	if !ok || d["wal"] != false {
 		t.Fatalf("durability without WAL = %v", got["durability"])
 	}
-	srv.SetDurability(func() DurabilityStatus {
-		return DurabilityStatus{WAL: true, AppendedSeq: 42, SyncedSeq: 40, Segments: 2, SnapshotSeq: 17}
-	})
+	_, ts = openTestServer(t, 2, Options{Durability: func() ingest.DurabilityStatus {
+		return ingest.DurabilityStatus{WAL: true, AppendedSeq: 42, SyncedSeq: 40, Segments: 2, SnapshotSeq: 17}
+	}})
 	got = decode[map[string]any](t, get(t, ts.URL+"/healthz"))
 	d, ok = got["durability"].(map[string]any)
 	if !ok {
@@ -988,15 +999,15 @@ func TestV2QueryEmptySubgraph(t *testing.T) {
 // TestHealthzRetention: /healthz reports the retention loop's state once
 // installed.
 func TestHealthzRetention(t *testing.T) {
-	srv, ts := newTestServerShards(t, 2)
+	_, ts := newTestServerShards(t, 2)
 	got := decode[map[string]any](t, get(t, ts.URL+"/healthz"))
 	r, ok := got["retention"].(map[string]any)
 	if !ok || r["enabled"] != false {
 		t.Fatalf("retention without a loop = %v", got["retention"])
 	}
-	srv.SetRetention(func() RetentionStatus {
-		return RetentionStatus{Enabled: true, WindowSeconds: 3600, IntervalSeconds: 60, Runs: 3, Dropped: 12, LastCutoff: 99, LastUnix: 1234}
-	})
+	_, ts = openTestServer(t, 2, Options{Retention: func() ingest.RetentionStatus {
+		return ingest.RetentionStatus{Enabled: true, WindowSeconds: 3600, IntervalSeconds: 60, Runs: 3, Dropped: 12, LastCutoff: 99, LastUnix: 1234}
+	}})
 	got = decode[map[string]any](t, get(t, ts.URL+"/healthz"))
 	r, ok = got["retention"].(map[string]any)
 	if !ok {
@@ -1011,8 +1022,7 @@ func TestHealthzRetention(t *testing.T) {
 }
 
 func TestSnapshotUploadRejectedWhenWALOwnsState(t *testing.T) {
-	srv, ts := newTestServerShards(t, 2)
-	srv.SetDurability(func() DurabilityStatus { return DurabilityStatus{WAL: true} })
+	_, ts := openTestServer(t, 2, Options{Ingest: ingest.Config{WAL: openTestWAL(t, t.TempDir())}})
 	// GET (download) stays available.
 	resp := get(t, ts.URL+"/v1/snapshot")
 	snap, err := io.ReadAll(resp.Body)

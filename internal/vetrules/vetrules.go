@@ -33,7 +33,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		LockScope,
 		PoolPut,
-		Envelope,
 		WALOrder,
 	}
 }
@@ -184,28 +183,6 @@ func chainString(e ast.Expr) string {
 		return e.Value
 	}
 	return ""
-}
-
-// namedFrom reports whether t (after pointer indirection) is the named
-// type pkgName.typeName, matching the package by name rather than full
-// import path so analyzer fixtures under testdata can mirror the real
-// packages.
-func namedFrom(t types.Type, pkgName, typeName string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	return obj.Pkg().Name() == pkgName && obj.Name() == typeName
 }
 
 // pkgPathIs reports whether t's defining package import path is path

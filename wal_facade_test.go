@@ -201,8 +201,8 @@ func TestRetainerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped <= 0 || r.Dropped() != dropped || r.Runs() != 1 {
-		t.Fatalf("retainer tick: dropped = %d, counters runs=%d dropped=%d", dropped, r.Runs(), r.Dropped())
+	if dropped <= 0 || r.Status().Dropped != dropped || r.Status().Runs != 1 {
+		t.Fatalf("retainer tick: dropped = %d, counters runs=%d dropped=%d", dropped, r.Status().Runs, r.Status().Dropped)
 	}
 }
 
