@@ -16,6 +16,10 @@ func TestParseConfigRejects(t *testing.T) {
 		want string
 	}{
 		{"-ingest-mode turbo", `-ingest-mode: ingest: mode "turbo", need "auto", "sync", or "async"`},
+		// Once booted with no cache and no error: flag stops at "true".
+		{"-analytics true -cache-bytes 5", `unexpected argument "true" (every flag after it was ignored)`},
+		// Once booted as "one per CPU" and skipped the -load shard check.
+		{"-shards -3", "-shards -3, need ≥ 0"},
 		{"-queue-depth 0", "-queue-depth 0, need ≥ 1"},
 		{"-wal-dir w -snapshot-interval -1s", "-snapshot-interval -1s, need ≥ 0"},
 		{"-wal-sync-interval -1ms", "-wal-sync-interval -1ms, need ≥ 0"},

@@ -205,6 +205,10 @@ func parseConfig(args []string) (config, error) {
 		broken bool
 		msg    string
 	}{
+		// flag stops at the first non-flag word and would drop every flag
+		// after it without a word ("-analytics true -cache-bytes 5").
+		{fs.NArg() > 0, fmt.Sprintf("unexpected argument %q (every flag after it was ignored)", fs.Arg(0))},
+		{c.shards < 0, fmt.Sprintf("-shards %d, need ≥ 0", c.shards)},
 		// Config treats 0 as "use the default"; an operator passing 0
 		// expects no buffering, which the pipeline does not offer.
 		{c.ingest.QueueDepth <= 0, fmt.Sprintf("-queue-depth %d, need ≥ 1", c.ingest.QueueDepth)},

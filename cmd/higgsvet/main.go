@@ -1,8 +1,8 @@
 // Command higgsvet is the repository's custom static-analysis suite
 // (DESIGN.md §18). It mechanically enforces the concurrency and API
-// invariants that the design docs state in prose: lock hold-time
-// discipline, sync.Pool ownership, and WAL-before-apply ordering on the
-// ingest path.
+// invariants that the design docs state in prose and that no API shape
+// or call-site list can carry: lock hold-time discipline and sync.Pool
+// ownership.
 //
 // It runs two ways:
 //

@@ -76,7 +76,7 @@ func TestHelpListsAllAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("help: %v", err)
 	}
-	for _, name := range []string{"lockscope", "poolput", "wallorder"} {
+	for _, name := range []string{"lockscope", "poolput"} {
 		if !strings.Contains(string(out), name) {
 			t.Errorf("help output does not mention analyzer %q", name)
 		}

@@ -17,8 +17,8 @@ import (
 // rounding to zero.
 const allocsInsertRuns = 1000
 
-// Allocs is the hot-path allocation gate. For each dataset it measures,
-// via testing.AllocsPerRun:
+// allocsGate is the hot-path allocation gate. For each dataset it
+// measures, via testing.AllocsPerRun:
 //
 //   - steady-state core insert — re-inserting an existing (s, d, t) item
 //     into a stream-warmed summary, the merge path every repeated edge
@@ -33,46 +33,38 @@ const allocsInsertRuns = 1000
 // best of three runs) — the number the committed BENCH_allocs.json
 // baseline holds the pre-refactor value of, so CI's -baseline diff
 // enforces the refactor's speedup never erodes.
-func Allocs(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Extra: hot-path allocation gate (internal/core, internal/shard) ==")
-	t := metrics.NewTable("dataset", "steady insert", "edge probe", "insert eps", "verdict")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
-		insertAllocs, err := steadyInsertAllocs(ds, uint64(o.Seed))
+var allocsGate = gate{
+	id:      "allocs",
+	title:   "Extra: hot-path allocation gate — 0 allocs/op + insert throughput",
+	header:  "Extra: hot-path allocation gate (internal/core, internal/shard)",
+	columns: []string{"steady insert", "edge probe", "insert eps", "verdict"},
+	row: func(c *gateCase) ([]string, error) {
+		insertAllocs, err := steadyInsertAllocs(c.ds, uint64(c.seed))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		probeAllocs, err := edgeProbeAllocs(ds, uint64(o.Seed))
+		probeAllocs, err := edgeProbeAllocs(c.ds, uint64(c.seed))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		eps, err := singleShardInsertEPS(ds, uint64(o.Seed))
+		eps, err := singleShardInsertEPS(c.ds, uint64(c.seed))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		o.record(ds.Name+"_steady_insert_allocs", insertAllocs)
-		o.record(ds.Name+"_edge_probe_allocs", probeAllocs)
-		o.record(ds.Name+"_insert_eps", eps)
-		verdict := "0 allocs/op"
-		if insertAllocs != 0 || probeAllocs != 0 {
-			verdict = "ALLOCATES"
-		}
-		t.AddRow(ds.Name,
-			fmt.Sprintf("%.2f allocs/op", insertAllocs),
-			fmt.Sprintf("%.2f allocs/op", probeAllocs),
-			metrics.FormatEPS(eps), verdict)
+		c.record("steady_insert_allocs", insertAllocs)
+		c.record("edge_probe_allocs", probeAllocs)
+		c.record("insert_eps", eps)
 		if insertAllocs != 0 {
-			return fmt.Errorf("bench: allocs: %s: steady-state insert allocates %.2f allocs/op, want 0", ds.Name, insertAllocs)
+			return nil, fmt.Errorf("%s: steady-state insert allocates %.2f allocs/op, want 0", c.ds.Name, insertAllocs)
 		}
 		if probeAllocs != 0 {
-			return fmt.Errorf("bench: allocs: %s: single-shard edge probe allocates %.2f allocs/op, want 0", ds.Name, probeAllocs)
+			return nil, fmt.Errorf("%s: single-shard edge probe allocates %.2f allocs/op, want 0", c.ds.Name, probeAllocs)
 		}
-	}
-	return t.Render(o.Out)
+		return []string{
+			fmt.Sprintf("%.2f allocs/op", insertAllocs),
+			fmt.Sprintf("%.2f allocs/op", probeAllocs),
+			metrics.FormatEPS(eps), "0 allocs/op"}, nil
+	},
 }
 
 // steadyInsertAllocs warms a single core summary with the full stream and
@@ -83,7 +75,7 @@ func steadyInsertAllocs(ds *Dataset, seed uint64) (float64, error) {
 	cfg.Seed = seed
 	s, err := core.New(cfg)
 	if err != nil {
-		return 0, fmt.Errorf("bench: allocs: %w", err)
+		return 0, err
 	}
 	for _, e := range ds.Stream {
 		s.Insert(e)
@@ -97,12 +89,9 @@ func steadyInsertAllocs(ds *Dataset, seed uint64) (float64, error) {
 // edge probe through ProbeShard — the per-shard execution loop of the
 // batch query API.
 func edgeProbeAllocs(ds *Dataset, seed uint64) (float64, error) {
-	cfg := shard.DefaultConfig()
-	cfg.Shards = 1
-	cfg.Core.Seed = seed
-	s, err := shard.New(cfg)
+	s, err := shard.New(shardConfig(1, seed))
 	if err != nil {
-		return 0, fmt.Errorf("bench: allocs: %w", err)
+		return 0, err
 	}
 	defer s.Close()
 	for _, e := range ds.Stream {
@@ -127,7 +116,7 @@ func singleShardInsertEPS(ds *Dataset, seed uint64) (float64, error) {
 		cfg.Seed = seed
 		s, err := core.New(cfg)
 		if err != nil {
-			return 0, fmt.Errorf("bench: allocs: %w", err)
+			return 0, err
 		}
 		start := time.Now()
 		for _, e := range ds.Stream {

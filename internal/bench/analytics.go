@@ -45,8 +45,8 @@ const anaBatch = 256
 // anaCacheBudget comfortably fits the delta probe working set.
 const anaCacheBudget int64 = 4 << 20
 
-// Analytics is the stream-analytics gate (internal/analytics, DESIGN.md
-// §17), run in CI at 1/2/4/8 shards. The dataset is spiked with planted
+// analyticsGate is the stream-analytics gate (internal/analytics,
+// DESIGN.md §17). The dataset is spiked with planted
 // signals — dominant out/in heavy hitters spread across the span, a vertex
 // whose entire weight lands in the final burst epoch, and delta candidates
 // that rise, fall, and hold across two windows — then ingested through the
@@ -77,39 +77,12 @@ const anaCacheBudget int64 = 4 << 20
 // of weight through the apply path, and have observed the expire. All
 // gated metrics are deterministic detection flags; ingest throughput is
 // recorded in the artifact but not gated.
-func Analytics(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Extra: stream analytics — heavy hitters, bursts, deltas vs exact (internal/analytics) ==")
-	t := metrics.NewTable("dataset", "shards", "ingest", "heavy hitters", "burst", "delta", "cache", "verify")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
-		for _, n := range shardCounts {
-			r, err := analyticsRun(ds, n, o.Seed)
-			if err != nil {
-				return err
-			}
-			o.record(fmt.Sprintf("%s_s%d_ingest_eps", ds.Name, n), r.ingestEPS)
-			o.record(fmt.Sprintf("%s_s%d_hh_out_match", ds.Name, n), 1)
-			o.record(fmt.Sprintf("%s_s%d_hh_in_match", ds.Name, n), 1)
-			o.record(fmt.Sprintf("%s_s%d_burst_flagged", ds.Name, n), 1)
-			o.record(fmt.Sprintf("%s_s%d_delta_rank_match", ds.Name, n), 1)
-			o.record(fmt.Sprintf("%s_s%d_cached_match", ds.Name, n), 1)
-			o.record(fmt.Sprintf("%s_s%d_undercounts", ds.Name, n), float64(r.undercounts))
-			t.AddRow(ds.Name, fmt.Sprint(n), metrics.FormatEPS(r.ingestEPS),
-				fmt.Sprintf("top-%d ≡ exact", anaHeavies), "planted flagged",
-				"rank ≡ exact", "≡ uncached",
-				fmt.Sprintf("%d undercounts", r.undercounts))
-		}
-	}
-	return t.Render(o.Out)
-}
-
-type analyticsResult struct {
-	ingestEPS   float64
-	undercounts int
+var analyticsGate = gate{
+	id:      "analytics",
+	title:   "Extra: stream analytics — heavy hitters, bursts, deltas vs exact (internal/analytics)",
+	columns: []string{"ingest", "heavy hitters", "burst", "delta", "cache", "verify"},
+	shards:  shardCounts,
+	row:     analyticsRow,
 }
 
 // anaPlan lays the run's time geometry and planted edges over a dataset.
@@ -132,7 +105,7 @@ func anaPlanFor(ds *Dataset) (anaPlan, error) {
 	var pl anaPlan
 	span := ds.Stats.Span()
 	if span < 64 {
-		return pl, fmt.Errorf("bench: analytics: dataset %s spans %d time units; too short to place epochs and windows", ds.Name, span)
+		return pl, fmt.Errorf("dataset %s spans %d time units; too short to place epochs and windows", ds.Name, span)
 	}
 	pl.first, pl.last = ds.Stats.FirstT, ds.Stats.LastT
 	pl.epochLen = span/6 + 1
@@ -230,25 +203,21 @@ func anaSign(x int64) int {
 	return 0
 }
 
-// analyticsRun measures and verifies one (dataset, shard count) row.
-func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
-	var res analyticsResult
+// analyticsRow measures and verifies one (dataset, shard count) row.
+func analyticsRow(c *gateCase) ([]string, error) {
+	ds, n, cfg := c.ds, c.n, c.shardConfig()
 	pl, err := anaPlanFor(ds)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-
-	cfg := shard.DefaultConfig()
-	cfg.Shards = n
-	cfg.Core.Seed = uint64(seed)
 	s, err := shard.New(cfg)
 	if err != nil {
-		return res, fmt.Errorf("bench: analytics %d: %w", n, err)
+		return nil, err
 	}
 	defer s.Close()
 	eng, err := analytics.New(analytics.Config{Shards: n, Seed: cfg.Core.Seed, EpochSeconds: pl.epochLen})
 	if err != nil {
-		return res, fmt.Errorf("bench: analytics %d: %w", n, err)
+		return nil, err
 	}
 	// Registered before the first edge, exactly as higgsd does before WAL
 	// replay: the committer apply path is the only writer the sketches see.
@@ -284,7 +253,7 @@ func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
 	// slab — the sketches must survive leaves being reclaimed under them.
 	p, err := ingest.New(s, ingest.Config{Mode: ingest.ModeAsync, CommitInterval: 200 * time.Microsecond})
 	if err != nil {
-		return res, fmt.Errorf("bench: analytics %d: %w", n, err)
+		return nil, err
 	}
 	defer p.Close() // idempotent; covers error returns
 	start := time.Now()
@@ -295,17 +264,17 @@ func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
 				hi = slab.hi
 			}
 			if err := submitRetry(p, combined[lo:hi]); err != nil {
-				return res, fmt.Errorf("bench: analytics %d: %s: %w", n, slab.name, err)
+				return nil, fmt.Errorf("%s: %w", slab.name, err)
 			}
 		}
 		p.Flush()
 		if si == 0 {
 			if dropped := s.ExpireAt(pl.expireCut, 0); dropped <= 0 {
-				return res, fmt.Errorf("bench: analytics %d: expire at %d dropped %d leaves; the interleave never bites", n, pl.expireCut, dropped)
+				return nil, fmt.Errorf("expire at %d dropped %d leaves; the interleave never bites", pl.expireCut, dropped)
 			}
 		}
 	}
-	res.ingestEPS = metrics.Throughput(int64(len(combined)), time.Since(start))
+	ingestEPS := metrics.Throughput(int64(len(combined)), time.Since(start))
 	p.Close()
 
 	// Sketch-maintenance invariant: the apply path showed the engine every
@@ -313,11 +282,11 @@ func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
 	// observed too.
 	st := eng.Stats()
 	if st.Edges != int64(len(combined)) || st.Weight != totalW {
-		return res, fmt.Errorf("bench: analytics %d: engine absorbed %d edges / %d weight through the apply path, want %d / %d",
-			n, st.Edges, st.Weight, len(combined), totalW)
+		return nil, fmt.Errorf("engine absorbed %d edges / %d weight through the apply path, want %d / %d",
+			st.Edges, st.Weight, len(combined), totalW)
 	}
 	if st.Expires < 1 {
-		return res, fmt.Errorf("bench: analytics %d: engine observed no expire events", n)
+		return nil, fmt.Errorf("engine observed no expire events")
 	}
 
 	// One mixed batch through the real executor seam: both heavy-hitter
@@ -334,7 +303,7 @@ func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
 	rs := query.DoBatchWith(s, eng, qs)
 	for i, r := range rs {
 		if r.Err != nil {
-			return res, fmt.Errorf("bench: analytics %d: query %d (%v): %w", n, i, qs[i].Kind, r.Err)
+			return nil, fmt.Errorf("query %d (%v): %w", i, qs[i].Kind, r.Err)
 		}
 	}
 
@@ -362,16 +331,15 @@ func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
 		{"in", rs[1].Top, wantIn, lifetime(ex.VertexIn)},
 	} {
 		if len(c.got) != len(c.want) {
-			return res, fmt.Errorf("bench: analytics %d: %s heavy hitters returned %d entries, want %d", n, c.dir, len(c.got), len(c.want))
+			return nil, fmt.Errorf("%s heavy hitters returned %d entries, want %d", c.dir, len(c.got), len(c.want))
 		}
 		for i, e := range c.got {
 			if e.S != c.want[i] {
-				return res, fmt.Errorf("bench: analytics %d: %s heavy hitter rank %d = vertex %d, exact ground truth says %d",
-					n, c.dir, i, e.S, c.want[i])
+				return nil, fmt.Errorf("%s heavy hitter rank %d = vertex %d, exact ground truth says %d",
+					c.dir, i, e.S, c.want[i])
 			}
 			if truth := c.exact(e.S); e.Cur < truth {
-				res.undercounts++
-				return res, fmt.Errorf("bench: analytics %d: %s heavy hitter %d estimate %d undercounts exact %d", n, c.dir, e.S, e.Cur, truth)
+				return nil, fmt.Errorf("%s heavy hitter %d estimate %d undercounts exact %d", c.dir, e.S, e.Cur, truth)
 			}
 		}
 	}
@@ -395,7 +363,7 @@ func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
 		exBase = 1
 	}
 	if float64(exCur)/float64(exBase) < ecfg.BurstFactor || exCur < ecfg.BurstMin {
-		return res, fmt.Errorf("bench: analytics %d: planted burst is not a burst in exact ground truth (cur %d, base %d) — the plant is broken", n, exCur, exBase)
+		return nil, fmt.Errorf("planted burst is not a burst in exact ground truth (cur %d, base %d) — the plant is broken", exCur, exBase)
 	}
 	var burstSeen bool
 	for _, e := range rs[2].Top {
@@ -403,27 +371,25 @@ func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
 		case e.S == anaBurstVertex:
 			burstSeen = true
 			if !e.Burst {
-				return res, fmt.Errorf("bench: analytics %d: planted burst vertex scored %.1f but was not flagged", n, e.Score)
+				return nil, fmt.Errorf("planted burst vertex scored %.1f but was not flagged", e.Score)
 			}
 		case e.S >= anaOutHeavyBase && e.S < anaOutHeavyBase+anaHeavies:
 			if e.Burst {
-				return res, fmt.Errorf("bench: analytics %d: steady heavy hitter %d falsely flagged as a burst (score %.1f)", n, e.S, e.Score)
+				return nil, fmt.Errorf("steady heavy hitter %d falsely flagged as a burst (score %.1f)", e.S, e.Score)
 			}
 		}
 	}
 	if !burstSeen {
-		return res, fmt.Errorf("bench: analytics %d: planted burst vertex missing from the burst answer", n)
+		return nil, fmt.Errorf("planted burst vertex missing from the burst answer")
 	}
 
 	// Contract 3 — delta ranking ≡ exact (order and sign), and every
 	// Prev/Cur equals a direct summary probe of the same window while never
 	// undercounting exact.
-	window := func(v uint64, lo, hi int64, f func(uint64, int64, int64) int64) int64 { return f(v, lo, hi) }
-	_ = window
 	checkDelta := func(kind string, got []query.Entry, wantLen int,
 		exactPrev, exactCur func(query.Entry) int64, directPrev, directCur func(query.Entry) int64) error {
 		if len(got) != wantLen {
-			return fmt.Errorf("bench: analytics %d: %s returned %d entries, want %d", n, kind, len(got), wantLen)
+			return fmt.Errorf("%s returned %d entries, want %d", kind, len(got), wantLen)
 		}
 		// Exact ranking: |delta| descending, ties by id — rankByDelta's rule.
 		type exd struct {
@@ -450,21 +416,20 @@ func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
 		for i, e := range got {
 			want := ranked[i]
 			if e.S != want.e.S || e.D != want.e.D {
-				return fmt.Errorf("bench: analytics %d: %s rank %d = %d→%d, exact ground truth ranks %d→%d there",
-					n, kind, i, e.S, e.D, want.e.S, want.e.D)
+				return fmt.Errorf("%s rank %d = %d→%d, exact ground truth ranks %d→%d there",
+					kind, i, e.S, e.D, want.e.S, want.e.D)
 			}
 			exDelta := exactCur(e) - exactPrev(e)
 			if exDelta != 0 && anaSign(e.Delta) != anaSign(exDelta) {
-				return fmt.Errorf("bench: analytics %d: %s %d→%d delta %d has the wrong sign (exact %d)", n, kind, e.S, e.D, e.Delta, exDelta)
+				return fmt.Errorf("%s %d→%d delta %d has the wrong sign (exact %d)", kind, e.S, e.D, e.Delta, exDelta)
 			}
 			if e.Prev < exactPrev(e) || e.Cur < exactCur(e) {
-				res.undercounts++
-				return fmt.Errorf("bench: analytics %d: %s %d→%d prev/cur %d/%d undercounts exact %d/%d",
-					n, kind, e.S, e.D, e.Prev, e.Cur, exactPrev(e), exactCur(e))
+				return fmt.Errorf("%s %d→%d prev/cur %d/%d undercounts exact %d/%d",
+					kind, e.S, e.D, e.Prev, e.Cur, exactPrev(e), exactCur(e))
 			}
 			if dp, dc := directPrev(e), directCur(e); e.Prev != dp || e.Cur != dc || e.Delta != e.Cur-e.Prev {
-				return fmt.Errorf("bench: analytics %d: %s %d→%d prev/cur/delta %d/%d/%d diverges from direct probes %d/%d",
-					n, kind, e.S, e.D, e.Prev, e.Cur, e.Delta, dp, dc)
+				return fmt.Errorf("%s %d→%d prev/cur/delta %d/%d/%d diverges from direct probes %d/%d",
+					kind, e.S, e.D, e.Prev, e.Cur, e.Delta, dp, dc)
 			}
 		}
 		return nil
@@ -475,7 +440,7 @@ func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
 		func(e query.Entry) int64 { return s.VertexOut(e.S, pl.baseLo, pl.baseHi) },
 		func(e query.Entry) int64 { return s.VertexOut(e.S, pl.cmpLo, pl.cmpHi) },
 	); err != nil {
-		return res, err
+		return nil, err
 	}
 	if err := checkDelta("delta_edge", rs[4].Top, len(deltaEdges),
 		func(e query.Entry) int64 { return ex.EdgeWeight(e.S, e.D, pl.baseLo, pl.baseHi) },
@@ -483,7 +448,7 @@ func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
 		func(e query.Entry) int64 { return s.EdgeWeight(e.S, e.D, pl.baseLo, pl.baseHi) },
 		func(e query.Entry) int64 { return s.EdgeWeight(e.S, e.D, pl.cmpLo, pl.cmpHi) },
 	); err != nil {
-		return res, err
+		return nil, err
 	}
 
 	// Contract 4 — cache transparency: the same batch through a
@@ -491,19 +456,28 @@ func analyticsRun(ds *Dataset, n int, seed int64) (analyticsResult, error) {
 	// answers field for field.
 	cache, err := rcache.New(s, rcache.Config{MaxBytes: anaCacheBudget})
 	if err != nil {
-		return res, fmt.Errorf("bench: analytics %d: %w", n, err)
+		return nil, err
 	}
 	for _, pass := range []string{"cold", "warm"} {
 		crs := query.DoBatchWith(cache, eng, qs)
 		for i := range crs {
 			if crs[i].Err != nil {
-				return res, fmt.Errorf("bench: analytics %d: cached (%s) query %d: %w", n, pass, i, crs[i].Err)
+				return nil, fmt.Errorf("cached (%s) query %d: %w", pass, i, crs[i].Err)
 			}
 			if !reflect.DeepEqual(crs[i].Top, rs[i].Top) {
-				return res, fmt.Errorf("bench: analytics %d: cached (%s) query %d (%v) diverges from uncached: %+v vs %+v",
-					n, pass, i, qs[i].Kind, crs[i].Top, rs[i].Top)
+				return nil, fmt.Errorf("cached (%s) query %d (%v) diverges from uncached: %+v vs %+v",
+					pass, i, qs[i].Kind, crs[i].Top, rs[i].Top)
 			}
 		}
 	}
-	return res, nil
+	// Every contract held: the flags are 1 and, since any undercount above
+	// returned an error, the undercount tally is 0.
+	c.record("ingest_eps", ingestEPS)
+	for _, flag := range []string{"hh_out_match", "hh_in_match", "burst_flagged", "delta_rank_match", "cached_match"} {
+		c.record(flag, 1)
+	}
+	c.record("undercounts", 0)
+	return []string{metrics.FormatEPS(ingestEPS),
+		fmt.Sprintf("top-%d ≡ exact", anaHeavies), "planted flagged",
+		"rank ≡ exact", "≡ uncached", "0 undercounts"}, nil
 }

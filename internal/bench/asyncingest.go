@@ -15,7 +15,7 @@ import (
 	"higgs/internal/stream"
 )
 
-// AsyncIngest measures the group-commit admission pipeline
+// asyncIngestGate measures the group-commit admission pipeline
 // (internal/ingest, DESIGN.md §9) against synchronous per-edge ingest, and
 // enforces the pipeline's correctness contract.
 //
@@ -32,36 +32,29 @@ import (
 // and the two finalized snapshots must be byte-for-byte equal — so every
 // query answer after a flush is exactly what synchronous ingest of the
 // same stream would have produced.
-func AsyncIngest(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Extra: async group-commit ingest (internal/ingest) ==")
-	t := metrics.NewTable("dataset", "shards", "sync b=1", "group-commit", "speedup", "post-flush")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
-		for _, n := range shardCounts {
-			syncEPS, err := contendedIngestEPS(ds, n, uint64(o.Seed), false)
-			if err != nil {
-				return err
-			}
-			asyncEPS, err := contendedIngestEPS(ds, n, uint64(o.Seed), true)
-			if err != nil {
-				return err
-			}
-			if err := asyncEquivalence(ds, n, uint64(o.Seed)); err != nil {
-				return err
-			}
-			o.record(fmt.Sprintf("%s_s%d_sync_eps", ds.Name, n), syncEPS)
-			o.record(fmt.Sprintf("%s_s%d_async_eps", ds.Name, n), asyncEPS)
-			t.AddRow(ds.Name, fmt.Sprint(n), metrics.FormatEPS(syncEPS),
-				metrics.FormatEPS(asyncEPS),
-				fmt.Sprintf("%.2f×", asyncEPS/syncEPS),
-				"snapshot byte-equal")
+var asyncIngestGate = gate{
+	id:      "asyncingest",
+	title:   "Extra: async group-commit ingest vs sync (internal/ingest)",
+	header:  "Extra: async group-commit ingest (internal/ingest)",
+	columns: []string{"sync b=1", "group-commit", "speedup", "post-flush"},
+	shards:  shardCounts,
+	row: func(c *gateCase) ([]string, error) {
+		syncEPS, err := contendedIngestEPS(c, false)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return t.Render(o.Out)
+		asyncEPS, err := contendedIngestEPS(c, true)
+		if err != nil {
+			return nil, err
+		}
+		if err := asyncEquivalence(c); err != nil {
+			return nil, err
+		}
+		c.record("sync_eps", syncEPS)
+		c.record("async_eps", asyncEPS)
+		return []string{metrics.FormatEPS(syncEPS), metrics.FormatEPS(asyncEPS),
+			fmt.Sprintf("%.2f×", asyncEPS/syncEPS), "snapshot byte-equal"}, nil
+	},
 }
 
 // submitRetry submits one batch, yielding and retrying while the queue is
@@ -78,6 +71,29 @@ func submitRetry(p *ingest.Pipeline, batch []stream.Edge) error {
 		}
 		// The committer is behind; yield so it can drain.
 		runtime.Gosched()
+	}
+}
+
+// produce runs body once per worker, concurrently, and returns an error
+// if any of them hit one.
+func produce(workers int, body func(w int) error) error {
+	errc := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := body(w); err != nil {
+				errc <- err
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errc:
+		return err
+	default:
+		return nil
 	}
 }
 
@@ -105,13 +121,11 @@ func ingestProducers(n int) int {
 // /v1/insert runs per tiny post; with async=true each goes through an
 // async pipeline, full queues are retried, and the measured time includes
 // the final Flush (time to visibility, not just admission).
-func contendedIngestEPS(ds *Dataset, n int, seed uint64, async bool) (float64, error) {
-	cfg := shard.DefaultConfig()
-	cfg.Shards = n
-	cfg.Core.Seed = seed
-	s, err := shard.New(cfg)
+func contendedIngestEPS(c *gateCase, async bool) (float64, error) {
+	ds := c.ds
+	s, err := shard.New(c.shardConfig())
 	if err != nil {
-		return 0, fmt.Errorf("bench: asyncingest %d: %w", n, err)
+		return 0, err
 	}
 	defer s.Close()
 	var p *ingest.Pipeline
@@ -121,43 +135,30 @@ func contendedIngestEPS(ds *Dataset, n int, seed uint64, async bool) (float64, e
 		// of edges per shard-lock acquisition instead of waking per edge.
 		p, err = ingest.New(s, ingest.Config{Mode: ingest.ModeAsync, CommitInterval: 200 * time.Microsecond})
 		if err != nil {
-			return 0, fmt.Errorf("bench: asyncingest %d: %w", n, err)
+			return 0, err
 		}
 		// Close is idempotent; the deferred call covers error returns so
 		// committers never outlive the summary the deferred s.Close stops.
 		defer p.Close()
 	}
 
-	producers := ingestProducers(n)
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	errc := make(chan error, producers)
 	start := time.Now()
-	for w := 0; w < producers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(ds.Stream)) {
-					return
-				}
-				if !async {
-					s.InsertBatch(ds.Stream[i : i+1])
-					continue
-				}
-				if err := submitRetry(p, ds.Stream[i:i+1]); err != nil {
-					errc <- err
-					return
-				}
+	err = produce(ingestProducers(c.n), func(int) error {
+		for {
+			i := next.Add(1) - 1
+			if i >= int64(len(ds.Stream)) {
+				return nil
 			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return 0, fmt.Errorf("bench: asyncingest %d: %w", n, err)
-	default:
+			if !async {
+				s.InsertBatch(ds.Stream[i : i+1])
+			} else if err := submitRetry(p, ds.Stream[i:i+1]); err != nil {
+				return err
+			}
+		}
+	})
+	if err != nil {
+		return 0, err
 	}
 	if async {
 		p.Flush()
@@ -167,7 +168,7 @@ func contendedIngestEPS(ds *Dataset, n int, seed uint64, async bool) (float64, e
 		p.Close()
 	}
 	if got := s.Items(); got != int64(len(ds.Stream)) {
-		return 0, fmt.Errorf("bench: asyncingest %d: %d items after ingest, want %d", n, got, len(ds.Stream))
+		return 0, fmt.Errorf("%d items after ingest, want %d", got, len(ds.Stream))
 	}
 	return eps, nil
 }
@@ -177,13 +178,10 @@ func contendedIngestEPS(ds *Dataset, n int, seed uint64, async bool) (float64, e
 // finalized snapshots to match byte for byte. Producers are pinned one per
 // shard (the summary's own partitioning), so both runs present each shard
 // an identical edge sequence and any divergence is the pipeline's fault.
-func asyncEquivalence(ds *Dataset, n int, seed uint64) error {
-	cfg := shard.DefaultConfig()
-	cfg.Shards = n
-	cfg.Core.Seed = seed
-
+func asyncEquivalence(c *gateCase) error {
+	ds, n := c.ds, c.n
 	run := func(async bool) ([]byte, error) {
-		s, err := shard.New(cfg)
+		s, err := shard.New(c.shardConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -201,53 +199,37 @@ func asyncEquivalence(ds *Dataset, n int, seed uint64) error {
 			i := s.ShardFor(e.S)
 			parts[i] = append(parts[i], e)
 		}
-		var wg sync.WaitGroup
-		errc := make(chan error, n)
-		for _, part := range parts {
-			wg.Add(1)
-			go func(part []stream.Edge) {
-				defer wg.Done()
-				for i := range part {
-					if !async {
-						s.Insert(part[i])
-						continue
-					}
-					if err := submitRetry(p, part[i:i+1]); err != nil {
-						errc <- err
-						return
-					}
+		err = produce(n, func(w int) error {
+			for i := range parts[w] {
+				if !async {
+					s.Insert(parts[w][i])
+				} else if err := submitRetry(p, parts[w][i:i+1]); err != nil {
+					return err
 				}
-			}(part)
-		}
-		wg.Wait()
-		select {
-		case err := <-errc:
+			}
+			return nil
+		})
+		if err != nil {
 			return nil, err
-		default:
 		}
 		if async {
 			p.Flush()
 			p.Close()
 		}
-		s.Finalize()
-		var buf bytes.Buffer
-		if _, err := s.WriteTo(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return summaryBytes(s, true)
 	}
 
 	syncSnap, err := run(false)
 	if err != nil {
-		return fmt.Errorf("bench: asyncingest %d: sync reference: %w", n, err)
+		return fmt.Errorf("sync reference: %w", err)
 	}
 	asyncSnap, err := run(true)
 	if err != nil {
-		return fmt.Errorf("bench: asyncingest %d: async run: %w", n, err)
+		return fmt.Errorf("async run: %w", err)
 	}
 	if !bytes.Equal(syncSnap, asyncSnap) {
-		return fmt.Errorf("bench: asyncingest %d: post-flush snapshot diverges from synchronous ingest (%d vs %d bytes)",
-			n, len(asyncSnap), len(syncSnap))
+		return fmt.Errorf("post-flush snapshot diverges from synchronous ingest (%d vs %d bytes)",
+			len(asyncSnap), len(syncSnap))
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"higgs/internal/core"
@@ -22,7 +21,7 @@ const batchQuerySize = 64
 // batchQueryCount is the mixed-workload volume per row.
 const batchQueryCount = 2000
 
-// BatchQuery measures the unified batch query API (internal/query,
+// batchQueryGate measures the unified batch query API (internal/query,
 // DESIGN.md §11) against per-kind method calls, and enforces the
 // redesign's three contracts as errors, not warnings:
 //
@@ -44,38 +43,12 @@ const batchQueryCount = 2000
 // exists for: per-call queries pay one read-lock acquisition per probe
 // group per call (a vertex-in query pays one per shard), while DoBatch
 // pays at most one per shard per 64-query batch.
-func BatchQuery(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Extra: batched vs per-call queries (internal/query) ==")
-	t := metrics.NewTable("dataset", "shards", "per-call", "batched", "speedup", "locks/batch", "verify")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
-		for _, n := range shardCounts {
-			r, err := batchQueryRun(ds, n, o.Seed)
-			if err != nil {
-				return err
-			}
-			o.record(fmt.Sprintf("%s_s%d_percall_qps", ds.Name, n), r.perCallQPS)
-			o.record(fmt.Sprintf("%s_s%d_batched_qps", ds.Name, n), r.batchedQPS)
-			o.record(fmt.Sprintf("%s_s%d_locks_per_batch", ds.Name, n), float64(r.maxLocksPerBatch))
-			t.AddRow(ds.Name, fmt.Sprint(n),
-				metrics.FormatEPS(r.perCallQPS), metrics.FormatEPS(r.batchedQPS),
-				fmt.Sprintf("%.2f×", r.batchedQPS/r.perCallQPS),
-				fmt.Sprintf("%d/%d", r.maxLocksPerBatch, n),
-				fmt.Sprintf("%d/%d identical+ref", r.verified, batchQueryCount))
-		}
-	}
-	return t.Render(o.Out)
-}
-
-type batchQueryResult struct {
-	perCallQPS       float64
-	batchedQPS       float64
-	maxLocksPerBatch int64
-	verified         int
+var batchQueryGate = gate{
+	id:      "batchquery",
+	title:   "Extra: batched vs per-call queries (internal/query)",
+	columns: []string{"per-call", "batched", "speedup", "locks/batch", "verify"},
+	shards:  shardCounts,
+	row:     batchQueryRow,
 }
 
 // batchWorkload builds a deterministic mixed-kind workload over the
@@ -214,34 +187,16 @@ func verifyAgainstCoreRefs(s *shard.Summary, ccfg core.Config, st stream.Stream,
 	return nil
 }
 
-// lockCountingProber counts ProbeShard calls. shard.Summary.ProbeShard
-// acquires its shard's read lock exactly once per call, so the per-batch
-// call count is the batch's read-lock acquisition count.
-type lockCountingProber struct {
-	s     *shard.Summary
-	calls atomic.Int64
-}
-
-func (c *lockCountingProber) NumShards() int        { return c.s.NumShards() }
-func (c *lockCountingProber) ShardFor(v uint64) int { return c.s.ShardFor(v) }
-func (c *lockCountingProber) ProbeShard(i int, probes []query.Probe, out []int64) {
-	c.calls.Add(1)
-	c.s.ProbeShard(i, probes, out)
-}
-
-// batchQueryRun measures one (dataset, shard count) row. The stream's
-// first 90% is pre-loaded; the tail is re-ingested in a loop by
+// batchQueryRow measures and verifies one (dataset, shard count) row. The
+// stream's first 90% is pre-loaded; the tail is re-ingested in a loop by
 // concurrent producers for the whole measurement window, so both query
 // paths contend with live writers. Equivalence and lock accounting run
 // after the writers stop, on the quiesced summary.
-func batchQueryRun(ds *Dataset, n int, seed int64) (batchQueryResult, error) {
-	var res batchQueryResult
-	cfg := shard.DefaultConfig()
-	cfg.Shards = n
-	cfg.Core.Seed = uint64(seed)
+func batchQueryRow(c *gateCase) ([]string, error) {
+	ds, n, seed, cfg := c.ds, c.n, c.seed, c.shardConfig()
 	s, err := shard.New(cfg)
 	if err != nil {
-		return res, fmt.Errorf("bench: batchquery %d: %w", n, err)
+		return nil, err
 	}
 	defer s.Close()
 
@@ -256,7 +211,7 @@ func batchQueryRun(ds *Dataset, n int, seed int64) (batchQueryResult, error) {
 	// unsharded core summaries, which share no code with the batch
 	// planner/executor.
 	if err := verifyAgainstCoreRefs(s, cfg.Core, ds.Stream[:split], qs); err != nil {
-		return res, fmt.Errorf("bench: batchquery %d: %w", n, err)
+		return nil, err
 	}
 
 	// Background producers: cycle the tail in group-committed slabs until
@@ -288,21 +243,23 @@ func batchQueryRun(ds *Dataset, n int, seed int64) (batchQueryResult, error) {
 
 	start := time.Now()
 	perCallAnswers(s, qs)
-	res.perCallQPS = metrics.Throughput(int64(len(qs)), time.Since(start))
+	perCallQPS := metrics.Throughput(int64(len(qs)), time.Since(start))
 
 	start = time.Now()
 	if _, err := batchedAnswers(s, qs); err != nil {
 		close(stop)
 		wg.Wait()
-		return res, fmt.Errorf("bench: batchquery %d: %w", n, err)
+		return nil, err
 	}
-	res.batchedQPS = metrics.Throughput(int64(len(qs)), time.Since(start))
+	batchedQPS := metrics.Throughput(int64(len(qs)), time.Since(start))
 
 	close(stop)
 	wg.Wait()
 
 	// Contract 1 — identical answers on the quiesced summary.
-	counter := &lockCountingProber{s: s}
+	counter := &countingProber{Summary: s}
+	var maxLocks int64 // most read locks any one batch acquired
+	verified := 0
 	want := perCallAnswers(s, qs)
 	var got []int64
 	for start := 0; start < len(qs); start += batchQuerySize {
@@ -313,26 +270,29 @@ func batchQueryRun(ds *Dataset, n int, seed int64) (batchQueryResult, error) {
 		before := counter.calls.Load()
 		part, err := batchedAnswers(counter, qs[start:end])
 		if err != nil {
-			return res, fmt.Errorf("bench: batchquery %d: %w", n, err)
+			return nil, err
 		}
 		got = append(got, part...)
 		// Contract 2 — at most one read-lock acquisition per shard per batch.
-		if locks := counter.calls.Load() - before; locks > res.maxLocksPerBatch {
-			res.maxLocksPerBatch = locks
-		}
+		maxLocks = max(maxLocks, counter.calls.Load()-before)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			return res, fmt.Errorf(
-				"bench: batchquery %d: query %d (%v): batched = %d, per-kind = %d",
-				n, i, qs[i].Kind, got[i], want[i])
+			return nil, fmt.Errorf("query %d (%v): batched = %d, per-kind = %d",
+				i, qs[i].Kind, got[i], want[i])
 		}
-		res.verified++
+		verified++
 	}
-	if res.maxLocksPerBatch > int64(n) {
-		return res, fmt.Errorf(
-			"bench: batchquery %d: a batch acquired %d read locks, want ≤ %d (one per shard)",
-			n, res.maxLocksPerBatch, n)
+	if maxLocks > int64(n) {
+		return nil, fmt.Errorf("a batch acquired %d read locks, want ≤ %d (one per shard)",
+			maxLocks, n)
 	}
-	return res, nil
+	c.record("percall_qps", perCallQPS)
+	c.record("batched_qps", batchedQPS)
+	c.record("locks_per_batch", float64(maxLocks))
+	return []string{
+		metrics.FormatEPS(perCallQPS), metrics.FormatEPS(batchedQPS),
+		fmt.Sprintf("%.2f×", batchedQPS/perCallQPS),
+		fmt.Sprintf("%d/%d", maxLocks, n),
+		fmt.Sprintf("%d/%d identical+ref", verified, batchQueryCount)}, nil
 }

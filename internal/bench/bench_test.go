@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -100,12 +103,43 @@ func TestTable2(t *testing.T) {
 }
 
 // TestExperimentsSmoke runs every figure experiment at tiny scale and
-// checks each prints rows for every competitor.
+// checks each prints rows for every competitor, then runs the eight CI
+// gates with CI's own arguments (-scale 0.15 -presets lkml -seed 42) and
+// holds each to the metric names its committed baseline is keyed by — so
+// go test sees a gate break, or a metric renamed or dropped, before CI
+// does.
 func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke suite is moderately expensive")
 	}
-	for _, id := range []string{"fig10", "fig11", "fig12", "fig13", "fig16", "fig18", "fig19", "fig20", "fig21", "ablation", "budget", "reverse", "sharded", "asyncingest", "batchquery"} {
+	for _, id := range []string{"asyncingest", "batchquery", "walrecovery", "retention", "allocs", "replication", "readcache", "analytics"} {
+		t.Run(id, func(t *testing.T) {
+			var buf bytes.Buffer
+			o := Options{Scale: 0.15, Seed: 42, Out: &buf, Presets: []stream.Preset{stream.Lkml}, Metrics: map[string]float64{}}
+			if err := Run(id, o); err != nil {
+				t.Fatalf("%v\n%s", err, buf.String())
+			}
+			raw, err := os.ReadFile(filepath.Join("..", "..", "bench", "baselines", "BENCH_"+id+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var baseline struct {
+				Metrics map[string]json.RawMessage `json:"metrics"`
+			}
+			if err := json.Unmarshal(raw, &baseline); err != nil {
+				t.Fatal(err)
+			}
+			if len(baseline.Metrics) == 0 {
+				t.Fatal("baseline lists no metrics; the check is vacuous")
+			}
+			for name := range baseline.Metrics {
+				if _, ok := o.Metrics[name]; !ok {
+					t.Errorf("baseline metric %s was not recorded; run recorded %v", name, o.Metrics)
+				}
+			}
+		})
+	}
+	for _, id := range []string{"fig10", "fig11", "fig12", "fig13", "fig16", "fig18", "fig19", "fig20", "fig21", "ablation", "budget", "reverse", "sharded"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -114,7 +148,7 @@ func TestExperimentsSmoke(t *testing.T) {
 			}
 			out := buf.String()
 			switch id {
-			case "fig20", "fig21", "ablation", "budget", "reverse", "sharded", "asyncingest", "batchquery":
+			case "fig20", "fig21", "ablation", "budget", "reverse", "sharded":
 				if !strings.Contains(out, "lkml") {
 					t.Fatalf("%s output missing dataset rows:\n%s", id, out)
 				}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"higgs/internal/metrics"
@@ -28,9 +27,9 @@ const readCacheEquivQueries = 600
 // hit-rate floor measures invalidation correctness, not eviction pressure.
 const readCacheBudget int64 = 4 << 20
 
-// ReadCache is the watermark-invalidated read cache gate (internal/rcache,
-// DESIGN.md §16), run in CI at 1/2/4/8 shards. Three contracts hard-fail
-// the run rather than warn:
+// readCacheGate is the watermark-invalidated read cache gate
+// (internal/rcache, DESIGN.md §16). Three contracts hard-fail the run
+// rather than warn:
 //
 //   - equivalence: cached DoBatch answers must be identical to uncached
 //     DoBatch answers after every epoch of an interleaved
@@ -49,91 +48,47 @@ const readCacheBudget int64 = 4 << 20
 // baseline too; throughput is recorded in the artifact but, as with the
 // batchquery gate, only the in-run "cached beats uncached" ordering is
 // enforced — absolute QPS swings too much on shared runners.
-func ReadCache(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Extra: watermark-invalidated read cache (internal/rcache) ==")
-	t := metrics.NewTable("dataset", "shards", "uncached", "cached", "speedup", "hit-rate", "locks/full-hit", "verify")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
-		for _, n := range shardCounts {
-			r, err := readCacheRun(ds, n, o.Seed)
-			if err != nil {
-				return err
-			}
-			o.record(fmt.Sprintf("%s_s%d_uncached_qps", ds.Name, n), r.uncachedQPS)
-			o.record(fmt.Sprintf("%s_s%d_cached_qps", ds.Name, n), r.cachedQPS)
-			o.record(fmt.Sprintf("%s_s%d_hit_rate", ds.Name, n), r.hitRate)
-			o.record(fmt.Sprintf("%s_s%d_locks_full_hit", ds.Name, n), float64(r.locksFullHit))
-			t.AddRow(ds.Name, fmt.Sprint(n),
-				metrics.FormatEPS(r.uncachedQPS), metrics.FormatEPS(r.cachedQPS),
-				fmt.Sprintf("%.2f×", r.cachedQPS/r.uncachedQPS),
-				fmt.Sprintf("%.1f%%", 100*r.hitRate),
-				fmt.Sprint(r.locksFullHit),
-				fmt.Sprintf("%d epochs identical", r.epochs))
-		}
-	}
-	return t.Render(o.Out)
-}
-
-type readCacheResult struct {
-	uncachedQPS  float64
-	cachedQPS    float64
-	hitRate      float64
-	locksFullHit int64
-	epochs       int
-}
-
-// countingBackend counts backend ProbeShard calls. shard.Summary.ProbeShard
-// acquires its shard's read lock exactly once per call, so the delta across
-// a cached batch is that batch's shard read-lock acquisition count.
-type countingBackend struct {
-	*shard.Summary
-	calls atomic.Int64
-}
-
-func (c *countingBackend) ProbeShard(i int, probes []query.Probe, out []int64) {
-	c.calls.Add(1)
-	c.Summary.ProbeShard(i, probes, out)
+var readCacheGate = gate{
+	id:      "readcache",
+	title:   "Extra: watermark-invalidated read cache — equivalence + zero-lock hits (internal/rcache)",
+	header:  "Extra: watermark-invalidated read cache (internal/rcache)",
+	columns: []string{"uncached", "cached", "speedup", "hit-rate", "locks/full-hit", "verify"},
+	shards:  shardCounts,
+	row:     readCacheRow,
 }
 
 // assertCachedEqualsUncached replays the workload through both probers and
 // hard-fails on the first divergence — the cache's core contract is that a
 // hit is indistinguishable from an uncached probe.
-func assertCachedEqualsUncached(epoch string, n int, cached, uncached query.Prober, qs []query.Query) error {
+func assertCachedEqualsUncached(epoch string, cached, uncached query.Prober, qs []query.Query) error {
 	want, err := batchedAnswers(uncached, qs)
 	if err != nil {
-		return fmt.Errorf("bench: readcache %d: %s: uncached: %w", n, epoch, err)
+		return fmt.Errorf("%s: uncached: %w", epoch, err)
 	}
 	got, err := batchedAnswers(cached, qs)
 	if err != nil {
-		return fmt.Errorf("bench: readcache %d: %s: cached: %w", n, epoch, err)
+		return fmt.Errorf("%s: cached: %w", epoch, err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			return fmt.Errorf("bench: readcache %d: %s: query %d (%v): cached = %d, uncached = %d",
-				n, epoch, i, qs[i].Kind, got[i], want[i])
+			return fmt.Errorf("%s: query %d (%v): cached = %d, uncached = %d",
+				epoch, i, qs[i].Kind, got[i], want[i])
 		}
 	}
 	return nil
 }
 
-// readCacheRun measures one (dataset, shard count) row.
-func readCacheRun(ds *Dataset, n int, seed int64) (readCacheResult, error) {
-	var res readCacheResult
-	cfg := shard.DefaultConfig()
-	cfg.Shards = n
-	cfg.Core.Seed = uint64(seed)
+// readCacheRow measures and verifies one (dataset, shard count) row.
+func readCacheRow(c *gateCase) ([]string, error) {
+	ds, seed, cfg := c.ds, c.seed, c.shardConfig()
 	s, err := shard.New(cfg)
 	if err != nil {
-		return res, fmt.Errorf("bench: readcache %d: %w", n, err)
+		return nil, err
 	}
 	defer s.Close()
 	cache, err := rcache.New(s, rcache.Config{MaxBytes: readCacheBudget})
 	if err != nil {
-		return res, fmt.Errorf("bench: readcache %d: %w", n, err)
+		return nil, err
 	}
 
 	// Phase 1 — equivalence epochs: ingest in thirds, expire between the
@@ -142,6 +97,7 @@ func readCacheRun(ds *Dataset, n int, seed int64) (readCacheResult, error) {
 	// the ingest and expire epochs, so each check exercises invalidation of
 	// entries the previous epoch filled.
 	qs := batchWorkload(ds, readCacheEquivQueries, seed)
+	epochs := 0
 	third := len(ds.Stream) / 3
 	slabs := []struct {
 		name string
@@ -159,55 +115,55 @@ func readCacheRun(ds *Dataset, n int, seed int64) (readCacheResult, error) {
 			// shards' versions must advance.
 			cutoff := ds.Stream[third].T
 			if dropped := s.ExpireAt(cutoff, 0); dropped <= 0 {
-				return res, fmt.Errorf("bench: readcache %d: expire at %d dropped %d leaves; the epoch never bites", n, cutoff, dropped)
+				return nil, fmt.Errorf("expire at %d dropped %d leaves; the epoch never bites", cutoff, dropped)
 			}
-			if err := assertCachedEqualsUncached("epoch3-expire", n, cache, s, qs); err != nil {
-				return res, err
+			if err := assertCachedEqualsUncached("epoch3-expire", cache, s, qs); err != nil {
+				return nil, err
 			}
-			res.epochs++
+			epochs++
 		}
 		s.InsertBatch(ds.Stream[slab.lo:slab.hi])
-		if err := assertCachedEqualsUncached(slab.name, n, cache, s, qs); err != nil {
-			return res, err
+		if err := assertCachedEqualsUncached(slab.name, cache, s, qs); err != nil {
+			return nil, err
 		}
-		res.epochs++
+		epochs++
 	}
 	// Epoch 5 — summary swap: a fresh summary with different content and a
 	// fresh cache bound to it, exactly what server.ReplaceSummary installs.
 	swapped, err := shard.New(cfg)
 	if err != nil {
-		return res, fmt.Errorf("bench: readcache %d: %w", n, err)
+		return nil, err
 	}
 	defer swapped.Close()
 	swapped.InsertBatch(ds.Stream[:2*third])
 	swapCache, err := rcache.New(swapped, rcache.Config{MaxBytes: readCacheBudget})
 	if err != nil {
-		return res, fmt.Errorf("bench: readcache %d: %w", n, err)
+		return nil, err
 	}
-	if err := assertCachedEqualsUncached("epoch5-swap", n, swapCache, swapped, qs); err != nil {
-		return res, err
+	if err := assertCachedEqualsUncached("epoch5-swap", swapCache, swapped, qs); err != nil {
+		return nil, err
 	}
-	res.epochs++
+	epochs++
 
 	// Phase 2 — zero-lock full hits, on the quiesced post-ingest summary:
 	// fill with one pass over a batch, then the identical replay must not
 	// reach the backend at all.
-	counter := &countingBackend{Summary: s}
+	counter := &countingProber{Summary: s}
 	counted, err := rcache.New(counter, rcache.Config{MaxBytes: readCacheBudget})
 	if err != nil {
-		return res, fmt.Errorf("bench: readcache %d: %w", n, err)
+		return nil, err
 	}
 	hot := qs[:batchQuerySize]
 	if _, err := batchedAnswers(counted, hot); err != nil {
-		return res, fmt.Errorf("bench: readcache %d: %w", n, err)
+		return nil, err
 	}
 	before := counter.calls.Load()
 	if _, err := batchedAnswers(counted, hot); err != nil {
-		return res, fmt.Errorf("bench: readcache %d: %w", n, err)
+		return nil, err
 	}
-	res.locksFullHit = counter.calls.Load() - before
-	if res.locksFullHit != 0 {
-		return res, fmt.Errorf("bench: readcache %d: full-hit replay acquired %d shard read locks, want 0", n, res.locksFullHit)
+	locksFullHit := counter.calls.Load() - before
+	if locksFullHit != 0 {
+		return nil, fmt.Errorf("full-hit replay acquired %d shard read locks, want 0", locksFullHit)
 	}
 
 	// Phase 3 — skewed repeat workload: Zipf-distributed draws from a small
@@ -225,37 +181,46 @@ func readCacheRun(ds *Dataset, n int, seed int64) (readCacheResult, error) {
 	start := time.Now()
 	want, err := batchedAnswers(s, seq)
 	if err != nil {
-		return res, fmt.Errorf("bench: readcache %d: %w", n, err)
+		return nil, err
 	}
-	res.uncachedQPS = metrics.Throughput(int64(len(seq)), time.Since(start))
+	uncachedQPS := metrics.Throughput(int64(len(seq)), time.Since(start))
 
 	hot2, err := rcache.New(s, rcache.Config{MaxBytes: readCacheBudget})
 	if err != nil {
-		return res, fmt.Errorf("bench: readcache %d: %w", n, err)
+		return nil, err
 	}
 	statsBefore := hot2.Stats()
 	start = time.Now()
 	got, err := batchedAnswers(hot2, seq)
 	if err != nil {
-		return res, fmt.Errorf("bench: readcache %d: %w", n, err)
+		return nil, err
 	}
-	res.cachedQPS = metrics.Throughput(int64(len(seq)), time.Since(start))
+	cachedQPS := metrics.Throughput(int64(len(seq)), time.Since(start))
 	statsAfter := hot2.Stats()
 
 	for i := range want {
 		if got[i] != want[i] {
-			return res, fmt.Errorf("bench: readcache %d: skewed query %d (%v): cached = %d, uncached = %d",
-				n, i, seq[i].Kind, got[i], want[i])
+			return nil, fmt.Errorf("skewed query %d (%v): cached = %d, uncached = %d",
+				i, seq[i].Kind, got[i], want[i])
 		}
 	}
 	hits := statsAfter.Hits - statsBefore.Hits
 	misses := statsAfter.Misses - statsBefore.Misses
-	res.hitRate = float64(hits) / float64(hits+misses)
-	if res.hitRate < 0.8 {
-		return res, fmt.Errorf("bench: readcache %d: skewed workload hit rate %.1f%%, want ≥ 80%%", n, 100*res.hitRate)
+	hitRate := float64(hits) / float64(hits+misses)
+	if hitRate < 0.8 {
+		return nil, fmt.Errorf("skewed workload hit rate %.1f%%, want ≥ 80%%", 100*hitRate)
 	}
-	if res.cachedQPS <= res.uncachedQPS {
-		return res, fmt.Errorf("bench: readcache %d: cached %.0f q/s did not beat uncached %.0f q/s", n, res.cachedQPS, res.uncachedQPS)
+	if cachedQPS <= uncachedQPS {
+		return nil, fmt.Errorf("cached %.0f q/s did not beat uncached %.0f q/s", cachedQPS, uncachedQPS)
 	}
-	return res, nil
+	c.record("uncached_qps", uncachedQPS)
+	c.record("cached_qps", cachedQPS)
+	c.record("hit_rate", hitRate)
+	c.record("locks_full_hit", float64(locksFullHit))
+	return []string{
+		metrics.FormatEPS(uncachedQPS), metrics.FormatEPS(cachedQPS),
+		fmt.Sprintf("%.2f×", cachedQPS/uncachedQPS),
+		fmt.Sprintf("%.1f%%", 100*hitRate),
+		fmt.Sprint(locksFullHit),
+		fmt.Sprintf("%d epochs identical", epochs)}, nil
 }

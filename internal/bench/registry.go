@@ -27,15 +27,15 @@ var registry = []Experiment{
 	{"ablation", "Extra: HIGGS design-choice sweeps (θ / b / r)", Ablation},
 	{"budget", "Extra: Horae accuracy vs GSS buffer budget", BufferBudget},
 	{"reverse", "Extra: gMatrix reverse heavy-hitter queries", ReverseQueries},
-	{"sharded", "Extra: sharded ingest scaling (internal/shard)", ShardedIngest},
-	{"asyncingest", "Extra: async group-commit ingest vs sync (internal/ingest)", AsyncIngest},
-	{"batchquery", "Extra: batched vs per-call queries (internal/query)", BatchQuery},
-	{"walrecovery", "Extra: crash recovery — snapshot + WAL replay (internal/wal)", WALRecovery},
-	{"retention", "Extra: durable retention — crash recovery with interleaved expires", Retention},
-	{"allocs", "Extra: hot-path allocation gate — 0 allocs/op + insert throughput", Allocs},
-	{"replication", "Extra: WAL-shipping replication — follower byte-equality + read scale-out", Replication},
-	{"readcache", "Extra: watermark-invalidated read cache — equivalence + zero-lock hits (internal/rcache)", ReadCache},
-	{"analytics", "Extra: stream analytics — heavy hitters, bursts, deltas vs exact (internal/analytics)", Analytics},
+	{"sharded", "Extra: sharded ingest scaling (internal/shard)", shardedIngest},
+	asyncIngestGate.experiment(),
+	batchQueryGate.experiment(),
+	walRecoveryGate.experiment(),
+	retentionGate.experiment(),
+	allocsGate.experiment(),
+	replicationGate.experiment(),
+	readCacheGate.experiment(),
+	analyticsGate.experiment(),
 }
 
 // Experiments lists all registered experiments in presentation order.

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,7 +18,6 @@ import (
 	"higgs/internal/server"
 	"higgs/internal/shard"
 	"higgs/internal/stream"
-	"higgs/internal/wal"
 )
 
 // replWait bounds every follower catch-up in the experiment; a follower
@@ -27,164 +25,94 @@ import (
 // slow runner.
 const replWait = 60 * time.Second
 
-// Replication is the WAL-shipping replication gate (internal/repl,
-// DESIGN.md §15), run in CI: at 1/2/4/8 shards it stands up a WAL-backed
-// primary serving its replication feed over HTTP and hard-fails (an
-// error, not a warning) unless a follower's summary is byte-for-byte
-// identical to the primary's at the primary's last sequence, for each of
-// three join paths:
+// replicationGate is the WAL-shipping replication gate (internal/repl,
+// DESIGN.md §15): a WAL-backed primary serves its replication feed over
+// HTTP, and a follower's summary must be byte-for-byte identical to the
+// primary's at the primary's last sequence for each of three follower
+// lifecycles:
 //
-//   - cold: the follower joins after the whole stream (edges plus an
+//   - cold: the follower attaches after the whole stream (edges plus an
 //     interleaved expire) is durable and catches up by pure WAL tailing;
 //   - snap+tail: the primary snapshots and truncates mid-stream first, so
 //     the follower must boot from /repl/snapshot and tail the rest;
-//   - restart: a follower with a local cache dir is abandoned mid-stream
-//     (no orderly cache refresh — exactly the state a kill -9 leaves) and
-//     a second incarnation resumes from the stale cache, replaying records
+//   - restart: a follower with a local cache dir is killed mid-stream (no
+//     orderly cache refresh — exactly the state a kill -9 leaves) and a
+//     second incarnation resumes from the stale cache, replaying records
 //     the first already applied; the per-shard watermarks must deduplicate
 //     the overlap exactly.
 //
-// The comparison serializes both summaries without finalizing, so it also
-// covers the per-shard watermarks — sequence equality, not just tree
-// equality. Catch-up throughput is recorded per shard count; read
-// scale-out (one vs two read-only replicas answering /v2/query) is
-// measured once per dataset and emitted in the artifact. Throughput and
-// scaling numbers on shared runners are informational; the byte-identity
-// columns are the assertion.
-func Replication(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Extra: WAL-shipping replication — follower byte-equality + read scale-out (internal/repl) ==")
-	t := metrics.NewTable("dataset", "shards", "edges", "catch-up", "cold", "snap+tail", "restart")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
-		for _, n := range shardCounts {
-			eps, err := replCold(ds, n, uint64(o.Seed))
-			if err != nil {
-				return err
-			}
-			if err := replSnapTail(ds, n, uint64(o.Seed)); err != nil {
-				return err
-			}
-			if err := replRestart(ds, n, uint64(o.Seed)); err != nil {
-				return err
-			}
-			o.record(fmt.Sprintf("%s_s%d_catchup_eps", ds.Name, n), eps)
-			t.AddRow(ds.Name, fmt.Sprint(n), fmt.Sprint(len(ds.Stream)),
-				metrics.FormatEPS(eps), "byte-equal", "byte-equal", "byte-equal")
-		}
-		q1, q2, err := replReadScaling(ds, 4, uint64(o.Seed))
+// Catch-up throughput is recorded per shard count; read scale-out (one vs
+// two read-only replicas answering /v2/query) is measured once per dataset
+// and emitted in the artifact. Throughput and scaling numbers on shared
+// runners are informational; the byte-identity columns are the assertion.
+var replicationGate = gate{
+	id:      "replication",
+	title:   "Extra: WAL-shipping replication — follower byte-equality + read scale-out",
+	header:  "Extra: WAL-shipping replication — follower byte-equality + read scale-out (internal/repl)",
+	columns: []string{"edges", "catch-up", "cold", "snap+tail", "restart"},
+	shards:  shardCounts,
+	row: func(c *gateCase) ([]string, error) {
+		eps, err := replCold(c)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("cold: %w", err)
 		}
-		o.record(ds.Name+"_read_qps_r1", q1)
-		o.record(ds.Name+"_read_qps_r2", q2)
-		o.record(ds.Name+"_read_scaling", q2/q1)
-		fmt.Fprintf(o.Out, "%s read scale-out (4 shards, /v2/query): 1 replica %s q/s, 2 replicas %s q/s (×%.2f)\n",
-			ds.Name, metrics.FormatEPS(q1), metrics.FormatEPS(q2), q2/q1)
-	}
-	return t.Render(o.Out)
+		if err := replSnapTail(c); err != nil {
+			return nil, fmt.Errorf("snap+tail: %w", err)
+		}
+		if err := replRestart(c); err != nil {
+			return nil, fmt.Errorf("restart: %w", err)
+		}
+		c.record("catchup_eps", eps)
+		return []string{fmt.Sprint(len(c.ds.Stream)), metrics.FormatEPS(eps), "byte-equal", "byte-equal", "byte-equal"}, nil
+	},
+	after: func(c *gateCase) error {
+		q1, q2, err := replReadScaling(c.ds, shardConfig(4, uint64(c.seed)))
+		if err != nil {
+			return fmt.Errorf("read scale-out: %w", err)
+		}
+		c.record("read_qps_r1", q1)
+		c.record("read_qps_r2", q2)
+		c.record("read_scaling", q2/q1)
+		fmt.Fprintf(c.o.Out, "%s read scale-out (4 shards, /v2/query): 1 replica %s q/s, 2 replicas %s q/s (×%.2f)\n",
+			c.ds.Name, metrics.FormatEPS(q1), metrics.FormatEPS(q2), q2/q1)
+		return nil
+	},
 }
 
-// replRig is a WAL-backed primary plus its replication feed: sync-mode
-// pipeline (every Submit durable before returning) over small segments
-// (so mid-stream snapshots have whole segments to truncate), served by an
-// httptest server.
-type replRig struct {
-	dir  string
-	log  *wal.Log
-	sum  *shard.Summary
-	pipe *ingest.Pipeline
-	srv  *httptest.Server
+// primary is a rig serving its replication feed: a sync-mode pipeline
+// (every Submit durable before returning) over small segments (so a
+// mid-stream snapshot has whole segments to truncate), behind an httptest
+// server.
+type primary struct {
+	*rig
+	srv *httptest.Server
 }
 
-func newReplRig(n int, seed uint64) (*replRig, error) {
-	dir, err := os.MkdirTemp("", "higgs-replication-*")
+func newPrimary(cfg shard.Config) (*primary, error) {
+	r, err := newRig(cfg, ingest.ModeSync, smallSegments)
 	if err != nil {
 		return nil, err
 	}
-	log, err := wal.Open(wal.Config{Dir: filepath.Join(dir, "wal"), SegmentBytes: 1 << 16})
-	if err != nil {
-		os.RemoveAll(dir)
-		return nil, err
-	}
-	sum, err := shard.New(walShardConfig(n, seed))
-	if err != nil {
-		log.Close()
-		os.RemoveAll(dir)
-		return nil, err
-	}
-	pipe, err := ingest.New(sum, ingest.Config{Mode: ingest.ModeSync, WAL: log})
-	if err != nil {
-		sum.Close()
-		log.Close()
-		os.RemoveAll(dir)
-		return nil, err
-	}
-	return &replRig{
-		dir:  dir,
-		log:  log,
-		sum:  sum,
-		pipe: pipe,
-		srv:  httptest.NewServer(repl.NewPrimary(sum, log).Handler()),
-	}, nil
+	return &primary{r, httptest.NewServer(repl.NewPrimary(r.sum, r.log).Handler())}, nil
 }
 
-func (r *replRig) close() {
-	r.srv.Close()
-	r.pipe.Close()
-	r.log.Close()
-	r.sum.Close()
-	os.RemoveAll(r.dir)
+func (p *primary) close() {
+	p.srv.Close()
+	p.rig.close()
 }
 
-// snap takes one snapshot and truncates the covered WAL prefix, exactly
-// like the production background snapshotter.
-func (r *replRig) snap() error {
-	snapper := ingest.NewSnapshotter(r.sum, r.pipe, r.log, filepath.Join(r.dir, "snapshot.higgs"), 0, nil)
-	defer snapper.Close()
-	return snapper.Snap()
+// feedExpiring feeds st[lo:hi] with one expire interleaved mid-range, so
+// the shipped log carries both record types.
+func (p *primary) feedExpiring(st stream.Stream, lo, hi int) error {
+	return p.feed(st, lo, hi, []expirePoint{{at: (lo+hi)/2 + 1, cutoff: st[len(st)/8].T}})
 }
 
-// feed submits st[lo:hi] in WAL-sized batches, interleaving one expire
-// mid-range when cutoff is nonzero — so the shipped log carries both
-// record types.
-func (r *replRig) feed(st stream.Stream, lo, hi int, cutoff int64) error {
-	mid := (lo + hi) / 2
-	for at := lo; at < hi; at += walBatch {
-		end := at + walBatch
-		if end > hi {
-			end = hi
-		}
-		if err := submitRetry(r.pipe, st[at:end]); err != nil {
-			return err
-		}
-		if cutoff != 0 && at <= mid && mid < end {
-			if _, err := r.pipe.Expire(cutoff); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// liveBytes serializes a summary without finalizing, so a live primary
-// and its replica stay comparable mid-stream (and the comparison covers
-// the per-shard watermarks).
-func liveBytes(s *shard.Summary) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// startFollower boots a follower of the rig with bench-scale cadences.
-func startFollower(r *replRig, dir string) (*repl.Follower, error) {
+// attach boots a follower of the primary with bench-scale cadences; dir
+// is its local cache ("" for none). Closing the follower is the kill: it
+// refreshes no cache.
+func (p *primary) attach(dir string) (*repl.Follower, error) {
 	f, err := repl.NewFollower(repl.FollowerConfig{
-		Source:        r.srv.URL,
+		Source:        p.srv.URL,
 		Dir:           dir,
 		PollWait:      100 * time.Millisecond,
 		RetryInterval: 20 * time.Millisecond,
@@ -198,191 +126,175 @@ func startFollower(r *replRig, dir string) (*repl.Follower, error) {
 	return f, nil
 }
 
-// converge waits for the follower to reach the primary's last sequence
-// and byte-compares the two summaries there.
-func converge(r *replRig, f *repl.Follower) error {
-	target := r.log.LastSeq()
-	if !f.WaitApplied(target, replWait) {
+// caughtUp waits for the follower to reach the primary's last sequence.
+func (p *primary) caughtUp(f *repl.Follower) error {
+	if target := p.log.LastSeq(); !f.WaitApplied(target, replWait) {
 		return fmt.Errorf("follower stuck at seq %d, want %d", f.Status().AppliedSeq, target)
 	}
-	want, err := liveBytes(r.sum)
+	return nil
+}
+
+// converge waits for the follower to catch up and byte-compares the two
+// live summaries there; a follower that needed a resync to get there took
+// a path the scenario did not intend.
+func (p *primary) converge(f *repl.Follower) error {
+	if err := p.caughtUp(f); err != nil {
+		return err
+	}
+	want, err := summaryBytes(p.sum, false)
 	if err != nil {
 		return err
 	}
-	got, err := liveBytes(f.Summary())
+	got, err := summaryBytes(f.Summary(), false)
 	if err != nil {
 		return err
 	}
 	if !bytes.Equal(got, want) {
 		return fmt.Errorf("follower summary at seq %d diverges from primary (%d vs %d bytes)",
-			target, len(got), len(want))
+			p.log.LastSeq(), len(got), len(want))
+	}
+	if st := f.Status(); st.Resyncs != 0 {
+		return fmt.Errorf("follower needed %d resyncs", st.Resyncs)
 	}
 	return nil
 }
 
-// replCold: the whole stream is durable before the follower joins; catch-up
-// is pure WAL tailing (the log was never truncated). Returns the catch-up
-// throughput in edges/s.
-func replCold(ds *Dataset, n int, seed uint64) (float64, error) {
-	fail := func(err error) (float64, error) {
-		return 0, fmt.Errorf("bench: replication %d (cold): %w", n, err)
-	}
-	r, err := newReplRig(n, seed)
+// replCold: the whole stream is durable before the follower attaches;
+// catch-up is pure WAL tailing (the log was never truncated). Returns the
+// catch-up throughput in edges/s.
+func replCold(c *gateCase) (float64, error) {
+	st := c.ds.Stream
+	p, err := newPrimary(c.shardConfig())
 	if err != nil {
-		return fail(err)
+		return 0, err
 	}
-	defer r.close()
-	if err := r.feed(ds.Stream, 0, len(ds.Stream), ds.Stream[len(ds.Stream)/8].T); err != nil {
-		return fail(err)
+	defer p.close()
+	if err := p.feedExpiring(st, 0, len(st)); err != nil {
+		return 0, err
 	}
 	start := time.Now()
-	f, err := startFollower(r, "")
+	f, err := p.attach("")
 	if err != nil {
-		return fail(err)
+		return 0, err
 	}
 	defer f.Close()
-	if err := converge(r, f); err != nil {
-		return fail(err)
+	if err := p.converge(f); err != nil {
+		return 0, err
 	}
-	eps := metrics.Throughput(int64(len(ds.Stream)), time.Since(start))
-	if st := f.Status(); st.Resyncs != 0 {
-		return fail(fmt.Errorf("cold catch-up needed %d resyncs", st.Resyncs))
-	} else if st.AppliedSeq == 0 {
-		return fail(fmt.Errorf("vacuous: follower applied nothing"))
+	eps := metrics.Throughput(int64(len(st)), time.Since(start))
+	if f.Status().AppliedSeq == 0 {
+		return 0, fmt.Errorf("vacuous: follower applied nothing")
 	}
 	return eps, nil
 }
 
 // replSnapTail: the primary snapshots and truncates mid-stream, so the
 // follower must boot from /repl/snapshot and tail only the rest.
-func replSnapTail(ds *Dataset, n int, seed uint64) error {
-	fail := func(err error) error {
-		return fmt.Errorf("bench: replication %d (snap+tail): %w", n, err)
-	}
-	r, err := newReplRig(n, seed)
+func replSnapTail(c *gateCase) error {
+	st, half := c.ds.Stream, len(c.ds.Stream)/2
+	p, err := newPrimary(c.shardConfig())
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	defer r.close()
-	half := len(ds.Stream) / 2
-	if err := r.feed(ds.Stream, 0, half, ds.Stream[len(ds.Stream)/8].T); err != nil {
-		return fail(err)
+	defer p.close()
+	if err := p.feedExpiring(st, 0, half); err != nil {
+		return err
 	}
-	if err := r.snap(); err != nil {
-		return fail(err)
+	if err := p.snap(); err != nil {
+		return err
 	}
-	if floor := r.log.FirstSeq(); floor <= 1 {
-		return fail(fmt.Errorf("vacuous: truncation left floor %d; boot would not exercise the snapshot", floor))
+	if floor := p.log.FirstSeq(); floor <= 1 {
+		return fmt.Errorf("vacuous: truncation left floor %d; boot would not exercise the snapshot", floor)
 	}
-	f, err := startFollower(r, "")
+	f, err := p.attach("")
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	defer f.Close()
-	if err := r.feed(ds.Stream, half, len(ds.Stream), 0); err != nil {
-		return fail(err)
+	if err := p.feed(st, half, len(st), nil); err != nil {
+		return err
 	}
-	if err := converge(r, f); err != nil {
-		return fail(err)
-	}
-	if st := f.Status(); st.Resyncs != 0 {
-		return fail(fmt.Errorf("snapshot boot needed %d resyncs", st.Resyncs))
-	}
-	return nil
+	return p.converge(f)
 }
 
 // replRestart: a follower with a local cache dir applies past its boot
-// cache and is abandoned without any orderly cache refresh — the state a
-// kill -9 leaves. A second incarnation must resume from the stale cache,
-// replay the overlap without double-applying (per-shard watermarks), and
-// converge byte-identically, with no snapshot re-fetch.
-func replRestart(ds *Dataset, n int, seed uint64) error {
-	fail := func(err error) error {
-		return fmt.Errorf("bench: replication %d (restart): %w", n, err)
-	}
-	r, err := newReplRig(n, seed)
+// cache and is killed. A second incarnation must resume from the stale
+// cache, replay the overlap without double-applying (per-shard
+// watermarks), and converge byte-identically, with no snapshot re-fetch.
+func replRestart(c *gateCase) error {
+	st, half := c.ds.Stream, len(c.ds.Stream)/2
+	p, err := newPrimary(c.shardConfig())
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	defer r.close()
+	defer p.close()
 	dir, err := os.MkdirTemp("", "higgs-replica-*")
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 
-	half := len(ds.Stream) / 2
-	if err := r.feed(ds.Stream, 0, half, ds.Stream[len(ds.Stream)/8].T); err != nil {
-		return fail(err)
+	if err := p.feedExpiring(st, 0, half); err != nil {
+		return err
 	}
-	f1, err := startFollower(r, dir)
+	f1, err := p.attach(dir)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	if !f1.WaitApplied(r.log.LastSeq(), replWait) {
-		f1.Close()
-		return fail(fmt.Errorf("first incarnation stuck at seq %d", f1.Status().AppliedSeq))
+	defer f1.Close()
+	if err := p.caughtUp(f1); err != nil {
+		return err
 	}
 	// More durable records arrive and are applied past the boot cache...
-	if err := r.feed(ds.Stream, half, half+half/2, 0); err != nil {
-		f1.Close()
-		return fail(err)
+	if err := p.feed(st, half, half+half/2, nil); err != nil {
+		return err
 	}
-	if !f1.WaitApplied(r.log.LastSeq(), replWait) {
-		f1.Close()
-		return fail(fmt.Errorf("first incarnation stuck at seq %d", f1.Status().AppliedSeq))
+	if err := p.caughtUp(f1); err != nil {
+		return err
 	}
 	diedAt := f1.Status().AppliedSeq
-	f1.Close() // no cache refresh: on-disk state is exactly a kill -9's
+	f1.Close() // the kill: on-disk state is exactly a kill -9's
 
-	if err := r.feed(ds.Stream, half+half/2, len(ds.Stream), 0); err != nil {
-		return fail(err)
+	if err := p.feed(st, half+half/2, len(st), nil); err != nil {
+		return err
 	}
-	f2, err := startFollower(r, dir)
+	f2, err := p.attach(dir)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	defer f2.Close()
 	if boot := f2.Status().AppliedSeq; boot >= diedAt {
-		return fail(fmt.Errorf("vacuous: restart booted at seq %d, want a stale cache below %d (no overlap to deduplicate)", boot, diedAt))
+		return fmt.Errorf("vacuous: restart booted at seq %d, want a stale cache below %d (no overlap to deduplicate)", boot, diedAt)
 	}
-	if err := converge(r, f2); err != nil {
-		return fail(err)
-	}
-	if st := f2.Status(); st.Resyncs != 0 {
-		return fail(fmt.Errorf("restart resume needed %d resyncs", st.Resyncs))
-	}
-	return nil
+	return p.converge(f2)
 }
 
 // replReadScaling measures /v2/query throughput against one vs two
 // read-only replicas of the same primary, each a converged follower
-// served by a server.Options{Replica: true} server. Returns queries/s for both pool sizes.
-func replReadScaling(ds *Dataset, n int, seed uint64) (q1, q2 float64, err error) {
-	fail := func(err error) (float64, float64, error) {
-		return 0, 0, fmt.Errorf("bench: replication read scale-out: %w", err)
-	}
-	r, err := newReplRig(n, seed)
+// served by a server.Options{Replica: true} server. Returns queries/s for
+// both pool sizes.
+func replReadScaling(ds *Dataset, cfg shard.Config) (q1, q2 float64, err error) {
+	p, err := newPrimary(cfg)
 	if err != nil {
-		return fail(err)
+		return 0, 0, err
 	}
-	defer r.close()
-	if err := r.feed(ds.Stream, 0, len(ds.Stream), 0); err != nil {
-		return fail(err)
+	defer p.close()
+	if err := p.feed(ds.Stream, 0, len(ds.Stream), nil); err != nil {
+		return 0, 0, err
 	}
 	var pool []*httptest.Server
 	for i := 0; i < 2; i++ {
-		f, err := startFollower(r, "")
+		f, err := p.attach("")
 		if err != nil {
-			return fail(err)
+			return 0, 0, err
 		}
 		defer f.Close()
-		if err := converge(r, f); err != nil {
-			return fail(err)
+		if err := p.converge(f); err != nil {
+			return 0, 0, err
 		}
 		srv, err := server.Open(f.Summary(), server.Options{Replica: true})
 		if err != nil {
-			return fail(err)
+			return 0, 0, err
 		}
 		defer srv.Close()
 		ts := httptest.NewServer(srv.Handler())
@@ -391,10 +303,10 @@ func replReadScaling(ds *Dataset, n int, seed uint64) (q1, q2 float64, err error
 	}
 	body := replQueryBody(ds)
 	if q1, err = replQPS(pool[:1], body); err != nil {
-		return fail(err)
+		return 0, 0, err
 	}
 	if q2, err = replQPS(pool, body); err != nil {
-		return fail(err)
+		return 0, 0, err
 	}
 	return q1, q2, nil
 }

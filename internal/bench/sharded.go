@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"higgs/internal/core"
@@ -11,10 +10,7 @@ import (
 	"higgs/internal/stream"
 )
 
-// shardCounts is the ingest-scaling sweep of the sharded experiment.
-var shardCounts = []int{1, 2, 4, 8}
-
-// ShardedIngest measures how ingest throughput scales with the shard count
+// shardedIngest measures how ingest throughput scales with the shard count
 // of a shard.Summary, and verifies the sharding layer adds no error: each
 // shard must answer exactly like an unsharded core summary fed the same
 // partition of the stream.
@@ -27,42 +23,35 @@ var shardCounts = []int{1, 2, 4, 8}
 // usable parallelism (GOMAXPROCS), so expect ~1× on one core and ≥2× at 8
 // shards on 4+ cores. The verify column counts sampled edge and vertex-out
 // queries whose sharded result equals the per-partition reference exactly.
-func ShardedIngest(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Extra: sharded ingest scaling (internal/shard) ==")
-	t := metrics.NewTable("dataset", "shards", "throughput", "speedup", "verify")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
-		var base float64
-		for _, n := range shardCounts {
-			eps, verified, total, err := shardedRun(ds, n, uint64(o.Seed))
+func shardedIngest(o Options) error {
+	var base float64 // the dataset's single-shard throughput
+	return gate{
+		id:      "sharded",
+		title:   "Extra: sharded ingest scaling (internal/shard)",
+		columns: []string{"throughput", "speedup", "verify"},
+		shards:  shardCounts,
+		row: func(c *gateCase) ([]string, error) {
+			eps, verified, total, err := shardedRun(c)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if n == shardCounts[0] {
+			if c.n == shardCounts[0] {
 				base = eps
 			}
-			t.AddRow(ds.Name, fmt.Sprint(n), metrics.FormatEPS(eps),
-				fmt.Sprintf("%.2f×", eps/base),
-				fmt.Sprintf("%d/%d exact", verified, total))
-		}
-	}
-	return t.Render(o.Out)
+			return []string{metrics.FormatEPS(eps), fmt.Sprintf("%.2f×", eps/base),
+				fmt.Sprintf("%d/%d exact", verified, total)}, nil
+		},
+	}.run(o)
 }
 
 // shardedRun ingests the dataset into an n-shard summary with one producer
 // per shard, then checks sampled queries against unsharded per-partition
 // references. It returns the ingest throughput and the verification tally.
-func shardedRun(ds *Dataset, n int, seed uint64) (eps float64, verified, total int, err error) {
-	cfg := shard.DefaultConfig()
-	cfg.Shards = n
-	cfg.Core.Seed = seed
+func shardedRun(c *gateCase) (eps float64, verified, total int, err error) {
+	ds, n, cfg := c.ds, c.n, c.shardConfig()
 	s, err := shard.New(cfg)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("bench: sharded %d: %w", n, err)
+		return 0, 0, 0, err
 	}
 	defer s.Close()
 
@@ -75,17 +64,12 @@ func shardedRun(ds *Dataset, n int, seed uint64) (eps float64, verified, total i
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	for _, part := range parts {
-		wg.Add(1)
-		go func(part []stream.Edge) {
-			defer wg.Done()
-			for _, e := range part {
-				s.Insert(e)
-			}
-		}(part)
-	}
-	wg.Wait()
+	_ = produce(n, func(w int) error {
+		for _, e := range parts[w] {
+			s.Insert(e)
+		}
+		return nil
+	})
 	s.Finalize()
 	eps = metrics.Throughput(int64(len(ds.Stream)), time.Since(start))
 
@@ -124,8 +108,7 @@ func shardedRun(ds *Dataset, n int, seed uint64) (eps float64, verified, total i
 	}
 	if verified != total {
 		return eps, verified, total, fmt.Errorf(
-			"bench: sharded %d: %d/%d sampled queries diverged from per-partition reference",
-			n, total-verified, total)
+			"%d/%d sampled queries diverged from per-partition reference", total-verified, total)
 	}
 	return eps, verified, total, nil
 }

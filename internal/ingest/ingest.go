@@ -573,7 +573,6 @@ func (p *Pipeline) drain(i int) {
 	if h := p.applyHook; h != nil {
 		h(i, len(edges))
 	}
-	//higgsvet:ignore wallorder drain applies batches already admitted and sequenced by wal.Append; the queue preserves per-shard order after the deliver callback enqueued them
 	p.sum.InsertShardAt(i, edges, seq)
 	q.mu.Lock()
 	q.applied += uint64(len(edges))

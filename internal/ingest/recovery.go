@@ -116,7 +116,6 @@ func (a *Applier) Apply(rec wal.Record) error {
 			if rec.FirstSeq <= a.marks[i] {
 				continue // this shard is already post-expire
 			}
-			//higgsvet:ignore wallorder recovery replays records already durable in the log, in log order; there is no admission to gate
 			a.sum.ExpireShardAt(i, rec.Cutoff, rec.FirstSeq)
 			a.marks[i] = rec.FirstSeq
 		}
@@ -134,7 +133,6 @@ func (a *Applier) Apply(rec wal.Record) error {
 		a.gmax[i] = seq
 	}
 	for i, g := range a.groups {
-		//higgsvet:ignore wallorder recovery replays records already durable in the log, in log order; there is no admission to gate
 		a.sum.InsertShardAt(i, g, a.gmax[i])
 		a.marks[i] = a.gmax[i]
 		a.applied += int64(len(g))

@@ -13,11 +13,11 @@ import (
 
 // Sharded snapshot format: a thin frame around the core snapshot codec.
 // After the magic, version, and shard count, each shard follows as its
-// durability watermark (version ≥ 2; the WAL sequence plumbing of
-// DESIGN.md §12) plus the shard's complete core snapshot as one
-// length-prefixed byte string, so shards decode independently and the
-// frame never needs to understand core's layout. Version-1 snapshots (no
-// watermarks) still load, with every watermark zero.
+// durability watermark (the WAL sequence plumbing of DESIGN.md §12) plus
+// the shard's complete core snapshot as one length-prefixed byte string,
+// so shards decode independently and the frame never needs to understand
+// core's layout. Any other frame version is refused (version 1, without
+// watermarks, never left development).
 const (
 	snapshotMagic   = 0x48494753 // "HIGS" (core snapshots start "HIGG")
 	snapshotVersion = 2
@@ -72,8 +72,8 @@ func Read(r io.Reader) (*Summary, error) {
 	rr := wire.NewReader(br)
 	rr.Expect(snapshotMagic, "sharded snapshot magic")
 	version := rr.U64()
-	if err := rr.Err(); err == nil && (version < 1 || version > snapshotVersion) {
-		return nil, fmt.Errorf("shard: unsupported snapshot version %d (want 1..%d)", version, snapshotVersion)
+	if err := rr.Err(); err == nil && version != snapshotVersion {
+		return nil, fmt.Errorf("shard: unsupported snapshot version %d (want %d)", version, snapshotVersion)
 	}
 	n := rr.Int()
 	if err := rr.Err(); err != nil {
@@ -84,10 +84,7 @@ func Read(r io.Reader) (*Summary, error) {
 	}
 	slots := make([]*slot, n)
 	for i := range slots {
-		var seq uint64
-		if version >= 2 {
-			seq = rr.U64()
-		}
+		seq := rr.U64()
 		blob := rr.Bytes(maxShardSnapshot)
 		if err := rr.Err(); err != nil {
 			return nil, fmt.Errorf("shard: read shard %d frame: %w", i, err)

@@ -2,10 +2,12 @@ package shard
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"higgs/internal/core"
 	"higgs/internal/stream"
+	"higgs/internal/wire"
 )
 
 // testStream synthesizes a deterministic stream for shard tests.
@@ -286,6 +288,34 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		if _, err := Read(bytes.NewReader(blob)); err == nil {
 			t.Errorf("Read(%q) accepted corrupt input", blob)
 		}
+	}
+}
+
+// TestReadRejectsV1Frame hand-writes a well-formed version-1 sharded
+// snapshot (the development-only frame without per-shard watermarks: magic,
+// version, shard count, then one length-prefixed core snapshot per shard)
+// and requires a clean refusal: an error naming the version, no summary.
+func TestReadRejectsV1Frame(t *testing.T) {
+	cs := core.MustNew(core.DefaultConfig())
+	cs.Insert(stream.Edge{S: 5, D: 6, W: 9, T: 50})
+	var blob, frame bytes.Buffer
+	if _, err := cs.WriteTo(&blob); err != nil {
+		t.Fatal(err)
+	}
+	w := wire.NewWriter(&frame)
+	w.U64(snapshotMagic)
+	w.U64(1)
+	w.Int(1)
+	w.Bytes(blob.Bytes())
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Read(&frame)
+	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Fatalf("Read(v1 frame) error = %v, want an unsupported-version refusal", err)
+	}
+	if s != nil {
+		t.Fatal("Read(v1 frame) returned a summary alongside its error")
 	}
 }
 

@@ -33,7 +33,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		LockScope,
 		PoolPut,
-		WALOrder,
 	}
 }
 

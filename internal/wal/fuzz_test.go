@@ -2,15 +2,10 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"higgs/internal/stream"
-	"higgs/internal/wire"
 )
 
 // fuzzSeedV2 builds a real version-2 segment — edge batches interleaved
@@ -42,46 +37,15 @@ func fuzzSeedV2(f *testing.F) []byte {
 	return data
 }
 
-// fuzzSeedV1 hand-writes a version-1 (pre-typed-record) segment, the
-// compatibility format Open must keep reading.
-func fuzzSeedV1(f *testing.F) []byte {
-	f.Helper()
-	var seg bytes.Buffer
-	seg.Write(headerBytes(walVersionV1))
-	seq := uint64(1)
-	for _, b := range [][]stream.Edge{edges(0, 4), edges(4, 2)} {
-		var pay bytes.Buffer
-		w := wire.NewWriter(&pay)
-		w.U64(seq)
-		w.Int(len(b))
-		for _, e := range b {
-			w.U64(e.S)
-			w.U64(e.D)
-			w.I64(e.W)
-			w.I64(e.T)
-		}
-		if err := w.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		var head [frameHeadLen]byte
-		binary.LittleEndian.PutUint32(head[0:4], uint32(pay.Len()))
-		binary.LittleEndian.PutUint32(head[4:8], crc32.ChecksumIEEE(pay.Bytes()))
-		seg.Write(head[:])
-		seg.Write(pay.Bytes())
-		seq += uint64(len(b))
-	}
-	return seg.Bytes()
-}
-
-// fuzzSeeds registers the corpus both fuzz targets start from: intact v1
-// and v2 segments, their truncations (torn tails at every interesting
-// boundary), a bare header, and an empty file.
+// fuzzSeeds registers the corpus both fuzz targets start from: an intact
+// segment and the version-1 segment Open refuses, their truncations (torn
+// tails at every interesting boundary), a bare header, and an empty file.
 func fuzzSeeds(f *testing.F) {
 	v2 := fuzzSeedV2(f)
-	v1 := fuzzSeedV1(f)
+	v1 := v1Segment(f, edges(0, 4), edges(4, 2))
 	f.Add(v2)
 	f.Add(v1)
-	hdr := len(headerBytes(walVersion))
+	hdr := len(headerBytes())
 	for _, cut := range []int{0, hdr - 1, hdr, hdr + 3, hdr + frameHeadLen, len(v2) - 1} {
 		if cut >= 0 && cut < len(v2) {
 			f.Add(v2[:cut])

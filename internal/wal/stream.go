@@ -82,7 +82,7 @@ func (l *Log) ReadFrom(after, upTo uint64, fn func(Record) error) (frontier uint
 		if sg.firstSeq > frontier {
 			break
 		}
-		_, next, _, corrupt, err := scanSegment(sg.path, sg.firstSeq, func(rec Record) error {
+		_, next, corrupt, err := scanSegment(sg.path, sg.firstSeq, func(rec Record) error {
 			if rec.LastSeq() > frontier {
 				return errStopScan
 			}
@@ -145,7 +145,7 @@ type StreamWriter struct {
 // NewStreamWriter writes the stream header and returns a writer for the
 // records that follow it.
 func NewStreamWriter(w io.Writer) (*StreamWriter, error) {
-	if _, err := w.Write(headerBytes(walVersion)); err != nil {
+	if _, err := w.Write(headerBytes()); err != nil {
 		return nil, err
 	}
 	sw := &StreamWriter{w: w}
@@ -220,7 +220,7 @@ func (sr *StreamReader) Next() (Record, error) {
 		return Record{}, err
 	}
 	if !sr.started {
-		hdr := headerBytes(walVersion)
+		hdr := headerBytes()
 		got := make([]byte, len(hdr))
 		if _, err := io.ReadFull(sr.br, got); err != nil {
 			if err == io.EOF {
@@ -255,7 +255,7 @@ func (sr *StreamReader) Next() (Record, error) {
 	if crc32.ChecksumIEEE(sr.payload) != sum {
 		return fail(errors.New("wal: stream: record checksum mismatch"))
 	}
-	rec, err := decodeRecord(walVersion, sr.payload)
+	rec, err := decodeRecord(sr.payload)
 	if err != nil {
 		return fail(fmt.Errorf("wal: stream: %w", err))
 	}

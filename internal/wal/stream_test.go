@@ -260,13 +260,13 @@ func TestStreamReaderRefusesDamage(t *testing.T) {
 
 	cases := map[string][]byte{
 		"empty header": full[:3],
-		"torn frame":   full[:len(headerBytes(walVersion))+4],
+		"torn frame":   full[:len(headerBytes())+4],
 		"torn payload": full[:len(full)-2],
 		"flipped byte": append(append([]byte(nil), full[:len(full)-1]...), full[len(full)-1]^0xff),
 		"bad header":   append([]byte{0xde, 0xad}, full[2:]...),
 		"empty stream": nil,
-		"header only":  headerBytes(walVersion),
-		"zero length":  append(append([]byte(nil), headerBytes(walVersion)...), 0, 0, 0, 0, 0, 0, 0, 0),
+		"header only":  headerBytes(),
+		"zero length":  append(append([]byte(nil), headerBytes()...), 0, 0, 0, 0, 0, 0, 0, 0),
 	}
 	for name, in := range cases {
 		sr := NewStreamReader(bytes.NewReader(in))

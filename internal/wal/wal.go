@@ -12,14 +12,11 @@
 // A log is a directory of segment files named by the sequence number of
 // their first record ("%020d.wal"). Each segment starts with a small header
 // (magic + version) followed by records. A record is a fixed-width length
-// and CRC32 over a varint payload. The frame is versioned per segment:
-// version-2 payloads open with a record type — an edge batch (the batch's
-// first sequence number, the edge count, and the edges themselves) or an
-// expire control record (its own sequence number and the retention
-// cutoff). Version-1 segments, written before expiry was durable, carry
-// untyped edge-batch payloads and still replay; new records are only ever
-// appended to version-2 segments (Open seals a version-1 active segment
-// and starts a fresh one). Records never span segments; when the active
+// and CRC32 over a varint payload. A payload opens with a record type — an
+// edge batch (the batch's first sequence number, the edge count, and the
+// edges themselves) or an expire control record (its own sequence number
+// and the retention cutoff). A segment whose header names any other frame
+// version is refused. Records never span segments; when the active
 // segment exceeds Config.SegmentBytes it is flushed, synced, closed, and a
 // new one begins.
 //
@@ -78,11 +75,10 @@ import (
 const (
 	walMagic = 0x4857414c // "HWAL"
 
-	// walVersionV1 framed untyped edge-batch payloads; walVersion (2) adds
-	// the record-type prefix distinguishing edge batches from expire
-	// control records. Both versions are read; only walVersion is written.
-	walVersionV1 = 1
-	walVersion   = 2
+	// walVersion is the only frame version read or written: payloads open
+	// with the record type distinguishing edge batches from expire control
+	// records. (Version 1, untyped edge batches, never left development.)
+	walVersion = 2
 
 	// frameHeadLen is the fixed-width record frame: 4-byte little-endian
 	// payload length followed by 4-byte CRC32 (IEEE) of the payload.
@@ -100,7 +96,7 @@ const (
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
-// RecordType discriminates the payloads a version-2 segment frames.
+// RecordType discriminates the payloads a segment frames.
 type RecordType uint8
 
 const (
@@ -248,61 +244,34 @@ func Open(cfg Config) (*Log, error) {
 	l.syncCond = sync.NewCond(&l.syncMu)
 	if len(segs) > 0 {
 		l.nextSeq = segs[0].firstSeq
-		lastVersion := uint64(walVersion)
 		for i, sg := range segs {
-			last := i == len(segs)-1
-			tail, next, version, corrupt, err := scanSegment(sg.path, l.nextSeq, nil)
+			tail, next, corrupt, err := scanSegment(sg.path, l.nextSeq, nil)
 			if err != nil {
 				return nil, err
 			}
 			if corrupt != nil {
-				if !last {
+				if i != len(segs)-1 {
 					return nil, fmt.Errorf("wal: segment %s: %w (not the last segment, refusing to repair)", sg.path, corrupt)
 				}
 				if err := repairTail(sg.path, tail); err != nil {
 					return nil, err
 				}
-				if tail < int64(len(headerBytes(walVersion))) {
-					// Rebuilt header-only, in the current frame version.
-					version = walVersion
-				}
 			}
 			l.nextSeq = next
-			if last {
-				lastVersion = version
-			}
 		}
 		l.appended = l.nextSeq - 1
 		l.synced = l.appended // everything scanned is on disk
-		lastSeg := segs[len(segs)-1]
-		if lastVersion != walVersion && l.nextSeq != lastSeg.firstSeq {
-			// A legacy (version-1) active segment with records: seal it as a
-			// read-only part of the chain and append into a fresh version-2
-			// segment, so typed records never land behind an untyped header.
-			if err := l.newSegmentLocked(); err != nil {
-				return nil, err
-			}
-		} else {
-			if lastVersion != walVersion {
-				// An empty legacy segment (header only, no records): rewrite
-				// it in the current frame version instead of creating a
-				// same-named sibling.
-				if err := repairTail(lastSeg.path, 0); err != nil {
-					return nil, err
-				}
-			}
-			// Re-open the last segment for appending.
-			f, err := os.OpenFile(lastSeg.path, os.O_RDWR, 0o644)
-			if err != nil {
-				return nil, fmt.Errorf("wal: %w", err)
-			}
-			size, err := f.Seek(0, io.SeekEnd)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("wal: %w", err)
-			}
-			l.f, l.bw, l.size = f, bufio.NewWriterSize(f, 1<<16), size
+		// Re-open the last segment for appending.
+		f, err := os.OpenFile(segs[len(segs)-1].path, os.O_RDWR, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
 		}
+		size, err := f.Seek(0, io.SeekEnd)
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		l.f, l.bw, l.size = f, bufio.NewWriterSize(f, 1<<16), size
 	} else if err := l.newSegmentLocked(); err != nil {
 		return nil, err
 	}
@@ -338,14 +307,12 @@ func listSegments(dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// headerBytes returns the encoded segment header for the given frame
-// version. Versions 1 and 2 encode to the same length, so header parsing
-// and tail repair never need to guess a header's size.
-func headerBytes(version uint64) []byte {
+// headerBytes returns the encoded segment header.
+func headerBytes() []byte {
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
 	w.U64(walMagic)
-	w.U64(version)
+	w.U64(walVersion)
 	if err := w.Flush(); err != nil {
 		panic(err) // writes to a bytes.Buffer cannot fail
 	}
@@ -360,7 +327,7 @@ func (l *Log) newSegmentLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	hdr := headerBytes(walVersion)
+	hdr := headerBytes()
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		os.Remove(path)
@@ -375,10 +342,9 @@ func (l *Log) newSegmentLocked() error {
 
 // repairTail truncates a torn last segment after its last intact record.
 // A tail shorter than the segment header (an interrupted segment creation)
-// is rebuilt as header-only — in the current frame version, since an empty
-// segment has no legacy records to stay compatible with.
+// is rebuilt as header-only.
 func repairTail(path string, tail int64) error {
-	hdr := headerBytes(walVersion)
+	hdr := headerBytes()
 	if tail >= int64(len(hdr)) {
 		if err := os.Truncate(path, tail); err != nil {
 			return fmt.Errorf("wal: repair %s: %w", path, err)
@@ -741,7 +707,7 @@ func (l *Log) Replay(fn func(Record) error) error {
 	l.mu.Unlock()
 	for _, sg := range segs {
 		expect := sg.firstSeq
-		_, _, _, corrupt, err := scanSegment(sg.path, expect, fn)
+		_, _, corrupt, err := scanSegment(sg.path, expect, fn)
 		if err != nil {
 			return err
 		}
@@ -782,31 +748,26 @@ func (l *Log) Close() error {
 // scanSegment iterates a segment's records, validating framing, CRC, and
 // sequence contiguity (the first record must start at expect). For each
 // intact record it calls fn (when non-nil). It returns the byte offset
-// after the last intact record, the next expected sequence number, the
-// segment's frame version, and — separated from hard I/O errors — the
-// malformation that stopped the scan (nil on a clean EOF). Callers decide
-// whether a malformation is a repairable torn tail (last segment) or fatal
-// corruption.
-func scanSegment(path string, expect uint64, fn func(Record) error) (tail int64, next uint64, version uint64, corrupt, err error) {
+// after the last intact record, the next expected sequence number, and —
+// separated from hard I/O errors — the malformation that stopped the scan
+// (nil on a clean EOF). Callers decide whether a malformation is a
+// repairable torn tail (last segment) or fatal corruption. A complete
+// header that is not this version's is a hard error, never repaired.
+func scanSegment(path string, expect uint64, fn func(Record) error) (tail int64, next uint64, corrupt, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, expect, walVersion, nil, fmt.Errorf("wal: %w", err)
+		return 0, expect, nil, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
-	hdr := headerBytes(walVersion)
+	hdr := headerBytes()
 	got := make([]byte, len(hdr))
 	if _, err := io.ReadFull(br, got); err != nil {
 		// Shorter than a header: an interrupted segment creation.
-		return 0, expect, walVersion, fmt.Errorf("truncated segment header"), nil
+		return 0, expect, fmt.Errorf("truncated segment header"), nil
 	}
-	switch {
-	case bytes.Equal(got, hdr):
-		version = walVersion
-	case bytes.Equal(got, headerBytes(walVersionV1)):
-		version = walVersionV1
-	default:
-		return 0, expect, walVersion, nil, fmt.Errorf("wal: segment %s: bad header", path)
+	if !bytes.Equal(got, hdr) {
+		return 0, expect, nil, fmt.Errorf("wal: segment %s: bad header (not a version-%d segment)", path, walVersion)
 	}
 	tail = int64(len(hdr))
 	next = expect
@@ -815,35 +776,35 @@ func scanSegment(path string, expect uint64, fn func(Record) error) (tail int64,
 	for {
 		if _, err := io.ReadFull(br, head[:]); err != nil {
 			if err == io.EOF {
-				return tail, next, version, nil, nil
+				return tail, next, nil, nil
 			}
-			return tail, next, version, fmt.Errorf("torn record frame"), nil
+			return tail, next, fmt.Errorf("torn record frame"), nil
 		}
 		n := binary.LittleEndian.Uint32(head[0:4])
 		sum := binary.LittleEndian.Uint32(head[4:8])
 		if n == 0 || n > maxRecordBytes {
-			return tail, next, version, fmt.Errorf("record length %d out of range", n), nil
+			return tail, next, fmt.Errorf("record length %d out of range", n), nil
 		}
 		if cap(payload) < int(n) {
 			payload = make([]byte, n)
 		}
 		payload = payload[:n]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return tail, next, version, fmt.Errorf("torn record payload"), nil
+			return tail, next, fmt.Errorf("torn record payload"), nil
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
-			return tail, next, version, fmt.Errorf("record checksum mismatch"), nil
+			return tail, next, fmt.Errorf("record checksum mismatch"), nil
 		}
-		rec, derr := decodeRecord(version, payload)
+		rec, derr := decodeRecord(payload)
 		if derr != nil {
-			return tail, next, version, derr, nil
+			return tail, next, derr, nil
 		}
 		if rec.FirstSeq != next {
-			return tail, next, version, nil, fmt.Errorf("wal: segment %s: record starts at seq %d, want %d", path, rec.FirstSeq, next)
+			return tail, next, nil, fmt.Errorf("wal: segment %s: record starts at seq %d, want %d", path, rec.FirstSeq, next)
 		}
 		if fn != nil {
 			if err := fn(rec); err != nil {
-				return tail, next, version, nil, err
+				return tail, next, nil, err
 			}
 		}
 		next = rec.LastSeq() + 1
@@ -851,8 +812,8 @@ func scanSegment(path string, expect uint64, fn func(Record) error) (tail int64,
 	}
 }
 
-// encodeRecordPayload writes rec's version-2 payload (record-type prefix
-// included) to w. Append, AppendExpire, and the replication StreamWriter
+// encodeRecordPayload writes rec's payload (record-type prefix included)
+// to w. Append, AppendExpire, and the replication StreamWriter
 // all encode through it, so a record shipped to a follower is
 // byte-identical to its on-disk frame payload.
 func encodeRecordPayload(w *wire.Writer, rec Record) {
@@ -872,18 +833,12 @@ func encodeRecordPayload(w *wire.Writer, rec Record) {
 	}
 }
 
-// decodeRecord parses one record payload under the segment's frame
-// version: version-1 payloads are untyped edge batches, version-2 payloads
-// open with their RecordType.
-func decodeRecord(version uint64, payload []byte) (Record, error) {
+// decodeRecord parses one record payload, which opens with its RecordType.
+func decodeRecord(payload []byte) (Record, error) {
 	r := wire.NewReader(bytes.NewReader(payload))
-	typ := RecordEdges
-	if version >= walVersion {
-		t := r.U64()
-		if err := r.Err(); err != nil {
-			return Record{}, fmt.Errorf("record type: %w", err)
-		}
-		typ = RecordType(t)
+	typ := RecordType(r.U64())
+	if err := r.Err(); err != nil {
+		return Record{}, fmt.Errorf("record type: %w", err)
 	}
 	switch typ {
 	case RecordEdges:

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -597,15 +598,21 @@ func TestExpireRecordsRotateAndTruncate(t *testing.T) {
 	}
 }
 
-// writeV1Segment hand-writes a version-1 (pre-typed-record) segment
-// exactly as the previous release laid it out: magic + version-1 header,
-// then length+CRC frames over untyped (firstSeq, count, edges...)
-// payloads. It is the compatibility fixture proving old logs still replay.
-func writeV1Segment(t *testing.T, dir string, firstSeq uint64, batches [][]stream.Edge) {
-	t.Helper()
+// v1Segment hand-writes a version-1 segment exactly as development builds
+// before typed records laid it out: magic + version-1 header, then
+// length+CRC frames over untyped (firstSeq, count, edges...) payloads. No
+// deployment ever wrote one; it is the input Open must refuse (and a fuzz
+// seed, so the refusal stays fuzzed).
+func v1Segment(tb testing.TB, batches ...[]stream.Edge) []byte {
+	tb.Helper()
 	var seg bytes.Buffer
-	seg.Write(headerBytes(walVersionV1))
-	seq := firstSeq
+	w := wire.NewWriter(&seg)
+	w.U64(walMagic)
+	w.U64(1)
+	if err := w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	seq := uint64(1)
 	for _, b := range batches {
 		var pay bytes.Buffer
 		w := wire.NewWriter(&pay)
@@ -618,7 +625,7 @@ func writeV1Segment(t *testing.T, dir string, firstSeq uint64, batches [][]strea
 			w.I64(e.T)
 		}
 		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		var head [frameHeadLen]byte
 		binary.LittleEndian.PutUint32(head[0:4], uint32(pay.Len()))
@@ -627,81 +634,39 @@ func writeV1Segment(t *testing.T, dir string, firstSeq uint64, batches [][]strea
 		seg.Write(pay.Bytes())
 		seq += uint64(len(b))
 	}
-	path := filepath.Join(dir, fmt.Sprintf("%020d%s", firstSeq, segmentSuffix))
-	if err := os.WriteFile(path, seg.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return seg.Bytes()
 }
 
-// TestV1SegmentCompat: a log written before typed records (version-1
-// frames) opens, replays, and keeps accepting appends — which land in a
-// fresh version-2 segment, never behind the untyped header.
-func TestV1SegmentCompat(t *testing.T) {
-	dir := t.TempDir()
-	writeV1Segment(t, dir, 1, [][]stream.Edge{edges(0, 5), edges(5, 3)})
-	l := openT(t, Config{Dir: dir})
-	if got := l.LastSeq(); got != 8 {
-		t.Fatalf("v1 LastSeq = %d, want 8", got)
-	}
-	// The v1 active segment is sealed: appends start a second segment.
-	if n := l.Segments(); n != 2 {
-		t.Fatalf("segments after opening a v1 log = %d, want 2 (sealed v1 + fresh v2)", n)
-	}
-	if last, err := l.Append(edges(8, 2), nil); err != nil || last != 10 {
-		t.Fatalf("append onto v1 log: last = %d, err = %v; want 10", last, err)
-	}
-	if seq, err := l.AppendExpire(77, nil); err != nil || seq != 11 {
-		t.Fatalf("expire onto v1 log: seq = %d, err = %v; want 11", seq, err)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	recs := replayAll(t, l)
-	if len(recs) != 4 {
-		t.Fatalf("replayed %d records, want 4", len(recs))
-	}
-	for i, want := range []struct {
-		typ   RecordType
-		first uint64
-		n     int
-	}{{RecordEdges, 1, 5}, {RecordEdges, 6, 3}, {RecordEdges, 9, 2}, {RecordExpire, 11, 0}} {
-		if recs[i].Type != want.typ || recs[i].FirstSeq != want.first || len(recs[i].Edges) != want.n {
-			t.Fatalf("record %d = %+v, want type=%v first=%d edges=%d", i, recs[i], want.typ, want.first, want.n)
-		}
-	}
-	if recs[3].Cutoff != 77 {
-		t.Fatalf("expire cutoff = %d, want 77", recs[3].Cutoff)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A second reopen reads the mixed-version chain end to end.
-	l2 := openT(t, Config{Dir: dir})
-	defer l2.Close()
-	if got := l2.LastSeq(); got != 11 {
-		t.Fatalf("mixed-version reopen LastSeq = %d, want 11", got)
-	}
-	if got := collect(t, l2, 1); len(got) != 10 {
-		t.Fatalf("mixed-version replay = %d edges, want 10", len(got))
-	}
-}
-
-// TestV1EmptySegmentRewritten: a header-only v1 segment (a log that never
-// saw an append) is rewritten in place as version 2 rather than growing a
-// same-named sibling.
-func TestV1EmptySegmentRewritten(t *testing.T) {
-	dir := t.TempDir()
-	writeV1Segment(t, dir, 1, nil)
-	l := openT(t, Config{Dir: dir})
-	defer l.Close()
-	if n := l.Segments(); n != 1 {
-		t.Fatalf("segments = %d, want 1 (rewritten in place)", n)
-	}
-	if seq, err := l.AppendExpire(5, nil); err != nil || seq != 1 {
-		t.Fatalf("expire on rewritten segment: seq = %d, err = %v", seq, err)
-	}
-	if recs := replayAll(t, l); len(recs) != 1 || recs[0].Type != RecordExpire {
-		t.Fatalf("replay = %+v, want one expire", recs)
+// TestV1SegmentRejected: a version-1 segment — with records or header
+// only — makes Open fail
+// cleanly: an error naming the header, no log, and the file left exactly
+// as it was (nothing repaired, rewritten or sealed).
+func TestV1SegmentRejected(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"records":     v1Segment(t, edges(0, 5), edges(5, 3)),
+		"header only": v1Segment(t),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, fmt.Sprintf("%020d%s", 1, segmentSuffix))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(Config{Dir: dir})
+			if err == nil {
+				l.Close()
+				t.Fatal("Open accepted a version-1 segment")
+			}
+			if !strings.Contains(err.Error(), "bad header") {
+				t.Fatalf("Open error = %v, want a bad-header refusal", err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("refused segment was modified (err %v)", err)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+				t.Fatalf("refusal left %d files in the directory, want the 1 it found", len(entries))
+			}
+		})
 	}
 }
 
