@@ -141,6 +141,13 @@ func TestExpireRecyclesArena(t *testing.T) {
 	if slabs == 0 || bytes == 0 {
 		t.Fatalf("pool empty after Expire (slabs=%d bytes=%d); dropped slabs must be recycled", slabs, bytes)
 	}
+	// Parked slabs are still the summary's memory: HeapBytes counts them.
+	held, pool := s.Stats().HeapBytes, s.pool
+	s.pool = nil
+	if live := s.Stats().HeapBytes; held != live+bytes {
+		t.Fatalf("HeapBytes %d with the pool, %d without: want a difference of the %d pooled bytes", held, live, bytes)
+	}
+	s.pool = pool
 	// Growth after expiry must consume pooled slabs, not allocate fresh ones.
 	for _, e := range st[half:] {
 		s.Insert(e)

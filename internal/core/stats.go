@@ -3,7 +3,8 @@ package core
 // Stats reports structural statistics of a HIGGS summary. Space figures
 // follow the repository-wide convention (DESIGN.md §7): SpaceBytes is the
 // packed structural size the paper's space comparisons count, HeapBytes the
-// approximate Go-resident size.
+// Go-resident size: the column backing every matrix holds, plus the slabs
+// Expire parked in the pool for the insert path to reuse.
 type Stats struct {
 	Items          int64 // accepted stream items
 	Clamped        int64 // out-of-order items clamped to the newest time
@@ -68,6 +69,8 @@ func (s *Summary) Stats() Stats {
 		}
 	}
 	walk(s.root)
+	_, pooled := s.pool.Stats()
+	st.HeapBytes += pooled
 	if st.Leaves > 0 {
 		st.AvgLeafUtil = utilSum / float64(st.Leaves)
 	}
@@ -77,7 +80,7 @@ func (s *Summary) Stats() Stats {
 // SpaceBytes returns the packed structural size of the summary.
 func (s *Summary) SpaceBytes() int64 { return s.Stats().SpaceBytes }
 
-// HeapBytes returns the approximate Go-resident size of the summary.
+// HeapBytes returns the Go-resident size of the summary.
 func (s *Summary) HeapBytes() int64 { return s.Stats().HeapBytes }
 
 // Items returns the number of accepted stream items.

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"math"
 
 	"higgs/internal/wire"
 )
@@ -21,17 +22,20 @@ func (m *Matrix) Encode(w *wire.Writer) {
 	w.I64(m.startT)
 	w.I64(m.added)
 	w.Int(m.count)
-	for i := range m.slots {
-		e := &m.slots[i]
-		if !e.used {
-			continue
+	for bkt, fill := range m.fills {
+		base := bkt * m.cfg.B
+		for k := base; k < base+int(fill); k++ {
+			w.Int(k)
+			w.U32(uint32(m.keys[k]))
+			w.U32(uint32(m.keys[k] >> 32))
+			if m.offs != nil {
+				w.U32(m.offs[k])
+			} else {
+				w.U32(0)
+			}
+			w.I64(m.ws[k])
+			w.U64(uint64(m.idxs[k]))
 		}
-		w.Int(i)
-		w.U32(e.fpS)
-		w.U32(e.fpD)
-		w.U32(e.off)
-		w.I64(e.w)
-		w.U64(uint64(e.idx))
 	}
 	w.Int(len(m.spill))
 	for i := range m.spill {
@@ -73,46 +77,42 @@ func Decode(r *wire.Reader) (*Matrix, error) {
 	if err != nil {
 		return nil, fmt.Errorf("matrix: decode: %w", err)
 	}
-	if count < 0 || count > len(m.slots) {
-		return nil, fmt.Errorf("matrix: decode: count %d exceeds capacity %d", count, len(m.slots))
+	if count < 0 || count > len(m.keys) {
+		return nil, fmt.Errorf("matrix: decode: count %d exceeds capacity %d", count, len(m.keys))
 	}
 	m.added = added
+	// Matrices written by Encode list their entries in slot order and fill
+	// every bucket front to back, so each entry must land on the next free
+	// slot of its bucket, past the previous entry. Anything else — a
+	// repeated slot, a gap, a reordering — is a corrupted or hand-crafted
+	// snapshot, and fills, which the kernels trust, is built from nothing
+	// but entries that passed.
+	prev := -1
 	for i := 0; i < count; i++ {
-		idx := r.Int()
+		k := r.Int()
+		fpS, fpD, off := r.U32(), r.U32(), r.U32()
+		w, idx := r.I64(), r.U64()
 		if r.Err() != nil {
 			break
 		}
-		if idx >= len(m.slots) {
-			return nil, fmt.Errorf("matrix: decode: slot index %d out of range %d", idx, len(m.slots))
+		if k >= len(m.keys) {
+			return nil, fmt.Errorf("matrix: decode: slot index %d out of range %d", k, len(m.keys))
 		}
-		e := &m.slots[idx]
-		if e.used {
-			return nil, fmt.Errorf("matrix: decode: duplicate slot %d", idx)
+		bkt := k / cfg.B
+		if k <= prev || k != bkt*cfg.B+int(m.fills[bkt]) {
+			return nil, fmt.Errorf("matrix: decode: slot %d is repeated, out of order, or leaves a gap in bucket %d", k, bkt)
 		}
-		e.fpS = r.U32()
-		e.fpD = r.U32()
-		e.off = r.U32()
-		e.w = r.I64()
-		e.idx = uint8(r.U64())
-		e.used = true
+		if idx > math.MaxUint8 || (off != 0 && !cfg.Timed) {
+			return nil, fmt.Errorf("matrix: decode: slot %d carries index pair %#x, offset %d", k, idx, off)
+		}
+		prev = k
+		m.keys[k], m.ws[k], m.idxs[k] = packKey(fpS, fpD), w, uint8(idx)
+		if cfg.Timed {
+			m.offs[k] = off
+		}
+		m.fills[bkt]++
 	}
 	m.count = count
-	// Rebuild the per-bucket occupancy prefix. Matrices written by Encode
-	// always fill buckets front to back; a gap means a corrupted or
-	// hand-crafted snapshot, which probe fast paths must not trust.
-	for bkt := range m.fills {
-		base := bkt * m.cfg.B
-		fill := 0
-		for k := 0; k < m.cfg.B; k++ {
-			if m.slots[base+k].used {
-				if k != fill {
-					return nil, fmt.Errorf("matrix: decode: bucket %d occupancy is not a prefix", bkt)
-				}
-				fill++
-			}
-		}
-		m.fills[bkt] = uint8(fill)
-	}
 	nspill := r.Int()
 	if r.Err() == nil && nspill > 1<<28 {
 		return nil, fmt.Errorf("matrix: decode: implausible spill count %d", nspill)

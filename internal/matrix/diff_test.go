@@ -1,0 +1,207 @@
+package matrix
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// refKey identifies one stored entry the way the paper does: fingerprint and
+// base address of both endpoints, plus the arrival offset (0 when untimed).
+type refKey struct{ fpS, baseS, fpD, baseD, off uint32 }
+
+// refMatrix is the naive model the kernels are checked against: a map from
+// entry identity to weight, plus the step each entry first appeared at.
+// Where an entry lives — which candidate bucket, which slot, the spill list —
+// is the matrix's business; every sum is defined over identities alone.
+type refMatrix struct {
+	w    map[refKey]int64
+	born map[refKey]int
+	step int
+}
+
+func newRef() *refMatrix {
+	return &refMatrix{w: map[refKey]int64{}, born: map[refKey]int{}}
+}
+
+func (r *refMatrix) add(k refKey, w int64) {
+	if _, ok := r.w[k]; !ok {
+		r.born[k] = r.step
+	}
+	r.step++
+	r.w[k] += w
+}
+
+func (r *refMatrix) sum(lo, hi int64, match func(refKey) bool) int64 {
+	var s int64
+	for k, w := range r.w {
+		if match(k) && int64(k.off) >= lo && int64(k.off) <= hi {
+			s += w
+		}
+	}
+	return s
+}
+
+// check compares every observable of m against the model: the counts,
+// ForEach (content and order), and the three sums over the whole range and
+// over each window, for every stored identity and a few absent ones.
+func (r *refMatrix) check(t *testing.T, m *Matrix, rng *rand.Rand, windows [][2]int64) {
+	t.Helper()
+	zeroBeyondFill(t, m)
+	if got := m.Count() + m.SpillCount(); got != len(r.w) {
+		t.Fatalf("Count %d + SpillCount %d != %d distinct entries", m.Count(), m.SpillCount(), len(r.w))
+	}
+	// ForEach: every identity once with its weight; slots in slot order,
+	// a bucket's slots and the spill list in arrival order.
+	var seen []refKey
+	m.ForEach(func(fpS, baseS, fpD, baseD, off uint32, w int64) {
+		k := refKey{fpS, baseS, fpD, baseD, off}
+		if want, ok := r.w[k]; !ok || want != w {
+			t.Fatalf("ForEach: %+v weight %d, model has %d (present %v)", k, w, want, ok)
+		}
+		seen = append(seen, k)
+	})
+	if len(seen) != len(r.w) {
+		t.Fatalf("ForEach visited %d entries, model has %d", len(seen), len(r.w))
+	}
+	n := 0
+	for bkt, f := range m.fills {
+		for k := bkt * m.cfg.B; k < bkt*m.cfg.B+int(f); k, n = k+1, n+1 {
+			if got := packKey(seen[n].fpS, seen[n].fpD); got != m.keys[k] {
+				t.Fatalf("ForEach entry %d is not slot %d", n, k)
+			}
+			if k > bkt*m.cfg.B && r.born[seen[n-1]] > r.born[seen[n]] {
+				t.Fatalf("bucket %d: slot %d arrived before its predecessor", bkt, k)
+			}
+		}
+	}
+	for ; n+1 < len(seen); n++ {
+		if r.born[seen[n]] > r.born[seen[n+1]] {
+			t.Fatalf("spill entry %d arrived before its predecessor", n+1-m.Count())
+		}
+	}
+	probes := append([]refKey(nil), seen...)
+	mask := m.cfg.D - 1
+	for i := 0; i < 4; i++ {
+		probes = append(probes, refKey{fpS: uint32(rng.Intn(1 << m.cfg.FBits)), baseS: rng.Uint32() & mask,
+			fpD: uint32(rng.Intn(1 << m.cfg.FBits)), baseD: rng.Uint32() & mask})
+	}
+	for _, win := range windows {
+		lo, hi := win[0], win[1]
+		for _, p := range probes {
+			if got, want := m.EdgeSum(p.fpS, p.baseS, p.fpD, p.baseD, lo, hi), r.sum(lo, hi, func(k refKey) bool {
+				return k.fpS == p.fpS && k.baseS == p.baseS && k.fpD == p.fpD && k.baseD == p.baseD
+			}); got != want {
+				t.Fatalf("EdgeSum(%+v, [%d,%d]) = %d, want %d", p, lo, hi, got, want)
+			}
+			if got, want := m.RowSum(p.fpS, p.baseS, lo, hi), r.sum(lo, hi, func(k refKey) bool {
+				return k.fpS == p.fpS && k.baseS == p.baseS
+			}); got != want {
+				t.Fatalf("RowSum(%d@%d, [%d,%d]) = %d, want %d", p.fpS, p.baseS, lo, hi, got, want)
+			}
+			if got, want := m.ColSum(p.fpD, p.baseD, lo, hi), r.sum(lo, hi, func(k refKey) bool {
+				return k.fpD == p.fpD && k.baseD == p.baseD
+			}); got != want {
+				t.Fatalf("ColSum(%d@%d, [%d,%d]) = %d, want %d", p.fpD, p.baseD, lo, hi, got, want)
+			}
+		}
+	}
+}
+
+// absorb folds child into the model the way Absorb must fold the matrices:
+// every child identity promoted by rbits, offsets dropped, in ForEach order.
+func (r *refMatrix) absorb(child *Matrix, rbits uint) {
+	child.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, w int64) {
+		pfpS, pbaseS := Promote(fpS, baseS, child.cfg.FBits, rbits)
+		pfpD, pbaseD := Promote(fpD, baseD, child.cfg.FBits, rbits)
+		r.add(refKey{fpS: pfpS, baseS: pbaseS, fpD: pfpD, baseD: pbaseD}, w)
+	})
+}
+
+// TestKernelsAgainstReference drives a seeded random Add / Sub / Absorb
+// sequence through a timed leaf, its untimed parent and the grandparent —
+// small enough that buckets fill, Add is refused, and aggregates spill —
+// and compares every kernel with the model after every step.
+func TestKernelsAgainstReference(t *testing.T) {
+	whole := [2]int64{math.MinInt64, math.MaxInt64}
+	leafWindows := [][2]int64{whole, {0, math.MaxUint32}, {2, 5}, {-3, 0}, {7, 7}, {9, 1 << 40}}
+	aggWindows := [][2]int64{whole, {-3, 4}} // an aggregate's entries all sit at offset 0
+	for _, maps := range []int{1, 4} {
+		for _, b := range []int{1, 3} {
+			t.Run(fmt.Sprintf("maps=%d/b=%d", maps, b), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(16*maps + b)))
+				leafCfg := Config{D: 4, B: b, Maps: maps, FBits: 6, Timed: true}
+				newLeaf := func() (*Matrix, *refMatrix) { return mustNew(t, leafCfg, 0), newRef() }
+				newAgg := func(d uint32, fbits uint) (*Matrix, *refMatrix) {
+					return mustNew(t, Config{D: d, B: b, Maps: maps, FBits: fbits}, 0), newRef()
+				}
+				leaf, leafRef := newLeaf()
+				parent, parentRef := newAgg(8, 5)
+				grand, grandRef := newAgg(16, 4)
+				// A narrow identity space: repeats merge, fingerprint 0
+				// and base 0 both occur, buckets fill.
+				edge := func() refKey {
+					return refKey{fpS: uint32(rng.Intn(6)), baseS: uint32(rng.Intn(4)),
+						fpD: uint32(rng.Intn(6)), baseD: uint32(rng.Intn(4)), off: uint32(rng.Intn(10))}
+				}
+				sealed, refused, spilled := 0, 0, 0
+				for step := 0; step < 1500; step++ {
+					k := edge()
+					w := int64(1 + rng.Intn(5))
+					switch op := rng.Intn(100); {
+					case op < 75:
+						before := leaf.Count()
+						if leaf.Add(k.fpS, k.baseS, k.fpD, k.baseD, k.off, w) {
+							leafRef.add(k, w)
+							break
+						}
+						refused++
+						if _, present := leafRef.w[k]; present || leaf.Count() != before {
+							t.Fatalf("step %d: Add refused %+v (stored before: %v), count %d → %d", step, k, present, before, leaf.Count())
+						}
+						// Refused means full: seal the leaf into its parent.
+						fallthrough
+					case op == 99:
+						if err := parent.Absorb(leaf); err != nil {
+							t.Fatal(err)
+						}
+						parentRef.absorb(leaf, 1)
+						parentRef.check(t, parent, rng, aggWindows)
+						spilled += parent.SpillCount()
+						leaf, leafRef = newLeaf()
+						if sealed++; sealed%4 == 0 {
+							if err := grand.Absorb(parent); err != nil {
+								t.Fatal(err)
+							}
+							grandRef.absorb(parent, 1)
+							grandRef.check(t, grand, rng, aggWindows)
+							parent, parentRef = newAgg(8, 5)
+						}
+					default:
+						_, present := leafRef.w[k]
+						if got := leaf.Sub(k.fpS, k.baseS, k.fpD, k.baseD, k.off, w); got != present {
+							t.Fatalf("step %d: Sub(%+v) = %v, stored %v", step, k, got, present)
+						}
+						if present {
+							leafRef.w[k] -= w
+						}
+					}
+					leafRef.check(t, leaf, rng, leafWindows)
+				}
+				// Sub must reach aggregate slots and spill entries too.
+				grand.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, w int64) {
+					if !grand.Sub(fpS, baseS, fpD, baseD, 0, w) {
+						t.Fatalf("Sub missed stored aggregate entry %d@%d→%d@%d", fpS, baseS, fpD, baseD)
+					}
+					grandRef.w[refKey{fpS: fpS, baseS: baseS, fpD: fpD, baseD: baseD}] -= w
+				})
+				grandRef.check(t, grand, rng, aggWindows)
+				t.Logf("%d seals, %d refused Adds, %d spilled", sealed, refused, spilled)
+				if sealed < 8 || refused == 0 || (b == 1 && spilled == 0) {
+					t.Fatalf("sequence too tame: %d seals, %d refused Adds, %d spilled", sealed, refused, spilled)
+				}
+			})
+		}
+	}
+}

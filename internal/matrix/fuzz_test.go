@@ -1,0 +1,171 @@
+package matrix
+
+import (
+	"bufio"
+	"bytes"
+	"testing"
+
+	"higgs/internal/wire"
+)
+
+func encodeBytes(t testing.TB, m *Matrix) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	m.Encode(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// fuzzSeeds returns encoded matrices covering both layouts: a timed leaf
+// with full buckets, and an untimed aggregate that spilled.
+func fuzzSeeds(t testing.TB) [][]byte {
+	leaf := mustNew(t, Config{D: 4, B: 2, Maps: 2, FBits: 8, Timed: true}, 100)
+	for k := uint32(0); k < 40; k++ {
+		leaf.Add(k, k%4, k+7, (k+1)%4, k%9, int64(k)-3)
+	}
+	agg := mustNew(t, Config{D: 8, B: 1, Maps: 1, FBits: 7}, 0)
+	for i := 0; i < 3; i++ {
+		if err := agg.Absorb(leaf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if agg.SpillCount() == 0 {
+		t.Fatal("seed aggregate did not spill")
+	}
+	empty := mustNew(t, Config{D: 2, B: 3, Maps: 1, FBits: 1}, -5)
+	return [][]byte{encodeBytes(t, leaf), encodeBytes(t, agg), encodeBytes(t, empty)}
+}
+
+// TestDecodeRejects: an entry that is out of range, repeated, out of order
+// or not the next free slot of its bucket is refused as it arrives, as are
+// the fields Encode never writes — and so is a geometry whose slab would
+// not fit, before anything is allocated for it.
+func TestDecodeRejects(t *testing.T) {
+	header := func(w *wire.Writer, cfg Config, count int) {
+		w.U64(matrixTag)
+		w.U32(cfg.D)
+		w.Int(cfg.B)
+		w.Int(cfg.Maps)
+		w.U64(uint64(cfg.FBits))
+		w.Bool(cfg.Timed)
+		w.I64(0) // startT
+		w.I64(0) // added
+		w.Int(count)
+	}
+	type entry struct {
+		k        int
+		off, idx uint64
+	}
+	timed := Config{D: 2, B: 2, Maps: 1, FBits: 8, Timed: true}
+	untimed := Config{D: 2, B: 2, Maps: 1, FBits: 8}
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		entries []entry
+		ok      bool
+	}{
+		{"prefixes in slot order", timed, []entry{{0, 5, 0}, {1, 6, 0}, {4, 7, 0}}, true},
+		{"out of range", timed, []entry{{8, 0, 0}}, false},
+		{"repeated", timed, []entry{{0, 0, 0}, {0, 0, 0}}, false},
+		{"gap", timed, []entry{{1, 0, 0}}, false},
+		{"out of order", timed, []entry{{2, 0, 0}, {0, 0, 0}}, false},
+		{"index pair wider than a byte", timed, []entry{{0, 0, 256}}, false},
+		{"offset on an untimed entry", untimed, []entry{{0, 1, 0}}, false},
+		{"untimed", untimed, []entry{{0, 0, 0}, {2, 0, 0}, {3, 0, 0}}, true},
+		{"implausible geometry", Config{D: 1 << 15, B: 1, Maps: 1, FBits: 8}, nil, false},
+		{"bucket wider than a fill byte", Config{D: 2, B: 256, Maps: 1, FBits: 8}, nil, false},
+	} {
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		header(w, c.cfg, len(c.entries))
+		for _, e := range c.entries {
+			w.Int(e.k)
+			w.U32(1) // fpS
+			w.U32(2) // fpD
+			w.U64(e.off)
+			w.I64(3)
+			w.U64(e.idx)
+		}
+		w.Int(0) // spill
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := Decode(wire.NewReader(&buf))
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
+		}
+		if err == nil {
+			zeroBeyondFill(t, m)
+		}
+	}
+}
+
+// FuzzMatrixDecode feeds arbitrary bytes to Decode. It must reject them or
+// return a matrix whose fills add up to Count, whose columns are zero
+// beyond every bucket's fill (what the whole-bucket probes rely on), and
+// whose own encoding is a fixed point — byte-identical to the input
+// wherever the input spent no more bytes than that encoding does.
+func FuzzMatrixDecode(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		flipped := bytes.Clone(seed)
+		flipped[len(flipped)/3] ^= 0x41
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The geometry guard admits slabs of gigabytes; keep the fuzzer's
+		// own memory bounded by not following it there (TestDecodeRejects
+		// pins the guard itself).
+		hdr := wire.NewReader(bytes.NewReader(data))
+		hdr.U64()
+		if d, b := uint64(hdr.U32()), uint64(hdr.Int()); d*d*b > 1<<16 {
+			return
+		}
+		src := bytes.NewReader(data)
+		br := bufio.NewReader(src) // wire.NewReader adopts it, so what Decode consumed can be counted
+		m, err := Decode(wire.NewReader(br))
+		if err != nil {
+			return
+		}
+		zeroBeyondFill(t, m)
+		consumed := len(data) - src.Len() - br.Buffered()
+		enc := encodeBytes(t, m)
+		// Varints have one shortest form and Decode drops nothing, so the
+		// encoding is never longer than what was read, and equally long
+		// only when it is the same bytes.
+		if len(enc) > consumed || (len(enc) == consumed && !bytes.Equal(enc, data[:consumed])) {
+			t.Fatalf("decoded %d bytes, re-encoded to %d different ones", consumed, len(enc))
+		}
+		m2, err := Decode(wire.NewReader(bytes.NewReader(enc)))
+		if err != nil {
+			t.Fatalf("own encoding rejected: %v", err)
+		}
+		if enc2 := encodeBytes(t, m2); !bytes.Equal(enc, enc2) {
+			t.Fatal("encoding is not a fixed point")
+		}
+		m.EdgeSum(0, 0, 0, 0, 0, 1)
+		m.RowSum(0, 0, -1, 1<<40)
+		m.ColSum(0, 0, 3, 3)
+		m.ForEach(func(_, _, _, _, _ uint32, _ int64) {})
+	})
+}
+
+// TestCodecRoundTrip: the seeds — both layouts, full buckets, spill — decode
+// and re-encode to the same bytes.
+func TestCodecRoundTrip(t *testing.T) {
+	for i, seed := range fuzzSeeds(t) {
+		m, err := Decode(wire.NewReader(bytes.NewReader(seed)))
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		zeroBeyondFill(t, m)
+		if !bytes.Equal(encodeBytes(t, m), seed) {
+			t.Fatalf("seed %d does not re-encode to itself", i)
+		}
+	}
+}

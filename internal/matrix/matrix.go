@@ -30,7 +30,7 @@ import (
 // Config sizes a compressed matrix.
 type Config struct {
 	D     uint32 // dimension (d×d buckets); power of two
-	B     int    // entries per bucket (paper b)
+	B     int    // entries per bucket (paper b); 1..255
 	Maps  int    // mapping positions per vertex (paper r); 1..16, ≤ D
 	FBits uint   // fingerprint bits stored at this level (paper F_l); 1..32
 	Timed bool   // leaf matrix: entries carry a time offset
@@ -41,8 +41,8 @@ func (c Config) Validate() error {
 	switch {
 	case !hashing.IsPow2(c.D):
 		return fmt.Errorf("matrix: D = %d is not a power of two", c.D)
-	case c.B < 1:
-		return fmt.Errorf("matrix: B = %d, need ≥ 1", c.B)
+	case c.B < 1 || c.B > math.MaxUint8: // a bucket's fill is one byte
+		return fmt.Errorf("matrix: B = %d, need 1..255", c.B)
 	case c.Maps < 1 || c.Maps > 16:
 		return fmt.Errorf("matrix: Maps = %d, need 1..16", c.Maps)
 	case uint32(c.Maps) > c.D:
@@ -54,16 +54,41 @@ func (c Config) Validate() error {
 	}
 }
 
-// slot is one stored entry. Fingerprints and the index pair identify the
-// edge; off is the arrival offset from the matrix start time (timed
-// matrices only).
-type slot struct {
-	fpS, fpD uint32
-	off      uint32
-	w        int64
-	idx      uint8 // (i << 4) | j: mapping-position pair
-	used     bool
+// slab is the backing of one matrix, one column per entry field; slot
+// (row*D + col)*B + k of every column belongs to the same entry. The
+// fingerprint pair and the index pair identify the edge; offs holds the
+// arrival offset from the matrix start time and exists only for timed
+// matrices. fills is the occupied prefix length per bucket (len D*D) and is
+// the only record of occupancy: every column is zero at and beyond a
+// bucket's fill, so a free slot reads as key 0 with weight 0.
+type slab struct {
+	keys  []uint64 // fpS | fpD<<32
+	ws    []int64
+	idxs  []uint8  // (i << 4) | j: mapping-position pair
+	offs  []uint32 // nil when untimed
+	fills []uint8
 }
+
+func newSlab(n, b int, timed bool) slab {
+	s := slab{
+		keys:  make([]uint64, n),
+		ws:    make([]int64, n),
+		idxs:  make([]uint8, n),
+		fills: make([]uint8, n/b),
+	}
+	if timed {
+		s.offs = make([]uint32, n)
+	}
+	return s
+}
+
+// heapBytes is the size of the backing arrays the slab holds.
+func (s *slab) heapBytes() int64 {
+	return int64(cap(s.keys))*8 + int64(cap(s.ws))*8 + int64(cap(s.idxs)) +
+		int64(cap(s.offs))*4 + int64(cap(s.fills))
+}
+
+func packKey(fpS, fpD uint32) uint64 { return uint64(fpS) | uint64(fpD)<<32 }
 
 // spillEntry preserves an edge that could not be placed during aggregation.
 // It stores base addresses directly so it can be promoted further.
@@ -78,14 +103,13 @@ type spillEntry struct {
 //
 // Within every bucket the occupied slots form a prefix: entries are only
 // ever appended at the first free slot and deletion (Sub) decrements
-// weights without vacating slots. fills caches the prefix length per
-// bucket, so probes touch occupied slots only instead of sweeping the full
-// d×d×b grid.
+// weights without vacating slots. Writers (Add, Sub) and the iterators stay
+// inside the prefix fills records; probes may instead sweep whole buckets,
+// because a free slot is all zeros and adds nothing to any sum.
 type Matrix struct {
-	cfg    Config
-	lcg    hashing.LCG
-	slots  []slot  // (row*D + col)*B + k
-	fills  []uint8 // occupied prefix length per bucket, len D*D
+	cfg Config
+	lcg hashing.LCG
+	slab
 	spill  []spillEntry
 	count  int   // used slots
 	startT int64 // reference time for offsets (timed matrices)
@@ -98,36 +122,28 @@ func New(cfg Config, startT int64) (*Matrix, error) {
 	return NewIn(nil, cfg, startT)
 }
 
-// NewIn is New drawing the slot and fill backing from p when non-nil.
-// Slabs obtained from a pool are already zeroed (Pool.Put clears them), so
+// NewIn is New drawing the column backing from p when non-nil. Slabs
+// obtained from a pool are already zeroed (Pool.put clears them), so
 // steady-state reuse performs no allocation and no memclr on this path.
 func NewIn(p *Pool, cfg Config, startT int64) (*Matrix, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := int(cfg.D) * int(cfg.D) * cfg.B
-	m := &Matrix{
+	return &Matrix{
 		cfg:    cfg,
 		lcg:    hashing.MustLCG(cfg.D),
+		slab:   p.get(n, cfg.B, cfg.Timed),
 		startT: startT,
-	}
-	if p != nil {
-		m.slots, m.fills = p.get(n, cfg.B)
-	} else {
-		m.slots = make([]slot, n)
-		m.fills = make([]uint8, n/cfg.B)
-	}
-	return m, nil
+	}, nil
 }
 
 // Release returns the matrix's slab backing to p for reuse and neutralizes
 // the matrix. The caller must guarantee no further access; p may be nil, in
 // which case the backing is simply dropped for the GC.
 func (m *Matrix) Release(p *Pool) {
-	if p != nil && m.slots != nil {
-		p.put(m.slots, m.fills)
-	}
-	m.slots, m.fills, m.spill = nil, nil, nil
+	p.put(m.slab)
+	m.slab, m.spill = slab{}, nil
 	m.count = 0
 }
 
@@ -144,57 +160,35 @@ func (m *Matrix) Count() int { return m.count }
 func (m *Matrix) SpillCount() int { return len(m.spill) }
 
 // Capacity returns the total number of slots.
-func (m *Matrix) Capacity() int { return len(m.slots) }
+func (m *Matrix) Capacity() int { return len(m.keys) }
 
 // Utilization returns occupied slots over capacity (paper §V-A, E(α)).
 func (m *Matrix) Utilization() float64 {
-	if len(m.slots) == 0 {
+	if len(m.keys) == 0 {
 		return 0
 	}
-	return float64(m.count) / float64(len(m.slots))
+	return float64(m.count) / float64(len(m.keys))
 }
 
 // Added returns the number of items this matrix accepted, counting merges.
 func (m *Matrix) Added() int64 { return m.added }
 
-func (m *Matrix) bucket(row, col uint32) []slot {
-	base := (int(row)*int(m.cfg.D) + int(col)) * m.cfg.B
-	return m.slots[base : base+m.cfg.B]
-}
-
-// occupied returns only the occupied prefix of a bucket (every returned
-// slot has used == true).
-func (m *Matrix) occupied(row, col uint32) []slot {
-	bkt := int(row)*int(m.cfg.D) + int(col)
-	base := bkt * m.cfg.B
-	return m.slots[base : base+int(m.fills[bkt])]
-}
-
 func packIdx(i, j int) uint8 { return uint8(i<<4 | j) }
 
-// Add inserts weight w for the edge identified by the fingerprint pair and
-// base address pair, arriving at offset off (ignored when untimed). It
-// aggregates into an existing matching entry when possible, otherwise takes
-// the first free slot along the r×r candidate sequence. It reports false
-// when every candidate bucket is full — the signal that HIGGS must open a
-// new leaf (or overflow block).
-func (m *Matrix) Add(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
-	// Hot path: probe only the occupied prefix of each candidate bucket
-	// (fills) and track where the first free slot would be. This visits the
-	// same buckets in the same order as a full sweep and lands inserts in
-	// the identical slot, but skips the unoccupied tail — on large, sparse
-	// aggregate matrices that is almost the entire grid.
-	var (
-		freeBkt  = -1
-		freeFill int
-		freeIdx  uint8
-	)
+// find walks the edge's r×r candidate buckets for its entry (at offset off,
+// for timed matrices). It returns the entry's slot and found = true, or else
+// the first free slot along the walk together with the index pair an entry
+// placed there must carry, slot = -1 when every candidate bucket is full.
+func (m *Matrix) find(fpS, baseS, fpD, baseD, off uint32) (slot int, idx uint8, found bool) {
+	// Probe only the occupied prefix of each candidate bucket: a writer
+	// must never mistake a free slot (key 0, index pair 0) for fingerprint
+	// pair (0, 0) at position (0, 0).
+	slot = -1
+	key := packKey(fpS, fpD)
 	d := int(m.cfg.D)
 	dMask := m.cfg.D - 1
 	bsz := m.cfg.B
-	timed := m.cfg.Timed
-	slots := m.slots
-	fills := m.fills
+	keys, fills := m.keys, m.fills
 	rowS := baseS & dMask
 	for i := 0; i < m.cfg.Maps; i++ {
 		colD := baseD & dMask
@@ -203,30 +197,43 @@ func (m *Matrix) Add(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
 			bkt := rowBase + int(colD)
 			fill := int(fills[bkt])
 			base := bkt * bsz
-			idx := packIdx(i, j)
-			b := slots[base : base+fill : base+fill]
-			for k := range b {
-				e := &b[k]
-				if e.fpS == fpS && e.fpD == fpD && e.idx == idx &&
-					(!timed || e.off == off) {
-					e.w += w
-					m.added++
-					return true
+			ij := packIdx(i, j)
+			for k, kk := range keys[base : base+fill] {
+				if kk == key && m.idxs[base+k] == ij && (m.offs == nil || m.offs[base+k] == off) {
+					return base + k, ij, true
 				}
 			}
-			if fill < bsz && freeBkt < 0 {
-				freeBkt, freeFill, freeIdx = bkt, fill, idx
+			if fill < bsz && slot < 0 {
+				slot, idx = base+fill, ij
 			}
 			colD = m.lcg.Next(colD)
 		}
 		rowS = m.lcg.Next(rowS)
 	}
-	if freeBkt < 0 {
+	return slot, idx, false
+}
+
+// Add inserts weight w for the edge identified by the fingerprint pair and
+// base address pair, arriving at offset off (ignored when untimed). It
+// aggregates into an existing matching entry when possible, otherwise takes
+// the first free slot along the r×r candidate sequence. It reports false
+// when every candidate bucket is full — the signal that HIGGS must open a
+// new leaf (or overflow block).
+func (m *Matrix) Add(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
+	k, idx, found := m.find(fpS, baseS, fpD, baseD, off)
+	switch {
+	case found:
+		m.ws[k] += w
+	case k >= 0:
+		m.keys[k], m.ws[k], m.idxs[k] = packKey(fpS, fpD), w, idx
+		if m.offs != nil {
+			m.offs[k] = off
+		}
+		m.fills[k/m.cfg.B]++
+		m.count++
+	default:
 		return false
 	}
-	slots[freeBkt*bsz+freeFill] = slot{fpS: fpS, fpD: fpD, off: off, w: w, idx: freeIdx, used: true}
-	fills[freeBkt]++
-	m.count++
 	m.added++
 	return true
 }
@@ -235,32 +242,42 @@ func (m *Matrix) Add(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
 // timed matrices). It reports whether a matching entry was found. Entries
 // whose weight reaches zero remain allocated, mirroring sketch deletion.
 func (m *Matrix) Sub(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
-	rowS := baseS & (m.cfg.D - 1)
-	for i := 0; i < m.cfg.Maps; i++ {
-		colD := baseD & (m.cfg.D - 1)
-		for j := 0; j < m.cfg.Maps; j++ {
-			b := m.occupied(rowS, colD)
-			idx := packIdx(i, j)
-			for k := range b {
-				e := &b[k]
-				if e.fpS == fpS && e.fpD == fpD && e.idx == idx &&
-					(!m.cfg.Timed || e.off == off) {
-					e.w -= w
-					return true
-				}
-			}
-			colD = m.lcg.Next(colD)
-		}
-		rowS = m.lcg.Next(rowS)
+	if k, _, found := m.find(fpS, baseS, fpD, baseD, off); found {
+		m.ws[k] -= w
+		return true
 	}
-	for k := range m.spill {
-		sp := &m.spill[k]
-		if sp.fpS == fpS && sp.fpD == fpD && sp.baseS == baseS&(m.cfg.D-1) && sp.baseD == baseD&(m.cfg.D-1) {
-			sp.w -= w
-			return true
-		}
+	if sp := m.findSpill(fpS, baseS, fpD, baseD); sp != nil {
+		sp.w -= w
+		return true
 	}
 	return false
+}
+
+// findSpill returns the spill entry of the edge, nil when there is none.
+func (m *Matrix) findSpill(fpS, baseS, fpD, baseD uint32) *spillEntry {
+	baseSm, baseDm := baseS&(m.cfg.D-1), baseD&(m.cfg.D-1)
+	for k := range m.spill {
+		sp := &m.spill[k]
+		if sp.fpS == fpS && sp.fpD == fpD && sp.baseS == baseSm && sp.baseD == baseDm {
+			return sp
+		}
+	}
+	return nil
+}
+
+// window prepares a probe over the offset range [loOff, hiOff]: the offset
+// column to filter by — nil when every stored entry qualifies, so a fully
+// covered matrix never reads it — and whether any stored entry can qualify
+// at all (an untimed matrix holds every entry at offset 0).
+func (m *Matrix) window(loOff, hiOff int64) (offs []uint32, some bool) {
+	if loOff <= 0 && hiOff >= math.MaxUint32 {
+		return nil, true
+	}
+	return m.offs, m.offs != nil || (loOff <= 0 && hiOff >= 0)
+}
+
+func inWindow(offs []uint32, k int, loOff, hiOff int64) bool {
+	return offs == nil || (int64(offs[k]) >= loOff && int64(offs[k]) <= hiOff)
 }
 
 // EdgeSum returns the aggregated weight of the edge within the offset range
@@ -268,22 +285,24 @@ func (m *Matrix) Sub(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
 // covered ranges).
 func (m *Matrix) EdgeSum(fpS, baseS, fpD, baseD uint32, loOff, hiOff int64) int64 {
 	var sum int64
-	rowS := baseS & (m.cfg.D - 1)
-	for i := 0; i < m.cfg.Maps; i++ {
-		colD := baseD & (m.cfg.D - 1)
-		for j := 0; j < m.cfg.Maps; j++ {
-			b := m.occupied(rowS, colD)
-			idx := packIdx(i, j)
-			for k := range b {
-				e := &b[k]
-				if e.fpS == fpS && e.fpD == fpD && e.idx == idx &&
-					int64(e.off) >= loOff && int64(e.off) <= hiOff {
-					sum += e.w
+	if offs, some := m.window(loOff, hiOff); some {
+		key := packKey(fpS, fpD)
+		d, bsz := int(m.cfg.D), m.cfg.B
+		rowS := baseS & (m.cfg.D - 1)
+		for i := 0; i < m.cfg.Maps; i++ {
+			colD := baseD & (m.cfg.D - 1)
+			for j := 0; j < m.cfg.Maps; j++ {
+				base := (int(rowS)*d + int(colD)) * bsz
+				idx := packIdx(i, j)
+				for k, kk := range m.keys[base : base+bsz] {
+					if kk == key && m.idxs[base+k] == idx && inWindow(offs, base+k, loOff, hiOff) {
+						sum += m.ws[base+k]
+					}
 				}
+				colD = m.lcg.Next(colD)
 			}
-			colD = m.lcg.Next(colD)
+			rowS = m.lcg.Next(rowS)
 		}
-		rowS = m.lcg.Next(rowS)
 	}
 	baseSm, baseDm := baseS&(m.cfg.D-1), baseD&(m.cfg.D-1)
 	for k := range m.spill {
@@ -297,23 +316,22 @@ func (m *Matrix) EdgeSum(fpS, baseS, fpD, baseD uint32, loOff, hiOff int64) int6
 
 // RowSum returns the aggregated weight of all entries whose source matches
 // the fingerprint/base pair within the offset range — the vertex (outgoing)
-// query primitive (paper Eq. 2).
+// query primitive (paper Eq. 2). A row's D·B keys are contiguous, so each
+// of the r candidate rows is one linear pass.
 func (m *Matrix) RowSum(fp, base uint32, loOff, hiOff int64) int64 {
 	var sum int64
-	row := base & (m.cfg.D - 1)
-	d := int(m.cfg.D)
-	for i := 0; i < m.cfg.Maps; i++ {
-		for col := 0; col < d; col++ {
-			b := m.occupied(row, uint32(col))
-			for k := range b {
-				e := &b[k]
-				if e.fpS == fp && int(e.idx>>4) == i &&
-					int64(e.off) >= loOff && int64(e.off) <= hiOff {
-					sum += e.w
+	if offs, some := m.window(loOff, hiOff); some {
+		rowLen := int(m.cfg.D) * m.cfg.B
+		row := base & (m.cfg.D - 1)
+		for i := 0; i < m.cfg.Maps; i++ {
+			lo := int(row) * rowLen
+			for k, kk := range m.keys[lo : lo+rowLen] {
+				if uint32(kk) == fp && int(m.idxs[lo+k]>>4) == i && inWindow(offs, lo+k, loOff, hiOff) {
+					sum += m.ws[lo+k]
 				}
 			}
+			row = m.lcg.Next(row)
 		}
-		row = m.lcg.Next(row)
 	}
 	baseM := base & (m.cfg.D - 1)
 	for k := range m.spill {
@@ -324,23 +342,24 @@ func (m *Matrix) RowSum(fp, base uint32, loOff, hiOff int64) int64 {
 	return sum
 }
 
-// ColSum is the incoming-vertex analogue of RowSum.
+// ColSum is the incoming-vertex analogue of RowSum; a column's buckets lie
+// D·B slots apart.
 func (m *Matrix) ColSum(fp, base uint32, loOff, hiOff int64) int64 {
 	var sum int64
-	col := base & (m.cfg.D - 1)
-	d := int(m.cfg.D)
-	for j := 0; j < m.cfg.Maps; j++ {
-		for row := 0; row < d; row++ {
-			b := m.occupied(uint32(row), col)
-			for k := range b {
-				e := &b[k]
-				if e.fpD == fp && int(e.idx&0xf) == j &&
-					int64(e.off) >= loOff && int64(e.off) <= hiOff {
-					sum += e.w
+	if offs, some := m.window(loOff, hiOff); some {
+		bsz := m.cfg.B
+		rowLen := int(m.cfg.D) * bsz
+		col := base & (m.cfg.D - 1)
+		for j := 0; j < m.cfg.Maps; j++ {
+			for lo := int(col) * bsz; lo < len(m.keys); lo += rowLen {
+				for k, kk := range m.keys[lo : lo+bsz] {
+					if uint32(kk>>32) == fp && int(m.idxs[lo+k]&0xf) == j && inWindow(offs, lo+k, loOff, hiOff) {
+						sum += m.ws[lo+k]
+					}
 				}
 			}
+			col = m.lcg.Next(col)
 		}
-		col = m.lcg.Next(col)
 	}
 	baseM := base & (m.cfg.D - 1)
 	for k := range m.spill {
@@ -364,11 +383,11 @@ func Promote(fp, base uint32, childFBits, rbits uint) (pfp, pbase uint32) {
 	return pfp, pbase
 }
 
-// Absorb aggregates every entry of the child matrix into m (paper Alg. 2).
-// m's fingerprint width must not exceed the child's; the difference is the
-// number of promoted bits. Entries that cannot be placed are kept in m's
-// spill list with full fidelity. Time offsets are dropped, as aggregated
-// matrices are untimed.
+// Absorb aggregates every entry of the child matrix into m (paper Alg. 2),
+// in ForEach order. m's fingerprint width must not exceed the child's; the
+// difference is the number of promoted bits. Entries that cannot be placed
+// are kept in m's spill list with full fidelity. Time offsets are dropped,
+// as aggregated matrices are untimed.
 func (m *Matrix) Absorb(child *Matrix) error {
 	if m.cfg.Timed {
 		return fmt.Errorf("matrix: cannot absorb into a timed matrix")
@@ -381,34 +400,12 @@ func (m *Matrix) Absorb(child *Matrix) error {
 		return fmt.Errorf("matrix: child D %d with %d promoted bits does not match parent D %d",
 			child.cfg.D, rbits, m.cfg.D)
 	}
-	// Row-major over occupied buckets only, stopping once every stored
-	// entry has been seen — identical visit order to a full sweep.
-	d := int(child.cfg.D)
-	seen := 0
-	for bkt := 0; bkt < d*d && seen < child.count; bkt++ {
-		fill := int(child.fills[bkt])
-		if fill == 0 {
-			continue
-		}
-		seen += fill
-		row, col := uint32(bkt/d), uint32(bkt%d)
-		base := bkt * child.cfg.B
-		for k := 0; k < fill; k++ {
-			e := &child.slots[base+k]
-			i, j := int(e.idx>>4), int(e.idx&0xf)
-			baseS := child.lcg.Base(row, i)
-			baseD := child.lcg.Base(col, j)
-			pfpS, pbaseS := Promote(e.fpS, baseS, child.cfg.FBits, rbits)
-			pfpD, pbaseD := Promote(e.fpD, baseD, child.cfg.FBits, rbits)
-			m.addOrSpill(pfpS, pbaseS, pfpD, pbaseD, e.w)
-		}
-	}
-	for k := range child.spill {
-		sp := &child.spill[k]
-		pfpS, pbaseS := Promote(sp.fpS, sp.baseS, child.cfg.FBits, rbits)
-		pfpD, pbaseD := Promote(sp.fpD, sp.baseD, child.cfg.FBits, rbits)
-		m.addOrSpill(pfpS, pbaseS, pfpD, pbaseD, sp.w)
-	}
+	cbits := child.cfg.FBits
+	child.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, w int64) {
+		pfpS, pbaseS := Promote(fpS, baseS, cbits, rbits)
+		pfpD, pbaseD := Promote(fpD, baseD, cbits, rbits)
+		m.addOrSpill(pfpS, pbaseS, pfpD, pbaseD, w)
+	})
 	return nil
 }
 
@@ -416,15 +413,11 @@ func (m *Matrix) addOrSpill(fpS, baseS, fpD, baseD uint32, w int64) {
 	if m.Add(fpS, baseS, fpD, baseD, 0, w) {
 		return
 	}
-	baseSm, baseDm := baseS&(m.cfg.D-1), baseD&(m.cfg.D-1)
-	for k := range m.spill {
-		sp := &m.spill[k]
-		if sp.fpS == fpS && sp.fpD == fpD && sp.baseS == baseSm && sp.baseD == baseDm {
-			sp.w += w
-			return
-		}
+	if sp := m.findSpill(fpS, baseS, fpD, baseD); sp != nil {
+		sp.w += w
+		return
 	}
-	m.spill = append(m.spill, spillEntry{fpS: fpS, fpD: fpD, baseS: baseSm, baseD: baseDm, w: w})
+	m.spill = append(m.spill, spillEntry{fpS: fpS, fpD: fpD, baseS: baseS & (m.cfg.D - 1), baseD: baseD & (m.cfg.D - 1), w: w})
 }
 
 // EntryBits returns the packed size in bits of one stored entry at this
@@ -443,27 +436,33 @@ func (m *Matrix) EntryBits() int {
 // comparison counts: all slots at this level's entry width plus spilled
 // entries (fingerprints, explicit addresses, weight).
 func (m *Matrix) SpaceBytes() int64 {
-	slotBits := int64(len(m.slots)) * int64(m.EntryBits())
+	slotBits := int64(len(m.keys)) * int64(m.EntryBits())
 	addrBits := int64(2 * hashing.Log2(m.cfg.D))
 	spillBits := int64(len(m.spill)) * (2*int64(m.cfg.FBits) + addrBits + 64)
 	return (slotBits + spillBits + 7) / 8
 }
 
-// HeapBytes returns the approximate resident size of the Go representation.
+// Sizes of the Go representation HeapBytes adds to the column backing;
+// TestHeapBytes pins both to the types.
+const (
+	matrixSize = 232 // struct Matrix
+	spillSize  = 24  // struct spillEntry
+)
+
+// HeapBytes returns the resident size of the Go representation: the
+// backing arrays actually held plus the struct itself.
 func (m *Matrix) HeapBytes() int64 {
-	const slotSize = 24 // struct slot, padded
-	const spillSize = 32
-	return int64(len(m.slots))*slotSize + int64(len(m.fills)) +
-		int64(cap(m.spill))*spillSize + 96
+	return m.slab.heapBytes() + int64(cap(m.spill))*spillSize + matrixSize
 }
 
-// ForEach invokes fn for every occupied slot with the entry's fingerprints,
-// recovered base addresses, offset, and weight, then for every spill entry
-// (offset 0). Iteration order is deterministic.
+// ForEach invokes fn for every occupied slot, buckets row-major and slots
+// in fill order, with the entry's fingerprints, recovered base addresses,
+// offset (0 when untimed), and weight, then for every spill entry (offset
+// 0). Iteration order is deterministic; it is also the snapshot order.
 func (m *Matrix) ForEach(fn func(fpS, baseS, fpD, baseD uint32, off uint32, w int64)) {
 	d := int(m.cfg.D)
 	seen := 0
-	for bkt := 0; bkt < d*d && seen < m.count; bkt++ {
+	for bkt := 0; bkt < len(m.fills) && seen < m.count; bkt++ {
 		fill := int(m.fills[bkt])
 		if fill == 0 {
 			continue
@@ -471,10 +470,13 @@ func (m *Matrix) ForEach(fn func(fpS, baseS, fpD, baseD uint32, off uint32, w in
 		seen += fill
 		row, col := uint32(bkt/d), uint32(bkt%d)
 		base := bkt * m.cfg.B
-		for k := 0; k < fill; k++ {
-			e := &m.slots[base+k]
-			i, j := int(e.idx>>4), int(e.idx&0xf)
-			fn(e.fpS, m.lcg.Base(row, i), e.fpD, m.lcg.Base(col, j), e.off, e.w)
+		for k := base; k < base+fill; k++ {
+			var off uint32
+			if m.offs != nil {
+				off = m.offs[k]
+			}
+			i, j := int(m.idxs[k]>>4), int(m.idxs[k]&0xf)
+			fn(uint32(m.keys[k]), m.lcg.Base(row, i), uint32(m.keys[k]>>32), m.lcg.Base(col, j), off, m.ws[k])
 		}
 	}
 	for k := range m.spill {

@@ -423,3 +423,108 @@ func BenchmarkAdd(b *testing.B) {
 		}
 	}
 }
+
+// The two geometries the daemon spends its time in: the timed leaf matrix
+// and a level-6 aggregate (θ = 4: D doubles and F loses a bit per level).
+var (
+	benchLeaf = Config{D: 16, B: 3, Maps: 4, FBits: 19, Timed: true}
+	benchAgg  = Config{D: 512, B: 3, Maps: 4, FBits: 14}
+)
+
+type benchEdge struct{ fpS, baseS, fpD, baseD uint32 }
+
+// benchMatrix fills a matrix of the given geometry to ~54 % — the leaf fill
+// the paper stream reaches — and returns it with probes of which half hit.
+func benchMatrix(b *testing.B, cfg Config, seed int64) (*Matrix, []benchEdge) {
+	b.Helper()
+	m, err := New(cfg, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	edge := func() benchEdge {
+		return benchEdge{uint32(rng.Intn(1 << cfg.FBits)), uint32(rng.Intn(int(cfg.D))),
+			uint32(rng.Intn(1 << cfg.FBits)), uint32(rng.Intn(int(cfg.D)))}
+	}
+	var probes []benchEdge
+	for m.Count() < m.Capacity()*54/100 {
+		e := edge()
+		m.Add(e.fpS, e.baseS, e.fpD, e.baseD, uint32(rng.Intn(100)), 1)
+		if len(probes) < 1024 {
+			probes = append(probes, e, edge())
+		}
+	}
+	return m, probes
+}
+
+var benchSink int64
+
+func benchProbe(b *testing.B, probe func(m *Matrix, e benchEdge, lo, hi int64) int64) {
+	for _, g := range []struct {
+		name   string
+		cfg    Config
+		lo, hi int64
+	}{
+		{"leaf", benchLeaf, math.MinInt64, math.MaxInt64},
+		{"leaf-fringe", benchLeaf, 10, 60},
+		{"agg6", benchAgg, math.MinInt64, math.MaxInt64},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			m, probes := benchMatrix(b, g.cfg, 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += probe(m, probes[i%len(probes)], g.lo, g.hi)
+			}
+		})
+	}
+}
+
+func BenchmarkEdgeSum(b *testing.B) {
+	benchProbe(b, func(m *Matrix, e benchEdge, lo, hi int64) int64 {
+		return m.EdgeSum(e.fpS, e.baseS, e.fpD, e.baseD, lo, hi)
+	})
+}
+
+func BenchmarkRowSum(b *testing.B) {
+	benchProbe(b, func(m *Matrix, e benchEdge, lo, hi int64) int64 { return m.RowSum(e.fpS, e.baseS, lo, hi) })
+}
+
+func BenchmarkColSum(b *testing.B) {
+	benchProbe(b, func(m *Matrix, e benchEdge, lo, hi int64) int64 { return m.ColSum(e.fpD, e.baseD, lo, hi) })
+}
+
+// BenchmarkAbsorb builds one aggregate per iteration the way the seal path
+// does — pooled parent, θ = 4 children absorbed in turn, parent released —
+// at level 2 (over leaves) and at level 6.
+func BenchmarkAbsorb(b *testing.B) {
+	for _, g := range []struct {
+		name          string
+		child, parent Config
+	}{
+		{"leaf", benchLeaf, Config{D: 32, B: 3, Maps: 4, FBits: 18}},
+		{"agg6", Config{D: 256, B: 3, Maps: 4, FBits: 15}, benchAgg},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			var children [4]*Matrix
+			for c := range children {
+				children[c], _ = benchMatrix(b, g.child, int64(c))
+			}
+			p := NewPool()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				parent, err := NewIn(p, g.parent, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, child := range children {
+					if err := parent.Absorb(child); err != nil {
+						b.Fatal(err)
+					}
+				}
+				parent.Release(p)
+			}
+		})
+	}
+}

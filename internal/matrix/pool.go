@@ -2,82 +2,89 @@ package matrix
 
 import "sync"
 
-// Pool recycles matrix slab backing ([]slot plus the matching []uint8 fill
-// array) across matrix lifetimes, keyed by exact slot count. A HIGGS tree
-// only ever uses a handful of distinct geometries — the leaf matrix, the
-// overflow-block matrix, and one aggregate size per level — so an exact-size
-// class map stays tiny while letting Expire hand the memory of dropped
-// subtrees straight back to the insert path.
+// Pool recycles matrix slab backing (the entry columns plus the matching
+// fill array) across matrix lifetimes, keyed by exact slot count and by
+// whether the slab carries an offset column. A HIGGS tree only ever uses a
+// handful of distinct geometries — the leaf matrix, the overflow-block
+// matrix, and one aggregate size per level — so an exact-size class map
+// stays tiny while letting Expire hand the memory of dropped subtrees
+// straight back to the insert path.
 //
-// Slabs are zeroed on Put, so Get returns ready-to-use backing without a
+// Slabs are zeroed on put, so get returns ready-to-use backing without a
 // memclr on the hot path. Pool is safe for concurrent use: parallel seal
 // workers allocate aggregates while the insert goroutine opens leaves.
 type Pool struct {
 	mu      sync.Mutex
-	classes map[int][]slab
+	classes map[class][]slab
 }
 
-type slab struct {
-	slots []slot
-	fills []uint8
+type class struct {
+	n     int
+	timed bool
 }
 
-// maxSlabsPerClass bounds retained memory per size class; beyond it Put
+// maxSlabsPerClass bounds retained memory per size class; beyond it put
 // drops the slab for the GC.
 const maxSlabsPerClass = 4
 
 // NewPool returns an empty slab pool.
 func NewPool() *Pool {
-	return &Pool{classes: make(map[int][]slab)}
+	return &Pool{classes: make(map[class][]slab)}
 }
 
-// get returns a zeroed slot slab of exactly n slots and its fill array
-// (n/b buckets), reusing pooled backing when available.
-func (p *Pool) get(n, b int) ([]slot, []uint8) {
+// get returns a zeroed slab of exactly n slots in n/b buckets, with an
+// offset column when timed, reusing pooled backing when available.
+func (p *Pool) get(n, b int, timed bool) slab {
 	if p != nil {
+		c := class{n, timed}
 		p.mu.Lock()
-		if ss := p.classes[n]; len(ss) > 0 {
+		if ss := p.classes[c]; len(ss) > 0 {
 			s := ss[len(ss)-1]
-			p.classes[n] = ss[:len(ss)-1]
+			p.classes[c] = ss[:len(ss)-1]
 			p.mu.Unlock()
-			if len(s.fills) == n/b {
-				return s.slots, s.fills
+			if len(s.fills) != n/b {
+				// Same slot count under a different bucket size: reshape
+				// the fill array, keep the (already zeroed) columns.
+				s.fills = make([]uint8, n/b)
 			}
-			// Same slot count under a different bucket size: reshape the
-			// fill array, keep the (already zeroed) slot slab.
-			return s.slots, make([]uint8, n/b)
+			return s
 		}
 		p.mu.Unlock()
 	}
-	return make([]slot, n), make([]uint8, n/b)
+	return newSlab(n, b, timed)
 }
 
 // put zeroes the slab and retains it for reuse, up to the per-class cap.
-func (p *Pool) put(slots []slot, fills []uint8) {
-	if p == nil || slots == nil {
+func (p *Pool) put(s slab) {
+	if p == nil || s.keys == nil {
 		return
 	}
-	clear(slots)
-	clear(fills)
-	n := len(slots)
+	clear(s.keys)
+	clear(s.ws)
+	clear(s.idxs)
+	clear(s.offs)
+	clear(s.fills)
+	c := class{len(s.keys), s.offs != nil}
 	p.mu.Lock()
-	if len(p.classes[n]) < maxSlabsPerClass {
-		p.classes[n] = append(p.classes[n], slab{slots: slots, fills: fills})
+	if len(p.classes[c]) < maxSlabsPerClass {
+		p.classes[c] = append(p.classes[c], s)
 	}
 	p.mu.Unlock()
 }
 
 // Stats reports the pooled slab inventory: number of retained slabs and
-// their total slot-backing bytes.
+// the total bytes of backing they hold.
 func (p *Pool) Stats() (slabs int, bytes int64) {
 	if p == nil {
 		return 0, 0
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for n, ss := range p.classes {
+	for _, ss := range p.classes {
 		slabs += len(ss)
-		bytes += int64(len(ss)) * int64(n) * 24
+		for i := range ss {
+			bytes += ss[i].heapBytes()
+		}
 	}
 	return slabs, bytes
 }

@@ -1,6 +1,9 @@
 package matrix
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func testCfg() Config {
 	return Config{D: 16, B: 3, Maps: 4, FBits: 19, Timed: true}
@@ -27,39 +30,66 @@ func TestAddAllocs(t *testing.T) {
 	}
 }
 
+// zeroBeyondFill fails unless every column of m is zero at and beyond each
+// bucket's fill — the invariant that lets probes sweep whole buckets — and
+// the fills add up to Count.
+func zeroBeyondFill(t testing.TB, m *Matrix) {
+	t.Helper()
+	total := 0
+	for bkt, f := range m.fills {
+		total += int(f)
+		for k := bkt*m.cfg.B + int(f); k < (bkt+1)*m.cfg.B; k++ {
+			if m.keys[k] != 0 || m.ws[k] != 0 || m.idxs[k] != 0 || (m.offs != nil && m.offs[k] != 0) {
+				t.Fatalf("bucket %d (fill %d): slot %d is not zero", bkt, f, k)
+			}
+		}
+	}
+	if total != m.Count() {
+		t.Fatalf("fills sum %d != count %d", total, m.Count())
+	}
+}
+
 // TestPoolReuse: a released slab must come back from the pool zeroed and
-// with the same backing array.
+// with the same backing arrays, and only to a matrix of its own kind — a
+// timed and an untimed slab of equal slot count never swap.
 func TestPoolReuse(t *testing.T) {
 	p := NewPool()
-	m, err := NewIn(p, testCfg(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Add(1, 2, 3, 4, 0, 9)
-	first := &m.slots[0]
-	m.Release(p)
-	if m.slots != nil {
-		t.Fatal("Release must neutralize the matrix")
-	}
-	m2, err := NewIn(p, testCfg(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &m2.slots[0] != first {
-		t.Fatal("pooled slab not reused")
-	}
-	if m2.Count() != 0 {
-		t.Fatalf("reused matrix reports count %d", m2.Count())
-	}
-	for i := range m2.slots {
-		if m2.slots[i].used {
-			t.Fatalf("reused slab not zeroed at slot %d", i)
+	untimed := testCfg()
+	untimed.Timed = false
+	for _, cfg := range []Config{testCfg(), untimed} {
+		m, err := NewIn(p, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i := range m2.fills {
-		if m2.fills[i] != 0 {
-			t.Fatalf("reused fill array not zeroed at bucket %d", i)
+		if (m.offs != nil) != cfg.Timed {
+			t.Fatalf("timed=%v matrix has offs=%v", cfg.Timed, m.offs != nil)
 		}
+		m.Add(1, 2, 3, 4, 5, 9)
+		first := &m.keys[0]
+		m.Release(p)
+		if m.keys != nil || m.ws != nil || m.idxs != nil || m.offs != nil || m.fills != nil {
+			t.Fatal("Release must neutralize the matrix")
+		}
+		other := cfg
+		other.Timed = !cfg.Timed
+		mo, err := NewIn(p, other, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &mo.keys[0] == first || (mo.offs != nil) != other.Timed {
+			t.Fatalf("timed=%v slab handed to a timed=%v matrix", cfg.Timed, other.Timed)
+		}
+		m2, err := NewIn(p, cfg, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &m2.keys[0] != first {
+			t.Fatal("pooled slab not reused")
+		}
+		if m2.Count() != 0 {
+			t.Fatalf("reused matrix reports count %d", m2.Count())
+		}
+		zeroBeyondFill(t, m2)
 	}
 }
 
@@ -84,7 +114,8 @@ func TestPoolCap(t *testing.T) {
 }
 
 // TestFillsTrackOccupancy: fills must mirror the per-bucket occupied
-// prefix through Add sequences that fill buckets completely.
+// prefix through Add sequences that fill buckets completely: non-zero keys
+// inside it, all-zero columns beyond it.
 func TestFillsTrackOccupancy(t *testing.T) {
 	cfg := Config{D: 4, B: 2, Maps: 2, FBits: 8, Timed: false}
 	m, err := New(cfg, 0)
@@ -92,19 +123,51 @@ func TestFillsTrackOccupancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := uint32(0); k < 60; k++ {
-		m.Add(k, k%7, k+100, (k+3)%7, 0, 1)
+		m.Add(k+1, k%7, k+100, (k+3)%7, 0, 1)
 	}
-	total := 0
 	for bkt, f := range m.fills {
-		base := bkt * cfg.B
-		for k := 0; k < cfg.B; k++ {
-			if got := m.slots[base+k].used; got != (k < int(f)) {
-				t.Fatalf("bucket %d slot %d used=%v with fill %d", bkt, k, got, f)
+		for k := bkt * cfg.B; k < bkt*cfg.B+int(f); k++ {
+			if m.keys[k] == 0 {
+				t.Fatalf("bucket %d slot %d inside fill %d holds no entry", bkt, k, f)
 			}
 		}
-		total += int(f)
 	}
-	if total != m.Count() {
-		t.Fatalf("fills sum %d != count %d", total, m.Count())
+	zeroBeyondFill(t, m)
+}
+
+// TestHeapBytes: HeapBytes and Pool.Stats count the backing arrays actually
+// held, offs only where it exists.
+func TestHeapBytes(t *testing.T) {
+	if got := int(reflect.TypeOf(Matrix{}).Size()); got != matrixSize {
+		t.Fatalf("matrixSize = %d, struct Matrix is %d bytes", matrixSize, got)
+	}
+	if got := int(reflect.TypeOf(spillEntry{}).Size()); got != spillSize {
+		t.Fatalf("spillSize = %d, struct spillEntry is %d bytes", spillSize, got)
+	}
+	backing := func(m *Matrix) int64 {
+		return int64(cap(m.keys)*8 + cap(m.ws)*8 + cap(m.idxs) + cap(m.offs)*4 + cap(m.fills))
+	}
+	timed := mustNew(t, testCfg(), 0)
+	if got, want := timed.HeapBytes(), int64(768*21+256+matrixSize); got != want || backing(timed) != 768*21+256 {
+		t.Fatalf("timed HeapBytes = %d (backing %d), want %d", got, backing(timed), want)
+	}
+	// An aggregate that spilled: 4 slots of 17 bytes, 4 fill bytes, and
+	// whatever capacity append gave the spill list.
+	agg := mustNew(t, Config{D: 2, B: 1, Maps: 1, FBits: 8}, 0)
+	for fp := uint32(1); fp <= 3; fp++ {
+		agg.addOrSpill(fp, 0, fp, 0, 1)
+	}
+	if agg.offs != nil || agg.SpillCount() != 2 {
+		t.Fatalf("untimed matrix: offs=%v spill=%d", agg.offs != nil, agg.SpillCount())
+	}
+	if got, want := agg.HeapBytes(), backing(agg)+int64(cap(agg.spill)*spillSize+matrixSize); got != want || backing(agg) != 4*17+4 {
+		t.Fatalf("untimed HeapBytes = %d (backing %d), want %d", got, backing(agg), want)
+	}
+	p := NewPool()
+	want := backing(timed) + backing(agg)
+	timed.Release(p)
+	agg.Release(p)
+	if slabs, bytes := p.Stats(); slabs != 2 || bytes != want {
+		t.Fatalf("pool holds %d slabs / %d bytes, want 2 / %d", slabs, bytes, want)
 	}
 }

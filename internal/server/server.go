@@ -54,7 +54,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -730,13 +729,23 @@ type batchResult struct {
 // returned only when the envelope itself is malformed (not a JSON array,
 // or over the batch size limit).
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) error {
-	raws, err := decodeBatchEnvelope(w, r)
-	if err != nil {
-		return bodyErr(err, httpapi.CodeBadEnvelope, "%v", err)
+	// The envelope streams off one decoder, so both limits bind *while*
+	// reading — the byte cap via http.MaxBytesReader, the item cap per
+	// element: a body of millions of tiny items is rejected at item 65537,
+	// not materialized first — and nothing executes until it has been
+	// read to its end.
+	body := &bodyReader{Reader: http.MaxBytesReader(w, r.Body, maxBatchBody)}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	const wantArray = "body must be a JSON array of queries"
+	if tok, err := dec.Token(); err != nil {
+		return bodyErr(err, httpapi.CodeBadEnvelope, "%s: %v", wantArray, err)
+	} else if tok != json.Delim('[') {
+		return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeBadEnvelope, "%s, got %v", wantArray, tok)
 	}
-	out := make([]batchResult, len(raws))
-	batch := make([]query.Query, 0, len(raws))
-	idx := make([]int, 0, len(raws)) // out-slot of each decodable item
+	out := []batchResult{}
+	var batch []query.Query
+	var idx []int // out-slot of each decodable item
 	// One state for budgeting, admission, and execution: a concurrent
 	// snapshot upload must not let a batch budgeted against few shards
 	// execute against many (or be spuriously rejected in the shrink
@@ -745,14 +754,28 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) error 
 	st := s.st.Load()
 	shards := st.sum.NumShards()
 	probes := 0
-	for i, raw := range raws {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		var q query.Query
+	var q query.Query
+	for dec.More() {
+		if len(out) >= maxBatchQueries {
+			return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeBadEnvelope,
+				"batch exceeds the limit of %d queries", maxBatchQueries)
+		}
+		q = query.Query{}
 		if err := dec.Decode(&q); err != nil {
-			out[i].Error = err.Error()
-			out[i].Code = httpapi.CodeBadRequest
+			// A value of the wrong shape is that item's problem: the
+			// decoder read all of it and stands behind it. Bytes that are
+			// not JSON, or a body that ended or failed mid-value, sink the
+			// envelope.
+			var syntax *json.SyntaxError
+			if errors.As(err, &syntax) || errors.Is(err, io.ErrUnexpectedEOF) || body.err != nil {
+				return bodyErr(err, httpapi.CodeBadEnvelope, "query %d: %v", len(out), err)
+			}
+			out = append(out, batchResult{Error: err.Error(), Code: httpapi.CodeBadRequest})
 			continue
+		}
+		out = append(out, batchResult{})
+		if probes > maxBatchProbes {
+			continue // rejected below, once the byte cap has had its say
 		}
 		// A delta_vertex item may omit its candidate set: the engine's
 		// tracked heavy hitters are the natural "what changed most"
@@ -761,12 +784,19 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) error 
 		if q.Kind == query.KindDeltaVertex && len(q.Candidates) == 0 && st.eng != nil {
 			q.Candidates = st.eng.CandidateVertices(q.Dir, defaultDeltaCandidates)
 		}
-		if probes += q.ProbeCount(shards); probes > maxBatchProbes {
-			return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeProbeBudget,
-				"batch expands to more than %d per-shard probes; split it", maxBatchProbes)
-		}
+		probes += q.ProbeCount(shards)
 		batch = append(batch, q)
-		idx = append(idx, i)
+		idx = append(idx, len(out)-1)
+	}
+	if _, err := dec.Token(); err != nil { // consume the closing ']'
+		return bodyErr(err, httpapi.CodeBadEnvelope, "%s: %v", wantArray, err)
+	}
+	if tok, err := dec.Token(); err != io.EOF {
+		return bodyErr(err, httpapi.CodeBadEnvelope, "unexpected data after the query array (%v)", tok)
+	}
+	if probes > maxBatchProbes {
+		return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeProbeBudget,
+			"batch expands to more than %d per-shard probes; split it", maxBatchProbes)
 	}
 	results, err := s.execute(r, st, batch, probes)
 	if err != nil {
@@ -792,37 +822,19 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) error 
 	return nil
 }
 
-// decodeBatchEnvelope reads the /v2/query body as a JSON array of raw
-// items, streaming so both limits bind *while* reading: the byte cap via
-// http.MaxBytesReader and the item cap per element — a body of millions
-// of tiny items is rejected at item 65537, not materialized first.
-func decodeBatchEnvelope(w http.ResponseWriter, r *http.Request) ([]json.RawMessage, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("body must be a JSON array of queries: %w", err)
+// bodyReader remembers the error that ended a request body, so a decode
+// loop can tell a value it does not like from a body that is gone.
+type bodyReader struct {
+	io.Reader
+	err error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	n, err := b.Reader.Read(p)
+	if err != nil && err != io.EOF {
+		b.err = err
 	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return nil, fmt.Errorf("body must be a JSON array of queries, got %v", tok)
-	}
-	raws := []json.RawMessage{}
-	for dec.More() {
-		if len(raws) >= maxBatchQueries {
-			return nil, fmt.Errorf("batch exceeds the limit of %d queries", maxBatchQueries)
-		}
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			return nil, fmt.Errorf("query %d: %w", len(raws), err)
-		}
-		raws = append(raws, raw)
-	}
-	if _, err := dec.Token(); err != nil { // consume the closing ']'
-		return nil, fmt.Errorf("body must be a JSON array of queries: %w", err)
-	}
-	if tok, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("unexpected data after the query array (%v)", tok)
-	}
-	return raws, nil
+	return n, err
 }
 
 // MemoryStatus is the heap summary /healthz reports, read from

@@ -671,6 +671,13 @@ func TestV2QueryEnvelope(t *testing.T) {
 		{``, http.StatusBadRequest},
 		{`[] trailing garbage`, http.StatusBadRequest},
 		{`[{"kind":"edge","s":1,"d":2,"ts":0,"te":1}][]`, http.StatusBadRequest},
+		// An item of the wrong shape keeps its slot; bytes that are not
+		// JSON, or a body that stops short, sink the envelope behind it.
+		{`[0,{"kind":"banana"},{"nope":1}]`, http.StatusOK},
+		{`[0,{"kind":"banana"},tru]`, http.StatusBadRequest},
+		{`[0 0]`, http.StatusBadRequest},
+		{`[{"kind":"edge","s":1`, http.StatusBadRequest},
+		{`[{"kind":"edge","s":1,"d":2,"ts":0,"te":1}`, http.StatusBadRequest},
 	} {
 		resp := post(t, ts.URL+"/v2/query", c.body)
 		resp.Body.Close()
