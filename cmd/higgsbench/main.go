@@ -26,7 +26,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -37,7 +36,7 @@ import (
 // artifact is the -json output: one self-describing record per run.
 type artifact struct {
 	Experiment string             `json:"experiment"`
-	Presets    []string           `json:"presets"`
+	Presets    []stream.Preset    `json:"presets"`
 	Scale      float64            `json:"scale"`
 	Seed       int64              `json:"seed"`
 	Start      time.Time          `json:"start"`
@@ -48,84 +47,39 @@ type artifact struct {
 	Output     string             `json:"output"`
 }
 
-// baselineMetric is one committed expectation. Rule "min" means the run's
-// value must stay at or above Value·Ratio·(1−Slack−tol); rule "max" means
-// at or below Value·Ratio·(1+Slack+tol). Ratio defaults to 1 — the allocs
-// baseline uses it to demand a multiple of a recorded pre-refactor number
-// rather than the number itself. Slack is the metric's own tolerance band
-// (timing metrics on shared runners need a wide one; alloc counts none);
-// -baseline-tol adds a global band on top.
-type baselineMetric struct {
-	Value float64 `json:"value"`
-	Rule  string  `json:"rule"`
-	Ratio float64 `json:"ratio,omitempty"`
-	Slack float64 `json:"slack,omitempty"`
+// resolvePresets turns the -presets value into the list the run uses: the
+// named presets, or every preset when the flag is omitted — resolved here
+// rather than left to bench.Options' own default so the artifact records
+// the datasets that actually ran.
+func resolvePresets(flagValue string) []stream.Preset {
+	if flagValue == "" {
+		return stream.Presets
+	}
+	var out []stream.Preset
+	for _, p := range strings.Split(flagValue, ",") {
+		out = append(out, stream.Preset(strings.TrimSpace(p)))
+	}
+	return out
 }
 
-// baseline is a committed bench/baselines/BENCH_<exp>.json file.
-type baseline struct {
-	Experiment string                    `json:"experiment"`
-	Scale      float64                   `json:"scale"`
-	Note       string                    `json:"note,omitempty"`
-	Metrics    map[string]baselineMetric `json:"metrics"`
-}
-
-// compareBaseline diffs the run's metrics against a committed baseline,
-// printing one verdict line per metric and returning an error listing
-// every violated bound. A baseline recorded at a different -scale is a
-// hard error: the numbers would not be comparable.
-func compareBaseline(path string, tol, scale float64, got map[string]float64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
+// newArtifact describes a finished run: the options it ran with, not the
+// flags as typed.
+func newArtifact(exp string, opts bench.Options, start time.Time, runErr error, output string) artifact {
+	a := artifact{
+		Experiment: exp,
+		Presets:    opts.Presets,
+		Scale:      opts.Scale,
+		Seed:       opts.Seed,
+		Start:      start.UTC(),
+		ElapsedMS:  time.Since(start).Milliseconds(),
+		OK:         runErr == nil,
+		Metrics:    opts.Metrics,
+		Output:     output,
 	}
-	var b baseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
+	if runErr != nil {
+		a.Error = runErr.Error()
 	}
-	if b.Scale != 0 && b.Scale != scale {
-		return fmt.Errorf("baseline %s recorded at -scale %g, run at %g", path, b.Scale, scale)
-	}
-	names := make([]string, 0, len(b.Metrics))
-	for name := range b.Metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failures []string
-	for _, name := range names {
-		m := b.Metrics[name]
-		v, ok := got[name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: baseline expects this metric but the run did not produce it", name))
-			continue
-		}
-		ratio := m.Ratio
-		if ratio == 0 {
-			ratio = 1
-		}
-		switch m.Rule {
-		case "min":
-			floor := m.Value * ratio * (1 - m.Slack - tol)
-			if v < floor {
-				failures = append(failures, fmt.Sprintf("%s: %.2f below floor %.2f (baseline %.2f × ratio %.2g − slack)", name, v, floor, m.Value, ratio))
-				continue
-			}
-			fmt.Printf("baseline %-32s ok: %.2f ≥ %.2f\n", name, v, floor)
-		case "max":
-			ceil := m.Value * ratio * (1 + m.Slack + tol)
-			if v > ceil {
-				failures = append(failures, fmt.Sprintf("%s: %.2f above ceiling %.2f (baseline %.2f)", name, v, ceil, m.Value))
-				continue
-			}
-			fmt.Printf("baseline %-32s ok: %.2f ≤ %.2f\n", name, v, ceil)
-		default:
-			failures = append(failures, fmt.Sprintf("%s: unknown rule %q", name, m.Rule))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("baseline %s: %d violation(s):\n  %s", path, len(failures), strings.Join(failures, "\n  "))
-	}
-	return nil
+	return a
 }
 
 // writeArtifact persists the run record, creating parent directories.
@@ -156,8 +110,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "workload seed")
 		presets  = flag.String("presets", "", "comma-separated dataset presets (default: all of lkml,wiki-talk,stackoverflow)")
 		jsonOut  = flag.String("json", "", "write a machine-readable run artifact (JSON) to this file")
-		basePath = flag.String("baseline", "", "diff the run's metrics against this committed baseline JSON and fail on violations")
-		baseTol  = flag.Float64("baseline-tol", 0, "extra relative tolerance added to every baseline bound (0.1 = 10%)")
 	)
 	flag.Parse()
 
@@ -183,11 +135,7 @@ func main() {
 		SkewEdges:       *skewE,
 		Seed:            *seed,
 		Out:             os.Stdout,
-	}
-	if *presets != "" {
-		for _, p := range strings.Split(*presets, ",") {
-			opts.Presets = append(opts.Presets, stream.Preset(strings.TrimSpace(p)))
-		}
+		Presets:         resolvePresets(*presets),
 	}
 
 	var captured strings.Builder
@@ -198,26 +146,8 @@ func main() {
 
 	start := time.Now()
 	runErr := bench.Run(*exp, opts)
-	if runErr == nil && *basePath != "" {
-		runErr = compareBaseline(*basePath, *baseTol, opts.Scale, opts.Metrics)
-	}
 	if *jsonOut != "" {
-		a := artifact{
-			Experiment: *exp,
-			Scale:      *scale,
-			Seed:       *seed,
-			Start:      start.UTC(),
-			ElapsedMS:  time.Since(start).Milliseconds(),
-			OK:         runErr == nil,
-			Metrics:    opts.Metrics,
-			Output:     captured.String(),
-		}
-		for _, p := range opts.Presets {
-			a.Presets = append(a.Presets, string(p))
-		}
-		if runErr != nil {
-			a.Error = runErr.Error()
-		}
+		a := newArtifact(*exp, opts, start, runErr, captured.String())
 		if err := writeArtifact(*jsonOut, a); err != nil {
 			fmt.Fprintf(os.Stderr, "higgsbench: -json: %v\n", err)
 			os.Exit(1)

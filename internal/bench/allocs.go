@@ -30,9 +30,8 @@ const allocsInsertRuns = 1000
 // A non-zero average is a hard failure, not a table footnote: the gate
 // exists to stop allocation regressions from reaching main. The third
 // column measures single-shard insert throughput (full stream + Finalize,
-// best of three runs) — the number the committed BENCH_allocs.json
-// baseline holds the pre-refactor value of, so CI's -baseline diff
-// enforces the refactor's speedup never erodes.
+// best of three runs); it is recorded in the artifact, not gated — ingest
+// speed is held end to end by BENCHMARK.json's ingest-window workload.
 var allocsGate = gate{
 	id:      "allocs",
 	title:   "Extra: hot-path allocation gate — 0 allocs/op + insert throughput",
@@ -107,8 +106,7 @@ func edgeProbeAllocs(ds *Dataset, seed uint64) (float64, error) {
 }
 
 // singleShardInsertEPS replays the full stream into a fresh core summary
-// and finalizes it, best of three — the single-tree ingest throughput the
-// committed baseline tracks across refactors.
+// and finalizes it, best of three — the single-tree ingest throughput.
 func singleShardInsertEPS(ds *Dataset, seed uint64) (float64, error) {
 	best := 0.0
 	for run := 0; run < 3; run++ {

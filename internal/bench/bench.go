@@ -68,8 +68,7 @@ type Options struct {
 
 	// Metrics, when non-nil, collects each experiment's headline numbers
 	// under stable names ("<dataset>_s<shards>_<what>"), so cmd/higgsbench
-	// can persist them in the -json artifact and diff them against a
-	// committed baseline (-baseline).
+	// can persist them in the -json artifact.
 	Metrics map[string]float64
 }
 

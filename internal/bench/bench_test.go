@@ -2,9 +2,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -104,37 +102,56 @@ func TestTable2(t *testing.T) {
 
 // TestExperimentsSmoke runs every figure experiment at tiny scale and
 // checks each prints rows for every competitor, then runs the eight CI
-// gates with CI's own arguments (-scale 0.15 -presets lkml -seed 42) and
-// holds each to the metric names its committed baseline is keyed by — so
-// go test sees a gate break, or a metric renamed or dropped, before CI
-// does.
+// gates with CI's own arguments (-scale 0.15 -presets lkml -seed 42). A
+// gate's contracts fail inside its own rows; on top of that this test holds
+// each run to the metric names CI's BENCH_<id>.json artifacts are keyed by
+// and to the few values that are deterministic at these arguments but are
+// not a contract of the gate itself.
 func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke suite is moderately expensive")
 	}
-	for _, id := range []string{"asyncingest", "batchquery", "walrecovery", "retention", "allocs", "replication", "readcache", "analytics"} {
-		t.Run(id, func(t *testing.T) {
+	for _, g := range []struct {
+		id string
+		// The artifact's key set; "#" stands for each of shardCounts.
+		metrics []string
+	}{
+		{"asyncingest", []string{"lkml_s#_sync_eps", "lkml_s#_async_eps"}},
+		{"batchquery", []string{"lkml_s#_percall_qps", "lkml_s#_batched_qps", "lkml_s#_locks_per_batch"}},
+		{"walrecovery", []string{"lkml_s#_replay_eps"}},
+		{"retention", []string{"lkml_s#_dropped"}},
+		{"allocs", []string{"lkml_steady_insert_allocs", "lkml_edge_probe_allocs", "lkml_insert_eps"}},
+		{"replication", []string{"lkml_s#_catchup_eps", "lkml_read_qps_r1", "lkml_read_qps_r2", "lkml_read_scaling"}},
+		{"readcache", []string{"lkml_s#_uncached_qps", "lkml_s#_cached_qps", "lkml_s#_hit_rate", "lkml_s#_locks_full_hit"}},
+		{"analytics", []string{"lkml_s#_ingest_eps", "lkml_s#_hh_out_match", "lkml_s#_hh_in_match", "lkml_s#_burst_flagged",
+			"lkml_s#_delta_rank_match", "lkml_s#_cached_match", "lkml_s#_undercounts"}},
+	} {
+		t.Run(g.id, func(t *testing.T) {
 			var buf bytes.Buffer
 			o := Options{Scale: 0.15, Seed: 42, Out: &buf, Presets: []stream.Preset{stream.Lkml}, Metrics: map[string]float64{}}
-			if err := Run(id, o); err != nil {
+			if err := Run(g.id, o); err != nil {
 				t.Fatalf("%v\n%s", err, buf.String())
 			}
-			raw, err := os.ReadFile(filepath.Join("..", "..", "bench", "baselines", "BENCH_"+id+".json"))
-			if err != nil {
-				t.Fatal(err)
+			want := map[string]bool{}
+			for _, m := range g.metrics {
+				for _, n := range shardCounts { // a name without "#" collapses to itself
+					want[strings.Replace(m, "#", strconv.Itoa(n), 1)] = true
+				}
 			}
-			var baseline struct {
-				Metrics map[string]json.RawMessage `json:"metrics"`
-			}
-			if err := json.Unmarshal(raw, &baseline); err != nil {
-				t.Fatal(err)
-			}
-			if len(baseline.Metrics) == 0 {
-				t.Fatal("baseline lists no metrics; the check is vacuous")
-			}
-			for name := range baseline.Metrics {
+			for name := range want {
 				if _, ok := o.Metrics[name]; !ok {
-					t.Errorf("baseline metric %s was not recorded; run recorded %v", name, o.Metrics)
+					t.Errorf("metric %s was not recorded", name)
+				}
+			}
+			if len(o.Metrics) != len(want) {
+				t.Errorf("run recorded %d metrics, the artifact key set has %d: %v", len(o.Metrics), len(want), o.Metrics)
+			}
+			for name, got := range o.Metrics {
+				if want, ok := gateExact[name]; ok && got != want {
+					t.Errorf("%s = %v, want exactly %v", name, got, want)
+				}
+				if floor, ok := gateAtLeast[name]; ok && got < floor {
+					t.Errorf("%s = %v, want ≥ %v", name, got, floor)
 				}
 			}
 		})
@@ -172,6 +189,27 @@ func TestExperimentsSmoke(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gateExact holds the leaves the retention gate's reference run reclaims at
+// its three expire points (lkml @0.15, seed 42): deterministic given
+// stream, seed and shard count, so a change in either direction means
+// retention semantics changed.
+var gateExact = map[string]float64{
+	"lkml_s1_dropped": 28,
+	"lkml_s2_dropped": 33,
+	"lkml_s4_dropped": 33,
+	"lkml_s8_dropped": 35,
+}
+
+// gateAtLeast is a drift alarm, not a contract: the readcache gate's Zipf
+// workload measures a 94 % hit rate at these arguments and fails in-row
+// below 80 %; a drop under 90 % means the workload's composition moved.
+var gateAtLeast = map[string]float64{
+	"lkml_s1_hit_rate": 0.9,
+	"lkml_s2_hit_rate": 0.9,
+	"lkml_s4_hit_rate": 0.9,
+	"lkml_s8_hit_rate": 0.9,
 }
 
 // TestSyntheticSweeps runs fig14/fig15 with a very small synthetic family.

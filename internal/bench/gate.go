@@ -17,7 +17,7 @@ var shardCounts = []int{1, 2, 4, 8}
 // what is its own: titles, columns and the row. The driver (run) owns
 // what they all share: option defaults, the sweep, the "bench: <id> <n>:"
 // error prefix, the leading table cells, and the "<dataset>_s<n>_<what>"
-// metric names that bench/baselines/ is keyed by.
+// metric names CI's BENCH_<id>.json artifacts are keyed by.
 type gate struct {
 	id     string
 	title  string // registry title (higgsbench -list)

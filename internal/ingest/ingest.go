@@ -369,8 +369,6 @@ type batchGroups struct {
 }
 
 // getGroups returns a reset batchGroups sized for the summary's shards.
-//
-//higgsvet:pool-ownership the caller owns the returned groups and releases them via putGroups once the batch is applied
 func (p *Pipeline) getGroups() *batchGroups {
 	g, _ := p.gpool.Get().(*batchGroups)
 	n := p.sum.NumShards()

@@ -504,8 +504,6 @@ func putBatch(b *batchBuf) {
 // decodeBatch reads a request body holding a JSON array of edges into
 // pooled decode scratch. The caller must putBatch the returned buffer once
 // the batch has been handed to the insert path.
-//
-//higgsvet:pool-ownership the returned buffer transfers to the caller, which releases it via putBatch; error paths Put before returning
 func decodeBatch(w http.ResponseWriter, r *http.Request) (*batchBuf, error) {
 	b := batchPool.Get().(*batchBuf)
 	b.edges = b.edges[:0]

@@ -1,14 +1,13 @@
 package vetrules
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"higgs/internal/vetrules/analysis"
 )
 
-// LockScope enforces the hold-time discipline of the two hot mutexes the
+// lockScope enforces the hold-time discipline of the two hot mutexes the
 // whole system serializes on — a shard slot's RWMutex (every query fans
 // out behind it) and the WAL log mutex (every durable admission runs
 // under it): no blocking or I/O call may execute while one is held.
@@ -26,39 +25,23 @@ import (
 //   - channel send, channel receive, select, range-over-channel
 //   - sync.WaitGroup.Wait and sync.Cond.Wait
 //
-// The check also treats the body of a `fooLocked` method — the
-// repository's "caller holds mu" convention — as a held section.
-// Documented exceptions (segment rotation syncs the sealed file under
-// the log mutex by design) carry //higgsvet:ignore suppressions.
-var LockScope = &analysis.Analyzer{
-	Name: "lockscope",
-	Doc: "no blocking or I/O calls (fsync, net, http, log, time.Sleep, channel ops) while a shard RWMutex or the WAL log mutex is held\n\n" +
-		"Applies to packages shard and wal; sections are Lock/RLock..Unlock/RUnlock spans over fields named mu, plus *Locked-suffixed method bodies.",
-	Run: runLockScope,
-}
-
-// blockingCallPkgs are import paths any call into which is considered
-// blocking I/O.
-var blockingCallPkgs = map[string]bool{
-	"net":          true,
-	"net/http":     true,
-	"os/exec":      true,
-	"database/sql": true,
-	"log":          true,
-}
-
-func runLockScope(pass *analysis.Pass) (any, error) {
-	switch pass.Pkg.Name() {
-	case "shard", "wal":
-	default:
-		return nil, nil
-	}
-	info := pass.TypesInfo
-	for _, f := range prodFiles(pass) {
+// Sections are Lock/RLock..Unlock/RUnlock spans over fields named mu. The
+// check also treats the body of a `fooLocked` method — the repository's
+// "caller holds mu" convention — as a held section. Documented exceptions
+// (segment rotation syncs the sealed file under the log mutex by design)
+// carry //lockscope:ignore suppressions.
+//
+// files are one package's non-test sources, info their type information.
+func lockScope(fset *token.FileSet, files []*ast.File, info *types.Info) result {
+	var res result
+	ig := collectIgnores(fset, files)
+	for _, f := range files {
 		for _, fb := range funcBodies(f) {
 			secs := lockSections(info, fb.body)
+			res.sections += len(secs)
 			if s, ok := lockedBody(info, fb); ok {
 				secs = append(secs, s)
+				res.lockedBodies++
 			}
 			if len(secs) == 0 {
 				continue
@@ -69,21 +52,46 @@ func runLockScope(pass *analysis.Pass) (any, error) {
 					return true
 				}
 				for i := range secs {
-					if secs[i].contains(pos) {
-						pass.Reportf(pos, "%s while holding %s: blocking inside this critical section stalls every goroutine serialized on it (DESIGN.md §18)", what, secs[i].chain)
-						// A reported select already covers the sends and
-						// receives in its comm clauses; don't re-report them.
-						if _, ok := n.(*ast.SelectStmt); ok {
-							return false
-						}
-						break // one report per op, even under nested sections
+					if !secs[i].contains(pos) {
+						continue
 					}
+					if p := fset.Position(pos); !ig[lineKey{p.Filename, p.Line}] {
+						res.findings = append(res.findings, finding{p, fmt.Sprintf(
+							"%s while holding %s: blocking inside this critical section stalls every goroutine serialized on it (DESIGN.md §18)",
+							what, secs[i].chain)})
+					}
+					// A reported select already covers the sends and
+					// receives in its comm clauses; don't re-report them.
+					if _, ok := n.(*ast.SelectStmt); ok {
+						return false
+					}
+					break // one report per op, even under nested sections
 				}
 				return true
 			})
 		}
 	}
-	return nil, nil
+	return res
+}
+
+// result is what one package yielded: the findings that survive
+// suppression, and how much the rule actually looked at — the test holds
+// both counts to what the source shows, because a rule that tracks nothing
+// passes everything.
+type result struct {
+	findings     []finding
+	sections     int // Lock/RLock spans tracked
+	lockedBodies int // *Locked method bodies treated as held
+}
+
+// blockingCallPkgs are import paths any call into which is considered
+// blocking I/O.
+var blockingCallPkgs = map[string]bool{
+	"net":          true,
+	"net/http":     true,
+	"os/exec":      true,
+	"database/sql": true,
+	"log":          true,
 }
 
 // blockingOp classifies a node as a forbidden blocking operation,

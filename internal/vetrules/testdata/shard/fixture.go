@@ -73,7 +73,15 @@ func (sl *slot) spawn() func() {
 // suppressed shows a reviewed exception with a reason.
 func (sl *slot) suppressed() {
 	sl.mu.Lock()
-	//higgsvet:ignore lockscope fixture-reviewed exception mirroring the real rotation case
+	//lockscope:ignore fixture-reviewed exception mirroring the real rotation case
 	time.Sleep(time.Millisecond)
+	sl.mu.Unlock()
+}
+
+// ignoreNoReason: an ignore without a reason does not suppress.
+func (sl *slot) ignoreNoReason() {
+	sl.mu.Lock()
+	//lockscope:ignore
+	time.Sleep(time.Millisecond) // want "time.Sleep while holding"
 	sl.mu.Unlock()
 }

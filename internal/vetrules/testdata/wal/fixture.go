@@ -27,7 +27,7 @@ func (l *Log) rotateLocked() {
 
 // sealLocked is the suppressed counterpart of the real rotation case.
 func (l *Log) sealLocked() {
-	//higgsvet:ignore lockscope sealing must sync before segment handoff, mirroring the real exception
+	//lockscope:ignore sealing must sync before segment handoff, mirroring the real exception
 	l.f.Sync()
 }
 

@@ -1,22 +1,23 @@
-// Package vetrules holds higgsvet's go/analysis suite: mechanical
-// enforcement of the concurrency and API invariants that DESIGN.md §12–§17
-// state in prose and that -race tests can only probabilistically witness
-// (DESIGN.md §18). Each analyzer is package-local, intra-procedural, and
+// Package vetrules holds the one source-level rule the repository checks
+// about itself that neither an API shape nor a call-site list can carry:
+// lockscope, the hold-time discipline of the shard and WAL mutexes
+// (DESIGN.md §18). The rule is package-local, intra-procedural, and
 // deliberately narrow: it encodes the exact shape the repository's own
-// code uses (named `mu` mutex fields, the wal.Log deliver callback),
-// trading generality for zero-configuration precision on this tree.
+// code uses (mutex fields named `mu`, `fooLocked` methods), trading
+// generality for zero-configuration precision on this tree. Its only
+// caller is this package's test, which type-checks internal/shard and
+// internal/wal from source and fails on any finding — so the rule runs
+// under `go test ./...` like every other invariant.
 //
 // # Suppressions
 //
 // A finding that is a documented, reviewed exception is silenced with a
-// machine-readable comment on the offending line or the line above it:
+// comment on the offending line or the line above it:
 //
-//	//higgsvet:ignore <analyzer> <reason>
+//	//lockscope:ignore <reason>
 //
 // The reason is mandatory — an ignore without one does not suppress, so
 // every exception in the tree carries its justification next to the code.
-// Package poolput additionally honors a function-level ownership marker,
-// //higgsvet:pool-ownership <reason> (see poolput.go).
 package vetrules
 
 import (
@@ -24,129 +25,42 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"higgs/internal/vetrules/analysis"
 )
 
-// All returns the full higgsvet suite in reporting order.
-func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		LockScope,
-		PoolPut,
-	}
+// finding is one post-suppression diagnostic.
+type finding struct {
+	pos token.Position
+	msg string
 }
 
-// Finding is one post-suppression diagnostic, tagged with the analyzer
-// that produced it.
-type Finding struct {
-	Analyzer string
-	Pos      token.Position
-	Message  string
+// lineKey identifies one source line.
+type lineKey struct {
+	file string
+	line int
 }
 
-// RunPackage runs every analyzer in All over one typed package and returns
-// the findings that survive //higgsvet:ignore filtering, in source order.
-// It is the single entry point the vettool driver and the fixture test
-// harness share, so suppression semantics cannot diverge between them.
-func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
-	return RunAnalyzers(fset, files, pkg, info, All())
-}
-
-// RunAnalyzers is RunPackage restricted to an explicit analyzer list; the
-// fixture harness uses it to exercise one analyzer at a time.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	ig := collectIgnores(fset, files)
-	var out []Finding
-	for _, a := range analyzers {
-		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if _, err := a.Run(pass); err != nil {
-			return nil, err
-		}
-		for _, d := range diags {
-			pos := fset.Position(d.Pos)
-			if ig.suppressed(a.Name, pos) {
-				continue
-			}
-			out = append(out, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
-		}
-	}
-	return out, nil
-}
-
-// ignoreSet indexes //higgsvet:ignore comments by (file, line, analyzer).
-// A comment suppresses findings on its own line and on the line directly
-// below it (the comment-above-the-statement idiom).
-type ignoreSet map[string]map[int]map[string]bool
-
-const ignorePrefix = "higgsvet:ignore"
-
-func collectIgnores(fset *token.FileSet, files []*ast.File) ignoreSet {
-	ig := make(ignoreSet)
+// collectIgnores indexes //lockscope:ignore comments by line. A comment
+// suppresses findings on its own line and on the line directly below it
+// (the comment-above-the-statement idiom).
+func collectIgnores(fset *token.FileSet, files []*ast.File) map[lineKey]bool {
+	ig := make(map[lineKey]bool)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, ignorePrefix) {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePrefix))
-				name, reason, _ := strings.Cut(rest, " ")
-				if name == "" || strings.TrimSpace(reason) == "" {
-					// No analyzer or no reason: not a valid suppression.
-					// The finding stands, which is the loud failure mode.
+				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				directive, reason, _ := strings.Cut(text, " ")
+				if directive != "lockscope:ignore" || strings.TrimSpace(reason) == "" {
+					// No reason: not a valid suppression. The finding
+					// stands, which is the loud failure mode.
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				byLine := ig[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int]map[string]bool)
-					ig[pos.Filename] = byLine
-				}
-				for _, line := range []int{pos.Line, pos.Line + 1} {
-					if byLine[line] == nil {
-						byLine[line] = make(map[string]bool)
-					}
-					byLine[line][name] = true
-				}
+				ig[lineKey{pos.Filename, pos.Line}] = true
+				ig[lineKey{pos.Filename, pos.Line + 1}] = true
 			}
 		}
 	}
 	return ig
-}
-
-func (ig ignoreSet) suppressed(analyzer string, pos token.Position) bool {
-	byLine := ig[pos.Filename]
-	if byLine == nil {
-		return false
-	}
-	return byLine[pos.Line][analyzer]
-}
-
-// isTestFile reports whether f was parsed from a _test.go file. The suite
-// enforces production invariants; tests intentionally reach around them
-// (locking slots directly, writing raw HTTP errors into recorders).
-func isTestFile(fset *token.FileSet, f *ast.File) bool {
-	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
-}
-
-// prodFiles returns the pass's non-test files.
-func prodFiles(pass *analysis.Pass) []*ast.File {
-	var out []*ast.File
-	for _, f := range pass.Files {
-		if !isTestFile(pass.Fset, f) {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // chainString renders the selector/index chain of an expression —
@@ -184,9 +98,9 @@ func chainString(e ast.Expr) string {
 	return ""
 }
 
-// pkgPathIs reports whether t's defining package import path is path
-// exactly ("sync", "net/http"); used where fixtures shadow the real
-// standard-library path, so path matching stays precise.
+// pkgPathIs reports whether t (possibly behind a pointer) is the named
+// type typeName declared in the package whose import path is exactly path
+// ("sync", "os").
 func pkgPathIs(t types.Type, path, typeName string) bool {
 	if t == nil {
 		return false

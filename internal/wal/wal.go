@@ -365,7 +365,7 @@ func (l *Log) rotateLocked() {
 		l.err = err
 		return
 	}
-	//higgsvet:ignore lockscope rotation must seal the old segment durably before the next segment takes appends; it happens once per segmentSize bytes, amortized far below the group-commit fsync cadence
+	//lockscope:ignore rotation must seal the old segment durably before the next segment takes appends; it happens once per segmentSize bytes, amortized far below the group-commit fsync cadence
 	if err := l.f.Sync(); err != nil {
 		l.err = err
 		return
