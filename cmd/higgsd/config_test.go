@@ -8,6 +8,12 @@ import (
 	"higgs/internal/ingest"
 )
 
+// modeGone is what every -ingest-mode value but "auto" is answered with.
+func modeGone(mode string) string {
+	return `-ingest-mode "` + mode + `": admission has one path and the flag selects nothing (only "auto" parses); ` +
+		"for writes visible on return POST to /v1/insert, which answers 200 once the batch is applied"
+}
+
 // TestParseConfigRejects walks every rule parseConfig enforces, one
 // command line each, and pins the message the operator sees.
 func TestParseConfigRejects(t *testing.T) {
@@ -15,7 +21,9 @@ func TestParseConfigRejects(t *testing.T) {
 		args string
 		want string
 	}{
-		{"-ingest-mode turbo", `-ingest-mode: ingest: mode "turbo", need "auto", "sync", or "async"`},
+		{"-ingest-mode sync", modeGone("sync")},
+		{"-ingest-mode async", modeGone("async")},
+		{"-ingest-mode turbo", modeGone("turbo")},
 		// Once booted with no cache and no error: flag stops at "true".
 		{"-analytics true -cache-bytes 5", `unexpected argument "true" (every flag after it was ignored)`},
 		// Once booted as "one per CPU" and skipped the -load shard check.
@@ -64,20 +72,30 @@ func TestParseConfigAccepts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.addr != ":8080" || c.ingest.Mode != ingest.ModeAuto || c.ingest.QueueDepth != 4096 || c.analytics != nil || c.replFrom != "" {
+	if c.addr != ":8080" || c.ingest.QueueDepth != 4096 || c.analytics != nil || c.replFrom != "" {
 		t.Errorf("defaults = %+v", c)
 	}
 
-	c, err = parseConfig(strings.Fields("-ingest-mode async -queue-depth 7 -commit-interval 3ms -wal-dir w -snapshot-interval 1s " +
+	c, err = parseConfig(strings.Fields("-queue-depth 7 -commit-interval 3ms -wal-dir w -snapshot-interval 1s " +
 		"-retention-window 1h -replication-addr :1 -analytics -analytics-epoch 2s -analytics-topk 9 -analytics-burst 1.5 -cache-bytes 65536"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ingest.Mode != ingest.ModeAsync || c.ingest.QueueDepth != 7 || c.ingest.CommitInterval != 3*time.Millisecond {
+	if c.ingest.QueueDepth != 7 || c.ingest.CommitInterval != 3*time.Millisecond {
 		t.Errorf("ingest = %+v", c.ingest)
 	}
 	if a := c.analytics; a == nil || a.EpochSeconds != 2 || a.TrackK != 9 || a.BurstFactor != 1.5 {
 		t.Errorf("analytics = %+v", c.analytics)
+	}
+
+	// The ruler's command line (benchmark/daemon.go daemonArgs), which go
+	// test ./... does not otherwise enter: every flag it passes must parse.
+	c, err = parseConfig(strings.Fields("-addr A -shards 4 -ingest-mode auto -wal-dir D -wal-sync-interval 0 -cache-bytes 1048576"))
+	if err != nil {
+		t.Fatalf("the benchmark's daemon flags: %v", err)
+	}
+	if c.addr != "A" || c.shards != 4 || c.walDir != "D" || c.walSync != 0 || c.cacheBytes != 1<<20 || c.ingest != (ingest.Config{QueueDepth: 4096}) {
+		t.Errorf("the benchmark's daemon flags = %+v", c)
 	}
 
 	// A follower may keep a snapshot cadence for its -replica-dir alone.

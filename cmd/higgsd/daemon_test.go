@@ -76,6 +76,9 @@ func TestHelpGolden(t *testing.T) {
 	if msg, exit := run("-load", "x", "-wal-dir", "y"); exit != 1 || !strings.Contains(msg, "higgsd: -load conflicts with -wal-dir") {
 		t.Errorf("conflicting flags: exit %d, stderr %q; want 1 and the conflict", exit, msg)
 	}
+	if msg, exit := run("-ingest-mode", "sync"); exit != 1 || !strings.Contains(msg, "/v1/insert") {
+		t.Errorf("-ingest-mode sync: exit %d, stderr %q; want 1 and a pointer to /v1/insert", exit, msg)
+	}
 }
 
 func freeAddr(t *testing.T) string {
@@ -149,7 +152,7 @@ func TestHealthzGolden(t *testing.T) {
 	dir := t.TempDir()
 
 	standalone := freeAddr(t)
-	startDaemon(t, bin, standalone, "-shards", "3")
+	startDaemon(t, bin, standalone, "-shards", "3", "-ingest-mode", "auto") // the one value that still boots
 	golden(t, "healthz_standalone.golden", healthzShape(t, standalone))
 
 	primary, feed := freeAddr(t), freeAddr(t)

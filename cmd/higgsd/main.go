@@ -3,13 +3,13 @@
 //
 //	higgsd -addr :8080
 //	higgsd -addr :8080 -shards 8 -load summary.higgs -save summary.higgs
-//	higgsd -ingest-mode async -queue-depth 8192 -commit-interval 2ms
+//	higgsd -queue-depth 8192 -commit-interval 2ms
 //
 // The summary is hash-partitioned by source vertex across -shards
 // independent HIGGS trees (0 = one per CPU), so concurrent inserts and
 // queries touching different shards never contend; see internal/shard.
 // Writes go through the group-commit pipeline (internal/ingest, DESIGN.md
-// §9) configured by -ingest-mode, -queue-depth, and -commit-interval:
+// §9) configured by -queue-depth and -commit-interval:
 // /v1/ingest answers as soon as a batch is accepted, /v1/insert is the
 // same admission followed by a flush, so it answers once the batch is
 // visible.
@@ -27,7 +27,7 @@
 //	POST /v1/subgraph  {"edges":[[1,2],[2,3]],"ts":0,"te":200}
 //	POST /v2/query     [{"kind":"edge","s":1,"d":2,"ts":0,"te":200}, ...]
 //	                   (batch: ≤ 1 read-lock acquisition per shard, per-item errors)
-//	GET  /healthz      (load-balancer probe: shard count + ingest mode, no locks)
+//	GET  /healthz      (load-balancer probe: serving configuration, no locks)
 //	GET  /v1/stats
 //	GET  /v1/snapshot  (binary download)   POST /v1/snapshot (restore)
 //
@@ -133,7 +133,7 @@ const snapshotName = "snapshot.higgs"
 type config struct {
 	addr, pprofAddr, load, save    string
 	shards                         int
-	ingest                         ingest.Config // mode, queue depth, commit interval
+	ingest                         ingest.Config // queue depth, commit interval
 	walDir                         string
 	walSync, snapIvl               time.Duration
 	retWin, retIvl                 time.Duration
@@ -165,7 +165,8 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.shards, "shards", 0, "summary shard count (0 = one per CPU)")
 	fs.StringVar(&c.load, "load", "", "snapshot file to restore at startup")
 	fs.StringVar(&c.save, "save", "", "snapshot file to write on shutdown")
-	fs.StringVar(&mode, "ingest-mode", "auto", `/v1/ingest admission: "sync", "async", or "auto"`)
+	// Frozen: the benchmark's daemon command line passes "-ingest-mode auto".
+	fs.StringVar(&mode, "ingest-mode", "auto", `accepted for old command lines, selects nothing: only "auto" parses (the endpoint is the mode: /v1/ingest queues, /v1/insert answers once visible)`)
 	fs.IntVar(&c.ingest.QueueDepth, "queue-depth", 4096, "per-shard async ingest queue capacity (edges)")
 	fs.DurationVar(&c.ingest.CommitInterval, "commit-interval", 0, "group-commit accumulation window (0 = apply as soon as possible)")
 	fs.StringVar(&c.walDir, "wal-dir", "", "durable state directory: write-ahead log segments + snapshot.higgs (empty = no crash durability)")
@@ -195,10 +196,6 @@ func parseConfig(args []string) (config, error) {
 		return c, errFlags
 	}
 
-	var err error
-	if c.ingest.Mode, err = ingest.ParseMode(mode); err != nil {
-		return c, fmt.Errorf("-ingest-mode: %v", err)
-	}
 	follower := c.replFrom != ""
 	// The first rule that holds is the error.
 	for _, rule := range []struct {
@@ -208,6 +205,7 @@ func parseConfig(args []string) (config, error) {
 		// flag stops at the first non-flag word and would drop every flag
 		// after it without a word ("-analytics true -cache-bytes 5").
 		{fs.NArg() > 0, fmt.Sprintf("unexpected argument %q (every flag after it was ignored)", fs.Arg(0))},
+		{mode != "auto", fmt.Sprintf(`-ingest-mode %q: admission has one path and the flag selects nothing (only "auto" parses); for writes visible on return POST to /v1/insert, which answers 200 once the batch is applied`, mode)},
 		{c.shards < 0, fmt.Sprintf("-shards %d, need ≥ 0", c.shards)},
 		// Config treats 0 as "use the default"; an operator passing 0
 		// expects no buffering, which the pipeline does not offer.
@@ -372,8 +370,8 @@ func runPrimary(c config) error {
 			}
 		}()
 	}
-	banner := fmt.Sprintf("listening on %s (shards=%d items=%d ingest=%s wal=%v)",
-		c.addr, sum.NumShards(), sum.Items(), c.ingest.Mode, wlog != nil)
+	banner := fmt.Sprintf("listening on %s (shards=%d items=%d wal=%v)",
+		c.addr, sum.NumShards(), sum.Items(), wlog != nil)
 	return c.serve(srv, banner, func(ctx context.Context) {
 		if replSrv != nil {
 			if err := replSrv.Shutdown(ctx); err != nil {

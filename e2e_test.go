@@ -169,7 +169,7 @@ func TestE2ECrashRecoveryExpireWALDir(t *testing.T) {
 	addr := freeAddr(t)
 
 	run := exec.Command(bins["higgsd"], "-addr", addr, "-shards", "2",
-		"-ingest-mode", "async", "-commit-interval", "1h", "-wal-dir", walDir)
+		"-commit-interval", "1h", "-wal-dir", walDir)
 	var logs bytes.Buffer
 	run.Stderr = &logs
 	if err := run.Start(); err != nil {
@@ -238,8 +238,8 @@ func TestE2ECrashRecoveryExpireWALDir(t *testing.T) {
 	run.Wait()
 
 	// Clean in-process reference: identical batches and expire, in order,
-	// through a sync WAL'd pipeline (so sequence numbers and watermarks
-	// match the daemon's).
+	// through a WAL'd pipeline closed in order (so sequence numbers and
+	// watermarks match the daemon's).
 	cfg := higgs.DefaultShardedConfig()
 	cfg.Shards = 2
 	ref, err := higgs.NewSharded(cfg)
@@ -251,7 +251,7 @@ func TestE2ECrashRecoveryExpireWALDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := higgs.NewIngest(ref, higgs.IngestConfig{Mode: higgs.IngestSync, WAL: refLog})
+	pipe, err := higgs.NewIngest(ref, higgs.IngestConfig{WAL: refLog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestE2EAsyncDaemon(t *testing.T) {
 	addr := freeAddr(t)
 
 	run := exec.Command(bins["higgsd"], "-addr", addr, "-save", snap,
-		"-shards", "2", "-ingest-mode", "async", "-commit-interval", "1h")
+		"-shards", "2", "-commit-interval", "1h")
 	var logs bytes.Buffer
 	run.Stderr = &logs
 	if err := run.Start(); err != nil {
@@ -443,7 +443,7 @@ func TestE2ESigtermDrainSnapshotExact(t *testing.T) {
 	addr := freeAddr(t)
 
 	run := exec.Command(bins["higgsd"], "-addr", addr, "-save", snap,
-		"-shards", "2", "-ingest-mode", "async", "-commit-interval", "1h")
+		"-shards", "2", "-commit-interval", "1h")
 	var logs bytes.Buffer
 	run.Stderr = &logs
 	if err := run.Start(); err != nil {
@@ -516,7 +516,7 @@ func TestE2ECrashRecoveryWALDir(t *testing.T) {
 	addr := freeAddr(t)
 
 	run := exec.Command(bins["higgsd"], "-addr", addr, "-shards", "2",
-		"-ingest-mode", "async", "-commit-interval", "1h", "-wal-dir", walDir)
+		"-commit-interval", "1h", "-wal-dir", walDir)
 	var logs bytes.Buffer
 	run.Stderr = &logs
 	if err := run.Start(); err != nil {

@@ -8,7 +8,7 @@
 // results never under-estimate the truth. Internally it is an item-based,
 // bottom-up aggregated B-tree of compressed matrices; see DESIGN.md for the
 // architecture and internal/ for the substrates and the baselines used by
-// the benchmark harness (TCM, GSS, Auxo, PGSS, Horae, AuxoTime).
+// the benchmark harness (GSS, Auxo, PGSS, Horae, AuxoTime).
 //
 // # Quick start
 //
@@ -139,20 +139,9 @@ func LoadSharded(r io.Reader) (*Sharded, error) { return shard.Read(r) }
 // full method documentation and DESIGN.md §9 and §13 for the model.
 type Ingest = ingest.Pipeline
 
-// IngestConfig parameterizes an ingest pipeline: admission mode, per-shard
-// queue depth, group-commit accumulation window, and the auto-mode
-// synchronous-batch threshold.
+// IngestConfig parameterizes an ingest pipeline: per-shard queue depth,
+// group-commit accumulation window, and the optional write-ahead log.
 type IngestConfig = ingest.Config
-
-// IngestMode selects how Ingest.Submit applies batches.
-type IngestMode = ingest.Mode
-
-// Ingest admission modes; see the ingest package constants.
-const (
-	IngestAuto  = ingest.ModeAuto
-	IngestSync  = ingest.ModeSync
-	IngestAsync = ingest.ModeAsync
-)
 
 // Backpressure and lifecycle errors returned by Ingest.Submit.
 var (
@@ -160,8 +149,8 @@ var (
 	ErrIngestClosed    = ingest.ErrClosed
 )
 
-// DefaultIngestConfig returns the default pipeline configuration (auto
-// mode, 4096-edge queues, no accumulation delay).
+// DefaultIngestConfig returns the default pipeline configuration
+// (4096-edge queues, no accumulation delay).
 func DefaultIngestConfig() IngestConfig { return ingest.DefaultConfig() }
 
 // NewIngest returns a group-commit ingest pipeline over the summary. The

@@ -16,9 +16,7 @@ func TestIngestFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	cfg := higgs.DefaultIngestConfig()
-	cfg.Mode = higgs.IngestAsync
-	p, err := higgs.NewIngest(s, cfg)
+	p, err := higgs.NewIngest(s, higgs.DefaultIngestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +29,7 @@ func TestIngestFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if applied {
-		t.Fatal("async submit applied synchronously")
+		t.Fatal("Submit reported a synchronous apply")
 	}
 	p.Flush()
 	if got := s.EdgeWeight(1, 2, 0, 250); got != 7 {
@@ -56,7 +54,7 @@ func TestIngestFacadeConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	p, err := higgs.NewIngest(s, higgs.IngestConfig{Mode: higgs.IngestAsync, QueueDepth: 128})
+	p, err := higgs.NewIngest(s, higgs.IngestConfig{QueueDepth: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func TestConcurrentApplyAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, e := newPair(t, 4, Config{EpochSeconds: 5_000})
-	p, err := ingest.New(s, ingest.Config{Mode: ingest.ModeAsync, CommitInterval: time.Millisecond})
+	p, err := ingest.New(s, ingest.Config{CommitInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,7 +251,7 @@ func analyticsRow(c *gateCase) ([]string, error) {
 	// Ingest through the async group-commit pipeline, flushing at every
 	// slab boundary, with the retention expire interleaved after the first
 	// slab — the sketches must survive leaves being reclaimed under them.
-	p, err := ingest.New(s, ingest.Config{Mode: ingest.ModeAsync, CommitInterval: 200 * time.Microsecond})
+	p, err := ingest.New(s, ingest.Config{CommitInterval: 200 * time.Microsecond})
 	if err != nil {
 		return nil, err
 	}

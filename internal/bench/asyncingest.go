@@ -133,7 +133,7 @@ func contendedIngestEPS(c *gateCase, async bool) (float64, error) {
 		// A short accumulation window builds large groups under sustained
 		// load (a full queue cuts it short), so committers drain thousands
 		// of edges per shard-lock acquisition instead of waking per edge.
-		p, err = ingest.New(s, ingest.Config{Mode: ingest.ModeAsync, CommitInterval: 200 * time.Microsecond})
+		p, err = ingest.New(s, ingest.Config{CommitInterval: 200 * time.Microsecond})
 		if err != nil {
 			return 0, err
 		}
@@ -188,7 +188,7 @@ func asyncEquivalence(c *gateCase) error {
 		defer s.Close()
 		var p *ingest.Pipeline
 		if async {
-			p, err = ingest.New(s, ingest.Config{Mode: ingest.ModeAsync, QueueDepth: 512, CommitInterval: 100 * time.Microsecond})
+			p, err = ingest.New(s, ingest.Config{QueueDepth: 512, CommitInterval: 100 * time.Microsecond})
 			if err != nil {
 				return nil, err
 			}

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"higgs/internal/ingest"
 	"higgs/internal/metrics"
 	"higgs/internal/repl"
 	"higgs/internal/server"
@@ -79,8 +78,7 @@ var replicationGate = gate{
 	},
 }
 
-// primary is a rig serving its replication feed: a sync-mode pipeline
-// (every Submit durable before returning) over small segments (so a
+// primary is a rig serving its replication feed, over small segments (so a
 // mid-stream snapshot has whole segments to truncate), behind an httptest
 // server.
 type primary struct {
@@ -89,7 +87,7 @@ type primary struct {
 }
 
 func newPrimary(cfg shard.Config) (*primary, error) {
-	r, err := newRig(cfg, ingest.ModeSync, smallSegments)
+	r, err := newRig(cfg, smallSegments)
 	if err != nil {
 		return nil, err
 	}
@@ -141,6 +139,7 @@ func (p *primary) converge(f *repl.Follower) error {
 	if err := p.caughtUp(f); err != nil {
 		return err
 	}
+	p.pipe.Flush() // the follower applied every durable record; so must the primary
 	want, err := summaryBytes(p.sum, false)
 	if err != nil {
 		return err

@@ -48,9 +48,9 @@ type rig struct {
 	dropped int64 // leaves reclaimed by feed's expire points
 }
 
-// newRig boots an empty rig. The ingest mode and the segment size (0: the
-// log's default) are the only things scenarios vary.
-func newRig(cfg shard.Config, mode ingest.Mode, segmentBytes int64) (*rig, error) {
+// newRig boots an empty rig. The segment size (0: the log's default) is the
+// only thing scenarios vary.
+func newRig(cfg shard.Config, segmentBytes int64) (*rig, error) {
 	dir, err := os.MkdirTemp("", "higgs-bench-*")
 	if err != nil {
 		return nil, err
@@ -61,7 +61,7 @@ func newRig(cfg shard.Config, mode ingest.Mode, segmentBytes int64) (*rig, error
 	}
 	if err == nil {
 		r.pipe, err = ingest.New(r.sum, ingest.Config{
-			Mode: mode, QueueDepth: 1024, CommitInterval: 100 * time.Microsecond, WAL: r.log,
+			QueueDepth: 1024, CommitInterval: 100 * time.Microsecond, WAL: r.log,
 		})
 	}
 	if err != nil {
@@ -184,12 +184,12 @@ func summaryBytes(s *shard.Summary, finalize bool) ([]byte, error) {
 }
 
 // cleanReference is what every durable scenario must equal byte for byte:
-// the same feed through a sync-mode pipeline with an orderly close. It
-// runs through a WAL too, so both sides assign identical sequence numbers
-// and the comparison covers the watermarks. It also returns the leaves the
-// expire points reclaimed.
+// the same feed with an orderly close — every accepted edge applied by the
+// pipeline that accepted it, nothing replayed. It runs through a WAL too,
+// so both sides assign identical sequence numbers and the comparison covers
+// the watermarks. It also returns the leaves the expire points reclaimed.
 func cleanReference(cfg shard.Config, st stream.Stream, exps []expirePoint) (snap []byte, dropped int64, err error) {
-	r, err := newRig(cfg, ingest.ModeSync, 0)
+	r, err := newRig(cfg, 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -202,7 +202,7 @@ func cleanReference(cfg shard.Config, st stream.Stream, exps []expirePoint) (sna
 	return snap, r.dropped, err
 }
 
-// crashRecovery feeds the stream and its expire points through an async
+// crashRecovery feeds the stream and its expire points through a
 // WAL-backed pipeline, crashes, recovers, and fails unless the recovered
 // summary byte-equals ref. With midSnapshot one background snapshot lands
 // mid-stream, so recovery is snapshot + WAL tail instead of a full replay:
@@ -212,7 +212,7 @@ func cleanReference(cfg shard.Config, st stream.Stream, exps []expirePoint) (sna
 // retention's expire points — because the reference's batches must line
 // up with ours. It returns the replay throughput in edges/s.
 func crashRecovery(cfg shard.Config, st stream.Stream, exps []expirePoint, midSnapshot bool, ref []byte) (float64, error) {
-	r, err := newRig(cfg, ingest.ModeAsync, smallSegments)
+	r, err := newRig(cfg, smallSegments)
 	if err != nil {
 		return 0, err
 	}

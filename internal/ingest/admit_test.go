@@ -5,31 +5,172 @@ import (
 	"reflect"
 	"testing"
 
+	"higgs/internal/core"
+	"higgs/internal/shard"
 	"higgs/internal/stream"
 )
 
-// TestOneAdmitPath runs one op script — submits of 1, 3 and 600 edges
-// (a single edge, a small group, and a batch past auto mode's sync
-// threshold), an expire mid-stream, a flush — through every mode over the
-// null log and over a WAL, and requires the same summary from all six:
-// byte-identical snapshots within a log kind (watermarks included), and
-// identical per-shard contents and answers across the two kinds, whose
-// snapshots differ only in the watermarks a null log never assigns.
-func TestOneAdmitPath(t *testing.T) {
-	st := testStreamFor(t, 4000)
-	sizes := []int{1, 3, 600}
-	expireAt, cutoff := len(st)/2, st[len(st)/4].T
+// admitOp is one step of the admit script: submit st[lo:hi], or expire.
+type admitOp struct {
+	lo, hi int
+	expire bool
+}
 
-	type outcome struct {
-		snap    []byte
-		stats   any
-		answers []int64
+// admitQueueDepth is small enough that the script's largest submit puts
+// more edges on one shard than a queue holds, so it is admitted only into
+// an empty queue and 429'd (and retried) otherwise.
+const admitQueueDepth = 256
+
+// admitScript cuts the stream into submits of 1, 3 and 600 edges — a
+// single edge, a small group, a large batch — with one 2000-edge submit
+// (a group past admitQueueDepth on every shard it can land on) and one
+// expire mid-stream.
+func admitScript(st stream.Stream) (ops []admitOp) {
+	sizes := []int{1, 3, 600}
+	for lo, k := 0, 0; lo < len(st); k++ {
+		n := sizes[k%len(sizes)]
+		switch {
+		case k == 4:
+			n = 2000
+		case k == 8:
+			ops = append(ops, admitOp{expire: true})
+		}
+		hi := min(lo+n, len(st))
+		ops = append(ops, admitOp{lo: lo, hi: hi})
+		lo = hi
 	}
-	run := func(t *testing.T, mode Mode, withWAL bool) outcome {
+	return ops
+}
+
+// admitOutcome is everything the script's runs are compared on.
+type admitOutcome struct {
+	snap    []byte
+	stats   []core.Stats
+	answers []int64
+}
+
+func admitOutcomeOf(t *testing.T, sum *shard.Summary, st stream.Stream, cutoff int64) admitOutcome {
+	t.Helper()
+	out := admitOutcome{stats: sum.Stats().PerShard}
+	span := st[len(st)-1].T
+	for _, e := range st[:400] {
+		out.answers = append(out.answers,
+			sum.EdgeWeight(e.S, e.D, 0, span), sum.EdgeWeight(e.S, e.D, cutoff, span),
+			sum.VertexOut(e.S, 0, span), sum.VertexIn(e.D, cutoff, span))
+	}
+	out.snap = snapshotBytes(t, sum)
+	return out
+}
+
+// TestOneAdmitPath holds the pipeline's one admission path to references
+// that are not the pipeline. The script runs three ways:
+//
+//   - as direct shard.Summary calls in script order — what a single
+//     synchronous writer would have built;
+//   - through a pipeline over the null log, which must leave the same
+//     bytes, per-shard stats and answers as the direct calls;
+//   - through a pipeline over a WAL, which must answer like the direct
+//     calls and byte-equal — watermarks included — what Recover builds in a
+//     fresh summary from the log that run wrote.
+func TestOneAdmitPath(t *testing.T) {
+	st := testStreamFor(t, 6000)
+	ops := admitScript(st)
+	cutoff := st[len(st)/4].T
+
+	direct := newShardedFor(t, 4)
+	defer direct.Close()
+	for _, o := range ops {
+		if !o.expire {
+			direct.InsertBatch(st[o.lo:o.hi])
+		} else if direct.Expire(cutoff) == 0 {
+			t.Fatal("the script's expire reclaimed nothing; the comparison would be vacuous")
+		}
+	}
+	want := admitOutcomeOf(t, direct, st, cutoff)
+
+	run := func(t *testing.T, cfg Config) admitOutcome {
 		t.Helper()
 		sum := newShardedFor(t, 4)
 		defer sum.Close()
-		cfg := Config{Mode: mode}
+		p, err := New(sum, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		for _, o := range ops {
+			if !o.expire {
+				submitAll(t, p, st[o.lo:o.hi], o.hi-o.lo)
+			} else if _, err := p.Expire(cutoff); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Flush()
+		if n := p.Pending(); n != 0 {
+			t.Fatalf("%d edges pending after Flush", n)
+		}
+		return admitOutcomeOf(t, sum, st, cutoff)
+	}
+	sameAnswers := func(t *testing.T, got admitOutcome) {
+		t.Helper()
+		if !reflect.DeepEqual(got.stats, want.stats) {
+			t.Errorf("per-shard stats differ from the direct shard calls:\n got %+v\nwant %+v", got.stats, want.stats)
+		}
+		if !reflect.DeepEqual(got.answers, want.answers) {
+			t.Error("query answers differ from the direct shard calls")
+		}
+	}
+
+	t.Run("null log", func(t *testing.T) {
+		got := run(t, Config{QueueDepth: admitQueueDepth})
+		sameAnswers(t, got)
+		if !bytes.Equal(got.snap, want.snap) {
+			t.Errorf("snapshot differs from the direct shard calls (%d vs %d bytes)", len(got.snap), len(want.snap))
+		}
+	})
+
+	t.Run("WAL", func(t *testing.T) {
+		dir := t.TempDir()
+		log := openWAL(t, dir, 0)
+		got := run(t, Config{QueueDepth: admitQueueDepth, WAL: log})
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sameAnswers(t, got)
+		if bytes.Equal(got.snap, want.snap) {
+			t.Error("WAL-run and direct snapshots are byte-equal: the WAL run advanced no watermark")
+		}
+
+		log = openWAL(t, dir, 0)
+		defer log.Close()
+		fresh := newShardedFor(t, 4)
+		defer fresh.Close()
+		replayed, err := Recover(fresh, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replayed != int64(len(st)) {
+			t.Fatalf("Recover replayed %d edges, want the script's %d", replayed, len(st))
+		}
+		if rec := snapshotBytes(t, fresh); !bytes.Equal(got.snap, rec) {
+			t.Errorf("snapshot differs from Recover of the log the run wrote (%d vs %d bytes)", len(got.snap), len(rec))
+		}
+	})
+}
+
+// TestSequentialSubmitsApplyInOrder: batches submitted one after another by
+// one goroutine reach each shard in submission order, whatever mix of
+// single edges and groups they are and however the committers' drains
+// interleave with the submits — over the null log and over a WAL, where
+// that order is also sequence order. Every edge carries its stream index as
+// its weight; applyHook records what each committer hands its shard.
+func TestSequentialSubmitsApplyInOrder(t *testing.T) {
+	st := testStreamFor(t, 3000)
+	for i := range st {
+		st[i].W = int64(i)
+	}
+	for _, withWAL := range []bool{false, true} {
+		sum := newShardedFor(t, 4)
+		cfg := Config{}
 		if withWAL {
 			log := openWAL(t, t.TempDir(), 0)
 			defer log.Close()
@@ -39,85 +180,36 @@ func TestOneAdmitPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
-		expired := false
-		for lo, k := 0, 0; lo < len(st); k++ {
-			if !expired && lo >= expireAt {
-				dropped, err := p.Expire(cutoff)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dropped == 0 {
-					t.Fatal("the script's expire reclaimed nothing; the comparison would be vacuous")
-				}
-				expired = true
+		// Each committer's first drain waits until half the stream is
+		// submitted, so queues hold several batches at once; the rest drain
+		// as they come. The hook runs on one committer per shard, so each
+		// shard's slice has one writer, ordered before the reads by Flush.
+		applied := make([][]int64, sum.NumShards())
+		halfway := make(chan struct{})
+		p.applyHook = func(i int, edges []stream.Edge) {
+			<-halfway
+			for _, e := range edges {
+				applied[i] = append(applied[i], e.W)
 			}
+		}
+		sizes := []int{1, 3, 1, 40}
+		for lo, k := 0, 0; lo < len(st); k++ {
 			hi := min(lo+sizes[k%len(sizes)], len(st))
+			if lo < len(st)/2 && hi >= len(st)/2 {
+				close(halfway)
+			}
 			submitAll(t, p, st[lo:hi], hi-lo)
 			lo = hi
 		}
 		p.Flush()
-		if n := p.Pending(); n != 0 {
-			t.Fatalf("%d edges pending after Flush", n)
-		}
-		out := outcome{stats: sum.Stats().PerShard}
-		span := st[len(st)-1].T
-		for _, e := range st[:400] {
-			out.answers = append(out.answers,
-				sum.EdgeWeight(e.S, e.D, 0, span), sum.EdgeWeight(e.S, e.D, cutoff, span),
-				sum.VertexOut(e.S, 0, span), sum.VertexIn(e.D, cutoff, span))
-		}
-		out.snap = snapshotBytes(t, sum)
-		return out
-	}
 
-	var ref [2]outcome // per log kind: the sync-mode run
-	for w, withWAL := range []bool{false, true} {
-		for _, mode := range []Mode{ModeSync, ModeAsync, ModeAuto} {
-			got := run(t, mode, withWAL)
-			if mode == ModeSync {
-				ref[w] = got
-			}
-			if !bytes.Equal(got.snap, ref[w].snap) {
-				t.Errorf("wal=%v %v: snapshot differs from sync mode over the same log (%d vs %d bytes)", withWAL, mode, len(got.snap), len(ref[w].snap))
-			}
-			if !reflect.DeepEqual(got.stats, ref[0].stats) {
-				t.Errorf("wal=%v %v: per-shard stats differ from the null-log sync run:\n got %+v\nwant %+v", withWAL, mode, got.stats, ref[0].stats)
-			}
-			if !reflect.DeepEqual(got.answers, ref[0].answers) {
-				t.Errorf("wal=%v %v: query answers differ from the null-log sync run", withWAL, mode)
-			}
+		want := make([][]int64, sum.NumShards())
+		for _, e := range st {
+			i := sum.ShardFor(e.S)
+			want[i] = append(want[i], e.W)
 		}
-	}
-	if bytes.Equal(ref[0].snap, ref[1].snap) {
-		t.Error("WAL and null-log snapshots are byte-equal: the WAL run advanced no watermark")
-	}
-}
-
-// TestSubmitSingleEdgeModes pins the one decision Submit makes for the
-// smallest batch: sync mode applies it, async queues it, and auto applies
-// it only when a threshold of 1 makes a single edge "large" — the same
-// rule with and without a log.
-func TestSubmitSingleEdgeModes(t *testing.T) {
-	e := []stream.Edge{{S: 1, D: 2, W: 3, T: 10}}
-	for _, tc := range []struct {
-		cfg     Config
-		applied bool
-	}{
-		{Config{Mode: ModeSync}, true},
-		{Config{Mode: ModeAsync}, false},
-		{Config{Mode: ModeAuto}, false},
-		{Config{Mode: ModeAuto, SyncThreshold: 1}, true},
-	} {
-		sum := newShardedFor(t, 2)
-		p := newPipeline(t, sum, tc.cfg)
-		applied, err := p.Submit(e)
-		if err != nil || applied != tc.applied {
-			t.Errorf("%v threshold %d: Submit = (%v, %v), want (%v, nil)", tc.cfg.Mode, tc.cfg.SyncThreshold, applied, err, tc.applied)
-		}
-		p.Flush()
-		if got := sum.EdgeWeight(1, 2, 0, 100); got != 3 {
-			t.Errorf("%v: EdgeWeight = %d after flush, want 3", tc.cfg.Mode, got)
+		if !reflect.DeepEqual(applied, want) {
+			t.Errorf("wal=%v: committers applied edges out of submission order (or dropped some)", withWAL)
 		}
 		p.Close()
 		sum.Close()

@@ -39,52 +39,6 @@ import (
 	"higgs/internal/wal"
 )
 
-// Mode selects how Submit applies batches.
-type Mode int
-
-const (
-	// ModeAuto enqueues small batches and applies large ones (at least
-	// Config.SyncThreshold edges) synchronously when their target shards
-	// have nothing pending — a large batch already amortizes its own lock
-	// acquisitions, so queueing it buys nothing. The pending check keeps a
-	// sequential client's batches applied in submission order.
-	ModeAuto Mode = iota
-	// ModeSync applies every batch synchronously; Submit returns after the
-	// edges are visible. No queues or committers exist.
-	ModeSync
-	// ModeAsync enqueues every batch; edges become visible after the
-	// shard's committer drains, or at the latest after Flush.
-	ModeAsync
-)
-
-// String returns the flag spelling of the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeAuto:
-		return "auto"
-	case ModeSync:
-		return "sync"
-	case ModeAsync:
-		return "async"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// ParseMode parses the flag spelling of a mode ("auto", "sync", "async").
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "auto":
-		return ModeAuto, nil
-	case "sync":
-		return ModeSync, nil
-	case "async":
-		return ModeAsync, nil
-	default:
-		return 0, fmt.Errorf(`ingest: mode %q, need "auto", "sync", or "async"`, s)
-	}
-}
-
 // ErrQueueFull is returned by Submit when some target shard's queue cannot
 // take the batch. Nothing was applied or enqueued; the caller should retry
 // after backing off (HTTP surfaces this as 429).
@@ -96,8 +50,6 @@ var ErrClosed = errors.New("ingest: pipeline closed")
 // Config parameterizes a Pipeline. The zero value of any field selects its
 // default, so Config{} is the default configuration.
 type Config struct {
-	// Mode selects sync, async, or auto admission (default ModeAuto).
-	Mode Mode
 	// QueueDepth is the per-shard queue capacity in edges (default 4096).
 	// A batch whose shard group does not fit is rejected with ErrQueueFull
 	// — except into an empty queue, which accepts one oversized group so a
@@ -110,9 +62,6 @@ type Config struct {
 	// while the previous drain holds the shard lock. A full queue or a
 	// Flush cuts the accumulation short.
 	CommitInterval time.Duration
-	// SyncThreshold is the minimum batch size ModeAuto considers large
-	// enough to apply synchronously (default 512).
-	SyncThreshold int
 	// WAL, when non-nil, is the write-ahead log every batch is appended to
 	// — and group-fsync'd — before Submit accepts it, so accepted edges
 	// survive a crash (DESIGN.md §12). The pipeline uses the log but does
@@ -123,34 +72,24 @@ type Config struct {
 
 // DefaultConfig returns the default pipeline configuration.
 func DefaultConfig() Config {
-	return Config{Mode: ModeAuto, QueueDepth: 4096, SyncThreshold: 512}
+	return Config{QueueDepth: 4096}
 }
 
 // withDefaults resolves zero fields to their defaults.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.QueueDepth == 0 {
-		c.QueueDepth = d.QueueDepth
-	}
-	if c.SyncThreshold == 0 {
-		c.SyncThreshold = d.SyncThreshold
+		c.QueueDepth = DefaultConfig().QueueDepth
 	}
 	return c
 }
 
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
-	if _, err := ParseMode(c.Mode.String()); err != nil {
-		return err
-	}
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("ingest: QueueDepth = %d, need ≥ 0", c.QueueDepth)
 	}
 	if c.CommitInterval < 0 {
 		return fmt.Errorf("ingest: CommitInterval = %v, need ≥ 0", c.CommitInterval)
-	}
-	if c.SyncThreshold < 0 {
-		return fmt.Errorf("ingest: SyncThreshold = %d, need ≥ 0", c.SyncThreshold)
 	}
 	return nil
 }
@@ -228,7 +167,7 @@ type Pipeline struct {
 	sum    *shard.Summary
 	cfg    Config
 	log    admitLog // Config.WAL, or nullLog when durability is not configured
-	queues []*queue // nil in ModeSync
+	queues []*queue // one per shard
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -236,15 +175,15 @@ type Pipeline struct {
 	gpool  sync.Pool // recycled *batchGroups grouping scratch
 
 	// applyHook, when non-nil, runs in the committer just before each
-	// group is applied. Test-only: set after New and before the first
-	// Submit (the kick channel orders the write before any committer
-	// read).
-	applyHook func(shard, edges int)
+	// group is applied, with the group. Test-only: set after New and before
+	// the first Submit (the kick channel orders the write before any
+	// committer read).
+	applyHook func(shard int, edges []stream.Edge)
 }
 
 // New returns a pipeline over the summary and starts one committer
-// goroutine per shard (none in ModeSync). The pipeline does not own the
-// summary: Close drains the queues but leaves the summary open.
+// goroutine per shard. The pipeline does not own the summary: Close drains
+// the queues but leaves the summary open.
 func New(sum *shard.Summary, cfg Config) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -262,9 +201,6 @@ func New(sum *shard.Summary, cfg Config) (*Pipeline, error) {
 		// so arm the guard that forces retention through Pipeline.Expire.
 		sum.MarkWALOwned()
 	}
-	if p.cfg.Mode == ModeSync {
-		return p, nil
-	}
 	p.queues = make([]*queue, sum.NumShards())
 	for i := range p.queues {
 		p.queues[i] = newQueue()
@@ -275,9 +211,6 @@ func New(sum *shard.Summary, cfg Config) (*Pipeline, error) {
 	}
 	return p, nil
 }
-
-// Mode returns the pipeline's admission mode.
-func (p *Pipeline) Mode() Mode { return p.cfg.Mode }
 
 // Pending returns the number of accepted edges not yet applied.
 func (p *Pipeline) Pending() int64 {
@@ -290,65 +223,51 @@ func (p *Pipeline) Pending() int64 {
 	return n
 }
 
-// Submit admits a batch of stream items. The returned bool reports whether
-// the batch was applied synchronously (true: immediately visible to
-// queries) or accepted into queues (false: visible after the shard's next
-// commit, or at the latest after Flush). On ErrQueueFull or ErrClosed
-// nothing was applied or enqueued. With a WAL configured, Submit returns
-// only after the batch's log record is fsync'd, so a nil error also means
-// the batch survives a crash.
+// Submit admits a batch of stream items into the queues of the shards it
+// targets: the edges are visible to queries after each shard's next commit,
+// or at the latest after Flush. On ErrQueueFull or ErrClosed nothing was
+// enqueued. With a WAL configured, Submit returns only after the batch's
+// log record is fsync'd, so a nil error also means the batch survives a
+// crash.
 //
-// The batch is delivered (applied or enqueued) inside the log's Append —
-// with a WAL that is under the log mutex, so per-shard admission order is
-// WAL sequence order. A full queue aborts the append before any record is
-// written, so a 429'd batch leaves nothing to replay. A log write or sync
-// failure is returned after delivery: the edges are admitted for this
-// process's lifetime but will not survive a crash, and the log's sticky
-// error makes every later Submit fail the same way.
+// The bool is false for every batch: the committers are the only appliers,
+// so no Submit returns with its edges already visible (a caller that needs
+// that follows it with Flush). The result shape is frozen: benchmark/
+// compiles against it.
+//
+// The batch is enqueued inside the log's Append — with a WAL that is under
+// the log mutex, so per-shard admission order is WAL sequence order. A full
+// queue aborts the append before any record is written, so a 429'd batch
+// leaves nothing to replay. A log write or sync failure is returned after
+// the enqueue: the edges are admitted for this process's lifetime but will
+// not survive a crash, and the log's sticky error makes every later Submit
+// fail the same way.
 //
 // Ordering: batches submitted sequentially by one goroutine are applied to
 // each shard in submission order. Batches submitted concurrently by
 // different goroutines have no defined order, exactly as concurrent
 // InsertBatch calls do not.
-func (p *Pipeline) Submit(edges []stream.Edge) (applied bool, err error) {
+func (p *Pipeline) Submit(edges []stream.Edge) (bool, error) {
 	if len(edges) == 0 {
-		return true, nil
+		return false, nil
 	}
 	if p.closed.Load() {
 		return false, ErrClosed
 	}
 	last, err := p.log.Append(edges, func(first uint64) error {
-		syncMode := p.cfg.Mode == ModeSync
-		large := p.cfg.Mode == ModeAuto && len(edges) >= p.cfg.SyncThreshold
-		if len(edges) == 1 && !syncMode && !large {
-			// Bound for a queue whatever the queues hold: skip the grouping.
+		if len(edges) == 1 {
+			// One edge has one target: skip the grouping.
 			return p.enqueueOne(p.sum.ShardFor(edges[0].S), edges[0], first)
 		}
 		g := p.getGroups()
 		defer p.putGroups(g)
 		p.group(g, edges, first)
-		// A large batch already amortizes its own lock acquisitions, but it
-		// may apply directly only when every target queue is empty, so that
-		// it cannot overtake queued edges of the same sequential client. On
-		// the WAL path enqueues happen under the log mutex we hold, so "idle
-		// now" cannot turn into "a lower sequence is waiting" before we
-		// apply — the property that keeps per-shard applies in sequence
-		// order. (Sync mode has no queues to overtake.)
-		if syncMode || (large && p.idle(g)) {
-			for i, run := range g.edges {
-				if len(run) > 0 {
-					p.sum.InsertShardAt(i, run, g.seqs[i])
-				}
-			}
-			applied = true
-			return nil
-		}
 		return p.enqueueGroups(g)
 	})
 	if err != nil {
-		return applied, err
+		return false, err
 	}
-	return applied, p.log.WaitSynced(last)
+	return false, p.log.WaitSynced(last)
 }
 
 // batchGroups is the reusable per-submit scratch of the grouping stage:
@@ -359,9 +278,8 @@ func (p *Pipeline) Submit(edges []stream.Edge) (applied bool, err error) {
 // grouping allocates nothing.
 //
 // Ownership: a batchGroups belongs to the submitting goroutine only until
-// enqueueGroups / InsertShard* return — both copy the edges onward (queue
-// buffers, shard matrices) and retain nothing, which is what makes
-// immediate reuse after Submit safe.
+// enqueueGroups returns — it copies the edges into the queue buffers and
+// retains nothing, which is what makes immediate reuse after Submit safe.
 type batchGroups struct {
 	edges [][]stream.Edge
 	seqs  []uint64
@@ -401,26 +319,6 @@ func (p *Pipeline) group(g *batchGroups, edges []stream.Edge, first uint64) {
 			g.seqs[i] = first + uint64(j)
 		}
 	}
-}
-
-// idle reports whether every shard targeted by groups has an empty backlog
-// — the condition under which a synchronous apply cannot overtake queued
-// edges from the same sequential client (and, on the WAL path, cannot
-// overtake a lower sequence number).
-func (p *Pipeline) idle(g *batchGroups) bool {
-	for i, run := range g.edges {
-		if len(run) == 0 {
-			continue
-		}
-		q := p.queues[i]
-		q.mu.Lock()
-		pending := q.enqueued - q.applied
-		q.mu.Unlock()
-		if pending != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // fits reports whether a group of n edges may enter the queue: it fits
@@ -569,7 +467,7 @@ func (p *Pipeline) drain(i int) {
 	q.urgent = false
 	q.mu.Unlock()
 	if h := p.applyHook; h != nil {
-		h(i, len(edges))
+		h(i, edges)
 	}
 	p.sum.InsertShardAt(i, edges, seq)
 	q.mu.Lock()

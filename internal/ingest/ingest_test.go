@@ -67,7 +67,7 @@ func sameShardEdges(t *testing.T, s *shard.Summary, n int) []stream.Edge {
 func TestAsyncFlushVisibility(t *testing.T) {
 	st := genStream(t, 5_000, 7)
 	s := newSharded(t, 4)
-	p := newPipeline(t, s, Config{Mode: ModeAsync, CommitInterval: time.Millisecond})
+	p := newPipeline(t, s, Config{CommitInterval: time.Millisecond})
 	for i := 0; i < len(st); i += 3 {
 		end := min(i+3, len(st))
 		for {
@@ -98,14 +98,14 @@ func TestAsyncFlushVisibility(t *testing.T) {
 // the committer resumes, Flush observes everything that was accepted.
 func TestBackpressureQueueFull(t *testing.T) {
 	s := newSharded(t, 4)
-	p, err := New(s, Config{Mode: ModeAsync, QueueDepth: 8})
+	p, err := New(s, Config{QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	gate := make(chan struct{})
 	var gateOnce sync.Once
-	p.applyHook = func(int, int) { <-gate }
+	p.applyHook = func(int, []stream.Edge) { <-gate }
 	defer gateOnce.Do(func() { close(gate) })
 
 	edges := sameShardEdges(t, s, 24)
@@ -148,13 +148,13 @@ func TestBackpressureQueueFull(t *testing.T) {
 // admitted at all) and rejected while a backlog exists.
 func TestOversizedBatchAdmitsIntoEmptyQueue(t *testing.T) {
 	s := newSharded(t, 2)
-	p, err := New(s, Config{Mode: ModeAsync, QueueDepth: 4})
+	p, err := New(s, Config{QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	gate := make(chan struct{})
-	p.applyHook = func(int, int) { <-gate }
+	p.applyHook = func(int, []stream.Edge) { <-gate }
 	defer close(gate)
 
 	edges := sameShardEdges(t, s, 20)
@@ -177,7 +177,7 @@ func TestCloseDrainsPending(t *testing.T) {
 	st := genStream(t, 4_000, 11)
 	s := newSharded(t, 4)
 	// A long commit interval guarantees a backlog exists when Close runs.
-	p, err := New(s, Config{Mode: ModeAsync, CommitInterval: time.Hour})
+	p, err := New(s, Config{CommitInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,54 +202,6 @@ func TestCloseDrainsPending(t *testing.T) {
 	p.Close() // idempotent
 }
 
-// TestSyncMode: ModeSync applies immediately with no queues, and Flush is
-// a no-op that does not block.
-func TestSyncMode(t *testing.T) {
-	s := newSharded(t, 4)
-	p := newPipeline(t, s, Config{Mode: ModeSync})
-	applied, err := p.Submit([]stream.Edge{{S: 1, D: 2, W: 3, T: 10}})
-	if err != nil || !applied {
-		t.Fatalf("Submit = (%v, %v), want applied synchronously", applied, err)
-	}
-	if got := s.EdgeWeight(1, 2, 0, 20); got != 3 {
-		t.Fatalf("EdgeWeight = %d, want 3 immediately", got)
-	}
-	p.Flush()
-	if p.Pending() != 0 {
-		t.Fatalf("Pending = %d", p.Pending())
-	}
-}
-
-// TestAutoModeRouting: auto sends large batches over idle shards straight
-// to the summary (immediately visible) and small batches through the
-// queues.
-func TestAutoModeRouting(t *testing.T) {
-	s := newSharded(t, 4)
-	p := newPipeline(t, s, Config{Mode: ModeAuto, SyncThreshold: 64})
-	big := genStream(t, 256, 3)
-	applied, err := p.Submit(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !applied {
-		t.Fatal("large batch over idle shards was queued, want synchronous apply")
-	}
-	if got := s.Items(); got != int64(len(big)) {
-		t.Fatalf("Items = %d, want %d immediately", got, len(big))
-	}
-	applied, err = p.Submit([]stream.Edge{{S: 1, D: 2, W: 1, T: 60_000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied {
-		t.Fatal("single-edge batch applied synchronously, want queued")
-	}
-	p.Flush()
-	if got := s.Items(); got != int64(len(big))+1 {
-		t.Fatalf("Items after Flush = %d, want %d", got, len(big)+1)
-	}
-}
-
 // TestConcurrentSubmitFlushQuery drives concurrent posters, periodic
 // flushes, and queries through one pipeline (run with -race). Posters
 // partition the stream by shard so per-shard order is deterministic, which
@@ -257,7 +209,7 @@ func TestAutoModeRouting(t *testing.T) {
 func TestConcurrentSubmitFlushQuery(t *testing.T) {
 	st := genStream(t, 24_000, 19)
 	s := newSharded(t, 8)
-	p := newPipeline(t, s, Config{Mode: ModeAsync, QueueDepth: 256, CommitInterval: 200 * time.Microsecond})
+	p := newPipeline(t, s, Config{QueueDepth: 256, CommitInterval: 200 * time.Microsecond})
 
 	parts := make([][]stream.Edge, s.NumShards())
 	for _, e := range st {
@@ -339,7 +291,7 @@ func TestConcurrentSubmitFlushQuery(t *testing.T) {
 // accumulation window short, not sleep it out.
 func TestFlushDoesNotWaitForCommitInterval(t *testing.T) {
 	s := newSharded(t, 2)
-	p := newPipeline(t, s, Config{Mode: ModeAsync, CommitInterval: time.Hour})
+	p := newPipeline(t, s, Config{CommitInterval: time.Hour})
 	if _, err := p.Submit([]stream.Edge{{S: 1, D: 2, W: 5, T: 10}}); err != nil {
 		t.Fatal(err)
 	}
@@ -361,16 +313,12 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := New(s, Config{CommitInterval: -time.Second}); err == nil {
 		t.Fatal("negative CommitInterval accepted")
 	}
-	if _, err := New(s, Config{Mode: Mode(99)}); err == nil {
-		t.Fatal("unknown mode accepted")
+	p, err := New(s, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("ParseMode accepted bogus")
-	}
-	for _, m := range []Mode{ModeAuto, ModeSync, ModeAsync} {
-		back, err := ParseMode(m.String())
-		if err != nil || back != m {
-			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), back, err)
-		}
+	defer p.Close()
+	if got, want := p.cfg, (Config{QueueDepth: DefaultConfig().QueueDepth}); got != want {
+		t.Fatalf("Config{} resolved to %+v, want the defaults %+v", got, want)
 	}
 }

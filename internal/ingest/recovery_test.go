@@ -79,15 +79,17 @@ func snapshotBytes(t *testing.T, s *shard.Summary) []byte {
 	return buf.Bytes()
 }
 
-// cleanReference ingests the stream synchronously through a WAL'd pipeline
-// — the byte-identity reference every recovery path must reproduce.
+// cleanReference ingests the stream through a WAL'd pipeline and closes it
+// in order, so every edge is applied by the committers and nothing is
+// replayed — the byte-identity reference every recovery path must
+// reproduce.
 func cleanReference(t *testing.T, st stream.Stream, shards, batch int) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	log := openWAL(t, dir, 0)
 	sum := newShardedFor(t, shards)
 	defer sum.Close()
-	p, err := New(sum, Config{Mode: ModeSync, WAL: log})
+	p, err := New(sum, Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +106,12 @@ func TestRecoverFromScratchMatchesCleanRun(t *testing.T) {
 	st := testStreamFor(t, 4000)
 	want := cleanReference(t, st, shards, batch)
 
-	// Crashed run: async ingest, everything accepted, nothing flushed, the
+	// Crashed run: everything accepted, nothing flushed, the
 	// summary abandoned without an orderly close.
 	dir := t.TempDir()
 	log := openWAL(t, dir, 0)
 	crashed := newShardedFor(t, shards)
-	p, err := New(crashed, Config{Mode: ModeAsync, QueueDepth: 256, CommitInterval: 50 * time.Microsecond, WAL: log})
+	p, err := New(crashed, Config{QueueDepth: 256, CommitInterval: 50 * time.Microsecond, WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestRecoverFromSnapshotPlusTail(t *testing.T) {
 	snapPath := filepath.Join(dir, "snapshot.higgs")
 	log := openWAL(t, dir, 4096) // small segments so truncation is visible
 	crashed := newShardedFor(t, shards)
-	p, err := New(crashed, Config{Mode: ModeAsync, QueueDepth: 256, CommitInterval: 50 * time.Microsecond, WAL: log})
+	p, err := New(crashed, Config{QueueDepth: 256, CommitInterval: 50 * time.Microsecond, WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,28 +202,32 @@ func TestRecoverFromSnapshotPlusTail(t *testing.T) {
 	}
 }
 
-func TestWALSyncModeAppliesAndLogs(t *testing.T) {
+// TestWALSubmitLogsThenApplies: Submit returns with the batch logged and
+// fsync'd but only queued; the flush applies it and advances the target
+// shards' watermarks.
+func TestWALSubmitLogsThenApplies(t *testing.T) {
 	dir := t.TempDir()
 	log := openWAL(t, dir, 0)
 	sum := newShardedFor(t, 2)
 	defer sum.Close()
-	p, err := New(sum, Config{Mode: ModeSync, WAL: log})
+	p, err := New(sum, Config{CommitInterval: time.Hour, WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	applied, err := p.Submit([]stream.Edge{{S: 1, D: 2, W: 3, T: 10}, {S: 2, D: 3, W: 4, T: 20}})
-	if err != nil || !applied {
-		t.Fatalf("sync WAL submit: applied = %v, err = %v", applied, err)
-	}
-	if got := sum.EdgeWeight(1, 2, 0, 100); got != 3 {
-		t.Fatalf("edge weight = %d, want 3", got)
+	if err != nil || applied {
+		t.Fatalf("WAL submit: applied = %v, err = %v, want queued", applied, err)
 	}
 	if got := log.LastSeq(); got != 2 {
 		t.Fatalf("WAL LastSeq = %d, want 2", got)
 	}
 	if got := log.SyncedSeq(); got != 2 {
 		t.Fatalf("WAL SyncedSeq = %d, want 2 (Submit must wait for the group sync)", got)
+	}
+	p.Flush()
+	if got := sum.EdgeWeight(1, 2, 0, 100); got != 3 {
+		t.Fatalf("edge weight after flush = %d, want 3", got)
 	}
 	// Watermarks advanced on the shards that received edges.
 	var marked int
@@ -231,7 +237,7 @@ func TestWALSyncModeAppliesAndLogs(t *testing.T) {
 		}
 	}
 	if marked == 0 {
-		t.Fatal("no shard watermark advanced after a WAL'd sync apply")
+		t.Fatal("no shard watermark advanced after a WAL'd apply")
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
@@ -244,12 +250,12 @@ func TestWALQueueFullLeavesNoRecord(t *testing.T) {
 	defer log.Close()
 	sum := newShardedFor(t, 1)
 	defer sum.Close()
-	p, err := New(sum, Config{Mode: ModeAsync, QueueDepth: 8, WAL: log})
+	p, err := New(sum, Config{QueueDepth: 8, WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	p.applyHook = func(int, int) { <-gate }
+	p.applyHook = func(int, []stream.Edge) { <-gate }
 	st := testStreamFor(t, 64)
 	var accepted int
 	sawFull := false
@@ -287,7 +293,7 @@ func TestRecoverOntoCoveringSnapshotReplaysNothing(t *testing.T) {
 	log := openWAL(t, dir, 0)
 	sum := newShardedFor(t, shards)
 	defer sum.Close()
-	p, err := New(sum, Config{Mode: ModeAsync, WAL: log})
+	p, err := New(sum, Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +338,7 @@ func TestSnapshotterBackgroundLoop(t *testing.T) {
 	defer log.Close()
 	sum := newShardedFor(t, 2)
 	defer sum.Close()
-	p, err := New(sum, Config{Mode: ModeAsync, WAL: log})
+	p, err := New(sum, Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}

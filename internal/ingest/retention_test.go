@@ -72,7 +72,7 @@ func cleanReferenceWithExpires(t *testing.T, st stream.Stream, shards, batch int
 	log := openWAL(t, dir, 0)
 	sum := newShardedFor(t, shards)
 	defer sum.Close()
-	p, err := New(sum, Config{Mode: ModeSync, WAL: log})
+	p, err := New(sum, Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func cleanReferenceWithExpires(t *testing.T, st stream.Stream, shards, batch int
 
 // TestRecoverReplaysExpires is the tentpole's unit gate: a crash after
 // interleaved durable expires must recover — by pure WAL replay — to a
-// summary byte-identical to a clean synchronous run, i.e. expired edges
+// summary byte-identical to a clean run, i.e. expired edges
 // stay expired instead of being resurrected.
 func TestRecoverReplaysExpires(t *testing.T) {
 	const shards, batch = 4, 64
@@ -99,7 +99,7 @@ func TestRecoverReplaysExpires(t *testing.T) {
 	dir := t.TempDir()
 	log := openWAL(t, dir, 0)
 	crashed := newShardedFor(t, shards)
-	p, err := New(crashed, Config{Mode: ModeAsync, QueueDepth: 256, CommitInterval: 50 * time.Microsecond, WAL: log})
+	p, err := New(crashed, Config{QueueDepth: 256, CommitInterval: 50 * time.Microsecond, WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRecoverExpireSnapshotPlusTail(t *testing.T) {
 	snapPath := filepath.Join(dir, "snapshot.higgs")
 	log := openWAL(t, dir, 4096)
 	crashed := newShardedFor(t, shards)
-	p, err := New(crashed, Config{Mode: ModeAsync, QueueDepth: 256, CommitInterval: 50 * time.Microsecond, WAL: log})
+	p, err := New(crashed, Config{QueueDepth: 256, CommitInterval: 50 * time.Microsecond, WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestRecoverExpireSnapshotPlusTail(t *testing.T) {
 func TestPipelineExpireBarrier(t *testing.T) {
 	sum := newShardedFor(t, 2)
 	defer sum.Close()
-	p, err := New(sum, Config{Mode: ModeAsync, QueueDepth: 4096, CommitInterval: time.Hour})
+	p, err := New(sum, Config{QueueDepth: 4096, CommitInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestPipelineExpireBarrier(t *testing.T) {
 func TestPipelineExpireClosed(t *testing.T) {
 	sum := newShardedFor(t, 1)
 	defer sum.Close()
-	p, err := New(sum, Config{Mode: ModeAsync})
+	p, err := New(sum, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestDirectExpirePanicsWhenWALOwned(t *testing.T) {
 	defer log.Close()
 	sum := newShardedFor(t, 2)
 	defer sum.Close()
-	p, err := New(sum, Config{Mode: ModeSync, WAL: log})
+	p, err := New(sum, Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestDirectExpirePanicsWhenWALOwned(t *testing.T) {
 func TestRetainerTicks(t *testing.T) {
 	sum := newShardedFor(t, 2)
 	defer sum.Close()
-	p, err := New(sum, Config{Mode: ModeSync})
+	p, err := New(sum, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestRetainerTicks(t *testing.T) {
 func TestRetainerBackgroundLoop(t *testing.T) {
 	sum := newShardedFor(t, 1)
 	defer sum.Close()
-	p, err := New(sum, Config{Mode: ModeSync})
+	p, err := New(sum, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestRetentionConfigValidate(t *testing.T) {
 func TestRetainerFollowsPipelineSwap(t *testing.T) {
 	sumA := newShardedFor(t, 1)
 	defer sumA.Close()
-	pA, err := New(sumA, Config{Mode: ModeSync})
+	pA, err := New(sumA, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestRetainerFollowsPipelineSwap(t *testing.T) {
 	// takes over. Ticks must hit the new pipeline, not ErrClosed.
 	sumB := newShardedFor(t, 1)
 	defer sumB.Close()
-	pB, err := New(sumB, Config{Mode: ModeSync})
+	pB, err := New(sumB, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,11 +75,13 @@ func applySites(files ...*ast.File) []string {
 // ingest path (DESIGN.md §12) that the deleted wallorder analyzer used to
 // police: in package ingest a shard apply happens only
 //
-//   - inside the deliver callback of Submit's Append and Expire's
-//     AppendExpire — under the log mutex, so admission order is sequence
-//     order and nothing becomes queryable that the log has not sequenced;
-//   - in drain, which applies batches those callbacks already enqueued
-//     (the queue preserves per-shard sequence order);
+//   - in drain, the committers' one apply: it applies batches Submit
+//     enqueued inside its Append's deliver callback — under the log mutex,
+//     so per-shard queue order is sequence order and nothing becomes
+//     queryable that the log has not sequenced (InsertShardAt has no other
+//     caller on the live path);
+//   - inside the deliver callback of Expire's AppendExpire, behind a flush
+//     barrier, at the expire's own sequence position;
 //   - in Applier.Apply, which replays records already durable in a log,
 //     in log order — there is no admission to gate.
 //
@@ -107,7 +109,6 @@ func TestShardApplySites(t *testing.T) {
 		"Apply: ExpireShardAt",
 		"Apply: InsertShardAt",
 		"Expire in AppendExpire deliver: ExpireAt",
-		"Submit in Append deliver: InsertShardAt",
 		"drain: InsertShardAt",
 	}
 	if got := applySites(files...); !reflect.DeepEqual(got, want) {

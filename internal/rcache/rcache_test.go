@@ -272,7 +272,7 @@ func TestNoStaleUnderConcurrentExpire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer live.Close()
-	pipe, err := ingest.New(live, ingest.Config{Mode: ingest.ModeSync})
+	pipe, err := ingest.New(live, ingest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +328,7 @@ func TestNoStaleUnderConcurrentExpire(t *testing.T) {
 			if _, err := pipe.Submit(o.edges); err != nil {
 				t.Fatal(err)
 			}
+			pipe.Flush() // the step counts applied ops
 		}
 		step.Add(1)
 	}

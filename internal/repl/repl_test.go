@@ -39,7 +39,7 @@ func newPrimaryRig(t *testing.T, shards int, segBytes int64) *primaryRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := ingest.New(sum, ingest.Config{Mode: ingest.ModeSync, WAL: log})
+	pipe, err := ingest.New(sum, ingest.Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +116,7 @@ func converge(t *testing.T, p *primaryRig, f *Follower) {
 	if !f.WaitApplied(target, 30*time.Second) {
 		t.Fatalf("follower stuck at %d, want %d", f.Status().AppliedSeq, target)
 	}
+	p.pipe.Flush() // the follower applied every durable record; so must the primary
 	want := summaryBytes(t, p.sum)
 	got := summaryBytes(t, f.Summary())
 	if !bytes.Equal(got, want) {

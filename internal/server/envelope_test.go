@@ -336,7 +336,7 @@ func TestErrorEnvelopeRepl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := ingest.New(sum, ingest.Config{Mode: ingest.ModeSync, WAL: log})
+	pipe, err := ingest.New(sum, ingest.Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)
 	}

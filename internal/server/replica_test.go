@@ -146,7 +146,7 @@ func TestReplicaReplaceSummary(t *testing.T) {
 // monitoring consumer can rely on it.
 func TestHealthzContract(t *testing.T) {
 	topKeys := []string{
-		"admission", "analytics", "durability", "ingest", "memory", "read_cache",
+		"admission", "analytics", "durability", "memory", "read_cache",
 		"replication", "retention", "shards", "status", "uptime_seconds", "version",
 	}
 	memKeys := []string{"heap_alloc_bytes", "heap_inuse_bytes", "mallocs", "num_gc", "total_alloc_bytes"}
@@ -156,7 +156,6 @@ func TestHealthzContract(t *testing.T) {
 		build func(t *testing.T) *httptest.Server
 		// expected scalar fields
 		shards float64
-		ingest string
 		// expected replication block
 		repl map[string]any
 	}{
@@ -167,7 +166,6 @@ func TestHealthzContract(t *testing.T) {
 				return ts
 			},
 			shards: 3,
-			ingest: "auto",
 			repl:   map[string]any{"role": "standalone"},
 		},
 		{
@@ -179,7 +177,6 @@ func TestHealthzContract(t *testing.T) {
 				return ts
 			},
 			shards: 2,
-			ingest: "auto",
 			repl:   map[string]any{"role": "primary", "primary_seq": float64(42)},
 		},
 		{
@@ -198,7 +195,6 @@ func TestHealthzContract(t *testing.T) {
 				return ts
 			},
 			shards: 2,
-			ingest: "sync",
 			repl: map[string]any{
 				"role":        "follower",
 				"source":      "http://primary:7422",
@@ -232,13 +228,12 @@ func TestHealthzContract(t *testing.T) {
 			var scalars struct {
 				Status string  `json:"status"`
 				Shards float64 `json:"shards"`
-				Ingest string  `json:"ingest"`
 			}
 			if err := json.Unmarshal(raw, &scalars); err != nil {
 				t.Fatal(err)
 			}
-			if scalars.Status != "ok" || scalars.Shards != tc.shards || scalars.Ingest != tc.ingest {
-				t.Fatalf("scalars = %+v, want status ok, shards %v, ingest %q", scalars, tc.shards, tc.ingest)
+			if scalars.Status != "ok" || scalars.Shards != tc.shards {
+				t.Fatalf("scalars = %+v, want status ok, shards %v", scalars, tc.shards)
 			}
 
 			var durability map[string]any

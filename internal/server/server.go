@@ -79,14 +79,6 @@ import (
 	"higgs/internal/stream"
 )
 
-// Edge is the JSON representation of one stream item.
-type Edge struct {
-	S uint64 `json:"s"`
-	D uint64 `json:"d"`
-	W int64  `json:"w"`
-	T int64  `json:"t"`
-}
-
 // state pairs the served summary with the ingest pipeline feeding it. The
 // two must swap together on snapshot upload — a pipeline drains into
 // exactly the summary it was built over. The read prober (and its cache,
@@ -125,19 +117,18 @@ type Server struct {
 // summary with the default ingest pipeline and nothing optional.
 type Options struct {
 	// Ingest configures the group-commit pipeline behind the write
-	// endpoints (cmd/higgsd maps -ingest-mode, -queue-depth and
-	// -commit-interval onto it). With Ingest.WAL set the log owns the
-	// durable state: Open replays it into the summary, every accepted write
-	// is appended and fsync'd before its response, and POST /v1/snapshot
-	// answers 409 — swapping in a foreign summary would desynchronize its
-	// watermarks from the log's sequences.
+	// endpoints (cmd/higgsd maps -queue-depth and -commit-interval onto it).
+	// With Ingest.WAL set the log owns the durable state: Open replays it
+	// into the summary, every accepted write is appended and fsync'd before
+	// its response, and POST /v1/snapshot answers 409 — swapping in a foreign
+	// summary would desynchronize its watermarks from the log's sequences.
 	Ingest ingest.Config
 	// Replica makes the server read-only: every query endpoint works (the
 	// summary is live — a replication follower applies records under
 	// per-shard write locks, exactly like ingest), every write endpoint
 	// answers 403, because a replica's state is defined entirely by the
-	// primary's record stream, and ReplaceSummary is allowed. Ingest is
-	// ignored: no write ever reaches the pipeline.
+	// primary's record stream, and ReplaceSummary is allowed. No write ever
+	// reaches the pipeline Ingest configures.
 	Replica bool
 	// CacheBytes is the byte budget of the watermark-invalidated read cache
 	// in front of the planner (DESIGN.md §16); 0 serves uncached.
@@ -167,9 +158,6 @@ type Options struct {
 // §12), so the engine's sketches absorb recovered edges exactly like live
 // ones.
 func Open(sum *shard.Summary, opts Options) (*Server, error) {
-	if opts.Replica {
-		opts.Ingest = ingest.Config{Mode: ingest.ModeSync}
-	}
 	s := &Server{opts: opts, start: time.Now()}
 	s.cacheBytes.Store(opts.CacheBytes)
 	st, err := s.newState(sum)
@@ -418,31 +406,28 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 // admitBatch is the one write handler, accepting a JSON array of edges
 // through the served pipeline — so on a WAL-backed server the batch is
 // logged and fsync'd like any other accepted write, and followers receive
-// it. Behind /v1/ingest it answers 200 when the batch was applied
-// synchronously (sync mode, or auto mode's large batches) and 202 when it
-// was queued: visible after the shard's next commit, or at the latest once
-// a later /v1/flush returns. Behind /v1/insert (visible) a queued batch is
-// flushed before the response, so the answer is always 200.
+// it. Behind /v1/ingest it answers 202 once the batch is queued: visible
+// after the shard's next commit, or at the latest once a later /v1/flush
+// returns. Behind /v1/insert (visible) the queued batch is flushed before
+// the response, so the answer is 200.
 func (s *Server) admitBatch(visible bool) func(http.ResponseWriter, *http.Request) error {
 	return func(w http.ResponseWriter, r *http.Request) error {
 		b, err := decodeBatch(w, r)
 		if err != nil {
 			return err
 		}
-		n := len(b.batch)
+		n := len(b.edges)
 		pipe := s.Pipeline() // the Flush must reach the pipeline that queued the batch
-		applied, err := pipe.Submit(b.batch)
+		_, err = pipe.Submit(b.edges)
 		putBatch(b)
 		if err != nil {
 			return pipelineErr("ingest", err)
 		}
-		if !applied && !visible {
+		if !visible {
 			writeJSONStatus(w, http.StatusAccepted, map[string]int{"accepted": n})
 			return nil
 		}
-		if !applied {
-			pipe.Flush()
-		}
+		pipe.Flush()
 		writeJSON(w, map[string]int{"inserted": n})
 		return nil
 	}
@@ -479,25 +464,26 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// batchBuf is the reusable decode scratch of the write endpoints: the JSON
-// shape and the stream shape of one batch. Both slices keep their capacity
-// across requests, so a steady stream of similar-sized batches decodes
-// without growing either.
+// batchBuf is the reusable decode scratch of the write endpoints. The slice
+// keeps its capacity across requests, so a steady stream of similar-sized
+// batches decodes without growing it.
 //
-// Ownership: the buffers belong to the handler only until Pipeline.Submit
-// returns — it copies the edges onward (WAL frame bytes, queue buffers,
-// shard matrices) before returning — which is what makes putBatch safe
-// immediately after.
+// Ownership: the buffer belongs to the handler only until Pipeline.Submit
+// returns — it copies the edges onward (WAL frame bytes, queue buffers)
+// before returning — which is what makes putBatch safe immediately after.
 type batchBuf struct {
-	edges []Edge
-	batch []stream.Edge
+	edges []stream.Edge
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
 
+// putBatch zeroes what the request decoded before pooling the buffer:
+// encoding/json decodes into a slice's existing elements in place, so a
+// later request's edge that omits a field would otherwise inherit it from
+// whatever edge last sat at that index.
 func putBatch(b *batchBuf) {
+	clear(b.edges)
 	b.edges = b.edges[:0]
-	b.batch = b.batch[:0]
 	batchPool.Put(b)
 }
 
@@ -506,27 +492,19 @@ func putBatch(b *batchBuf) {
 // the batch has been handed to the insert path.
 func decodeBatch(w http.ResponseWriter, r *http.Request) (*batchBuf, error) {
 	b := batchPool.Get().(*batchBuf)
-	b.edges = b.edges[:0]
 	if err := decodeBody(w, r, &b.edges, "body must be a JSON array of edges: "); err != nil {
 		putBatch(b)
 		return nil, err
-	}
-	if cap(b.batch) < len(b.edges) {
-		b.batch = make([]stream.Edge, len(b.edges))
-	}
-	b.batch = b.batch[:len(b.edges)]
-	for i, e := range b.edges {
-		b.batch[i] = stream.Edge{S: e.S, D: e.D, W: e.W, T: e.T}
 	}
 	return b, nil
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
-	var e Edge
+	var e stream.Edge
 	if err := decodeBody(w, r, &e, ""); err != nil {
 		return err
 	}
-	ok := s.Summary().Delete(stream.Edge{S: e.S, D: e.D, W: e.W, T: e.T})
+	ok := s.Summary().Delete(e)
 	writeJSON(w, map[string]bool{"deleted": ok})
 	return nil
 }
@@ -921,7 +899,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	writeJSON(w, map[string]any{
 		"status":         "ok",
 		"shards":         st.sum.NumShards(),
-		"ingest":         st.pipe.Mode().String(),
 		"durability":     durability,
 		"retention":      retention,
 		"replication":    replication,

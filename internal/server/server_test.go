@@ -384,8 +384,8 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// newAsyncTestServer builds a server whose /v1/ingest runs in pure async
-// mode with the given queue depth and commit interval.
+// newAsyncTestServer builds a server over a pipeline with the given queue
+// depth and commit interval.
 func newAsyncTestServer(t *testing.T, shards int, icfg ingest.Config) (*Server, *httptest.Server) {
 	t.Helper()
 	return openTestServer(t, shards, Options{Ingest: icfg})
@@ -395,7 +395,7 @@ func newAsyncTestServer(t *testing.T, shards int, icfg ingest.Config) (*Server, 
 // /v1/flush barrier makes every previously accepted edge visible to
 // queries.
 func TestIngestAcceptedThenFlushVisible(t *testing.T) {
-	_, ts := newAsyncTestServer(t, 4, ingest.Config{Mode: ingest.ModeAsync, CommitInterval: time.Hour})
+	_, ts := newAsyncTestServer(t, 4, ingest.Config{CommitInterval: time.Hour})
 	resp := post(t, ts.URL+"/v1/ingest",
 		`[{"s":1,"d":2,"w":3,"t":10},{"s":1,"d":2,"w":4,"t":20},{"s":2,"d":3,"w":5,"t":30}]`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -423,7 +423,7 @@ func TestIngestAcceptedThenFlushVisible(t *testing.T) {
 // backlog is rejected whole with 429 + Retry-After, and a later flush
 // shows the rejected batch was not partially applied.
 func TestIngestBackpressure429(t *testing.T) {
-	_, ts := newAsyncTestServer(t, 1, ingest.Config{Mode: ingest.ModeAsync, QueueDepth: 4, CommitInterval: time.Hour})
+	_, ts := newAsyncTestServer(t, 1, ingest.Config{QueueDepth: 4, CommitInterval: time.Hour})
 	// One shard, 1h window: the first batch parks 2 edges in the queue
 	// (the committer may or may not have drained them yet), so keep
 	// posting until the backlog forces a rejection.
@@ -455,26 +455,9 @@ func TestIngestBackpressure429(t *testing.T) {
 	}
 }
 
-// TestIngestSyncMode: with -ingest-mode sync semantics the endpoint
-// behaves like /v1/insert (200, immediately visible).
-func TestIngestSyncMode(t *testing.T) {
-	_, ts := newAsyncTestServer(t, 4, ingest.Config{Mode: ingest.ModeSync})
-	resp := post(t, ts.URL+"/v1/ingest", `[{"s":1,"d":2,"w":3,"t":10}]`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sync ingest status %d, want 200", resp.StatusCode)
-	}
-	if got := decode[map[string]int](t, resp); got["inserted"] != 1 {
-		t.Fatalf("inserted = %v", got)
-	}
-	resp = get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
-	if got := decode[map[string]int64](t, resp); got["weight"] != 3 {
-		t.Fatalf("weight = %v, want 3 without flush", got)
-	}
-}
-
 // TestIngestBadRequests: method and body validation mirror /v1/insert.
 func TestIngestBadRequests(t *testing.T) {
-	_, ts := newAsyncTestServer(t, 2, ingest.Config{Mode: ingest.ModeAsync})
+	_, ts := newAsyncTestServer(t, 2, ingest.Config{})
 	cases := []struct {
 		method, path, body string
 		wantStatus         int
@@ -503,7 +486,7 @@ func TestIngestBadRequests(t *testing.T) {
 // and queries through the HTTP layer (run with -race), then checks the
 // flush barrier accounted for every accepted edge.
 func TestConcurrentIngestFlushQuery(t *testing.T) {
-	_, ts := newAsyncTestServer(t, 8, ingest.Config{Mode: ingest.ModeAsync, QueueDepth: 64, CommitInterval: 500 * time.Microsecond})
+	_, ts := newAsyncTestServer(t, 8, ingest.Config{QueueDepth: 64, CommitInterval: 500 * time.Microsecond})
 	const posters, batches = 4, 30
 	var accepted atomic.Int64
 	var wg sync.WaitGroup
@@ -738,7 +721,7 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 	got := decode[map[string]any](t, resp)
-	if got["status"] != "ok" || got["shards"] != float64(3) || got["ingest"] != "auto" {
+	if got["status"] != "ok" || got["shards"] != float64(3) {
 		t.Fatalf("healthz = %v", got)
 	}
 	resp = post(t, ts.URL+"/healthz", "")
@@ -1093,44 +1076,85 @@ func TestHealthzMemory(t *testing.T) {
 	}
 }
 
-// TestInsertIsLoggedAndVisible: /v1/insert is /v1/ingest plus a flush. On
-// a WAL-backed server in every ingest mode it answers 200 with the edges
-// already visible, and the edges are in the log: replaying the log alone
-// into a fresh summary — what crash recovery and a follower both do —
-// yields them. Before /v1/insert went through the pipeline it applied
-// straight to the summary, so a crash lost them and followers never saw
-// them.
+// TestInsertIsLoggedAndVisible: the endpoint decides when a batch is
+// visible, with and without a log. On an idle server — where a commit
+// window no test outlives holds every queue — a 600-edge /v1/ingest answers
+// 202 with nothing visible until /v1/flush, and /v1/insert of the same
+// batch, being /v1/ingest plus a flush, answers 200 with it visible. With a
+// WAL both batches are in the log: replaying the log alone into a fresh
+// summary — what crash recovery and a follower both do — yields them.
+// Before /v1/insert went through the pipeline it applied straight to the
+// summary, so a crash lost its edges and followers never saw them.
 func TestInsertIsLoggedAndVisible(t *testing.T) {
-	for _, mode := range []ingest.Mode{ingest.ModeSync, ingest.ModeAsync, ingest.ModeAuto} {
-		dir := t.TempDir()
-		log, err := wal.Open(wal.Config{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
+	const n = 600
+	var body strings.Builder
+	for i := 0; i < n; i++ {
+		sep := ','
+		if i == 0 {
+			sep = '['
 		}
+		fmt.Fprintf(&body, `%c{"s":%d,"d":%d,"w":2,"t":10}`, sep, i%40, i%40+1)
+	}
+	body.WriteByte(']')
+	edge12 := func(ts *httptest.Server) int64 {
+		return decode[map[string]int64](t, get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=1000"))["weight"]
+	}
+	const once = 2 * n / 40 // edge (1,2) recurs every 40 edges with weight 2
+
+	for _, withWAL := range []bool{false, true} {
 		cfg := shard.DefaultConfig()
 		sum, err := shard.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A commit window no test outlives: only the flush makes it visible.
-		srv, err := NewWithIngest(sum, ingest.Config{Mode: mode, CommitInterval: time.Hour, WAL: log})
+		icfg := ingest.Config{CommitInterval: time.Hour}
+		dir := t.TempDir()
+		if withWAL {
+			if icfg.WAL, err = wal.Open(wal.Config{Dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, err := NewWithIngest(sum, icfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv.Handler())
-		seed(t, ts.URL) // requires 200 {"inserted": 3}
-		resp := get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
-		if got := decode[map[string]int64](t, resp); got["weight"] != 7 {
-			t.Errorf("%v: weight right after /v1/insert = %d, want 7", mode, got["weight"])
+
+		resp := post(t, ts.URL+"/v1/ingest", body.String())
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("wal=%v: /v1/ingest of %d edges on an idle server = %d, want 202", withWAL, n, resp.StatusCode)
+		}
+		if got := decode[map[string]int](t, resp); got["accepted"] != n {
+			t.Errorf("wal=%v: accepted = %v, want %d", withWAL, got, n)
+		}
+		if got := edge12(ts); got != 0 {
+			t.Errorf("wal=%v: weight before the flush = %d, want 0 (the batch is queued)", withWAL, got)
+		}
+		post(t, ts.URL+"/v1/flush", "").Body.Close()
+		if got := edge12(ts); got != once {
+			t.Errorf("wal=%v: weight after /v1/flush = %d, want %d", withWAL, got, once)
+		}
+		resp = post(t, ts.URL+"/v1/insert", body.String())
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("wal=%v: /v1/insert = %d, want 200", withWAL, resp.StatusCode)
+		}
+		if got := decode[map[string]int](t, resp); got["inserted"] != n {
+			t.Errorf("wal=%v: inserted = %v, want %d", withWAL, got, n)
+		}
+		if got := edge12(ts); got != 2*once {
+			t.Errorf("wal=%v: weight right after /v1/insert = %d, want %d", withWAL, got, 2*once)
 		}
 		ts.Close()
 		srv.Close()
 		sum.Close()
-		if err := log.Close(); err != nil {
+		if !withWAL {
+			continue
+		}
+		if err := icfg.WAL.Close(); err != nil {
 			t.Fatal(err)
 		}
 
-		log, err = wal.Open(wal.Config{Dir: dir})
+		log, err := wal.Open(wal.Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1142,9 +1166,9 @@ func TestInsertIsLoggedAndVisible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if replayed != 3 || recovered.EdgeWeight(1, 2, 0, 100) != 7 {
-			t.Errorf("%v: recovery from the log alone replayed %d edges, weight %d; want 3 edges, weight 7",
-				mode, replayed, recovered.EdgeWeight(1, 2, 0, 100))
+		if replayed != 2*n || recovered.EdgeWeight(1, 2, 0, 1000) != 2*once {
+			t.Errorf("recovery from the log alone replayed %d edges, weight %d; want %d edges, weight %d",
+				replayed, recovered.EdgeWeight(1, 2, 0, 1000), 2*n, 2*once)
 		}
 		recovered.Close()
 		if err := log.Close(); err != nil {
@@ -1156,7 +1180,7 @@ func TestInsertIsLoggedAndVisible(t *testing.T) {
 // TestInsertMapsPipelineErrors: /v1/insert surfaces backpressure and
 // shutdown exactly as /v1/ingest does.
 func TestInsertMapsPipelineErrors(t *testing.T) {
-	srv, ts := newAsyncTestServer(t, 1, ingest.Config{Mode: ingest.ModeAsync, QueueDepth: 4, CommitInterval: time.Hour})
+	srv, ts := newAsyncTestServer(t, 1, ingest.Config{QueueDepth: 4, CommitInterval: time.Hour})
 	// Park three edges behind the 1h commit window — short of the depth
 	// that would cut the window short — then ask for room for two more.
 	resp := post(t, ts.URL+"/v1/ingest", `[{"s":1,"d":2,"w":1,"t":1},{"s":1,"d":2,"w":1,"t":2},{"s":1,"d":2,"w":1,"t":3}]`)

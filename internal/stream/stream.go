@@ -25,12 +25,13 @@ import (
 	"strings"
 )
 
-// Edge is one graph stream item e = (s, d, w, t).
+// Edge is one graph stream item e = (s, d, w, t). The tags are its JSON
+// shape on the HTTP write endpoints (internal/server).
 type Edge struct {
-	S uint64 // source vertex
-	D uint64 // destination vertex
-	W int64  // weight
-	T int64  // arrival timestamp (seconds)
+	S uint64 `json:"s"` // source vertex
+	D uint64 `json:"d"` // destination vertex
+	W int64  `json:"w"` // weight
+	T int64  `json:"t"` // arrival timestamp (seconds)
 }
 
 // Stream is a time-ordered sequence of edges.

@@ -29,7 +29,6 @@ func TestReplicationFacade(t *testing.T) {
 	}
 	defer sum.Close()
 	icfg := higgs.DefaultIngestConfig()
-	icfg.Mode = higgs.IngestSync
 	icfg.WAL = w
 	pipe, err := higgs.NewIngest(sum, icfg)
 	if err != nil {
@@ -70,6 +69,7 @@ func TestReplicationFacade(t *testing.T) {
 		t.Fatalf("follower stuck at %d, want %d", f.Status().AppliedSeq, w.LastSeq())
 	}
 
+	pipe.Flush() // the follower applied every durable record; so must the primary
 	var want, got bytes.Buffer
 	if _, err := sum.WriteTo(&want); err != nil {
 		t.Fatal(err)

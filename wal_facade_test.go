@@ -28,7 +28,6 @@ func TestWALFacadeCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	icfg := higgs.DefaultIngestConfig()
-	icfg.Mode = higgs.IngestAsync
 	icfg.WAL = w
 	p, err := higgs.NewIngest(crashed, icfg)
 	if err != nil {
@@ -82,7 +81,7 @@ func TestWALFacadeDurableExpire(t *testing.T) {
 	cfg := higgs.DefaultShardedConfig()
 	cfg.Shards = 2
 
-	build := func(walDir string, mode higgs.IngestMode) (*higgs.Sharded, *higgs.Ingest, *higgs.WAL) {
+	build := func(walDir string) (*higgs.Sharded, *higgs.Ingest, *higgs.WAL) {
 		t.Helper()
 		w, err := higgs.OpenWAL(higgs.WALConfig{Dir: walDir})
 		if err != nil {
@@ -93,7 +92,6 @@ func TestWALFacadeDurableExpire(t *testing.T) {
 			t.Fatal(err)
 		}
 		icfg := higgs.DefaultIngestConfig()
-		icfg.Mode = mode
 		icfg.WAL = w
 		p, err := higgs.NewIngest(s, icfg)
 		if err != nil {
@@ -120,7 +118,7 @@ func TestWALFacadeDurableExpire(t *testing.T) {
 		return dropped
 	}
 
-	crashed, p, w := build(dir, higgs.IngestAsync)
+	crashed, p, w := build(dir)
 	feed(p)
 	// Direct expire on the WAL-owned summary is a programming error the
 	// facade documents: it must panic, not silently de-synchronize.
