@@ -11,12 +11,14 @@ import (
 )
 
 // TestIngestRequestAllocs pins the pooled-scratch contract of the write
-// handler: decodeBatch takes a batchBuf out of batchPool and admitBatch must
-// putBatch it once Submit returns, so the next request decodes into slices
-// that already have the capacity. Drop that Put and every request rebuilds
-// the buffer and regrows its slice (44 allocs for this request); with it,
-// what is left is the request, the recorder, the JSON decoder and encoder,
-// and the one allocation of Pipeline.Submit.
+// handler: the body is read into a pooled buffer (readBody/putBody), scanned
+// into a pooled batchBuf that admitBatch must putBatch once Submit returns,
+// and the answer is appended into the body's buffer. Drop either Put and
+// every request rebuilds its buffer and regrows it; fall back to
+// encoding/json (the parent decoded every body with it: 36 allocs for this
+// request) and the decoder, its token buffer and the answer's map and
+// encoder come back. What is left is the test's request and recorder, the
+// response header, and the one allocation of Pipeline.Submit.
 //
 // The pin is the cheapest of many single requests, not an average: pools
 // only ever add to a run — the collector empties them, and under -race
@@ -49,7 +51,7 @@ func TestIngestRequestAllocs(t *testing.T) {
 		srv.Pipeline().Flush()
 		least = min(least, testing.AllocsPerRun(1, post))
 	}
-	if least != 36 {
-		t.Fatalf("one 64-edge /v1/ingest request = %v allocs at best, want 36: is the decode buffer still returned to its pool?", least)
+	if least != 20 {
+		t.Fatalf("one 64-edge /v1/ingest request = %v allocs at best, want 20: are the body and decode buffers still returned to their pools, and is the body still scanned rather than decoded?", least)
 	}
 }

@@ -54,6 +54,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -360,14 +361,29 @@ func bodyErr(err error, code, format string, args ...any) error {
 	return httpapi.Errorf(status, code, format, args...)
 }
 
-// decodeBody decodes a request's JSON body into v, capped at maxBatchBody
-// and strict about unknown fields. what, when set, tells the client the
-// shape the body must have.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
+// readJSON reads a request's body, capped at maxBatchBody, and decodes it
+// into v.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	wb, err := readBody(w, r)
+	if err != nil {
+		return bodyErr(err, httpapi.CodeBadRequest, "decode: %v", err)
+	}
+	defer putBody(wb)
+	return decodeBody(wb.b, v, "")
+}
+
+// decodeBody decodes a JSON body into v: one value, strict about unknown
+// fields, and nothing but whitespace after it. what, when set, tells the
+// client the shape the body must have.
+func decodeBody(body []byte, v any, what string) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return bodyErr(err, httpapi.CodeBadRequest, "decode: %s%v", what, err)
+		return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeBadRequest, "decode: %s%v", what, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeBadRequest,
+			"decode: %sunexpected data after the JSON value", what)
 	}
 	return nil
 }
@@ -390,16 +406,12 @@ func pipelineErr(op string, err error) error {
 	}
 }
 
+// writeJSON answers 200 with v; headers must be set before WriteHeader
+// sends them. An Encode error is a connection-level failure with nothing
+// sensible left to do.
 func writeJSON(w http.ResponseWriter, v any) {
-	writeJSONStatus(w, http.StatusOK, v)
-}
-
-// writeJSONStatus writes v with the given status code; headers must be set
-// before WriteHeader sends them. An Encode error is a connection-level
-// failure with nothing sensible left to do.
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
+	w.WriteHeader(http.StatusOK)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
@@ -412,7 +424,12 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 // the response, so the answer is 200.
 func (s *Server) admitBatch(visible bool) func(http.ResponseWriter, *http.Request) error {
 	return func(w http.ResponseWriter, r *http.Request) error {
-		b, err := decodeBatch(w, r)
+		wb, err := readBody(w, r)
+		if err != nil {
+			return bodyErr(err, httpapi.CodeBadRequest, "decode: %s%v", wantEdges, err)
+		}
+		defer putBody(wb)
+		b, err := decodeBatch(wb.b)
 		if err != nil {
 			return err
 		}
@@ -424,11 +441,11 @@ func (s *Server) admitBatch(visible bool) func(http.ResponseWriter, *http.Reques
 			return pipelineErr("ingest", err)
 		}
 		if !visible {
-			writeJSONStatus(w, http.StatusAccepted, map[string]int{"accepted": n})
+			writeCount(w, http.StatusAccepted, wb, "accepted", n)
 			return nil
 		}
 		pipe.Flush()
-		writeJSON(w, map[string]int{"inserted": n})
+		writeCount(w, http.StatusOK, wb, "inserted", n)
 		return nil
 	}
 }
@@ -453,7 +470,7 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) error {
 	var req struct {
 		Cutoff int64 `json:"cutoff"`
 	}
-	if err := decodeBody(w, r, &req, ""); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		return err
 	}
 	dropped, err := s.Pipeline().Expire(req.Cutoff)
@@ -487,12 +504,22 @@ func putBatch(b *batchBuf) {
 	batchPool.Put(b)
 }
 
-// decodeBatch reads a request body holding a JSON array of edges into
-// pooled decode scratch. The caller must putBatch the returned buffer once
-// the batch has been handed to the insert path.
-func decodeBatch(w http.ResponseWriter, r *http.Request) (*batchBuf, error) {
+const wantEdges = "body must be a JSON array of edges: "
+
+// decodeBatch decodes a body holding a JSON array of edges into pooled
+// decode scratch: by the scanner when the body is spelled canonically, else
+// by encoding/json, which is also what rejects it. The caller must putBatch
+// the returned buffer once the batch has been handed to the insert path.
+func decodeBatch(body []byte) (*batchBuf, error) {
 	b := batchPool.Get().(*batchBuf)
-	if err := decodeBody(w, r, &b.edges, "body must be a JSON array of edges: "); err != nil {
+	edges, ok := scanEdges(body, b.edges)
+	if ok {
+		b.edges = edges
+		return b, nil
+	}
+	clear(edges) // encoding/json fills reused elements in place (see putBatch)
+	b.edges = edges[:0]
+	if err := decodeBody(body, &b.edges, wantEdges); err != nil {
 		putBatch(b)
 		return nil, err
 	}
@@ -501,7 +528,7 @@ func decodeBatch(w http.ResponseWriter, r *http.Request) (*batchBuf, error) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	var e stream.Edge
-	if err := decodeBody(w, r, &e, ""); err != nil {
+	if err := readJSON(w, r, &e); err != nil {
 		return err
 	}
 	ok := s.Summary().Delete(e)
@@ -655,7 +682,7 @@ type subgraphRequest struct {
 
 func (s *Server) handleSubgraph(w http.ResponseWriter, r *http.Request) error {
 	var req subgraphRequest
-	if err := decodeBody(w, r, &req, ""); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		return err
 	}
 	return s.answerOne(w, r, query.NewSubgraph(req.Edges, req.Ts, req.Te), nil)
@@ -684,16 +711,16 @@ const maxSnapshotBody = 1 << 30
 // with Query.ProbeCount and an over-budget envelope is rejected whole.
 const maxBatchProbes = 1 << 20
 
-// batchResult is the JSON representation of one /v2/query answer: exactly
-// one of Weight (scalar kinds), Top (analytics kinds), and Error is
-// present. Error slots carry the same stable code vocabulary as the
-// endpoint-level envelope, so a client's error handling is uniform whether
-// a problem sinks the request or just one item.
+// batchResult is the JSON representation of one /v2/query answer slot
+// other than a scalar weight, which appendAnswers renders directly as
+// {"weight":N}: exactly one of weight, Top (analytics kinds) and Error is
+// present in a slot. Error slots carry the same stable code vocabulary as
+// the endpoint-level envelope, so a client's error handling is uniform
+// whether a problem sinks the request or just one item.
 type batchResult struct {
-	Weight *int64        `json:"weight,omitempty"`
-	Top    []query.Entry `json:"top,omitempty"`
-	Error  string        `json:"error,omitempty"`
-	Code   string        `json:"code,omitempty"`
+	Top   []query.Entry `json:"top,omitempty"`
+	Error string        `json:"error,omitempty"`
+	Code  string        `json:"code,omitempty"`
 }
 
 // handleQueryBatch implements POST /v2/query: a JSON array of queries in
@@ -705,112 +732,88 @@ type batchResult struct {
 // returned only when the envelope itself is malformed (not a JSON array,
 // or over the batch size limit).
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) error {
-	// The envelope streams off one decoder, so both limits bind *while*
-	// reading — the byte cap via http.MaxBytesReader, the item cap per
-	// element: a body of millions of tiny items is rejected at item 65537,
-	// not materialized first — and nothing executes until it has been
-	// read to its end.
-	body := &bodyReader{Reader: http.MaxBytesReader(w, r.Body, maxBatchBody)}
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	const wantArray = "body must be a JSON array of queries"
-	if tok, err := dec.Token(); err != nil {
-		return bodyErr(err, httpapi.CodeBadEnvelope, "%s: %v", wantArray, err)
-	} else if tok != json.Delim('[') {
-		return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeBadEnvelope, "%s, got %v", wantArray, tok)
+	// The body is held whole (the byte cap binds while reading it, before
+	// any decode), then decoded into pooled scratch — by the scanner when it
+	// is spelled canonically, else by encoding/json — and nothing executes
+	// until the envelope has been read to its end, counted against the item
+	// cap and budgeted.
+	wb, err := readBody(w, r)
+	if err != nil {
+		return bodyErr(err, httpapi.CodeBadEnvelope, "%s: %v", wantQueries, err)
 	}
-	out := []batchResult{}
-	var batch []query.Query
-	var idx []int // out-slot of each decodable item
+	defer putBody(wb)
+	env := envelopePool.Get().(*envelope)
+	defer putEnvelope(env)
 	// One state for budgeting, admission, and execution: a concurrent
 	// snapshot upload must not let a batch budgeted against few shards
 	// execute against many (or be spuriously rejected in the shrink
 	// direction), and the cache consulted must be the one bound to the
 	// summary that answers.
 	st := s.st.Load()
-	shards := st.sum.NumShards()
-	probes := 0
-	var q query.Query
-	for dec.More() {
-		if len(out) >= maxBatchQueries {
-			return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeBadEnvelope,
-				"batch exceeds the limit of %d queries", maxBatchQueries)
+	if !scanEnvelope(wb.b, st, env) {
+		env.reset()
+		if err := env.decode(wb.b, st); err != nil {
+			return err
 		}
-		q = query.Query{}
-		if err := dec.Decode(&q); err != nil {
-			// A value of the wrong shape is that item's problem: the
-			// decoder read all of it and stands behind it. Bytes that are
-			// not JSON, or a body that ended or failed mid-value, sink the
-			// envelope.
-			var syntax *json.SyntaxError
-			if errors.As(err, &syntax) || errors.Is(err, io.ErrUnexpectedEOF) || body.err != nil {
-				return bodyErr(err, httpapi.CodeBadEnvelope, "query %d: %v", len(out), err)
-			}
-			out = append(out, batchResult{Error: err.Error(), Code: httpapi.CodeBadRequest})
-			continue
-		}
-		out = append(out, batchResult{})
-		if probes > maxBatchProbes {
-			continue // rejected below, once the byte cap has had its say
-		}
-		// A delta_vertex item may omit its candidate set: the engine's
-		// tracked heavy hitters are the natural "what changed most"
-		// candidates. Filled before budgeting so admission sees the real
-		// probe count.
-		if q.Kind == query.KindDeltaVertex && len(q.Candidates) == 0 && st.eng != nil {
-			q.Candidates = st.eng.CandidateVertices(q.Dir, defaultDeltaCandidates)
-		}
-		probes += q.ProbeCount(shards)
-		batch = append(batch, q)
-		idx = append(idx, len(out)-1)
 	}
-	if _, err := dec.Token(); err != nil { // consume the closing ']'
-		return bodyErr(err, httpapi.CodeBadEnvelope, "%s: %v", wantArray, err)
-	}
-	if tok, err := dec.Token(); err != io.EOF {
-		return bodyErr(err, httpapi.CodeBadEnvelope, "unexpected data after the query array (%v)", tok)
-	}
-	if probes > maxBatchProbes {
+	if env.probes > maxBatchProbes {
 		return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeProbeBudget,
 			"batch expands to more than %d per-shard probes; split it", maxBatchProbes)
 	}
-	results, err := s.execute(r, st, batch, probes)
+	results, err := s.execute(r, st, env.batch, env.probes)
 	if err != nil {
 		return err
 	}
-	for j, res := range results {
-		if res.Err != nil {
-			out[idx[j]].Error = res.Err.Error()
-			out[idx[j]].Code = errCode(res.Err)
-			continue
-		}
-		switch batch[j].Kind {
-		case query.KindDeltaVertex, query.KindDeltaEdge, query.KindHeavyHitters, query.KindBurst:
-			// Ranked kinds answer via "top"; an empty ranking omits the
-			// field (omitempty), never emits "weight".
-			out[idx[j]].Top = res.Top
-		default:
-			weight := res.Weight
-			out[idx[j]].Weight = &weight
-		}
+	// Every item has been decoded out of the body; its buffer takes the answer.
+	if wb.b, err = appendAnswers(wb.b[:0], env, results); err != nil {
+		return err
 	}
-	writeJSON(w, out)
+	writeWire(w, http.StatusOK, wb)
 	return nil
 }
 
-// bodyReader remembers the error that ended a request body, so a decode
-// loop can tell a value it does not like from a body that is gone.
-type bodyReader struct {
-	io.Reader
-	err error
-}
+const wantQueries = "body must be a JSON array of queries"
 
-func (b *bodyReader) Read(p []byte) (int, error) {
-	n, err := b.Reader.Read(p)
-	if err != nil && err != io.EOF {
-		b.err = err
+// decode is the encoding/json reading of a /v2/query body: what runs on any
+// body the scanner has no opinion on, and the only thing that rejects one.
+// Both limits bind per element — a body of millions of tiny items is
+// rejected at item 65537, not decoded first.
+func (e *envelope) decode(body []byte, st *state) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	badEnvelope := func(format string, args ...any) error {
+		return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeBadEnvelope, format, args...)
 	}
-	return n, err
+	if tok, err := dec.Token(); err != nil {
+		return badEnvelope("%s: %v", wantQueries, err)
+	} else if tok != json.Delim('[') {
+		return badEnvelope("%s, got %v", wantQueries, tok)
+	}
+	for dec.More() {
+		if len(e.out) >= maxBatchQueries {
+			return badEnvelope("batch exceeds the limit of %d queries", maxBatchQueries)
+		}
+		var q query.Query
+		if err := dec.Decode(&q); err != nil {
+			// A value of the wrong shape is that item's problem: the
+			// decoder read all of it and stands behind it. Bytes that are
+			// not JSON, or a body that ended mid-value, sink the envelope.
+			var syntax *json.SyntaxError
+			if errors.As(err, &syntax) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return badEnvelope("query %d: %v", len(e.out), err)
+			}
+			e.out = append(e.out, batchResult{Error: err.Error(), Code: httpapi.CodeBadRequest})
+			continue
+		}
+		e.add(q, st)
+	}
+	if _, err := dec.Token(); err != nil { // consume the closing ']'
+		return badEnvelope("%s: %v", wantQueries, err)
+	}
+	if tok, err := dec.Token(); err != io.EOF {
+		return badEnvelope("unexpected data after the query array (%v)", tok)
+	}
+	return nil
 }
 
 // MemoryStatus is the heap summary /healthz reports, read from

@@ -455,9 +455,13 @@ func TestIngestBackpressure429(t *testing.T) {
 	}
 }
 
-// TestIngestBadRequests: method and body validation mirror /v1/insert.
+// TestIngestBadRequests: method and body validation mirror /v1/insert. A
+// body is one JSON array and whitespace: anything after it sinks the
+// request, the array before it included (regression: the trailing bytes were
+// silently dropped and the first array ingested).
 func TestIngestBadRequests(t *testing.T) {
 	_, ts := newAsyncTestServer(t, 2, ingest.Config{})
+	const edge = `{"s":1,"d":2,"w":1,"t":100}`
 	cases := []struct {
 		method, path, body string
 		wantStatus         int
@@ -465,6 +469,13 @@ func TestIngestBadRequests(t *testing.T) {
 		{"GET", "/v1/ingest", "", http.StatusMethodNotAllowed},
 		{"POST", "/v1/ingest", `{"not":"an array"}`, http.StatusBadRequest},
 		{"GET", "/v1/flush", "", http.StatusMethodNotAllowed},
+		{"POST", "/v1/ingest", `[` + edge + `][` + edge + `]`, http.StatusBadRequest},
+		{"POST", "/v1/ingest", `[` + edge + `] trailing`, http.StatusBadRequest},
+		{"POST", "/v1/ingest", `[{"S":1,"d":2,"w":1,"t":100}]]`, http.StatusBadRequest}, // the fallback's check, not the scanner's
+		{"POST", "/v1/insert", `[` + edge + `][` + edge + `]`, http.StatusBadRequest},
+		{"POST", "/v1/delete", edge + edge, http.StatusBadRequest},
+		{"POST", "/v1/subgraph", `{"edges":[[1,2]],"ts":0,"te":200}{}`, http.StatusBadRequest},
+		{"POST", "/v1/ingest", " [" + edge + "] \r\n\t", http.StatusAccepted},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
@@ -477,8 +488,11 @@ func TestIngestBadRequests(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != c.wantStatus {
-			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.wantStatus)
+			t.Errorf("%s %s %s: status %d, want %d", c.method, c.path, c.body, resp.StatusCode, c.wantStatus)
 		}
+	}
+	if got := decode[map[string]int64](t, post(t, ts.URL+"/v1/flush", "")); got["items"] != 1 {
+		t.Errorf("after one accepted edge and six rejected bodies: %v items, want 1", got["items"])
 	}
 }
 
@@ -931,7 +945,8 @@ func TestExpireEndpoint(t *testing.T) {
 // TestExpireBadRequests: malformed bodies 400, wrong method 405.
 func TestExpireBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, body := range []string{``, `garbage`, `{"cutoff":"ten"}`, `{"cutof":10}`} {
+	for _, body := range []string{``, `garbage`, `{"cutoff":"ten"}`, `{"cutof":10}`,
+		`{"cutoff":5}{"cutoff":99999}`, `{"cutoff":5} trailing`} {
 		resp := post(t, ts.URL+"/v1/expire", body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
