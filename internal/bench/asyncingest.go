@@ -117,8 +117,9 @@ func ingestProducers(n int) int {
 // contendedIngestEPS replays the dataset as batch-size-1 submissions from
 // concurrent producers pulling off a shared cursor (so producers collide
 // on shards, as HTTP clients do). With async=false each edge goes through
-// a synchronous one-edge InsertBatch — exactly the admission path
-// /v1/insert runs per tiny post; with async=true each goes through an
+// a synchronous one-edge InsertBatch — a direct shard write, the baseline
+// group commit is measured against (no daemon endpoint runs it: /v1/insert
+// is Submit + Flush); with async=true each goes through an
 // async pipeline, full queues are retried, and the measured time includes
 // the final Flush (time to visibility, not just admission).
 func contendedIngestEPS(c *gateCase, async bool) (float64, error) {

@@ -91,7 +91,9 @@ func batchWorkload(ds *Dataset, count int, seed int64) []query.Query {
 }
 
 // perCallAnswers runs the workload one per-kind method call at a time —
-// the query path every /v1/* request takes.
+// what a library caller without DoBatch pays: one plan and one lock visit
+// per query (a /v1/* request is a one-element batch through the same
+// planner).
 func perCallAnswers(s *shard.Summary, qs []query.Query) []int64 {
 	out := make([]int64, len(qs))
 	for i, q := range qs {

@@ -1,14 +1,16 @@
 // Package bench implements the experiment harness that regenerates every
-// table and figure of the paper's evaluation (§VI). Each experiment builds
-// the six competitors (HIGGS, PGSS, Horae, Horae-cpt, AuxoTime,
-// AuxoTime-cpt) on the selected datasets, replays the stream, runs the
-// figure's workload, and prints one table row per plotted point.
-// DESIGN.md §5 maps experiment IDs to paper figures.
+// table and figure of the paper's evaluation (§VI). A figure builds its
+// subjects — for most, the six competitors (HIGGS, PGSS, Horae, Horae-cpt,
+// AuxoTime, AuxoTime-cpt) — on the selected datasets, replays the stream,
+// runs the figure's workload, prints one table row per plotted point and
+// records its deterministic cells; the CI gates are the package's other
+// kind of experiment. DESIGN.md §5 maps experiment IDs to paper figures.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"os"
 
@@ -67,8 +69,9 @@ type Options struct {
 	Presets         []stream.Preset
 
 	// Metrics, when non-nil, collects each experiment's headline numbers
-	// under stable names ("<dataset>_s<shards>_<what>"), so cmd/higgsbench
-	// can persist them in the -json artifact.
+	// under stable names (a gate's "<dataset>_s<shards>_<what>", a figure's
+	// "<dataset>_<subject>_<point>_<what>"), so cmd/higgsbench can persist
+	// them in the -json artifact.
 	Metrics map[string]float64
 }
 
@@ -182,32 +185,25 @@ func scaledFBits(z float64, d uint32) uint {
 	}
 }
 
+// layers sizes the dyadic GSS layers Horae runs on a dataset: the level
+// count, the layer configuration (buffer capped at 25% of the matrix, the
+// memory-budget regime of the original deployments, DESIGN.md §4) and the
+// hash range Z every structure is aligned to (paper: "the Z value of HIGGS
+// aligns with those of the baselines"), scaled to preserve the paper's
+// |E|/Z ratio.
+func layers(ds *Dataset) (maxLevel int, layer gss.Config, z float64) {
+	maxLevel = max(1, trq.LevelsForSpan(ds.Stats.Span()+1, 25))
+	z = float64(ds.Stats.Edges) / zRatio(ds.Name)
+	d := layerDim(ds.Stats.Edges)
+	return maxLevel, gss.Config{D: d, FBits: scaledFBits(z, d), Maps: 4, MaxBuffer: int(d) * int(d) / 4}, z
+}
+
 // Competitors returns the paper's six competitors (§VI-A) sized for the
-// dataset following each baseline paper's guidance. All hash ranges are
-// aligned to the same Z (paper: "the Z value of HIGGS aligns with those of
-// the baselines"), with Z scaled to preserve the paper's |E|/Z ratio.
+// dataset following each baseline paper's guidance.
 func Competitors(ds *Dataset, seed uint64) []Builder {
-	edges := ds.Stats.Edges
-	maxLevel := trq.LevelsForSpan(ds.Stats.Span()+1, 25)
-	if maxLevel < 1 {
-		maxLevel = 1
-	}
-	z := float64(edges) / zRatio(ds.Name)
-	d1 := core.DefaultConfig().D1
-	higgsF := scaledFBits(z, d1)
-	gssD := layerDim(edges)
-	gssCfg := gss.Config{
-		D:     gssD,
-		FBits: scaledFBits(z, gssD),
-		Maps:  4,
-		// Cap the exact buffer at 25% of the matrix, the memory-budget
-		// regime of the original deployments (DESIGN.md §4).
-		MaxBuffer: int(gssD) * int(gssD) / 4,
-	}
-	auxoD := gssCfg.D / 2
-	if auxoD < 64 {
-		auxoD = 64
-	}
+	maxLevel, gssCfg, z := layers(ds)
+	higgsF := scaledFBits(z, core.DefaultConfig().D1)
+	auxoD := max(64, gssCfg.D/2)
 	auxoCfg := auxo.Config{D: auxoD, FBits: scaledFBits(z, auxoD), Maps: 4}
 	// PGSS has no fingerprints: its collision domain is the d×d bucket
 	// grid itself, so d² plays the role of Z. Its per-bucket granularity
@@ -243,55 +239,44 @@ func Competitors(ds *Dataset, seed uint64) []Builder {
 	}
 }
 
-// buildHoraeWithBudget builds a Horae whose per-layer GSS buffer budget is
-// frac·d² entries (0 = unbounded) and replays the dataset into it. It is
-// used by the buffer-budget sensitivity experiment.
-func buildHoraeWithBudget(ds *Dataset, seed uint64, frac float64) (trq.Summary, error) {
-	edges := ds.Stats.Edges
-	maxLevel := trq.LevelsForSpan(ds.Stats.Span()+1, 25)
-	if maxLevel < 1 {
-		maxLevel = 1
-	}
-	z := float64(edges) / zRatio(ds.Name)
-	gssD := layerDim(edges)
-	cfg := gss.Config{
-		D:         gssD,
-		FBits:     scaledFBits(z, gssD),
-		Maps:      4,
-		MaxBuffer: int(float64(gssD) * float64(gssD) * frac),
-	}
-	h, err := horae.New(horae.Config{MaxLevel: maxLevel, Layer: cfg, Seed: seed})
-	if err != nil {
-		return nil, fmt.Errorf("bench: horae budget %.2f: %w", frac, err)
-	}
-	for _, e := range ds.Stream {
-		h.Insert(e)
-	}
-	return h, nil
-}
-
-// buildAndFill constructs a competitor and replays the dataset into it.
-func buildAndFill(b Builder, ds *Dataset) (trq.Summary, error) {
-	s, err := b.New()
-	if err != nil {
-		return nil, fmt.Errorf("bench: build %s: %w", b.Name, err)
-	}
-	for _, e := range ds.Stream {
-		s.Insert(e)
-	}
-	trq.Finalize(s)
-	return s, nil
-}
-
-// datasets loads the presets selected by the options.
-func (o Options) datasets() ([]*Dataset, error) {
-	var out []*Dataset
-	for _, p := range o.Presets {
-		ds, err := LoadPreset(p, o.Scale)
-		if err != nil {
-			return nil, err
+// horaeBudgets is the buffer-budget sensitivity experiment's subjects: a
+// Horae per per-layer GSS buffer budget of frac·d² entries (0 = unbounded).
+func horaeBudgets(ds *Dataset, seed uint64) []Builder {
+	maxLevel, layer, _ := layers(ds)
+	var out []Builder
+	for _, frac := range []float64{0, 0.25, 1.0, 4.0} {
+		name := fmt.Sprintf("%.2f", frac)
+		if frac == 0 {
+			name = "unbounded"
 		}
-		out = append(out, ds)
+		layer.MaxBuffer = int(float64(layer.D) * float64(layer.D) * frac)
+		cfg := horae.Config{MaxLevel: maxLevel, Layer: layer, Seed: seed}
+		out = append(out, Builder{name, func() (trq.Summary, error) { return horae.New(cfg) }})
 	}
-	return out, nil
+	return out
+}
+
+// datasets yields the run's datasets one at a time, so a sweep holds one:
+// the presets the options select, or the members of a synthetic family.
+func (o Options) datasets(fam *family) iter.Seq2[*Dataset, error] {
+	return func(yield func(*Dataset, error) bool) {
+		if fam == nil {
+			for _, p := range o.Presets {
+				if !yield(LoadPreset(p, o.Scale)) {
+					return
+				}
+			}
+			return
+		}
+		for _, v := range fam.values {
+			st, err := fam.gen(v, o.SkewNodes, o.SkewEdges, o.Seed)
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			if !yield(NewDataset(fmt.Sprintf("%s=%g", fam.param, v), st), nil) {
+				return
+			}
+		}
+	}
 }

@@ -2,13 +2,21 @@ package bench
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"maps"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"higgs/internal/stream"
 	"higgs/internal/trq"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/paper_smoke.golden from this build")
 
 // tinyOptions keeps smoke tests fast: one small dataset, few queries.
 func tinyOptions(buf *bytes.Buffer) Options {
@@ -50,10 +58,14 @@ func TestCompetitorsBuildAndAgree(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, b := range builders {
-		s, err := buildAndFill(b, ds)
+		s, err := b.New()
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, e := range ds.Stream {
+			s.Insert(e)
+		}
+		trq.Finalize(s)
 		if s.Name() != b.Name {
 			t.Errorf("builder %q produced %q", b.Name, s.Name())
 		}
@@ -72,7 +84,7 @@ func TestCompetitorsBuildAndAgree(t *testing.T) {
 		}
 		trq.Close(s)
 	}
-	for _, want := range []string{"HIGGS", "PGSS", "Horae", "Horae-cpt", "AuxoTime", "AuxoTime-cpt"} {
+	for _, want := range competitorNames {
 		if !names[want] {
 			t.Errorf("missing competitor %s", want)
 		}
@@ -89,14 +101,88 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-func TestTable2(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Run("table2", tinyOptions(&buf)); err != nil {
-		t.Fatal(err)
+// paperIDs is the paper half of the registry the golden covers (fig17 is
+// fig16's run under another id, and neither records a deterministic cell).
+var paperIDs = []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+	"fig16", "fig18", "fig19", "fig20", "fig21"}
+
+// tinyRun is one experiment's run at tinyOptions.
+type tinyRun struct {
+	out     string
+	metrics map[string]float64
+	err     error
+}
+
+// paper runs each of paperIDs once per test binary; TestTable2, the smoke
+// and sweep tests and the golden all read the same runs.
+var paper = sync.OnceValue(func() map[string]tinyRun {
+	runs := map[string]tinyRun{}
+	for _, id := range paperIDs {
+		var buf bytes.Buffer
+		o := tinyOptions(&buf)
+		o.Metrics = map[string]float64{}
+		err := Run(id, o)
+		runs[id] = tinyRun{buf.String(), o.Metrics, err}
 	}
-	out := buf.String()
+	return runs
+})
+
+// paperRun returns the shared run of one of paperIDs, which must have
+// succeeded.
+func paperRun(t *testing.T, id string) tinyRun {
+	t.Helper()
+	r := paper()[id]
+	if r.err != nil {
+		t.Fatalf("%v\n%s", r.err, r.out)
+	}
+	return r
+}
+
+func TestTable2(t *testing.T) {
+	out := paperRun(t, "table2").out
 	if !strings.Contains(out, "lkml") || !strings.Contains(out, "nodes") {
 		t.Fatalf("unexpected output:\n%s", out)
+	}
+}
+
+// TestPaperGolden is the tracked trajectory of the reproduction: every
+// deterministic number table2 and fig10–21 record at tinyOptions — accuracy,
+// undercounts, space, tree shape — one "<experiment> <metric> <value>" line
+// each. A change that moves accuracy or space shows up as a diff of
+// testdata/paper_smoke.golden; `go test ./internal/bench -update` rewrites
+// it when the move is meant.
+func TestPaperGolden(t *testing.T) {
+	var got []string
+	for _, id := range paperIDs {
+		r := paperRun(t, id)
+		for _, name := range slices.Sorted(maps.Keys(r.metrics)) {
+			got = append(got, fmt.Sprintf("%s %s %s", id, name, strconv.FormatFloat(r.metrics[name], 'f', -1, 64)))
+		}
+	}
+	const path = "testdata/paper_smoke.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	for _, l := range got {
+		if !slices.Contains(want, l) {
+			t.Errorf("got, not in the golden:  %s", l)
+		}
+	}
+	for _, l := range want {
+		if !slices.Contains(got, l) {
+			t.Errorf("in the golden, not got:  %s", l)
+		}
+	}
+	if t.Failed() {
+		t.Log("go test ./internal/bench -update rewrites the golden, if the change is meant")
 	}
 }
 
@@ -156,38 +242,93 @@ func TestExperimentsSmoke(t *testing.T) {
 			}
 		})
 	}
-	for _, id := range []string{"fig10", "fig11", "fig12", "fig13", "fig16", "fig18", "fig19", "fig20", "fig21", "ablation", "budget", "reverse", "sharded"} {
-		id := id
+	// The figures, read from what they record rather than what they print;
+	// their runs are the golden's.
+	for _, id := range []string{"fig10", "fig11", "fig12", "fig13", "fig16", "fig18", "fig19", "fig20", "fig21"} {
 		t.Run(id, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := Run(id, tinyOptions(&buf)); err != nil {
-				t.Fatal(err)
+			r := paperRun(t, id)
+			rows := competitorNames
+			if id == "fig20" || id == "fig21" {
+				rows = []string{"lkml"}
 			}
-			out := buf.String()
+			for _, name := range rows {
+				if !strings.Contains(r.out, name) {
+					t.Fatalf("%s output missing %s:\n%s", id, name, r.out)
+				}
+			}
 			switch id {
-			case "fig20", "fig21", "ablation", "budget", "reverse", "sharded":
-				if !strings.Contains(out, "lkml") {
-					t.Fatalf("%s output missing dataset rows:\n%s", id, out)
+			case "fig10", "fig11", "fig12", "fig13":
+				checkAccuracyClaim(t, r.metrics)
+			case "fig19":
+				// The paper's space claim is against the Horae and AuxoTime
+				// families; PGSS is smaller and the paper does not say otherwise.
+				higgs := r.metrics["lkml_HIGGS_space"]
+				if higgs <= 0 {
+					t.Errorf("lkml_HIGGS_space = %v", higgs)
 				}
-				return
-			}
-			for _, name := range []string{"HIGGS", "PGSS", "Horae", "AuxoTime"} {
-				if !strings.Contains(out, name) {
-					t.Fatalf("%s output missing %s:\n%s", id, name, out)
-				}
-			}
-			if strings.Contains(out, "undercounts") {
-				// One-sided error must hold for every row.
-				for _, line := range strings.Split(out, "\n") {
-					fields := strings.Fields(line)
-					if len(fields) > 0 && fields[len(fields)-1] != "0" &&
-						(strings.Contains(line, "HIGGS") || strings.Contains(line, "Horae") ||
-							strings.Contains(line, "PGSS") || strings.Contains(line, "AuxoTime")) {
-						t.Fatalf("%s reports undercounts:\n%s", id, line)
+				for _, c := range []string{"Horae", "Horae-cpt", "AuxoTime", "AuxoTime-cpt"} {
+					if space := r.metrics["lkml_"+c+"_space"]; higgs >= space {
+						t.Errorf("HIGGS takes %.0f bytes, %s %.0f: the paper's space claim does not hold", higgs, c, space)
 					}
 				}
 			}
 		})
+	}
+	for _, x := range []struct {
+		name, id string
+		scale    float64
+	}{
+		{"ablation", "ablation", 0}, {"budget", "budget", 0}, {"reverse", "reverse", 0}, {"sharded", "sharded", 0},
+		{"fig18_one_edge", "fig18", 0.00001}, // n = len/10 = 0 once divided by zero
+	} {
+		t.Run(x.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			o := tinyOptions(&buf)
+			if x.scale != 0 {
+				o.Scale = x.scale
+			}
+			if err := Run(x.id, o); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), "lkml") {
+				t.Fatalf("%s output missing dataset rows:\n%s", x.id, buf.String())
+			}
+		})
+	}
+}
+
+var competitorNames = []string{"HIGGS", "PGSS", "Horae", "Horae-cpt", "AuxoTime", "AuxoTime-cpt"}
+
+// checkAccuracyClaim holds an accuracy figure's recorded metrics to the
+// paper's claim at every sweep point: no structure under-estimates, and
+// HIGGS's ARE is no worse than any competitor's.
+func checkAccuracyClaim(t *testing.T, m map[string]float64) {
+	t.Helper()
+	points := 0
+	for name, higgs := range m {
+		point, ok := strings.CutPrefix(name, "lkml_HIGGS_")
+		if ok {
+			point, ok = strings.CutSuffix(point, "_are")
+		}
+		if !ok {
+			continue
+		}
+		points++
+		for _, c := range competitorNames {
+			are, recorded := m["lkml_"+c+"_"+point+"_are"]
+			under, recordedU := m["lkml_"+c+"_"+point+"_undercounts"]
+			switch {
+			case !recorded || !recordedU:
+				t.Errorf("%s recorded no accuracy at point %s", c, point)
+			case under != 0:
+				t.Errorf("%s under-estimates %v answers at point %s", c, under, point)
+			case higgs > are:
+				t.Errorf("point %s: HIGGS ARE %v > %s ARE %v", point, higgs, c, are)
+			}
+		}
+	}
+	if points != 7 {
+		t.Errorf("checked %d sweep points, the figure has 7", points)
 	}
 }
 
@@ -218,13 +359,8 @@ func TestSyntheticSweeps(t *testing.T) {
 		t.Skip("sweep suite is moderately expensive")
 	}
 	for _, id := range []string{"fig14", "fig15"} {
-		var buf bytes.Buffer
-		o := tinyOptions(&buf)
-		if err := Run(id, o); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(buf.String(), "HIGGS") {
-			t.Fatalf("%s output missing rows:\n%s", id, buf.String())
+		if out := paperRun(t, id).out; !strings.Contains(out, "HIGGS") {
+			t.Fatalf("%s output missing rows:\n%s", id, out)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"higgs/internal/core"
@@ -23,491 +24,241 @@ var subgraphSizes = []int{50, 100, 150, 200, 250, 300, 350}
 // experiments (paper uses 10^5).
 const midRange = int64(1e5)
 
-// Table2 prints the dataset summary (paper Table II).
-func Table2(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Table II: Summary of Datasets (synthetic stand-ins; DESIGN.md §4) ==")
-	t := metrics.NewTable("dataset", "nodes", "edges", "distinct-edges", "time-span", "max-out-deg", "max-in-deg")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
-		t.AddRow(ds.Name,
-			fmt.Sprint(ds.Stats.Nodes),
-			fmt.Sprint(ds.Stats.Edges),
-			fmt.Sprint(ds.Stats.DistinctEdges),
-			fmt.Sprintf("%ds", ds.Stats.Span()),
-			fmt.Sprint(ds.Stats.MaxOutDegree),
-			fmt.Sprint(ds.Stats.MaxInDegree),
-		)
-	}
-	return t.Render(o.Out)
+// table2 is the dataset summary (paper Table II): one row per dataset and
+// nobody measured, which is the shape of a gate.
+var table2 = gate{
+	id: "table2", title: "Table II: dataset summary",
+	header:  "Table II: Summary of Datasets (synthetic stand-ins; DESIGN.md §4)",
+	columns: []string{"nodes", "edges", "distinct-edges", "time-span", "max-out-deg", "max-in-deg"},
+	row: func(c *gateCase) ([]string, error) {
+		st := c.ds.Stats
+		return []string{c.count("nodes", int64(st.Nodes)), c.count("edges", int64(st.Edges)),
+			c.count("distinct_edges", int64(st.DistinctEdges)), c.count("span", st.Span()) + "s",
+			c.count("max_out_deg", int64(st.MaxOutDegree)), c.count("max_in_deg", int64(st.MaxInDegree))}, nil
+	},
 }
 
-// Fig10EdgeQueries prints edge-query AAE, ARE, and latency versus range
-// length on every dataset (paper Fig. 10 a–i).
-func Fig10EdgeQueries(o Options) error {
-	o.fill()
-	fmt.Fprintf(o.Out, "== Fig. 10: Edge queries — AAE / ARE / latency vs Lq (%d queries per point) ==\n", o.EdgeQueries)
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	t := metrics.NewTable("dataset", "structure", "Lq", "AAE", "ARE", "latency", "undercounts")
-	for _, ds := range dss {
-		builders := Competitors(ds, uint64(o.Seed))
-		w := trq.NewWorkload(ds.Truth, o.Seed)
-		queries := make(map[int64][]trq.EdgeQuery, len(rangeLengths))
-		for _, lq := range rangeLengths {
-			queries[lq] = w.EdgeQueries(o.EdgeQueries, lq)
-		}
-		for _, b := range builders {
-			s, err := buildAndFill(b, ds)
-			if err != nil {
-				return err
-			}
-			for _, lq := range rangeLengths {
-				var acc metrics.Accuracy
-				start := time.Now()
-				for _, q := range queries[lq] {
-					got := s.EdgeWeight(q.S, q.D, q.Ts, q.Te)
-					acc.Observe(got, ds.Truth.EdgeWeight(q.S, q.D, q.Ts, q.Te))
-				}
-				elapsed := time.Since(start)
-				t.AddRow(ds.Name, b.Name, fmt.Sprintf("1e%d", log10(lq)),
-					metrics.FormatFloat(acc.AAE()), metrics.FormatFloat(acc.ARE()),
-					perOp(elapsed, acc.N()), fmt.Sprint(acc.Undercounts()))
-			}
-			trq.Close(s)
-		}
-	}
-	return t.Render(o.Out)
+// figures is the rest of the paper half of the registry, in presentation
+// order.
+var figures = []figure{
+	// Fig. 10–13 (a–i): accuracy and latency of the four query kinds for
+	// the six competitors, against range length, hop count and size.
+	{id: "fig10", title: "Fig. 10: edge queries (AAE/ARE/latency vs Lq)",
+		header:  "Fig. 10: Edge queries — AAE / ARE / latency vs Lq ({equeries} queries per point)",
+		subject: "structure", subjects: Competitors, sweep: "Lq",
+		points:  func(d draw) []point { return sweep(rangeLengths, lqLabel, d.edges) },
+		columns: []string{"AAE", "ARE", "latency", "undercounts"}, row: oneSidedRow},
+	{id: "fig11", title: "Fig. 11: vertex queries (AAE/ARE/latency vs Lq)",
+		header:  "Fig. 11: Vertex queries — AAE / ARE / latency vs Lq ({vqueries} queries per point)",
+		subject: "structure", subjects: Competitors, sweep: "Lq",
+		points:  func(d draw) []point { return sweep(rangeLengths, lqLabel, d.vertices) },
+		columns: []string{"AAE", "ARE", "latency", "undercounts"}, row: oneSidedRow},
+	{id: "fig12", title: "Fig. 12: path queries (AAE/ARE/latency vs hops)",
+		header:  "Fig. 12: Path queries — AAE / ARE / latency vs hops (Lq=1e5, {pqueries} queries per point)",
+		subject: "structure", subjects: Competitors, sweep: "hops",
+		points:  func(d draw) []point { return sweep(pathHops, strconv.Itoa, d.paths) },
+		columns: []string{"AAE", "ARE", "latency"}, row: accuracyRow},
+	{id: "fig13", title: "Fig. 13: subgraph queries (AAE/ARE/latency vs size)",
+		header:  "Fig. 13: Subgraph queries — AAE / ARE / latency vs size (Lq=1e5, {squeries} queries per point)",
+		subject: "structure", subjects: Competitors, sweep: "size",
+		points:  func(d draw) []point { return sweep(subgraphSizes, strconv.Itoa, d.subgraphs) },
+		columns: []string{"AAE", "ARE", "latency"}, row: accuracyRow},
+
+	// Fig. 14/15: vertex accuracy and latency plus update cost over a
+	// family of synthetic datasets.
+	{id: "fig14", title: "Fig. 14: vertex queries & update cost by skewness",
+		header:  "Fig. 14: Vertex queries and update cost by skewness ({skewnodes} nodes, {skewedges} edges)",
+		family:  &family{"skew", []float64{1.5, 1.8, 2.1, 2.4, 2.7, 3.0}, stream.Skewed},
+		subject: "structure", subjects: Competitors, points: func(d draw) []point { return []point{{qs: d.vertices(midRange)}} },
+		columns: []string{"AAE", "latency", "space", "throughput"}, row: updateCostRow},
+	{id: "fig15", title: "Fig. 15: vertex queries & update cost by variance",
+		header:  "Fig. 15: Vertex queries and update cost by variance ({skewnodes} nodes, {skewedges} edges)",
+		family:  &family{"variance", []float64{600, 800, 1000, 1200, 1400, 1600}, stream.Bursty},
+		subject: "structure", subjects: Competitors, points: func(d draw) []point { return []point{{qs: d.vertices(midRange)}} },
+		columns: []string{"AAE", "latency", "space", "throughput"}, row: updateCostRow},
+
+	{id: "fig16", title: "Fig. 16: insertion throughput", header: "Fig. 16/17: Insertion throughput and latency",
+		subject: "structure", subjects: Competitors,
+		columns: []string{"throughput", "mean-latency"}, row: insertRow},
+	{id: "fig17", title: "Fig. 17: insertion latency", twin: true},
+	{id: "fig18", title: "Fig. 18: deletion throughput", header: "Fig. 18: Deletion throughput",
+		subject: "structure", subjects: Competitors,
+		columns: []string{"deletions", "throughput", "found"}, row: deleteRow},
+	{id: "fig19", title: "Fig. 19: space cost", header: "Fig. 19: Space cost",
+		subject: "structure", subjects: Competitors,
+		columns: []string{"space", "bytes/edge"},
+		row: func(c *figCase, _ int) []string {
+			perEdge := float64(c.s.SpaceBytes()) / float64(c.ds.Stats.Edges)
+			c.record("bytes_per_edge", perEdge)
+			return []string{c.space(), fmt.Sprintf("%.1f", perEdge)}
+		}},
+
+	// Fig. 20: the three HIGGS optimizations — parallelization (insert
+	// throughput), multiple mapping buckets (space), overflow blocks
+	// (accuracy, leaf count).
+	{id: "fig20", title: "Fig. 20: optimization ablations", header: "Fig. 20: HIGGS optimization ablations",
+		subject: "variant", points: func(d draw) []point { return []point{{qs: d.edges(midRange)}} },
+		subjects: variants{
+			{"baseline", func(*core.Config) {}},
+			{"+parallel", func(c *core.Config) { c.Parallel = true }},
+			{"-MMB (r=1)", func(c *core.Config) { c.Maps = 1 }},
+			{"-OB", func(c *core.Config) { c.OverflowBlocks = false }}}.builders,
+		columns: []string{"throughput", "space", "leaves", "edge-AAE(1e5)"},
+		row: func(c *figCase, _ int) []string {
+			return []string{c.throughput(), c.space(), c.leaves(), c.asked[0].aae()}
+		}},
+	{id: "fig21", title: "Fig. 21: parameter sweep (d1)", header: "Fig. 21: HIGGS parameter sweep — leaf matrix size d1",
+		subject: "d1", points: func(d draw) []point { return []point{{qs: d.edges(midRange)}} },
+		subjects: variants{
+			{"4", func(c *core.Config) { c.D1 = 4 }},
+			{"8", func(c *core.Config) { c.D1 = 8 }},
+			{"16", func(c *core.Config) { c.D1 = 16 }},
+			{"32", func(c *core.Config) { c.D1 = 32 }},
+			{"64", func(c *core.Config) { c.D1 = 64 }}}.builders,
+		columns: []string{"space", "latency(1e5)", "leaves", "layers", "util/expected"},
+		row: func(c *figCase, _ int) []string {
+			return []string{c.space(), c.asked[0].latency(), c.leaves(), c.layers(), c.util()}
+		}},
+
+	// Beyond the paper's Fig. 20/21: the fan-out θ (which fixes R, the
+	// fingerprint bits promoted per level), the bucket depth b and the
+	// mapping positions r — the measurements DESIGN.md's design notes cite.
+	{id: "ablation", title: "Extra: HIGGS design-choice sweeps (θ / b / r)",
+		header:  "Ablation: HIGGS design choices (θ / b / r sweeps)",
+		subject: "variant", points: func(d draw) []point { return []point{{qs: d.edges(midRange)}} },
+		subjects: variants{
+			{"default (θ=4,b=3,r=4)", func(*core.Config) {}},
+			{"θ=16 (R=2)", func(c *core.Config) { c.Theta = 16 }},
+			{"b=1", func(c *core.Config) { c.B = 1 }},
+			{"b=2", func(c *core.Config) { c.B = 2 }},
+			{"b=5", func(c *core.Config) { c.B = 5 }},
+			{"r=1", func(c *core.Config) { c.Maps = 1 }},
+			{"r=2", func(c *core.Config) { c.Maps = 2 }},
+			{"r=8", func(c *core.Config) { c.Maps = 8 }}}.builders,
+		columns: []string{"layers", "leaves", "space", "throughput", "edge-AAE(1e5)", "latency(1e5)", "util/expected"},
+		row: func(c *figCase, _ int) []string {
+			a := &c.asked[0]
+			return []string{c.layers(), c.leaves(), c.space(), c.throughput(), a.aae(), a.latency(), c.util()}
+		}},
+	// How the Horae family degrades as memory tightens — the sensitivity
+	// study behind the DESIGN.md §4 memory-regime substitution.
+	{id: "budget", title: "Extra: Horae accuracy vs GSS buffer budget",
+		header:  "Sensitivity: Horae accuracy vs GSS buffer budget",
+		subject: "budget(frac of cells)", subjects: horaeBudgets,
+		points: func(d draw) []point {
+			return []point{{"edge", d.edges(midRange)}, {"vertex", d.vertices(midRange)}}
+		},
+		columns: []string{"edge-AAE(1e5)", "vertex-AAE(1e5)", "space"},
+		row: func(c *figCase, _ int) []string {
+			return []string{c.asked[0].aae(), c.asked[1].aae(), c.space()}
+		}},
 }
 
-// Fig11VertexQueries prints vertex-query AAE, ARE, and latency versus range
-// length (paper Fig. 11 a–i).
-func Fig11VertexQueries(o Options) error {
-	o.fill()
-	fmt.Fprintf(o.Out, "== Fig. 11: Vertex queries — AAE / ARE / latency vs Lq (%d queries per point) ==\n", o.VertexQueries)
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	t := metrics.NewTable("dataset", "structure", "Lq", "AAE", "ARE", "latency", "undercounts")
-	for _, ds := range dss {
-		builders := Competitors(ds, uint64(o.Seed))
-		w := trq.NewWorkload(ds.Truth, o.Seed)
-		queries := make(map[int64][]trq.VertexQuery, len(rangeLengths))
-		for _, lq := range rangeLengths {
-			queries[lq] = w.VertexQueries(o.VertexQueries, lq)
-		}
-		for _, b := range builders {
-			s, err := buildAndFill(b, ds)
-			if err != nil {
-				return err
-			}
-			for _, lq := range rangeLengths {
-				var acc metrics.Accuracy
-				start := time.Now()
-				for _, q := range queries[lq] {
-					var got, want int64
-					if q.Out {
-						got = s.VertexOut(q.V, q.Ts, q.Te)
-						want = ds.Truth.VertexOut(q.V, q.Ts, q.Te)
-					} else {
-						got = s.VertexIn(q.V, q.Ts, q.Te)
-						want = ds.Truth.VertexIn(q.V, q.Ts, q.Te)
-					}
-					acc.Observe(got, want)
-				}
-				elapsed := time.Since(start)
-				t.AddRow(ds.Name, b.Name, fmt.Sprintf("1e%d", log10(lq)),
-					metrics.FormatFloat(acc.AAE()), metrics.FormatFloat(acc.ARE()),
-					perOp(elapsed, acc.N()), fmt.Sprint(acc.Undercounts()))
-			}
-			trq.Close(s)
-		}
-	}
-	return t.Render(o.Out)
+func accuracyRow(c *figCase, i int) []string {
+	a := &c.asked[i]
+	return []string{a.aae(), a.are(), a.latency()}
 }
 
-// Fig12PathQueries prints path-query AAE, ARE, and latency versus hop count
-// at Lq = 10^5 (paper Fig. 12 a–i).
-func Fig12PathQueries(o Options) error {
-	o.fill()
-	fmt.Fprintf(o.Out, "== Fig. 12: Path queries — AAE / ARE / latency vs hops (Lq=1e5, %d queries per point) ==\n", o.PathQueries)
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	t := metrics.NewTable("dataset", "structure", "hops", "AAE", "ARE", "latency")
-	for _, ds := range dss {
-		builders := Competitors(ds, uint64(o.Seed))
-		w := trq.NewWorkload(ds.Truth, o.Seed)
-		queries := make(map[int][]trq.PathQuery, len(pathHops))
-		for _, h := range pathHops {
-			queries[h] = w.PathQueries(o.PathQueries, h, midRange)
-		}
-		for _, b := range builders {
-			s, err := buildAndFill(b, ds)
-			if err != nil {
-				return err
-			}
-			for _, h := range pathHops {
-				var acc metrics.Accuracy
-				start := time.Now()
-				for _, q := range queries[h] {
-					got := trq.PathWeight(s, q.Path, q.Ts, q.Te)
-					acc.Observe(got, ds.Truth.PathWeight(q.Path, q.Ts, q.Te))
-				}
-				elapsed := time.Since(start)
-				t.AddRow(ds.Name, b.Name, fmt.Sprint(h),
-					metrics.FormatFloat(acc.AAE()), metrics.FormatFloat(acc.ARE()),
-					perOp(elapsed, acc.N()))
-			}
-			trq.Close(s)
-		}
-	}
-	return t.Render(o.Out)
+func oneSidedRow(c *figCase, i int) []string {
+	return append(accuracyRow(c, i), fmt.Sprint(c.asked[i].Undercounts()))
 }
 
-// Fig13SubgraphQueries prints subgraph-query AAE, ARE, and latency versus
-// subgraph size at Lq = 10^5 (paper Fig. 13 a–i).
-func Fig13SubgraphQueries(o Options) error {
-	o.fill()
-	fmt.Fprintf(o.Out, "== Fig. 13: Subgraph queries — AAE / ARE / latency vs size (Lq=1e5, %d queries per point) ==\n", o.SubgraphQueries)
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	t := metrics.NewTable("dataset", "structure", "size", "AAE", "ARE", "latency")
-	for _, ds := range dss {
-		builders := Competitors(ds, uint64(o.Seed))
-		w := trq.NewWorkload(ds.Truth, o.Seed)
-		queries := make(map[int][]trq.SubgraphQuery, len(subgraphSizes))
-		for _, sz := range subgraphSizes {
-			queries[sz] = w.SubgraphQueries(o.SubgraphQueries, sz, midRange)
-		}
-		for _, b := range builders {
-			s, err := buildAndFill(b, ds)
-			if err != nil {
-				return err
-			}
-			for _, sz := range subgraphSizes {
-				var acc metrics.Accuracy
-				start := time.Now()
-				for _, q := range queries[sz] {
-					got := trq.SubgraphWeight(s, q.Edges, q.Ts, q.Te)
-					acc.Observe(got, ds.Truth.SubgraphWeight(q.Edges, q.Ts, q.Te))
-				}
-				elapsed := time.Since(start)
-				t.AddRow(ds.Name, b.Name, fmt.Sprint(sz),
-					metrics.FormatFloat(acc.AAE()), metrics.FormatFloat(acc.ARE()),
-					perOp(elapsed, acc.N()))
-			}
-			trq.Close(s)
-		}
-	}
-	return t.Render(o.Out)
+func updateCostRow(c *figCase, _ int) []string {
+	return []string{c.asked[0].aae(), c.asked[0].latency(), c.space(), c.throughput()}
 }
 
-// syntheticSweep runs the Fig. 14/15 protocol over a family of synthetic
-// datasets: vertex accuracy and latency plus update cost (space, insert
-// throughput) for every competitor.
-func (o Options) syntheticSweep(title, param string, values []float64, gen func(v float64) (stream.Stream, error)) error {
-	fmt.Fprintln(o.Out, title)
-	t := metrics.NewTable(param, "structure", "AAE", "latency", "space", "throughput")
-	for _, v := range values {
-		st, err := gen(v)
-		if err != nil {
-			return err
-		}
-		ds := NewDataset(fmt.Sprintf("%s=%g", param, v), st)
-		w := trq.NewWorkload(ds.Truth, o.Seed)
-		queries := w.VertexQueries(o.VertexQueries, midRange)
-		for _, b := range Competitors(ds, uint64(o.Seed)) {
-			s, err := b.New()
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			for _, e := range ds.Stream {
-				s.Insert(e)
-			}
-			trq.Finalize(s)
-			insertElapsed := time.Since(start)
-			var acc metrics.Accuracy
-			qStart := time.Now()
-			for _, q := range queries {
-				var got, want int64
-				if q.Out {
-					got, want = s.VertexOut(q.V, q.Ts, q.Te), ds.Truth.VertexOut(q.V, q.Ts, q.Te)
-				} else {
-					got, want = s.VertexIn(q.V, q.Ts, q.Te), ds.Truth.VertexIn(q.V, q.Ts, q.Te)
-				}
-				acc.Observe(got, want)
-			}
-			qElapsed := time.Since(qStart)
-			t.AddRow(fmt.Sprintf("%g", v), b.Name,
-				metrics.FormatFloat(acc.AAE()),
-				perOp(qElapsed, acc.N()),
-				metrics.FormatBytes(s.SpaceBytes()),
-				metrics.FormatEPS(metrics.Throughput(int64(len(ds.Stream)), insertElapsed)))
-			trq.Close(s)
-		}
-	}
-	return t.Render(o.Out)
+func insertRow(c *figCase, _ int) []string {
+	return []string{c.throughput(), perOp(c.build, len(c.ds.Stream))}
 }
 
-// Fig14Skewness sweeps the power-law exponent (paper Fig. 14).
-func Fig14Skewness(o Options) error {
-	o.fill()
-	return o.syntheticSweep(
-		fmt.Sprintf("== Fig. 14: Vertex queries and update cost by skewness (%d nodes, %d edges) ==", o.SkewNodes, o.SkewEdges),
-		"skew", []float64{1.5, 1.8, 2.1, 2.4, 2.7, 3.0},
-		func(v float64) (stream.Stream, error) {
-			return stream.Skewed(v, o.SkewNodes, o.SkewEdges, o.Seed)
-		})
+// deleteRow replays a sample of the inserted items — a tenth of the stream,
+// at most 50 000, at least one — as deletions.
+func deleteRow(c *figCase, _ int) []string {
+	n := max(1, min(len(c.ds.Stream)/10, 50000))
+	step := max(1, len(c.ds.Stream)/n)
+	var tried, found int64
+	start := time.Now()
+	for i := 0; i < len(c.ds.Stream) && tried < int64(n); i += step {
+		tried++
+		if c.s.(trq.Deleter).Delete(c.ds.Stream[i]) {
+			found++
+		}
+	}
+	eps := metrics.Throughput(tried, time.Since(start))
+	return []string{c.count("deletions", tried), metrics.FormatEPS(eps), c.count("found", found) + fmt.Sprintf("/%d", tried)}
 }
 
-// Fig15Variance sweeps the arrival variance (paper Fig. 15).
-func Fig15Variance(o Options) error {
-	o.fill()
-	return o.syntheticSweep(
-		fmt.Sprintf("== Fig. 15: Vertex queries and update cost by variance (%d nodes, %d edges) ==", o.SkewNodes, o.SkewEdges),
-		"variance", []float64{600, 800, 1000, 1200, 1400, 1600},
-		func(v float64) (stream.Stream, error) {
-			return stream.Bursty(v, o.SkewNodes, o.SkewEdges, o.Seed)
-		})
+// draw hands a figure's points function what it draws questions from; the
+// workload's generator is shared, so the order of the draws is part of the
+// figure.
+type draw struct {
+	o     Options
+	w     *trq.Workload
+	truth truth
 }
 
-// insertPerf measures insertion throughput and mean latency per competitor
-// and dataset (paper Figs. 16 and 17).
-func insertPerf(o Options) (*metrics.Table, error) {
-	t := metrics.NewTable("dataset", "structure", "throughput", "mean-latency")
-	dss, err := o.datasets()
-	if err != nil {
-		return nil, err
+func (d draw) question(ask func(trq.Summary) int64) question { return question{ask, ask(d.truth)} }
+
+func (d draw) edges(lq int64) (out []question) {
+	for _, q := range d.w.EdgeQueries(d.o.EdgeQueries, lq) {
+		out = append(out, d.question(func(s trq.Summary) int64 { return s.EdgeWeight(q.S, q.D, q.Ts, q.Te) }))
 	}
-	for _, ds := range dss {
-		for _, b := range Competitors(ds, uint64(o.Seed)) {
-			s, err := b.New()
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			for _, e := range ds.Stream {
-				s.Insert(e)
-			}
-			trq.Finalize(s)
-			elapsed := time.Since(start)
-			n := int64(len(ds.Stream))
-			t.AddRow(ds.Name, b.Name,
-				metrics.FormatEPS(metrics.Throughput(n, elapsed)),
-				perOp(elapsed, int(n)))
-			trq.Close(s)
-		}
-	}
-	return t, nil
+	return out
 }
 
-// Fig16InsertThroughput prints insertion throughput (paper Fig. 16).
-func Fig16InsertThroughput(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Fig. 16/17: Insertion throughput and latency ==")
-	t, err := insertPerf(o)
-	if err != nil {
-		return err
+func (d draw) vertices(lq int64) (out []question) {
+	for _, q := range d.w.VertexQueries(d.o.VertexQueries, lq) {
+		out = append(out, d.question(func(s trq.Summary) int64 {
+			if q.Out {
+				return s.VertexOut(q.V, q.Ts, q.Te)
+			}
+			return s.VertexIn(q.V, q.Ts, q.Te)
+		}))
 	}
-	return t.Render(o.Out)
+	return out
 }
 
-// Fig17InsertLatency prints insertion latency (paper Fig. 17). It shares
-// the measurement pass with Fig16InsertThroughput.
-func Fig17InsertLatency(o Options) error { return Fig16InsertThroughput(o) }
-
-// Fig18DeleteThroughput replays a sample of inserted items as deletions and
-// prints deletion throughput (paper Fig. 18).
-func Fig18DeleteThroughput(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Fig. 18: Deletion throughput ==")
-	t := metrics.NewTable("dataset", "structure", "deletions", "throughput", "found")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
+func (d draw) paths(hops int) (out []question) {
+	for _, q := range d.w.PathQueries(d.o.PathQueries, hops, midRange) {
+		out = append(out, d.question(func(s trq.Summary) int64 { return trq.PathWeight(s, q.Path, q.Ts, q.Te) }))
 	}
-	for _, ds := range dss {
-		n := len(ds.Stream) / 10
-		if n > 50000 {
-			n = 50000
-		}
-		sample := make([]stream.Edge, 0, n)
-		step := len(ds.Stream) / n
-		if step < 1 {
-			step = 1
-		}
-		for i := 0; i < len(ds.Stream) && len(sample) < n; i += step {
-			sample = append(sample, ds.Stream[i])
-		}
-		for _, b := range Competitors(ds, uint64(o.Seed)) {
-			s, err := buildAndFill(b, ds)
-			if err != nil {
-				return err
-			}
-			del, ok := s.(trq.Deleter)
-			if !ok {
-				t.AddRow(ds.Name, b.Name, "-", "unsupported", "-")
-				trq.Close(s)
-				continue
-			}
-			found := 0
-			start := time.Now()
-			for _, e := range sample {
-				if del.Delete(e) {
-					found++
-				}
-			}
-			elapsed := time.Since(start)
-			t.AddRow(ds.Name, b.Name, fmt.Sprint(len(sample)),
-				metrics.FormatEPS(metrics.Throughput(int64(len(sample)), elapsed)),
-				fmt.Sprintf("%d/%d", found, len(sample)))
-			trq.Close(s)
-		}
-	}
-	return t.Render(o.Out)
+	return out
 }
 
-// Fig19Space prints the space cost of every competitor after replaying each
-// dataset (paper Fig. 19).
-func Fig19Space(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Fig. 19: Space cost ==")
-	t := metrics.NewTable("dataset", "structure", "space", "bytes/edge")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
+func (d draw) subgraphs(size int) (out []question) {
+	for _, q := range d.w.SubgraphQueries(d.o.SubgraphQueries, size, midRange) {
+		out = append(out, d.question(func(s trq.Summary) int64 { return trq.SubgraphWeight(s, q.Edges, q.Ts, q.Te) }))
 	}
-	for _, ds := range dss {
-		for _, b := range Competitors(ds, uint64(o.Seed)) {
-			s, err := buildAndFill(b, ds)
-			if err != nil {
-				return err
-			}
-			sp := s.SpaceBytes()
-			t.AddRow(ds.Name, b.Name, metrics.FormatBytes(sp),
-				fmt.Sprintf("%.1f", float64(sp)/float64(ds.Stats.Edges)))
-			trq.Close(s)
-		}
-	}
-	return t.Render(o.Out)
+	return out
 }
 
-// Fig20Optimizations ablates the three HIGGS optimizations (paper Fig. 20):
-// parallelization (insert throughput), multiple mapping buckets (space),
-// and overflow blocks (accuracy, leaf count).
-func Fig20Optimizations(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Fig. 20: HIGGS optimization ablations ==")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
+// sweep draws one labelled point per value, in order.
+func sweep[T any](values []T, label func(T) string, draw func(T) []question) []point {
+	out := make([]point, len(values))
+	for i, v := range values {
+		out[i] = point{label(v), draw(v)}
 	}
-	t := metrics.NewTable("dataset", "variant", "throughput", "space", "leaves", "edge-AAE(1e5)")
-	for _, ds := range dss {
-		w := trq.NewWorkload(ds.Truth, o.Seed)
-		queries := w.EdgeQueries(o.EdgeQueries, midRange)
-		variants := []struct {
-			name string
-			cfg  func() core.Config
-		}{
-			{"baseline", func() core.Config { return core.DefaultConfig() }},
-			{"+parallel", func() core.Config { c := core.DefaultConfig(); c.Parallel = true; return c }},
-			{"-MMB (r=1)", func() core.Config { c := core.DefaultConfig(); c.Maps = 1; return c }},
-			{"-OB", func() core.Config { c := core.DefaultConfig(); c.OverflowBlocks = false; return c }},
-		}
-		for _, v := range variants {
-			cfg := v.cfg()
-			cfg.Seed = uint64(o.Seed)
-			s, err := core.New(cfg)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			for _, e := range ds.Stream {
-				s.Insert(e)
-			}
-			s.Finalize()
-			elapsed := time.Since(start)
-			var acc metrics.Accuracy
-			for _, q := range queries {
-				acc.Observe(s.EdgeWeight(q.S, q.D, q.Ts, q.Te), ds.Truth.EdgeWeight(q.S, q.D, q.Ts, q.Te))
-			}
-			st := s.Stats()
-			t.AddRow(ds.Name, v.name,
-				metrics.FormatEPS(metrics.Throughput(st.Items, elapsed)),
-				metrics.FormatBytes(st.SpaceBytes),
-				fmt.Sprint(st.Leaves),
-				metrics.FormatFloat(acc.AAE()))
-			s.Close()
-		}
-	}
-	return t.Render(o.Out)
+	return out
 }
 
-// Fig21Parameters sweeps the leaf matrix dimension d1 and prints space and
-// edge-query latency (paper Fig. 21).
-func Fig21Parameters(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Fig. 21: HIGGS parameter sweep — leaf matrix size d1 ==")
-	t := metrics.NewTable("dataset", "d1", "space", "latency(1e5)", "leaves", "layers")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
-		w := trq.NewWorkload(ds.Truth, o.Seed)
-		queries := w.EdgeQueries(o.EdgeQueries, midRange)
-		for _, d1 := range []uint32{4, 8, 16, 32, 64} {
+// lqLabel prints a power of ten as "1e<zeros>".
+func lqLabel(lq int64) string { return fmt.Sprintf("1e%d", len(fmt.Sprint(lq))-1) }
+
+// variants makes a figure's subjects of named edits of core.DefaultConfig.
+type variants []struct {
+	name string
+	edit func(*core.Config)
+}
+
+func (vs variants) builders(_ *Dataset, seed uint64) []Builder {
+	out := make([]Builder, len(vs))
+	for i, v := range vs {
+		out[i] = Builder{v.name, func() (trq.Summary, error) {
 			cfg := core.DefaultConfig()
-			cfg.D1 = d1
-			cfg.Seed = uint64(o.Seed)
-			s, err := core.New(cfg)
-			if err != nil {
-				return err
-			}
-			for _, e := range ds.Stream {
-				s.Insert(e)
-			}
-			s.Finalize()
-			start := time.Now()
-			for _, q := range queries {
-				s.EdgeWeight(q.S, q.D, q.Ts, q.Te)
-			}
-			elapsed := time.Since(start)
-			st := s.Stats()
-			t.AddRow(ds.Name, fmt.Sprint(d1),
-				metrics.FormatBytes(st.SpaceBytes),
-				perOp(elapsed, len(queries)),
-				fmt.Sprint(st.Leaves), fmt.Sprint(st.Layers))
-		}
+			v.edit(&cfg)
+			cfg.Seed = seed
+			return core.New(cfg)
+		}}
 	}
-	return t.Render(o.Out)
-}
-
-// perOp formats elapsed/n as a per-operation latency.
-func perOp(elapsed time.Duration, n int) string {
-	if n == 0 {
-		return "-"
-	}
-	return (elapsed / time.Duration(n)).String()
-}
-
-func log10(v int64) int {
-	n := 0
-	for v >= 10 {
-		v /= 10
-		n++
-	}
-	return n
+	return out
 }

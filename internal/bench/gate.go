@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"higgs/internal/metrics"
@@ -13,11 +14,12 @@ import (
 var shardCounts = []int{1, 2, 4, 8}
 
 // gate is an experiment shaped as one table row per (dataset, shard
-// count) — the eight CI gates and the sharded sweep. A gate states only
-// what is its own: titles, columns and the row. The driver (run) owns
-// what they all share: option defaults, the sweep, the "bench: <id> <n>:"
-// error prefix, the leading table cells, and the "<dataset>_s<n>_<what>"
-// metric names CI's BENCH_<id>.json artifacts are keyed by.
+// count) — the eight CI gates, the sharded sweep and the paper's Table II.
+// A gate states only what is its own: titles, columns and the row. The
+// driver (run) owns what they all share: sheet's plumbing, the sweep, the
+// "<n> shards:" error prefix, the leading table cells, and the
+// "<dataset>_s<n>_<what>" metric names CI's BENCH_<id>.json artifacts are
+// keyed by.
 type gate struct {
 	id     string
 	title  string // registry title (higgsbench -list)
@@ -44,6 +46,12 @@ type gateCase struct {
 // record stores a headline metric under the case's stable name.
 func (c *gateCase) record(what string, v float64) { c.o.record(c.key+"_"+what, v) }
 
+// count prints a deterministic count and records it.
+func (c *gateCase) count(what string, n int64) string {
+	c.record(what, float64(n))
+	return fmt.Sprint(n)
+}
+
 // shardConfig is the summary configuration of the case. Every run of a
 // case builds from it — identical seeds partition identically, the
 // precondition for byte comparison.
@@ -56,43 +64,58 @@ func shardConfig(n int, seed uint64) shard.Config {
 	return cfg
 }
 
-func (g gate) experiment() Experiment { return Experiment{g.id, g.title, g.run} }
+func (g gate) experiment() Experiment { return Experiment{ID: g.id, Title: g.title, Run: g.run} }
 
 func (g gate) run(o Options) error {
-	o.fill()
 	header := g.header
 	if header == "" {
 		header = g.title
 	}
-	fmt.Fprintf(o.Out, "== %s ==\n", header)
 	lead, shards := []string{"dataset", "shards"}, g.shards
 	if shards == nil {
 		lead, shards = lead[:1], []int{0}
 	}
-	t := metrics.NewTable(append(lead, g.columns...)...)
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
+	return sheet(o, g.id, header, nil, append(lead, g.columns...), func(o Options, ds *Dataset, t *metrics.Table) error {
 		for _, n := range shards {
 			c := &gateCase{ds: ds, n: n, seed: o.Seed, o: o, key: ds.Name}
-			cells, where := []string{ds.Name}, g.id
+			cells := []string{ds.Name}
 			if n > 0 {
 				c.key += fmt.Sprintf("_s%d", n)
 				cells = append(cells, fmt.Sprint(n))
-				where += fmt.Sprintf(" %d", n)
 			}
 			row, err := g.row(c)
 			if err != nil {
-				return fmt.Errorf("bench: %s: %w", where, err)
+				if n > 0 {
+					err = fmt.Errorf("%d shards: %w", n, err)
+				}
+				return err
 			}
 			t.AddRow(append(cells, row...)...)
 		}
 		if g.after != nil {
-			if err := g.after(&gateCase{ds: ds, seed: o.Seed, o: o, key: ds.Name}); err != nil {
-				return fmt.Errorf("bench: %s: %w", g.id, err)
-			}
+			return g.after(&gateCase{ds: ds, seed: o.Seed, o: o, key: ds.Name})
+		}
+		return nil
+	})
+}
+
+// sheet is the plumbing gate.run and figure.run share: option defaults,
+// the title line, the table, the dataset loop, the "bench: <id>:" error
+// prefix and the render.
+func sheet(o Options, id, header string, fam *family, columns []string,
+	each func(o Options, ds *Dataset, t *metrics.Table) error) error {
+	o.fill()
+	fmt.Fprintf(o.Out, "== %s ==\n", strings.NewReplacer(
+		"{equeries}", fmt.Sprint(o.EdgeQueries), "{vqueries}", fmt.Sprint(o.VertexQueries),
+		"{pqueries}", fmt.Sprint(o.PathQueries), "{squeries}", fmt.Sprint(o.SubgraphQueries),
+		"{skewnodes}", fmt.Sprint(o.SkewNodes), "{skewedges}", fmt.Sprint(o.SkewEdges)).Replace(header))
+	t := metrics.NewTable(columns...)
+	for ds, err := range o.datasets(fam) {
+		if err == nil {
+			err = each(o, ds, t)
+		}
+		if err != nil {
+			return fmt.Errorf("bench: %s: %w", id, err)
 		}
 	}
 	return t.Render(o.Out)

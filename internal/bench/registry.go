@@ -8,35 +8,29 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Options) error
+
+	twin bool // shares its measurement pass with the entry above; "all" skips it
 }
 
-var registry = []Experiment{
-	{"table2", "Table II: dataset summary", Table2},
-	{"fig10", "Fig. 10: edge queries (AAE/ARE/latency vs Lq)", Fig10EdgeQueries},
-	{"fig11", "Fig. 11: vertex queries (AAE/ARE/latency vs Lq)", Fig11VertexQueries},
-	{"fig12", "Fig. 12: path queries (AAE/ARE/latency vs hops)", Fig12PathQueries},
-	{"fig13", "Fig. 13: subgraph queries (AAE/ARE/latency vs size)", Fig13SubgraphQueries},
-	{"fig14", "Fig. 14: vertex queries & update cost by skewness", Fig14Skewness},
-	{"fig15", "Fig. 15: vertex queries & update cost by variance", Fig15Variance},
-	{"fig16", "Fig. 16: insertion throughput", Fig16InsertThroughput},
-	{"fig17", "Fig. 17: insertion latency", Fig17InsertLatency},
-	{"fig18", "Fig. 18: deletion throughput", Fig18DeleteThroughput},
-	{"fig19", "Fig. 19: space cost", Fig19Space},
-	{"fig20", "Fig. 20: optimization ablations", Fig20Optimizations},
-	{"fig21", "Fig. 21: parameter sweep (d1)", Fig21Parameters},
-	{"ablation", "Extra: HIGGS design-choice sweeps (θ / b / r)", Ablation},
-	{"budget", "Extra: Horae accuracy vs GSS buffer budget", BufferBudget},
-	{"reverse", "Extra: gMatrix reverse heavy-hitter queries", ReverseQueries},
-	{"sharded", "Extra: sharded ingest scaling (internal/shard)", shardedIngest},
-	asyncIngestGate.experiment(),
-	batchQueryGate.experiment(),
-	walRecoveryGate.experiment(),
-	retentionGate.experiment(),
-	allocsGate.experiment(),
-	replicationGate.experiment(),
-	readCacheGate.experiment(),
-	analyticsGate.experiment(),
-}
+// registry is every experiment in presentation order: the paper's figures,
+// then the extras and the CI gates.
+var registry = func() []Experiment {
+	out := []Experiment{table2.experiment()}
+	for _, f := range figures {
+		e := f.experiment()
+		if f.twin {
+			e.Run = out[len(out)-1].Run
+		}
+		out = append(out, e)
+	}
+	out = append(out, reverseGate.experiment(),
+		Experiment{ID: "sharded", Title: "Extra: sharded ingest scaling (internal/shard)", Run: shardedIngest})
+	for _, g := range []gate{asyncIngestGate, batchQueryGate, walRecoveryGate, retentionGate,
+		allocsGate, replicationGate, readCacheGate, analyticsGate} {
+		out = append(out, g.experiment())
+	}
+	return out
+}()
 
 // Experiments lists all registered experiments in presentation order.
 func Experiments() []Experiment {
@@ -50,11 +44,11 @@ func Experiments() []Experiment {
 func Run(id string, o Options) error {
 	if id == "all" {
 		for _, e := range registry {
-			if e.ID == "fig17" {
-				continue // shares its measurement pass with fig16
+			if e.twin {
+				continue
 			}
 			if err := e.Run(o); err != nil {
-				return fmt.Errorf("bench: %s: %w", e.ID, err)
+				return err
 			}
 		}
 		return nil

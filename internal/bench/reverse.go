@@ -8,26 +8,23 @@ import (
 	"higgs/internal/metrics"
 )
 
-// ReverseQueries evaluates gMatrix (related work §II, [24]): the reverse
+// reverseGate evaluates gMatrix (related work §II, [24]): the reverse
 // heavy-hitter query that reversible hashing buys, scored as precision and
 // recall against the exact heavy-source set, alongside the extra forward
 // error the paper attributes to the scheme.
-func ReverseQueries(o Options) error {
-	o.fill()
-	fmt.Fprintln(o.Out, "== Extra: gMatrix reverse heavy-hitter queries ==")
-	t := metrics.NewTable("dataset", "threshold", "true-heavy", "reported", "precision", "recall", "fwd-edge-AAE")
-	dss, err := o.datasets()
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
+var reverseGate = gate{
+	id:      "reverse",
+	title:   "Extra: gMatrix reverse heavy-hitter queries",
+	columns: []string{"threshold", "true-heavy", "reported", "precision", "recall", "fwd-edge-AAE"},
+	row: func(c *gateCase) ([]string, error) {
+		ds, o := c.ds, c.o
 		cfg := gmatrix.Config{
 			Moduli:    []uint64{251, 253, 256}, // pairwise coprime: 251 prime, 253=11·23, 256=2^8
 			MaxVertex: 16_000_000,              // below the 16.26M moduli product
 		}
 		g, err := gmatrix.New(cfg)
 		if err != nil {
-			return fmt.Errorf("bench: gmatrix: %w", err)
+			return nil, fmt.Errorf("gmatrix: %w", err)
 		}
 		for _, e := range ds.Stream {
 			g.Insert(e)
@@ -57,8 +54,7 @@ func ReverseQueries(o Options) error {
 		}
 		reported, err := g.HeavySources(threshold, 1<<20)
 		if err != nil {
-			t.AddRow(ds.Name, fmt.Sprint(threshold), fmt.Sprint(len(trueHeavy)), "budget exceeded", "-", "-", "-")
-			continue
+			return []string{fmt.Sprint(threshold), fmt.Sprint(len(trueHeavy)), "budget exceeded", "-", "-", "-"}, nil
 		}
 		hit := 0
 		for _, h := range reported {
@@ -79,12 +75,11 @@ func ReverseQueries(o Options) error {
 		for _, q := range w {
 			acc.Observe(g.EdgeWeightAll(q[0], q[1]), ds.Truth.EdgeWeight(q[0], q[1], first, last))
 		}
-		t.AddRow(ds.Name, fmt.Sprint(threshold), fmt.Sprint(len(trueHeavy)),
+		return []string{fmt.Sprint(threshold), fmt.Sprint(len(trueHeavy)),
 			fmt.Sprint(len(reported)),
 			fmt.Sprintf("%.2f", precision), fmt.Sprintf("%.2f", recall),
-			metrics.FormatFloat(acc.AAE()))
-	}
-	return t.Render(o.Out)
+			metrics.FormatFloat(acc.AAE())}, nil
+	},
 }
 
 // newEdgeSample draws n distinct-edge pairs deterministically.

@@ -1,6 +1,6 @@
 // Package metrics implements the evaluation metrics of the paper's §VI-A —
 // average absolute error (AAE) and average relative error (ARE, Eq. 17),
-// query latency, insertion/deletion throughput, and space — plus a small
+// insertion/deletion throughput, and space — plus a small
 // aligned-table renderer the benchmark harness uses to print the rows each
 // paper figure plots.
 package metrics
@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -82,65 +81,6 @@ func (a *Accuracy) ARE() float64 {
 // structure in this repository it must be zero (one-sided error); the
 // harness asserts this.
 func (a *Accuracy) Undercounts() int { return a.undercounts }
-
-// Latency accumulates query durations.
-type Latency struct {
-	samples []time.Duration
-	sorted  bool
-}
-
-// Observe records one duration.
-func (l *Latency) Observe(d time.Duration) {
-	l.samples = append(l.samples, d)
-	l.sorted = false
-}
-
-// ObserveBatch records a batch of n operations that together took total;
-// each operation is credited total/n (how the harness times tight query
-// loops without per-call clock overhead).
-func (l *Latency) ObserveBatch(total time.Duration, n int) {
-	if n <= 0 {
-		return
-	}
-	per := total / time.Duration(n)
-	for i := 0; i < n; i++ {
-		l.Observe(per)
-	}
-}
-
-// N returns the number of samples.
-func (l *Latency) N() int { return len(l.samples) }
-
-// Mean returns the mean latency.
-func (l *Latency) Mean() time.Duration {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range l.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(l.samples))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by nearest rank.
-func (l *Latency) Quantile(q float64) time.Duration {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	if !l.sorted {
-		sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
-		l.sorted = true
-	}
-	idx := int(q * float64(len(l.samples)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(l.samples) {
-		idx = len(l.samples) - 1
-	}
-	return l.samples[idx]
-}
 
 // Throughput returns operations per second.
 func Throughput(ops int64, elapsed time.Duration) float64 {

@@ -36,44 +36,6 @@ func TestAccuracyEmpty(t *testing.T) {
 	}
 }
 
-func TestLatency(t *testing.T) {
-	var l Latency
-	for _, ms := range []int{1, 2, 3, 4, 100} {
-		l.Observe(time.Duration(ms) * time.Millisecond)
-	}
-	if got := l.Mean(); got != 22*time.Millisecond {
-		t.Errorf("Mean = %v, want 22ms", got)
-	}
-	if got := l.Quantile(0.5); got != 3*time.Millisecond {
-		t.Errorf("p50 = %v, want 3ms", got)
-	}
-	if got := l.Quantile(1.0); got != 100*time.Millisecond {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := l.Quantile(0); got != time.Millisecond {
-		t.Errorf("p0 = %v", got)
-	}
-	var empty Latency
-	if empty.Mean() != 0 || empty.Quantile(0.5) != 0 {
-		t.Error("empty latency should be zero")
-	}
-}
-
-func TestObserveBatch(t *testing.T) {
-	var l Latency
-	l.ObserveBatch(100*time.Microsecond, 10)
-	if l.N() != 10 {
-		t.Fatalf("N = %d", l.N())
-	}
-	if got := l.Mean(); got != 10*time.Microsecond {
-		t.Errorf("Mean = %v", got)
-	}
-	l.ObserveBatch(time.Second, 0) // no-op
-	if l.N() != 10 {
-		t.Error("zero batch changed sample count")
-	}
-}
-
 func TestThroughput(t *testing.T) {
 	if got := Throughput(1000, time.Second); got != 1000 {
 		t.Errorf("Throughput = %g", got)

@@ -251,7 +251,7 @@ func TestSketchKinds(t *testing.T) {
 	}
 
 	// No backend: stable analytics_disabled code, neighbors untouched.
-	rs = DoBatch(f, []Query{NewEdge(1, 2, 0, 100), NewHeavyHitters("", 5), NewBurst(5)})
+	rs = DoBatchWith(f, nil, []Query{NewEdge(1, 2, 0, 100), NewHeavyHitters("", 5), NewBurst(5)})
 	if rs[0].Err != nil || rs[0].Weight != 7 {
 		t.Fatalf("scalar neighbor polluted: %+v", rs[0])
 	}

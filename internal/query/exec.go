@@ -68,9 +68,7 @@ type Result struct {
 }
 
 // Analytics serves the sketch-backed query kinds (heavy_hitters, burst)
-// that have no probe decomposition; internal/analytics implements it. A
-// Prober may also implement Analytics, in which case DoBatch discovers it
-// by type assertion.
+// that have no probe decomposition; internal/analytics implements it.
 type Analytics interface {
 	// HeavyHitters returns the top-k tracked vertices by total out-weight
 	// (dir "out" or "") or in-weight (dir "in"), heaviest first.
@@ -104,13 +102,9 @@ func Do(p Prober, q Query) Result {
 }
 
 // DoBatch answers a batch of queries, visiting every shard at most once.
-// It is DoBatchWith with no explicit analytics backend: if the Prober also
-// implements Analytics, the sketch-served kinds use it, otherwise they fail
+// It is DoBatchWith with no analytics backend: the sketch-served kinds fail
 // with CodeAnalyticsDisabled.
-func DoBatch(p Prober, qs []Query) []Result {
-	a, _ := p.(Analytics)
-	return DoBatchWith(p, a, qs)
-}
+func DoBatch(p Prober, qs []Query) []Result { return DoBatchWith(p, nil, qs) }
 
 // DoBatchWith answers a batch of queries, visiting every shard at most
 // once: the constituent probes of all valid queries are grouped by shard,
