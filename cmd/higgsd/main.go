@@ -20,7 +20,7 @@
 //	POST /v1/ingest    [{"s":1,"d":2,"w":1,"t":100}, ...]   (202/429, group commit)
 //	POST /v1/flush     (barrier: 202-accepted edges become visible)
 //	POST /v1/expire    {"cutoff":100}   (sequenced, WAL-logged retention)
-//	POST /v1/delete    {"s":1,"d":2,"w":1,"t":100}
+//	POST /v1/delete    {"s":1,"d":2,"w":1,"t":100}   (sequenced, WAL-logged like /v1/expire)
 //	GET  /v1/edge?s=1&d=2&ts=0&te=200
 //	GET  /v1/vertex?v=1&dir=out&ts=0&te=200
 //	GET  /v1/path?v=1,2,3&ts=0&te=200
@@ -34,10 +34,10 @@
 // Snapshots are written in the sharded framing; -load also accepts legacy
 // unsharded snapshots, which come up as a single shard.
 //
-// Durability (DESIGN.md §12): with -wal-dir, /v1/ingest and /v1/insert
-// append every accepted batch to a segmented write-ahead log in that
-// directory and fsync before responding, so accepted edges survive a crash
-// — not just an orderly shutdown. -snapshot-interval adds periodic background
+// Durability (DESIGN.md §12): with -wal-dir, /v1/ingest, /v1/insert,
+// /v1/expire and /v1/delete append every accepted record to a segmented
+// write-ahead log in that directory and fsync before responding, so
+// accepted writes survive a crash — not just an orderly shutdown. -snapshot-interval adds periodic background
 // snapshots (written atomically to <wal-dir>/snapshot.higgs) after which
 // the log's covered segments are truncated. On startup higgsd recovers by
 // loading the latest snapshot and replaying the log tail. The WAL owns the

@@ -591,3 +591,80 @@ func TestE2ECrashRecoveryWALDir(t *testing.T) {
 		t.Fatalf("crashed 202 edge lost: weight = %d, want 5\n%s", got, logs2.String())
 	}
 }
+
+// TestE2EDeleteIsLoggedAndSequenced: /v1/delete is a record like any other.
+// Under an hour-long commit interval an ingested edge is still in a
+// committer's queue when its delete arrives: the delete must be sequenced
+// behind it (deleted:true, weight gone — before the delete went through
+// the pipeline it answered deleted:false and the edge was applied
+// afterwards), it must consume a WAL sequence number, and after SIGKILL +
+// restart on the same -wal-dir the replay must delete the edge again
+// instead of resurrecting it.
+func TestE2EDeleteIsLoggedAndSequenced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e builds binaries")
+	}
+	bins := buildTools(t, "higgsd")
+	walDir := filepath.Join(t.TempDir(), "wal")
+	boot := func() (base string, stop func()) {
+		t.Helper()
+		addr := freeAddr(t)
+		run := exec.Command(bins["higgsd"], "-addr", addr, "-shards", "2",
+			"-commit-interval", "1h", "-wal-dir", walDir)
+		run.Stderr = io.Discard
+		if err := run.Start(); err != nil {
+			t.Fatal(err)
+		}
+		waitHTTP(t, addr)
+		return "http://" + addr, func() { run.Process.Kill(); run.Wait() }
+	}
+	post := func(url, body string) map[string]any {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil || resp.StatusCode/100 != 2 {
+			t.Fatalf("POST %s: status %d, body %v, err %v", url, resp.StatusCode, v, err)
+		}
+		return v
+	}
+
+	base, kill := boot()
+	defer kill()
+	post(base+"/v1/ingest", `[{"s":1,"d":2,"w":3,"t":10},{"s":2,"d":3,"w":5,"t":20}]`)
+	if got := post(base+"/v1/delete", `{"s":1,"d":2,"w":3,"t":10}`); got["deleted"] != true {
+		t.Fatalf("delete of a queued edge answered %v, want deleted:true", got)
+	}
+	post(base+"/v1/flush", "")
+	if got := getWeight(t, base+"/v1/edge?s=1&d=2&ts=0&te=100"); got != 0 {
+		t.Fatalf("weight after ingest + delete + flush = %d, want 0", got)
+	}
+	hz := struct {
+		Durability struct {
+			Appended uint64 `json:"appended_seq"`
+			Synced   uint64 `json:"synced_seq"`
+		} `json:"durability"`
+	}{}
+	hresp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(hresp.Body).Decode(&hz)
+	hresp.Body.Close()
+	if err != nil || hz.Durability.Appended != 3 || hz.Durability.Synced != 3 {
+		t.Fatalf("healthz durability = %+v (err %v), want appended = synced = 3: two edges and the delete", hz.Durability, err)
+	}
+	kill() // SIGKILL: only the WAL survives
+
+	base, kill = boot()
+	defer kill()
+	if got := getWeight(t, base+"/v1/edge?s=1&d=2&ts=0&te=100"); got != 0 {
+		t.Fatalf("deleted edge resurrected by crash recovery: weight = %d, want 0", got)
+	}
+	if got := getWeight(t, base+"/v1/edge?s=2&d=3&ts=0&te=100"); got != 5 {
+		t.Fatalf("surviving edge lost: weight = %d, want 5", got)
+	}
+}

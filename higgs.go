@@ -104,12 +104,13 @@ func Load(r io.Reader) (*Summary, error) { return core.Read(r) }
 // for the partitioning model.
 //
 // Durable-retention invariant: once a Sharded summary is fed by a
-// WAL-backed Ingest pipeline (IngestConfig.WAL), the pipeline's Expire is
-// the ONLY expire entry point — it sequences the expire against in-flight
-// batches and records it in the log, so crash recovery reproduces it.
-// Calling Sharded.Expire directly on such a summary panics: the unlogged
-// expire would be silently undone on the next recovery, resurrecting
-// every expired edge (DESIGN.md §13).
+// WAL-backed Ingest pipeline (IngestConfig.WAL), the pipeline's Expire and
+// Delete are the ONLY expire and delete entry points — they sequence the
+// operation against in-flight batches and record it in the log, so crash
+// recovery reproduces it. Calling Sharded.Expire or Sharded.Delete
+// directly on such a summary panics: the unlogged operation would be
+// silently undone on the next recovery, resurrecting what it removed
+// (DESIGN.md §12–§13).
 type Sharded = shard.Summary
 
 // ShardedConfig parameterizes a sharded summary: the shard count and the
@@ -133,9 +134,9 @@ func LoadSharded(r io.Reader) (*Sharded, error) { return shard.Read(r) }
 // Ingest is an asynchronous group-commit pipeline in front of a Sharded
 // summary: Submit routes edges into per-shard bounded queues, committer
 // goroutines apply whatever accumulated under one lock acquisition per
-// shard, Flush is the visibility barrier, Expire is the sequenced (and,
-// with a WAL, logged and crash-safe) sliding-window retention entry
-// point, and Close drains everything accepted. See package ingest for
+// shard, Flush is the visibility barrier, Expire and Delete are the
+// sequenced (and, with a WAL, logged and crash-safe) retention and
+// deletion entry points, and Close drains everything accepted. See package ingest for
 // full method documentation and DESIGN.md §9 and §13 for the model.
 type Ingest = ingest.Pipeline
 

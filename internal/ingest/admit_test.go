@@ -10,10 +10,12 @@ import (
 	"higgs/internal/stream"
 )
 
-// admitOp is one step of the admit script: submit st[lo:hi], or expire.
+// admitOp is one step of the admit script: submit st[lo:hi], expire, or
+// delete st[del].
 type admitOp struct {
 	lo, hi int
 	expire bool
+	del    int
 }
 
 // admitQueueDepth is small enough that the script's largest submit puts
@@ -23,8 +25,9 @@ const admitQueueDepth = 256
 
 // admitScript cuts the stream into submits of 1, 3 and 600 edges — a
 // single edge, a small group, a large batch — with one 2000-edge submit
-// (a group past admitQueueDepth on every shard it can land on) and one
-// expire mid-stream.
+// (a group past admitQueueDepth on every shard it can land on), one expire
+// mid-stream, and deletes of the newest submitted edge — the one most
+// likely still queued — before and after it.
 func admitScript(st stream.Stream) (ops []admitOp) {
 	sizes := []int{1, 3, 600}
 	for lo, k := 0, 0; lo < len(st); k++ {
@@ -32,6 +35,8 @@ func admitScript(st stream.Stream) (ops []admitOp) {
 		switch {
 		case k == 4:
 			n = 2000
+		case k == 6, k == 10:
+			ops = append(ops, admitOp{del: lo - 1})
 		case k == 8:
 			ops = append(ops, admitOp{expire: true})
 		}
@@ -80,9 +85,14 @@ func TestOneAdmitPath(t *testing.T) {
 	direct := newShardedFor(t, 4)
 	defer direct.Close()
 	for _, o := range ops {
-		if !o.expire {
+		switch {
+		case o.del > 0:
+			if !direct.Delete(st[o.del]) {
+				t.Fatalf("the script's delete of edge %d found nothing; the comparison would be vacuous", o.del)
+			}
+		case !o.expire:
 			direct.InsertBatch(st[o.lo:o.hi])
-		} else if direct.Expire(cutoff) == 0 {
+		case direct.Expire(cutoff) == 0:
 			t.Fatal("the script's expire reclaimed nothing; the comparison would be vacuous")
 		}
 	}
@@ -98,9 +108,16 @@ func TestOneAdmitPath(t *testing.T) {
 		}
 		defer p.Close()
 		for _, o := range ops {
-			if !o.expire {
+			var err error
+			switch {
+			case o.del > 0:
+				_, err = p.Delete(st[o.del])
+			case !o.expire:
 				submitAll(t, p, st[o.lo:o.hi], o.hi-o.lo)
-			} else if _, err := p.Expire(cutoff); err != nil {
+			default:
+				_, err = p.Expire(cutoff)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}

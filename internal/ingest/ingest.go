@@ -142,8 +142,7 @@ func (q *queue) kickCommitter() {
 // the durable implementation; nullLog stands in when Config.WAL is nil, so
 // the pipeline has one admission path and never asks which it holds.
 type admitLog interface {
-	Append(edges []stream.Edge, deliver func(firstSeq uint64) error) (lastSeq uint64, err error)
-	AppendExpire(cutoff int64, deliver func(seq uint64) error) (seq uint64, err error)
+	AppendRecord(rec wal.Record, deliver func(firstSeq uint64) error) (lastSeq uint64, err error)
 	WaitSynced(seq uint64) error
 }
 
@@ -153,10 +152,7 @@ type admitLog interface {
 // and there is nothing to wait for.
 type nullLog struct{}
 
-func (nullLog) Append(_ []stream.Edge, deliver func(uint64) error) (uint64, error) {
-	return 0, deliver(0)
-}
-func (nullLog) AppendExpire(_ int64, deliver func(uint64) error) (uint64, error) {
+func (nullLog) AppendRecord(_ wal.Record, deliver func(uint64) error) (uint64, error) {
 	return 0, deliver(0)
 }
 func (nullLog) WaitSynced(uint64) error { return nil }
@@ -196,9 +192,9 @@ func New(sum *shard.Summary, cfg Config) (*Pipeline, error) {
 	}
 	if cfg.WAL != nil {
 		p.log = cfg.WAL
-		// The log owns the durable state from here on: direct
-		// shard.Summary.Expire would be silently undone by crash recovery,
-		// so arm the guard that forces retention through Pipeline.Expire.
+		// The log owns the durable state from here on: a direct
+		// shard.Summary.Expire or Delete would be silently undone by crash
+		// recovery, so arm the guard that forces both through the pipeline.
 		sum.MarkWALOwned()
 	}
 	p.queues = make([]*queue, sum.NumShards())
@@ -233,9 +229,9 @@ func (p *Pipeline) Pending() int64 {
 // The bool is false for every batch: the committers are the only appliers,
 // so no Submit returns with its edges already visible (a caller that needs
 // that follows it with Flush). The result shape is frozen: benchmark/
-// compiles against it.
+// compiles against it (frozen_test.go).
 //
-// The batch is enqueued inside the log's Append — with a WAL that is under
+// The batch is enqueued inside the log's append — with a WAL that is under
 // the log mutex, so per-shard admission order is WAL sequence order. A full
 // queue aborts the append before any record is written, so a 429'd batch
 // leaves nothing to replay. A log write or sync failure is returned after
@@ -251,10 +247,7 @@ func (p *Pipeline) Submit(edges []stream.Edge) (bool, error) {
 	if len(edges) == 0 {
 		return false, nil
 	}
-	if p.closed.Load() {
-		return false, ErrClosed
-	}
-	last, err := p.log.Append(edges, func(first uint64) error {
+	return false, p.admit(wal.Record{Type: wal.RecordEdges, Edges: edges}, func(first uint64) error {
 		if len(edges) == 1 {
 			// One edge has one target: skip the grouping.
 			return p.enqueueOne(p.sum.ShardFor(edges[0].S), edges[0], first)
@@ -264,10 +257,21 @@ func (p *Pipeline) Submit(edges []stream.Edge) (bool, error) {
 		p.group(g, edges, first)
 		return p.enqueueGroups(g)
 	})
-	if err != nil {
-		return false, err
+}
+
+// admit is the one admission body under Submit, Expire and Delete: refuse
+// after Close, append the record — deliver runs inside the append, at the
+// record's sequence position, and its error aborts the append — then wait
+// for the covering group fsync.
+func (p *Pipeline) admit(rec wal.Record, deliver func(seq uint64) error) error {
+	if p.closed.Load() {
+		return ErrClosed
 	}
-	return false, p.log.WaitSynced(last)
+	last, err := p.log.AppendRecord(rec, deliver)
+	if err != nil {
+		return err
+	}
+	return p.log.WaitSynced(last)
 }
 
 // batchGroups is the reusable per-submit scratch of the grouping stage:
@@ -538,10 +542,7 @@ func (p *Pipeline) Flush() {
 // recovery would resurrect the expired edges — callers should surface the
 // error rather than acknowledge the expire.
 func (p *Pipeline) Expire(cutoff int64) (dropped int64, err error) {
-	if p.closed.Load() {
-		return 0, ErrClosed
-	}
-	seq, err := p.log.AppendExpire(cutoff, func(seq uint64) error {
+	err = p.admit(wal.Record{Type: wal.RecordExpire, Cutoff: cutoff}, func(seq uint64) error {
 		// Under the log mutex no batch can be admitted, so every admitted
 		// edge has a lower sequence number; the flush barrier applies them
 		// all, and the expire lands in exact sequence position.
@@ -549,10 +550,24 @@ func (p *Pipeline) Expire(cutoff int64) (dropped int64, err error) {
 		dropped = p.sum.ExpireAt(cutoff, seq)
 		return nil
 	})
-	if err != nil {
-		return dropped, err
-	}
-	return dropped, p.log.WaitSynced(seq)
+	return dropped, err
+}
+
+// Delete removes one previously inserted item, reporting whether a matching
+// entry was found. It is Expire's sibling and makes the same promises: the
+// delete is sequenced against in-flight batches (an edge accepted before
+// the call is applied, and so deletable, before the delete runs — even
+// while it still sits in a committer's queue), it advances the owning
+// shard's watermark (shard.Summary.DeleteAt), and with a WAL it is a
+// durable record that recovery and followers replay at exactly its point
+// in the stream. Errors are Expire's.
+func (p *Pipeline) Delete(e stream.Edge) (found bool, err error) {
+	err = p.admit(wal.Record{Type: wal.RecordDelete, Edge: e}, func(seq uint64) error {
+		p.Flush()
+		found = p.sum.DeleteAt(e, seq)
+		return nil
+	})
+	return found, err
 }
 
 // Close stops admission (further Submits return ErrClosed), drains every

@@ -111,12 +111,20 @@ func (a *Applier) Apply(rec wal.Record) error {
 		return fmt.Errorf("ingest: apply: record starts at seq %d, want ≤ %d (gap)", rec.FirstSeq, a.pos+1)
 	}
 	a.primed = true
-	if rec.Type == wal.RecordExpire {
+	switch rec.Type {
+	case wal.RecordExpire:
 		for i := range a.marks {
 			if rec.FirstSeq <= a.marks[i] {
 				continue // this shard is already post-expire
 			}
 			a.sum.ExpireShardAt(i, rec.Cutoff, rec.FirstSeq)
+			a.marks[i] = rec.FirstSeq
+		}
+		a.pos = rec.FirstSeq
+		return nil
+	case wal.RecordDelete:
+		if i := a.sum.ShardFor(rec.Edge.S); rec.FirstSeq > a.marks[i] {
+			a.sum.DeleteAt(rec.Edge, rec.FirstSeq)
 			a.marks[i] = rec.FirstSeq
 		}
 		a.pos = rec.FirstSeq

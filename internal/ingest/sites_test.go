@@ -12,14 +12,14 @@ import (
 )
 
 // applyMethods are the shard.Summary operations that admit data into (or
-// expire it from) the queryable structure.
+// expire or delete it from) the queryable structure.
 var applyMethods = map[string]bool{
 	"Insert": true, "InsertBatch": true, "InsertShardAt": true,
-	"ExpireAt": true, "ExpireShardAt": true,
+	"ExpireAt": true, "ExpireShardAt": true, "DeleteAt": true,
 }
 
 // applySites returns, sorted, one "<func>: <method>" entry per shard apply
-// call in the parsed files — "<func> in <Append|AppendExpire> deliver:
+// call in the parsed files — "<func> in <admit|AppendRecord> deliver:
 // <method>" when the call sits inside a func literal passed to a log
 // append, i.e. runs under the log mutex at the record's sequence position.
 func applySites(files ...*ast.File) []string {
@@ -53,7 +53,7 @@ func applySites(files ...*ast.File) []string {
 						continue
 					}
 					appendSel, ok := outer.Fun.(*ast.SelectorExpr)
-					if !ok || (appendSel.Sel.Name != "Append" && appendSel.Sel.Name != "AppendExpire") {
+					if !ok || (appendSel.Sel.Name != "admit" && appendSel.Sel.Name != "AppendRecord") {
 						continue
 					}
 					for _, arg := range outer.Args {
@@ -76,18 +76,18 @@ func applySites(files ...*ast.File) []string {
 // police: in package ingest a shard apply happens only
 //
 //   - in drain, the committers' one apply: it applies batches Submit
-//     enqueued inside its Append's deliver callback — under the log mutex,
+//     enqueued inside its append's deliver callback — under the log mutex,
 //     so per-shard queue order is sequence order and nothing becomes
 //     queryable that the log has not sequenced (InsertShardAt has no other
 //     caller on the live path);
-//   - inside the deliver callback of Expire's AppendExpire, behind a flush
-//     barrier, at the expire's own sequence position;
+//   - inside the deliver callback Expire and Delete hand admit, behind a
+//     flush barrier, at the record's own sequence position;
 //   - in Applier.Apply, which replays records already durable in a log,
 //     in log order — there is no admission to gate.
 //
 // A new apply anywhere else can make an edge queryable that a crash would
 // erase, or apply two batches in an order the log disagrees with: route it
-// through Submit/Expire instead of extending this list.
+// through Submit/Expire/Delete instead of extending this list.
 func TestShardApplySites(t *testing.T) {
 	fset := token.NewFileSet()
 	names, err := filepath.Glob("*.go")
@@ -106,9 +106,11 @@ func TestShardApplySites(t *testing.T) {
 		files = append(files, f)
 	}
 	want := []string{
+		"Apply: DeleteAt",
 		"Apply: ExpireShardAt",
 		"Apply: InsertShardAt",
-		"Expire in AppendExpire deliver: ExpireAt",
+		"Delete in admit deliver: DeleteAt",
+		"Expire in admit deliver: ExpireAt",
 		"drain: InsertShardAt",
 	}
 	if got := applySites(files...); !reflect.DeepEqual(got, want) {
@@ -119,7 +121,7 @@ func TestShardApplySites(t *testing.T) {
 	// merely shares a function with an append for one inside its callback.
 	sneak, err := parser.ParseFile(fset, "sneak.go", `package ingest
 func (p *Pipeline) Sneak(e []stream.Edge) {
-	p.log.Append(e, func(uint64) error { return nil })
+	p.admit(wal.Record{Type: wal.RecordEdges, Edges: e}, func(uint64) error { return nil })
 	p.sum.InsertShardAt(0, e, 0)
 }`, 0)
 	if err != nil {

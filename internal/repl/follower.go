@@ -283,22 +283,20 @@ func (f *Follower) tailOnce(a *ingest.Applier) (gone bool, err error) {
 		return false, fmt.Errorf("repl: tail: primary answered %s", resp.Status)
 	}
 	f.notePrimarySeq(resp.Header)
-	sr := wal.NewStreamReader(resp.Body)
-	for {
-		rec, err := sr.Next()
-		if err == io.EOF {
-			return false, nil
-		}
-		if err != nil {
-			return false, err // torn stream: retry from the applier's position
-		}
+	_, err = wal.ReadFrames(resp.Body, func(rec wal.Record, _ []byte) error {
 		if err := a.Apply(rec); err != nil {
 			// A gap means this stream lost records; re-found via snapshot.
 			f.report(err)
-			return true, nil
+			gone = true
+			return err
 		}
 		f.setApplied(a.Position())
+		return nil
+	})
+	if gone {
+		return true, nil
 	}
+	return false, err // a torn stream: retry from the applier's position
 }
 
 // resync re-fetches the primary's snapshot and swaps it in — the recovery

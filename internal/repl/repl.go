@@ -127,8 +127,9 @@ func (p *Primary) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// handleWAL streams every durable record after ?after=N (default 0) in the
-// WAL's own frame format (wal.StreamWriter). With ?wait=D and no new
+// handleWAL streams every durable record after ?after=N (default 0) as the
+// WAL's own bytes: the segment header, then the frames exactly as the
+// segment files hold them (wal.ReadFrom). With ?wait=D and no new
 // records, the request parks on the durability frontier up to D before
 // answering — the follower's long-poll. 410 Gone means the records were
 // truncated behind a snapshot: fetch /repl/snapshot and resume from its
@@ -162,15 +163,15 @@ func (p *Primary) handleWAL(w http.ResponseWriter, r *http.Request) error {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(SeqHeader, strconv.FormatUint(frontier, 10))
-	sw, err := wal.NewStreamWriter(w)
-	if err != nil {
+	if _, err := w.Write(wal.Header()); err != nil {
 		return nil // client went away
 	}
 	// A failure mid-stream (including a truncation race) cannot change the
 	// status anymore; the torn body fails the follower's decode and it
 	// retries, hitting the clean 410/error path.
-	_, _ = p.log.ReadFrom(after, frontier, func(rec wal.Record) error {
-		return sw.Write(rec)
+	_, _ = p.log.ReadFrom(after, frontier, func(_ wal.Record, frame []byte) error {
+		_, err := w.Write(frame)
+		return err
 	})
 	return nil
 }

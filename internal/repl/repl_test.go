@@ -3,9 +3,12 @@ package repl
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -360,6 +363,84 @@ func TestRoutesRejectOtherMethods(t *testing.T) {
 			if resp.StatusCode != http.StatusMethodNotAllowed || err != nil || env.Code != httpapi.CodeMethodNotAllowed {
 				t.Fatalf("%s %s: status %d, envelope %+v (%v)", m, rt.Path, resp.StatusCode, env, err)
 			}
+		}
+	}
+}
+
+// TestFollowerReplaysDeletes: a delete on the primary is a record like any
+// other — a follower that tailed it live, and one that booted from a
+// snapshot taken between an edge's insert and its delete, both byte-equal
+// the primary at applied_seq, and neither still answers for the deleted
+// edge.
+func TestFollowerReplaysDeletes(t *testing.T) {
+	p := newPrimaryRig(t, 4, 0)
+	st := testStream(t, 2000)
+	live := newFollowerT(t, FollowerConfig{Source: p.srv.URL})
+	p.feed(t, st, 0, 1000, 0)
+	gone := stream.Edge{S: 1 << 40, D: 1 << 41, W: 7, T: st[999].T}
+	if _, err := p.pipe.Submit([]stream.Edge{gone}); err != nil {
+		t.Fatal(err)
+	}
+	p.pipe.Flush()
+	late := newFollowerT(t, FollowerConfig{Source: p.srv.URL}) // its boot snapshot holds the edge
+	for _, e := range []stream.Edge{gone, st[10], {S: 1 << 42, D: 1, W: 1, T: 1}} {
+		if _, err := p.pipe.Delete(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.feed(t, st, 1000, len(st), 0)
+	for name, f := range map[string]*Follower{"live": live, "late": late} {
+		converge(t, p, f)
+		if w := f.Summary().EdgeWeight(gone.S, gone.D, 0, gone.T); w != 0 {
+			t.Fatalf("%s follower still holds the deleted edge (weight %d)", name, w)
+		}
+	}
+}
+
+// TestWALBodyIsSegmentBytes: what /repl/wal serves is the header plus the
+// byte range of the segment file holding the requested records — no
+// decode, no re-encode, no second CRC.
+func TestWALBodyIsSegmentBytes(t *testing.T) {
+	p := newPrimaryRig(t, 2, 0)
+	st := testStream(t, 300)
+	p.feed(t, st, 0, len(st), st[len(st)/4].T)
+	if _, err := p.pipe.Delete(st[3]); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(p.dir, "wal", "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments = %v, err = %v; want one", segs, err)
+	}
+	segment, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame boundaries, by sequence number, from the one parser.
+	hdr := int64(len(wal.Header()))
+	ends := map[uint64]int64{0: hdr}
+	end := hdr
+	if _, err := wal.ReadFrames(bytes.NewReader(segment), func(rec wal.Record, frame []byte) error {
+		end += int64(len(frame))
+		ends[rec.LastSeq()] = end
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if int(end) != len(segment) || len(ends) < 4 {
+		t.Fatalf("parsed %d of %d segment bytes into %d frames", end, len(segment), len(ends)-1)
+	}
+	for after, from := range ends {
+		resp, err := http.Get(p.srv.URL + "/repl/wal?after=" + strconv.FormatUint(after, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("after=%d: status %d, err %v", after, resp.StatusCode, err)
+		}
+		if want := append(wal.Header(), segment[from:]...); !bytes.Equal(body, want) {
+			t.Fatalf("after=%d: body is %d bytes, want header + segment[%d:] (%d bytes)", after, len(body), from, len(want))
 		}
 	}
 }

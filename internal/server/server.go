@@ -178,7 +178,7 @@ func Open(sum *shard.Summary, opts Options) (*Server, error) {
 }
 
 // NewWithIngest is Open with only the ingest configuration set. The
-// signature is frozen: benchmark/ compiles against it.
+// signature is frozen: benchmark/ compiles against it (frozen_test.go).
 func NewWithIngest(sum *shard.Summary, icfg ingest.Config) (*Server, error) {
 	return Open(sum, Options{Ingest: icfg})
 }
@@ -262,7 +262,8 @@ const defaultDeltaCandidates = 256
 // SetReadCache installs (or, with maxBytes 0, removes) the read cache over
 // the served summary, overriding Options.CacheBytes; every later summary
 // swap builds its cache with the new budget. Budgets below rcache.MinBytes
-// are rejected. The signature is frozen: benchmark/ compiles against it.
+// are rejected. The signature is frozen: benchmark/ compiles against it
+// (frozen_test.go).
 func (s *Server) SetReadCache(maxBytes int64) error {
 	for {
 		old := s.st.Load()
@@ -390,7 +391,7 @@ func decodeBody(body []byte, v any, what string) error {
 
 var errShuttingDown = httpapi.Errorf(http.StatusServiceUnavailable, httpapi.CodeShuttingDown, "server shutting down")
 
-// pipelineErr maps a Submit or Expire failure: 429 (with a pacing hint) for
+// pipelineErr maps a Submit, Expire or Delete failure: 429 (with a pacing hint) for
 // a full shard queue — nothing was applied or enqueued, so retrying the
 // same batch is safe — 503 while shutting down, 500 for a WAL write or
 // sync failure (applied in memory, but not crash-durable).
@@ -531,8 +532,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	if err := readJSON(w, r, &e); err != nil {
 		return err
 	}
-	ok := s.Summary().Delete(e)
-	writeJSON(w, map[string]bool{"deleted": ok})
+	found, err := s.Pipeline().Delete(e)
+	if err != nil {
+		return pipelineErr("delete", err)
+	}
+	writeJSON(w, map[string]bool{"deleted": found})
 	return nil
 }
 

@@ -128,8 +128,8 @@ type Summary struct {
 	obs atomic.Pointer[ApplyObserver]
 
 	// walOwned, once set (MarkWALOwned), marks the summary's durable state
-	// as owned by a write-ahead log: direct Expire calls panic, because an
-	// unlogged expire would be resurrected by crash recovery.
+	// as owned by a write-ahead log: direct Expire and Delete calls panic,
+	// because crash recovery would undo an unlogged one.
 	walOwned atomic.Bool
 }
 
@@ -348,9 +348,20 @@ func (s *Summary) ShardVersion(i int) uint64 {
 }
 
 // Delete removes one previously inserted item from the shard of its source
-// vertex, reporting whether a matching entry was found.
+// vertex, reporting whether a matching entry was found. Like Expire it
+// leaves the durability watermark alone and so trips the WAL-ownership
+// guard; on a summary a WAL-backed pipeline feeds, use the pipeline's
+// Delete.
 func (s *Summary) Delete(e stream.Edge) bool {
-	return s.mutate(s.ShardFor(e.S), 0, op{kind: opDelete, edge: e}) > 0
+	return s.DeleteAt(e, 0)
+}
+
+// DeleteAt is Delete at write-ahead-log sequence number seq: the owning
+// shard's watermark advances to seq under the same lock acquisition that
+// removes the entry, exactly as ExpireAt sits beside Expire.
+func (s *Summary) DeleteAt(e stream.Edge, seq uint64) bool {
+	s.checkUnlogged(seq)
+	return s.mutate(s.ShardFor(e.S), seq, op{kind: opDelete, edge: e}) > 0
 }
 
 // ProbeShard evaluates every probe against shard i under a single
@@ -456,10 +467,11 @@ func (s *Summary) Expire(cutoff int64) int64 {
 	return s.ExpireAt(cutoff, 0)
 }
 
-// MarkWALOwned arms the guard that makes direct Expire calls panic: the
-// summary's durable state is owned by a write-ahead log, so every expire
-// must be sequenced and logged by the ingest pipeline. It is called by
-// ingest.New when the pipeline is WAL-backed and is never unset.
+// MarkWALOwned arms the guard that makes direct Expire and Delete calls
+// panic: the summary's durable state is owned by a write-ahead log, so
+// every expire and delete must be sequenced and logged by the ingest
+// pipeline. It is called by ingest.New when the pipeline is WAL-backed and
+// is never unset.
 func (s *Summary) MarkWALOwned() { s.walOwned.Store(true) }
 
 // ExpireAt expires every shard concurrently (each under its write lock)
@@ -474,7 +486,7 @@ func (s *Summary) MarkWALOwned() { s.walOwned.Store(true) }
 func (s *Summary) ExpireAt(cutoff int64, seq uint64) int64 {
 	// ExpireShardAt checks too, but on eachShard's goroutines, where a
 	// panic kills the process instead of reaching the caller.
-	s.checkUnloggedExpire(seq)
+	s.checkUnlogged(seq)
 	var dropped atomic.Int64
 	s.eachShard(func(i int) { dropped.Add(s.ExpireShardAt(i, cutoff, seq)) })
 	return dropped.Load()
@@ -486,17 +498,17 @@ func (s *Summary) ExpireAt(cutoff int64, seq uint64) int64 {
 // Recovery replays expire records with it shard by shard, skipping shards
 // whose watermark already covers the record.
 func (s *Summary) ExpireShardAt(i int, cutoff int64, seq uint64) int64 {
-	s.checkUnloggedExpire(seq)
+	s.checkUnlogged(seq)
 	return s.mutate(i, seq, op{kind: opExpire, cutoff: cutoff})
 }
 
-// checkUnloggedExpire panics on any unlogged (seq 0) expire of a
+// checkUnlogged panics on any unlogged (seq 0) expire or delete of a
 // WAL-owned summary, whichever entry point it arrives through: applied in
 // memory with no record and no watermark advance, it would be silently
-// undone by the next crash recovery, resurrecting every expired edge.
-func (s *Summary) checkUnloggedExpire(seq uint64) {
+// undone by the next crash recovery, resurrecting what it removed.
+func (s *Summary) checkUnlogged(seq uint64) {
 	if seq == 0 && s.walOwned.Load() {
-		panic("shard: unlogged expire on a WAL-owned summary would be resurrected by crash recovery; use the ingest pipeline's Expire")
+		panic("shard: unlogged expire or delete on a WAL-owned summary would be undone by crash recovery; use the ingest pipeline's Expire / Delete")
 	}
 }
 

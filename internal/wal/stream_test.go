@@ -2,8 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"io"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,7 +20,7 @@ import (
 // copying edge slices (they are only valid during the callback).
 func readAll(t *testing.T, l *Log, after, upTo uint64) (recs []Record, frontier uint64) {
 	t.Helper()
-	frontier, err := l.ReadFrom(after, upTo, func(rec Record) error {
+	frontier, err := l.ReadFrom(after, upTo, func(rec Record, _ []byte) error {
 		cp := rec
 		cp.Edges = append([]stream.Edge(nil), rec.Edges...)
 		recs = append(recs, cp)
@@ -40,7 +44,7 @@ func TestReadFromStreamsDurableTail(t *testing.T) {
 		}
 		wantRecs++
 		if i == 4 {
-			if _, err := l.AppendExpire(123, nil); err != nil {
+			if _, err := l.AppendRecord(expire(123), nil); err != nil {
 				t.Fatal(err)
 			}
 			wantRecs++
@@ -119,7 +123,7 @@ func TestReadFromTruncated(t *testing.T) {
 	if floor <= 1 {
 		t.Fatalf("floor did not advance: %d", floor)
 	}
-	if _, err := l.ReadFrom(0, 0, func(Record) error { return nil }); !errors.Is(err, ErrTruncated) {
+	if _, err := l.ReadFrom(0, 0, func(Record, []byte) error { return nil }); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("ReadFrom(0) after truncation: err = %v, want ErrTruncated", err)
 	}
 	// Reading from the floor onward still works and reaches the frontier.
@@ -159,7 +163,7 @@ func TestReadFromConcurrentAppend(t *testing.T) {
 	var after uint64
 	var got int
 	for got < batches*3 {
-		frontier, err := l.ReadFrom(after, 0, func(rec Record) error {
+		frontier, err := l.ReadFrom(after, 0, func(rec Record, _ []byte) error {
 			if rec.FirstSeq != after+1 {
 				t.Errorf("gap: record at %d, want %d", rec.FirstSeq, after+1)
 			}
@@ -208,88 +212,105 @@ func TestWaitSyncedBeyond(t *testing.T) {
 	}
 }
 
+// streamOf appends recs to a fresh log and returns the stream a follower
+// would be served for ?after=0 — Header() plus every frame ReadFrom hands
+// out — and the segment file those frames came from.
+func streamOf(t testing.TB, recs ...Record) (body, segment []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, rec := range recs {
+		if _, err := l.AppendRecord(rec, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	body = Header()
+	if _, err := l.ReadFrom(0, 0, func(_ Record, frame []byte) error {
+		body = append(body, frame...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if segment, err = os.ReadFile(filepath.Join(dir, fmt.Sprintf("%020d%s", 1, segmentSuffix))); err != nil {
+		t.Fatal(err)
+	}
+	return body, segment
+}
+
+// framesOf decodes a stream through the follower's entry point, deep-
+// copying what is only valid during the callback.
+func framesOf(in []byte) (recs []Record, off int64, err error) {
+	off, err = ReadFrames(bytes.NewReader(in), func(rec Record, _ []byte) error {
+		rec.Edges = append([]stream.Edge(nil), rec.Edges...)
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, off, err
+}
+
+// TestStreamRoundTrip: the stream a primary serves is the segment's own
+// bytes, and the follower's parser reads back exactly what was appended.
 func TestStreamRoundTrip(t *testing.T) {
 	want := []Record{
 		{Type: RecordEdges, FirstSeq: 1, Edges: edges(0, 4)},
 		{Type: RecordExpire, FirstSeq: 5, Cutoff: -7},
-		{Type: RecordEdges, FirstSeq: 6, Edges: edges(4, 1)},
+		{Type: RecordDelete, FirstSeq: 6, Edge: edge(2)},
+		{Type: RecordEdges, FirstSeq: 7, Edges: edges(4, 1)},
 	}
-	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
+	body, segment := streamOf(t, want...)
+	if !bytes.Equal(body, segment) {
+		t.Fatalf("served stream (%d bytes) is not the segment file (%d bytes)", len(body), len(segment))
 	}
-	for _, rec := range want {
-		if err := sw.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sr := NewStreamReader(bytes.NewReader(buf.Bytes()))
-	var got []Record
-	for {
-		rec, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp := rec
-		cp.Edges = append([]stream.Edge(nil), rec.Edges...)
-		got = append(got, cp)
+	got, off, err := framesOf(body)
+	if err != nil || off != int64(len(body)) {
+		t.Fatalf("ReadFrames: off = %d of %d, err = %v", off, len(body), err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	// A second Next after EOF stays EOF.
-	if _, err := sr.Next(); err != io.EOF {
-		t.Fatalf("post-EOF Next: %v", err)
-	}
 }
 
+// TestStreamReaderRefusesDamage: every way a stream can stop being frames
+// has a class, the offset reported is the end of the last intact frame, and
+// only a frame boundary is a clean end.
 func TestStreamReaderRefusesDamage(t *testing.T) {
-	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Write(Record{Type: RecordEdges, FirstSeq: 1, Edges: edges(0, 8)}); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full, _ := streamOf(t, Record{Type: RecordEdges, Edges: edges(0, 8)}, Record{Type: RecordEdges, Edges: edges(8, 8)})
+	_, first, _ := framesOf(full[:len(full)-1]) // end of the first frame
+	hdr := len(header)
+	unknown := bytes.Clone(full[:first])
+	unknown[hdr+frameHeadLen] = 9 // the payload's type byte, CRC fixed up below
+	binary.LittleEndian.PutUint32(unknown[hdr+4:], crc32.ChecksumIEEE(unknown[hdr+frameHeadLen:]))
 
-	cases := map[string][]byte{
-		"empty header": full[:3],
-		"torn frame":   full[:len(headerBytes())+4],
-		"torn payload": full[:len(full)-2],
-		"flipped byte": append(append([]byte(nil), full[:len(full)-1]...), full[len(full)-1]^0xff),
-		"bad header":   append([]byte{0xde, 0xad}, full[2:]...),
-		"empty stream": nil,
-		"header only":  headerBytes(),
-		"zero length":  append(append([]byte(nil), headerBytes()...), 0, 0, 0, 0, 0, 0, 0, 0),
+	cases := []struct {
+		name string
+		in   []byte
+		off  int64
+		want error
+	}{
+		{"empty stream", nil, 0, shortHeader},
+		{"short header", full[:3], 0, shortHeader},
+		{"bad header", append([]byte{0xde, 0xad}, full[2:]...), 0, badHeader},
+		{"header only", header, int64(hdr), nil},
+		{"torn frame", full[:hdr+4], int64(hdr), tornFrame},
+		{"zero length", append(bytes.Clone(header), 0, 0, 0, 0, 0, 0, 0, 0), int64(hdr), frameLength},
+		{"torn payload", full[:len(full)-2], first, tornPayload},
+		{"flipped byte", append(bytes.Clone(full[:len(full)-1]), full[len(full)-1]^0xff), first, badChecksum},
+		{"unknown type", unknown, int64(hdr), badPayload},
+		{"one frame", full[:first], first, nil},
+		{"intact", full, int64(len(full)), nil},
 	}
-	for name, in := range cases {
-		sr := NewStreamReader(bytes.NewReader(in))
-		var err error
-		for err == nil {
-			_, err = sr.Next()
+	for _, c := range cases {
+		_, off, err := framesOf(c.in)
+		var got malformed
+		if off != c.off || (c.want == nil) != (err == nil) || (err != nil && (!errors.As(err, &got) || got != c.want)) {
+			t.Errorf("%s: off = %d, err = %v; want %d, %v", c.name, off, err, c.off, c.want)
 		}
-		switch name {
-		case "empty stream", "header only":
-			if err != io.EOF {
-				t.Errorf("%s: err = %v, want io.EOF", name, err)
-			}
-		default:
-			if err == nil || err == io.EOF {
-				t.Errorf("%s: err = %v, want a decode error", name, err)
-			}
-		}
-	}
-	if err := (&StreamWriter{}).Write(Record{Type: RecordType(99), FirstSeq: 1}); err == nil {
-		t.Fatal("unknown record type accepted")
-	}
-	sw2, _ := NewStreamWriter(io.Discard)
-	if err := sw2.Write(Record{Type: RecordEdges, FirstSeq: 1}); err == nil {
-		t.Fatal("empty edge batch accepted")
 	}
 }

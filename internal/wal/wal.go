@@ -14,24 +14,30 @@
 // (magic + version) followed by records. A record is a fixed-width length
 // and CRC32 over a varint payload. A payload opens with a record type — an
 // edge batch (the batch's first sequence number, the edge count, and the
-// edges themselves) or an expire control record (its own sequence number
-// and the retention cutoff). A segment whose header names any other frame
-// version is refused. Records never span segments; when the active
-// segment exceeds Config.SegmentBytes it is flushed, synced, closed, and a
-// new one begins.
+// edges themselves), an expire control record (its own sequence number and
+// the retention cutoff) or a delete (its own sequence number and the edge
+// to remove). A segment whose header names any other frame version is
+// refused. Records never span segments; when the active segment exceeds
+// Config.SegmentBytes it is flushed, synced, closed, and a new one begins.
+//
+// There is one of each: AppendRecord is the only append body and
+// writeFrameLocked the only place a frame is written; ReadFrames is the
+// only place one is parsed — Open's scan, Replay, ReadFrom and a
+// replication follower all decode through it — and what ReadFrom hands the
+// replication primary is the segment's own bytes.
 //
 // # Sequence numbers
 //
 // Every appended edge receives a global sequence number (the first is 1;
-// 0 means "nothing"), and an expire control record consumes one sequence
-// number of its own. Append and AppendExpire assign them under the log's
-// mutex and invoke the caller's deliver callback under that same mutex, so
-// the order in which batches reach the log IS sequence order — the
+// 0 means "nothing"), and an expire or delete record consumes one sequence
+// number of its own. AppendRecord assigns them under the log's mutex and
+// invokes the caller's deliver callback under that same mutex, so the
+// order in which records reach the log IS sequence order — the
 // property snapshot recovery relies on: each shard applies its records in
 // ascending sequence, so a per-shard watermark (shard.Summary.ShardSeq)
 // cleanly splits "in the snapshot" from "replay me". Sequencing expires
-// like edges is what makes retention crash-safe: replay reproduces every
-// expire at exactly the point of the stream it originally ran at.
+// and deletes like edges is what makes them crash-safe: replay reproduces
+// each at exactly the point of the stream it originally ran at.
 //
 // # Durability
 //
@@ -60,8 +66,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,29 +113,21 @@ const (
 	// RecordExpire is a retention control record: every subtree wholly
 	// before Cutoff was dropped at this point of the sequence.
 	RecordExpire RecordType = 2
+	// RecordDelete removes Edge, if present, at this point of the sequence.
+	RecordDelete RecordType = 3
 )
 
-// String returns the record type's name.
-func (t RecordType) String() string {
-	switch t {
-	case RecordEdges:
-		return "edges"
-	case RecordExpire:
-		return "expire"
-	default:
-		return fmt.Sprintf("RecordType(%d)", uint8(t))
-	}
-}
-
-// Record is one replayed log record. FirstSeq is the sequence number of
-// Edges[0] for an edge batch, or the record's own (single) sequence number
-// for an expire. Edges is valid only for the duration of the Replay
-// callback; Cutoff is set only for RecordExpire.
+// Record is one log record. FirstSeq is the sequence number of Edges[0]
+// for an edge batch, or the record's own (single) sequence number for an
+// expire or a delete; AppendRecord assigns it. Edges is valid only for the
+// duration of the callback a reader hands the record to; Cutoff is set
+// only for RecordExpire, Edge only for RecordDelete.
 type Record struct {
 	Type     RecordType
 	FirstSeq uint64
 	Edges    []stream.Edge
 	Cutoff   int64
+	Edge     stream.Edge
 }
 
 // LastSeq returns the highest sequence number the record covers.
@@ -245,14 +245,15 @@ func Open(cfg Config) (*Log, error) {
 	if len(segs) > 0 {
 		l.nextSeq = segs[0].firstSeq
 		for i, sg := range segs {
-			tail, next, corrupt, err := scanSegment(sg.path, l.nextSeq, nil)
-			if err != nil {
+			tail, next, err := scanSegment(sg.path, l.nextSeq, nil)
+			var m malformed
+			switch {
+			case err == nil:
+			case !errors.As(err, &m) || m == badHeader:
 				return nil, err
-			}
-			if corrupt != nil {
-				if i != len(segs)-1 {
-					return nil, fmt.Errorf("wal: segment %s: %w (not the last segment, refusing to repair)", sg.path, corrupt)
-				}
+			case i != len(segs)-1:
+				return nil, fmt.Errorf("%w (not the last segment, refusing to repair)", err)
+			default:
 				if err := repairTail(sg.path, tail); err != nil {
 					return nil, err
 				}
@@ -307,8 +308,9 @@ func listSegments(dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// headerBytes returns the encoded segment header.
-func headerBytes() []byte {
+// header is the encoded segment header: what every segment file and every
+// /repl/wal response body opens with.
+var header = func() []byte {
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
 	w.U64(walMagic)
@@ -317,7 +319,11 @@ func headerBytes() []byte {
 		panic(err) // writes to a bytes.Buffer cannot fail
 	}
 	return buf.Bytes()
-}
+}()
+
+// Header returns a copy of the header a record stream opens with; the
+// replication primary writes it ahead of the frames ReadFrom hands it.
+func Header() []byte { return bytes.Clone(header) }
 
 // newSegmentLocked creates and switches to a fresh segment starting at
 // nextSeq. Caller holds l.mu.
@@ -327,15 +333,14 @@ func (l *Log) newSegmentLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	hdr := headerBytes()
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(header); err != nil {
 		f.Close()
 		os.Remove(path)
 		return fmt.Errorf("wal: %w", err)
 	}
 	SyncDir(l.cfg.Dir)
 	l.segs = append(l.segs, segment{path: path, firstSeq: l.nextSeq})
-	l.f, l.bw, l.size = f, bufio.NewWriterSize(f, 1<<16), int64(len(hdr))
+	l.f, l.bw, l.size = f, bufio.NewWriterSize(f, 1<<16), int64(len(header))
 	l.gen++
 	return nil
 }
@@ -344,14 +349,13 @@ func (l *Log) newSegmentLocked() error {
 // A tail shorter than the segment header (an interrupted segment creation)
 // is rebuilt as header-only.
 func repairTail(path string, tail int64) error {
-	hdr := headerBytes()
-	if tail >= int64(len(hdr)) {
+	if tail >= int64(len(header)) {
 		if err := os.Truncate(path, tail); err != nil {
 			return fmt.Errorf("wal: repair %s: %w", path, err)
 		}
 		return nil
 	}
-	if err := os.WriteFile(path, hdr, 0o644); err != nil {
+	if err := os.WriteFile(path, header, 0o644); err != nil {
 		return fmt.Errorf("wal: repair %s: %w", path, err)
 	}
 	return nil
@@ -396,20 +400,22 @@ func (l *Log) advanceSynced(seq uint64, err error) {
 	l.syncMu.Unlock()
 }
 
-// Append assigns sequence numbers firstSeq..firstSeq+len(edges)-1 to the
-// batch, invokes deliver(firstSeq) — still under the log's mutex, so
-// delivery order is sequence order — and, if deliver succeeds, writes one
-// record holding the batch. A deliver error aborts the append: no record is
-// written and no sequence numbers are consumed, so a rejected batch
-// (ingest's ErrQueueFull backpressure) leaves no trace to replay. deliver
-// may be nil.
+// AppendRecord is the one append body. It assigns rec its sequence numbers
+// — FirstSeq..FirstSeq+len(Edges)-1 for an edge batch, one for an expire
+// or a delete — invokes deliver(firstSeq) — still under the log's mutex, so
+// delivery order is sequence order and every record is totally ordered
+// against every other — and, if deliver succeeds, writes one frame holding
+// the record. A deliver error aborts the append: no record is written and
+// no sequence numbers are consumed, so a rejected batch (ingest's
+// ErrQueueFull backpressure) leaves no trace to replay. deliver may be nil.
+// An empty edge batch appends nothing; an unknown record type is refused.
 //
 // The record is buffered; it is durable only after a sync covering the
-// returned sequence number — wait with WaitSynced before acknowledging the
-// batch to a client. A write failure is sticky and is returned (the batch
-// was delivered but will not survive a crash; callers should surface the
+// returned sequence number — wait with WaitSynced before acknowledging it
+// to a client. A write failure is sticky and is returned (the record was
+// delivered but will not survive a crash; callers should surface the
 // error rather than acknowledge).
-func (l *Log) Append(edges []stream.Edge, deliver func(firstSeq uint64) error) (lastSeq uint64, err error) {
+func (l *Log) AppendRecord(rec Record, deliver func(firstSeq uint64) error) (lastSeq uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -418,92 +424,50 @@ func (l *Log) Append(edges []stream.Edge, deliver func(firstSeq uint64) error) (
 	if l.err != nil {
 		return 0, l.err
 	}
-	if len(edges) == 0 {
+	// The one well-formedness check: what passes it is what ReadFrames
+	// accepts, so no reader ever meets a frame it must refuse.
+	switch {
+	case rec.Type < RecordEdges || rec.Type > RecordDelete:
+		return 0, fmt.Errorf("wal: unknown record type %d", rec.Type)
+	case rec.Type == RecordEdges && len(rec.Edges) == 0:
 		return l.appended, nil
 	}
-	first := l.nextSeq
-	last := first + uint64(len(edges)) - 1
+	rec.FirstSeq = l.nextSeq
+	last := rec.LastSeq()
 
 	// Encode — and size-check — BEFORE delivering: a rejected batch must
 	// leave no trace anywhere, and a delivered batch must consume its
 	// sequence numbers. Admitting first and rejecting after would let two
 	// batches share sequences, corrupting the watermark invariant.
-	w := l.frameEncoder()
-	encodeRecordPayload(w, Record{Type: RecordEdges, FirstSeq: first, Edges: edges})
-	if err := w.Flush(); err != nil {
-		l.err = err
-		return 0, err
-	}
-	if len(l.enc.Bytes()) > maxRecordBytes {
-		// Not sticky: the log is intact, the batch is just too large.
-		return 0, fmt.Errorf("wal: batch encodes to %d bytes, limit %d", len(l.enc.Bytes()), maxRecordBytes)
-	}
-	if deliver != nil {
-		if err := deliver(first); err != nil {
-			return 0, err
-		}
-	}
-	if err := l.writeRecordLocked(last); err != nil {
-		return last, err
-	}
-	return last, nil
-}
-
-// AppendExpire appends a retention control record: every subtree wholly
-// before cutoff was dropped at this point of the sequence. The record
-// consumes one sequence number, which deliver receives — still under the
-// log's mutex, exactly as Append's deliver, so the expire is totally
-// ordered against every edge batch: batches admitted before it carry lower
-// sequence numbers, batches admitted after carry higher ones. A deliver
-// error aborts the append (no record, no sequence consumed). As with
-// Append, the record is durable only after a sync covering the returned
-// sequence number — wait with WaitSynced before acknowledging the expire.
-func (l *Log) AppendExpire(cutoff int64, deliver func(seq uint64) error) (seq uint64, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if l.err != nil {
-		return 0, l.err
-	}
-	seq = l.nextSeq
-	w := l.frameEncoder()
-	encodeRecordPayload(w, Record{Type: RecordExpire, FirstSeq: seq, Cutoff: cutoff})
-	if err := w.Flush(); err != nil {
-		l.err = err
-		return 0, err
-	}
-	if deliver != nil {
-		if err := deliver(seq); err != nil {
-			return 0, err
-		}
-	}
-	if err := l.writeRecordLocked(seq); err != nil {
-		return seq, err
-	}
-	return seq, nil
-}
-
-// frameEncoder resets the record scratch buffer and returns the log's
-// long-lived wire encoder pointed at it. Reusing one Writer (and its
-// internal bufio buffer) keeps record encoding allocation-free; l.mu
-// serializes all use.
-func (l *Log) frameEncoder() *wire.Writer {
 	l.enc.Reset()
 	if l.encW == nil {
 		l.encW = wire.NewWriter(&l.enc)
 	} else {
-		l.encW.Reset(&l.enc)
+		l.encW.Reset(&l.enc) // one long-lived encoder: allocation-free, l.mu serializes it
 	}
-	return l.encW
+	encodeRecordPayload(l.encW, rec)
+	if err := l.encW.Flush(); err != nil {
+		l.err = err
+		return 0, err
+	}
+	payload := l.enc.Bytes()
+	if len(payload) > maxRecordBytes {
+		// Not sticky: the log is intact, the batch is just too large.
+		return 0, fmt.Errorf("wal: batch encodes to %d bytes, limit %d", len(payload), maxRecordBytes)
+	}
+	if deliver != nil {
+		if err := deliver(rec.FirstSeq); err != nil {
+			return 0, err
+		}
+	}
+	return last, l.writeFrameLocked(payload, last)
 }
 
-// writeRecordLocked frames l.enc's payload into the active segment and
-// advances the log to last, rotating and kicking the syncer as needed.
-// Caller holds l.mu; a write failure is sticky.
-func (l *Log) writeRecordLocked(last uint64) error {
-	payload := l.enc.Bytes()
+// writeFrameLocked is the one frame writer: length and CRC, then payload,
+// into the active segment; it advances the log to last, rotating and
+// kicking the syncer as needed. Caller holds l.mu; a write failure is
+// sticky.
+func (l *Log) writeFrameLocked(payload []byte, last uint64) error {
 	var head [frameHeadLen]byte
 	binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(head[4:8], crc32.ChecksumIEEE(payload))
@@ -520,12 +484,15 @@ func (l *Log) writeRecordLocked(last uint64) error {
 	l.appended = last
 	if l.size >= l.cfg.SegmentBytes {
 		l.rotateLocked()
-		if l.err != nil {
-			return l.err
-		}
 	}
 	l.kick()
-	return nil
+	return l.err
+}
+
+// Append is AppendRecord for an edge batch. Its signature is frozen:
+// benchmark/ compiles against it (frozen_test.go).
+func (l *Log) Append(edges []stream.Edge, deliver func(firstSeq uint64) error) (lastSeq uint64, err error) {
+	return l.AppendRecord(Record{Type: RecordEdges, Edges: edges}, deliver)
 }
 
 // kick wakes the syncer (at-least-once; a dropped send means one is already
@@ -685,8 +652,8 @@ func (l *Log) TruncateThrough(seq uint64) (removed int, err error) {
 	return removed, nil
 }
 
-// Replay streams every record to fn in sequence order: edge batches and
-// expire control records interleaved exactly as they were appended (the
+// Replay streams every record to fn in sequence order: edge batches,
+// expires and deletes interleaved exactly as they were appended (the
 // Record's edge slice is valid only for the call). Replay reads the
 // segment files directly, so it must not run concurrently with Append;
 // recovery calls it after Open and before handing the log to an ingest
@@ -702,21 +669,10 @@ func (l *Log) Replay(fn func(Record) error) error {
 		l.mu.Unlock()
 		return err
 	}
-	segs := make([]segment, len(l.segs))
-	copy(segs, l.segs)
+	segs := slices.Clone(l.segs)
 	l.mu.Unlock()
-	for _, sg := range segs {
-		expect := sg.firstSeq
-		_, _, corrupt, err := scanSegment(sg.path, expect, fn)
-		if err != nil {
-			return err
-		}
-		if corrupt != nil {
-			// Open repaired the tail, so post-repair corruption is real.
-			return fmt.Errorf("wal: segment %s: %w", sg.path, corrupt)
-		}
-	}
-	return nil
+	// Open repaired the tail, so any malformation met now is real.
+	return walk(segs, 0, math.MaxUint64, func(rec Record, _ []byte) error { return fn(rec) })
 }
 
 // Close stops the syncer (performing a final group sync) and closes the
@@ -745,77 +701,74 @@ func (l *Log) Close() error {
 	return err
 }
 
-// scanSegment iterates a segment's records, validating framing, CRC, and
-// sequence contiguity (the first record must start at expect). For each
-// intact record it calls fn (when non-nil). It returns the byte offset
-// after the last intact record, the next expected sequence number, and —
-// separated from hard I/O errors — the malformation that stopped the scan
-// (nil on a clean EOF). Callers decide whether a malformation is a
-// repairable torn tail (last segment) or fatal corruption. A complete
-// header that is not this version's is a hard error, never repaired.
-func scanSegment(path string, expect uint64, fn func(Record) error) (tail int64, next uint64, corrupt, err error) {
+// errStopWalk ends a walk at its frontier.
+var errStopWalk = errors.New("wal: stop walk")
+
+// walk is the one segment walk, under Replay and ReadFrom alike: it hands
+// fn, in sequence order, every record (and its raw frame) of segs whose
+// last sequence number lies in (after, frontier]. It never parses a record
+// beyond the frontier, and malformed bytes past it are a racing appender's
+// in-flight frame, not corruption; at or below it they are an error.
+func walk(segs []segment, after, frontier uint64, fn func(Record, []byte) error) error {
+	for _, sg := range segs {
+		if sg.firstSeq > frontier {
+			break
+		}
+		_, next, err := scanSegment(sg.path, sg.firstSeq, func(rec Record, frame []byte) error {
+			if rec.LastSeq() > frontier {
+				return errStopWalk
+			}
+			if rec.LastSeq() <= after {
+				return nil
+			}
+			return fn(rec, frame)
+		})
+		var m malformed
+		if errors.Is(err, errStopWalk) || (errors.As(err, &m) && next > frontier) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanSegment reads one segment file through ReadFrames, adding the check
+// only a segment can make — sequence contiguity: the first record must
+// start at expect, each next one where the last ended. It returns the byte
+// offset after the last intact record, the next expected sequence number,
+// and what stopped the scan: nil at a clean end, a malformed class (see
+// errors.As) where the bytes stop being frames — callers decide whether
+// that is a repairable torn tail or fatal corruption — or a hard error.
+func scanSegment(path string, expect uint64, fn func(Record, []byte) error) (tail int64, next uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, expect, nil, fmt.Errorf("wal: %w", err)
+		return 0, expect, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	hdr := headerBytes()
-	got := make([]byte, len(hdr))
-	if _, err := io.ReadFull(br, got); err != nil {
-		// Shorter than a header: an interrupted segment creation.
-		return 0, expect, fmt.Errorf("truncated segment header"), nil
-	}
-	if !bytes.Equal(got, hdr) {
-		return 0, expect, nil, fmt.Errorf("wal: segment %s: bad header (not a version-%d segment)", path, walVersion)
-	}
-	tail = int64(len(hdr))
 	next = expect
-	var head [frameHeadLen]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(br, head[:]); err != nil {
-			if err == io.EOF {
-				return tail, next, nil, nil
-			}
-			return tail, next, fmt.Errorf("torn record frame"), nil
-		}
-		n := binary.LittleEndian.Uint32(head[0:4])
-		sum := binary.LittleEndian.Uint32(head[4:8])
-		if n == 0 || n > maxRecordBytes {
-			return tail, next, fmt.Errorf("record length %d out of range", n), nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return tail, next, fmt.Errorf("torn record payload"), nil
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return tail, next, fmt.Errorf("record checksum mismatch"), nil
-		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
-			return tail, next, derr, nil
-		}
+	tail, err = ReadFrames(f, func(rec Record, frame []byte) error {
 		if rec.FirstSeq != next {
-			return tail, next, nil, fmt.Errorf("wal: segment %s: record starts at seq %d, want %d", path, rec.FirstSeq, next)
+			return fmt.Errorf("wal: segment %s: record starts at seq %d, want %d", path, rec.FirstSeq, next)
 		}
 		if fn != nil {
-			if err := fn(rec); err != nil {
-				return tail, next, nil, err
+			if err := fn(rec, frame); err != nil {
+				return err
 			}
 		}
 		next = rec.LastSeq() + 1
-		tail += int64(frameHeadLen) + int64(len(payload))
+		return nil
+	})
+	var m malformed
+	if errors.As(err, &m) {
+		err = fmt.Errorf("wal: segment %s: %w", path, err)
 	}
+	return tail, next, err
 }
 
 // encodeRecordPayload writes rec's payload (record-type prefix included)
-// to w. Append, AppendExpire, and the replication StreamWriter
-// all encode through it, so a record shipped to a follower is
-// byte-identical to its on-disk frame payload.
+// to w.
 func encodeRecordPayload(w *wire.Writer, rec Record) {
 	w.U64(uint64(rec.Type))
 	w.U64(rec.FirstSeq)
@@ -823,14 +776,25 @@ func encodeRecordPayload(w *wire.Writer, rec Record) {
 	case RecordEdges:
 		w.Int(len(rec.Edges))
 		for _, e := range rec.Edges {
-			w.U64(e.S)
-			w.U64(e.D)
-			w.I64(e.W)
-			w.I64(e.T)
+			putEdge(w, e)
 		}
 	case RecordExpire:
 		w.I64(rec.Cutoff)
+	case RecordDelete:
+		putEdge(w, rec.Edge)
 	}
+}
+
+// putEdge and getEdge are an edge's one spelling inside a payload.
+func putEdge(w *wire.Writer, e stream.Edge) {
+	w.U64(e.S)
+	w.U64(e.D)
+	w.I64(e.W)
+	w.I64(e.T)
+}
+
+func getEdge(r *wire.Reader) stream.Edge {
+	return stream.Edge{S: r.U64(), D: r.U64(), W: r.I64(), T: r.I64()}
 }
 
 // decodeRecord parses one record payload, which opens with its RecordType.
@@ -852,7 +816,7 @@ func decodeRecord(payload []byte) (Record, error) {
 		}
 		edges := make([]stream.Edge, n)
 		for i := range edges {
-			edges[i] = stream.Edge{S: r.U64(), D: r.U64(), W: r.I64(), T: r.I64()}
+			edges[i] = getEdge(r)
 		}
 		if err := r.Err(); err != nil {
 			return Record{}, fmt.Errorf("record edges: %w", err)
@@ -868,6 +832,16 @@ func decodeRecord(payload []byte) (Record, error) {
 			return Record{}, fmt.Errorf("expire record header out of range (seq=0)")
 		}
 		return Record{Type: RecordExpire, FirstSeq: seq, Cutoff: cutoff}, nil
+	case RecordDelete:
+		seq := r.U64()
+		e := getEdge(r)
+		if err := r.Err(); err != nil {
+			return Record{}, fmt.Errorf("delete record: %w", err)
+		}
+		if seq == 0 {
+			return Record{}, fmt.Errorf("delete record header out of range (seq=0)")
+		}
+		return Record{Type: RecordDelete, FirstSeq: seq, Edge: e}, nil
 	default:
 		return Record{}, fmt.Errorf("unknown record type %d", uint8(typ))
 	}

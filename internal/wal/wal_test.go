@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,9 @@ func edges(from, n int) []stream.Edge {
 	}
 	return out
 }
+
+// expire builds the expire control record AppendRecord sequences.
+func expire(cutoff int64) Record { return Record{Type: RecordExpire, Cutoff: cutoff} }
 
 func openT(t *testing.T, cfg Config) *Log {
 	t.Helper()
@@ -481,14 +485,14 @@ func TestExpireRecordRoundtrip(t *testing.T) {
 	if _, err := l.Append(edges(0, 4), nil); err != nil { // seqs 1..4
 		t.Fatal(err)
 	}
-	seq, err := l.AppendExpire(42, func(seq uint64) error {
+	seq, err := l.AppendRecord(expire(42), func(seq uint64) error {
 		if seq != 5 {
 			t.Fatalf("expire deliver seq = %d, want 5", seq)
 		}
 		return nil
 	})
 	if err != nil || seq != 5 {
-		t.Fatalf("AppendExpire: seq = %d, err = %v; want 5, nil", seq, err)
+		t.Fatalf("AppendRecord: seq = %d, err = %v; want 5, nil", seq, err)
 	}
 	if err := l.WaitSynced(seq); err != nil {
 		t.Fatal(err)
@@ -531,22 +535,22 @@ func TestExpireRecordRoundtrip(t *testing.T) {
 	}
 }
 
-// TestAppendExpireDeliverAbort: an aborted expire leaves no record and
-// consumes no sequence number, mirroring Append's contract.
-func TestAppendExpireDeliverAbort(t *testing.T) {
+// TestAppendRecordDeliverAbort: an aborted expire leaves no record and
+// consumes no sequence number, exactly as an aborted edge batch.
+func TestAppendRecordDeliverAbort(t *testing.T) {
 	l := openT(t, Config{Dir: t.TempDir()})
 	defer l.Close()
 	if _, err := l.Append(edges(0, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("not now")
-	if _, err := l.AppendExpire(9, func(uint64) error { return boom }); !errors.Is(err, boom) {
+	if _, err := l.AppendRecord(expire(9), func(uint64) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("aborted expire error = %v, want %v", err, boom)
 	}
 	if got := l.LastSeq(); got != 2 {
 		t.Fatalf("LastSeq after aborted expire = %d, want 2", got)
 	}
-	seq, err := l.AppendExpire(9, nil)
+	seq, err := l.AppendRecord(expire(9), nil)
 	if err != nil || seq != 3 {
 		t.Fatalf("expire after abort: seq = %d, err = %v; want 3", seq, err)
 	}
@@ -555,14 +559,73 @@ func TestAppendExpireDeliverAbort(t *testing.T) {
 	}
 }
 
-// TestAppendExpireClosed: a closed log rejects expires like appends.
-func TestAppendExpireClosed(t *testing.T) {
+// TestAppendRecordClosed: a closed log rejects every record type.
+func TestAppendRecordClosed(t *testing.T) {
 	l := openT(t, Config{Dir: t.TempDir()})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendExpire(1, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("AppendExpire on closed log: %v", err)
+	for _, rec := range []Record{expire(1), {Type: RecordDelete, Edge: edge(1)}, {Type: RecordEdges, Edges: edges(0, 1)}} {
+		if _, err := l.AppendRecord(rec, nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("type-%d record on closed log: %v", rec.Type, err)
+		}
+	}
+}
+
+// TestAppendRecordWellFormed is the one well-formedness check: an unknown
+// type is refused before it consumes a sequence number or reaches deliver,
+// so no reader ever meets a frame it must refuse; an empty edge batch is a
+// no-op.
+func TestAppendRecordWellFormed(t *testing.T) {
+	l := openT(t, Config{Dir: t.TempDir()})
+	defer l.Close()
+	deliver := func(uint64) error { t.Fatal("deliver ran for a refused record"); return nil }
+	for _, typ := range []RecordType{0, 4, 99} {
+		if _, err := l.AppendRecord(Record{Type: typ, Edges: edges(0, 1)}, deliver); err == nil {
+			t.Fatalf("record type %d accepted", typ)
+		}
+	}
+	if last, err := l.AppendRecord(Record{Type: RecordEdges}, deliver); err != nil || last != 0 {
+		t.Fatalf("empty edge batch: last = %d, err = %v; want 0, nil", last, err)
+	}
+	if got := l.LastSeq(); got != 0 {
+		t.Fatalf("LastSeq = %d after refused records, want 0", got)
+	}
+	if recs := replayAll(t, l); len(recs) != 0 {
+		t.Fatalf("refused records left %d frames", len(recs))
+	}
+}
+
+// TestDeleteRecordRoundtrip: a delete consumes one sequence number, carries
+// its edge, and replays — across a reopen — at its appended position.
+func TestDeleteRecordRoundtrip(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, Config{Dir: dir})
+	if _, err := l.Append(edges(0, 2), nil); err != nil { // seqs 1..2
+		t.Fatal(err)
+	}
+	del := Record{Type: RecordDelete, Edge: stream.Edge{S: 1 << 40, D: 7, W: -3, T: -9}}
+	seq, err := l.AppendRecord(del, func(seq uint64) error {
+		if seq != 3 {
+			t.Fatalf("delete deliver seq = %d, want 3", seq)
+		}
+		return nil
+	})
+	if err != nil || seq != 3 {
+		t.Fatalf("delete: seq = %d, err = %v; want 3, nil", seq, err)
+	}
+	if last, err := l.Append(edges(2, 1), nil); err != nil || last != 4 {
+		t.Fatalf("append after delete: last = %d, err = %v; want 4", last, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := openT(t, Config{Dir: dir})
+	defer l2.Close()
+	recs := replayAll(t, l2)
+	del.FirstSeq = 3
+	if len(recs) != 3 || !reflect.DeepEqual(recs[1], del) {
+		t.Fatalf("replay = %+v, want the delete %+v between two edge batches", recs, del)
 	}
 }
 
@@ -575,7 +638,7 @@ func TestExpireRecordsRotateAndTruncate(t *testing.T) {
 		if _, err := l.Append(edges(i*4, 4), nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.AppendExpire(int64(i), nil); err != nil {
+		if _, err := l.AppendRecord(expire(int64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
