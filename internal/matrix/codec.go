@@ -102,7 +102,7 @@ func Decode(r *wire.Reader) (*Matrix, error) {
 		if k <= prev || k != bkt*cfg.B+int(m.fills[bkt]) {
 			return nil, fmt.Errorf("matrix: decode: slot %d is repeated, out of order, or leaves a gap in bucket %d", k, bkt)
 		}
-		if idx > math.MaxUint8 || (off != 0 && !cfg.Timed) {
+		if idx > math.MaxUint8 || int(idx>>4) >= cfg.Maps || int(idx&0xf) >= cfg.Maps || (off != 0 && !cfg.Timed) {
 			return nil, fmt.Errorf("matrix: decode: slot %d carries index pair %#x, offset %d", k, idx, off)
 		}
 		prev = k
@@ -129,5 +129,34 @@ func Decode(r *wire.Reader) (*Matrix, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("matrix: decode: %w", err)
 	}
+	// find and EdgeSum stop at the first candidate bucket with room; an entry
+	// parked behind one would be invisible to them, an under-count.
+	for bkt, fill := range m.fills {
+		for k := bkt * cfg.B; k < bkt*cfg.B+int(fill); k++ {
+			if !m.firstFit(k) {
+				return nil, fmt.Errorf("matrix: decode: slot %d sits behind a non-full candidate bucket", k)
+			}
+		}
+	}
 	return m, nil
+}
+
+// firstFit reports whether every candidate bucket that precedes the entry at
+// slot k on its own walk is full. Buckets only fill, so this end state is
+// necessary and sufficient for the entry to have been placed first fit.
+func (m *Matrix) firstFit(k int) bool {
+	d, bkt := int(m.cfg.D), k/m.cfg.B
+	i, j := int(m.idxs[k]>>4), int(m.idxs[k]&0xf)
+	rowS, baseD := m.lcg.Base(uint32(bkt/d), i), m.lcg.Base(uint32(bkt%d), j)
+	for ii := 0; ii <= i; ii++ {
+		colD := baseD
+		for jj := 0; jj < m.cfg.Maps && (ii < i || jj < j); jj++ {
+			if int(m.fills[int(rowS)*d+int(colD)]) < m.cfg.B {
+				return false
+			}
+			colD = m.lcg.Next(colD)
+		}
+		rowS = m.lcg.Next(rowS)
+	}
+	return true
 }

@@ -1,11 +1,135 @@
 package matrix
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"higgs/internal/wire"
 )
+
+// findExhaustive is find as it was before first fit became an invariant: it
+// walks all r×r candidate buckets, remembers the first free slot and keeps
+// looking for a match. It is the placement oracle — find must return the same
+// slot, index pair and found on every matrix Add and Absorb can build.
+func (m *Matrix) findExhaustive(fpS, baseS, fpD, baseD, off uint32) (slot int, idx uint8, found bool) {
+	slot = -1
+	key := packKey(fpS, fpD)
+	d := int(m.cfg.D)
+	dMask := m.cfg.D - 1
+	bsz := m.cfg.B
+	keys, fills := m.keys, m.fills
+	rowS := baseS & dMask
+	for i := 0; i < m.cfg.Maps; i++ {
+		colD := baseD & dMask
+		rowBase := int(rowS) * d
+		for j := 0; j < m.cfg.Maps; j++ {
+			bkt := rowBase + int(colD)
+			fill := int(fills[bkt])
+			base := bkt * bsz
+			ij := packIdx(i, j)
+			for k, kk := range keys[base : base+fill] {
+				if kk == key && m.idxs[base+k] == ij && (m.offs == nil || m.offs[base+k] == off) {
+					return base + k, ij, true
+				}
+			}
+			if fill < bsz && slot < 0 {
+				slot, idx = base+fill, ij
+			}
+			colD = m.lcg.Next(colD)
+		}
+		rowS = m.lcg.Next(rowS)
+	}
+	return slot, idx, false
+}
+
+// edgeSumExhaustive is EdgeSum as it was before it trusted placement: a sweep
+// of every slot of every candidate bucket, then the spill list. Where it
+// disagrees with EdgeSum, an entry sits behind a bucket with room — the
+// invariant broke; where both disagree with the model, the sum did.
+func (m *Matrix) edgeSumExhaustive(fpS, baseS, fpD, baseD uint32, loOff, hiOff int64) int64 {
+	var sum int64
+	if offs, some := m.window(loOff, hiOff); some {
+		key := packKey(fpS, fpD)
+		d, bsz := int(m.cfg.D), m.cfg.B
+		rowS := baseS & (m.cfg.D - 1)
+		for i := 0; i < m.cfg.Maps; i++ {
+			colD := baseD & (m.cfg.D - 1)
+			for j := 0; j < m.cfg.Maps; j++ {
+				base := (int(rowS)*d + int(colD)) * bsz
+				idx := packIdx(i, j)
+				for k, kk := range m.keys[base : base+bsz] {
+					if kk == key && m.idxs[base+k] == idx && inWindow(offs, base+k, loOff, hiOff) {
+						sum += m.ws[base+k]
+					}
+				}
+				colD = m.lcg.Next(colD)
+			}
+			rowS = m.lcg.Next(rowS)
+		}
+	}
+	baseSm, baseDm := baseS&(m.cfg.D-1), baseD&(m.cfg.D-1)
+	for k := range m.spill {
+		sp := &m.spill[k]
+		if sp.fpS == fpS && sp.fpD == fpD && sp.baseS == baseSm && sp.baseD == baseDm {
+			sum += sp.w
+		}
+	}
+	return sum
+}
+
+// sameFind fails unless find and the exhaustive walk agree on the identity.
+func sameFind(t testing.TB, m *Matrix, k refKey) {
+	t.Helper()
+	slot, idx, found := m.find(k.fpS, k.baseS, k.fpD, k.baseD, k.off)
+	xslot, xidx, xfound := m.findExhaustive(k.fpS, k.baseS, k.fpD, k.baseD, k.off)
+	if slot != xslot || idx != xidx || found != xfound {
+		t.Fatalf("find(%+v) = (%d, %#x, %v), exhaustive walk (%d, %#x, %v)", k, slot, idx, found, xslot, xidx, xfound)
+	}
+}
+
+// checkFirstFit fails unless every stored entry carries an index pair of the
+// walk and sits at or before the first non-full bucket of it — the predicate
+// Decode enforces.
+func checkFirstFit(t testing.TB, m *Matrix) {
+	t.Helper()
+	for bkt, f := range m.fills {
+		for k := bkt * m.cfg.B; k < bkt*m.cfg.B+int(f); k++ {
+			if i, j := int(m.idxs[k]>>4), int(m.idxs[k]&0xf); i >= m.cfg.Maps || j >= m.cfg.Maps {
+				t.Fatalf("slot %d: index pair (%d, %d) is not a position of a %d×%d walk", k, i, j, m.cfg.Maps, m.cfg.Maps)
+			}
+			if !m.firstFit(k) {
+				t.Fatalf("slot %d (bucket %d) sits behind a non-full candidate bucket", k, bkt)
+			}
+		}
+	}
+}
+
+// absorbChecked is parent.Absorb(child) with the placement oracle consulted
+// before every entry: a decoded copy of parent takes the child's entries one
+// addOrSpill at a time, and Absorb itself must leave parent byte-identical to
+// that copy.
+func absorbChecked(t *testing.T, parent, child *Matrix, rbits uint) {
+	t.Helper()
+	shadow, err := Decode(wire.NewReader(bytes.NewReader(encodeBytes(t, parent))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	child.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, w int64) {
+		pfpS, pbaseS := Promote(fpS, baseS, child.cfg.FBits, rbits)
+		pfpD, pbaseD := Promote(fpD, baseD, child.cfg.FBits, rbits)
+		sameFind(t, shadow, refKey{fpS: pfpS, baseS: pbaseS, fpD: pfpD, baseD: pbaseD})
+		shadow.addOrSpill(pfpS, pbaseS, pfpD, pbaseD, w)
+	})
+	if err := parent.Absorb(child); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBytes(t, parent), encodeBytes(t, shadow)) {
+		t.Fatal("Absorb and entry-by-entry addOrSpill built different matrices")
+	}
+}
 
 // refKey identifies one stored entry the way the paper does: fingerprint and
 // base address of both endpoints, plus the arrival offset (0 when untimed).
@@ -49,6 +173,7 @@ func (r *refMatrix) sum(lo, hi int64, match func(refKey) bool) int64 {
 func (r *refMatrix) check(t *testing.T, m *Matrix, rng *rand.Rand, windows [][2]int64) {
 	t.Helper()
 	zeroBeyondFill(t, m)
+	checkFirstFit(t, m)
 	if got := m.Count() + m.SpillCount(); got != len(r.w) {
 		t.Fatalf("Count %d + SpillCount %d != %d distinct entries", m.Count(), m.SpillCount(), len(r.w))
 	}
@@ -90,7 +215,11 @@ func (r *refMatrix) check(t *testing.T, m *Matrix, rng *rand.Rand, windows [][2]
 	for _, win := range windows {
 		lo, hi := win[0], win[1]
 		for _, p := range probes {
-			if got, want := m.EdgeSum(p.fpS, p.baseS, p.fpD, p.baseD, lo, hi), r.sum(lo, hi, func(k refKey) bool {
+			got := m.EdgeSum(p.fpS, p.baseS, p.fpD, p.baseD, lo, hi)
+			if want := m.edgeSumExhaustive(p.fpS, p.baseS, p.fpD, p.baseD, lo, hi); got != want {
+				t.Fatalf("EdgeSum(%+v, [%d,%d]) = %d, a sweep of every candidate slot finds %d", p, lo, hi, got, want)
+			}
+			if want := r.sum(lo, hi, func(k refKey) bool {
 				return k.fpS == p.fpS && k.baseS == p.baseS && k.fpD == p.fpD && k.baseD == p.baseD
 			}); got != want {
 				t.Fatalf("EdgeSum(%+v, [%d,%d]) = %d, want %d", p, lo, hi, got, want)
@@ -122,7 +251,9 @@ func (r *refMatrix) absorb(child *Matrix, rbits uint) {
 // TestKernelsAgainstReference drives a seeded random Add / Sub / Absorb
 // sequence through a timed leaf, its untimed parent and the grandparent —
 // small enough that buckets fill, Add is refused, and aggregates spill —
-// and compares every kernel with the model after every step.
+// and compares every kernel with the model after every step. Before every
+// Add, Sub and absorbed entry, find must agree with findExhaustive: that is
+// the proof that stopping at the first bucket with room moved no placement.
 func TestKernelsAgainstReference(t *testing.T) {
 	whole := [2]int64{math.MinInt64, math.MaxInt64}
 	leafWindows := [][2]int64{whole, {0, math.MaxUint32}, {2, 5}, {-3, 0}, {7, 7}, {9, 1 << 40}}
@@ -152,6 +283,7 @@ func TestKernelsAgainstReference(t *testing.T) {
 					switch op := rng.Intn(100); {
 					case op < 75:
 						before := leaf.Count()
+						sameFind(t, leaf, k)
 						if leaf.Add(k.fpS, k.baseS, k.fpD, k.baseD, k.off, w) {
 							leafRef.add(k, w)
 							break
@@ -163,23 +295,20 @@ func TestKernelsAgainstReference(t *testing.T) {
 						// Refused means full: seal the leaf into its parent.
 						fallthrough
 					case op == 99:
-						if err := parent.Absorb(leaf); err != nil {
-							t.Fatal(err)
-						}
+						absorbChecked(t, parent, leaf, 1)
 						parentRef.absorb(leaf, 1)
 						parentRef.check(t, parent, rng, aggWindows)
 						spilled += parent.SpillCount()
 						leaf, leafRef = newLeaf()
 						if sealed++; sealed%4 == 0 {
-							if err := grand.Absorb(parent); err != nil {
-								t.Fatal(err)
-							}
+							absorbChecked(t, grand, parent, 1)
 							grandRef.absorb(parent, 1)
 							grandRef.check(t, grand, rng, aggWindows)
 							parent, parentRef = newAgg(8, 5)
 						}
 					default:
 						_, present := leafRef.w[k]
+						sameFind(t, leaf, k)
 						if got := leaf.Sub(k.fpS, k.baseS, k.fpD, k.baseD, k.off, w); got != present {
 							t.Fatalf("step %d: Sub(%+v) = %v, stored %v", step, k, got, present)
 						}
@@ -191,6 +320,7 @@ func TestKernelsAgainstReference(t *testing.T) {
 				}
 				// Sub must reach aggregate slots and spill entries too.
 				grand.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, w int64) {
+					sameFind(t, grand, refKey{fpS: fpS, baseS: baseS, fpD: fpD, baseD: baseD})
 					if !grand.Sub(fpS, baseS, fpD, baseD, 0, w) {
 						t.Fatalf("Sub missed stored aggregate entry %d@%d→%d@%d", fpS, baseS, fpD, baseD)
 					}

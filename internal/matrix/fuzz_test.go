@@ -3,6 +3,7 @@ package matrix
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"testing"
 
 	"higgs/internal/wire"
@@ -42,7 +43,9 @@ func fuzzSeeds(t testing.TB) [][]byte {
 // TestDecodeRejects: an entry that is out of range, repeated, out of order
 // or not the next free slot of its bucket is refused as it arrives, as are
 // the fields Encode never writes — and so is a geometry whose slab would
-// not fit, before anything is allocated for it.
+// not fit, before anything is allocated for it. An entry that no first-fit
+// Add could have left where it is — behind a candidate bucket with room, or
+// at a position its walk does not have — is refused once all have arrived.
 func TestDecodeRejects(t *testing.T) {
 	header := func(w *wire.Writer, cfg Config, count int) {
 		w.U64(matrixTag)
@@ -61,6 +64,9 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	timed := Config{D: 2, B: 2, Maps: 1, FBits: 8, Timed: true}
 	untimed := Config{D: 2, B: 2, Maps: 1, FBits: 8}
+	// Four candidates per edge; on D = 4 the LCG steps x → x+1, so the walk
+	// of base pair (0, 0) is buckets 0, 1, 4, 5 at positions 00, 01, 10, 11.
+	mmb := Config{D: 4, B: 1, Maps: 2, FBits: 8}
 	for _, c := range []struct {
 		name    string
 		cfg     Config
@@ -75,6 +81,11 @@ func TestDecodeRejects(t *testing.T) {
 		{"index pair wider than a byte", timed, []entry{{0, 0, 256}}, false},
 		{"offset on an untimed entry", untimed, []entry{{0, 1, 0}}, false},
 		{"untimed", untimed, []entry{{0, 0, 0}, {2, 0, 0}, {3, 0, 0}}, true},
+		{"first fit along a walk", mmb, []entry{{0, 0, 0x00}, {1, 0, 0x01}, {4, 0, 0x10}}, true},
+		{"behind an empty bucket", mmb, []entry{{1, 0, 0x01}}, false},
+		{"behind a bucket with room, a row down", mmb, []entry{{0, 0, 0x00}, {4, 0, 0x10}}, false},
+		{"column position beyond Maps", mmb, []entry{{0, 0, 0x02}}, false},
+		{"row position beyond Maps", mmb, []entry{{0, 0, 0x20}}, false},
 		{"implausible geometry", Config{D: 1 << 15, B: 1, Maps: 1, FBits: 8}, nil, false},
 		{"bucket wider than a fill byte", Config{D: 2, B: 256, Maps: 1, FBits: 8}, nil, false},
 	} {
@@ -99,14 +110,17 @@ func TestDecodeRejects(t *testing.T) {
 		}
 		if err == nil {
 			zeroBeyondFill(t, m)
+			checkFirstFit(t, m)
 		}
 	}
 }
 
 // FuzzMatrixDecode feeds arbitrary bytes to Decode. It must reject them or
 // return a matrix whose fills add up to Count, whose columns are zero
-// beyond every bucket's fill (what the whole-bucket probes rely on), and
-// whose own encoding is a fixed point — byte-identical to the input
+// beyond every bucket's fill (what RowSum and ColSum's whole-bucket sweeps
+// rely on), whose entries all sit first fit (what find and EdgeSum's early
+// stop relies on: their answers equal the exhaustive walks'), and whose own
+// encoding is a fixed point — byte-identical to the input
 // wherever the input spent no more bytes than that encoding does.
 func FuzzMatrixDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
@@ -133,6 +147,14 @@ func FuzzMatrixDecode(f *testing.F) {
 			return
 		}
 		zeroBeyondFill(t, m)
+		checkFirstFit(t, m)
+		m.ForEach(func(fpS, baseS, fpD, baseD, off uint32, _ int64) {
+			k := refKey{fpS, baseS, fpD, baseD, off}
+			sameFind(t, m, k)
+			if got, want := m.EdgeSum(fpS, baseS, fpD, baseD, 0, math.MaxUint32), m.edgeSumExhaustive(fpS, baseS, fpD, baseD, 0, math.MaxUint32); got != want {
+				t.Fatalf("EdgeSum(%+v) = %d, a sweep of every candidate slot finds %d", k, got, want)
+			}
+		})
 		consumed := len(data) - src.Len() - br.Buffered()
 		enc := encodeBytes(t, m)
 		// Varints have one shortest form and Decode drops nothing, so the

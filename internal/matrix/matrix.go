@@ -103,9 +103,13 @@ type spillEntry struct {
 //
 // Within every bucket the occupied slots form a prefix: entries are only
 // ever appended at the first free slot and deletion (Sub) decrements
-// weights without vacating slots. Writers (Add, Sub) and the iterators stay
-// inside the prefix fills records; probes may instead sweep whole buckets,
-// because a free slot is all zeros and adds nothing to any sum.
+// weights without vacating slots. Everything but RowSum and ColSum stays
+// inside the prefix fills records; those two sweep whole buckets, because a
+// free slot is all zeros and adds nothing to any sum.
+//
+// First fit: every stored entry lies at or before the first non-full bucket
+// of its own candidate walk (find has the proof). find and EdgeSum end their
+// walk there; Decode refuses a matrix that breaks it.
 type Matrix struct {
 	cfg Config
 	lcg hashing.LCG
@@ -179,11 +183,16 @@ func packIdx(i, j int) uint8 { return uint8(i<<4 | j) }
 // for timed matrices). It returns the entry's slot and found = true, or else
 // the first free slot along the walk together with the index pair an entry
 // placed there must carry, slot = -1 when every candidate bucket is full.
+//
+// The walk ends at its first non-full bucket p, match or not. Fills only
+// grow, so p had room whenever an entry with this walk was placed, and
+// placement takes the first bucket with room: every such entry — a match
+// included — sits at or before p. If none matches there, p's first free slot
+// is the one a walk over all r×r buckets would have settled on.
 func (m *Matrix) find(fpS, baseS, fpD, baseD, off uint32) (slot int, idx uint8, found bool) {
 	// Probe only the occupied prefix of each candidate bucket: a writer
 	// must never mistake a free slot (key 0, index pair 0) for fingerprint
 	// pair (0, 0) at position (0, 0).
-	slot = -1
 	key := packKey(fpS, fpD)
 	d := int(m.cfg.D)
 	dMask := m.cfg.D - 1
@@ -203,14 +212,14 @@ func (m *Matrix) find(fpS, baseS, fpD, baseD, off uint32) (slot int, idx uint8, 
 					return base + k, ij, true
 				}
 			}
-			if fill < bsz && slot < 0 {
-				slot, idx = base+fill, ij
+			if fill < bsz {
+				return base + fill, ij, false
 			}
 			colD = m.lcg.Next(colD)
 		}
 		rowS = m.lcg.Next(rowS)
 	}
-	return slot, idx, false
+	return -1, 0, false
 }
 
 // Add inserts weight w for the edge identified by the fingerprint pair and
@@ -282,22 +291,29 @@ func inWindow(offs []uint32, k int, loOff, hiOff int64) bool {
 
 // EdgeSum returns the aggregated weight of the edge within the offset range
 // [loOff, hiOff] (pass math.MinInt64/MaxInt64 for untimed matrices or fully
-// covered ranges).
+// covered ranges). Like find, it stops after the first candidate bucket with
+// room: no entry of this edge lies beyond it.
 func (m *Matrix) EdgeSum(fpS, baseS, fpD, baseD uint32, loOff, hiOff int64) int64 {
 	var sum int64
 	if offs, some := m.window(loOff, hiOff); some {
 		key := packKey(fpS, fpD)
 		d, bsz := int(m.cfg.D), m.cfg.B
 		rowS := baseS & (m.cfg.D - 1)
+	walk:
 		for i := 0; i < m.cfg.Maps; i++ {
 			colD := baseD & (m.cfg.D - 1)
 			for j := 0; j < m.cfg.Maps; j++ {
-				base := (int(rowS)*d + int(colD)) * bsz
+				bkt := int(rowS)*d + int(colD)
+				fill := int(m.fills[bkt])
+				base := bkt * bsz
 				idx := packIdx(i, j)
-				for k, kk := range m.keys[base : base+bsz] {
+				for k, kk := range m.keys[base : base+fill] {
 					if kk == key && m.idxs[base+k] == idx && inWindow(offs, base+k, loOff, hiOff) {
 						sum += m.ws[base+k]
 					}
+				}
+				if fill < bsz {
+					break walk
 				}
 				colD = m.lcg.Next(colD)
 			}

@@ -405,23 +405,70 @@ func TestForEachRecoversBases(t *testing.T) {
 	}
 }
 
+// BenchmarkAdd times the three Adds a leaf sees, on the leaf geometry: fresh
+// (new identities from empty until the first refusal, a leaf's life), merge
+// (re-adding stored identities at ~54 % fill: the walk ends at the match) and
+// refused (every candidate bucket full — all r×r are walked, the case first
+// fit cannot shorten and must not slow).
 func BenchmarkAdd(b *testing.B) {
-	m, err := New(Config{D: 16, B: 3, Maps: 4, FBits: 19, Timed: true}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := hashing.NewHasher(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hs, hd := h.Hash(uint64(i)), h.Hash(uint64(i+1))
-		fpS, baseS := hashing.Split(hs, 19, 16)
-		fpD, baseD := hashing.Split(hd, 19, 16)
-		if !m.Add(fpS, baseS, fpD, baseD, uint32(i%100), 1) {
-			b.StopTimer()
-			m, _ = New(Config{D: 16, B: 3, Maps: 4, FBits: 19, Timed: true}, 0)
-			b.StartTimer()
+	b.Run("fresh", func(b *testing.B) {
+		m, err := New(benchLeaf, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
+		h := hashing.NewHasher(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hs, hd := h.Hash(uint64(i)), h.Hash(uint64(i+1))
+			fpS, baseS := hashing.Split(hs, benchLeaf.FBits, benchLeaf.D)
+			fpD, baseD := hashing.Split(hd, benchLeaf.FBits, benchLeaf.D)
+			if !m.Add(fpS, baseS, fpD, baseD, uint32(i%100), 1) {
+				b.StopTimer()
+				m, _ = New(benchLeaf, 0)
+				b.StartTimer()
+			}
+		}
+	})
+	b.Run("merge", func(b *testing.B) {
+		m, _ := benchMatrix(b, benchLeaf, 16)
+		var stored []refKey
+		m.ForEach(func(fpS, baseS, fpD, baseD, off uint32, _ int64) {
+			stored = append(stored, refKey{fpS, baseS, fpD, baseD, off})
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := stored[i%len(stored)]
+			if !m.Add(k.fpS, k.baseS, k.fpD, k.baseD, k.off, 1) {
+				b.Fatal("merging Add refused")
+			}
+		}
+	})
+	b.Run("refused", func(b *testing.B) {
+		m, err := New(benchLeaf, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Fill every bucket: each identity below is its own bucket's base
+		// pair, so it lands at position (0, 0) of its walk.
+		for row := uint32(0); row < benchLeaf.D; row++ {
+			for col := uint32(0); col < benchLeaf.D; col++ {
+				for k := uint32(1); k <= uint32(benchLeaf.B); k++ {
+					if !m.Add(k, row, k, col, 0, 1) {
+						b.Fatal("fill Add refused")
+					}
+				}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if m.Add(99, uint32(i), 99, uint32(i>>4), 0, 1) {
+				b.Fatal("Add into a full matrix accepted")
+			}
+		}
+	})
 }
 
 // The two geometries the daemon spends its time in: the timed leaf matrix

@@ -54,9 +54,19 @@ func (p *Pool) get(n, b int, timed bool) slab {
 	return newSlab(n, b, timed)
 }
 
-// put zeroes the slab and retains it for reuse, up to the per-class cap.
+// put zeroes the slab and retains it for reuse, up to the per-class cap. A
+// slab that meets a full class is dropped for the GC as it is: Expire
+// releases leaves by the dozen, and zeroing garbage was most of put's cost.
+// The memclr stays outside the lock, so the cap is checked again after it.
 func (p *Pool) put(s slab) {
 	if p == nil || s.keys == nil {
+		return
+	}
+	c := class{len(s.keys), s.offs != nil}
+	p.mu.Lock()
+	full := len(p.classes[c]) >= maxSlabsPerClass
+	p.mu.Unlock()
+	if full {
 		return
 	}
 	clear(s.keys)
@@ -64,7 +74,6 @@ func (p *Pool) put(s slab) {
 	clear(s.idxs)
 	clear(s.offs)
 	clear(s.fills)
-	c := class{len(s.keys), s.offs != nil}
 	p.mu.Lock()
 	if len(p.classes[c]) < maxSlabsPerClass {
 		p.classes[c] = append(p.classes[c], s)

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -93,23 +94,92 @@ func TestPoolReuse(t *testing.T) {
 	}
 }
 
-// TestPoolCap: the pool retains at most maxSlabsPerClass slabs per size.
+// occupied counts the non-zero slots of a timed slab plus its fills.
+func occupied(s slab) int {
+	n := 0
+	for k := range s.keys {
+		if s.keys[k] != 0 || s.ws[k] != 0 || s.idxs[k] != 0 || s.offs[k] != 0 {
+			n++
+		}
+	}
+	for _, f := range s.fills {
+		n += int(f)
+	}
+	return n
+}
+
+// TestPoolCap: the pool retains at most maxSlabsPerClass slabs per size. A
+// slab it keeps is zeroed; one that arrives past the cap is dropped as it is
+// — put does not clear memory the GC is about to take.
 func TestPoolCap(t *testing.T) {
 	p := NewPool()
-	var ms []*Matrix
+	var kept, dropped []slab
 	for i := 0; i < maxSlabsPerClass+3; i++ {
 		m, err := NewIn(nil, testCfg(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms = append(ms, m)
-	}
-	for _, m := range ms {
+		m.Add(7, 3, 9, 5, 10, 1)
+		if i < maxSlabsPerClass {
+			kept = append(kept, m.slab)
+		} else {
+			dropped = append(dropped, m.slab)
+		}
 		m.Release(p)
 	}
 	slabs, _ := p.Stats()
 	if slabs != maxSlabsPerClass {
 		t.Fatalf("pool holds %d slabs, want cap %d", slabs, maxSlabsPerClass)
+	}
+	for i, s := range kept {
+		if n := occupied(s); n != 0 {
+			t.Fatalf("kept slab %d holds %d non-zero slots and fills", i, n)
+		}
+	}
+	for i, s := range dropped {
+		if n := occupied(s); n != 2 { // the one entry and its bucket's fill
+			t.Fatalf("slab %d arrived past the cap and was touched: %d non-zero slots and fills, want 2", i, n)
+		}
+	}
+}
+
+// TestPoolConcurrentPut: put checks the cap, clears outside the lock and
+// checks again, so releases racing for a class's last places — the insert
+// goroutine's Expire against the seal workers — must still respect the cap
+// and park only zeroed slabs.
+func TestPoolConcurrentPut(t *testing.T) {
+	p := NewPool()
+	slots := mustNew(t, testCfg(), 0).Capacity()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		ms := make([]*Matrix, 100)
+		for i := range ms {
+			ms[i] = mustNew(t, testCfg(), 0)
+			ms[i].Add(1, 2, 3, 4, 5, 6)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < len(ms); i += 2 {
+				ms[i].Release(p)
+				ms[i+1].Release(p)
+				if s := p.get(slots, testCfg().B, true); occupied(s) != 0 {
+					t.Errorf("get returned a slab with %d non-zero slots and fills", occupied(s))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if slabs, _ := p.Stats(); slabs == 0 || slabs > maxSlabsPerClass {
+		t.Fatalf("pool holds %d slabs, want 1..%d", slabs, maxSlabsPerClass)
+	}
+	for _, ss := range p.classes {
+		for _, s := range ss {
+			if n := occupied(s); n != 0 {
+				t.Fatalf("parked slab holds %d non-zero slots and fills", n)
+			}
+		}
 	}
 }
 

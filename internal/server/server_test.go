@@ -211,6 +211,47 @@ func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 	}
 }
 
+// TestSnapshotUploadRejectsMisplacedEntry: a snapshot that is well formed
+// but for one entry moved off first fit — here the only entry of a one-leaf
+// summary, its index pair flipped from (0, 0) to (0, 1), which puts the empty
+// bucket before it on its walk — answers 400, and the served summary stays.
+// matrix.EdgeSum stops at the first candidate bucket with room, so loading
+// such an entry would be an under-count waiting for a probe.
+func TestSnapshotUploadRejectsMisplacedEntry(t *testing.T) {
+	_, donor := newTestServerShards(t, 1)
+	if got := decode[map[string]int](t, post(t, donor.URL+"/v1/insert", `[{"s":1,"d":2,"w":3,"t":10}]`)); got["inserted"] != 1 {
+		t.Fatalf("inserted = %v", got)
+	}
+	resp := get(t, donor.URL+"/v1/snapshot")
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The blob ends with the leaf's one entry and three empty counts:
+	// … weight 3 (zigzag 06), index pair 00, 0 spilled, 0 overflow blocks.
+	tail := len(blob) - 4
+	if !bytes.Equal(blob[tail:], []byte{0x06, 0x00, 0x00, 0x00}) {
+		t.Fatalf("snapshot ends % x: the layout this test edits has moved", blob[tail:])
+	}
+	blob[tail+1] = 0x01
+
+	_, ts := newTestServer(t)
+	seed(t, ts.URL)
+	up, err := http.Post(ts.URL+"/v1/snapshot", "application/octet-stream", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(up.Body)
+	up.Body.Close()
+	if up.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "sits behind a non-full candidate bucket") {
+		t.Fatalf("upload answered %d %s, want 400 naming the misplaced slot", up.StatusCode, body)
+	}
+	if got := decode[map[string]int64](t, get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")); got["weight"] != 7 {
+		t.Fatalf("weight after the refused upload = %v, want the served summary's 7", got)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
 	cases := []struct {
