@@ -255,7 +255,9 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) { return repl.NewFollowe
 // (or any rcache.Backend): it memoizes single-shard probe results keyed by
 // (shard, probe, shard mutation version), so a hit is provably identical
 // to an uncached probe — every applied write advances the shard's version,
-// and there are no TTLs. The cache implements the same prober seam the
+// and there are no TTLs. An answer over a window that ended before the
+// shard's newest timestamp outlives inserts (none can land inside it) and
+// dies only with a delete or a reclaiming expire. The cache implements the same prober seam the
 // query planner runs on, so Do and DoBatch work unchanged on top of it; a
 // batch whose probes all hit touches no shard read lock at all. See
 // package rcache and DESIGN.md §16.

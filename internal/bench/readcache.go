@@ -2,7 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"higgs/internal/metrics"
@@ -36,6 +38,9 @@ const readCacheBudget int64 = 4 << 20
 //     ingest → expire → summary-swap sequence. The expire must actually
 //     reclaim leaves (a vacuous expire would not exercise invalidation),
 //     and the swap rebuilds the cache the way server.ReplaceSummary does.
+//     One epoch asks only about windows every shard's append frontier has
+//     passed: a whole slab ingested on top of them must leave the answers
+//     identical and send none of the batch back to the shards.
 //   - zero-lock full hits: replaying an identical batch against a warm
 //     cache must reach the backend zero times, measured by a counting
 //     Backend — the cache strengthens the planner's ≤1-lock-per-shard
@@ -79,6 +84,25 @@ func assertCachedEqualsUncached(epoch string, cached, uncached query.Prober, qs 
 	return nil
 }
 
+// closedBefore returns qs with every window cut to end before the oldest of
+// s's per-shard append frontiers: questions no later insert can reach.
+func closedBefore(qs []query.Query, s *shard.Summary) ([]query.Query, error) {
+	end := int64(math.MaxInt64)
+	for i := 0; i < s.NumShards(); i++ {
+		f, _ := s.ShardFrontier(i)
+		end = min(end, f)
+	}
+	if end == math.MinInt64 {
+		return nil, fmt.Errorf("a shard is still empty after two thirds of the stream; no window is closed on it")
+	}
+	out := slices.Clone(qs)
+	for i := range out {
+		out[i].Te = min(out[i].Te, end-1)
+		out[i].Ts = min(out[i].Ts, out[i].Te)
+	}
+	return out, nil
+}
+
 // readCacheRow measures and verifies one (dataset, shard count) row.
 func readCacheRow(c *gateCase) ([]string, error) {
 	ds, seed, cfg := c.ds, c.seed, c.shardConfig()
@@ -88,6 +112,12 @@ func readCacheRow(c *gateCase) ([]string, error) {
 	}
 	defer s.Close()
 	cache, err := rcache.New(s, rcache.Config{MaxBytes: readCacheBudget})
+	if err != nil {
+		return nil, err
+	}
+	// A second cache whose trips to the shards are counted.
+	counter := &countingProber{Summary: s}
+	counted, err := rcache.New(counter, rcache.Config{MaxBytes: readCacheBudget})
 	if err != nil {
 		return nil, err
 	}
@@ -110,6 +140,7 @@ func readCacheRow(c *gateCase) ([]string, error) {
 		{"epoch4-ingest", 2 * third, len(ds.Stream)},
 	}
 	for i, slab := range slabs {
+		var closed []query.Query
 		if i == 2 {
 			// Epoch 3 — expire: cut everything wholly behind the ingest
 			// frontier's midpoint so whole subtrees drop and the affected
@@ -122,12 +153,33 @@ func readCacheRow(c *gateCase) ([]string, error) {
 				return nil, err
 			}
 			epochs++
+			// Fill the counted cache with closed windows, for the frozen
+			// epoch after the slab below.
+			if closed, err = closedBefore(qs[:batchQuerySize], s); err != nil {
+				return nil, err
+			}
+			if _, err := batchedAnswers(counted, closed); err != nil {
+				return nil, err
+			}
 		}
 		s.InsertBatch(ds.Stream[slab.lo:slab.hi])
 		if err := assertCachedEqualsUncached(slab.name, cache, s, qs); err != nil {
 			return nil, err
 		}
 		epochs++
+		if i == 2 {
+			// Frozen epoch: the third slab moved every shard's version, and
+			// none of it landed inside the closed windows — same answers,
+			// and not one probe group goes back to a shard.
+			before := counter.calls.Load()
+			if err := assertCachedEqualsUncached("epoch4-frozen", counted, s, closed); err != nil {
+				return nil, err
+			}
+			if n := counter.calls.Load() - before; n != 0 {
+				return nil, fmt.Errorf("after a slab of appends the closed-window batch acquired %d shard read locks, want 0", n)
+			}
+			epochs++
+		}
 	}
 	// Epoch 5 — summary swap: a fresh summary with different content and a
 	// fresh cache bound to it, exactly what server.ReplaceSummary installs.
@@ -149,11 +201,6 @@ func readCacheRow(c *gateCase) ([]string, error) {
 	// Phase 2 — zero-lock full hits, on the quiesced post-ingest summary:
 	// fill with one pass over a batch, then the identical replay must not
 	// reach the backend at all.
-	counter := &countingProber{Summary: s}
-	counted, err := rcache.New(counter, rcache.Config{MaxBytes: readCacheBudget})
-	if err != nil {
-		return nil, err
-	}
 	hot := qs[:batchQuerySize]
 	if _, err := batchedAnswers(counted, hot); err != nil {
 		return nil, err

@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // Stats reports structural statistics of a HIGGS summary. Space figures
 // follow the repository-wide convention (DESIGN.md §7): SpaceBytes is the
 // packed structural size the paper's space comparisons count, HeapBytes the
@@ -85,6 +87,20 @@ func (s *Summary) HeapBytes() int64 { return s.Stats().HeapBytes }
 
 // Items returns the number of accepted stream items.
 func (s *Summary) Items() int64 { return s.items }
+
+// Frontier returns the append frontier: the newest timestamp the summary
+// has accepted, math.MinInt64 while it is empty. Insert clamps older items
+// up to it, so every future edge lands at T ≥ Frontier() and the answer
+// over a window with te < Frontier() no longer changes under inserts — only
+// Delete, Expire and Finalize can move it (DESIGN.md §16). The inequality
+// is strict: an edge arriving at exactly Frontier() joins a window ending
+// there.
+func (s *Summary) Frontier() int64 {
+	if s.root == nil {
+		return math.MinInt64
+	}
+	return s.lastT
+}
 
 // Leaves returns the number of leaf nodes.
 func (s *Summary) Leaves() int { return s.leaves }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"higgs/internal/query"
+	"higgs/internal/stream"
 )
 
 // TestProbeShardFullHitZeroAlloc pins the allocation contract of the read
@@ -11,30 +12,83 @@ import (
 // only the cache shard's map and LRU — no backend call and no allocation.
 // Any regression (a map-key rebuild that escapes, probe boxing, slice
 // growth on the hit path) shows up here as a nonzero allocs/op long
-// before it would move a benchmark.
+// before it would move a benchmark. The frozen variant replays after the
+// shard's version has moved: windows that ended before the fill's frontier
+// are served by the rewrite count, at the same cost.
 func TestProbeShardFullHitZeroAlloc(t *testing.T) {
-	sum := newSharded(t, 2)
-	b := &countingBackend{Summary: sum}
-	c := newCache(t, b, 1<<20)
+	for _, frozen := range []bool{false, true} {
+		sum := newSharded(t, 2)
+		b := &countingBackend{Summary: sum}
+		c := newCache(t, b, 1<<20)
+		sum.InsertShardAt(0, []stream.Edge{{S: 1, D: 2, W: 3, T: 200}}, 0)
 
+		probes := make([]query.Probe, 32)
+		for i := range probes {
+			probes[i] = query.Probe{Op: query.OpEdge, S: 1, D: uint64(i + 2), Ts: 0, Te: 100}
+		}
+		out := make([]int64, len(probes))
+		c.ProbeShard(0, probes, out)
+		if frozen {
+			sum.InsertShardAt(0, []stream.Edge{{S: 1, D: 2, W: 3, T: 300}}, 0)
+		}
+
+		primed := b.calls.Load()
+		allocs := testing.AllocsPerRun(100, func() {
+			c.ProbeShard(0, probes, out)
+		})
+		if allocs != 0 {
+			t.Fatalf("frozen=%v: full-hit ProbeShard allocated %v allocs/op; the hit path must stay allocation-free", frozen, allocs)
+		}
+		if got := b.calls.Load(); got != primed {
+			t.Fatalf("frozen=%v: full-hit replay reached the backend %d times; the replay was not actually all hits", frozen, got-primed)
+		}
+		s := c.Stats()
+		if s.Hits == 0 {
+			t.Fatalf("no cache hits recorded (stats %+v); the zero-alloc measurement was vacuous", s)
+		}
+		if frozen != (s.FrozenHits > 0) {
+			t.Fatalf("frozen=%v but stats %+v", frozen, s)
+		}
+	}
+}
+
+// TestProbeShardStaleRefillAllocs pins the miss path's allocations: a group
+// whose entries have all gone stale is refilled in place — no entry is
+// allocated, nothing is deleted from or inserted into the map — and the
+// miss scratch comes from the pool. Each displaced entry still counts as
+// an eviction. The pin is the cheapest of many single refills, not an
+// average: a pool may drop what it is given (under -race a quarter of all
+// Puts), and a dropped scratch is rebuilt from three slices.
+func TestProbeShardStaleRefillAllocs(t *testing.T) {
+	sum := newSharded(t, 2)
+	c := newCache(t, sum, 1<<20)
 	probes := make([]query.Probe, 32)
 	for i := range probes {
-		probes[i] = query.Probe{Op: query.OpEdge, S: 1, D: uint64(i + 2), Ts: 0, Te: 100}
+		// Windows that reach past every frontier below: never frozen.
+		probes[i] = query.Probe{Op: query.OpEdge, S: 1, D: uint64(i + 2), Ts: 0, Te: 1 << 40}
 	}
 	out := make([]int64, len(probes))
-	c.ProbeShard(0, probes, out)
-
-	primed := b.calls.Load()
-	allocs := testing.AllocsPerRun(100, func() {
+	write := []stream.Edge{{S: 1, D: 2, W: 1}}
+	refill := func() {
+		write[0].T++
+		sum.InsertShardAt(0, write, 0)
 		c.ProbeShard(0, probes, out)
-	})
-	if allocs != 0 {
-		t.Fatalf("full-hit ProbeShard allocated %v allocs/op; the hit path must stay allocation-free", allocs)
 	}
-	if got := b.calls.Load(); got != primed {
-		t.Fatalf("full-hit replay reached the backend %d times; the replay was not actually all hits", got-primed)
+	refill()
+	refill()
+	before := c.Stats()
+	least := testing.AllocsPerRun(1, refill)
+	for i := 0; i < 100; i++ {
+		least = min(least, testing.AllocsPerRun(1, refill))
 	}
-	if s := c.Stats(); s.Hits == 0 {
-		t.Fatalf("no cache hits recorded (stats %+v); the zero-alloc measurement was vacuous", s)
+	if least != 0 {
+		t.Fatalf("refilling %d stale entries allocated %v times at best, want 0", len(probes), least)
+	}
+	after := c.Stats()
+	if refills := (after.Misses - before.Misses) / uint64(len(probes)); after.Evictions-before.Evictions != refills*uint64(len(probes)) || after.Entries != int64(len(probes)) {
+		t.Fatalf("%d refills moved the counters from %+v to %+v: every stale entry counts as one eviction and none is added", refills, before, after)
+	}
+	if out[0] != write[0].T {
+		t.Fatalf("refilled answer %d, want the %d edges written", out[0], write[0].T)
 	}
 }

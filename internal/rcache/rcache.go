@@ -7,6 +7,12 @@
 // probe would return — no TTLs, no staleness window beyond what any
 // concurrent uncached read already has (DESIGN.md §16).
 //
+// Appends do not reach the past: a probe whose window ended before the
+// shard's append frontier when it was filled is frozen, and outlives every
+// later insert — it dies only with the shard's rewrite count (delete,
+// expire, finalize). A summary that is written all the time still serves
+// questions about closed windows from the cache.
+//
 // The cache itself implements query.Prober, so the existing planner
 // (query.Do / query.DoBatch) runs unchanged on top of it: the batch
 // planner still groups probes by shard, and the cache intercepts each
@@ -26,6 +32,7 @@ package rcache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,14 +40,20 @@ import (
 )
 
 // Backend is what the cache wraps: the sharded read surface plus the
-// per-shard mutation version used as the invalidation token.
-// *shard.Summary implements it.
+// per-shard invalidation tokens. *shard.Summary implements it. ProbeShard
+// must not retain probes or out: the cache hands it pooled scratch.
 type Backend interface {
 	query.Prober
 	// ShardVersion returns shard i's current mutation version without
 	// locking. It must advance (monotonically, before the write lock is
 	// released) on every mutation that may change a probe result.
 	ShardVersion(i int) uint64
+	// ShardFrontier returns, without locking, shard i's append frontier —
+	// no later insert lands before it — and its rewrite count, which must
+	// advance on every mutation other than an insert that may change a
+	// probe result. Like the version, both must be published before the
+	// write lock is released.
+	ShardFrontier(i int) (frontier int64, rewrites uint64)
 }
 
 // entryBytes is the accounting cost of one cache entry: the entry struct
@@ -79,14 +92,20 @@ type key struct {
 	ts, te int64
 }
 
-// entry is one cached probe result, valid only while its shard's mutation
-// version still equals ver. Entries are intrusive LRU list nodes.
+// entry is one cached probe result, valid while its shard's mutation
+// version still equals ver or, frozen, while the shard's rewrite count
+// still equals rw. Entries are intrusive LRU list nodes.
 type entry struct {
 	k          key
 	val        int64
 	ver        uint64
+	rw         uint64 // rewrite count a frozen entry was filled at; notFrozen otherwise
 	prev, next *entry
 }
+
+// notFrozen is entry.rw of an entry whose window reached the append
+// frontier: no rewrite count gets there, so only the version rule serves it.
+const notFrozen = ^uint64(0)
 
 // cacheShard is the cache partition mirroring one backend shard. Its
 // mutex guards only the map and LRU list — never held across backend
@@ -131,12 +150,13 @@ func (cs *cacheShard) remove(e *entry) {
 
 // Stats is a point-in-time counter snapshot for /healthz.
 type Stats struct {
-	Hits      uint64 `json:"hits"`      // probes answered from the cache
-	Misses    uint64 `json:"misses"`    // probes that fell through to the backend
-	Evictions uint64 `json:"evictions"` // entries displaced by budget pressure or staleness
-	Entries   int64  `json:"entries"`   // live entries right now
-	Bytes     int64  `json:"bytes"`     // accounted bytes right now
-	MaxBytes  int64  `json:"max_bytes"` // configured budget
+	Hits       uint64 `json:"hits"`        // probes answered from the cache
+	FrozenHits uint64 `json:"frozen_hits"` // the Hits that outlived a write: frozen entries served past their fill version
+	Misses     uint64 `json:"misses"`      // probes that fell through to the backend
+	Evictions  uint64 `json:"evictions"`   // entries displaced by budget pressure or staleness
+	Entries    int64  `json:"entries"`     // live entries right now
+	Bytes      int64  `json:"bytes"`       // accounted bytes right now
+	MaxBytes   int64  `json:"max_bytes"`   // configured budget
 }
 
 // Cache memoizes probe results over a Backend. It is safe for concurrent
@@ -145,10 +165,22 @@ type Cache struct {
 	b      Backend
 	shards []cacheShard
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
+	hits       atomic.Uint64
+	frozenHits atomic.Uint64
+	misses     atomic.Uint64
+	evictions  atomic.Uint64
 }
+
+// missSet is ProbeShard's scratch for one group's misses: the probes the
+// backend must evaluate, where each answer goes in the caller's out, and
+// the backend's answers. Pooled, so a miss allocates nothing for it.
+type missSet struct {
+	probes []query.Probe
+	idx    []int
+	vals   []int64
+}
+
+var missPool = sync.Pool{New: func() any { return new(missSet) }}
 
 // New builds a cache over b. The byte budget is split evenly across b's
 // shards; a budget slice always admits at least one entry, so even
@@ -181,10 +213,14 @@ func (c *Cache) ShardFor(v uint64) int { return c.b.ShardFor(v) }
 //
 // Protocol (the version fence):
 //
-//  1. ver ← backend.ShardVersion(i) — one atomic load, no lock.
-//  2. Under the cache shard's own mutex, look every probe up; an entry
-//     counts as a hit only if entry.ver == ver. Stale entries are evicted
-//     on sight.
+//  1. frontier, rw ← backend.ShardFrontier(i), then ver ←
+//     backend.ShardVersion(i) — three atomic loads, no lock, all before
+//     the probe. A writer publishes all three before it unlocks, so once
+//     the fence of step 5 holds, frontier and rw are at most as new as the
+//     state ver names; older only errs towards not freezing.
+//  2. Under the cache shard's own mutex, look every probe up; an entry is a
+//     hit if entry.ver == ver, or if it is frozen and entry.rw == rw. A
+//     stale entry stays where it is: the refill of step 5 overwrites it.
 //  3. If nothing missed, return: the backend was never touched, so a
 //     full-hit group costs zero shard read locks.
 //  4. Otherwise evaluate the misses with one backend.ProbeShard call —
@@ -195,74 +231,88 @@ func (c *Cache) ShardFor(v uint64) int { return c.b.ShardFor(v) }
 //     released), so the probed values are exactly the shard's state at
 //     version ver; if the version moved, the results are still returned —
 //     they are a legal concurrent read — but must not be memoized,
-//     because they cannot be attributed to a single version.
+//     because they cannot be attributed to a single version. A filled
+//     entry whose window ends before frontier (te < frontier, strictly) is
+//     frozen at rw: every later insert lands at T ≥ frontier > te, outside
+//     the window, so the value stands until the rewrite count moves.
 //
-// Monotonicity of the version rules out ABA: a re-observed value implies
-// an unchanged shard, not a changed-and-restored counter.
+// Monotonicity of the version and the rewrite count rules out ABA: a
+// re-observed value implies no such mutation, not a changed-and-restored
+// counter.
 func (c *Cache) ProbeShard(i int, probes []query.Probe, out []int64) {
 	cs := &c.shards[i]
+	frontier, rw := c.b.ShardFrontier(i)
 	ver := c.b.ShardVersion(i)
 
-	var missProbes []query.Probe
-	var missIdx []int
+	var m *missSet
+	var frozenHits uint64
 	cs.mu.Lock()
 	for j, p := range probes {
 		k := key{op: p.Op, s: p.S, d: p.D, ts: p.Ts, te: p.Te}
-		if e, ok := cs.entries[k]; ok {
-			if e.ver == ver {
-				out[j] = e.val
-				cs.moveFront(e)
-				continue
+		if e, ok := cs.entries[k]; ok && (e.ver == ver || e.rw == rw) {
+			if e.ver != ver {
+				frozenHits++
 			}
-			// Stale: the shard mutated since this was filled. Evict now
-			// rather than waiting for LRU pressure; the refill below
-			// re-creates it at the current version.
-			cs.remove(e)
-			c.evictions.Add(1)
+			out[j] = e.val
+			cs.moveFront(e)
+			continue
 		}
-		if missProbes == nil {
-			missProbes = make([]query.Probe, 0, len(probes)-j)
-			missIdx = make([]int, 0, len(probes)-j)
+		if m == nil {
+			m = missPool.Get().(*missSet)
+			m.probes, m.idx = m.probes[:0], m.idx[:0]
 		}
-		missProbes = append(missProbes, p)
-		missIdx = append(missIdx, j)
+		m.probes = append(m.probes, p)
+		m.idx = append(m.idx, j)
 	}
 	cs.mu.Unlock()
 
-	c.hits.Add(uint64(len(probes) - len(missProbes)))
-	c.misses.Add(uint64(len(missProbes)))
-	if len(missProbes) == 0 {
+	if frozenHits > 0 {
+		c.frozenHits.Add(frozenHits)
+	}
+	if m == nil {
+		c.hits.Add(uint64(len(probes)))
 		return
 	}
+	defer missPool.Put(m)
+	c.hits.Add(uint64(len(probes) - len(m.probes)))
+	c.misses.Add(uint64(len(m.probes)))
 
-	missVals := make([]int64, len(missProbes))
-	c.b.ProbeShard(i, missProbes, missVals)
-	for j, idx := range missIdx {
-		out[idx] = missVals[j]
+	m.vals = slices.Grow(m.vals[:0], len(m.probes))[:len(m.probes)]
+	c.b.ProbeShard(i, m.probes, m.vals)
+	for j, idx := range m.idx {
+		out[idx] = m.vals[j]
 	}
 	if c.b.ShardVersion(i) != ver {
 		return // concurrent write: results are valid to serve, unsafe to memoize
 	}
 
 	cs.mu.Lock()
-	for j, p := range missProbes {
+	for j, p := range m.probes {
 		k := key{op: p.Op, s: p.S, d: p.D, ts: p.Ts, te: p.Te}
-		if e, ok := cs.entries[k]; ok {
-			// A concurrent filler beat us here; both fills fenced on the
-			// same version, so the values agree.
-			e.val = missVals[j]
-			e.ver = ver
+		e, ok := cs.entries[k]
+		if ok {
+			// Either the stale entry step 2 left in place — the refill
+			// displaces it without a map delete, an allocation and a second
+			// insert — or a concurrent filler's, fenced on the same version,
+			// so the values agree.
+			if e.ver != ver {
+				c.evictions.Add(1)
+			}
 			cs.moveFront(e)
-			continue
+		} else {
+			e = &entry{k: k}
+			cs.entries[k] = e
+			e.next = cs.head.next
+			e.prev = &cs.head
+			cs.head.next.prev = e
+			cs.head.next = e
+			cs.bytes.Add(entryBytes)
+			cs.count.Add(1)
 		}
-		e := &entry{k: k, val: missVals[j], ver: ver}
-		cs.entries[k] = e
-		e.next = cs.head.next
-		e.prev = &cs.head
-		cs.head.next.prev = e
-		cs.head.next = e
-		cs.bytes.Add(entryBytes)
-		cs.count.Add(1)
+		e.val, e.ver, e.rw = m.vals[j], ver, notFrozen
+		if p.Te < frontier {
+			e.rw = rw
+		}
 	}
 	for cs.bytes.Load() > cs.budget {
 		lru := cs.head.prev
@@ -287,9 +337,10 @@ func (c *Cache) DoBatch(qs []query.Query) []query.Result { return query.DoBatch(
 // Stats returns a point-in-time snapshot of the cache's counters.
 func (c *Cache) Stats() Stats {
 	st := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
+		Hits:       c.hits.Load(),
+		FrozenHits: c.frozenHits.Load(),
+		Misses:     c.misses.Load(),
+		Evictions:  c.evictions.Load(),
 	}
 	for i := range c.shards {
 		st.Entries += c.shards[i].count.Load()

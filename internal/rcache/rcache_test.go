@@ -2,6 +2,7 @@ package rcache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,15 +214,33 @@ func TestEvictionRespectsBudget(t *testing.T) {
 // issue asks for: concurrent cached reads race a writer driving
 // Pipeline.Expire and inserts, and every answer must be one an uncached
 // reader could have observed in the same window.
+func TestNoStaleUnderConcurrentExpire(t *testing.T) {
+	noStaleUnderWrites(t, [][2]int64{{0, 1 << 40}})
+}
+
+// TestNoStaleFrozenUnderConcurrentExpire is the same race over windows the
+// stream has moved past: their entries freeze as soon as the frontier
+// clears te, are served across every later insert without touching the
+// shard, and must still die with each reclaiming expire.
+func TestNoStaleFrozenUnderConcurrentExpire(t *testing.T) {
+	st := noStaleUnderWrites(t, [][2]int64{{0, 40_000}, {30_000, 120_000}, {0, 200_000}, {150_000, 260_000}})
+	if st.FrozenHits == 0 {
+		t.Fatalf("no frozen hit in %+v: the readers never met a frozen entry", st)
+	}
+}
+
+// noStaleUnderWrites races four readers, reader r asking about
+// windows[r%len(windows)] on edge 1→2, against a writer that alternates
+// inserts and Pipeline.Expire, and returns the cache's final counters.
 //
 // The op sequence is deterministic, so a reference summary replays it
-// up front to produce expected[j] — the exact answer after ops 0..j. The
-// writer publishes a step counter after applying each op; a reader
-// brackets its query between two counter loads (b, a) and the answer must
-// equal expected[j] for some j in [b, a+1] (the writer may have applied —
-// but not yet published — op a+1). A cache serving anything stale returns
-// an answer from before b and fails the membership check.
-func TestNoStaleUnderConcurrentExpire(t *testing.T) {
+// up front to produce expected[w][j] — window w's exact answer after ops
+// 0..j. The writer publishes a step counter after applying each op; a
+// reader brackets its query between two counter loads (b, a) and the answer
+// must equal expected[w][j] for some j in [b, a+1] (the writer may have
+// applied — but not yet published — op a+1). A cache serving anything stale
+// returns an answer from before b and fails the membership check.
+func noStaleUnderWrites(t *testing.T, windows [][2]int64) Stats {
 	const steps = 300
 	// All edges share source vertex 1 so every mutation is a single
 	// write-lock section on one shard, making each op atomic with respect
@@ -243,28 +262,35 @@ func TestNoStaleUnderConcurrentExpire(t *testing.T) {
 	cfg := shard.DefaultConfig()
 	cfg.Shards = 2
 
-	// Reference replay: expected[j] is the authoritative uncached answer
-	// after ops[0..j]; expected[0] is the empty summary.
+	// Reference replay: expected[w][j] is the authoritative uncached answer
+	// after ops[0..j]; expected[w][0] is the empty summary.
 	ref, err := shard.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	expected := make([]int64, steps+1)
-	sawDecrease := false
+	expected := make([][]int64, len(windows))
+	for w := range expected {
+		expected[w] = make([]int64, steps+1)
+	}
 	for j, o := range ops {
 		if o.cutoff > 0 {
 			ref.Expire(o.cutoff)
 		} else {
 			ref.InsertBatch(o.edges)
 		}
-		expected[j+1] = ref.EdgeWeight(1, 2, 0, 1<<40)
-		if expected[j+1] < expected[j] {
-			sawDecrease = true
+		for w, win := range windows {
+			expected[w][j+1] = ref.EdgeWeight(1, 2, win[0], win[1])
 		}
 	}
-	if !sawDecrease {
-		t.Fatal("no expire ever lowered the answer; the op sequence does not exercise expiry invalidation")
+	for w, win := range windows {
+		sawDecrease := false
+		for j := range ops {
+			sawDecrease = sawDecrease || expected[w][j+1] < expected[w][j]
+		}
+		if !sawDecrease {
+			t.Fatalf("no expire ever lowered the answer over %v; the op sequence does not exercise expiry invalidation", win)
+		}
 	}
 
 	live, err := shard.New(cfg)
@@ -279,15 +305,15 @@ func TestNoStaleUnderConcurrentExpire(t *testing.T) {
 	defer pipe.Close()
 	c := newCache(t, live, MinBytes)
 
-	var step atomic.Int64
+	var step, reads atomic.Int64
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 	fail := make(chan string, 8)
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			q := query.NewEdge(1, 2, 0, 1<<40)
+			q := query.NewEdge(1, 2, windows[w][0], windows[w][1])
 			for {
 				select {
 				case <-done:
@@ -295,28 +321,29 @@ func TestNoStaleUnderConcurrentExpire(t *testing.T) {
 				default:
 				}
 				b := step.Load()
-				w := query.Do(c, q).Weight
+				got := query.Do(c, q).Weight
 				a := step.Load()
+				reads.Add(1)
 				hi := a + 1
 				if hi > steps {
 					hi = steps
 				}
 				ok := false
 				for j := b; j <= hi; j++ {
-					if w == expected[j] {
+					if got == expected[w][j] {
 						ok = true
 						break
 					}
 				}
 				if !ok {
 					select {
-					case fail <- fmt.Sprintf("stale cached answer: got %d outside window [%d..%d]", w, expected[b], expected[hi]):
+					case fail <- fmt.Sprintf("stale cached answer over %v: got %d outside steps [%d..%d] = %v", windows[w], got, b, hi, expected[w][b:hi+1]):
 					default:
 					}
 					return
 				}
 			}
-		}()
+		}(r % len(windows))
 	}
 
 	for _, o := range ops {
@@ -331,6 +358,11 @@ func TestNoStaleUnderConcurrentExpire(t *testing.T) {
 			pipe.Flush() // the step counts applied ops
 		}
 		step.Add(1)
+		// Let the readers in between ops: on a small box the writer would
+		// otherwise finish before they are scheduled at all.
+		for seen := reads.Load(); reads.Load() < seen+2 && len(fail) == 0; {
+			runtime.Gosched()
+		}
 	}
 	close(done)
 	wg.Wait()
@@ -340,8 +372,11 @@ func TestNoStaleUnderConcurrentExpire(t *testing.T) {
 	default:
 	}
 
-	// Quiesced: the final cached answer must be the final reference one.
-	if w := query.Do(c, query.NewEdge(1, 2, 0, 1<<40)).Weight; w != expected[steps] {
-		t.Fatalf("final cached answer %d, want %d", w, expected[steps])
+	// Quiesced: the final cached answers must be the final reference ones.
+	for w, win := range windows {
+		if got := query.Do(c, query.NewEdge(1, 2, win[0], win[1])).Weight; got != expected[w][steps] {
+			t.Fatalf("final cached answer over %v is %d, want %d", win, got, expected[w][steps])
+		}
 	}
+	return c.Stats()
 }

@@ -93,7 +93,7 @@ func Read(r io.Reader) (*Summary, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: decode shard %d: %w", i, err)
 		}
-		slots[i] = &slot{sum: cs, seq: seq}
+		slots[i] = newSlot(cs, seq)
 	}
 	cfg := Config{Shards: n, Core: slots[0].sum.Config()}
 	for i, sl := range slots {

@@ -2,9 +2,12 @@ package shard
 
 import (
 	"bytes"
+	"math"
+	"os"
 	"sync"
 	"testing"
 
+	"higgs/internal/core"
 	"higgs/internal/stream"
 )
 
@@ -168,6 +171,96 @@ func TestMutatorContract(t *testing.T) {
 				t.Errorf("observer ran %d times, want 0", len(rec.calls))
 			}
 		})
+	}
+}
+
+// TestMutateMoves is the table behind the read cache's frozen entries
+// (DESIGN.md §16), one row per way each opKind can go: which of the shard's
+// version, rewrite count and append frontier the op moves. An insert moves
+// the version and — when it carries a newer timestamp — the frontier, never
+// the rewrite count: that is what lets an entry over a closed window outlive
+// it. Every other answer-changing op moves version and rewrite count
+// together and leaves the frontier where the newest insert put it. An op
+// that changed nothing moves nothing.
+func TestMutateMoves(t *testing.T) {
+	st := testStream(t, 50, 2_000)
+	first, last := st[0].T, st[len(st)-1].T
+	known := stream.Edge{S: 1, D: 2, W: 3, T: last}
+	cases := []struct {
+		name     string
+		op       op
+		ver, rw  uint64 // how far each counter moves
+		frontier int64
+	}{
+		{"insert/newer", op{kind: opInsert, edges: []stream.Edge{{S: 1, D: 7, W: 1, T: last + 5}}}, 1, 0, last + 5},
+		{"insert/out-of-order", op{kind: opInsert, edges: []stream.Edge{{S: 1, D: 7, W: 1, T: first}}}, 1, 0, last},
+		{"insert/empty", op{kind: opInsert}, 0, 0, last},
+		{"insertOne", op{kind: opInsertOne, edge: stream.Edge{S: 1, D: 7, W: 1, T: last + 9}}, 1, 0, last + 9},
+		{"delete/found", op{kind: opDelete, edge: known}, 1, 1, last},
+		{"delete/missed", op{kind: opDelete, edge: stream.Edge{S: 1, D: 9999, W: 1, T: last}}, 0, 0, last},
+		{"expire/reclaiming", op{kind: opExpire, cutoff: first + (last-first)*2/3}, 1, 1, last},
+		{"expire/vacuous", op{kind: opExpire, cutoff: first - 1}, 0, 0, last},
+		{"finalize", op{kind: opFinalize}, 1, 1, last},
+		{"close", op{kind: opClose}, 1, 1, last},
+	}
+	covered := make(map[opKind]bool)
+	for _, tc := range cases {
+		covered[tc.op.kind] = true
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSharded(t, 1)
+			if f, rw := s.ShardFrontier(0); f != math.MinInt64 || rw != 0 {
+				t.Fatalf("empty shard: frontier %d, %d rewrites; want MinInt64, 0", f, rw)
+			}
+			s.InsertShardAt(0, append(st[:len(st):len(st)], known), 0)
+			ver := s.ShardVersion(0)
+			if f, rw := s.ShardFrontier(0); f != last || rw != 0 {
+				t.Fatalf("after the preload: frontier %d, %d rewrites; want %d, 0", f, rw, last)
+			}
+
+			s.mutate(0, 0, tc.op)
+
+			f, rw := s.ShardFrontier(0)
+			if dv := s.ShardVersion(0) - ver; dv != tc.ver || rw != tc.rw || f != tc.frontier {
+				t.Fatalf("version +%d, rewrites +%d, frontier %d; want +%d, +%d, %d", dv, rw, f, tc.ver, tc.rw, tc.frontier)
+			}
+		})
+	}
+	for k := opInsert; k <= opClose; k++ {
+		if !covered[k] {
+			t.Errorf("opKind %d has no row", k)
+		}
+	}
+}
+
+// TestDecodedSlotStartsAtItsFrontier: a slot built around restored contents
+// publishes their frontier at once — the pre-refactor fixture's shards come
+// back with the timestamp of the last edge each received, and an adopted
+// core summary with its own — while version and rewrite count start over.
+func TestDecodedSlotStartsAtItsFrontier(t *testing.T) {
+	raw, err := os.ReadFile("testdata/prerefactor_sharded.higgs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, st := fixtureSet(t)
+	defer built.Close()
+	newest := make([]int64, restored.NumShards())
+	for _, e := range st { // time-ordered: the last edge of a shard is its newest
+		newest[built.ShardFor(e.S)] = e.T
+	}
+	for i, want := range newest {
+		if f, rw := restored.ShardFrontier(i); f != want || rw != 0 || restored.ShardVersion(i) != 0 {
+			t.Errorf("decoded shard %d: frontier %d, %d rewrites, version %d; want %d, 0, 0", i, f, rw, restored.ShardVersion(i), want)
+		}
+	}
+
+	cs := core.MustNew(core.DefaultConfig())
+	cs.Insert(stream.Edge{S: 1, D: 2, W: 3, T: 77})
+	if f, _ := Adopt(cs).ShardFrontier(0); f != 77 {
+		t.Errorf("adopted summary: frontier %d, want 77", f)
 	}
 }
 

@@ -87,10 +87,28 @@ type slot struct {
 	// result obtained inside that window is exactly the state at that
 	// version. Read with atomic.Load so cache hits need no lock at all.
 	ver atomic.Uint64
+	// frontier and rewrites split ver by what a mutation can reach, so the
+	// read cache can keep answers about the past across appends (DESIGN.md
+	// §16). frontier is sum.Frontier(), the newest timestamp the shard has
+	// accepted: core.Insert clamps older items up to it, so an insert changes
+	// no answer over a window that ends before it. rewrites counts the ops
+	// that can change such a window anyway — a delete that found its entry, a
+	// reclaiming expire, Finalize, Close. Like ver, both are stored by mutate
+	// before it unlocks and by newSlot, nowhere else (lock_test.go holds that).
+	frontier atomic.Int64
+	rewrites atomic.Uint64
 	// one is Insert's single-edge batch. The ApplyObserver takes a slice,
 	// and a slice of the caller's stack would escape to the heap on every
 	// Insert; this one is written and read under mu only.
 	one [1]stream.Edge
+}
+
+// newSlot wraps a core summary — empty, adopted or decoded — at durability
+// watermark seq, publishing the frontier its contents already have.
+func newSlot(sum *core.Summary, seq uint64) *slot {
+	sl := &slot{sum: sum, seq: seq}
+	sl.frontier.Store(sum.Frontier())
+	return sl
 }
 
 // ApplyObserver is notified of every answer-changing mutation, from inside
@@ -159,7 +177,7 @@ func New(cfg Config) (*Summary, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.slots[i] = &slot{sum: cs}
+		s.slots[i] = newSlot(cs, 0)
 	}
 	return s, nil
 }
@@ -172,7 +190,7 @@ func Adopt(sum *core.Summary) *Summary {
 	return &Summary{
 		cfg:   cfg,
 		part:  hasherFor(cfg),
-		slots: []*slot{{sum: sum}},
+		slots: []*slot{newSlot(sum, 0)},
 	}
 }
 
@@ -223,10 +241,11 @@ type op struct {
 // wrapper over it. Under shard i's lock it runs o against the core
 // summary, advances the durability watermark to max(watermark, seq) — seq
 // 0, the non-durable paths, leaves it alone — and, iff the op changed what
-// queries may answer, notifies the ApplyObserver and then bumps the
-// mutation version, all before unlocking. So "version advanced ⇒ observer
-// notified" (DESIGN.md §16–§17) and "contents ⇔ watermark" (DESIGN.md §12)
-// hold by construction.
+// queries may answer, notifies the ApplyObserver, publishes what the op
+// could reach — an insert the shard's new append frontier, anything else one
+// more rewrite — and then bumps the mutation version, all before unlocking.
+// So "version advanced ⇒ observer notified" (DESIGN.md §16–§17) and
+// "contents ⇔ watermark" (DESIGN.md §12) hold by construction.
 //
 // It returns the op's extent — edges applied, 1 for a delete that found
 // its entry, leaves reclaimed, 1 for Finalize and Close — and the op
@@ -273,6 +292,11 @@ func (s *Summary) mutate(i int, seq uint64, o op) (n int64) {
 			case opExpire:
 				(*obs).ObserveExpire(i, o.cutoff)
 			}
+		}
+		if o.kind == opInsert {
+			sl.frontier.Store(sl.sum.Frontier())
+		} else {
+			sl.rewrites.Add(1)
 		}
 		sl.ver.Add(1)
 	}
@@ -345,6 +369,21 @@ func (s *Summary) ShardSeq(i int) uint64 {
 // answer-neutral, so monitoring traffic must not invalidate caches.
 func (s *Summary) ShardVersion(i int) uint64 {
 	return s.slots[i].ver.Load()
+}
+
+// ShardFrontier returns shard i's append frontier and rewrite count without
+// taking any lock. The frontier is the newest timestamp the shard has
+// accepted (math.MinInt64 while it is empty); every later insert lands at or
+// after it, so the answer over a window with te < frontier changes only when
+// the rewrite count does — on a delete that found its entry, an expire that
+// reclaimed a leaf, Finalize or Close. Both are published inside the
+// write-lock section, before the version bump: a reader that loads them
+// before a probe it fences with two equal ShardVersion reads holds a pair
+// at most as new as that version, and an older pair only errs towards not
+// freezing (DESIGN.md §16).
+func (s *Summary) ShardFrontier(i int) (frontier int64, rewrites uint64) {
+	sl := s.slots[i]
+	return sl.frontier.Load(), sl.rewrites.Load()
 }
 
 // Delete removes one previously inserted item from the shard of its source
