@@ -1,6 +1,8 @@
 package query
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -36,7 +38,8 @@ type Prober interface {
 	// ShardFor returns the shard owning edges whose source vertex is v.
 	ShardFor(v uint64) int
 	// ProbeShard evaluates every probe against shard i under a single
-	// read-lock acquisition, writing probe j's estimate to out[j].
+	// read-lock acquisition, writing probe j's estimate to out[j]. It must
+	// not retain probes or out: the executor hands it pooled scratch.
 	ProbeShard(i int, probes []Probe, out []int64)
 }
 
@@ -78,28 +81,10 @@ type Analytics interface {
 	Bursts(k int) []Entry
 }
 
-// Do answers one query. It is the one-element case of DoBatch: invalid
+// Do answers one query: the one-element case of DoBatch, so invalid
 // queries come back with Err set, single-shard kinds touch only their
-// shard, and fan-out kinds visit each shard once. Single-probe kinds
-// (edge, vertex-out) skip batch planning entirely — their plan is always
-// one probe in one shard — which keeps the per-kind wrapper methods close
-// to their historical direct-lookup cost on hot paths.
-func Do(p Prober, q Query) Result {
-	switch q.Kind {
-	case KindEdge, KindVertexOut:
-		if err := q.Validate(); err != nil {
-			return Result{Err: err}
-		}
-		pr := Probe{Op: OpEdge, S: q.S, D: q.D, Ts: q.Ts, Te: q.Te}
-		if q.Kind == KindVertexOut {
-			pr = Probe{Op: OpVertexOut, S: q.V, Ts: q.Ts, Te: q.Te}
-		}
-		var out [1]int64
-		p.ProbeShard(p.ShardFor(pr.S), []Probe{pr}, out[:])
-		return Result{Weight: out[0]}
-	}
-	return DoBatch(p, []Query{q})[0]
-}
+// shard, and fan-out kinds visit each shard once.
+func Do(p Prober, q Query) Result { return DoBatch(p, []Query{q})[0] }
 
 // DoBatch answers a batch of queries, visiting every shard at most once.
 // It is DoBatchWith with no analytics backend: the sketch-served kinds fail
@@ -109,9 +94,10 @@ func DoBatch(p Prober, qs []Query) []Result { return DoBatchWith(p, nil, qs) }
 // DoBatchWith answers a batch of queries, visiting every shard at most
 // once: the constituent probes of all valid queries are grouped by shard,
 // each shard's group is evaluated under a single read-lock acquisition
-// (concurrently across shards when more than one is touched), and each
-// query's estimate is the sum of its probes' results — the same one-sided
-// merge the per-kind methods perform, amortized over the batch.
+// (concurrently across shards when more than one is touched and more than
+// one P is available), and each query's estimate is the sum of its probes'
+// results — the same one-sided merge the per-kind methods perform,
+// amortized over the batch.
 //
 // The delta kinds decompose into the same probes — two one-sided window
 // estimates per candidate, planned contiguously — so they flow through the
@@ -122,48 +108,109 @@ func DoBatch(p Prober, qs []Query) []Result { return DoBatchWith(p, nil, qs) }
 //
 // Results align with the input: res[i] answers qs[i], carrying its weight,
 // its ranked Top list, or its validation error. Invalid queries do not
-// affect their neighbors.
+// affect their neighbors. The planner's scratch is pooled, so the result
+// slice is the one allocation of a batch of scalar kinds run on one P.
 func DoBatchWith(p Prober, a Analytics, qs []Query) []Result {
+	pl := planPool.Get().(*plan)
+	res := pl.do(p, a, qs)
+	putPlan(pl)
+	return res
+}
+
+// span is one query's run of slots in the flat result vector.
+type span struct{ start, end int }
+
+// plan is one batch's scratch: each query's span, each shard's probe group
+// with the slot each probe answers and the answers ProbeShard wrote, and
+// the flat result vector. Every slice keeps its capacity from one batch to
+// the next; nothing in a plan outlives the call it serves.
+type plan struct {
+	p      Prober
+	spans  []span
+	probes [][]Probe // per shard
+	slots  [][]int   // per shard: the slot each probe answers
+	out    [][]int64 // per shard: ProbeShard's answers, in probe order
+	vals   []int64   // per slot
+	wg     sync.WaitGroup
+}
+
+// maxPooledProbes bounds what a pooled plan holds, as the server's
+// maxPooledItems bounds its envelopes: a plan that grew past it is dropped.
+const maxPooledProbes = 1 << 12
+
+var planPool = sync.Pool{New: func() any { return new(plan) }}
+
+func putPlan(pl *plan) {
+	if max(cap(pl.vals), cap(pl.spans)) > maxPooledProbes {
+		return
+	}
+	pl.p = nil
+	planPool.Put(pl)
+}
+
+// reset empties the plan for a batch of nq queries over n shards. The
+// shard count may differ from the last batch's: a snapshot upload swaps in
+// a summary with its own.
+func (pl *plan) reset(nq, n int) {
+	pl.spans = slices.Grow(pl.spans[:0], nq)[:nq]
+	pl.probes = perShard(pl.probes, n)
+	pl.slots = perShard(pl.slots, n)
+	pl.out = perShard(pl.out, n)
+	pl.vals = pl.vals[:0]
+}
+
+// perShard returns s with n empty lists, each keeping its capacity — those
+// past the last batch's shard count too, which a batch over more shards
+// exposes again.
+func perShard[T any](s [][]T, n int) [][]T {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([][]T, n-cap(s))...)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = s[i][:0]
+	}
+	return s
+}
+
+// add plans probe pr in shard i at the next slot.
+func (pl *plan) add(i int, pr Probe) {
+	pl.probes[i] = append(pl.probes[i], pr)
+	pl.slots[i] = append(pl.slots[i], len(pl.vals))
+	pl.vals = append(pl.vals, 0)
+}
+
+func (pl *plan) do(p Prober, a Analytics, qs []Query) []Result {
 	res := make([]Result, len(qs))
 	n := p.NumShards()
+	pl.p = p
+	pl.reset(len(qs), n)
 
 	// Plan: expand each query into probes. Slots — indices into the flat
 	// result vector — are assigned in expansion order, so each query owns a
 	// contiguous span and merging is a span sum.
-	type span struct{ start, end int }
-	var (
-		spans       = make([]span, len(qs))
-		shardProbes = make([][]Probe, n)
-		shardSlots  = make([][]int, n)
-		slot        int
-	)
-	add := func(i int, pr Probe) {
-		shardProbes[i] = append(shardProbes[i], pr)
-		shardSlots[i] = append(shardSlots[i], slot)
-		slot++
-	}
 	for qi, q := range qs {
 		if err := q.Validate(); err != nil {
 			res[qi].Err = err
 			continue
 		}
-		spans[qi].start = slot
+		pl.spans[qi].start = len(pl.vals)
 		switch q.Kind {
 		case KindEdge:
-			add(p.ShardFor(q.S), Probe{Op: OpEdge, S: q.S, D: q.D, Ts: q.Ts, Te: q.Te})
+			pl.add(p.ShardFor(q.S), Probe{Op: OpEdge, S: q.S, D: q.D, Ts: q.Ts, Te: q.Te})
 		case KindVertexOut:
-			add(p.ShardFor(q.V), Probe{Op: OpVertexOut, S: q.V, Ts: q.Ts, Te: q.Te})
+			pl.add(p.ShardFor(q.V), Probe{Op: OpVertexOut, S: q.V, Ts: q.Ts, Te: q.Te})
 		case KindVertexIn:
 			for i := 0; i < n; i++ {
-				add(i, Probe{Op: OpVertexIn, S: q.V, Ts: q.Ts, Te: q.Te})
+				pl.add(i, Probe{Op: OpVertexIn, S: q.V, Ts: q.Ts, Te: q.Te})
 			}
 		case KindPath:
 			for i := 0; i+1 < len(q.Path); i++ {
-				add(p.ShardFor(q.Path[i]), Probe{Op: OpEdge, S: q.Path[i], D: q.Path[i+1], Ts: q.Ts, Te: q.Te})
+				pl.add(p.ShardFor(q.Path[i]), Probe{Op: OpEdge, S: q.Path[i], D: q.Path[i+1], Ts: q.Ts, Te: q.Te})
 			}
 		case KindSubgraph:
 			for _, e := range q.Edges {
-				add(p.ShardFor(e[0]), Probe{Op: OpEdge, S: e[0], D: e[1], Ts: q.Ts, Te: q.Te})
+				pl.add(p.ShardFor(e[0]), Probe{Op: OpEdge, S: e[0], D: e[1], Ts: q.Ts, Te: q.Te})
 			}
 		case KindDeltaVertex:
 			// Per candidate: base-window probes, then compare-window probes,
@@ -171,62 +218,29 @@ func DoBatchWith(p Prober, a Analytics, qs []Query) []Result {
 			for _, v := range q.Candidates {
 				if q.Dir == DirIn {
 					for i := 0; i < n; i++ {
-						add(i, Probe{Op: OpVertexIn, S: v, Ts: q.Ts, Te: q.Te})
+						pl.add(i, Probe{Op: OpVertexIn, S: v, Ts: q.Ts, Te: q.Te})
 					}
 					for i := 0; i < n; i++ {
-						add(i, Probe{Op: OpVertexIn, S: v, Ts: q.Ts2, Te: q.Te2})
+						pl.add(i, Probe{Op: OpVertexIn, S: v, Ts: q.Ts2, Te: q.Te2})
 					}
 				} else {
-					add(p.ShardFor(v), Probe{Op: OpVertexOut, S: v, Ts: q.Ts, Te: q.Te})
-					add(p.ShardFor(v), Probe{Op: OpVertexOut, S: v, Ts: q.Ts2, Te: q.Te2})
+					pl.add(p.ShardFor(v), Probe{Op: OpVertexOut, S: v, Ts: q.Ts, Te: q.Te})
+					pl.add(p.ShardFor(v), Probe{Op: OpVertexOut, S: v, Ts: q.Ts2, Te: q.Te2})
 				}
 			}
 		case KindDeltaEdge:
 			for _, e := range q.Edges {
-				add(p.ShardFor(e[0]), Probe{Op: OpEdge, S: e[0], D: e[1], Ts: q.Ts, Te: q.Te})
-				add(p.ShardFor(e[0]), Probe{Op: OpEdge, S: e[0], D: e[1], Ts: q.Ts2, Te: q.Te2})
+				pl.add(p.ShardFor(e[0]), Probe{Op: OpEdge, S: e[0], D: e[1], Ts: q.Ts, Te: q.Te})
+				pl.add(p.ShardFor(e[0]), Probe{Op: OpEdge, S: e[0], D: e[1], Ts: q.Ts2, Te: q.Te2})
 			}
 		case KindHeavyHitters, KindBurst:
 			// Sketch-served: no probes. Answered after execution below.
 		}
-		spans[qi].end = slot
+		pl.spans[qi].end = len(pl.vals)
 	}
 
-	// Execute: one ProbeShard call — one read-lock acquisition — per
-	// touched shard. Concurrent goroutines write disjoint slots.
-	vals := make([]int64, slot)
-	runShard := func(i int) {
-		out := make([]int64, len(shardProbes[i]))
-		p.ProbeShard(i, shardProbes[i], out)
-		for j, s := range shardSlots[i] {
-			vals[s] = out[j]
-		}
-	}
-	touched, last := 0, -1
-	for i := range shardProbes {
-		if len(shardProbes[i]) > 0 {
-			touched++
-			last = i
-		}
-	}
-	switch touched {
-	case 0:
-	case 1:
-		runShard(last)
-	default:
-		var wg sync.WaitGroup
-		for i := range shardProbes {
-			if len(shardProbes[i]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runShard(i)
-			}(i)
-		}
-		wg.Wait()
-	}
+	pl.run()
+	vals := pl.vals
 
 	// Merge: each valid scalar query is the sum of its span; each delta
 	// query ranks its candidates by |compare − base| over fixed-size
@@ -235,6 +249,7 @@ func DoBatchWith(p Prober, a Analytics, qs []Query) []Result {
 		if res[qi].Err != nil {
 			continue
 		}
+		sp := pl.spans[qi]
 		switch q.Kind {
 		case KindDeltaVertex:
 			per := 1
@@ -243,7 +258,7 @@ func DoBatchWith(p Prober, a Analytics, qs []Query) []Result {
 			}
 			entries := make([]Entry, len(q.Candidates))
 			for ci, v := range q.Candidates {
-				base := spans[qi].start + ci*2*per
+				base := sp.start + ci*2*per
 				var prev, cur int64
 				for j := 0; j < per; j++ {
 					prev += vals[base+j]
@@ -255,7 +270,7 @@ func DoBatchWith(p Prober, a Analytics, qs []Query) []Result {
 		case KindDeltaEdge:
 			entries := make([]Entry, len(q.Edges))
 			for ci, e := range q.Edges {
-				base := spans[qi].start + ci*2
+				base := sp.start + ci*2
 				prev, cur := vals[base], vals[base+1]
 				entries[ci] = Entry{S: e[0], D: e[1], Prev: prev, Cur: cur, Delta: cur - prev}
 			}
@@ -274,13 +289,63 @@ func DoBatchWith(p Prober, a Analytics, qs []Query) []Result {
 			res[qi].Top = a.Bursts(topK(q.K))
 		default:
 			var sum int64
-			for s := spans[qi].start; s < spans[qi].end; s++ {
-				sum += vals[s]
+			for _, v := range vals[sp.start:sp.end] {
+				sum += v
 			}
 			res[qi].Weight = sum
 		}
 	}
 	return res
+}
+
+// run evaluates every touched shard's group with one ProbeShard call — one
+// read-lock acquisition — each. When one shard is touched or one P is
+// available the groups run one after another on the caller's goroutine: a
+// goroutine there would only be switched to, and would grow a fresh stack
+// through the core's recursion. Otherwise the caller runs the last group
+// itself while one goroutine per other group runs the rest; all of them
+// write disjoint slots.
+func (pl *plan) run() {
+	touched, last := 0, -1
+	for i, g := range pl.probes {
+		if len(g) > 0 {
+			touched++
+			last = i
+		}
+	}
+	if touched <= 1 || runtime.GOMAXPROCS(0) == 1 {
+		for i, g := range pl.probes {
+			if len(g) > 0 {
+				pl.runShard(i)
+			}
+		}
+		return
+	}
+	for i, g := range pl.probes[:last] {
+		if len(g) > 0 {
+			pl.wg.Add(1)
+			go pl.runShardDone(i)
+		}
+	}
+	pl.runShard(last)
+	pl.wg.Wait()
+}
+
+// runShard evaluates shard i's group and scatters its answers to their
+// slots.
+func (pl *plan) runShard(i int) {
+	out := slices.Grow(pl.out[i][:0], len(pl.probes[i]))[:len(pl.probes[i])]
+	pl.out[i] = out
+	pl.p.ProbeShard(i, pl.probes[i], out)
+	for j, s := range pl.slots[i] {
+		pl.vals[s] = out[j]
+	}
+}
+
+// runShardDone is runShard on a goroutine of run's fan-out.
+func (pl *plan) runShardDone(i int) {
+	defer pl.wg.Done()
+	pl.runShard(i)
 }
 
 // topK resolves a query's K field to the effective ranked-output size.

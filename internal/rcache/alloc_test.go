@@ -92,3 +92,41 @@ func TestProbeShardStaleRefillAllocs(t *testing.T) {
 		t.Fatalf("refilled answer %d, want the %d edges written", out[0], write[0].T)
 	}
 }
+
+// TestProbeShardFullFillAllocs pins the fill path at budget: a cache shard
+// already holding every entry its budget admits, asked a group of misses it
+// has never seen, stores each miss in the node of the entry that miss
+// evicts — no allocation. Each miss counts one eviction, and the entry
+// count does not move.
+func TestProbeShardFullFillAllocs(t *testing.T) {
+	sum := newSharded(t, 1)
+	sum.InsertShardAt(0, []stream.Edge{{S: 1, D: 2, W: 3, T: 200}}, 0)
+	c := newCache(t, sum, MinBytes)
+	admits := int64(MinBytes / entryBytes)
+	probes := make([]query.Probe, 32)
+	out := make([]int64, len(probes))
+	var d uint64
+	fill := func() {
+		for i := range probes {
+			d++
+			probes[i] = query.Probe{Op: query.OpEdge, S: 1, D: d, Ts: 0, Te: 100}
+		}
+		c.ProbeShard(0, probes, out)
+	}
+	for c.Stats().Evictions == 0 {
+		fill()
+	}
+	before := c.Stats()
+	least := testing.AllocsPerRun(1, fill)
+	for i := 0; i < 100; i++ {
+		least = min(least, testing.AllocsPerRun(1, fill))
+	}
+	if least != 0 {
+		t.Fatalf("filling %d misses into a full cache shard allocated %v times at best, want 0", len(probes), least)
+	}
+	after := c.Stats()
+	misses := after.Misses - before.Misses
+	if misses == 0 || after.Hits != before.Hits || after.Evictions-before.Evictions != misses || after.Entries != admits || before.Entries != admits {
+		t.Fatalf("%d fresh misses moved the counters from %+v to %+v: want one eviction per miss and %d entries throughout", misses, before, after, admits)
+	}
+}

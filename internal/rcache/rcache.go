@@ -300,7 +300,17 @@ func (c *Cache) ProbeShard(i int, probes []query.Probe, out []int64) {
 			}
 			cs.moveFront(e)
 		} else {
-			e = &entry{k: k}
+			if cs.bytes.Load()+entryBytes > cs.budget {
+				// At budget: the least recently used entry leaves and its
+				// node holds the miss. A budget admits at least one entry,
+				// so there is one to evict.
+				e = cs.head.prev
+				cs.remove(e)
+				c.evictions.Add(1)
+				*e = entry{k: k}
+			} else {
+				e = &entry{k: k}
+			}
 			cs.entries[k] = e
 			e.next = cs.head.next
 			e.prev = &cs.head
@@ -313,14 +323,6 @@ func (c *Cache) ProbeShard(i int, probes []query.Probe, out []int64) {
 		if p.Te < frontier {
 			e.rw = rw
 		}
-	}
-	for cs.bytes.Load() > cs.budget {
-		lru := cs.head.prev
-		if lru == &cs.head {
-			break
-		}
-		cs.remove(lru)
-		c.evictions.Add(1)
 	}
 	cs.mu.Unlock()
 }

@@ -298,10 +298,10 @@ func TestScannerOneEditFromCanonical(t *testing.T) {
 // TestQueryBatchRequestAllocs pins what one hot /v2/query request
 // allocates: 16 weight-only items against a warm read cache, the cheapest
 // of many runs like TestIngestRequestAllocs. The body buffer, the decoded
-// batch and its path/edge backing, and the rendered answer are pooled; what
-// is left is the test's request and recorder, the response header, and the
-// planner — its result, span and per-shard probe/slot/value slices and the
-// goroutine per touched shard.
+// batch and its path/edge backing, the planner's plan and the rendered
+// answer are pooled, and at one P (testing.AllocsPerRun sets it) the
+// planner spawns nothing; what is left is the test's request and recorder,
+// the response header, and the planner's result slice.
 func TestQueryBatchRequestAllocs(t *testing.T) {
 	srv := codecServer(t)
 	if err := srv.SetReadCache(1 << 20); err != nil {
@@ -329,9 +329,9 @@ func TestQueryBatchRequestAllocs(t *testing.T) {
 	if rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), "error") {
 		t.Fatalf("POST /v2/query = %d: %s", rec.Code, rec.Body)
 	}
-	const want = 67
+	const want = 19
 	if least != want {
-		t.Fatalf("one 16-item /v2/query request = %v allocs at best, want %d: does the envelope still go back to its pool, and is the body still scanned rather than decoded?", least, want)
+		t.Fatalf("one 16-item /v2/query request = %v allocs at best, want %d: does the envelope still go back to its pool, is the body still scanned rather than decoded, and does the planner still pool its plan and run inline at one P?", least, want)
 	}
 }
 
