@@ -94,7 +94,7 @@ func Load(r io.Reader) (*Summary, error) { return core.Read(r) }
 
 // Sharded is a hash-partitioned HIGGS summary: edges are partitioned by
 // source vertex across independent shards, each behind its own lock, so
-// ingest parallelizes and queries fan out concurrently. Unlike Summary, a
+// ingest parallelizes and queries fan out across shards. Unlike Summary, a
 // Sharded is safe for concurrent use by multiple goroutines. Besides the
 // per-kind query methods it answers unified queries via Do and DoBatch
 // (the batch path acquires at most one read lock per shard per batch; see

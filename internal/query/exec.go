@@ -141,11 +141,23 @@ const maxPooledProbes = 1 << 12
 var planPool = sync.Pool{New: func() any { return new(plan) }}
 
 func putPlan(pl *plan) {
-	if max(cap(pl.vals), cap(pl.spans)) > maxPooledProbes {
+	if pl.held() > maxPooledProbes {
 		return
 	}
 	pl.p = nil
 	planPool.Put(pl)
+}
+
+// held is the most entries the plan keeps room for in one vector: spans,
+// vals, or the shards' probe lists together — batches that pile up on
+// different shards each grow a different list. A shard's slot and answer
+// lists grow with its probe list.
+func (pl *plan) held() int {
+	probes := 0
+	for _, g := range pl.probes[:cap(pl.probes)] {
+		probes += cap(g)
+	}
+	return max(cap(pl.vals), cap(pl.spans), probes)
 }
 
 // reset empties the plan for a batch of nq queries over n shards. The
@@ -304,7 +316,8 @@ func (pl *plan) do(p Prober, a Analytics, qs []Query) []Result {
 // goroutine there would only be switched to, and would grow a fresh stack
 // through the core's recursion. Otherwise the caller runs the last group
 // itself while one goroutine per other group runs the rest; all of them
-// write disjoint slots.
+// write disjoint slots. DESIGN.md §11 has the measurements that keep both
+// paths, and why reading GOMAXPROCS adds no contention the fan-out lacks.
 func (pl *plan) run() {
 	touched, last := 0, -1
 	for i, g := range pl.probes {

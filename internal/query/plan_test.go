@@ -1,6 +1,8 @@
 package query
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -204,18 +206,89 @@ func TestPlanReuse(t *testing.T) {
 				t.Fatalf("step %d (%d shards), item %d (%v): planned %+v, reference %+v", si, st.shards, i, st.qs[i].Kind, g, w)
 			}
 		}
-		if si == 4 && max(cap(pl.vals), cap(pl.spans)) <= maxPooledProbes {
-			t.Fatalf("step %d planned %d probes, not past the pooling cap %d", si, len(pl.vals), maxPooledProbes)
+		if si == 4 {
+			if len(pl.vals) <= maxPooledProbes {
+				t.Fatalf("step %d planned %d probes, not past the pooling cap %d", si, len(pl.vals), maxPooledProbes)
+			}
+			if pooled(pl) {
+				t.Fatalf("step %d: a plan of %d probes went back to the pool", si, len(pl.vals))
+			}
 		}
+	}
+}
+
+// pooled reports whether putPlan(pl) leaves pl for a later Get. A pool may
+// drop what it is given (under -race a quarter of all Puts) but never hands
+// out what it was not given, so false is only meaningful against a control
+// that comes back.
+func pooled(pl *plan) bool {
+	putPlan(pl)
+	for i := 0; i < 4; i++ {
+		if planPool.Get().(*plan) == pl {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPutPlanDropsOversized holds putPlan to its cap when batches each
+// under it pile onto a different shard, so the shards' probe lists together
+// keep room for more than the cap (TestPlanReuse covers one batch over it).
+// A plan of an ordinary batch must come back, or the pool checks prove
+// nothing.
+func TestPutPlanDropsOversized(t *testing.T) {
+	f := newFakeProber(4)
+	seedWide(f)
+	onShard := func(k, n int) []Query {
+		edges := make([][2]uint64, n)
+		for i := range edges {
+			edges[i] = [2]uint64{uint64(k + 4*(i%5+1)), uint64(i%19 + 1)}
+		}
+		return []Query{NewSubgraph(edges, 1, 97)}
+	}
+
+	back := false
+	for i := 0; i < 100 && !back; i++ {
+		ctl := new(plan)
+		ctl.do(f, nil, benchBatch())
+		back = pooled(ctl)
+	}
+	if !back {
+		t.Fatal("a plan of one 16-item batch never came back from the pool")
+	}
+
+	spread := new(plan)
+	per := maxPooledProbes/2 - 100
+	for k := 0; k < f.shards; k++ {
+		got := spread.do(f, nil, onShard(k, per))
+		if want := referenceDo(f, onShard(k, per)); got[0].Weight != want[0].Weight {
+			t.Fatalf("shard %d batch: planned %d, reference %d", k, got[0].Weight, want[0].Weight)
+		}
+	}
+	if m := max(cap(spread.vals), cap(spread.spans)); m > maxPooledProbes {
+		t.Fatalf("each batch was under the cap, yet vals or spans hold %d", m)
+	}
+	if pooled(spread) {
+		t.Fatalf("a plan whose %d shards each hold %d probes went back to the pool", f.shards, per)
 	}
 }
 
 // TestDoBatchConcurrent runs batches from several goroutines at once over
 // backends of 2, 4 and 8 shards, so plans pass between callers through the
-// pool with a different shard count each time and, at more than one P,
-// every batch fans out. Every answer must equal referenceDo's. Meant for
-// -race -cpu 1,4.
+// pool with a different shard count each time. It runs once at the
+// process's P count, where every batch fans out if there is more than one,
+// and once at one P, where every batch runs inline, so a -race run covers
+// both paths. Every answer must equal referenceDo's.
 func TestDoBatchConcurrent(t *testing.T) {
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			doBatchConcurrent(t)
+		})
+	}
+}
+
+func doBatchConcurrent(t *testing.T) {
 	type job struct {
 		f    *fakeProber
 		qs   []Query

@@ -2,17 +2,17 @@
 // sharded HIGGS summary that hash-partitions the graph stream by source
 // vertex across N independent core summaries, each behind its own
 // read-write lock. Ingest parallelizes across shards (writers to distinct
-// shards never contend) and temporal range queries fan out — concurrently
-// when more than one P is available — and merge.
+// shards never contend) and temporal range queries fan out and merge, per
+// query.DoBatchWith.
 //
 // Partitioning by source vertex makes edge and vertex-out queries
 // single-shard lookups: every edge s→d lives in the shard of s, so all of a
 // vertex's outgoing edges share a shard. Vertex-in queries fan out to every
 // shard (a vertex's incoming edges are scattered by their sources); path
-// and subgraph queries decompose into per-shard edge groups that are
-// evaluated concurrently when more than one P is available. Every merged result is a sum of per-shard
-// one-sided estimates, so the never-underestimate guarantee of package core
-// carries over unchanged (DESIGN.md §8).
+// and subgraph queries decompose into per-shard edge groups. Every merged
+// result is a sum of per-shard one-sided estimates, so the
+// never-underestimate guarantee of package core carries over unchanged
+// (DESIGN.md §8).
 //
 // A shard.Summary with Shards = 1 behaves exactly like a mutex-wrapped
 // core.Summary and is the degenerate configuration the HTTP server used
@@ -428,17 +428,15 @@ func (s *Summary) ProbeShard(i int, probes []query.Probe, out []int64) {
 // Do answers one temporal query; the Result carries the estimated weight
 // or the query's validation error. Single-shard kinds (edge, vertex-out)
 // lock only the shard that owns them; fan-out kinds (vertex-in, path,
-// subgraph) visit each involved shard once, concurrently when more than one
-// P is available.
+// subgraph) visit each involved shard once, per query.DoBatchWith.
 func (s *Summary) Do(q query.Query) query.Result { return query.Do(s, q) }
 
 // DoBatch answers a batch of temporal queries with at most one read-lock
 // acquisition per shard per batch: all constituent per-shard probes are
 // grouped by shard and each shard's group is evaluated under a single
-// RLock, concurrently across shards when more than one P is available.
-// Results align with the input, and every merged weight is the same sum of
-// per-shard one-sided estimates the per-kind methods produce — batching
-// changes locking, not answers.
+// RLock, per query.DoBatchWith. Results align with the input, and every
+// merged weight is the same sum of per-shard one-sided estimates the
+// per-kind methods produce — batching changes locking, not answers.
 func (s *Summary) DoBatch(qs []query.Query) []query.Result { return query.DoBatch(s, qs) }
 
 // weightOf adapts Do to the per-kind method signatures, which predate
@@ -468,24 +466,24 @@ func (s *Summary) VertexOut(v uint64, ts, te int64) int64 {
 
 // VertexIn estimates the aggregated weight of v's incoming edges in
 // [ts, te]. Incoming edges are partitioned by their sources, so the query
-// fans out to every shard — concurrently when more than one P is available
-// — and sums; each term is a one-sided estimate of that shard's true
-// contribution, so the sum never undercounts. It is a thin wrapper over Do.
+// fans out to every shard and sums — each term is a one-sided estimate of
+// that shard's true contribution, so the sum never undercounts. It is a
+// thin wrapper over Do.
 func (s *Summary) VertexIn(v uint64, ts, te int64) int64 {
 	return s.weightOf(query.NewVertexIn(v, ts, te))
 }
 
 // PathWeight estimates the sum of edge weights along the vertex path in
-// [ts, te], decomposed into per-shard edge groups evaluated concurrently
-// when more than one P is available. It is a thin wrapper over Do.
+// [ts, te], decomposed into per-shard edge groups. It is a thin wrapper
+// over Do.
 func (s *Summary) PathWeight(path []uint64, ts, te int64) int64 {
 	return s.weightOf(query.NewPath(path, ts, te))
 }
 
 // SubgraphWeight estimates the total weight of the given edge set in
-// [ts, te]. Edges are grouped by the shard of their source vertex; groups
-// are evaluated concurrently when more than one P is available, each under
-// a single read lock. It is a thin wrapper over Do.
+// [ts, te]. Edges are grouped by the shard of their source vertex; each
+// group is evaluated under a single read lock. It is a thin wrapper over
+// Do.
 func (s *Summary) SubgraphWeight(edges [][2]uint64, ts, te int64) int64 {
 	return s.weightOf(query.NewSubgraph(edges, ts, te))
 }
