@@ -21,12 +21,11 @@
 //	POST /v1/flush     (barrier: 202-accepted edges become visible)
 //	POST /v1/expire    {"cutoff":100}   (sequenced, WAL-logged retention)
 //	POST /v1/delete    {"s":1,"d":2,"w":1,"t":100}   (sequenced, WAL-logged like /v1/expire)
-//	GET  /v1/edge?s=1&d=2&ts=0&te=200
-//	GET  /v1/vertex?v=1&dir=out&ts=0&te=200
-//	GET  /v1/path?v=1,2,3&ts=0&te=200
-//	POST /v1/subgraph  {"edges":[[1,2],[2,3]],"ts":0,"te":200}
-//	POST /v2/query     [{"kind":"edge","s":1,"d":2,"ts":0,"te":200}, ...]
-//	                   (batch: ≤ 1 read-lock acquisition per shard, per-item errors)
+//	POST /v2/query     [{"kind":"edge","s":1,"d":2,"ts":0,"te":200},
+//	                    {"kind":"vertex_out","v":1,"ts":0,"te":200},
+//	                    {"kind":"path","path":[1,2,3],"ts":0,"te":200},
+//	                    {"kind":"subgraph","edges":[[1,2],[2,3]],"ts":0,"te":200}, ...]
+//	                   (every read: ≤ 1 read-lock acquisition per shard, per-item errors)
 //	GET  /healthz      (load-balancer probe: serving configuration, no locks)
 //	GET  /v1/stats
 //	GET  /v1/snapshot  (binary download)   POST /v1/snapshot (restore)
@@ -88,7 +87,7 @@
 // feed (/repl/info, /repl/snapshot, /repl/wal) on a separate, private
 // listener. A follower started with -replicate-from boots from the
 // primary's snapshot (or its -replica-dir local cache), tails durable
-// records, and serves every read endpoint — /v1 queries, /v2/query,
+// records, and serves every read endpoint — /v2/query, /v1/stats,
 // snapshot download — while answering 403 on writes. /healthz reports
 // role, applied sequence, and lag in its "replication" field.
 //

@@ -204,8 +204,8 @@ func TestE2EReplicationChaos(t *testing.T) {
 
 	// The replica serves reads — and the same answers as the primary.
 	fBase := "http://" + fAddr
-	pw := getWeight(t, pBase+"/v1/edge?s=1&d=2&ts=0&te=30000")
-	fw := getWeight(t, fBase+"/v1/edge?s=1&d=2&ts=0&te=30000")
+	pw := queryWeight(t, pBase, `{"kind":"edge","s":1,"d":2,"ts":0,"te":30000}`)
+	fw := queryWeight(t, fBase, `{"kind":"edge","s":1,"d":2,"ts":0,"te":30000}`)
 	if pw != fw || fw <= 0 {
 		t.Fatalf("edge weight: primary %d, follower %d", pw, fw)
 	}

@@ -121,7 +121,7 @@ func TestE2EDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := getWeight(t, base+"/v1/edge?s=1&d=2&ts=0&te=100"); got != 7 {
+	if got := queryWeight(t, base, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 7 {
 		t.Fatalf("edge weight = %d, want 7", got)
 	}
 
@@ -148,7 +148,7 @@ func TestE2EDaemon(t *testing.T) {
 		run2.Wait()
 	}()
 	waitHTTP(t, addr2)
-	if got := getWeight(t, "http://"+addr2+"/v1/edge?s=1&d=2&ts=0&te=100"); got != 7 {
+	if got := queryWeight(t, "http://"+addr2, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 7 {
 		t.Fatalf("restored edge weight = %d, want 7", got)
 	}
 }
@@ -301,7 +301,7 @@ func TestE2ECrashRecoveryExpireWALDir(t *testing.T) {
 			len(got), want.Len(), logs2.String())
 	}
 	// The post-crash tail survived too.
-	if got := getWeight(t, "http://"+addr2+"/v1/edge?s=1&d=2&ts=3000&te=3600"); got <= 0 {
+	if got := queryWeight(t, "http://"+addr2, `{"kind":"edge","s":1,"d":2,"ts":3000,"te":3600}`); got <= 0 {
 		t.Fatalf("post-expire tail edge lost: weight = %d, want > 0", got)
 	}
 }
@@ -331,22 +331,22 @@ func waitHTTP(t *testing.T, addr string) {
 	t.Fatalf("server at %s never came up", addr)
 }
 
-func getWeight(t *testing.T, url string) int64 {
+// queryWeight asks a daemon's /v2/query one item and returns its weight.
+func queryWeight(t *testing.T, base, item string) int64 {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := http.Post(base+"/v2/query", "application/json", strings.NewReader("["+item+"]"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("GET %s: %d %s", url, resp.StatusCode, b)
+	body, _ := io.ReadAll(resp.Body)
+	var v []struct {
+		Weight *int64 `json:"weight"`
 	}
-	var v map[string]int64
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(body, &v); resp.StatusCode != http.StatusOK || err != nil || len(v) != 1 || v[0].Weight == nil {
+		t.Fatalf("/v2/query %s: %d %s", item, resp.StatusCode, body)
 	}
-	return v["weight"]
+	return *v[0].Weight
 }
 
 // TestE2EAsyncDaemon boots higgsd in async ingest mode with a deliberately
@@ -387,7 +387,7 @@ func TestE2EAsyncDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := getWeight(t, base+"/v1/edge?s=1&d=2&ts=0&te=100"); got != 7 {
+	if got := queryWeight(t, base, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 7 {
 		t.Fatalf("edge weight after flush = %d, want 7", got)
 	}
 
@@ -419,10 +419,10 @@ func TestE2EAsyncDaemon(t *testing.T) {
 		run2.Wait()
 	}()
 	waitHTTP(t, addr2)
-	if got := getWeight(t, "http://"+addr2+"/v1/edge?s=2&d=3&ts=0&te=100"); got != 5 {
+	if got := queryWeight(t, "http://"+addr2, `{"kind":"edge","s":2,"d":3,"ts":0,"te":100}`); got != 5 {
 		t.Fatalf("unflushed 202 edge lost across shutdown: weight = %d, want 5", got)
 	}
-	if got := getWeight(t, "http://"+addr2+"/v1/edge?s=1&d=2&ts=0&te=100"); got != 7 {
+	if got := queryWeight(t, "http://"+addr2, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 7 {
 		t.Fatalf("restored edge weight = %d, want 7", got)
 	}
 }
@@ -584,10 +584,10 @@ func TestE2ECrashRecoveryWALDir(t *testing.T) {
 		run2.Wait()
 	}()
 	waitHTTP(t, addr2)
-	if got := getWeight(t, "http://"+addr2+"/v1/edge?s=1&d=2&ts=0&te=100"); got != 3 {
+	if got := queryWeight(t, "http://"+addr2, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 3 {
 		t.Fatalf("crashed 202 edge lost: weight = %d, want 3\n%s", got, logs2.String())
 	}
-	if got := getWeight(t, "http://"+addr2+"/v1/edge?s=2&d=3&ts=0&te=100"); got != 5 {
+	if got := queryWeight(t, "http://"+addr2, `{"kind":"edge","s":2,"d":3,"ts":0,"te":100}`); got != 5 {
 		t.Fatalf("crashed 202 edge lost: weight = %d, want 5\n%s", got, logs2.String())
 	}
 }
@@ -639,7 +639,7 @@ func TestE2EDeleteIsLoggedAndSequenced(t *testing.T) {
 		t.Fatalf("delete of a queued edge answered %v, want deleted:true", got)
 	}
 	post(base+"/v1/flush", "")
-	if got := getWeight(t, base+"/v1/edge?s=1&d=2&ts=0&te=100"); got != 0 {
+	if got := queryWeight(t, base, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 0 {
 		t.Fatalf("weight after ingest + delete + flush = %d, want 0", got)
 	}
 	hz := struct {
@@ -661,10 +661,10 @@ func TestE2EDeleteIsLoggedAndSequenced(t *testing.T) {
 
 	base, kill = boot()
 	defer kill()
-	if got := getWeight(t, base+"/v1/edge?s=1&d=2&ts=0&te=100"); got != 0 {
+	if got := queryWeight(t, base, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 0 {
 		t.Fatalf("deleted edge resurrected by crash recovery: weight = %d, want 0", got)
 	}
-	if got := getWeight(t, base+"/v1/edge?s=2&d=3&ts=0&te=100"); got != 5 {
+	if got := queryWeight(t, base, `{"kind":"edge","s":2,"d":3,"ts":0,"te":100}`); got != 5 {
 		t.Fatalf("surviving edge lost: weight = %d, want 5", got)
 	}
 }

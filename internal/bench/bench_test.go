@@ -92,7 +92,7 @@ func TestCompetitorsBuildAndAgree(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	if len(Experiments()) != 25 {
+	if len(Experiments()) != 24 {
 		t.Fatalf("registry has %d experiments", len(Experiments()))
 	}
 	var buf bytes.Buffer
@@ -278,7 +278,7 @@ func TestExperimentsSmoke(t *testing.T) {
 		name, id string
 		scale    float64
 	}{
-		{"ablation", "ablation", 0}, {"budget", "budget", 0}, {"reverse", "reverse", 0}, {"sharded", "sharded", 0},
+		{"ablation", "ablation", 0}, {"budget", "budget", 0}, {"sharded", "sharded", 0},
 		{"fig18_one_edge", "fig18", 0.00001}, // n = len/10 = 0 once divided by zero
 	} {
 		t.Run(x.name, func(t *testing.T) {

@@ -23,8 +23,7 @@ var registry = func() []Experiment {
 		}
 		out = append(out, e)
 	}
-	out = append(out, reverseGate.experiment(),
-		Experiment{ID: "sharded", Title: "Extra: sharded ingest scaling (internal/shard)", Run: shardedIngest})
+	out = append(out, Experiment{ID: "sharded", Title: "Extra: sharded ingest scaling (internal/shard)", Run: shardedIngest})
 	for _, g := range []gate{asyncIngestGate, batchQueryGate, walRecoveryGate, retentionGate,
 		allocsGate, replicationGate, readCacheGate, analyticsGate} {
 		out = append(out, g.experiment())

@@ -9,8 +9,9 @@
 //
 // It also holds the route table every HTTP surface is served from
 // (DESIGN.md §10): a handler returns an error naming its status and code
-// (*Err), and the one adapter in Mux renders it — along with the method and
-// read-only-replica rejections no handler checks for itself.
+// (*Err), and the one adapter in Mux renders it — along with the unknown
+// path, method and read-only-replica rejections no handler checks for
+// itself.
 package httpapi
 
 import (
@@ -26,6 +27,8 @@ import (
 // itself. Query-validation failures carry their own codes from
 // internal/query (query.ErrCode); admission shed carries the codes below.
 const (
+	// CodeNotFound: no endpoint is served at the request's path.
+	CodeNotFound = "not_found"
 	// CodeMethodNotAllowed: wrong HTTP method for the endpoint.
 	CodeMethodNotAllowed = "method_not_allowed"
 	// CodeBadRequest: a malformed request the server refuses to guess at —
@@ -108,10 +111,11 @@ type Route struct {
 
 // Mux serves a route table. Everything is resolved here, once; a request
 // costs the mux lookup and a scan of its path's one or two rows. In order,
-// a request whose method matches no row of its path answers 405, a Write
-// row on a readOnly surface answers 403, and a non-nil error from Handle is
-// rendered as its envelope — a plain error as 500 internal. A handler that
-// has started its response body must return nil.
+// a request to a path no row serves answers 404, one whose method matches
+// no row of its path 405, a Write row on a readOnly surface 403, and a
+// non-nil error from Handle is rendered as its envelope — a plain error as
+// 500 internal. A handler that has started its response body must return
+// nil.
 func Mux(routes []Route, readOnly bool) *http.ServeMux {
 	byPath := make(map[string][]Route)
 	for _, rt := range routes {
@@ -137,6 +141,9 @@ func Mux(routes []Route, readOnly bool) *http.ServeMux {
 			wrongMethod.write(w)
 		})
 	}
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		(&Err{Status: http.StatusNotFound, Code: CodeNotFound, Msg: "no such endpoint: " + r.URL.Path}).write(w)
+	})
 	return mux
 }
 

@@ -46,7 +46,7 @@ func TestMuxAddsNoAllocations(t *testing.T) {
 // TestMuxRendersHandlerErrors: what a handler returns is what the client
 // reads — an *Err as its envelope (with the pacing header when it carries
 // a hint), anything else as 500 internal — and the table's own rejections
-// come in the order method, then replica.
+// come in the order path, method, then replica.
 func TestMuxRendersHandlerErrors(t *testing.T) {
 	routes := []Route{
 		{Path: "/shed", Method: http.MethodGet, Handle: func(http.ResponseWriter, *http.Request) error {
@@ -72,6 +72,8 @@ func TestMuxRendersHandlerErrors(t *testing.T) {
 		{true, "POST", "/write", 403, Envelope{"read-only replica: writes go to the primary", CodeReadOnlyReplica, 0}, ""},
 		{true, "GET", "/write", 405, Envelope{"POST required", CodeMethodNotAllowed, 0}, ""},
 		{true, "GET", "/shed", 429, Envelope{"busy", CodeOverloaded, 1500}, "2"},
+		{false, "GET", "/nope", 404, Envelope{"no such endpoint: /nope", CodeNotFound, 0}, ""},
+		{true, "POST", "/shed/", 404, Envelope{"no such endpoint: /shed/", CodeNotFound, 0}, ""},
 	} {
 		rec := httptest.NewRecorder()
 		Mux(routes, tc.readOnly).ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))

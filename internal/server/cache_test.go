@@ -130,16 +130,14 @@ func TestCacheOverHTTPSwap(t *testing.T) {
 	// Seeded summary: edge 1→2 = 7. Query twice (fill + hit), then swap
 	// and require the new answer immediately.
 	for i := 0; i < 2; i++ {
-		resp := get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
-		if got := decode[map[string]int64](t, resp); got["weight"] != 7 {
+		if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 7 {
 			t.Fatalf("pre-swap weight = %v, want 7", got)
 		}
 	}
 	if err := srv.ReplaceSummary(summaryWithWeight(t, 41)); err != nil {
 		t.Fatal(err)
 	}
-	resp := get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
-	if got := decode[map[string]int64](t, resp); got["weight"] != 41 {
+	if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 41 {
 		t.Fatalf("post-swap weight = %v, want 41 (stale cache served)", got)
 	}
 }
@@ -166,8 +164,8 @@ func TestSetReadCacheValidates(t *testing.T) {
 }
 
 // TestAdmissionShedsWith429 pins the HTTP mapping: a rate-limited client
-// gets 429 with a Retry-After pacing hint on both query surfaces, and
-// recovery is possible (the healthy path still answers once admitted).
+// gets 429 with a Retry-After pacing hint, and recovery is possible (the
+// healthy path still answers once admitted).
 func TestAdmissionShedsWith429(t *testing.T) {
 	ctrl, err := admit.New(admit.Config{Rate: 0.000001, Burst: 2})
 	if err != nil {
@@ -178,11 +176,9 @@ func TestAdmissionShedsWith429(t *testing.T) {
 
 	// Burst of 2 admits; the third request in the same instant sheds.
 	for i := 0; i < 2; i++ {
-		resp := get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 3 {
+			t.Fatalf("request %d: weight %d, want 3", i, got)
 		}
-		resp.Body.Close()
 	}
 	resp := post(t, ts.URL+"/v2/query", `[{"kind":"edge","s":1,"d":2,"ts":0,"te":100}]`)
 	body, _ := io.ReadAll(resp.Body)

@@ -81,10 +81,11 @@ func (s *Server) referenceQueryBatch(w http.ResponseWriter, r *http.Request) err
 		return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeProbeBudget,
 			"batch expands to more than %d per-shard probes; split it", maxBatchProbes)
 	}
-	results, err := s.execute(r, st, env.batch, env.probes)
-	if err != nil {
-		return err
+	var eng query.Analytics
+	if st.eng != nil {
+		eng = st.eng
 	}
+	results := query.DoBatchWith(st.read, eng, env.batch)
 	out := make([]referenceResult, len(env.out))
 	for i, slot := range env.out {
 		out[i] = referenceResult{Error: slot.Error, Code: slot.Code}

@@ -133,7 +133,7 @@ var uncappedRoutes = map[string]string{
 }
 
 // TestErrorEnvelopeContract walks every endpoint's error paths —
-// /v1/*, /v2/query, /healthz on the server mux — and pins the unified
+// /v1/*, /v2/query, /healthz and unknown paths on the server mux — and pins the unified
 // envelope shape and code for each.
 func TestErrorEnvelopeContract(t *testing.T) {
 	srv, ts := newTestServer(t)
@@ -166,36 +166,26 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		{"flush GET", "GET", "/v1/flush", "", 405, httpapi.CodeMethodNotAllowed},
 		{"expire GET", "GET", "/v1/expire", "", 405, httpapi.CodeMethodNotAllowed},
 		{"delete GET", "GET", "/v1/delete", "", 405, httpapi.CodeMethodNotAllowed},
-		{"subgraph GET", "GET", "/v1/subgraph", "", 405, httpapi.CodeMethodNotAllowed},
 		{"snapshot DELETE", "DELETE", "/v1/snapshot", "", 405, httpapi.CodeMethodNotAllowed},
 		{"query GET", "GET", "/v2/query", "", 405, httpapi.CodeMethodNotAllowed},
 		{"healthz POST", "POST", "/healthz", "", 405, httpapi.CodeMethodNotAllowed},
-		// These four had no method check before the route table (DELETE
-		// /v1/stats answered 200).
-		{"edge POST", "POST", "/v1/edge?s=1&d=2&ts=0&te=10", "", 405, httpapi.CodeMethodNotAllowed},
-		{"vertex PUT", "PUT", "/v1/vertex?v=1&ts=0&te=10", "", 405, httpapi.CodeMethodNotAllowed},
-		{"path POST", "POST", "/v1/path?v=1,2&ts=0&te=10", "", 405, httpapi.CodeMethodNotAllowed},
+		// It had no method check before the route table (it answered 200).
 		{"stats DELETE", "DELETE", "/v1/stats", "", 405, httpapi.CodeMethodNotAllowed},
+
+		// Unknown paths, the retired /v1 query endpoints among them.
+		{"retired edge GET", "GET", "/v1/edge?s=1&d=2&ts=0&te=10", "", 404, httpapi.CodeNotFound},
+		{"retired vertex GET", "GET", "/v1/vertex?v=1&ts=0&te=10", "", 404, httpapi.CodeNotFound},
+		{"retired path GET", "GET", "/v1/path?v=1,2&ts=0&te=10", "", 404, httpapi.CodeNotFound},
+		{"retired subgraph POST", "POST", "/v1/subgraph", `{"edges":[[1,2]],"ts":0,"te":1}`, 404, httpapi.CodeNotFound},
+		{"unknown version", "POST", "/v3/query", `[]`, 404, httpapi.CodeNotFound},
+		{"unknown root", "GET", "/", "", 404, httpapi.CodeNotFound},
 
 		// Malformed bodies and parameters.
 		{"insert bad body", "POST", "/v1/insert", `{"not":"an array"}`, 400, httpapi.CodeBadRequest},
 		{"ingest bad body", "POST", "/v1/ingest", `"nope"`, 400, httpapi.CodeBadRequest},
 		{"expire bad body", "POST", "/v1/expire", `[1,2]`, 400, httpapi.CodeBadRequest},
 		{"delete bad body", "POST", "/v1/delete", `[]`, 400, httpapi.CodeBadRequest},
-		{"subgraph bad body", "POST", "/v1/subgraph", `42`, 400, httpapi.CodeBadRequest},
 		{"snapshot bad upload", "POST", "/v1/snapshot", "not a snapshot", 400, httpapi.CodeBadRequest},
-		{"edge missing params", "GET", "/v1/edge?s=1", "", 400, httpapi.CodeBadRequest},
-		{"vertex missing v", "GET", "/v1/vertex?ts=0&te=1", "", 400, httpapi.CodeBadRequest},
-		{"vertex bad dir", "GET", "/v1/vertex?v=1&dir=sideways&ts=0&te=1", "", 400, httpapi.CodeBadRequest},
-		{"path too short", "GET", "/v1/path?v=1&ts=0&te=1", "", 400, httpapi.CodeBadRequest},
-		{"path bad vertex", "GET", "/v1/path?v=1,frog&ts=0&te=1", "", 400, httpapi.CodeBadRequest},
-
-		// Query-validation codes surface through the /v1 handlers.
-		{"edge inverted window", "GET", "/v1/edge?s=1&d=2&ts=10&te=5", "", 400, "inverted_window"},
-		{"edge zero window", "GET", "/v1/edge?s=1&d=2&ts=0&te=0", "", 400, "zero_window"},
-		{"vertex zero window", "GET", "/v1/vertex?v=1&ts=0&te=0", "", 400, "zero_window"},
-		{"path zero window", "GET", "/v1/path?v=1,2&ts=0&te=0", "", 400, "zero_window"},
-		{"subgraph empty", "POST", "/v1/subgraph", `{"edges":[],"ts":0,"te":1}`, 400, "empty_subgraph"},
 
 		// /v2/query envelope-level failures.
 		{"batch not array", "POST", "/v2/query", `{"kind":"edge"}`, 400, httpapi.CodeBadEnvelope},
@@ -208,9 +198,6 @@ func TestErrorEnvelopeContract(t *testing.T) {
 			413, httpapi.CodeBodyTooLarge},
 		{"delete body too large", "POST", "/v1/delete",
 			`{"s":1,"d":2,"w":3,"t":4,"pad":"` + strings.Repeat("x", maxBatchBody) + `"}`,
-			413, httpapi.CodeBodyTooLarge},
-		{"subgraph body too large", "POST", "/v1/subgraph",
-			`{"edges":[[1,2]],"ts":0,"te":1,"pad":"` + strings.Repeat("x", maxBatchBody) + `"}`,
 			413, httpapi.CodeBodyTooLarge},
 	}
 	wrongMethod, _, bodyCap := routeContract(t, srv.routes(), uncappedRoutes)
@@ -229,6 +216,8 @@ func TestErrorEnvelopeItemCodes(t *testing.T) {
 	resp := post(t, ts.URL+"/v2/query", `[
 		{"kind":"edge","s":1,"d":2,"ts":0,"te":0},
 		{"kind":"edge","s":1,"d":2,"ts":9,"te":3},
+		{"kind":"path","path":[1,2],"ts":0,"te":0},
+		{"kind":"subgraph","edges":[],"ts":0,"te":1},
 		{"ts":0,"te":1},
 		{"kind":"heavy_hitters","k":5},
 		{"kind":"warp","ts":0,"te":1}
@@ -240,12 +229,13 @@ func TestErrorEnvelopeItemCodes(t *testing.T) {
 		Error string `json:"error"`
 		Code  string `json:"code"`
 	}](t, resp)
-	if len(out) != 5 {
-		t.Fatalf("got %d results, want 5", len(out))
+	if len(out) != 7 {
+		t.Fatalf("got %d results, want 7", len(out))
 	}
 	// The last item's kind name does not decode, so it fails at the item
 	// decode stage with the generic bad_request code.
-	want := []string{"zero_window", "inverted_window", "missing_kind", "analytics_disabled", "bad_request"}
+	want := []string{"zero_window", "inverted_window", "zero_window", "empty_subgraph", "missing_kind",
+		"analytics_disabled", "bad_request"}
 	for i, code := range want {
 		if out[i].Code != code {
 			t.Errorf("item %d: code = %q, want %q", i, out[i].Code, code)
@@ -265,11 +255,12 @@ func TestErrorEnvelopeAdmission(t *testing.T) {
 	}
 	_, ts := openTestServer(t, 4, Options{Admission: ctrl})
 	// The first query drains the client's only token; the second sheds.
-	resp := get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=10")
+	const edge = `[{"kind":"edge","s":1,"d":2,"ts":0,"te":10}]`
+	resp := post(t, ts.URL+"/v2/query", edge)
 	resp.Body.Close()
 	var shed *http.Response
 	for i := 0; i < 10; i++ {
-		shed = get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=10")
+		shed = post(t, ts.URL+"/v2/query", edge)
 		if shed.StatusCode == http.StatusTooManyRequests {
 			break
 		}
@@ -358,6 +349,7 @@ func TestErrorEnvelopeRepl(t *testing.T) {
 		{"wal POST", "POST", "/repl/wal", 405, httpapi.CodeMethodNotAllowed},
 		{"wal bad after", "GET", "/repl/wal?after=frog", 400, httpapi.CodeBadRequest},
 		{"wal bad wait", "GET", "/repl/wal?after=0&wait=frog", 400, httpapi.CodeBadRequest},
+		{"unknown path", "GET", "/repl/nope", 404, httpapi.CodeNotFound},
 	} {
 		resp := do(t, c.method, ts.URL+c.path, "")
 		checkEnvelope(t, c.name, resp, c.status, c.code)

@@ -80,7 +80,7 @@ func TestOpenReplaysWALIntoAnalytics(t *testing.T) {
 	if srv.Replayed() != 4 {
 		t.Fatalf("Replayed() = %d, want 4", srv.Replayed())
 	}
-	if got := decode[map[string]int64](t, get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")); got["weight"] != 8 {
+	if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 8 {
 		t.Fatalf("recovered edge weight = %v, want 8", got)
 	}
 	top := heavyHitters(t, ts.URL)
@@ -97,7 +97,7 @@ func TestSnapshotUploadRebuildsCacheAndEngine(t *testing.T) {
 	srv, ts := openTestServer(t, 2, Options{CacheBytes: 1 << 20, Analytics: &analytics.Config{}})
 	seed(t, ts.URL) // 1→2 weighs 7, twice asked: a miss, then a hit
 	for i := 0; i < 2; i++ {
-		if got := decode[map[string]int64](t, get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")); got["weight"] != 7 {
+		if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 7 {
 			t.Fatalf("pre-swap weight = %v, want 7", got)
 		}
 	}
@@ -129,7 +129,7 @@ func TestSnapshotUploadRebuildsCacheAndEngine(t *testing.T) {
 	if after.eng == nil || after.eng == before.eng {
 		t.Fatalf("engine after upload = %p, before = %p: want a fresh one", after.eng, before.eng)
 	}
-	if got := decode[map[string]int64](t, get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")); got["weight"] != 41 {
+	if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 41 {
 		t.Fatalf("post-swap weight = %v, want 41 (stale cache served)", got)
 	}
 	// The uploaded contents are served but not re-counted; what arrives

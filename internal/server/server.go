@@ -1,30 +1,28 @@
 // Package server exposes a sharded HIGGS summary over HTTP as a small
 // query service (DESIGN.md §10): stream items are POSTed in, TRQ
-// primitives are GETs, and the snapshot codec is wired to download/upload
-// endpoints so a summary can be moved between processes. cmd/higgsd is the
-// thin binary around it; README "Running the server" documents every
-// endpoint, status code, and flag.
+// primitives are asked in batches, and the snapshot codec is wired to
+// download/upload endpoints so a summary can be moved between processes.
+// cmd/higgsd is the thin binary around it; README "Running the server"
+// documents every endpoint, status code, and flag.
 //
 // A server is built once, by Open, from Options; every endpoint is a row of
 // one route table (routes, served by httpapi.Mux), whose adapter owns the
-// method and read-only-replica rejections and renders the typed errors
-// handlers return.
+// unknown-path, method and read-only-replica rejections and renders the
+// typed errors handlers return.
 //
 // Concurrency is delegated to package shard: every mutation locks only the
 // shards it touches and queries fan out under per-shard read locks, so
 // requests hitting different shards proceed in parallel — there is no
 // server-global lock (DESIGN.md §8).
 //
-// Reads have two surfaces over one engine. The /v1/* query endpoints take
-// one question each; POST /v2/query takes a JSON array of them and answers
-// the whole batch with at most one read-lock acquisition per shard
-// (internal/query, DESIGN.md §11). Both run the same planner — every /v1
-// query handler is a one-element batch — so the two surfaces can never
-// disagree. /v2/query reports item-level problems (an unknown kind, an
-// inverted window, a malformed item) per item in the response array; 400
-// is reserved for a malformed envelope. GET /healthz is the load-balancer
-// probe: it reports the serving configuration without touching a shard
-// lock or any query path.
+// Reads have one endpoint: POST /v2/query takes a JSON array of questions
+// — edge, vertex, path, subgraph and the analytics kinds — and answers the
+// whole batch with at most one read-lock acquisition per shard
+// (internal/query, DESIGN.md §11). It reports item-level problems (an
+// unknown kind, an inverted window, a malformed item) per item in the
+// response array; 400 is reserved for a malformed envelope. GET /healthz is
+// the load-balancer probe: it reports the serving configuration without
+// touching a shard lock or any query path.
 //
 // Writes have one admission path, the group-commit pipeline of package
 // ingest (DESIGN.md §9), behind two endpoints. /v1/insert answers 200 once
@@ -61,10 +59,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/url"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,8 +84,8 @@ import (
 type state struct {
 	sum  *shard.Summary
 	pipe *ingest.Pipeline
-	// read is the prober every query endpoint runs: the summary itself,
-	// or a watermark-invalidated cache over it (SetReadCache).
+	// read is the prober /v2/query runs: the summary itself, or a
+	// watermark-invalidated cache over it (SetReadCache).
 	read query.Prober
 	// cache is non-nil exactly when read is the cache, for /healthz stats.
 	cache *rcache.Cache
@@ -124,12 +119,12 @@ type Options struct {
 	// its response, and POST /v1/snapshot answers 409 — swapping in a foreign
 	// summary would desynchronize its watermarks from the log's sequences.
 	Ingest ingest.Config
-	// Replica makes the server read-only: every query endpoint works (the
-	// summary is live — a replication follower applies records under
-	// per-shard write locks, exactly like ingest), every write endpoint
-	// answers 403, because a replica's state is defined entirely by the
-	// primary's record stream, and ReplaceSummary is allowed. No write ever
-	// reaches the pipeline Ingest configures.
+	// Replica makes the server read-only: /v2/query works (the summary is
+	// live — a replication follower applies records under per-shard write
+	// locks, exactly like ingest), every write endpoint answers 403, because
+	// a replica's state is defined entirely by the primary's record stream,
+	// and ReplaceSummary is allowed. No write ever reaches the pipeline
+	// Ingest configures.
 	Replica bool
 	// CacheBytes is the byte budget of the watermark-invalidated read cache
 	// in front of the planner (DESIGN.md §16); 0 serves uncached.
@@ -139,10 +134,9 @@ type Options struct {
 	// are derived from the summary; the zero Config selects the documented
 	// defaults.
 	Analytics *analytics.Config
-	// Admission, when non-nil, fronts every query endpoint: shed requests
-	// answer 429 with a Retry-After pacing hint. Write and operational
-	// endpoints are not admission-controlled (ingest has its own
-	// backpressure).
+	// Admission, when non-nil, fronts /v2/query: shed requests answer 429
+	// with a Retry-After pacing hint. Write and operational endpoints are
+	// not admission-controlled (ingest has its own backpressure).
 	Admission *admit.Controller
 	// Durability, Retention and Replication are the probes GET /healthz
 	// calls for the fields of those names; nil reports the zero status (for
@@ -338,10 +332,6 @@ func (s *Server) routes() []httpapi.Route {
 		{Path: "/v1/flush", Method: post, Write: true, Handle: s.handleFlush},
 		{Path: "/v1/expire", Method: post, Write: true, Handle: s.handleExpire},
 		{Path: "/v1/delete", Method: post, Write: true, Handle: s.handleDelete},
-		{Path: "/v1/edge", Method: get, Handle: s.handleEdge},
-		{Path: "/v1/vertex", Method: get, Handle: s.handleVertex},
-		{Path: "/v1/path", Method: get, Handle: s.handlePath},
-		{Path: "/v1/subgraph", Method: post, Handle: s.handleSubgraph},
 		{Path: "/v1/stats", Method: get, Handle: s.handleStats},
 		{Path: "/v1/snapshot", Method: get, Handle: s.handleSnapshotDownload},
 		{Path: "/v1/snapshot", Method: post, Write: true, Handle: s.handleSnapshotUpload},
@@ -540,52 +530,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// params reads numeric query parameters, keeping the first parse failure.
-// Window validity (te ≥ ts) is the query planner's job — see
-// query.Query.Validate — so only parse failures are reported here.
-type params struct {
-	q   url.Values
-	err error
-}
-
-func (p *params) fail(format string, args ...any) {
-	if p.err == nil {
-		p.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (p *params) u64(key string) uint64 {
-	v, err := strconv.ParseUint(p.q.Get(key), 10, 64)
-	if err != nil {
-		p.fail("%s: %w", key, err)
-	}
-	return v
-}
-
-func (p *params) i64(key string) int64 {
-	v, err := strconv.ParseInt(p.q.Get(key), 10, 64)
-	if err != nil {
-		p.fail("%s: %w", key, err)
-	}
-	return v
-}
-
-// execute is the tail every query endpoint ends in: admit the batch by its
-// planned probe count, then run it through the one planner against the
-// state's read prober (the cache, when enabled) and analytics engine.
-func (s *Server) execute(r *http.Request, st *state, batch []query.Query, probes int) ([]query.Result, error) {
-	release, err := s.admit(r, probes)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	var eng query.Analytics
-	if st.eng != nil {
-		eng = st.eng
-	}
-	return query.DoBatchWith(st.read, eng, batch), nil
-}
-
 // admit asks the admission controller (if any) to run a request planning
 // the given number of per-shard probes, returning the release callback or
 // the 429 to answer. The client key is the peer host, so one tenant's
@@ -618,87 +562,13 @@ func errCode(err error) string {
 	return httpapi.CodeBadRequest
 }
 
-// answerOne serves a /v1 query endpoint: perr is its parameter-decoding
-// failure, q the question otherwise — run as a one-element batch, so the
-// two surfaces cannot disagree — answered in the v1 shape: 400 on a query
-// validation error (an inverted time range, a too-short path), 200 with
-// {"weight": ...} otherwise.
-func (s *Server) answerOne(w http.ResponseWriter, r *http.Request, q query.Query, perr error) error {
-	if perr != nil {
-		return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeBadRequest, "%v", perr)
-	}
-	st := s.st.Load()
-	res, err := s.execute(r, st, []query.Query{q}, q.ProbeCount(st.sum.NumShards()))
-	if err != nil {
-		return err
-	}
-	if err := res[0].Err; err != nil {
-		return httpapi.Errorf(http.StatusBadRequest, errCode(err), "%v", err)
-	}
-	writeJSON(w, map[string]int64{"weight": res[0].Weight})
-	return nil
-}
-
-func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) error {
-	p := params{q: r.URL.Query()}
-	q := query.NewEdge(p.u64("s"), p.u64("d"), p.i64("ts"), p.i64("te"))
-	return s.answerOne(w, r, q, p.err)
-}
-
-func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) error {
-	p := params{q: r.URL.Query()}
-	v, ts, te := p.u64("v"), p.i64("ts"), p.i64("te")
-	q := query.NewVertexOut(v, ts, te)
-	switch p.q.Get("dir") {
-	case "", "out":
-	case "in":
-		q = query.NewVertexIn(v, ts, te)
-	default:
-		p.fail(`dir must be "out" or "in"`)
-	}
-	return s.answerOne(w, r, q, p.err)
-}
-
-func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) error {
-	p := params{q: r.URL.Query()}
-	ts, te := p.i64("ts"), p.i64("te")
-	parts := strings.Split(p.q.Get("v"), ",")
-	if len(parts) < 2 {
-		p.fail("v must list ≥ 2 comma-separated vertices")
-	}
-	path := make([]uint64, len(parts))
-	for i, part := range parts {
-		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
-		if err != nil {
-			p.fail("v[%d]: %v", i, err)
-		}
-		path[i] = v
-	}
-	return s.answerOne(w, r, query.NewPath(path, ts, te), p.err)
-}
-
-// subgraphRequest is the POST body of /v1/subgraph.
-type subgraphRequest struct {
-	Edges [][2]uint64 `json:"edges"`
-	Ts    int64       `json:"ts"`
-	Te    int64       `json:"te"`
-}
-
-func (s *Server) handleSubgraph(w http.ResponseWriter, r *http.Request) error {
-	var req subgraphRequest
-	if err := readJSON(w, r, &req); err != nil {
-		return err
-	}
-	return s.answerOne(w, r, query.NewSubgraph(req.Edges, req.Ts, req.Te), nil)
-}
-
 // maxBatchQueries bounds one /v2/query envelope; a larger batch is a
 // malformed request, not a bigger lock amortization.
 const maxBatchQueries = 65536
 
 // maxBatchBody bounds the /v2/query request body (8 MiB), enforced with
 // http.MaxBytesReader before decoding. Every other JSON body (/v1/insert,
-// /v1/ingest, /v1/expire, /v1/delete, /v1/subgraph) shares the same cap:
+// /v1/ingest, /v1/expire, /v1/delete) shares the same cap:
 // an edge batch worth more than 8 MiB of JSON should be split, not
 // buffered.
 const maxBatchBody = 8 << 20
@@ -764,10 +634,18 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) error 
 		return httpapi.Errorf(http.StatusBadRequest, httpapi.CodeProbeBudget,
 			"batch expands to more than %d per-shard probes; split it", maxBatchProbes)
 	}
-	results, err := s.execute(r, st, env.batch, env.probes)
+	release, err := s.admit(r, env.probes)
 	if err != nil {
 		return err
 	}
+	defer release()
+	// Without analytics the planner must see a nil interface, not a typed
+	// nil *Engine.
+	var eng query.Analytics
+	if st.eng != nil {
+		eng = st.eng
+	}
+	results := query.DoBatchWith(st.read, eng, env.batch)
 	// Every item has been decoded out of the body; its buffer takes the answer.
 	if wb.b, err = appendAnswers(wb.b[:0], env, results); err != nil {
 		return err
@@ -857,8 +735,8 @@ type ReadCacheStatus struct {
 }
 
 // AdmissionStatus is the admission-control state /healthz reports
-// (DESIGN.md §16): whether a controller fronts the query endpoints, and
-// its per-class budget/queue/shed counters when one does.
+// (DESIGN.md §16): whether a controller fronts /v2/query, and its
+// per-class budget/queue/shed counters when one does.
 type AdmissionStatus struct {
 	// Enabled reports whether queries are admission-controlled.
 	Enabled bool `json:"enabled"`

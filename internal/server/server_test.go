@@ -110,12 +110,10 @@ func seed(t *testing.T, base string) {
 func TestInsertAndEdgeQuery(t *testing.T) {
 	_, ts := newTestServer(t)
 	seed(t, ts.URL)
-	resp := get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=15")
-	if got := decode[map[string]int64](t, resp); got["weight"] != 3 {
+	if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":15}`); got != 3 {
 		t.Fatalf("weight = %v, want 3", got)
 	}
-	resp = get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
-	if got := decode[map[string]int64](t, resp); got["weight"] != 7 {
+	if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 7 {
 		t.Fatalf("weight = %v, want 7", got)
 	}
 }
@@ -123,30 +121,24 @@ func TestInsertAndEdgeQuery(t *testing.T) {
 func TestVertexQuery(t *testing.T) {
 	_, ts := newTestServer(t)
 	seed(t, ts.URL)
-	resp := get(t, ts.URL+"/v1/vertex?v=1&dir=out&ts=0&te=100")
-	if got := decode[map[string]int64](t, resp); got["weight"] != 7 {
+	if got := ask(t, ts.URL, `{"kind":"vertex_out","v":1,"ts":0,"te":100}`); got != 7 {
 		t.Fatalf("out = %v, want 7", got)
 	}
-	resp = get(t, ts.URL+"/v1/vertex?v=3&dir=in&ts=0&te=100")
-	if got := decode[map[string]int64](t, resp); got["weight"] != 5 {
+	if got := ask(t, ts.URL, `{"kind":"vertex_in","v":3,"ts":0,"te":100}`); got != 5 {
 		t.Fatalf("in = %v, want 5", got)
 	}
-	// Default direction is out.
-	resp = get(t, ts.URL+"/v1/vertex?v=2&ts=0&te=100")
-	if got := decode[map[string]int64](t, resp); got["weight"] != 5 {
-		t.Fatalf("default out = %v, want 5", got)
+	if got := ask(t, ts.URL, `{"kind":"vertex_out","v":2,"ts":0,"te":100}`); got != 5 {
+		t.Fatalf("out of 2 = %v, want 5", got)
 	}
 }
 
 func TestPathAndSubgraph(t *testing.T) {
 	_, ts := newTestServer(t)
 	seed(t, ts.URL)
-	resp := get(t, ts.URL+"/v1/path?v=1,2,3&ts=0&te=100")
-	if got := decode[map[string]int64](t, resp); got["weight"] != 12 {
+	if got := ask(t, ts.URL, `{"kind":"path","path":[1,2,3],"ts":0,"te":100}`); got != 12 {
 		t.Fatalf("path = %v, want 12", got)
 	}
-	resp = post(t, ts.URL+"/v1/subgraph", `{"edges":[[1,2],[2,3]],"ts":0,"te":100}`)
-	if got := decode[map[string]int64](t, resp); got["weight"] != 12 {
+	if got := ask(t, ts.URL, `{"kind":"subgraph","edges":[[1,2],[2,3]],"ts":0,"te":100}`); got != 12 {
 		t.Fatalf("subgraph = %v, want 12", got)
 	}
 }
@@ -158,8 +150,7 @@ func TestDelete(t *testing.T) {
 	if got := decode[map[string]bool](t, resp); !got["deleted"] {
 		t.Fatalf("delete = %v", got)
 	}
-	resp = get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
-	if got := decode[map[string]int64](t, resp); got["weight"] != 4 {
+	if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 4 {
 		t.Fatalf("after delete = %v, want 4", got)
 	}
 	// Deleting something that was never inserted reports false.
@@ -205,8 +196,7 @@ func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 		t.Fatalf("snapshot upload status %d: %s", resp2.StatusCode, body)
 	}
 	resp2.Body.Close()
-	resp3 := get(t, ts2.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
-	if got := decode[map[string]int64](t, resp3); got["weight"] != 7 {
+	if got := ask(t, ts2.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 7 {
 		t.Fatalf("restored weight = %v, want 7", got)
 	}
 }
@@ -247,7 +237,7 @@ func TestSnapshotUploadRejectsMisplacedEntry(t *testing.T) {
 	if up.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "sits behind a non-full candidate bucket") {
 		t.Fatalf("upload answered %d %s, want 400 naming the misplaced slot", up.StatusCode, body)
 	}
-	if got := decode[map[string]int64](t, get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")); got["weight"] != 7 {
+	if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 7 {
 		t.Fatalf("weight after the refused upload = %v, want the served summary's 7", got)
 	}
 }
@@ -261,22 +251,9 @@ func TestBadRequests(t *testing.T) {
 		{"GET", "/v1/insert", "", http.StatusMethodNotAllowed},
 		{"POST", "/v1/insert", `{"not":"an array"}`, http.StatusBadRequest},
 		{"POST", "/v1/insert", `garbage`, http.StatusBadRequest},
-		{"GET", "/v1/edge?s=x&d=2&ts=0&te=1", "", http.StatusBadRequest},
-		{"GET", "/v1/edge?s=1&d=2&ts=zz&te=1", "", http.StatusBadRequest},
-		{"GET", "/v1/vertex?v=1&dir=sideways&ts=0&te=1", "", http.StatusBadRequest},
-		{"GET", "/v1/path?v=1&ts=0&te=1", "", http.StatusBadRequest},
-		{"GET", "/v1/path?v=1,zebra&ts=0&te=1", "", http.StatusBadRequest},
-		{"GET", "/v1/subgraph", "", http.StatusMethodNotAllowed},
-		{"POST", "/v1/subgraph", `{"edges":"no"}`, http.StatusBadRequest},
 		{"POST", "/v1/snapshot", "not a snapshot", http.StatusBadRequest},
 		{"PUT", "/v1/snapshot", "", http.StatusMethodNotAllowed},
 		{"GET", "/v1/delete", "", http.StatusMethodNotAllowed},
-		// Inverted time ranges (te < ts) are client errors, not empty
-		// results (regression: these used to return 200 with weight 0).
-		{"GET", "/v1/edge?s=1&d=2&ts=100&te=50", "", http.StatusBadRequest},
-		{"GET", "/v1/vertex?v=1&ts=100&te=50", "", http.StatusBadRequest},
-		{"GET", "/v1/path?v=1,2&ts=100&te=50", "", http.StatusBadRequest},
-		{"POST", "/v1/subgraph", `{"edges":[[1,2]],"ts":100,"te":50}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
@@ -299,17 +276,11 @@ func TestBadRequests(t *testing.T) {
 func TestInvertedRangeRejected(t *testing.T) {
 	_, ts := newTestServer(t)
 	seed(t, ts.URL)
-	resp := get(t, ts.URL+"/v1/edge?s=1&d=2&ts=20&te=10")
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("inverted range status = %d, want 400", resp.StatusCode)
+	got := postBatch(t, ts.URL, `[{"kind":"edge","s":1,"d":2,"ts":20,"te":10}]`)
+	if len(got) != 1 || got[0].Weight != nil || !strings.Contains(got[0].Error, "inverted time range") {
+		t.Fatalf("inverted range answered %+v, want an inverted time range error", got)
 	}
-	if !strings.Contains(string(body), "inverted time range") {
-		t.Fatalf("unexpected error body: %s", body)
-	}
-	resp = get(t, ts.URL+"/v1/edge?s=1&d=2&ts=10&te=10")
-	if got := decode[map[string]int64](t, resp); got["weight"] != 3 {
+	if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":10,"te":10}`); got != 3 {
 		t.Fatalf("ts == te weight = %v, want 3", got)
 	}
 }
@@ -336,8 +307,7 @@ func TestShardedSnapshotRoundTripOverHTTP(t *testing.T) {
 	if got["shards"] != float64(8) || got["items"] != float64(3) {
 		t.Fatalf("snapshot upload response = %v", got)
 	}
-	resp3 := get(t, ts2.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
-	if got := decode[map[string]int64](t, resp3); got["weight"] != 7 {
+	if got := ask(t, ts2.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 7 {
 		t.Fatalf("restored weight = %v, want 7", got)
 	}
 	st := decode[shard.Stats](t, get(t, ts2.URL+"/v1/stats"))
@@ -384,7 +354,8 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
-				resp, err := http.Get(fmt.Sprintf("%s/v1/vertex?v=%d&dir=in&ts=0&te=1000", ts.URL, b%8))
+				resp, err := http.Post(ts.URL+"/v2/query", "application/json",
+					strings.NewReader(fmt.Sprintf(`[{"kind":"vertex_in","v":%d,"ts":0,"te":1000}]`, b%8)))
 				if err != nil {
 					errs <- err
 					return
@@ -410,8 +381,8 @@ func TestConcurrentClients(t *testing.T) {
 	done := make(chan error, 20)
 	for i := 0; i < 20; i++ {
 		go func(i int) {
-			url := fmt.Sprintf("%s/v1/edge?s=1&d=2&ts=0&te=%d", ts.URL, 100+i)
-			resp, err := http.Get(url)
+			resp, err := http.Post(ts.URL+"/v2/query", "application/json",
+				strings.NewReader(fmt.Sprintf(`[{"kind":"edge","s":1,"d":2,"ts":0,"te":%d}]`, 100+i)))
 			if err == nil {
 				resp.Body.Close()
 			}
@@ -454,8 +425,7 @@ func TestIngestAcceptedThenFlushVisible(t *testing.T) {
 	if got := decode[map[string]int64](t, resp); got["items"] != 3 {
 		t.Fatalf("flush items = %v, want 3", got)
 	}
-	resp = get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=100")
-	if got := decode[map[string]int64](t, resp); got["weight"] != 7 {
+	if got := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":100}`); got != 7 {
 		t.Fatalf("weight after flush = %v, want 7", got)
 	}
 }
@@ -515,7 +485,7 @@ func TestIngestBadRequests(t *testing.T) {
 		{"POST", "/v1/ingest", `[{"S":1,"d":2,"w":1,"t":100}]]`, http.StatusBadRequest}, // the fallback's check, not the scanner's
 		{"POST", "/v1/insert", `[` + edge + `][` + edge + `]`, http.StatusBadRequest},
 		{"POST", "/v1/delete", edge + edge, http.StatusBadRequest},
-		{"POST", "/v1/subgraph", `{"edges":[[1,2]],"ts":0,"te":200}{}`, http.StatusBadRequest},
+		{"POST", "/v2/query", `[{"kind":"subgraph","edges":[[1,2]],"ts":0,"te":200}]{}`, http.StatusBadRequest},
 		{"POST", "/v1/ingest", " [" + edge + "] \r\n\t", http.StatusAccepted},
 	}
 	for _, c := range cases {
@@ -577,8 +547,7 @@ func TestConcurrentIngestFlushQuery(t *testing.T) {
 			for b := 0; b < batches; b++ {
 				resp := post(t, ts.URL+"/v1/flush", "")
 				resp.Body.Close()
-				resp = get(t, fmt.Sprintf("%s/v1/vertex?v=%d&dir=in&ts=0&te=1000", ts.URL, b))
-				resp.Body.Close()
+				postBatch(t, ts.URL, fmt.Sprintf(`[{"kind":"vertex_in","v":%d,"ts":0,"te":1000}]`, b))
 			}
 		}(p)
 	}
@@ -593,6 +562,7 @@ func TestConcurrentIngestFlushQuery(t *testing.T) {
 type v2Result struct {
 	Weight *int64 `json:"weight"`
 	Error  string `json:"error"`
+	Code   string `json:"code"`
 }
 
 func postBatch(t *testing.T, base, body string) []v2Result {
@@ -604,6 +574,17 @@ func postBatch(t *testing.T, base, body string) []v2Result {
 		t.Fatalf("/v2/query status %d: %s", resp.StatusCode, b)
 	}
 	return decode[[]v2Result](t, resp)
+}
+
+// ask posts one query item to /v2/query and returns its weight, failing the
+// test on any error, envelope- or item-level.
+func ask(t *testing.T, base, item string) int64 {
+	t.Helper()
+	got := postBatch(t, base, "["+item+"]")
+	if len(got) != 1 || got[0].Error != "" || got[0].Weight == nil {
+		t.Fatalf("%s: answered %+v, want one weight", item, got)
+	}
+	return *got[0].Weight
 }
 
 // TestV2QueryBatch: one POST answers all five query kinds.
@@ -628,35 +609,6 @@ func TestV2QueryBatch(t *testing.T) {
 		}
 		if got[i].Weight == nil || *got[i].Weight != w {
 			t.Fatalf("item %d: weight = %v, want %d", i, got[i].Weight, w)
-		}
-	}
-}
-
-// TestV2QueryMatchesV1: both surfaces run the same planner, so answers
-// must agree exactly.
-func TestV2QueryMatchesV1(t *testing.T) {
-	_, ts := newTestServerShards(t, 8)
-	seed(t, ts.URL)
-	v1 := []string{
-		"/v1/edge?s=1&d=2&ts=0&te=100",
-		"/v1/vertex?v=1&dir=out&ts=0&te=100",
-		"/v1/vertex?v=2&dir=in&ts=0&te=100",
-		"/v1/path?v=1,2,3&ts=0&te=100",
-	}
-	var wantW []int64
-	for _, u := range v1 {
-		resp := get(t, ts.URL+u)
-		wantW = append(wantW, decode[map[string]int64](t, resp)["weight"])
-	}
-	got := postBatch(t, ts.URL, `[
-		{"kind":"edge","s":1,"d":2,"ts":0,"te":100},
-		{"kind":"vertex_out","v":1,"ts":0,"te":100},
-		{"kind":"vertex_in","v":2,"ts":0,"te":100},
-		{"kind":"path","path":[1,2,3],"ts":0,"te":100}
-	]`)
-	for i := range v1 {
-		if got[i].Weight == nil || *got[i].Weight != wantW[i] {
-			t.Fatalf("item %d: v2 weight = %v, v1 weight = %d", i, got[i].Weight, wantW[i])
 		}
 	}
 }
@@ -730,31 +682,11 @@ func TestV2QueryEnvelope(t *testing.T) {
 	}
 }
 
-// TestInvertedRangeEveryEndpoint: te < ts is rejected on every query
-// surface — 400 on each v1 endpoint, a per-item error on /v2/query.
+// TestInvertedRangeEveryEndpoint: te < ts is a per-item inverted_window
+// error for every weight kind on /v2/query.
 func TestInvertedRangeEveryEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	seed(t, ts.URL)
-	gets := []string{
-		"/v1/edge?s=1&d=2&ts=100&te=50",
-		"/v1/vertex?v=1&dir=out&ts=100&te=50",
-		"/v1/vertex?v=1&dir=in&ts=100&te=50",
-		"/v1/path?v=1,2&ts=100&te=50",
-	}
-	for _, u := range gets {
-		resp := get(t, ts.URL+u)
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "inverted time range") {
-			t.Errorf("GET %s: status %d body %q, want 400 + inverted time range", u, resp.StatusCode, body)
-		}
-	}
-	resp := post(t, ts.URL+"/v1/subgraph", `{"edges":[[1,2]],"ts":100,"te":50}`)
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "inverted time range") {
-		t.Errorf("POST /v1/subgraph: status %d body %q, want 400 + inverted time range", resp.StatusCode, body)
-	}
 	for _, item := range []string{
 		`{"kind":"edge","s":1,"d":2,"ts":100,"te":50}`,
 		`{"kind":"vertex_out","v":1,"ts":100,"te":50}`,
@@ -763,8 +695,9 @@ func TestInvertedRangeEveryEndpoint(t *testing.T) {
 		`{"kind":"subgraph","edges":[[1,2]],"ts":100,"te":50}`,
 	} {
 		got := postBatch(t, ts.URL, "["+item+"]")
-		if len(got) != 1 || got[0].Weight != nil || !strings.Contains(got[0].Error, "inverted time range") {
-			t.Errorf("v2 item %s: %+v, want inverted time range error", item, got)
+		if len(got) != 1 || got[0].Weight != nil || !strings.Contains(got[0].Error, "inverted time range") ||
+			got[0].Code != "inverted_window" {
+			t.Errorf("v2 item %s: %+v, want inverted_window error", item, got)
 		}
 	}
 }
@@ -977,9 +910,8 @@ func TestExpireEndpoint(t *testing.T) {
 		t.Fatalf("second expire dropped %d, want 0", again["dropped"])
 	}
 	// The live window keeps answering.
-	w := decode[map[string]int64](t, get(t, ts.URL+"/v1/edge?s=1&d=2&ts=4000&te=5000"))
-	if w["weight"] <= 0 {
-		t.Fatalf("live-window weight = %d after expire, want > 0", w["weight"])
+	if w := ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":4000,"te":5000}`); w <= 0 {
+		t.Fatalf("live-window weight = %d after expire, want > 0", w)
 	}
 }
 
@@ -1033,12 +965,6 @@ func TestV2QueryEmptySubgraph(t *testing.T) {
 		if got[i].Weight != nil || !strings.Contains(got[i].Error, "≥ 1 edge") {
 			t.Fatalf("empty subgraph item %d: %+v, want per-item ≥ 1 edge error", i, got[i])
 		}
-	}
-	// The /v1 surface rejects it too (same planner, 400 shape).
-	resp := post(t, ts.URL+"/v1/subgraph", `{"edges":[],"ts":0,"te":100}`)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("/v1/subgraph with no edges: status %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -1097,7 +1023,7 @@ func TestWriteBodyCaps(t *testing.T) {
 	if len(huge) <= 8<<20 {
 		t.Fatalf("test body not oversized: %d bytes", len(huge))
 	}
-	for _, path := range []string{"/v1/insert", "/v1/ingest", "/v1/expire", "/v1/delete", "/v1/subgraph"} {
+	for _, path := range []string{"/v1/insert", "/v1/ingest", "/v1/expire", "/v1/delete"} {
 		resp := post(t, ts.URL+path, huge)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -1153,7 +1079,7 @@ func TestInsertIsLoggedAndVisible(t *testing.T) {
 	}
 	body.WriteByte(']')
 	edge12 := func(ts *httptest.Server) int64 {
-		return decode[map[string]int64](t, get(t, ts.URL+"/v1/edge?s=1&d=2&ts=0&te=1000"))["weight"]
+		return ask(t, ts.URL, `{"kind":"edge","s":1,"d":2,"ts":0,"te":1000}`)
 	}
 	const once = 2 * n / 40 // edge (1,2) recurs every 40 edges with weight 2
 
