@@ -106,7 +106,8 @@ func TestSteadyStateInsertAllocs(t *testing.T) {
 	}
 }
 
-// TestEdgeWeightAllocs: the edge-query hot loop must not allocate.
+// TestEdgeWeightAllocs: the edge- and vertex-query hot loops must not
+// allocate, over a summary whose sealed aggregates are frozen and spilled.
 func TestEdgeWeightAllocs(t *testing.T) {
 	st, cfg := loadFixtureStream(t)
 	s := MustNew(cfg)
@@ -114,8 +115,21 @@ func TestEdgeWeightAllocs(t *testing.T) {
 		s.Insert(e)
 	}
 	s.Finalize()
-	if n := testing.AllocsPerRun(1000, func() { s.EdgeWeight(5, 7, 0, 1<<40) }); n != 0 {
-		t.Fatalf("EdgeWeight allocates %.2f allocs/op, want 0", n)
+	if stats := s.Stats(); stats.SealedMatrices == 0 || stats.SpillEntries == 0 {
+		t.Fatalf("%d sealed aggregates, %d spill entries: the probes would miss the frozen kernels", stats.SealedMatrices, stats.SpillEntries)
+	}
+	e := st[len(st)/2]
+	for _, p := range []struct {
+		name  string
+		probe func()
+	}{
+		{"EdgeWeight", func() { s.EdgeWeight(e.S, e.D, 0, 1<<40) }},
+		{"VertexOut", func() { s.VertexOut(e.S, 0, 1<<40) }},
+		{"VertexIn", func() { s.VertexIn(e.D, 0, 1<<40) }},
+	} {
+		if n := testing.AllocsPerRun(1000, p.probe); n != 0 {
+			t.Fatalf("%s allocates %.2f allocs/op, want 0", p.name, n)
+		}
 	}
 }
 

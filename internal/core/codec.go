@@ -168,8 +168,15 @@ func (s *Summary) decodeNode(r *wire.Reader) (nodeID, *node, error) {
 		if err != nil {
 			return 0, nil, err
 		}
+		if m.Cfg().Timed {
+			return 0, nil, fmt.Errorf("core: decode node: level-%d aggregate matrix is timed", n.level)
+		}
+		// The decoded matrix is final: freeze it as a seal would, and mark
+		// the aggregation latch done. Its dense slab is not pooled: a seal
+		// keeps one builder per level there, and a load would park up to
+		// the pool's cap of every aggregate size at once.
+		m.Freeze(nil)
 		n.mat = m
-		// The decoded matrix is final: mark the aggregation latch done.
 		n.sealState = sealDone
 	}
 	nc := r.Int()

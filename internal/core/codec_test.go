@@ -145,6 +145,26 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 			t.Fatalf("truncated snapshot (%d bytes) accepted", cut)
 		}
 	}
+	// A timed matrix where an aggregate belongs: a decoded aggregate is
+	// frozen, and only untimed matrices freeze.
+	orig = MustNew(smallConfig())
+	for _, e := range denseStream(2000, 40, 20000, 25) {
+		orig.Insert(e)
+	}
+	orig.Finalize()
+	orig.sealNow(orig.root)
+	leaf := orig.root
+	for leaf.level > 1 {
+		leaf = orig.ar.node(nodeID(orig.ar.children(leaf)[0]))
+	}
+	orig.root.mat = leaf.mat
+	buf.Reset()
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "timed") {
+		t.Fatalf("snapshot with a timed aggregate: err = %v", err)
+	}
 }
 
 func TestSnapshotParallelSummary(t *testing.T) {

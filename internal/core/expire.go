@@ -15,10 +15,11 @@ package core
 // reach before the cutoff. Callers enforcing a strict window should query
 // within [cutoff, now], where results are unaffected.
 //
-// Dropped subtrees are recycled in place: their matrix slabs go back to
-// the Summary's pool and their arena slots onto the free lists, so a
-// steady expire cadence makes ingest allocation-free — new leaves and
-// aggregates reuse the memory of the ones just dropped.
+// Dropped subtrees are recycled in place: their leaf slabs go back to the
+// Summary's pool and their arena slots onto the free lists, so new leaves
+// reuse the memory of the ones just dropped. A dropped aggregate is frozen,
+// sized to its entries; its arrays go to the GC, and aggregates are built in
+// the dense builders the pool keeps per level.
 //
 // Expire must not run concurrently with inserts or queries.
 func (s *Summary) Expire(cutoff int64) (leavesDropped int) {
@@ -87,9 +88,10 @@ func (s *Summary) expireNode(n *node, cutoff int64) int {
 	return dropped
 }
 
-// releaseSubtree returns every matrix slab of the subtree to the pool and
-// every node and child block to the arena free lists. The caller must
-// guarantee exclusivity (workers drained, no concurrent queries).
+// releaseSubtree releases every matrix of the subtree to the pool (which
+// keeps dense slabs only) and every node and child block to the arena free
+// lists. The caller must guarantee exclusivity (workers drained, no
+// concurrent queries).
 func (s *Summary) releaseSubtree(id nodeID) {
 	n := s.ar.node(id)
 	if n.level > 1 {

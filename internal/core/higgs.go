@@ -17,9 +17,10 @@ import (
 // internal aggregation workers run concurrently with insertions, and
 // queries may run concurrently with each other once insertion has finished.
 //
-// All tree nodes live in an arena owned by the Summary (see arena.go) and
-// matrix slabs draw from a pool that Expire refills, so steady-state ingest
-// allocates nothing per edge.
+// All tree nodes live in an arena owned by the Summary (see arena.go), leaf
+// slabs draw from a pool that Expire refills, and aggregates are built in
+// the pool's dense builders, so steady-state ingest allocates nothing per
+// edge; a seal allocates only the frozen aggregate it keeps.
 type Summary struct {
 	cfg Config
 	rb  uint // R: fingerprint bits promoted per level

@@ -87,6 +87,8 @@ func (n *node) sealed() bool {
 // child entry, and merge. Overflow-block matrices of leaf children are
 // absorbed alongside the main leaf matrices. Entries that cannot be placed
 // go to the parent matrix's spill list with full fidelity (DESIGN.md §3.4).
+// Nothing adds to the aggregate again, so it is frozen before sealNow
+// publishes it, and its dense builder goes back to the pool.
 func (s *Summary) buildAggregate(n *node) {
 	kids := s.ar.children(n)
 	first := s.ar.node(nodeID(kids[0]))
@@ -125,5 +127,6 @@ func (s *Summary) buildAggregate(n *node) {
 			}
 		}
 	}
+	m.Freeze(s.pool)
 	n.mat = m
 }

@@ -5,8 +5,9 @@ import "math"
 // Stats reports structural statistics of a HIGGS summary. Space figures
 // follow the repository-wide convention (DESIGN.md §7): SpaceBytes is the
 // packed structural size the paper's space comparisons count, HeapBytes the
-// Go-resident size: the column backing every matrix holds, plus the slabs
-// Expire parked in the pool for the insert path to reuse.
+// Go-resident size: the arrays every matrix holds, dense or frozen, plus the
+// slabs in the pool — those Expire parked for the insert path to reuse and
+// the dense builders sealing returned.
 type Stats struct {
 	Items          int64 // accepted stream items
 	Clamped        int64 // out-of-order items clamped to the newest time

@@ -11,7 +11,8 @@ import (
 const matrixTag = 0x4d58 // "MX"
 
 // Encode writes the matrix onto w in the snapshot wire format: geometry,
-// then only the occupied slots (sparse encoding), then the spill list.
+// then only the occupied slots (sparse encoding), then the spill list. A
+// frozen matrix writes the bytes its dense form did.
 func (m *Matrix) Encode(w *wire.Writer) {
 	w.U64(matrixTag)
 	w.U32(m.cfg.D)
@@ -22,10 +23,10 @@ func (m *Matrix) Encode(w *wire.Writer) {
 	w.I64(m.startT)
 	w.I64(m.added)
 	w.Int(m.count)
-	for bkt, fill := range m.fills {
-		base := bkt * m.cfg.B
-		for k := base; k < base+int(fill); k++ {
-			w.Int(k)
+	for bkt := 0; bkt < int(m.cfg.D)*int(m.cfg.D); bkt++ {
+		lo, fill := m.bucket(bkt)
+		for k := lo; k < lo+fill; k++ {
+			w.Int(bkt*m.cfg.B + k - lo)
 			w.U32(uint32(m.keys[k]))
 			w.U32(uint32(m.keys[k] >> 32))
 			if m.offs != nil {

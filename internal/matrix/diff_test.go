@@ -167,13 +167,17 @@ func (r *refMatrix) sum(lo, hi int64, match func(refKey) bool) int64 {
 	return s
 }
 
-// check compares every observable of m against the model: the counts,
-// ForEach (content and order), and the three sums over the whole range and
-// over each window, for every stored identity and a few absent ones.
+// check compares every observable of m, dense or frozen, against the model:
+// the counts, ForEach (content and order), and the three sums over the whole
+// range and over each window, for every stored identity and a few absent
+// ones.
 func (r *refMatrix) check(t *testing.T, m *Matrix, rng *rand.Rand, windows [][2]int64) {
 	t.Helper()
-	zeroBeyondFill(t, m)
-	checkFirstFit(t, m)
+	dense := m.frz == nil
+	if dense {
+		zeroBeyondFill(t, m)
+		checkFirstFit(t, m)
+	}
 	if got := m.Count() + m.SpillCount(); got != len(r.w) {
 		t.Fatalf("Count %d + SpillCount %d != %d distinct entries", m.Count(), m.SpillCount(), len(r.w))
 	}
@@ -191,12 +195,13 @@ func (r *refMatrix) check(t *testing.T, m *Matrix, rng *rand.Rand, windows [][2]
 		t.Fatalf("ForEach visited %d entries, model has %d", len(seen), len(r.w))
 	}
 	n := 0
-	for bkt, f := range m.fills {
-		for k := bkt * m.cfg.B; k < bkt*m.cfg.B+int(f); k, n = k+1, n+1 {
+	for bkt := 0; bkt < int(m.cfg.D*m.cfg.D); bkt++ {
+		lo, fill := m.bucket(bkt)
+		for k := lo; k < lo+fill; k, n = k+1, n+1 {
 			if got := packKey(seen[n].fpS, seen[n].fpD); got != m.keys[k] {
 				t.Fatalf("ForEach entry %d is not slot %d", n, k)
 			}
-			if k > bkt*m.cfg.B && r.born[seen[n-1]] > r.born[seen[n]] {
+			if k > lo && r.born[seen[n-1]] > r.born[seen[n]] {
 				t.Fatalf("bucket %d: slot %d arrived before its predecessor", bkt, k)
 			}
 		}
@@ -216,8 +221,10 @@ func (r *refMatrix) check(t *testing.T, m *Matrix, rng *rand.Rand, windows [][2]
 		lo, hi := win[0], win[1]
 		for _, p := range probes {
 			got := m.EdgeSum(p.fpS, p.baseS, p.fpD, p.baseD, lo, hi)
-			if want := m.edgeSumExhaustive(p.fpS, p.baseS, p.fpD, p.baseD, lo, hi); got != want {
-				t.Fatalf("EdgeSum(%+v, [%d,%d]) = %d, a sweep of every candidate slot finds %d", p, lo, hi, got, want)
+			if dense {
+				if want := m.edgeSumExhaustive(p.fpS, p.baseS, p.fpD, p.baseD, lo, hi); got != want {
+					t.Fatalf("EdgeSum(%+v, [%d,%d]) = %d, a sweep of every candidate slot finds %d", p, lo, hi, got, want)
+				}
 			}
 			if want := r.sum(lo, hi, func(k refKey) bool {
 				return k.fpS == p.fpS && k.baseS == p.baseS && k.fpD == p.fpD && k.baseD == p.baseD
@@ -238,6 +245,30 @@ func (r *refMatrix) check(t *testing.T, m *Matrix, rng *rand.Rand, windows [][2]
 	}
 }
 
+// frozenCopy returns m decoded from its own encoding and frozen: the form a
+// sealed aggregate is queried in, built the way a snapshot load builds it.
+func frozenCopy(t testing.TB, m *Matrix) *Matrix {
+	t.Helper()
+	fz, err := Decode(wire.NewReader(bytes.NewReader(encodeBytes(t, m))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz.Freeze(nil)
+	return fz
+}
+
+// checkWithFrozen runs check on the aggregate m and on a frozen copy of it,
+// and requires the copy to encode to m's bytes.
+func (r *refMatrix) checkWithFrozen(t *testing.T, m *Matrix, rng *rand.Rand, windows [][2]int64) {
+	t.Helper()
+	r.check(t, m, rng, windows)
+	fz := frozenCopy(t, m)
+	r.check(t, fz, rng, windows)
+	if !bytes.Equal(encodeBytes(t, fz), encodeBytes(t, m)) {
+		t.Fatal("frozen copy encodes to different bytes")
+	}
+}
+
 // absorb folds child into the model the way Absorb must fold the matrices:
 // every child identity promoted by rbits, offsets dropped, in ForEach order.
 func (r *refMatrix) absorb(child *Matrix, rbits uint) {
@@ -251,9 +282,10 @@ func (r *refMatrix) absorb(child *Matrix, rbits uint) {
 // TestKernelsAgainstReference drives a seeded random Add / Sub / Absorb
 // sequence through a timed leaf, its untimed parent and the grandparent —
 // small enough that buckets fill, Add is refused, and aggregates spill —
-// and compares every kernel with the model after every step. Before every
-// Add, Sub and absorbed entry, find must agree with findExhaustive: that is
-// the proof that stopping at the first bucket with room moved no placement.
+// and compares every kernel with the model after every step, the aggregates'
+// in their dense and their frozen form. Before every Add, Sub and absorbed
+// entry, find must agree with findExhaustive: that is the proof that
+// stopping at the first bucket with room moved no placement.
 func TestKernelsAgainstReference(t *testing.T) {
 	whole := [2]int64{math.MinInt64, math.MaxInt64}
 	leafWindows := [][2]int64{whole, {0, math.MaxUint32}, {2, 5}, {-3, 0}, {7, 7}, {9, 1 << 40}}
@@ -297,13 +329,13 @@ func TestKernelsAgainstReference(t *testing.T) {
 					case op == 99:
 						absorbChecked(t, parent, leaf, 1)
 						parentRef.absorb(leaf, 1)
-						parentRef.check(t, parent, rng, aggWindows)
+						parentRef.checkWithFrozen(t, parent, rng, aggWindows)
 						spilled += parent.SpillCount()
 						leaf, leafRef = newLeaf()
 						if sealed++; sealed%4 == 0 {
 							absorbChecked(t, grand, parent, 1)
 							grandRef.absorb(parent, 1)
-							grandRef.check(t, grand, rng, aggWindows)
+							grandRef.checkWithFrozen(t, grand, rng, aggWindows)
 							parent, parentRef = newAgg(8, 5)
 						}
 					default:
@@ -318,18 +350,28 @@ func TestKernelsAgainstReference(t *testing.T) {
 					}
 					leafRef.check(t, leaf, rng, leafWindows)
 				}
-				// Sub must reach aggregate slots and spill entries too.
-				grand.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, w int64) {
-					sameFind(t, grand, refKey{fpS: fpS, baseS: baseS, fpD: fpD, baseD: baseD})
-					if !grand.Sub(fpS, baseS, fpD, baseD, 0, w) {
-						t.Fatalf("Sub missed stored aggregate entry %d@%d→%d@%d", fpS, baseS, fpD, baseD)
-					}
-					grandRef.w[refKey{fpS: fpS, baseS: baseS, fpD: fpD, baseD: baseD}] -= w
-				})
-				grandRef.check(t, grand, rng, aggWindows)
-				t.Logf("%d seals, %d refused Adds, %d spilled", sealed, refused, spilled)
-				if sealed < 8 || refused == 0 || (b == 1 && spilled == 0) {
-					t.Fatalf("sequence too tame: %d seals, %d refused Adds, %d spilled", sealed, refused, spilled)
+				// Sub must reach aggregate slots and spill entries too, dense
+				// and frozen alike.
+				spillSubs := 0
+				for _, agg := range []struct {
+					m   *Matrix
+					ref *refMatrix
+				}{{parent, parentRef}, {grand, grandRef}} {
+					fz := frozenCopy(t, agg.m)
+					spillSubs += fz.SpillCount()
+					agg.m.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, w int64) {
+						sameFind(t, agg.m, refKey{fpS: fpS, baseS: baseS, fpD: fpD, baseD: baseD})
+						if !agg.m.Sub(fpS, baseS, fpD, baseD, 0, w) || !fz.Sub(fpS, baseS, fpD, baseD, 0, w) {
+							t.Fatalf("Sub missed stored aggregate entry %d@%d→%d@%d", fpS, baseS, fpD, baseD)
+						}
+						agg.ref.w[refKey{fpS: fpS, baseS: baseS, fpD: fpD, baseD: baseD}] -= w
+					})
+					agg.ref.check(t, agg.m, rng, aggWindows)
+					agg.ref.check(t, fz, rng, aggWindows)
+				}
+				t.Logf("%d seals, %d refused Adds, %d spilled, %d spill entries met a frozen Sub", sealed, refused, spilled, spillSubs)
+				if sealed < 8 || refused == 0 || (b == 1 && (spilled == 0 || spillSubs == 0)) {
+					t.Fatalf("sequence too tame: %d seals, %d refused Adds, %d spilled, %d frozen spill Subs", sealed, refused, spilled, spillSubs)
 				}
 			})
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"higgs/internal/wire"
@@ -177,10 +178,111 @@ func FuzzMatrixDecode(f *testing.F) {
 	})
 }
 
-// TestCodecRoundTrip: the seeds — both layouts, full buckets, spill — decode
-// and re-encode to the same bytes.
+// dupSpillSeed encodes an untimed aggregate with several mapping positions
+// whose spill list repeats an identity and carries a base wider than D —
+// what a crafted snapshot can hold and Absorb never writes.
+func dupSpillSeed(t testing.TB) []byte {
+	m := mustNew(t, Config{D: 4, B: 1, Maps: 2, FBits: 8}, 0)
+	for fp := uint32(1); fp <= 24; fp++ {
+		m.addOrSpill(fp%5, fp%3, fp%7, fp%4, int64(fp))
+	}
+	if m.SpillCount() < 2 {
+		t.Fatalf("seed spilled %d entries", m.SpillCount())
+	}
+	m.spill = append(m.spill, m.spill[0], spillEntry{fpS: 9, baseS: 5, fpD: 9, baseD: 1, w: 4}, m.spill[1])
+	m.spill[len(m.spill)-1].w = -7
+	return encodeBytes(t, m)
+}
+
+// FuzzFreeze: any untimed matrix Decode accepts answers the same once frozen
+// — EdgeSum, RowSum and ColSum for every stored identity and a few absent
+// ones, the ForEach sequence, the Encode bytes — and Sub changes the same
+// entry in both forms: the slot find reaches, else the first spill entry in
+// list order. Duplicate spill identities all count toward the sums.
+func FuzzFreeze(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
+	}
+	f.Add(dupSpillSeed(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr := wire.NewReader(bytes.NewReader(data))
+		hdr.U64()
+		if d, b := uint64(hdr.U32()), uint64(hdr.Int()); d*d*b > 1<<16 {
+			return // as in FuzzMatrixDecode
+		}
+		dense, err := Decode(wire.NewReader(bytes.NewReader(data)))
+		if err != nil || dense.cfg.Timed {
+			return
+		}
+		fz, err := Decode(wire.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fz.Freeze(nil)
+		var stored []refKey
+		dense.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, _ int64) {
+			stored = append(stored, refKey{fpS: fpS, baseS: baseS, fpD: fpD, baseD: baseD})
+		})
+		sameAnswers(t, dense, fz, stored)
+		for _, k := range stored {
+			if a, b := dense.Sub(k.fpS, k.baseS, k.fpD, k.baseD, 0, 1), fz.Sub(k.fpS, k.baseS, k.fpD, k.baseD, 0, 1); a != b {
+				t.Fatalf("Sub(%+v): dense %v, frozen %v", k, a, b)
+			}
+		}
+		sameAnswers(t, dense, fz, stored)
+	})
+}
+
+// sameAnswers fails unless the frozen matrix fz encodes, iterates and sums
+// like dense, for the stored identities and variations of each that are
+// mostly absent: another fingerprint, another base, an unmasked base.
+func sameAnswers(t *testing.T, dense, fz *Matrix, stored []refKey) {
+	t.Helper()
+	if !bytes.Equal(encodeBytes(t, dense), encodeBytes(t, fz)) {
+		t.Fatal("frozen matrix encodes to different bytes")
+	}
+	type rec struct {
+		k refKey
+		w int64
+	}
+	var want, got []rec
+	dense.ForEach(func(fpS, baseS, fpD, baseD, off uint32, w int64) {
+		want = append(want, rec{refKey{fpS, baseS, fpD, baseD, off}, w})
+	})
+	fz.ForEach(func(fpS, baseS, fpD, baseD, off uint32, w int64) {
+		got = append(got, rec{refKey{fpS, baseS, fpD, baseD, off}, w})
+	})
+	if !slices.Equal(want, got) {
+		t.Fatalf("ForEach: frozen visits %v, dense %v", got, want)
+	}
+	d := dense.cfg.D
+	probes := []refKey{{}}
+	for _, k := range stored {
+		probes = append(probes, k,
+			refKey{fpS: k.fpS ^ 1, baseS: k.baseS, fpD: k.fpD, baseD: k.baseD},
+			refKey{fpS: k.fpS, baseS: k.baseS, fpD: k.fpD, baseD: k.baseD + 1},
+			refKey{fpS: k.fpS, baseS: k.baseS + d, fpD: k.fpD, baseD: k.baseD + d})
+	}
+	for _, win := range [][2]int64{{math.MinInt64, math.MaxInt64}, {-3, 4}, {1, 5}} {
+		lo, hi := win[0], win[1]
+		for _, p := range probes {
+			if a, b := dense.EdgeSum(p.fpS, p.baseS, p.fpD, p.baseD, lo, hi), fz.EdgeSum(p.fpS, p.baseS, p.fpD, p.baseD, lo, hi); a != b {
+				t.Fatalf("EdgeSum(%+v, [%d,%d]): dense %d, frozen %d", p, lo, hi, a, b)
+			}
+			if a, b := dense.RowSum(p.fpS, p.baseS, lo, hi), fz.RowSum(p.fpS, p.baseS, lo, hi); a != b {
+				t.Fatalf("RowSum(%d@%d, [%d,%d]): dense %d, frozen %d", p.fpS, p.baseS, lo, hi, a, b)
+			}
+			if a, b := dense.ColSum(p.fpD, p.baseD, lo, hi), fz.ColSum(p.fpD, p.baseD, lo, hi); a != b {
+				t.Fatalf("ColSum(%d@%d, [%d,%d]): dense %d, frozen %d", p.fpD, p.baseD, lo, hi, a, b)
+			}
+		}
+	}
+}
+
+// TestCodecRoundTrip: the seeds — both layouts, full buckets, spill,
+// repeated spill identities — decode and re-encode to the same bytes.
 func TestCodecRoundTrip(t *testing.T) {
-	for i, seed := range fuzzSeeds(t) {
+	for i, seed := range append(fuzzSeeds(t), dupSpillSeed(t)) {
 		m, err := Decode(wire.NewReader(bytes.NewReader(seed)))
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)

@@ -18,11 +18,19 @@
 // spilled entries keep full fidelity and are scanned by queries, preserving
 // the paper's no-additional-error guarantee at a bounded space cost (see
 // DESIGN.md §3.4).
+//
+// A sealed aggregate never changes shape again, so Freeze converts it to a
+// compact read-only layout in the manner of a CSR sparse matrix: only the
+// occupied entries with per-bucket offsets, a column index for ColSum, and
+// sorted views of the spill list. Its dense slab goes back to the Pool, which
+// from then on serves aggregates only as the seal-time builder.
 package matrix
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"higgs/internal/hashing"
 )
@@ -98,14 +106,36 @@ type spillEntry struct {
 	w            int64
 }
 
+// spillRef is one spill entry in a sorted view: the packed base<<32 | fp key
+// of the endpoint the view is ordered by, the other endpoint's key, and the
+// entry's position in the spill list, which keeps the weight Sub changes.
+type spillRef struct {
+	key, other uint64
+	at         uint32
+}
+
+// frozen is the read-only layout Freeze gives a sealed aggregate. The slab's
+// keys, ws and idxs then hold only the occupied entries, bucket-major and in
+// fill order within a bucket, and its fills is nil: start replaces it.
+type frozen struct {
+	start    []uint32   // D²+1 offsets: bucket b holds entries start[b]:start[b+1]
+	colStart []uint32   // D+1 offsets into colFps and colAt, one run per column
+	colFps   []uint32   // every entry's destination fingerprint, column by column
+	colAt    []uint32   // the entry each colFps element belongs to
+	bySrc    []spillRef // the spill list ordered by source key
+	byDst    []spillRef // the spill list ordered by destination key
+}
+
 // Matrix is a compressed matrix. It is not safe for concurrent mutation;
 // concurrent reads are safe once construction/aggregation has finished.
 //
 // Within every bucket the occupied slots form a prefix: entries are only
 // ever appended at the first free slot and deletion (Sub) decrements
-// weights without vacating slots. Everything but RowSum and ColSum stays
-// inside the prefix fills records; those two sweep whole buckets, because a
-// free slot is all zeros and adds nothing to any sum.
+// weights without vacating slots. On a dense matrix everything but RowSum and
+// ColSum stays inside the prefix fills records; those two sweep whole
+// buckets, because a free slot is all zeros and adds nothing to any sum. A
+// frozen matrix (Freeze) stores nothing but the prefixes, so every kernel
+// reads occupied entries only.
 //
 // First fit: every stored entry lies at or before the first non-full bucket
 // of its own candidate walk (find has the proof). find and EdgeSum end their
@@ -114,6 +144,7 @@ type Matrix struct {
 	cfg Config
 	lcg hashing.LCG
 	slab
+	frz    *frozen // set by Freeze
 	spill  []spillEntry
 	count  int   // used slots
 	startT int64 // reference time for offsets (timed matrices)
@@ -144,11 +175,118 @@ func NewIn(p *Pool, cfg Config, startT int64) (*Matrix, error) {
 
 // Release returns the matrix's slab backing to p for reuse and neutralizes
 // the matrix. The caller must guarantee no further access; p may be nil, in
-// which case the backing is simply dropped for the GC.
+// which case the backing is simply dropped for the GC. A frozen matrix's
+// arrays are sized by its entry count, so they are dropped too.
 func (m *Matrix) Release(p *Pool) {
-	p.put(m.slab)
-	m.slab, m.spill = slab{}, nil
+	if m.frz == nil {
+		p.put(m.slab)
+	}
+	m.slab, m.spill, m.frz = slab{}, nil, nil
 	m.count = 0
+}
+
+// Freeze converts a finished untimed matrix to the read-only layout of
+// frozen and hands its dense slab back to p (p may be nil). Every kernel
+// answers as before — EdgeSum and Sub keep their first-fit stop, RowSum its
+// contiguous rows, ForEach and Encode their order and bytes — and Sub still
+// changes weights, of slots and spill entries alike; Add panics and Absorb
+// fails. Freeze panics on a timed or already frozen matrix.
+func (m *Matrix) Freeze(p *Pool) {
+	if m.cfg.Timed || m.frz != nil {
+		panic("matrix: Freeze of a timed or frozen matrix")
+	}
+	d, bsz, n := int(m.cfg.D), m.cfg.B, m.count
+	nb := d * d
+	// One allocation per element type: the four uint32 arrays share one.
+	u32 := make([]uint32, nb+1+d+1+2*n)
+	c0, f0 := nb+1, nb+d+2
+	f := &frozen{
+		start:    u32[:c0:c0],
+		colStart: u32[c0:f0:f0],
+		colFps:   u32[f0 : f0+n : f0+n],
+		colAt:    u32[f0+n:],
+	}
+	// First pass, over fills: bucket offsets, and every column's entry count
+	// in colStart[col+1], summed to the column offsets after it.
+	var at uint32
+	for bkt, fill := range m.fills {
+		f.start[bkt] = at
+		at += uint32(fill)
+		f.colStart[bkt&(d-1)+1] += uint32(fill)
+	}
+	f.start[nb] = at
+	for c := 1; c <= d; c++ {
+		f.colStart[c] += f.colStart[c-1]
+	}
+	// Second pass, over the occupied slots: compact the entries and deal
+	// each destination fingerprint to its column. colStart[c] is column c's
+	// write cursor and ends at column c+1's offset; the shift restores it.
+	// Every slot and fill is zeroed as it is read, so the pool finds the
+	// slab already clear.
+	keys, ws, idxs := make([]uint64, n), make([]int64, n), make([]uint8, n)
+	for bkt, e := 0, 0; e < n; bkt++ {
+		col, lo := bkt&(d-1), bkt*bsz
+		hi := lo + int(m.fills[bkt])
+		m.fills[bkt] = 0
+		for k := lo; k < hi; k, e = k+1, e+1 {
+			kk := m.keys[k]
+			keys[e], ws[e], idxs[e] = kk, m.ws[k], m.idxs[k]
+			m.keys[k], m.ws[k], m.idxs[k] = 0, 0, 0
+			c := f.colStart[col]
+			f.colFps[c], f.colAt[c] = uint32(kk>>32), uint32(e)
+			f.colStart[col] = c + 1
+		}
+	}
+	copy(f.colStart[1:], f.colStart[:d])
+	f.colStart[0] = 0
+	if ns := len(m.spill); ns > 0 {
+		refs := make([]spillRef, 2*ns)
+		f.bySrc, f.byDst = refs[:ns:ns], refs[ns:]
+		for i := range m.spill {
+			sp := &m.spill[i]
+			src, dst := uint64(sp.baseS)<<32|uint64(sp.fpS), uint64(sp.baseD)<<32|uint64(sp.fpD)
+			f.bySrc[i] = spillRef{key: src, other: dst, at: uint32(i)}
+			f.byDst[i] = spillRef{key: dst, other: src, at: uint32(i)}
+		}
+		slices.SortFunc(f.bySrc, byKey)
+		slices.SortFunc(f.byDst, byKey)
+	}
+	p.put(m.slab)
+	m.slab = slab{keys: keys, ws: ws, idxs: idxs}
+	m.frz = f
+}
+
+func byKey(a, b spillRef) int { return cmp.Compare(a.key, b.key) }
+
+// spillKey packs an endpoint the way the sorted spill views key it.
+func (m *Matrix) spillKey(fp, base uint32) uint64 {
+	return uint64(base&(m.cfg.D-1))<<32 | uint64(fp)
+}
+
+// spillRun returns the run of a sorted spill view whose key is key.
+func spillRun(view []spillRef, key uint64) []spillRef {
+	lo, hi := 0, len(view)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); view[mid].key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	hi = lo
+	for hi < len(view) && view[hi].key == key {
+		hi++
+	}
+	return view[lo:hi]
+}
+
+// bucket returns where bucket b's entries begin and how many it holds.
+func (m *Matrix) bucket(b int) (lo, fill int) {
+	if f := m.frz; f != nil {
+		lo = int(f.start[b])
+		return lo, int(f.start[b+1]) - lo
+	}
+	return b * m.cfg.B, int(m.fills[b])
 }
 
 // Cfg returns the matrix configuration.
@@ -163,15 +301,13 @@ func (m *Matrix) Count() int { return m.count }
 // SpillCount returns the number of spilled entries.
 func (m *Matrix) SpillCount() int { return len(m.spill) }
 
-// Capacity returns the total number of slots.
-func (m *Matrix) Capacity() int { return len(m.keys) }
+// Capacity returns the total number of slots of the matrix's geometry,
+// frozen or not.
+func (m *Matrix) Capacity() int { return int(m.cfg.D) * int(m.cfg.D) * m.cfg.B }
 
 // Utilization returns occupied slots over capacity (paper §V-A, E(α)).
 func (m *Matrix) Utilization() float64 {
-	if len(m.keys) == 0 {
-		return 0
-	}
-	return float64(m.count) / float64(len(m.keys))
+	return float64(m.count) / float64(m.Capacity())
 }
 
 // Added returns the number of items this matrix accepted, counting merges.
@@ -197,15 +333,13 @@ func (m *Matrix) find(fpS, baseS, fpD, baseD, off uint32) (slot int, idx uint8, 
 	d := int(m.cfg.D)
 	dMask := m.cfg.D - 1
 	bsz := m.cfg.B
-	keys, fills := m.keys, m.fills
+	keys := m.keys
 	rowS := baseS & dMask
 	for i := 0; i < m.cfg.Maps; i++ {
 		colD := baseD & dMask
 		rowBase := int(rowS) * d
 		for j := 0; j < m.cfg.Maps; j++ {
-			bkt := rowBase + int(colD)
-			fill := int(fills[bkt])
-			base := bkt * bsz
+			base, fill := m.bucket(rowBase + int(colD))
 			ij := packIdx(i, j)
 			for k, kk := range keys[base : base+fill] {
 				if kk == key && m.idxs[base+k] == ij && (m.offs == nil || m.offs[base+k] == off) {
@@ -227,8 +361,11 @@ func (m *Matrix) find(fpS, baseS, fpD, baseD, off uint32) (slot int, idx uint8, 
 // aggregates into an existing matching entry when possible, otherwise takes
 // the first free slot along the r×r candidate sequence. It reports false
 // when every candidate bucket is full — the signal that HIGGS must open a
-// new leaf (or overflow block).
+// new leaf (or overflow block). Add panics on a frozen matrix.
 func (m *Matrix) Add(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
+	if m.frz != nil {
+		panic("matrix: Add to a frozen matrix")
+	}
 	k, idx, found := m.find(fpS, baseS, fpD, baseD, off)
 	switch {
 	case found:
@@ -248,8 +385,9 @@ func (m *Matrix) Add(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
 }
 
 // Sub subtracts weight w from the entry matching the edge (and offset, for
-// timed matrices). It reports whether a matching entry was found. Entries
-// whose weight reaches zero remain allocated, mirroring sketch deletion.
+// timed matrices): the slot find reaches, else the first match in spill-list
+// order. It reports whether a matching entry was found. Entries whose weight
+// reaches zero remain allocated, mirroring sketch deletion.
 func (m *Matrix) Sub(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
 	if k, _, found := m.find(fpS, baseS, fpD, baseD, off); found {
 		m.ws[k] -= w
@@ -303,9 +441,7 @@ func (m *Matrix) EdgeSum(fpS, baseS, fpD, baseD uint32, loOff, hiOff int64) int6
 		for i := 0; i < m.cfg.Maps; i++ {
 			colD := baseD & (m.cfg.D - 1)
 			for j := 0; j < m.cfg.Maps; j++ {
-				bkt := int(rowS)*d + int(colD)
-				fill := int(m.fills[bkt])
-				base := bkt * bsz
+				base, fill := m.bucket(int(rowS)*d + int(colD))
 				idx := packIdx(i, j)
 				for k, kk := range m.keys[base : base+fill] {
 					if kk == key && m.idxs[base+k] == idx && inWindow(offs, base+k, loOff, hiOff) {
@@ -320,6 +456,15 @@ func (m *Matrix) EdgeSum(fpS, baseS, fpD, baseD uint32, loOff, hiOff int64) int6
 			rowS = m.lcg.Next(rowS)
 		}
 	}
+	if f := m.frz; f != nil {
+		dst := m.spillKey(fpD, baseD)
+		for _, r := range spillRun(f.bySrc, m.spillKey(fpS, baseS)) {
+			if r.other == dst {
+				sum += m.spill[r.at].w
+			}
+		}
+		return sum
+	}
 	baseSm, baseDm := baseS&(m.cfg.D-1), baseD&(m.cfg.D-1)
 	for k := range m.spill {
 		sp := &m.spill[k]
@@ -332,22 +477,32 @@ func (m *Matrix) EdgeSum(fpS, baseS, fpD, baseD uint32, loOff, hiOff int64) int6
 
 // RowSum returns the aggregated weight of all entries whose source matches
 // the fingerprint/base pair within the offset range — the vertex (outgoing)
-// query primitive (paper Eq. 2). A row's D·B keys are contiguous, so each
-// of the r candidate rows is one linear pass.
+// query primitive (paper Eq. 2). A row's slots are contiguous, so each of
+// the r candidate rows is one linear pass: over all D·B slots when dense,
+// over the occupied ones when frozen.
 func (m *Matrix) RowSum(fp, base uint32, loOff, hiOff int64) int64 {
 	var sum int64
 	if offs, some := m.window(loOff, hiOff); some {
-		rowLen := int(m.cfg.D) * m.cfg.B
+		d, rowLen := int(m.cfg.D), int(m.cfg.D)*m.cfg.B
 		row := base & (m.cfg.D - 1)
 		for i := 0; i < m.cfg.Maps; i++ {
-			lo := int(row) * rowLen
-			for k, kk := range m.keys[lo : lo+rowLen] {
+			lo, hi := int(row)*rowLen, int(row+1)*rowLen
+			if f := m.frz; f != nil {
+				lo, hi = int(f.start[int(row)*d]), int(f.start[int(row+1)*d])
+			}
+			for k, kk := range m.keys[lo:hi] {
 				if uint32(kk) == fp && int(m.idxs[lo+k]>>4) == i && inWindow(offs, lo+k, loOff, hiOff) {
 					sum += m.ws[lo+k]
 				}
 			}
 			row = m.lcg.Next(row)
 		}
+	}
+	if f := m.frz; f != nil {
+		for _, r := range spillRun(f.bySrc, m.spillKey(fp, base)) {
+			sum += m.spill[r.at].w
+		}
+		return sum
 	}
 	baseM := base & (m.cfg.D - 1)
 	for k := range m.spill {
@@ -358,9 +513,12 @@ func (m *Matrix) RowSum(fp, base uint32, loOff, hiOff int64) int64 {
 	return sum
 }
 
-// ColSum is the incoming-vertex analogue of RowSum; a column's buckets lie
-// D·B slots apart.
+// ColSum is the incoming-vertex analogue of RowSum. A dense column's buckets
+// lie D·B slots apart; a frozen matrix scans its column index instead.
 func (m *Matrix) ColSum(fp, base uint32, loOff, hiOff int64) int64 {
+	if m.frz != nil {
+		return m.colSumFrozen(fp, base, loOff, hiOff)
+	}
 	var sum int64
 	if offs, some := m.window(loOff, hiOff); some {
 		bsz := m.cfg.B
@@ -386,6 +544,32 @@ func (m *Matrix) ColSum(fp, base uint32, loOff, hiOff int64) int64 {
 	return sum
 }
 
+// colSumFrozen is ColSum over the column index: a candidate column's
+// destination fingerprints are contiguous, and an entry's index pair and
+// weight are read only when its fingerprint matches.
+func (m *Matrix) colSumFrozen(fp, base uint32, loOff, hiOff int64) int64 {
+	var sum int64
+	f := m.frz
+	if _, some := m.window(loOff, hiOff); some {
+		col := base & (m.cfg.D - 1)
+		for j := 0; j < m.cfg.Maps; j++ {
+			lo, hi := f.colStart[col], f.colStart[col+1]
+			for k, cf := range f.colFps[lo:hi] {
+				if cf == fp {
+					if e := f.colAt[int(lo)+k]; int(m.idxs[e]&0xf) == j {
+						sum += m.ws[e]
+					}
+				}
+			}
+			col = m.lcg.Next(col)
+		}
+	}
+	for _, r := range spillRun(f.byDst, m.spillKey(fp, base)) {
+		sum += m.spill[r.at].w
+	}
+	return sum
+}
+
 // Promote shifts rbits fingerprint bits into the base address (paper Alg. 2
 // line 5, Example 5): the leftmost rbits of the fingerprint become the
 // rightmost bits of the address. childFBits is the fingerprint width at the
@@ -405,8 +589,8 @@ func Promote(fp, base uint32, childFBits, rbits uint) (pfp, pbase uint32) {
 // are kept in m's spill list with full fidelity. Time offsets are dropped,
 // as aggregated matrices are untimed.
 func (m *Matrix) Absorb(child *Matrix) error {
-	if m.cfg.Timed {
-		return fmt.Errorf("matrix: cannot absorb into a timed matrix")
+	if m.cfg.Timed || m.frz != nil {
+		return fmt.Errorf("matrix: cannot absorb into a timed or frozen matrix")
 	}
 	if child.cfg.FBits < m.cfg.FBits {
 		return fmt.Errorf("matrix: child FBits %d < parent FBits %d", child.cfg.FBits, m.cfg.FBits)
@@ -450,25 +634,33 @@ func (m *Matrix) EntryBits() int {
 
 // SpaceBytes returns the packed structural size the paper's space
 // comparison counts: all slots at this level's entry width plus spilled
-// entries (fingerprints, explicit addresses, weight).
+// entries (fingerprints, explicit addresses, weight). Freeze leaves it
+// unchanged: the paper's matrix has every slot.
 func (m *Matrix) SpaceBytes() int64 {
-	slotBits := int64(len(m.keys)) * int64(m.EntryBits())
+	slotBits := int64(m.Capacity()) * int64(m.EntryBits())
 	addrBits := int64(2 * hashing.Log2(m.cfg.D))
 	spillBits := int64(len(m.spill)) * (2*int64(m.cfg.FBits) + addrBits + 64)
 	return (slotBits + spillBits + 7) / 8
 }
 
 // Sizes of the Go representation HeapBytes adds to the column backing;
-// TestHeapBytes pins both to the types.
+// TestHeapBytes pins them to the types.
 const (
-	matrixSize = 232 // struct Matrix
-	spillSize  = 24  // struct spillEntry
+	matrixSize   = 240 // struct Matrix
+	spillSize    = 24  // struct spillEntry
+	frozenSize   = 144 // struct frozen
+	spillRefSize = 24  // struct spillRef
 )
 
 // HeapBytes returns the resident size of the Go representation: the
-// backing arrays actually held plus the struct itself.
+// backing arrays actually held plus the structs themselves.
 func (m *Matrix) HeapBytes() int64 {
-	return m.slab.heapBytes() + int64(cap(m.spill))*spillSize + matrixSize
+	n := m.slab.heapBytes() + int64(cap(m.spill))*spillSize + matrixSize
+	if f := m.frz; f != nil {
+		n += int64(cap(f.start)+cap(f.colStart)+cap(f.colFps)+cap(f.colAt))*4 +
+			int64(cap(f.bySrc)+cap(f.byDst))*spillRefSize + frozenSize
+	}
+	return n
 }
 
 // ForEach invokes fn for every occupied slot, buckets row-major and slots
@@ -478,14 +670,13 @@ func (m *Matrix) HeapBytes() int64 {
 func (m *Matrix) ForEach(fn func(fpS, baseS, fpD, baseD uint32, off uint32, w int64)) {
 	d := int(m.cfg.D)
 	seen := 0
-	for bkt := 0; bkt < len(m.fills) && seen < m.count; bkt++ {
-		fill := int(m.fills[bkt])
+	for bkt := 0; bkt < d*d && seen < m.count; bkt++ {
+		base, fill := m.bucket(bkt)
 		if fill == 0 {
 			continue
 		}
 		seen += fill
 		row, col := uint32(bkt/d), uint32(bkt%d)
-		base := bkt * m.cfg.B
 		for k := base; k < base+fill; k++ {
 			var off uint32
 			if m.offs != nil {

@@ -350,6 +350,33 @@ func TestSubInSpill(t *testing.T) {
 	}
 }
 
+// TestFrozenRefusesWrites: Add and Absorb into a frozen matrix fail loudly,
+// and only an untimed, unfrozen matrix can be frozen; Sub still works.
+func TestFrozenRefusesWrites(t *testing.T) {
+	m := mustNew(t, Config{D: 8, B: 2, Maps: 2, FBits: 12}, 0)
+	m.Add(1, 2, 3, 4, 0, 5)
+	m.Freeze(nil)
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("Add to a frozen matrix", func() { m.Add(1, 2, 3, 4, 0, 1) })
+	mustPanic("Add of a new entry to a frozen matrix", func() { m.Add(7, 2, 3, 4, 0, 1) })
+	mustPanic("a second Freeze", func() { m.Freeze(nil) })
+	mustPanic("Freeze of a timed matrix", func() { mustNew(t, Config{D: 8, B: 2, Maps: 2, FBits: 12, Timed: true}, 0).Freeze(nil) })
+	if err := m.Absorb(mustNew(t, Config{D: 8, B: 2, Maps: 2, FBits: 12, Timed: true}, 0)); err == nil {
+		t.Error("Absorb into a frozen matrix succeeded")
+	}
+	if !m.Sub(1, 2, 3, 4, 0, 2) || m.EdgeSum(1, 2, 3, 4, math.MinInt64, math.MaxInt64) != 3 {
+		t.Error("Sub did not reach the frozen entry")
+	}
+}
+
 func TestUtilizationAndSpace(t *testing.T) {
 	m := mustNew(t, Config{D: 4, B: 2, Maps: 2, FBits: 10, Timed: true}, 0)
 	if m.Utilization() != 0 {
@@ -518,6 +545,9 @@ func benchProbe(b *testing.B, probe func(m *Matrix, e benchEdge, lo, hi int64) i
 	} {
 		b.Run(g.name, func(b *testing.B) {
 			m, probes := benchMatrix(b, g.cfg, 16)
+			if !g.cfg.Timed {
+				m.Freeze(nil) // the only form an aggregate is queried in
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -542,8 +572,8 @@ func BenchmarkColSum(b *testing.B) {
 }
 
 // BenchmarkAbsorb builds one aggregate per iteration the way the seal path
-// does — pooled parent, θ = 4 children absorbed in turn, parent released —
-// at level 2 (over leaves) and at level 6.
+// does — pooled parent, θ = 4 children absorbed in turn, parent frozen (its
+// builder back to the pool) — at level 2 (over leaves) and at level 6.
 func BenchmarkAbsorb(b *testing.B) {
 	for _, g := range []struct {
 		name          string
@@ -556,6 +586,9 @@ func BenchmarkAbsorb(b *testing.B) {
 			var children [4]*Matrix
 			for c := range children {
 				children[c], _ = benchMatrix(b, g.child, int64(c))
+				if !g.child.Timed {
+					children[c].Freeze(nil) // a sealed child is absorbed frozen
+				}
 			}
 			p := NewPool()
 			b.ReportAllocs()
@@ -570,6 +603,7 @@ func BenchmarkAbsorb(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				parent.Freeze(p)
 				parent.Release(p)
 			}
 		})

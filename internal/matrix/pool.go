@@ -8,7 +8,8 @@ import "sync"
 // handful of distinct geometries — the leaf matrix, the overflow-block
 // matrix, and one aggregate size per level — so an exact-size class map
 // stays tiny while letting Expire hand the memory of dropped subtrees
-// straight back to the insert path.
+// straight back to the insert path. An aggregate class holds the dense
+// builders Freeze returns at every seal, for the next seal of that level.
 //
 // Slabs are zeroed on put, so get returns ready-to-use backing without a
 // memclr on the hot path. Pool is safe for concurrent use: parallel seal
@@ -57,7 +58,9 @@ func (p *Pool) get(n, b int, timed bool) slab {
 // put zeroes the slab and retains it for reuse, up to the per-class cap. A
 // slab that meets a full class is dropped for the GC as it is: Expire
 // releases leaves by the dozen, and zeroing garbage was most of put's cost.
-// The memclr stays outside the lock, so the cap is checked again after it.
+// Zero beyond fill leaves only each bucket's occupied prefix to clear, which
+// on a sparse aggregate builder is a fraction of the slab. The clear stays
+// outside the lock, so the cap is checked again after it.
 func (p *Pool) put(s slab) {
 	if p == nil || s.keys == nil {
 		return
@@ -69,10 +72,15 @@ func (p *Pool) put(s slab) {
 	if full {
 		return
 	}
-	clear(s.keys)
-	clear(s.ws)
-	clear(s.idxs)
-	clear(s.offs)
+	b := len(s.keys) / len(s.fills)
+	for bkt, fill := range s.fills {
+		for k, hi := bkt*b, bkt*b+int(fill); k < hi; k++ {
+			s.keys[k], s.ws[k], s.idxs[k] = 0, 0, 0
+			if s.offs != nil {
+				s.offs[k] = 0
+			}
+		}
+	}
 	clear(s.fills)
 	p.mu.Lock()
 	if len(p.classes[c]) < maxSlabsPerClass {

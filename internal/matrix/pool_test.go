@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -94,11 +95,11 @@ func TestPoolReuse(t *testing.T) {
 	}
 }
 
-// occupied counts the non-zero slots of a timed slab plus its fills.
+// occupied counts the non-zero slots of a slab plus its fills.
 func occupied(s slab) int {
 	n := 0
 	for k := range s.keys {
-		if s.keys[k] != 0 || s.ws[k] != 0 || s.idxs[k] != 0 || s.offs[k] != 0 {
+		if s.keys[k] != 0 || s.ws[k] != 0 || s.idxs[k] != 0 || (s.offs != nil && s.offs[k] != 0) {
 			n++
 		}
 	}
@@ -140,6 +141,45 @@ func TestPoolCap(t *testing.T) {
 		if n := occupied(s); n != 2 { // the one entry and its bucket's fill
 			t.Fatalf("slab %d arrived past the cap and was touched: %d non-zero slots and fills, want 2", i, n)
 		}
+	}
+}
+
+// TestPoolPutClearsOccupiedPrefixes: put clears only each bucket's occupied
+// prefix, which zero beyond fill makes enough. Weights Sub brought to zero
+// leave keys and index pairs behind, and they must go too: a slab filled at
+// aggregate geometry, emptied of weight and released comes back all zero.
+func TestPoolPutClearsOccupiedPrefixes(t *testing.T) {
+	p := NewPool()
+	cfg := Config{D: 64, B: 3, Maps: 4, FBits: 14}
+	m, err := NewIn(p, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 4*m.Capacity(); i++ {
+		m.addOrSpill(uint32(rng.Intn(1<<cfg.FBits)), rng.Uint32(), uint32(rng.Intn(1<<cfg.FBits)), rng.Uint32(), int64(1+rng.Intn(9)))
+	}
+	if m.Count() != m.Capacity() {
+		t.Fatalf("filled %d of %d slots; the test wants every bucket full", m.Count(), m.Capacity())
+	}
+	m.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, w int64) {
+		if !m.Sub(fpS, baseS, fpD, baseD, 0, w) {
+			t.Fatalf("Sub missed stored entry %d@%d→%d@%d", fpS, baseS, fpD, baseD)
+		}
+	})
+	for _, w := range m.ws {
+		if w != 0 {
+			t.Fatalf("weight %d left after Sub", w)
+		}
+	}
+	first := &m.keys[0]
+	m.Release(p)
+	s := p.get(m.Capacity(), cfg.B, false)
+	if &s.keys[0] != first {
+		t.Fatal("pooled slab not reused")
+	}
+	if n := occupied(s); n != 0 {
+		t.Fatalf("get returned a slab with %d non-zero slots and fills", n)
 	}
 }
 
@@ -214,6 +254,12 @@ func TestHeapBytes(t *testing.T) {
 	if got := int(reflect.TypeOf(spillEntry{}).Size()); got != spillSize {
 		t.Fatalf("spillSize = %d, struct spillEntry is %d bytes", spillSize, got)
 	}
+	if got := int(reflect.TypeOf(frozen{}).Size()); got != frozenSize {
+		t.Fatalf("frozenSize = %d, struct frozen is %d bytes", frozenSize, got)
+	}
+	if got := int(reflect.TypeOf(spillRef{}).Size()); got != spillRefSize {
+		t.Fatalf("spillRefSize = %d, struct spillRef is %d bytes", spillRefSize, got)
+	}
 	backing := func(m *Matrix) int64 {
 		return int64(cap(m.keys)*8 + cap(m.ws)*8 + cap(m.idxs) + cap(m.offs)*4 + cap(m.fills))
 	}
@@ -236,6 +282,17 @@ func TestHeapBytes(t *testing.T) {
 	p := NewPool()
 	want := backing(timed) + backing(agg)
 	timed.Release(p)
+	// Frozen, the aggregate keeps its one entry in each column (17 bytes),
+	// 5 bucket and 3 column offsets, a fingerprint and a position per entry
+	// (4 bytes each), and two sorted views of its two spill entries; the
+	// dense slab is the pool's.
+	agg.Freeze(p)
+	if got, want := agg.HeapBytes(), int64(17+(5+3+2)*4+cap(agg.spill)*spillSize+4*spillRefSize+matrixSize+frozenSize); got != want {
+		t.Fatalf("frozen HeapBytes = %d, want %d", got, want)
+	}
+	if agg.Capacity() != 4 || agg.SpaceBytes() != (4*int64(agg.EntryBits())+2*(2*8+2+64)+7)/8 {
+		t.Fatalf("frozen Capacity %d / SpaceBytes %d: the paper's accounting must not see Freeze", agg.Capacity(), agg.SpaceBytes())
+	}
 	agg.Release(p)
 	if slabs, bytes := p.Stats(); slabs != 2 || bytes != want {
 		t.Fatalf("pool holds %d slabs / %d bytes, want 2 / %d", slabs, bytes, want)

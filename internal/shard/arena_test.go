@@ -59,16 +59,26 @@ func TestShardedFixtureByteIdentity(t *testing.T) {
 	}
 }
 
-// TestProbeShardAllocs: a single-shard edge probe — the batch executor's
-// hot loop — must not allocate.
+// TestProbeShardAllocs: single-shard edge and vertex probes — the batch
+// executor's hot loop — must not allocate, over sealed aggregates that are
+// frozen and spilled.
 func TestProbeShardAllocs(t *testing.T) {
 	s, st := fixtureSet(t)
+	if stats := s.Stats().Total; stats.SealedMatrices == 0 || stats.SpillEntries == 0 {
+		t.Fatalf("%d sealed aggregates, %d spill entries: the probes would miss the frozen kernels", stats.SealedMatrices, stats.SpillEntries)
+	}
 	e := st[0]
-	probes := []query.Probe{{Op: query.OpEdge, S: e.S, D: e.D, Ts: 0, Te: 1 << 40}}
-	out := make([]int64, 1)
 	shard := s.ShardFor(e.S)
-	s.ProbeShard(shard, probes, out)
-	if n := testing.AllocsPerRun(1000, func() { s.ProbeShard(shard, probes, out) }); n != 0 {
-		t.Fatalf("ProbeShard allocates %.2f allocs/op, want 0", n)
+	out := make([]int64, 1)
+	for _, p := range []query.Probe{
+		{Op: query.OpEdge, S: e.S, D: e.D, Ts: 0, Te: 1 << 40},
+		{Op: query.OpVertexOut, S: e.S, Ts: 0, Te: 1 << 40},
+		{Op: query.OpVertexIn, S: e.D, Ts: 0, Te: 1 << 40},
+	} {
+		probes := []query.Probe{p}
+		s.ProbeShard(shard, probes, out)
+		if n := testing.AllocsPerRun(1000, func() { s.ProbeShard(shard, probes, out) }); n != 0 {
+			t.Fatalf("ProbeShard op %d allocates %.2f allocs/op, want 0", p.Op, n)
+		}
 	}
 }
