@@ -264,7 +264,8 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) { return repl.NewFollowe
 type ReadCache = rcache.Cache
 
 // ReadCacheConfig parameterizes a ReadCache: the total byte budget split
-// across the backend's shards, evicted LRU-first.
+// across the backend's shards, each held as sets of 8 ways that evict
+// their least recently used way.
 type ReadCacheConfig = rcache.Config
 
 // ReadCacheStats is a point-in-time snapshot of a ReadCache's counters.

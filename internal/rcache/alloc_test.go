@@ -9,12 +9,12 @@ import (
 
 // TestProbeShardFullHitZeroAlloc pins the allocation contract of the read
 // cache's hit path: once a probe batch is resident, replaying it touches
-// only the cache shard's map and LRU — no backend call and no allocation.
-// Any regression (a map-key rebuild that escapes, probe boxing, slice
-// growth on the hit path) shows up here as a nonzero allocs/op long
-// before it would move a benchmark. The frozen variant replays after the
-// shard's version has moved: windows that ended before the fill's frontier
-// are served by the rewrite count, at the same cost.
+// only the cache shard's table — each probe's set line and entry — with no
+// backend call and no allocation. Any regression (a key that escapes,
+// probe boxing, slice growth on the hit path) shows up here as a nonzero
+// allocs/op long before it would move a benchmark. The frozen variant
+// replays after the shard's version has moved: windows that ended before
+// the fill's frontier are served by the rewrite count, at the same cost.
 func TestProbeShardFullHitZeroAlloc(t *testing.T) {
 	for _, frozen := range []bool{false, true} {
 		sum := newSharded(t, 2)
@@ -53,12 +53,12 @@ func TestProbeShardFullHitZeroAlloc(t *testing.T) {
 }
 
 // TestProbeShardStaleRefillAllocs pins the miss path's allocations: a group
-// whose entries have all gone stale is refilled in place — no entry is
-// allocated, nothing is deleted from or inserted into the map — and the
-// miss scratch comes from the pool. Each displaced entry still counts as
-// an eviction. The pin is the cheapest of many single refills, not an
-// average: a pool may drop what it is given (under -race a quarter of all
-// Puts), and a dropped scratch is rebuilt from three slices.
+// whose entries have all gone stale is refilled in place — each in the way
+// that already holds its key — and the miss scratch comes from the pool.
+// Each displaced entry still counts as an eviction. The pin is the
+// cheapest of many single refills, not an average: a pool may drop what it
+// is given (under -race a quarter of all Puts), and a dropped scratch is
+// rebuilt from four slices.
 func TestProbeShardStaleRefillAllocs(t *testing.T) {
 	sum := newSharded(t, 2)
 	c := newCache(t, sum, 1<<20)
@@ -93,16 +93,16 @@ func TestProbeShardStaleRefillAllocs(t *testing.T) {
 	}
 }
 
-// TestProbeShardFullFillAllocs pins the fill path at budget: a cache shard
-// already holding every entry its budget admits, asked a group of misses it
-// has never seen, stores each miss in the node of the entry that miss
-// evicts — no allocation. Each miss counts one eviction, and the entry
-// count does not move.
+// TestProbeShardFullFillAllocs pins the fill path at capacity: once every
+// set of a cache shard is full, each miss of a group it has never seen
+// takes its set's least recently used way — no allocation. Each miss
+// counts one eviction, the entry count never exceeds the capacity, and the
+// group just filled is resident: a full set evicts, it does not refuse.
 func TestProbeShardFullFillAllocs(t *testing.T) {
 	sum := newSharded(t, 1)
 	sum.InsertShardAt(0, []stream.Edge{{S: 1, D: 2, W: 3, T: 200}}, 0)
 	c := newCache(t, sum, MinBytes)
-	admits := int64(MinBytes / entryBytes)
+	admits := int64(capacity(MinBytes))
 	probes := make([]query.Probe, 32)
 	out := make([]int64, len(probes))
 	var d uint64
@@ -113,8 +113,11 @@ func TestProbeShardFullFillAllocs(t *testing.T) {
 		}
 		c.ProbeShard(0, probes, out)
 	}
-	for c.Stats().Evictions == 0 {
+	for groups := 0; c.Stats().Entries < admits; groups++ {
 		fill()
+		if st := c.Stats(); st.Entries > admits || groups > 100*int(admits)/len(probes) {
+			t.Fatalf("%+v after %d groups of fresh misses: want the %d entries the budget admits, no more", st, groups, admits)
+		}
 	}
 	before := c.Stats()
 	least := testing.AllocsPerRun(1, fill)
@@ -128,5 +131,9 @@ func TestProbeShardFullFillAllocs(t *testing.T) {
 	misses := after.Misses - before.Misses
 	if misses == 0 || after.Hits != before.Hits || after.Evictions-before.Evictions != misses || after.Entries != admits || before.Entries != admits {
 		t.Fatalf("%d fresh misses moved the counters from %+v to %+v: want one eviction per miss and %d entries throughout", misses, before, after, admits)
+	}
+	c.ProbeShard(0, probes, out)
+	if hits := c.Stats().Hits - after.Hits; hits != uint64(len(probes)) {
+		t.Fatalf("replaying the group just filled hit %d of %d probes", hits, len(probes))
 	}
 }

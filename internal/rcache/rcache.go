@@ -28,10 +28,18 @@
 // constituent edges of path and subgraph queries, and repeated vertex
 // fan-outs all share entries, which is the canonical-key property the
 // planner's probe decomposition provides for free.
+//
+// Each cache shard is one flat, pointer-free, set-associative table: a
+// probe's key hashes to one set of 8 ways, a hit needs the way's tag and
+// then the full key to match, and a miss that finds neither its key nor an
+// empty way takes the least recently used way of its set. Eviction is
+// therefore per set, not per shard, and a miss costs one hash and two
+// bounded scans of its set, and allocates nothing.
 package rcache
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -56,11 +64,15 @@ type Backend interface {
 	ShardFrontier(i int) (frontier int64, rewrites uint64)
 }
 
-// entryBytes is the accounting cost of one cache entry: the entry struct
-// (key copy, value, version, LRU links) plus amortized map bucket and
-// pointer overhead. An estimate — the budget bounds memory, it does not
-// meter it exactly.
+// entryBytes is the accounting cost of one cache entry, which sizes a
+// shard's table: the table itself spends 72 bytes an entry (the 64-byte
+// entry and its eighth of the set's line). The budget bounds memory, it
+// does not meter it exactly.
 const entryBytes = 120
+
+// ways is the table's associativity: a key lives in one of the ways of
+// exactly one set.
+const ways = 8
 
 // MinBytes is the smallest accepted byte budget: below one entry per
 // shard the cache could never hit and the configuration is almost
@@ -70,7 +82,8 @@ const MinBytes = 64 << 10
 // Config parameterizes a cache.
 type Config struct {
 	// MaxBytes is the total byte budget across all cache shards. Each of
-	// the backend's shards gets an equal slice, evicted LRU-first.
+	// the backend's shards gets an equal slice, held as sets of 8 ways; a
+	// full set evicts its least recently used way.
 	MaxBytes int64
 }
 
@@ -82,70 +95,112 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// key identifies one single-shard probe. Probes are value types with no
-// indirection, so the comparable struct is the canonical query key: two
-// queries that decompose into the same probe share the entry regardless of
-// which kind (edge, path constituent, subgraph constituent) produced it.
-type key struct {
-	op     query.Op
-	s, d   uint64
-	ts, te int64
-}
-
 // entry is one cached probe result, valid while its shard's mutation
 // version still equals ver or, frozen, while the shard's rewrite count
-// still equals rw. Entries are intrusive LRU list nodes.
+// still equals rw. 64 bytes: one cache line. The probe itself is the key:
+// a value type with no indirection, so two queries that decompose into the
+// same probe share the entry regardless of which kind (edge, path
+// constituent, subgraph constituent) produced it.
 type entry struct {
-	k          key
-	val        int64
-	ver        uint64
-	rw         uint64 // rewrite count a frozen entry was filled at; notFrozen otherwise
-	prev, next *entry
+	k   query.Probe
+	val int64
+	ver uint64
+	rw  uint64 // rewrite count a frozen entry was filled at; notFrozen otherwise
 }
 
 // notFrozen is entry.rw of an entry whose window reached the append
 // frontier: no rewrite count gets there, so only the version rule serves it.
 const notFrozen = ^uint64(0)
 
+// set is one set's 64-byte line: each way's tag, 0 while the way is empty,
+// and the shard's clock at the way's last use.
+type set struct {
+	tags   [ways]uint32
+	stamps [ways]uint32
+}
+
+// slot is where a key lives in its shard's table: its set and its tag.
+type slot struct {
+	set int
+	tag uint32
+}
+
 // cacheShard is the cache partition mirroring one backend shard. Its
-// mutex guards only the map and LRU list — never held across backend
-// calls, so cache maintenance cannot extend any shard read-lock hold.
+// mutex guards only the table — never held across backend calls, so cache
+// maintenance cannot extend any shard read-lock hold.
 type cacheShard struct {
 	mu      sync.Mutex
-	entries map[key]*entry
-	head    entry // sentinel: head.next is most recent, head.prev least
+	sets    []set
+	entries []entry // way w of set s is entries[s*nways+w]
+	nways   int     // ways per set: 8, or 1 when the budget holds less than a set
+	clock   uint32  // advances on every use; ages are wrapping differences from it
 	budget  int64
-	bytes   atomic.Int64
-	count   atomic.Int64
+	count   atomic.Int64 // occupied ways
+}
+
+// capacity is how many entries a shard with this byte budget holds: the
+// budget's entries rounded down to whole sets, but never fewer than one.
+func capacity(budget int64) int {
+	return max(int(budget/entryBytes)/ways*ways, 1)
 }
 
 func (cs *cacheShard) init(budget int64) {
-	cs.entries = make(map[key]*entry)
-	cs.head.next = &cs.head
-	cs.head.prev = &cs.head
+	n := capacity(budget)
+	cs.nways = min(n, ways)
+	cs.sets = make([]set, n/cs.nways)
+	cs.entries = make([]entry, n)
 	cs.budget = budget
 }
 
-// moveFront makes e the most recently used entry. Caller holds cs.mu.
-func (cs *cacheShard) moveFront(e *entry) {
-	if cs.head.next == e {
-		return
-	}
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.next = cs.head.next
-	e.prev = &cs.head
-	cs.head.next.prev = e
-	cs.head.next = e
+// locate hashes k once: the multiply-shift of the hash picks k's set, and
+// its low 32 bits, never 0, are k's tag.
+func (cs *cacheShard) locate(k *query.Probe) slot {
+	h := mix(k.S^0xa0761d6478bd642f, k.D^0xe7037ed1a0b428db^uint64(k.Op)<<56)
+	h = mix(h^uint64(k.Ts)^0x8ebc6af09c88c6e3, uint64(k.Te)^0x589965cc75374cc3)
+	s, _ := bits.Mul64(h, uint64(len(cs.sets)))
+	return slot{set: int(s), tag: uint32(h) | 1}
 }
 
-// remove unlinks and deletes e. Caller holds cs.mu.
-func (cs *cacheShard) remove(e *entry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	delete(cs.entries, e.k)
-	cs.bytes.Add(-entryBytes)
-	cs.count.Add(-1)
+// mix folds the 128-bit product of a and b to 64 bits.
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// way returns the entry in way w of set s.
+func (cs *cacheShard) way(s, w int) *entry { return &cs.entries[s*cs.nways+w] }
+
+// find returns the way of at.set that holds k, or -1. A tag only narrows
+// the scan: the full key must match. Caller holds cs.mu.
+func (cs *cacheShard) find(at slot, k *query.Probe) int {
+	for w, tag := range cs.sets[at.set].tags[:cs.nways] {
+		if tag == at.tag && cs.way(at.set, w).k == *k {
+			return w
+		}
+	}
+	return -1
+}
+
+// victim returns the way of set s that a fill takes: the first empty one,
+// else the least recently used. Caller holds cs.mu.
+func (cs *cacheShard) victim(s int) int {
+	ln := &cs.sets[s]
+	lru, oldest := 0, uint32(0)
+	for w, tag := range ln.tags[:cs.nways] {
+		if tag == 0 {
+			return w
+		}
+		if age := cs.clock - ln.stamps[w]; age > oldest {
+			lru, oldest = w, age
+		}
+	}
+	return lru
+}
+
+// touch marks way w of set s as used now. Caller holds cs.mu.
+func (cs *cacheShard) touch(s, w int) {
+	cs.clock++
+	cs.sets[s].stamps[w] = cs.clock
 }
 
 // Stats is a point-in-time counter snapshot for /healthz.
@@ -172,20 +227,23 @@ type Cache struct {
 }
 
 // missSet is ProbeShard's scratch for one group's misses: the probes the
-// backend must evaluate, where each answer goes in the caller's out, and
-// the backend's answers. Pooled, so a miss allocates nothing for it.
+// backend must evaluate, where each answer goes in the caller's out, where
+// each key lives in the table, and the backend's answers. Pooled, so a
+// miss allocates nothing for it.
 type missSet struct {
 	probes []query.Probe
 	idx    []int
+	at     []slot
 	vals   []int64
 }
 
 var missPool = sync.Pool{New: func() any { return new(missSet) }}
 
 // New builds a cache over b. The byte budget is split evenly across b's
-// shards; a budget slice always admits at least one entry, so even
-// MaxBytes/shards < entryBytes degrades to a 1-entry-per-shard cache
-// rather than one that silently never fills.
+// shards, and each shard's table is allocated here, at its full capacity;
+// a budget slice always admits at least one entry, so even a slice below
+// one set's worth degrades to a 1-entry-per-shard cache rather than one
+// that silently never fills.
 func New(b Backend, cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -221,6 +279,7 @@ func (c *Cache) ShardFor(v uint64) int { return c.b.ShardFor(v) }
 //  2. Under the cache shard's own mutex, look every probe up; an entry is a
 //     hit if entry.ver == ver, or if it is frozen and entry.rw == rw. A
 //     stale entry stays where it is: the refill of step 5 overwrites it.
+//     Each miss keeps its set and tag, so the key is hashed once.
 //  3. If nothing missed, return: the backend was never touched, so a
 //     full-hit group costs zero shard read locks.
 //  4. Otherwise evaluate the misses with one backend.ProbeShard call —
@@ -234,7 +293,9 @@ func (c *Cache) ShardFor(v uint64) int { return c.b.ShardFor(v) }
 //     because they cannot be attributed to a single version. A filled
 //     entry whose window ends before frontier (te < frontier, strictly) is
 //     frozen at rw: every later insert lands at T ≥ frontier > te, outside
-//     the window, so the value stands until the rewrite count moves.
+//     the window, so the value stands until the rewrite count moves. A
+//     miss whose set holds neither its key nor an empty way takes the
+//     set's least recently used way.
 //
 // Monotonicity of the version and the rewrite count rules out ABA: a
 // re-observed value implies no such mutation, not a changed-and-restored
@@ -247,22 +308,26 @@ func (c *Cache) ProbeShard(i int, probes []query.Probe, out []int64) {
 	var m *missSet
 	var frozenHits uint64
 	cs.mu.Lock()
-	for j, p := range probes {
-		k := key{op: p.Op, s: p.S, d: p.D, ts: p.Ts, te: p.Te}
-		if e, ok := cs.entries[k]; ok && (e.ver == ver || e.rw == rw) {
-			if e.ver != ver {
-				frozenHits++
+	for j := range probes {
+		p := &probes[j]
+		at := cs.locate(p)
+		if w := cs.find(at, p); w >= 0 {
+			if e := cs.way(at.set, w); e.ver == ver || e.rw == rw {
+				if e.ver != ver {
+					frozenHits++
+				}
+				out[j] = e.val
+				cs.touch(at.set, w)
+				continue
 			}
-			out[j] = e.val
-			cs.moveFront(e)
-			continue
 		}
 		if m == nil {
 			m = missPool.Get().(*missSet)
-			m.probes, m.idx = m.probes[:0], m.idx[:0]
+			m.probes, m.idx, m.at = m.probes[:0], m.idx[:0], m.at[:0]
 		}
-		m.probes = append(m.probes, p)
+		m.probes = append(m.probes, *p)
 		m.idx = append(m.idx, j)
+		m.at = append(m.at, at)
 	}
 	cs.mu.Unlock()
 
@@ -286,45 +351,40 @@ func (c *Cache) ProbeShard(i int, probes []query.Probe, out []int64) {
 		return // concurrent write: results are valid to serve, unsafe to memoize
 	}
 
+	var evicted uint64
+	var added int64
 	cs.mu.Lock()
-	for j, p := range m.probes {
-		k := key{op: p.Op, s: p.S, d: p.D, ts: p.Ts, te: p.Te}
-		e, ok := cs.entries[k]
-		if ok {
-			// Either the stale entry step 2 left in place — the refill
-			// displaces it without a map delete, an allocation and a second
-			// insert — or a concurrent filler's, fenced on the same version,
-			// so the values agree.
-			if e.ver != ver {
-				c.evictions.Add(1)
+	for j := range m.probes {
+		p := &m.probes[j]
+		at := m.at[j]
+		w := cs.find(at, p)
+		if w >= 0 {
+			// Either the stale entry step 2 left in place, refilled where it
+			// is, or a concurrent filler's, fenced on the same version, so
+			// the values agree.
+			if cs.way(at.set, w).ver != ver {
+				evicted++
 			}
-			cs.moveFront(e)
 		} else {
-			if cs.bytes.Load()+entryBytes > cs.budget {
-				// At budget: the least recently used entry leaves and its
-				// node holds the miss. A budget admits at least one entry,
-				// so there is one to evict.
-				e = cs.head.prev
-				cs.remove(e)
-				c.evictions.Add(1)
-				*e = entry{k: k}
+			w = cs.victim(at.set)
+			ln := &cs.sets[at.set]
+			if ln.tags[w] == 0 {
+				added++
 			} else {
-				e = &entry{k: k}
+				evicted++
 			}
-			cs.entries[k] = e
-			e.next = cs.head.next
-			e.prev = &cs.head
-			cs.head.next.prev = e
-			cs.head.next = e
-			cs.bytes.Add(entryBytes)
-			cs.count.Add(1)
+			ln.tags[w] = at.tag
 		}
-		e.val, e.ver, e.rw = m.vals[j], ver, notFrozen
+		cs.touch(at.set, w)
+		e := cs.way(at.set, w)
+		e.k, e.val, e.ver, e.rw = *p, m.vals[j], ver, notFrozen
 		if p.Te < frontier {
 			e.rw = rw
 		}
 	}
 	cs.mu.Unlock()
+	cs.count.Add(added)
+	c.evictions.Add(evicted)
 }
 
 // Do answers one query through the cache — the same planner Sharded.Do
@@ -346,8 +406,8 @@ func (c *Cache) Stats() Stats {
 	}
 	for i := range c.shards {
 		st.Entries += c.shards[i].count.Load()
-		st.Bytes += c.shards[i].bytes.Load()
 		st.MaxBytes += c.shards[i].budget
 	}
+	st.Bytes = st.Entries * entryBytes
 	return st
 }

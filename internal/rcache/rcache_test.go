@@ -37,7 +37,7 @@ func newSharded(t *testing.T, shards int) *shard.Summary {
 	return s
 }
 
-func newCache(t *testing.T, b Backend, maxBytes int64) *Cache {
+func newCache(t testing.TB, b Backend, maxBytes int64) *Cache {
 	t.Helper()
 	c, err := New(b, Config{MaxBytes: maxBytes})
 	if err != nil {
@@ -189,7 +189,7 @@ func TestStaleEntryEvictedOnMutation(t *testing.T) {
 }
 
 // TestEvictionRespectsBudget fills far past the byte budget and checks
-// the LRU bound holds.
+// the bound holds.
 func TestEvictionRespectsBudget(t *testing.T) {
 	s := newSharded(t, 1)
 	s.Insert(stream.Edge{S: 1, D: 2, W: 1, T: 10})
