@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"higgs/internal/matrix"
 	"higgs/internal/stream"
 )
 
@@ -175,4 +176,57 @@ func TestExpireRecyclesArena(t *testing.T) {
 	if got := s.EdgeWeight(st[half].S, st[half].D, cutoff, 1<<40); got < 0 {
 		t.Fatalf("negative weight %d after expire", got)
 	}
+}
+
+// TestPoolHoldsTimedSlabsOnly: seals build their aggregates frozen, so after
+// seals at three levels and more and an Expire that drops sealed subtrees,
+// every slab the pool holds is a leaf's or an overflow block's.
+func TestPoolHoldsTimedSlabsOnly(t *testing.T) {
+	st, cfg := loadFixtureStream(t)
+	s := MustNew(cfg)
+	for _, e := range st {
+		s.Insert(e)
+	}
+	levels := map[int32]bool{}
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.sealed() {
+			levels[n.level] = true
+		}
+		for _, id := range s.ar.children(n) {
+			walk(s.ar.node(nodeID(id)))
+		}
+	}
+	walk(s.root)
+	if len(levels) < 3 {
+		t.Fatalf("seals at %d levels, want ≥ 3", len(levels))
+	}
+	if s.Expire(st[len(st)-1].T/2) == 0 {
+		t.Fatal("Expire dropped nothing")
+	}
+	// The size of one pooled slab of each timed geometry.
+	slabBytes := func(c matrix.Config) int64 {
+		p := matrix.NewPool()
+		m, err := matrix.NewIn(p, c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Release(p)
+		_, b := p.Stats()
+		return b
+	}
+	obCfg := s.leafCfg()
+	obCfg.B = cfg.OBBucket
+	leafBytes, obBytes := slabBytes(s.leafCfg()), slabBytes(obCfg)
+	slabs, bytes := s.pool.Stats()
+	if slabs == 0 {
+		t.Fatal("the pool is empty after Expire")
+	}
+	for leaves := 0; leaves <= slabs; leaves++ {
+		if int64(leaves)*leafBytes+int64(slabs-leaves)*obBytes == bytes {
+			return
+		}
+	}
+	t.Fatalf("the pool holds %d slabs of %d bytes: not leaf slabs (%d B) and overflow-block slabs (%d B) alone",
+		slabs, bytes, leafBytes, obBytes)
 }

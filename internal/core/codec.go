@@ -171,11 +171,10 @@ func (s *Summary) decodeNode(r *wire.Reader) (nodeID, *node, error) {
 		if m.Cfg().Timed {
 			return 0, nil, fmt.Errorf("core: decode node: level-%d aggregate matrix is timed", n.level)
 		}
-		// The decoded matrix is final: freeze it as a seal would, and mark
-		// the aggregation latch done. Its dense slab is not pooled: a seal
-		// keeps one builder per level there, and a load would park up to
-		// the pool's cap of every aggregate size at once.
-		m.Freeze(nil)
+		// The decoded matrix is final: freeze it into the layout a seal
+		// builds, dropping its dense slab, and mark the aggregation latch
+		// done.
+		m.Freeze()
 		n.mat = m
 		n.sealState = sealDone
 	}

@@ -18,8 +18,8 @@ package core
 // Dropped subtrees are recycled in place: their leaf slabs go back to the
 // Summary's pool and their arena slots onto the free lists, so new leaves
 // reuse the memory of the ones just dropped. A dropped aggregate is frozen,
-// sized to its entries; its arrays go to the GC, and aggregates are built in
-// the dense builders the pool keeps per level.
+// sized to its entries, and its arrays go to the GC: the pool holds leaf and
+// overflow-block slabs only.
 //
 // Expire must not run concurrently with inserts or queries.
 func (s *Summary) Expire(cutoff int64) (leavesDropped int) {
@@ -88,10 +88,10 @@ func (s *Summary) expireNode(n *node, cutoff int64) int {
 	return dropped
 }
 
-// releaseSubtree releases every matrix of the subtree to the pool (which
-// keeps dense slabs only) and every node and child block to the arena free
-// lists. The caller must guarantee exclusivity (workers drained, no
-// concurrent queries).
+// releaseSubtree releases every matrix of the subtree — the pool parks the
+// timed slabs of leaves and overflow blocks, frozen aggregates go to the
+// GC — and every node and child block to the arena free lists. The caller
+// must guarantee exclusivity (workers drained, no concurrent queries).
 func (s *Summary) releaseSubtree(id nodeID) {
 	n := s.ar.node(id)
 	if n.level > 1 {

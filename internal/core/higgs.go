@@ -17,10 +17,10 @@ import (
 // internal aggregation workers run concurrently with insertions, and
 // queries may run concurrently with each other once insertion has finished.
 //
-// All tree nodes live in an arena owned by the Summary (see arena.go), leaf
-// slabs draw from a pool that Expire refills, and aggregates are built in
-// the pool's dense builders, so steady-state ingest allocates nothing per
-// edge; a seal allocates only the frozen aggregate it keeps.
+// All tree nodes live in an arena owned by the Summary (see arena.go) and
+// leaf slabs draw from a pool that Expire refills, so steady-state ingest
+// allocates nothing per edge; a seal builds its aggregate frozen, in working
+// arrays shared across summaries, and allocates only the arrays it keeps.
 type Summary struct {
 	cfg Config
 	rb  uint // R: fingerprint bits promoted per level

@@ -82,13 +82,13 @@ func (n *node) sealed() bool {
 	return atomic.LoadUint32(&n.sealState) == sealDone
 }
 
-// buildAggregate implements paper Algorithm 2: allocate a √θ·d × √θ·d
-// matrix one level up, shift R fingerprint bits into the addresses of every
-// child entry, and merge. Overflow-block matrices of leaf children are
-// absorbed alongside the main leaf matrices. Entries that cannot be placed
-// go to the parent matrix's spill list with full fidelity (DESIGN.md §3.4).
-// Nothing adds to the aggregate again, so it is frozen before sealNow
-// publishes it, and its dense builder goes back to the pool.
+// buildAggregate implements paper Algorithm 2: a √θ·d × √θ·d matrix one
+// level up, R fingerprint bits shifted into the addresses of every child
+// entry, and merged. Overflow-block matrices of leaf children are absorbed
+// right after their leaf's matrix. Entries that cannot be placed go to the
+// parent matrix's spill list with full fidelity (DESIGN.md §3.4). Nothing
+// adds to the aggregate again, so matrix.Aggregate builds it directly in
+// its frozen form for sealNow to publish.
 func (s *Summary) buildAggregate(n *node) {
 	kids := s.ar.children(n)
 	first := s.ar.node(nodeID(kids[0]))
@@ -110,23 +110,17 @@ func (s *Summary) buildAggregate(n *node) {
 		Maps:  s.cfg.Maps,
 		FBits: ccfg.FBits - rb,
 	}
-	m, err := matrix.NewIn(s.pool, pcfg, 0)
+	var buf [16]*matrix.Matrix
+	children := buf[:0]
+	for _, id := range kids {
+		c := s.ar.node(nodeID(id))
+		children = append(append(children, c.mat), c.obs...)
+	}
+	m, err := matrix.Aggregate(pcfg, children)
 	if err != nil {
 		// pcfg derives from a validated Config; failure is a programming
 		// error in this package, not a caller mistake.
-		panic(fmt.Sprintf("core: internal aggregate config invalid: %v", err))
+		panic(fmt.Sprintf("core: aggregate: %v", err))
 	}
-	for _, id := range kids {
-		c := s.ar.node(nodeID(id))
-		if err := m.Absorb(c.mat); err != nil {
-			panic(fmt.Sprintf("core: absorb: %v", err))
-		}
-		for _, ob := range c.obs {
-			if err := m.Absorb(ob); err != nil {
-				panic(fmt.Sprintf("core: absorb overflow block: %v", err))
-			}
-		}
-	}
-	m.Freeze(s.pool)
 	n.mat = m
 }

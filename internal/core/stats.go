@@ -6,8 +6,8 @@ import "math"
 // follow the repository-wide convention (DESIGN.md §7): SpaceBytes is the
 // packed structural size the paper's space comparisons count, HeapBytes the
 // Go-resident size: the arrays every matrix holds, dense or frozen, plus the
-// slabs in the pool — those Expire parked for the insert path to reuse and
-// the dense builders sealing returned.
+// leaf and overflow-block slabs Expire parked in the pool for the insert
+// path to reuse.
 type Stats struct {
 	Items          int64 // accepted stream items
 	Clamped        int64 // out-of-order items clamped to the newest time

@@ -10,6 +10,42 @@ import (
 	"higgs/internal/wire"
 )
 
+// Absorb is the seal as it was before Aggregate, and its reference: it folds
+// every entry of child into the dense matrix m (paper Alg. 2) in ForEach
+// order, one Add at a time, spilling what Add refuses. NewIn, Absorb for each
+// child, then Freeze must build exactly what Aggregate does.
+func (m *Matrix) Absorb(child *Matrix) error {
+	if m.cfg.Timed || m.frz != nil {
+		return fmt.Errorf("matrix: cannot absorb into a timed or frozen matrix")
+	}
+	if child.cfg.FBits < m.cfg.FBits {
+		return fmt.Errorf("matrix: child FBits %d < parent FBits %d", child.cfg.FBits, m.cfg.FBits)
+	}
+	rbits := child.cfg.FBits - m.cfg.FBits
+	if child.cfg.D<<rbits != m.cfg.D {
+		return fmt.Errorf("matrix: child D %d with %d promoted bits does not match parent D %d",
+			child.cfg.D, rbits, m.cfg.D)
+	}
+	cbits := child.cfg.FBits
+	child.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, w int64) {
+		pfpS, pbaseS := Promote(fpS, baseS, cbits, rbits)
+		pfpD, pbaseD := Promote(fpD, baseD, cbits, rbits)
+		m.addOrSpill(pfpS, pbaseS, pfpD, pbaseD, w)
+	})
+	return nil
+}
+
+func (m *Matrix) addOrSpill(fpS, baseS, fpD, baseD uint32, w int64) {
+	if m.Add(fpS, baseS, fpD, baseD, 0, w) {
+		return
+	}
+	if sp := m.findSpill(fpS, baseS, fpD, baseD); sp != nil {
+		sp.w += w
+		return
+	}
+	m.spill = append(m.spill, spillEntry{fpS: fpS, fpD: fpD, baseS: baseS & (m.cfg.D - 1), baseD: baseD & (m.cfg.D - 1), w: w})
+}
+
 // findExhaustive is find as it was before first fit became an invariant: it
 // walks all r×r candidate buckets, remembers the first free slot and keeps
 // looking for a match. It is the placement oracle — find must return the same
@@ -253,7 +289,7 @@ func frozenCopy(t testing.TB, m *Matrix) *Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fz.Freeze(nil)
+	fz.Freeze()
 	return fz
 }
 

@@ -218,7 +218,7 @@ func FuzzFreeze(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fz.Freeze(nil)
+		fz.Freeze()
 		var stored []refKey
 		dense.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, _ int64) {
 			stored = append(stored, refKey{fpS: fpS, baseS: baseS, fpD: fpD, baseD: baseD})

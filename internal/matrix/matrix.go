@@ -19,11 +19,13 @@
 // the paper's no-additional-error guarantee at a bounded space cost (see
 // DESIGN.md §3.4).
 //
-// A sealed aggregate never changes shape again, so Freeze converts it to a
-// compact read-only layout in the manner of a CSR sparse matrix: only the
-// occupied entries with per-bucket offsets, a column index for ColSum, and
-// sorted views of the spill list. Its dense slab goes back to the Pool, which
-// from then on serves aggregates only as the seal-time builder.
+// A sealed aggregate never changes shape again, so it is held in a compact
+// read-only layout in the manner of a CSR sparse matrix: only the occupied
+// entries with per-bucket offsets, a column index for ColSum, and sorted
+// views of the spill list. Aggregate builds that layout directly from the
+// children, without a dense slab; Freeze converts a dense untimed matrix (a
+// decoded one) to it. The Pool recycles dense slabs, which are then only
+// those of leaves and overflow blocks.
 package matrix
 
 import (
@@ -114,9 +116,10 @@ type spillRef struct {
 	at         uint32
 }
 
-// frozen is the read-only layout Freeze gives a sealed aggregate. The slab's
-// keys, ws and idxs then hold only the occupied entries, bucket-major and in
-// fill order within a bucket, and its fills is nil: start replaces it.
+// frozen is the read-only layout of a sealed aggregate (Aggregate, Freeze).
+// The slab's keys, ws and idxs then hold only the occupied entries,
+// bucket-major and in fill order within a bucket, and its fills is nil:
+// start replaces it.
 type frozen struct {
 	start    []uint32   // D²+1 offsets: bucket b holds entries start[b]:start[b+1]
 	colStart []uint32   // D+1 offsets into colFps and colAt, one run per column
@@ -134,8 +137,8 @@ type frozen struct {
 // weights without vacating slots. On a dense matrix everything but RowSum and
 // ColSum stays inside the prefix fills records; those two sweep whole
 // buckets, because a free slot is all zeros and adds nothing to any sum. A
-// frozen matrix (Freeze) stores nothing but the prefixes, so every kernel
-// reads occupied entries only.
+// frozen matrix (Aggregate, Freeze) stores nothing but the prefixes, so every
+// kernel reads occupied entries only.
 //
 // First fit: every stored entry lies at or before the first non-full bucket
 // of its own candidate walk (find has the proof). find and EdgeSum end their
@@ -144,7 +147,7 @@ type Matrix struct {
 	cfg Config
 	lcg hashing.LCG
 	slab
-	frz    *frozen // set by Freeze
+	frz    *frozen // set by Aggregate and Freeze
 	spill  []spillEntry
 	count  int   // used slots
 	startT int64 // reference time for offsets (timed matrices)
@@ -185,19 +188,37 @@ func (m *Matrix) Release(p *Pool) {
 	m.count = 0
 }
 
-// Freeze converts a finished untimed matrix to the read-only layout of
-// frozen and hands its dense slab back to p (p may be nil). Every kernel
-// answers as before — EdgeSum and Sub keep their first-fit stop, RowSum its
-// contiguous rows, ForEach and Encode their order and bytes — and Sub still
-// changes weights, of slots and spill entries alike; Add panics and Absorb
-// fails. Freeze panics on a timed or already frozen matrix.
-func (m *Matrix) Freeze(p *Pool) {
+// Freeze converts a finished untimed matrix — in practice a decoded
+// aggregate; a seal builds its frozen form with Aggregate — to the read-only
+// layout of frozen and drops its dense slab. Every kernel answers as before —
+// EdgeSum and Sub keep their first-fit stop, RowSum its contiguous rows,
+// ForEach and Encode their order and bytes — and Sub still changes weights,
+// of slots and spill entries alike; Add panics. Freeze panics on a timed or
+// already frozen matrix.
+func (m *Matrix) Freeze() {
 	if m.cfg.Timed || m.frz != nil {
 		panic("matrix: Freeze of a timed or frozen matrix")
 	}
-	d, bsz, n := int(m.cfg.D), m.cfg.B, m.count
+	bsz, n := m.cfg.B, m.count
+	f := newFrozen(int(m.cfg.D), m.fills, n)
+	keys, ws, idxs := make([]uint64, n), make([]int64, n), make([]uint8, n)
+	for bkt, fill := range m.fills {
+		lo, hi, at := bkt*bsz, bkt*bsz+int(fill), f.start[bkt]
+		copy(keys[at:], m.keys[lo:hi])
+		copy(ws[at:], m.ws[lo:hi])
+		copy(idxs[at:], m.idxs[lo:hi])
+	}
+	f.index(keys, m.spill)
+	m.slab = slab{keys: keys, ws: ws, idxs: idxs}
+	m.frz = f
+}
+
+// newFrozen allocates the frozen arrays of a matrix with n occupied entries
+// in d×d buckets, bucket b holding fills[b] of them, and sets the bucket and
+// column offsets. One allocation per element type: the four uint32 arrays
+// share one.
+func newFrozen(d int, fills []uint8, n int) *frozen {
 	nb := d * d
-	// One allocation per element type: the four uint32 arrays share one.
 	u32 := make([]uint32, nb+1+d+1+2*n)
 	c0, f0 := nb+1, nb+d+2
 	f := &frozen{
@@ -206,10 +227,10 @@ func (m *Matrix) Freeze(p *Pool) {
 		colFps:   u32[f0 : f0+n : f0+n],
 		colAt:    u32[f0+n:],
 	}
-	// First pass, over fills: bucket offsets, and every column's entry count
-	// in colStart[col+1], summed to the column offsets after it.
+	// Every column's entry count goes to colStart[col+1], summed to the
+	// column offsets after it.
 	var at uint32
-	for bkt, fill := range m.fills {
+	for bkt, fill := range fills {
 		f.start[bkt] = at
 		at += uint32(fill)
 		f.colStart[bkt&(d-1)+1] += uint32(fill)
@@ -218,32 +239,30 @@ func (m *Matrix) Freeze(p *Pool) {
 	for c := 1; c <= d; c++ {
 		f.colStart[c] += f.colStart[c-1]
 	}
-	// Second pass, over the occupied slots: compact the entries and deal
-	// each destination fingerprint to its column. colStart[c] is column c's
-	// write cursor and ends at column c+1's offset; the shift restores it.
-	// Every slot and fill is zeroed as it is read, so the pool finds the
-	// slab already clear.
-	keys, ws, idxs := make([]uint64, n), make([]int64, n), make([]uint8, n)
-	for bkt, e := 0, 0; e < n; bkt++ {
-		col, lo := bkt&(d-1), bkt*bsz
-		hi := lo + int(m.fills[bkt])
-		m.fills[bkt] = 0
-		for k := lo; k < hi; k, e = k+1, e+1 {
-			kk := m.keys[k]
-			keys[e], ws[e], idxs[e] = kk, m.ws[k], m.idxs[k]
-			m.keys[k], m.ws[k], m.idxs[k] = 0, 0, 0
+	return f
+}
+
+// index completes f once keys holds the occupied entries where start puts
+// them: it deals every destination fingerprint to its column and builds the
+// sorted views of spill. colStart[c] is column c's write cursor and ends at
+// column c+1's offset; the shift restores it.
+func (f *frozen) index(keys []uint64, spill []spillEntry) {
+	d := len(f.colStart) - 1
+	for bkt := 0; bkt < len(f.start)-1; bkt++ {
+		col := bkt & (d - 1)
+		for e := f.start[bkt]; e < f.start[bkt+1]; e++ {
 			c := f.colStart[col]
-			f.colFps[c], f.colAt[c] = uint32(kk>>32), uint32(e)
+			f.colFps[c], f.colAt[c] = uint32(keys[e]>>32), e
 			f.colStart[col] = c + 1
 		}
 	}
 	copy(f.colStart[1:], f.colStart[:d])
 	f.colStart[0] = 0
-	if ns := len(m.spill); ns > 0 {
+	if ns := len(spill); ns > 0 {
 		refs := make([]spillRef, 2*ns)
 		f.bySrc, f.byDst = refs[:ns:ns], refs[ns:]
-		for i := range m.spill {
-			sp := &m.spill[i]
+		for i := range spill {
+			sp := &spill[i]
 			src, dst := uint64(sp.baseS)<<32|uint64(sp.fpS), uint64(sp.baseD)<<32|uint64(sp.fpD)
 			f.bySrc[i] = spillRef{key: src, other: dst, at: uint32(i)}
 			f.byDst[i] = spillRef{key: dst, other: src, at: uint32(i)}
@@ -251,9 +270,6 @@ func (m *Matrix) Freeze(p *Pool) {
 		slices.SortFunc(f.bySrc, byKey)
 		slices.SortFunc(f.byDst, byKey)
 	}
-	p.put(m.slab)
-	m.slab = slab{keys: keys, ws: ws, idxs: idxs}
-	m.frz = f
 }
 
 func byKey(a, b spillRef) int { return cmp.Compare(a.key, b.key) }
@@ -583,43 +599,6 @@ func Promote(fp, base uint32, childFBits, rbits uint) (pfp, pbase uint32) {
 	return pfp, pbase
 }
 
-// Absorb aggregates every entry of the child matrix into m (paper Alg. 2),
-// in ForEach order. m's fingerprint width must not exceed the child's; the
-// difference is the number of promoted bits. Entries that cannot be placed
-// are kept in m's spill list with full fidelity. Time offsets are dropped,
-// as aggregated matrices are untimed.
-func (m *Matrix) Absorb(child *Matrix) error {
-	if m.cfg.Timed || m.frz != nil {
-		return fmt.Errorf("matrix: cannot absorb into a timed or frozen matrix")
-	}
-	if child.cfg.FBits < m.cfg.FBits {
-		return fmt.Errorf("matrix: child FBits %d < parent FBits %d", child.cfg.FBits, m.cfg.FBits)
-	}
-	rbits := child.cfg.FBits - m.cfg.FBits
-	if child.cfg.D<<rbits != m.cfg.D {
-		return fmt.Errorf("matrix: child D %d with %d promoted bits does not match parent D %d",
-			child.cfg.D, rbits, m.cfg.D)
-	}
-	cbits := child.cfg.FBits
-	child.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, w int64) {
-		pfpS, pbaseS := Promote(fpS, baseS, cbits, rbits)
-		pfpD, pbaseD := Promote(fpD, baseD, cbits, rbits)
-		m.addOrSpill(pfpS, pbaseS, pfpD, pbaseD, w)
-	})
-	return nil
-}
-
-func (m *Matrix) addOrSpill(fpS, baseS, fpD, baseD uint32, w int64) {
-	if m.Add(fpS, baseS, fpD, baseD, 0, w) {
-		return
-	}
-	if sp := m.findSpill(fpS, baseS, fpD, baseD); sp != nil {
-		sp.w += w
-		return
-	}
-	m.spill = append(m.spill, spillEntry{fpS: fpS, fpD: fpD, baseS: baseS & (m.cfg.D - 1), baseD: baseD & (m.cfg.D - 1), w: w})
-}
-
 // EntryBits returns the packed size in bits of one stored entry at this
 // level, the β of paper Theorem 1: two fingerprints, the index pair, the
 // weight, and (timed only) the offset.
@@ -634,8 +613,8 @@ func (m *Matrix) EntryBits() int {
 
 // SpaceBytes returns the packed structural size the paper's space
 // comparison counts: all slots at this level's entry width plus spilled
-// entries (fingerprints, explicit addresses, weight). Freeze leaves it
-// unchanged: the paper's matrix has every slot.
+// entries (fingerprints, explicit addresses, weight). The frozen layout
+// leaves it unchanged: the paper's matrix has every slot.
 func (m *Matrix) SpaceBytes() int64 {
 	slotBits := int64(m.Capacity()) * int64(m.EntryBits())
 	addrBits := int64(2 * hashing.Log2(m.cfg.D))

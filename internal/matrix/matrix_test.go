@@ -355,7 +355,7 @@ func TestSubInSpill(t *testing.T) {
 func TestFrozenRefusesWrites(t *testing.T) {
 	m := mustNew(t, Config{D: 8, B: 2, Maps: 2, FBits: 12}, 0)
 	m.Add(1, 2, 3, 4, 0, 5)
-	m.Freeze(nil)
+	m.Freeze()
 	mustPanic := func(what string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -367,8 +367,8 @@ func TestFrozenRefusesWrites(t *testing.T) {
 	}
 	mustPanic("Add to a frozen matrix", func() { m.Add(1, 2, 3, 4, 0, 1) })
 	mustPanic("Add of a new entry to a frozen matrix", func() { m.Add(7, 2, 3, 4, 0, 1) })
-	mustPanic("a second Freeze", func() { m.Freeze(nil) })
-	mustPanic("Freeze of a timed matrix", func() { mustNew(t, Config{D: 8, B: 2, Maps: 2, FBits: 12, Timed: true}, 0).Freeze(nil) })
+	mustPanic("a second Freeze", func() { m.Freeze() })
+	mustPanic("Freeze of a timed matrix", func() { mustNew(t, Config{D: 8, B: 2, Maps: 2, FBits: 12, Timed: true}, 0).Freeze() })
 	if err := m.Absorb(mustNew(t, Config{D: 8, B: 2, Maps: 2, FBits: 12, Timed: true}, 0)); err == nil {
 		t.Error("Absorb into a frozen matrix succeeded")
 	}
@@ -546,7 +546,7 @@ func benchProbe(b *testing.B, probe func(m *Matrix, e benchEdge, lo, hi int64) i
 		b.Run(g.name, func(b *testing.B) {
 			m, probes := benchMatrix(b, g.cfg, 16)
 			if !g.cfg.Timed {
-				m.Freeze(nil) // the only form an aggregate is queried in
+				m.Freeze() // the only form an aggregate is queried in
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -571,40 +571,63 @@ func BenchmarkColSum(b *testing.B) {
 	benchProbe(b, func(m *Matrix, e benchEdge, lo, hi int64) int64 { return m.ColSum(e.fpD, e.baseD, lo, hi) })
 }
 
-// BenchmarkAbsorb builds one aggregate per iteration the way the seal path
-// does — pooled parent, θ = 4 children absorbed in turn, parent frozen (its
-// builder back to the pool) — at level 2 (over leaves) and at level 6.
-func BenchmarkAbsorb(b *testing.B) {
+// benchHub fills an untimed matrix to ~54 % with edges of which three in four
+// leave one of 8 hub vertices, the same hubs for every seed: a hub's
+// candidate rows fill and refuse, and θ such children overflow their
+// parent's rows.
+func benchHub(b *testing.B, cfg Config, seed int64) *Matrix {
+	b.Helper()
+	m, err := New(cfg, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for refused := 0; m.Count() < m.Capacity()*54/100 && refused < 1<<20; {
+		fpS, baseS := uint32(rng.Intn(1<<cfg.FBits)), uint32(rng.Intn(int(cfg.D)))
+		if rng.Intn(4) != 0 {
+			hub := uint32(rng.Intn(8))
+			fpS, baseS = hub*7919, hub*31
+		}
+		if !m.Add(fpS, baseS, uint32(rng.Intn(1<<cfg.FBits)), uint32(rng.Intn(int(cfg.D))), 0, 1) {
+			refused++
+		}
+	}
+	return m
+}
+
+// BenchmarkAggregate builds one aggregate per iteration the way the seal path
+// does — θ = 4 children, frozen when they are aggregates themselves — at
+// level 2 (over leaves), at level 6, and at level 4 over hub-heavy children
+// (spill4), where about a third of the parent's entries spill.
+func BenchmarkAggregate(b *testing.B) {
+	agg3 := Config{D: 64, B: 3, Maps: 4, FBits: 17}
 	for _, g := range []struct {
 		name          string
 		child, parent Config
+		hub           bool
 	}{
-		{"leaf", benchLeaf, Config{D: 32, B: 3, Maps: 4, FBits: 18}},
-		{"agg6", Config{D: 256, B: 3, Maps: 4, FBits: 15}, benchAgg},
+		{"leaf", benchLeaf, Config{D: 32, B: 3, Maps: 4, FBits: 18}, false},
+		{"agg6", Config{D: 256, B: 3, Maps: 4, FBits: 15}, benchAgg, false},
+		{"spill4", agg3, Config{D: 128, B: 3, Maps: 4, FBits: 16}, true},
 	} {
 		b.Run(g.name, func(b *testing.B) {
 			var children [4]*Matrix
 			for c := range children {
-				children[c], _ = benchMatrix(b, g.child, int64(c))
+				if g.hub {
+					children[c] = benchHub(b, g.child, int64(c))
+				} else {
+					children[c], _ = benchMatrix(b, g.child, int64(c))
+				}
 				if !g.child.Timed {
-					children[c].Freeze(nil) // a sealed child is absorbed frozen
+					children[c].Freeze() // a sealed child is aggregated frozen
 				}
 			}
-			p := NewPool()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				parent, err := NewIn(p, g.parent, 0)
-				if err != nil {
+				if _, err := Aggregate(g.parent, children[:]); err != nil {
 					b.Fatal(err)
 				}
-				for _, child := range children {
-					if err := parent.Absorb(child); err != nil {
-						b.Fatal(err)
-					}
-				}
-				parent.Freeze(p)
-				parent.Release(p)
 			}
 		})
 	}

@@ -2,18 +2,16 @@ package matrix
 
 import "sync"
 
-// Pool recycles matrix slab backing (the entry columns plus the matching
-// fill array) across matrix lifetimes, keyed by exact slot count and by
-// whether the slab carries an offset column. A HIGGS tree only ever uses a
-// handful of distinct geometries — the leaf matrix, the overflow-block
-// matrix, and one aggregate size per level — so an exact-size class map
-// stays tiny while letting Expire hand the memory of dropped subtrees
-// straight back to the insert path. An aggregate class holds the dense
-// builders Freeze returns at every seal, for the next seal of that level.
+// Pool recycles dense matrix slab backing (the entry columns plus the
+// matching fill array) across matrix lifetimes, keyed by exact slot count and
+// by whether the slab carries an offset column. A HIGGS tree draws dense
+// slabs for two geometries only — the leaf matrix and the overflow-block
+// matrix, both timed; aggregates are built frozen (Aggregate) and never
+// hold one — so an exact-size class map stays tiny while letting Expire hand
+// the memory of dropped subtrees straight back to the insert path.
 //
 // Slabs are zeroed on put, so get returns ready-to-use backing without a
-// memclr on the hot path. Pool is safe for concurrent use: parallel seal
-// workers allocate aggregates while the insert goroutine opens leaves.
+// memclr on the hot path. Pool is safe for concurrent use.
 type Pool struct {
 	mu      sync.Mutex
 	classes map[class][]slab
@@ -58,9 +56,8 @@ func (p *Pool) get(n, b int, timed bool) slab {
 // put zeroes the slab and retains it for reuse, up to the per-class cap. A
 // slab that meets a full class is dropped for the GC as it is: Expire
 // releases leaves by the dozen, and zeroing garbage was most of put's cost.
-// Zero beyond fill leaves only each bucket's occupied prefix to clear, which
-// on a sparse aggregate builder is a fraction of the slab. The clear stays
-// outside the lock, so the cap is checked again after it.
+// Zero beyond fill leaves only each bucket's occupied prefix to clear. The
+// clear stays outside the lock, so the cap is checked again after it.
 func (p *Pool) put(s slab) {
 	if p == nil || s.keys == nil {
 		return

@@ -184,9 +184,8 @@ func TestPoolPutClearsOccupiedPrefixes(t *testing.T) {
 }
 
 // TestPoolConcurrentPut: put checks the cap, clears outside the lock and
-// checks again, so releases racing for a class's last places — the insert
-// goroutine's Expire against the seal workers — must still respect the cap
-// and park only zeroed slabs.
+// checks again, so releases racing for a class's last places must still
+// respect the cap and park only zeroed slabs.
 func TestPoolConcurrentPut(t *testing.T) {
 	p := NewPool()
 	slots := mustNew(t, testCfg(), 0).Capacity()
@@ -280,13 +279,13 @@ func TestHeapBytes(t *testing.T) {
 		t.Fatalf("untimed HeapBytes = %d (backing %d), want %d", got, backing(agg), want)
 	}
 	p := NewPool()
-	want := backing(timed) + backing(agg)
+	want := backing(timed)
 	timed.Release(p)
 	// Frozen, the aggregate keeps its one entry in each column (17 bytes),
 	// 5 bucket and 3 column offsets, a fingerprint and a position per entry
 	// (4 bytes each), and two sorted views of its two spill entries; the
-	// dense slab is the pool's.
-	agg.Freeze(p)
+	// dense slab is dropped, and so are the frozen arrays on Release.
+	agg.Freeze()
 	if got, want := agg.HeapBytes(), int64(17+(5+3+2)*4+cap(agg.spill)*spillSize+4*spillRefSize+matrixSize+frozenSize); got != want {
 		t.Fatalf("frozen HeapBytes = %d, want %d", got, want)
 	}
@@ -294,7 +293,7 @@ func TestHeapBytes(t *testing.T) {
 		t.Fatalf("frozen Capacity %d / SpaceBytes %d: the paper's accounting must not see Freeze", agg.Capacity(), agg.SpaceBytes())
 	}
 	agg.Release(p)
-	if slabs, bytes := p.Stats(); slabs != 2 || bytes != want {
-		t.Fatalf("pool holds %d slabs / %d bytes, want 2 / %d", slabs, bytes, want)
+	if slabs, bytes := p.Stats(); slabs != 1 || bytes != want {
+		t.Fatalf("pool holds %d slabs / %d bytes, want 1 / %d", slabs, bytes, want)
 	}
 }
