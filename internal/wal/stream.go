@@ -17,7 +17,6 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,10 +29,9 @@ var ErrTruncated = errors.New("wal: requested records truncated (snapshot requir
 // log's replication floor. Records below it were truncated after a
 // covering snapshot. An empty (or fully truncated) log returns the next
 // sequence to be assigned, so FirstSeq may exceed LastSeq by one.
-func (l *Log) FirstSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.segs[0].firstSeq
+func (l *Log) FirstSeq() (first uint64) {
+	l.locked(func() { first = l.segs[0].firstSeq })
+	return first
 }
 
 // ReadFrom streams, in sequence order, every durable record whose last
@@ -52,14 +50,12 @@ func (l *Log) FirstSeq() uint64 {
 // already truncated away; the caller must recover from a snapshot. A fn
 // error aborts the read and is returned.
 func (l *Log) ReadFrom(after, upTo uint64, fn func(rec Record, frame []byte) error) (frontier uint64, err error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	var closed bool
+	var segs []segment
+	l.locked(func() { closed, segs = l.closed, slices.Clone(l.segs) })
+	if closed {
 		return 0, ErrClosed
 	}
-	segs := slices.Clone(l.segs)
-	l.mu.Unlock()
-
 	frontier = l.SyncedSeq()
 	if upTo != 0 && upTo < frontier {
 		frontier = upTo
@@ -92,13 +88,18 @@ func (l *Log) WaitSyncedBeyond(seq uint64, timeout time.Duration) uint64 {
 	if l.synced > seq || l.syncErr != nil || timeout <= 0 {
 		return l.synced
 	}
-	var expired atomic.Bool
+	// The timer takes syncMu around its store and Broadcast: between the
+	// loop check and Wait the waiter holds syncMu, so the wakeup cannot
+	// fall into that gap and be lost.
+	expired := false
 	t := time.AfterFunc(timeout, func() {
-		expired.Store(true)
+		l.syncMu.Lock()
+		expired = true
 		l.syncCond.Broadcast()
+		l.syncMu.Unlock()
 	})
 	defer t.Stop()
-	for l.synced <= seq && l.syncErr == nil && !expired.Load() {
+	for l.synced <= seq && l.syncErr == nil && !expired {
 		l.syncCond.Wait()
 	}
 	return l.synced

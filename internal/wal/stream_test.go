@@ -212,6 +212,35 @@ func TestWaitSyncedBeyond(t *testing.T) {
 	}
 }
 
+// TestWaitSyncedBeyondTimesOutOnIdleLog: on a log nothing syncs, the
+// timeout is the only wakeup a waiter gets, so it must never be lost — a
+// timer that fires between the waiter's loop check and its Wait would
+// otherwise leave the long-poll parked until the next sync, which an idle
+// primary never performs. The waits run one at a time: a second waiter's
+// timer would broadcast too and rescue a lost wakeup.
+func TestWaitSyncedBeyondTimesOutOnIdleLog(t *testing.T) {
+	l := openT(t, Config{Dir: t.TempDir()})
+	const waits, slack = 300, 2 * time.Second
+	timeout := func(i int) time.Duration { return time.Duration(20+i%5*20) * time.Microsecond }
+	done := make(chan struct{})
+	defer func() { l.Close(); <-done }() // Close releases a stuck waiter
+	go func() {
+		defer close(done)
+		for i := 0; i < waits; i++ {
+			start := time.Now()
+			l.WaitSyncedBeyond(0, timeout(i))
+			if took := time.Since(start); took > timeout(i)+slack {
+				t.Errorf("wait %d: WaitSyncedBeyond(0, %v) on an idle log took %v", i, timeout(i), took)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(waits*timeout(4) + slack):
+		t.Fatalf("%d waits of at most %v each on an idle log still running after %v: a timeout wakeup was lost", waits, timeout(4), waits*timeout(4)+slack)
+	}
+}
+
 // streamOf appends recs to a fresh log and returns the stream a follower
 // would be served for ?after=0 — Header() plus every frame ReadFrom hands
 // out — and the segment file those frames came from.

@@ -20,11 +20,12 @@
 // refused. Records never span segments; when the active segment exceeds
 // Config.SegmentBytes it is flushed, synced, closed, and a new one begins.
 //
-// There is one of each: AppendRecord is the only append body and
+// There is one of each: AppendRecord is the only append path and
 // writeFrameLocked the only place a frame is written; ReadFrames is the
 // only place one is parsed — Open's scan, Replay, ReadFrom and a
 // replication follower all decode through it — and what ReadFrom hands the
-// replication primary is the segment's own bytes.
+// replication primary is the segment's own bytes. The log mutex, too, is
+// taken in one place: every critical section is a locked closure.
 //
 // # Sequence numbers
 //
@@ -191,7 +192,8 @@ type Log struct {
 	cfg Config
 
 	// mu serializes appends, rotation, truncation, and — because deliver
-	// callbacks run under it — defines the global sequence order.
+	// callbacks run under it — defines the global sequence order. It is
+	// taken only by locked.
 	mu       sync.Mutex
 	segs     []segment
 	f        *os.File
@@ -273,11 +275,24 @@ func Open(cfg Config) (*Log, error) {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 		l.f, l.bw, l.size = f, bufio.NewWriterSize(f, 1<<16), size
-	} else if err := l.newSegmentLocked(); err != nil {
-		return nil, err
+	} else {
+		// Nothing contends yet; the section keeps newSegmentLocked's contract.
+		l.locked(func() { err = l.newSegmentLocked() })
+		if err != nil {
+			return nil, err
+		}
 	}
 	go l.syncer()
 	return l, nil
+}
+
+// locked runs fn holding l.mu: the log's one critical section, and the
+// only place l.mu is locked. Every *Locked method runs inside one, and
+// lock_test.go holds that nothing in one blocks.
+func (l *Log) locked(fn func()) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fn()
 }
 
 // listSegments returns the directory's segments in ascending firstSeq
@@ -369,7 +384,7 @@ func (l *Log) rotateLocked() {
 		l.err = err
 		return
 	}
-	//lockscope:ignore rotation must seal the old segment durably before the next segment takes appends; it happens once per segmentSize bytes, amortized far below the group-commit fsync cadence
+	// The one fsync under l.mu, allowed by name in lock_test.go.
 	if err := l.f.Sync(); err != nil {
 		l.err = err
 		return
@@ -416,8 +431,12 @@ func (l *Log) advanceSynced(seq uint64, err error) {
 // delivered but will not survive a crash; callers should surface the
 // error rather than acknowledge).
 func (l *Log) AppendRecord(rec Record, deliver func(firstSeq uint64) error) (lastSeq uint64, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.locked(func() { lastSeq, err = l.appendLocked(rec, deliver) })
+	return lastSeq, err
+}
+
+// appendLocked is AppendRecord's body. Caller holds l.mu.
+func (l *Log) appendLocked(rec Record, deliver func(firstSeq uint64) error) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
@@ -534,33 +553,33 @@ func (l *Log) syncer() {
 // the file's full contents — so a sync error is fatal only if the file is
 // still the active one.
 func (l *Log) syncNow() {
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
+	var target, gen uint64
+	var f *os.File
+	var err error
+	l.locked(func() {
+		if err = l.err; err != nil {
+			return
+		}
+		target, gen, f = l.appended, l.gen, l.f
+		if err = l.bw.Flush(); err != nil {
+			l.err = err
+		}
+	})
+	if err != nil {
 		l.advanceSynced(0, err)
 		return
 	}
-	target := l.appended
-	gen := l.gen
-	f := l.f
-	if err := l.bw.Flush(); err != nil {
-		l.err = err
-		l.mu.Unlock()
-		l.advanceSynced(0, err)
-		return
-	}
-	l.mu.Unlock()
 	if target == 0 || f == nil {
 		return
 	}
 	if err := f.Sync(); err != nil {
-		l.mu.Lock()
-		stale := gen != l.gen
-		if !stale && l.err == nil {
-			l.err = err
-		}
-		l.mu.Unlock()
+		stale := false
+		l.locked(func() {
+			stale = gen != l.gen
+			if !stale && l.err == nil {
+				l.err = err
+			}
+		})
 		if !stale {
 			l.advanceSynced(0, err)
 			return
@@ -593,23 +612,21 @@ func (l *Log) WaitSynced(seq uint64) error {
 
 // Sync forces a group sync of everything appended so far and waits for it.
 func (l *Log) Sync() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	var closed bool
+	var target uint64
+	l.locked(func() { closed, target = l.closed, l.appended })
+	if closed {
 		return ErrClosed
 	}
-	target := l.appended
-	l.mu.Unlock()
 	l.kick()
 	return l.WaitSynced(target)
 }
 
 // LastSeq returns the sequence number of the last appended record's final
 // edge (0 if nothing was ever appended).
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appended
+func (l *Log) LastSeq() (last uint64) {
+	l.locked(func() { last = l.appended })
+	return last
 }
 
 // SyncedSeq returns the durability frontier: the highest sequence number
@@ -621,10 +638,9 @@ func (l *Log) SyncedSeq() uint64 {
 }
 
 // Segments returns the number of live segment files.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
+func (l *Log) Segments() (n int) {
+	l.locked(func() { n = len(l.segs) })
+	return n
 }
 
 // TruncateThrough removes whole segments whose every record has sequence
@@ -632,24 +648,26 @@ func (l *Log) Segments() int {
 // durably. The active segment is never removed, so the log always accepts
 // appends. It returns the number of segments removed.
 func (l *Log) TruncateThrough(seq uint64) (removed int, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	// Segment i's records all precede segment i+1's first, so segment i is
-	// wholly covered iff segs[i+1].firstSeq ≤ seq+1.
-	for len(l.segs) >= 2 && l.segs[1].firstSeq <= seq+1 {
-		if err := os.Remove(l.segs[0].path); err != nil {
-			return removed, fmt.Errorf("wal: truncate: %w", err)
+	l.locked(func() {
+		if l.closed {
+			err = ErrClosed
+			return
 		}
-		l.segs = l.segs[1:]
-		removed++
-	}
-	if removed > 0 {
-		SyncDir(l.cfg.Dir)
-	}
-	return removed, nil
+		// Segment i's records all precede segment i+1's first, so segment i
+		// is wholly covered iff segs[i+1].firstSeq ≤ seq+1.
+		for len(l.segs) >= 2 && l.segs[1].firstSeq <= seq+1 {
+			if err = os.Remove(l.segs[0].path); err != nil {
+				err = fmt.Errorf("wal: truncate: %w", err)
+				return
+			}
+			l.segs = l.segs[1:]
+			removed++
+		}
+		if removed > 0 {
+			SyncDir(l.cfg.Dir)
+		}
+	})
+	return removed, err
 }
 
 // Replay streams every record to fn in sequence order: edge batches,
@@ -659,45 +677,45 @@ func (l *Log) TruncateThrough(seq uint64) (removed int, err error) {
 // recovery calls it after Open and before handing the log to an ingest
 // pipeline. A fn error aborts the replay and is returned.
 func (l *Log) Replay(fn func(Record) error) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if err := l.bw.Flush(); err != nil { // make buffered appends visible to the scan
-		l.err = err
-		l.mu.Unlock()
+	var segs []segment
+	var err error
+	l.locked(func() {
+		if l.closed {
+			err = ErrClosed
+		} else if err = l.bw.Flush(); err != nil { // make buffered appends visible to the scan
+			l.err = err
+		} else {
+			segs = slices.Clone(l.segs)
+		}
+	})
+	if err != nil {
 		return err
 	}
-	segs := slices.Clone(l.segs)
-	l.mu.Unlock()
 	// Open repaired the tail, so any malformation met now is real.
 	return walk(segs, 0, math.MaxUint64, func(rec Record, _ []byte) error { return fn(rec) })
 }
 
 // Close stops the syncer (performing a final group sync) and closes the
 // active segment. Close is idempotent.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+func (l *Log) Close() (err error) {
+	var wasClosed bool
+	l.locked(func() { wasClosed, l.closed = l.closed, true })
+	if wasClosed {
 		<-l.done
 		return nil
 	}
-	l.closed = true
-	l.mu.Unlock()
 	close(l.stop)
 	<-l.done
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.err
-	if l.f != nil {
-		if cerr := l.f.Close(); cerr != nil && err == nil {
-			err = cerr
+	l.locked(func() {
+		err = l.err
+		if l.f != nil {
+			if cerr := l.f.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+			l.f = nil
 		}
-		l.f = nil
-	}
-	l.advanceSynced(0, ErrClosed) // wake any remaining waiters
+		l.advanceSynced(0, ErrClosed) // wake any remaining waiters
+	})
 	return err
 }
 
