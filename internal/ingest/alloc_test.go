@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"higgs/internal/stream"
+	"higgs/internal/wal"
 )
 
 // TestSubmitGroupingAllocs pins the pooled-scratch contract of the
@@ -46,5 +47,43 @@ func TestSubmitGroupingAllocs(t *testing.T) {
 	}
 	if least != 1 {
 		t.Fatalf("steady-state Submit of a 64-edge, 4-shard batch = %v allocs at best, want 1: is the grouping scratch still returned to its pool?", least)
+	}
+}
+
+// TestApplyAllocs pins the replay half's grouping: Applier.Apply splits a
+// record into per-shard runs that keep their capacity from record to
+// record, so a warmed Apply of a 256-edge record over 4 shards — what boot
+// recovery and a follower do per record — allocates nothing. (Runs kept in
+// a map that is cleared per record regrow every one of them, every time.)
+// The edges repeat, so the core merges them into existing entries and
+// the tree does not grow; the pin is the cheapest of many single applies.
+func TestApplyAllocs(t *testing.T) {
+	s := newSharded(t, 4)
+	a := NewApplier(s)
+	batch := make([]stream.Edge, 256)
+	targeted := make(map[int]bool)
+	for i := range batch {
+		batch[i] = stream.Edge{S: uint64(i%64 + 1), D: uint64(i%7 + 1), W: 1, T: 10}
+		targeted[s.ShardFor(batch[i].S)] = true
+	}
+	if len(targeted) != 4 {
+		t.Fatalf("record targets %d of 4 shards; the pin is for a multi-shard record", len(targeted))
+	}
+	next := uint64(1)
+	apply := func() {
+		if err := a.Apply(wal.Record{Type: wal.RecordEdges, FirstSeq: next, Edges: batch}); err != nil {
+			t.Fatal(err)
+		}
+		next += uint64(len(batch))
+	}
+	least := testing.AllocsPerRun(1, apply)
+	for i := 0; i < 100; i++ {
+		least = min(least, testing.AllocsPerRun(1, apply))
+	}
+	if least != 0 {
+		t.Fatalf("warmed Apply of a 256-edge, 4-shard record = %v allocs at best, want 0", least)
+	}
+	if got, want := a.Applied(), int64(next-1); got != want {
+		t.Fatalf("Applied = %d, want %d: every edge applies once", got, want)
 	}
 }

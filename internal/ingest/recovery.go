@@ -50,10 +50,13 @@ func Recover(sum *shard.Summary, log *wal.Log) (replayed int64, err error) {
 // readers of the summary are fine (Insert/ExpireShardAt take the shard
 // write lock).
 type Applier struct {
-	sum     *shard.Summary
-	marks   []uint64
-	groups  map[int][]stream.Edge
-	gmax    map[int]uint64
+	sum   *shard.Summary
+	marks []uint64
+	// groups[i] is the current record's run for shard i, reset to length 0
+	// per record so its capacity carries over; gmax[i] is the run's last
+	// sequence number.
+	groups  [][]stream.Edge
+	gmax    []uint64
 	pos     uint64
 	primed  bool // a first record arrived; gap-check the ones that follow
 	applied int64
@@ -61,11 +64,12 @@ type Applier struct {
 
 // NewApplier returns an applier over the summary's current watermarks.
 func NewApplier(sum *shard.Summary) *Applier {
+	n := sum.NumShards()
 	a := &Applier{
 		sum:    sum,
-		marks:  make([]uint64, sum.NumShards()),
-		groups: make(map[int][]stream.Edge),
-		gmax:   make(map[int]uint64),
+		marks:  make([]uint64, n),
+		groups: make([][]stream.Edge, n),
+		gmax:   make([]uint64, n),
 	}
 	for i := range a.marks {
 		a.marks[i] = sum.ShardSeq(i)
@@ -130,7 +134,9 @@ func (a *Applier) Apply(rec wal.Record) error {
 		a.pos = rec.FirstSeq
 		return nil
 	}
-	clear(a.groups)
+	for i := range a.groups {
+		a.groups[i] = a.groups[i][:0]
+	}
 	for j, e := range rec.Edges {
 		seq := rec.FirstSeq + uint64(j)
 		i := a.sum.ShardFor(e.S)
@@ -141,6 +147,9 @@ func (a *Applier) Apply(rec wal.Record) error {
 		a.gmax[i] = seq
 	}
 	for i, g := range a.groups {
+		if len(g) == 0 {
+			continue
+		}
 		a.sum.InsertShardAt(i, g, a.gmax[i])
 		a.marks[i] = a.gmax[i]
 		a.applied += int64(len(g))

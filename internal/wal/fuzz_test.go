@@ -192,6 +192,7 @@ func FuzzFrames(f *testing.F) {
 	n := binary.LittleEndian.Uint32(unknown[hdr:])
 	binary.LittleEndian.PutUint32(unknown[hdr+4:], crc32.ChecksumIEEE(unknown[hdr+frameHeadLen:][:n]))
 	f.Add(unknown)
+	f.Add(streamWith(amplified)) // a count the payload cannot hold, under a valid CRC
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "segment")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -18,6 +18,8 @@ import (
 	"io"
 	"slices"
 	"time"
+
+	"higgs/internal/stream"
 )
 
 // ErrTruncated reports that records a reader asked for were removed by
@@ -140,31 +142,36 @@ func ReadFrames(r io.Reader, fn func(rec Record, frame []byte) error) (off int64
 	}
 	br.Discard(len(header)) // cannot fail: Peek just buffered these bytes
 	off = int64(len(header))
-	var frame []byte
+	// One frame buffer and one edge buffer serve every frame: each record
+	// is decoded in place, and neither outlives the call it is handed to.
+	frame := make([]byte, frameHeadLen)
+	var edges []stream.Edge
 	for {
-		var head [frameHeadLen]byte
-		if _, err := io.ReadFull(br, head[:]); err != nil {
+		frame = frame[:frameHeadLen]
+		if _, err := io.ReadFull(br, frame); err != nil {
 			if err == io.EOF {
 				return off, nil
 			}
 			return off, tornFrame
 		}
-		n := binary.LittleEndian.Uint32(head[0:4])
+		n := binary.LittleEndian.Uint32(frame[0:4])
 		if n == 0 || n > maxRecordBytes {
 			return off, fmt.Errorf("%w: %d", frameLength, n)
 		}
-		frame = append(frame[:0], head[:]...)
 		frame = slices.Grow(frame, int(n))[:frameHeadLen+int(n)]
 		payload := frame[frameHeadLen:]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return off, tornPayload
 		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(head[4:8]) {
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:8]) {
 			return off, badChecksum
 		}
-		rec, err := decodeRecord(payload)
+		rec, err := decodeRecord(payload, edges)
 		if err != nil {
 			return off, fmt.Errorf("%w: %v", badPayload, err)
+		}
+		if rec.Edges != nil {
+			edges = rec.Edges
 		}
 		if err := fn(rec, frame); err != nil {
 			return off, err

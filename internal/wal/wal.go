@@ -78,7 +78,6 @@ import (
 	"time"
 
 	"higgs/internal/stream"
-	"higgs/internal/wire"
 )
 
 const (
@@ -202,9 +201,8 @@ type Log struct {
 	gen      uint64 // bumped on rotation, so the syncer can tell its file was retired
 	nextSeq  uint64 // next sequence number to assign
 	appended uint64 // last sequence number with a written record
-	enc      bytes.Buffer
-	encW     *wire.Writer // reused frame encoder over enc
-	err      error        // sticky write/sync failure
+	enc      []byte // the frame being appended, reused; l.mu serializes it
+	err      error  // sticky write/sync failure
 	closed   bool
 
 	// syncMu guards the durability frontier; syncCond broadcasts whenever
@@ -325,16 +323,7 @@ func listSegments(dir string) ([]segment, error) {
 
 // header is the encoded segment header: what every segment file and every
 // /repl/wal response body opens with.
-var header = func() []byte {
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	w.U64(walMagic)
-	w.U64(walVersion)
-	if err := w.Flush(); err != nil {
-		panic(err) // writes to a bytes.Buffer cannot fail
-	}
-	return buf.Bytes()
-}()
+var header = binary.AppendUvarint(binary.AppendUvarint(nil, walMagic), walVersion)
 
 // Header returns a copy of the header a record stream opens with; the
 // replication primary writes it ahead of the frames ReadFrom hands it.
@@ -457,48 +446,34 @@ func (l *Log) appendLocked(rec Record, deliver func(firstSeq uint64) error) (uin
 	// Encode — and size-check — BEFORE delivering: a rejected batch must
 	// leave no trace anywhere, and a delivered batch must consume its
 	// sequence numbers. Admitting first and rejecting after would let two
-	// batches share sequences, corrupting the watermark invariant.
-	l.enc.Reset()
-	if l.encW == nil {
-		l.encW = wire.NewWriter(&l.enc)
-	} else {
-		l.encW.Reset(&l.enc) // one long-lived encoder: allocation-free, l.mu serializes it
-	}
-	encodeRecordPayload(l.encW, rec)
-	if err := l.encW.Flush(); err != nil {
-		l.err = err
-		return 0, err
-	}
-	payload := l.enc.Bytes()
-	if len(payload) > maxRecordBytes {
+	// batches share sequences, corrupting the watermark invariant. The
+	// payload goes after room for its frame head, so the frame is one write.
+	l.enc = appendPayload(append(l.enc[:0], make([]byte, frameHeadLen)...), rec)
+	if n := len(l.enc) - frameHeadLen; n > maxRecordBytes {
 		// Not sticky: the log is intact, the batch is just too large.
-		return 0, fmt.Errorf("wal: batch encodes to %d bytes, limit %d", len(payload), maxRecordBytes)
+		return 0, fmt.Errorf("wal: batch encodes to %d bytes, limit %d", n, maxRecordBytes)
 	}
 	if deliver != nil {
 		if err := deliver(rec.FirstSeq); err != nil {
 			return 0, err
 		}
 	}
-	return last, l.writeFrameLocked(payload, last)
+	return last, l.writeFrameLocked(l.enc, last)
 }
 
-// writeFrameLocked is the one frame writer: length and CRC, then payload,
-// into the active segment; it advances the log to last, rotating and
-// kicking the syncer as needed. Caller holds l.mu; a write failure is
-// sticky.
-func (l *Log) writeFrameLocked(payload []byte, last uint64) error {
-	var head [frameHeadLen]byte
-	binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(head[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := l.bw.Write(head[:]); err != nil {
+// writeFrameLocked is the one frame writer: it fills in frame's head —
+// the length and CRC of the payload after it — writes the frame to the
+// active segment, and advances the log to last, rotating and kicking the
+// syncer as needed. Caller holds l.mu; a write failure is sticky.
+func (l *Log) writeFrameLocked(frame []byte, last uint64) error {
+	payload := frame[frameHeadLen:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := l.bw.Write(frame); err != nil {
 		l.err = err
 		return err
 	}
-	if _, err := l.bw.Write(payload); err != nil {
-		l.err = err
-		return err
-	}
-	l.size += int64(frameHeadLen + len(payload))
+	l.size += int64(len(frame))
 	l.nextSeq = last + 1
 	l.appended = last
 	if l.size >= l.cfg.SegmentBytes {
@@ -785,79 +760,112 @@ func scanSegment(path string, expect uint64, fn func(Record, []byte) error) (tai
 	return tail, next, err
 }
 
-// encodeRecordPayload writes rec's payload (record-type prefix included)
-// to w.
-func encodeRecordPayload(w *wire.Writer, rec Record) {
-	w.U64(uint64(rec.Type))
-	w.U64(rec.FirstSeq)
+// appendPayload appends rec's payload (record-type prefix included) to b:
+// unsigned varints, zigzag for the signed fields.
+func appendPayload(b []byte, rec Record) []byte {
+	b = binary.AppendUvarint(b, uint64(rec.Type))
+	b = binary.AppendUvarint(b, rec.FirstSeq)
 	switch rec.Type {
 	case RecordEdges:
-		w.Int(len(rec.Edges))
+		b = binary.AppendUvarint(b, uint64(len(rec.Edges)))
 		for _, e := range rec.Edges {
-			putEdge(w, e)
+			b = appendEdge(b, e)
 		}
 	case RecordExpire:
-		w.I64(rec.Cutoff)
+		b = binary.AppendUvarint(b, zigzag(rec.Cutoff))
 	case RecordDelete:
-		putEdge(w, rec.Edge)
+		b = appendEdge(b, rec.Edge)
 	}
+	return b
 }
 
-// putEdge and getEdge are an edge's one spelling inside a payload.
-func putEdge(w *wire.Writer, e stream.Edge) {
-	w.U64(e.S)
-	w.U64(e.D)
-	w.I64(e.W)
-	w.I64(e.T)
+// appendEdge and cursor.edge are an edge's one spelling inside a payload.
+func appendEdge(b []byte, e stream.Edge) []byte {
+	b = binary.AppendUvarint(b, e.S)
+	b = binary.AppendUvarint(b, e.D)
+	b = binary.AppendUvarint(b, zigzag(e.W))
+	return binary.AppendUvarint(b, zigzag(e.T))
 }
 
-func getEdge(r *wire.Reader) stream.Edge {
-	return stream.Edge{S: r.U64(), D: r.U64(), W: r.I64(), T: r.I64()}
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// cursor is the unread rest of a record payload. A varint that does not
+// parse — too short or overflowing — marks it bad and reads as 0, so a
+// record is decoded whole and checked once.
+type cursor struct {
+	b   []byte
+	bad bool
 }
 
-// decodeRecord parses one record payload, which opens with its RecordType.
-func decodeRecord(payload []byte) (Record, error) {
-	r := wire.NewReader(bytes.NewReader(payload))
-	typ := RecordType(r.U64())
-	if err := r.Err(); err != nil {
-		return Record{}, fmt.Errorf("record type: %w", err)
+func (p *cursor) u64() uint64 {
+	if len(p.b) > 0 && p.b[0] < 0x80 { // every small value: one byte
+		v := uint64(p.b[0])
+		p.b = p.b[1:]
+		return v
+	}
+	v, n := binary.Uvarint(p.b)
+	if n <= 0 {
+		p.b, p.bad = nil, true
+		return 0
+	}
+	p.b = p.b[n:]
+	return v
+}
+
+func (p *cursor) i64() int64 {
+	v := p.u64()
+	return int64(v>>1) ^ -int64(v&1)
+}
+
+func (p *cursor) edge() stream.Edge {
+	return stream.Edge{S: p.u64(), D: p.u64(), W: p.i64(), T: p.i64()}
+}
+
+// decodeRecord parses one record payload, which opens with its RecordType,
+// in place: an edge batch's edges are decoded into buf's backing array
+// (grown if it is too small), which the record's Edges then shares. An
+// edge takes at least four bytes, so a batch claiming more edges than the
+// rest of the payload can hold is refused before anything is sized by its
+// count. Bytes after the record are ignored.
+func decodeRecord(b []byte, buf []stream.Edge) (Record, error) {
+	p := cursor{b: b}
+	typ := RecordType(p.u64())
+	if p.bad {
+		return Record{}, errors.New("record type: short or overflowing varint")
 	}
 	switch typ {
 	case RecordEdges:
-		first := r.U64()
-		n := r.Int()
-		if err := r.Err(); err != nil {
-			return Record{}, fmt.Errorf("record header: %w", err)
+		first, n := p.u64(), p.u64()
+		if p.bad {
+			return Record{}, errors.New("record header: short or overflowing varint")
 		}
-		if first == 0 || n <= 0 || n > maxRecordBytes/4 {
-			return Record{}, fmt.Errorf("record header out of range (first=%d count=%d)", first, n)
+		if first == 0 || n == 0 || n > uint64(len(p.b))/4 {
+			return Record{}, fmt.Errorf("record header out of range (first=%d count=%d, %d bytes left)", first, n, len(p.b))
 		}
-		edges := make([]stream.Edge, n)
+		edges := slices.Grow(buf[:0], int(n))[:n]
 		for i := range edges {
-			edges[i] = getEdge(r)
+			edges[i] = p.edge()
 		}
-		if err := r.Err(); err != nil {
-			return Record{}, fmt.Errorf("record edges: %w", err)
+		if p.bad {
+			return Record{}, errors.New("record edges: short or overflowing varint")
 		}
 		return Record{Type: RecordEdges, FirstSeq: first, Edges: edges}, nil
 	case RecordExpire:
-		seq := r.U64()
-		cutoff := r.I64()
-		if err := r.Err(); err != nil {
-			return Record{}, fmt.Errorf("expire record: %w", err)
+		seq, cutoff := p.u64(), p.i64()
+		if p.bad {
+			return Record{}, errors.New("expire record: short or overflowing varint")
 		}
 		if seq == 0 {
-			return Record{}, fmt.Errorf("expire record header out of range (seq=0)")
+			return Record{}, errors.New("expire record header out of range (seq=0)")
 		}
 		return Record{Type: RecordExpire, FirstSeq: seq, Cutoff: cutoff}, nil
 	case RecordDelete:
-		seq := r.U64()
-		e := getEdge(r)
-		if err := r.Err(); err != nil {
-			return Record{}, fmt.Errorf("delete record: %w", err)
+		seq, e := p.u64(), p.edge()
+		if p.bad {
+			return Record{}, errors.New("delete record: short or overflowing varint")
 		}
 		if seq == 0 {
-			return Record{}, fmt.Errorf("delete record header out of range (seq=0)")
+			return Record{}, errors.New("delete record header out of range (seq=0)")
 		}
 		return Record{Type: RecordDelete, FirstSeq: seq, Edge: e}, nil
 	default:

@@ -24,15 +24,6 @@ type Writer struct {
 // NewWriter returns a buffered Writer.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
 
-// Reset redirects the Writer to out and clears the byte count and sticky
-// error, so long-lived encoders (the WAL frame path) can reuse one Writer
-// and its buffer instead of allocating per record.
-func (w *Writer) Reset(out io.Writer) {
-	w.w.Reset(out)
-	w.n = 0
-	w.err = nil
-}
-
 // Err returns the first error encountered.
 func (w *Writer) Err() error { return w.err }
 
