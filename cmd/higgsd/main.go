@@ -68,18 +68,19 @@
 //
 //	higgsd -cache-bytes 67108864 -admit-heavy 4 -admit-rate 200
 //
-// Stream analytics (DESIGN.md §17): -analytics maintains per-shard
-// count-min sketches and bounded candidate sets inside the committer apply
-// path — every write entry point (sync insert, group commit, WAL replay,
-// replication apply, delete) updates them under the same shard write lock
-// that applies the edges, so the sketches can never drift from the served
-// summary. They answer four additional /v2/query kinds: "heavy_hitters"
-// and "burst" in O(k) without touching a shard lock, and "delta_vertex" /
-// "delta_edge" (two-window change ranking) through the normal batch
-// planner, read cache, and admission control. -analytics-topk sizes the
-// tracked candidate sets, -analytics-epoch and -analytics-burst tune burst
-// detection. /healthz reports the engine's counters in its "analytics"
-// field. Works on primaries and followers alike.
+// Stream analytics (DESIGN.md §17): -analytics tracks, per shard, bounded
+// sets of candidate vertices — heavy sources, heavy destinations, the
+// current epoch's heavy sources — inside the committer apply path: every
+// insert entry point (group commit, WAL replay, replication apply) updates
+// them under the same shard write lock that applies the edges. The
+// candidates feed the "heavy_hitters" and "burst" kinds of /v2/query (and
+// "delta_vertex" items that omit their own), whose weights are ordinary
+// probes of the summary through the batch planner, read cache, and
+// admission control; "delta_edge" ranks the edges a client names.
+// -analytics-topk sizes the candidate sets, -analytics-epoch and
+// -analytics-burst tune burst detection. /healthz reports the engine's
+// counters in its "analytics" field. Works on primaries and followers
+// alike, with equal weights on both.
 //
 //	higgsd -analytics -analytics-topk 256 -analytics-epoch 30s -analytics-burst 8
 //
@@ -179,7 +180,7 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&c.replFrom, "replicate-from", "", "run as a read-only follower of this primary replication URL (e.g. http://primary:9090): reads served, writes answer 403")
 	fs.StringVar(&c.replicaDir, "replica-dir", "", "follower state directory holding the local snapshot cache, so restarts resume from disk; requires -replicate-from")
 
-	fs.BoolVar(&anaOn, "analytics", false, "enable the stream-analytics subsystem: heavy-hitter/burst sketches maintained in the committer apply path, served by the delta_vertex/delta_edge/heavy_hitters/burst kinds of /v2/query (DESIGN.md §17)")
+	fs.BoolVar(&anaOn, "analytics", false, "enable the stream-analytics subsystem: heavy-hitter/burst candidates tracked in the committer apply path, ranked by summary probes in the delta_vertex/delta_edge/heavy_hitters/burst kinds of /v2/query (DESIGN.md §17)")
 	fs.IntVar(&ana.TrackK, "analytics-topk", 0, "tracked heavy-hitter candidates per shard and direction (0 = 128); requires -analytics")
 	fs.DurationVar(&anaEpoch, "analytics-epoch", 0, "burst-detection epoch length, whole seconds (0 = 1m); requires -analytics")
 	fs.Float64Var(&ana.BurstFactor, "analytics-burst", 0, "burst threshold: flag a vertex when its current-epoch weight reaches this multiple of its recent-epoch average (0 = 4.0); requires -analytics")
@@ -425,9 +426,9 @@ func runFollower(c config) error {
 		return fmt.Errorf("follower boot: %v", err)
 	}
 	// A follower's summary applies tailed records through the same shard
-	// entry points as ingest, so with -analytics the sketches absorb
+	// entry points as ingest, so with -analytics the candidate sets track
 	// everything replicated after boot (the boot snapshot itself is served
-	// but not re-counted — DESIGN.md §17).
+	// but not tracked — DESIGN.md §17).
 	opts, err := c.serverOptions()
 	if err != nil {
 		return err

@@ -311,8 +311,8 @@ func NewAdmission(cfg AdmissionConfig) (*Admission, error) { return admit.New(cf
 // NewVertexQuery, NewPathQuery, NewSubgraphQuery, NewDeltaVertexQuery,
 // NewDeltaEdgeQuery, NewHeavyHittersQuery, and NewBurstQuery constructors.
 // Execute via Sharded.Do or, for whole batches answered under at most one
-// read-lock acquisition per shard, Sharded.DoBatch (DESIGN.md §11); the
-// sketch-served kinds additionally need an Analytics engine (DoBatchWith).
+// read-lock acquisition per shard, Sharded.DoBatch (DESIGN.md §11); heavy
+// hitters and bursts additionally need an Analytics engine (DoBatchWith).
 // Its JSON form is the wire format of the server's POST /v2/query
 // endpoint. See package query for details.
 type Query = query.Query
@@ -380,8 +380,9 @@ func WithTopK(k int) QueryOption { return func(q *Query) { q.K = k } }
 func WithDirection(dir string) QueryOption { return func(q *Query) { q.Dir = dir } }
 
 // WithCandidates sets the candidate vertex set of a delta-vertex query
-// built without one. Against higgsd the set may be omitted entirely: the
-// server fills it from the analytics engine's tracked heavy hitters.
+// built without one. The set may be omitted entirely when an Analytics
+// engine is at hand (higgsd -analytics, DoBatchWith): it fills the set
+// from its tracked heavy hitters.
 func WithCandidates(vs []uint64) QueryOption { return func(q *Query) { q.Candidates = vs } }
 
 func applyOptions(q Query, opts []QueryOption) Query {
@@ -437,33 +438,34 @@ func NewDeltaEdgeQuery(edges [][2]uint64, base, compare Window, opts ...QueryOpt
 	return applyOptions(query.NewDeltaEdge(edges, base.Ts, base.Te, compare.Ts, compare.Te), opts)
 }
 
-// NewHeavyHittersQuery returns a heavy-hitter query: the top-k vertices by
-// total admitted out-weight (or in-weight with WithDirection(DirIn)),
-// served from an Analytics engine's sketches in O(k) without touching a
-// shard.
+// NewHeavyHittersQuery returns a heavy-hitter query: the top-k of an
+// Analytics engine's tracked vertices by out-weight (or in-weight with
+// WithDirection(DirIn)) in the retained summary, each weight a vertex
+// probe.
 func NewHeavyHittersQuery(opts ...QueryOption) Query {
 	return applyOptions(query.NewHeavyHitters("", 0), opts)
 }
 
-// NewBurstQuery returns a burst query: the top-k vertices by rate-of-change
-// score over the Analytics engine's recent epochs, each flagged when the
-// score clears the burst threshold.
+// NewBurstQuery returns a burst query: the top-k of the vertices an
+// Analytics engine tracks in the current epoch, by current-epoch
+// out-weight over their per-epoch baseline, each flagged when the score
+// clears the burst threshold. Both weights are vertex probes.
 func NewBurstQuery(opts ...QueryOption) Query {
 	return applyOptions(query.NewBurst(0), opts)
 }
 
 // Analytics is the stream-analytics engine (DESIGN.md §17): per-shard
-// count-min sketches plus bounded candidate sets, maintained inside the
-// same write-lock sections that apply edges to the summary, answering
-// heavy-hitter and burst queries in O(k) without touching a shard lock.
-// Attach one to a Sharded summary with SetApplyObserver; higgsd wires this
-// up under -analytics.
+// bounded candidate sets, maintained inside the same write-lock sections
+// that apply edges to the summary, naming which vertices heavy-hitter,
+// burst and candidate-less delta-vertex queries probe. It computes no
+// weight: every answer is probes of the summary. Attach one to a Sharded
+// summary with SetApplyObserver; higgsd wires this up under -analytics.
 type Analytics = analytics.Engine
 
-// AnalyticsConfig parameterizes an Analytics engine: sketch geometry,
-// tracked-candidate budget, and the burst epoch ring. The zero value of
-// every knob selects a documented default; Shards and Seed must match the
-// summary the engine observes.
+// AnalyticsConfig parameterizes an Analytics engine: the tracked-candidate
+// budget, the burst epochs and the flag rule. The zero value of every knob
+// selects a documented default; Shards must match the summary the engine
+// observes.
 type AnalyticsConfig = analytics.Config
 
 // AnalyticsStats is a point-in-time snapshot of an Analytics engine's
@@ -476,8 +478,7 @@ type AnalyticsStats = analytics.Stats
 //	eng, _ := higgs.NewAnalytics(cfg)
 //	sum.SetApplyObserver(eng)
 //
-// and answer sketch-served queries via DoBatchWith (or the engine's
-// HeavyHitters / Bursts methods directly).
+// and answer heavy-hitter and burst queries via DoBatchWith.
 func NewAnalytics(cfg AnalyticsConfig) (*Analytics, error) { return analytics.New(cfg) }
 
 // QueryProber is the planner seam every query executes through: a Sharded
@@ -486,9 +487,10 @@ type QueryProber = query.Prober
 
 // DoBatchWith answers the batch over the prober — at most one read-lock
 // acquisition per shard, exactly like Sharded.DoBatch — with the analytics
-// engine serving the sketch kinds (heavy_hitters, burst). With a nil
-// engine those kinds fail per item with a stable "analytics_disabled"
-// code; the scalar and delta kinds are unaffected.
+// engine supplying the candidates of heavy_hitters, burst and
+// candidate-less delta_vertex items. With a nil engine heavy_hitters and
+// burst fail per item with a stable "analytics_disabled" code; the scalar
+// and delta kinds are unaffected.
 func DoBatchWith(p QueryProber, a *Analytics, qs []Query) []Result {
 	if a == nil {
 		return query.DoBatchWith(p, nil, qs)

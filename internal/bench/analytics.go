@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"time"
@@ -51,16 +52,19 @@ const anaCacheBudget int64 = 4 << 20
 // whose entire weight lands in the final burst epoch, and delta candidates
 // that rise, fall, and hold across two windows — then ingested through the
 // async group-commit pipeline with a retention expire interleaved between
-// slabs, so the sketches are maintained by the real committer apply path
-// while leaves are reclaimed underneath them. Five contracts hard-fail the
-// run rather than warn:
+// slabs, so the candidate sets are maintained by the real committer apply
+// path while leaves are reclaimed underneath them. Five contracts
+// hard-fail the run rather than warn:
 //
-//   - heavy hitters: the engine's top-k by out-weight and by in-weight
-//     (the cross-shard sketch merge) must equal, in order, the top-k
-//     computed from an exact.Store fed the same edges.
+//   - heavy hitters: the top-k by out-weight and by in-weight (summed
+//     across shards) must equal, in order, the top-k over the retained
+//     range [expireCut, last] computed from an exact.Store fed the same
+//     edges; each Cur must equal a direct summary probe, and each planted
+//     heavy's Cur must fall below its lifetime exact weight, because the
+//     expire reclaimed its first edge.
 //   - one-sidedness: no heavy-hitter or delta estimate may undercount its
-//     exact ground truth — the CMS and summary estimates are one-sided,
-//     and expire/interleaving must not break that.
+//     exact ground truth — the summary's estimates are one-sided, and
+//     expire/interleaving must not break that.
 //   - burst detection: the planted final-epoch vertex must come back
 //     flagged (and its exact per-epoch weights must genuinely clear the
 //     threshold, so the check cannot pass vacuously), while the planted
@@ -72,11 +76,10 @@ const anaCacheBudget int64 = 4 << 20
 //   - cache transparency: the same batch through a watermark-fenced read
 //     cache — cold and warm — must be identical to the uncached answers.
 //
-// The sketch-maintenance invariant is asserted globally: after the final
-// flush the engine must have absorbed exactly every ingested edge and unit
-// of weight through the apply path, and have observed the expire. All
-// gated metrics are deterministic detection flags; ingest throughput is
-// recorded in the artifact but not gated.
+// The observer invariant is asserted globally: after the final flush the
+// engine must have seen exactly every ingested edge and unit of weight
+// through the apply path. All gated metrics are deterministic detection
+// flags; ingest throughput is recorded in the artifact but not gated.
 var analyticsGate = gate{
 	id:      "analytics",
 	title:   "Extra: stream analytics — heavy hitters, bursts, deltas vs exact (internal/analytics)",
@@ -89,10 +92,14 @@ var analyticsGate = gate{
 type anaPlan struct {
 	first, last int64
 	epochLen    int64 // burst epoch length; the span covers ~6 epochs
-	expireCut   int64 // retention cutoff: the span's first eighth
-	// Delta windows, both strictly after the expire cutoff so expired
-	// leaves can never make the summary's window estimates undershoot the
-	// exact store (which keeps everything).
+	// expireCut is the retention cutoff, the span's midpoint. The expire
+	// runs once every edge before it is in, and nothing after: then every
+	// closed subtree lies wholly before the cutoff and goes, and no sealed
+	// aggregate straddles it, so the weight before it leaves every answer.
+	expireCut int64
+	// Delta windows, both at or after the expire cutoff so expired leaves
+	// can never make the summary's window estimates undershoot the exact
+	// store (which keeps everything).
 	baseLo, baseHi, cmpLo, cmpHi int64
 	planted                      stream.Stream
 	datasetW                     int64 // total dataset weight (planted weights scale off it)
@@ -109,9 +116,9 @@ func anaPlanFor(ds *Dataset) (anaPlan, error) {
 	}
 	pl.first, pl.last = ds.Stats.FirstT, ds.Stats.LastT
 	pl.epochLen = span/6 + 1
-	pl.expireCut = pl.first + span/8
-	pl.baseLo = pl.first + span/4
-	pl.baseHi = pl.first + 5*span/8
+	pl.expireCut = pl.first + span/2
+	pl.baseLo = pl.expireCut
+	pl.baseHi = pl.first + 3*span/4
 	pl.cmpLo, pl.cmpHi = pl.baseHi+1, pl.last
 	for _, e := range ds.Stream {
 		pl.datasetW += e.W
@@ -119,12 +126,13 @@ func anaPlanFor(ds *Dataset) (anaPlan, error) {
 
 	// Heavy hitters: per direction, anaHeavies vertices whose totals all
 	// exceed the whole dataset's weight, spaced by a step far above any
-	// possible sketch collision noise so even the engine's ORDER must match
-	// exact. Each is split into anaSpread evenly-spaced edges (steady, not
-	// bursty); out-heavy destinations and in-heavy sources are distinct
-	// throwaways so each heavy moves exactly one direction's ground truth,
-	// and the varied in-heavy sources spread across shards to exercise the
-	// cross-shard in-sketch merge.
+	// possible collision noise so even the answer's ORDER must match exact.
+	// Each is split into anaSpread evenly-spaced edges (steady, not bursty),
+	// the first at the span's first instant, before the expire cutoff;
+	// out-heavy destinations and in-heavy sources are distinct throwaways so
+	// each heavy moves exactly one direction's ground truth, and the varied
+	// in-heavy sources spread across shards to exercise the cross-shard
+	// in-weight sum.
 	floor := pl.datasetW + 100_000
 	step := floor/16 + 1
 	spread := func(target int64, k int) (w, t int64) {
@@ -215,16 +223,17 @@ func analyticsRow(c *gateCase) ([]string, error) {
 		return nil, err
 	}
 	defer s.Close()
-	eng, err := analytics.New(analytics.Config{Shards: n, Seed: cfg.Core.Seed, EpochSeconds: pl.epochLen})
+	eng, err := analytics.New(analytics.Config{Shards: n, EpochSeconds: pl.epochLen})
 	if err != nil {
 		return nil, err
 	}
 	// Registered before the first edge, exactly as higgsd does before WAL
-	// replay: the committer apply path is the only writer the sketches see.
+	// replay: the committer apply path is the only writer the engine sees.
 	s.SetApplyObserver(eng)
 
-	// The combined stream, time-ordered, split into three slabs around the
-	// delta windows; an exact.Store absorbs the same edges as ground truth.
+	// The combined stream, time-ordered, split into three slabs at the
+	// expire cutoff and around the delta windows; an exact.Store absorbs the
+	// same edges as ground truth.
 	combined := make(stream.Stream, 0, len(ds.Stream)+len(pl.planted))
 	combined = append(combined, ds.Stream...)
 	combined = append(combined, pl.planted...)
@@ -243,14 +252,14 @@ func analyticsRow(c *gateCase) ([]string, error) {
 		lo   int
 		hi   int
 	}{
-		{"base-window", 0, slabEnd(pl.baseLo)},
-		{"mid-window", slabEnd(pl.baseLo), slabEnd(pl.baseHi)},
+		{"pre-cutoff", 0, slabEnd(pl.expireCut - 1)},
+		{"base-window", slabEnd(pl.expireCut - 1), slabEnd(pl.baseHi)},
 		{"compare-window", slabEnd(pl.baseHi), len(combined)},
 	}
 
 	// Ingest through the async group-commit pipeline, flushing at every
 	// slab boundary, with the retention expire interleaved after the first
-	// slab — the sketches must survive leaves being reclaimed under them.
+	// slab — the answers must follow leaves being reclaimed under them.
 	p, err := ingest.New(s, ingest.Config{CommitInterval: 200 * time.Microsecond})
 	if err != nil {
 		return nil, err
@@ -277,16 +286,12 @@ func analyticsRow(c *gateCase) ([]string, error) {
 	ingestEPS := metrics.Throughput(int64(len(combined)), time.Since(start))
 	p.Close()
 
-	// Sketch-maintenance invariant: the apply path showed the engine every
-	// edge and every unit of weight exactly once, and the expire was
-	// observed too.
+	// Observer invariant: the apply path showed the engine every edge and
+	// every unit of weight exactly once.
 	st := eng.Stats()
 	if st.Edges != int64(len(combined)) || st.Weight != totalW {
 		return nil, fmt.Errorf("engine absorbed %d edges / %d weight through the apply path, want %d / %d",
 			st.Edges, st.Weight, len(combined), totalW)
-	}
-	if st.Expires < 1 {
-		return nil, fmt.Errorf("engine observed no expire events")
 	}
 
 	// One mixed batch through the real executor seam: both heavy-hitter
@@ -307,11 +312,14 @@ func analyticsRow(c *gateCase) ([]string, error) {
 		}
 	}
 
-	// Contract 1 — heavy hitters ≡ exact, in order, both directions.
-	lifetime := func(f func(uint64, int64, int64) int64) func(uint64) int64 {
-		return func(v uint64) int64 { return f(v, pl.first, pl.last) }
+	// Contract 1 — heavy hitters ≡ exact over the retained range, in order,
+	// both directions; each weight a direct probe, and each planted heavy's
+	// below its lifetime weight: the expire took its first edge.
+	over := func(f func(uint64, int64, int64) int64, ts int64) func(uint64) int64 {
+		return func(v uint64) int64 { return f(v, ts, pl.last) }
 	}
-	wantOut := anaExactTop(ex.Vertices(), lifetime(ex.VertexOut), anaHeavies)
+	retained := func(f func(uint64, int64, int64) int64) func(uint64) int64 { return over(f, pl.expireCut) }
+	wantOut := anaExactTop(ex.Vertices(), retained(ex.VertexOut), anaHeavies)
 	dests := make(map[uint64]struct{})
 	for _, e := range ex.Edges() {
 		dests[e[1]] = struct{}{}
@@ -320,15 +328,18 @@ func analyticsRow(c *gateCase) ([]string, error) {
 	for v := range dests {
 		inVs = append(inVs, v)
 	}
-	wantIn := anaExactTop(inVs, lifetime(ex.VertexIn), anaHeavies)
+	wantIn := anaExactTop(inVs, retained(ex.VertexIn), anaHeavies)
 	for _, c := range []struct {
-		dir   string
-		got   []query.Entry
-		want  []uint64
-		exact func(uint64) int64
+		dir                      string
+		got                      []query.Entry
+		want                     []uint64
+		exact, lifetime, direct  func(uint64) int64
+		plantedLo, plantedBefore uint64
 	}{
-		{"out", rs[0].Top, wantOut, lifetime(ex.VertexOut)},
-		{"in", rs[1].Top, wantIn, lifetime(ex.VertexIn)},
+		{"out", rs[0].Top, wantOut, retained(ex.VertexOut), over(ex.VertexOut, pl.first), over(s.VertexOut, math.MinInt64),
+			anaOutHeavyBase, anaOutHeavyBase + anaHeavies},
+		{"in", rs[1].Top, wantIn, retained(ex.VertexIn), over(ex.VertexIn, pl.first), over(s.VertexIn, math.MinInt64),
+			anaInHeavyBase, anaInHeavyBase + anaHeavies},
 	} {
 		if len(c.got) != len(c.want) {
 			return nil, fmt.Errorf("%s heavy hitters returned %d entries, want %d", c.dir, len(c.got), len(c.want))
@@ -340,6 +351,13 @@ func analyticsRow(c *gateCase) ([]string, error) {
 			}
 			if truth := c.exact(e.S); e.Cur < truth {
 				return nil, fmt.Errorf("%s heavy hitter %d estimate %d undercounts exact %d", c.dir, e.S, e.Cur, truth)
+			}
+			if d := c.direct(e.S); e.Cur != d {
+				return nil, fmt.Errorf("%s heavy hitter %d weight %d diverges from a direct probe %d", c.dir, e.S, e.Cur, d)
+			}
+			if life := c.lifetime(e.S); e.S >= c.plantedLo && e.S < c.plantedBefore && e.Cur >= life {
+				return nil, fmt.Errorf("%s heavy hitter %d weight %d reaches its lifetime weight %d: the expire did not count",
+					c.dir, e.S, e.Cur, life)
 			}
 		}
 	}

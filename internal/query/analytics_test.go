@@ -1,6 +1,9 @@
 package query
 
 import (
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -43,13 +46,16 @@ func TestValidateCodes(t *testing.T) {
 			NewDeltaEdge(make([][2]uint64, MaxCandidates+1), 0, 10, 11, 20), CodeTooManyCandidates},
 
 		{"valid heavy hitters", NewHeavyHitters(DirIn, 5), ""},
-		// Sketch-served kinds have no window to validate — the zero window
+		// Fill sets the windows of heavy_hitters and burst — the zero window
 		// must NOT reject them.
 		{"heavy hitters no window", NewHeavyHitters("", 0), ""},
 		{"heavy hitters bad dir", NewHeavyHitters("both", 5), CodeBadDirection},
 		{"heavy hitters bad k", NewHeavyHitters(DirOut, -1), CodeBadTopK},
+		{"heavy hitters too many candidates",
+			Query{Kind: KindHeavyHitters, Candidates: make([]uint64, MaxCandidates+1)}, CodeTooManyCandidates},
 		{"valid burst", NewBurst(0), ""},
 		{"burst bad k", NewBurst(MaxTopK + 1), CodeBadTopK},
+		{"burst inverted", Query{Kind: KindBurst, Ts: 0, Te: 59, Ts2: 79, Te2: 60}, CodeInvertedWindow},
 	}
 	for _, c := range cases {
 		err := c.q.Validate()
@@ -84,10 +90,14 @@ func TestProbeCountAnalytics(t *testing.T) {
 			return q
 		}(), 4, 24}, // in-direction fans out: 2 × 4 shards × 3 candidates
 		{NewDeltaEdge(edges, 0, 10, 11, 20), 8, 4}, // 2 windows × 2 edges
-		// Sketch-served kinds never touch a shard but still count 1, so rate
-		// budgets meter them.
-		{NewHeavyHitters(DirOut, 10), 8, 1},
-		{NewBurst(10), 8, 1},
+		// heavy_hitters and burst plan what Fill gives them: nothing before.
+		{NewHeavyHitters(DirOut, 10), 8, 0},
+		{NewBurst(10), 8, 0},
+		{Query{Kind: KindHeavyHitters, Candidates: cands, Ts: math.MinInt64, Te: math.MaxInt64}, 8, 3},
+		{Query{Kind: KindHeavyHitters, Dir: DirIn, Candidates: cands, Ts: math.MinInt64, Te: math.MaxInt64}, 8, 24},
+		{Query{Kind: KindBurst, Candidates: cands, Ts: 0, Te: 59, Ts2: 60, Te2: 79}, 8, 6},
+		// burst ranks out-weight whatever its Dir: no fan-out.
+		{Query{Kind: KindBurst, Dir: DirIn, Candidates: cands, Ts: 0, Te: 59, Ts2: 60, Te2: 79}, 8, 6},
 		// Invalid analytics queries plan nothing.
 		{NewDeltaVertex(nil, 0, 10, 11, 20), 8, 0},
 		{NewDeltaVertex(cands, 0, 10, 0, 0), 8, 0},
@@ -198,56 +208,92 @@ func TestDeltaSharesBatchVisit(t *testing.T) {
 	}
 }
 
-// fakeAnalytics is a canned Analytics backend for the sketch-served kinds.
+// fakeAnalytics is a canned Analytics backend: fixed candidate lists and
+// burst geometry.
 type fakeAnalytics struct {
-	hh     []Entry
-	bursts []Entry
-	gotDir string
-	gotK   int
+	out, in, cur []uint64
+	burst        Burst
+	calls        int
 }
 
-func (f *fakeAnalytics) HeavyHitters(dir string, k int) []Entry {
-	f.gotDir, f.gotK = dir, k
-	if k < len(f.hh) {
-		return f.hh[:k]
+func (f *fakeAnalytics) Candidates(k Kind, dir string, max int) []uint64 {
+	f.calls++
+	c := f.out
+	switch {
+	case k == KindBurst:
+		c = f.cur
+	case dir == DirIn:
+		c = f.in
 	}
-	return f.hh
+	return c[:min(len(c), max)]
 }
 
-func (f *fakeAnalytics) Bursts(k int) []Entry {
-	f.gotK = k
-	if k < len(f.bursts) {
-		return f.bursts[:k]
-	}
-	return f.bursts
-}
+func (f *fakeAnalytics) Burst() Burst { return f.burst }
 
-// TestSketchKinds: heavy_hitters and burst are answered by the Analytics
-// backend without touching a shard; without a backend they fail with the
+// TestSketchKinds: heavy_hitters and burst are probes of the backend's
+// candidates — each weight equals a direct vertex query over the same
+// window, the batch still visits each shard once, and ProbeCount of the
+// filled item is what it plans. Without a backend they fail with the
 // analytics_disabled code.
 func TestSketchKinds(t *testing.T) {
 	f := newFakeProber(2)
 	seedFake(f)
+	// Out-weights: 1:12 2:7 3:2 4:9 5:1; in-weights: 1:11 2:8 3:12. Epochs
+	// of 20: the current one is [60, 79], the baseline [0, 59] spans three.
 	a := &fakeAnalytics{
-		hh:     []Entry{{S: 9, Cur: 100}, {S: 8, Cur: 50}},
-		bursts: []Entry{{S: 7, Score: 5.5, Burst: true}},
+		out:   []uint64{1, 2, 3, 4, 5, 9}, // 9 carries nothing: not ranked
+		in:    []uint64{1, 2, 3},
+		cur:   []uint64{4, 5, 1},
+		burst: Burst{Ts: 0, Te: 59, Ts2: 60, Te2: 79, Factor: 4, Min: 5},
 	}
+	qs := []Query{NewHeavyHitters(DirOut, 3), NewHeavyHitters(DirIn, 2), NewBurst(0)}
 	f.resetCounts()
-	rs := DoBatchWith(f, a, []Query{NewHeavyHitters(DirIn, 2), NewBurst(0)})
-	if f.calls != 0 {
-		t.Fatalf("sketch-served batch made %d ProbeShard calls, want 0", f.calls)
+	rs := DoBatchWith(f, a, qs)
+	if f.calls > f.shards {
+		t.Fatalf("analytics batch made %d ProbeShard calls across %d shards", f.calls, f.shards)
 	}
-	if rs[0].Err != nil || len(rs[0].Top) != 2 || rs[0].Top[0].S != 9 {
-		t.Fatalf("heavy hitters = %+v", rs[0])
+	if qs[0].Candidates != nil || qs[2].Ts2 != 0 {
+		t.Fatalf("the planner filled the caller's items: %+v", qs)
 	}
-	if a.gotDir != DirIn {
-		t.Fatalf("dir %q not forwarded", a.gotDir)
+	want := [][]Entry{
+		{{S: 1, Cur: 12}, {S: 4, Cur: 9}, {S: 2, Cur: 7}},
+		{{S: 3, Cur: 12}, {S: 1, Cur: 11}},
+		// Prev: the baseline sum over its three epochs, floored at 1.
+		{{S: 4, Cur: 9, Prev: 1, Score: 9, Burst: true}, {S: 5, Cur: 1, Prev: 1, Score: 1}, {S: 1, Prev: 4}},
 	}
-	if rs[1].Err != nil || len(rs[1].Top) != 1 || !rs[1].Top[0].Burst {
-		t.Fatalf("bursts = %+v", rs[1])
+	for i, w := range want {
+		if rs[i].Err != nil || !slices.Equal(rs[i].Top, w) {
+			t.Fatalf("%v = %+v (err %v), want %+v", qs[i].Kind, rs[i].Top, rs[i].Err, w)
+		}
 	}
-	if a.gotK != DefaultTopK {
-		t.Fatalf("K=0 forwarded as %d, want default %d", a.gotK, DefaultTopK)
+	for i, q := range qs {
+		Fill(&q, a)
+		planned := 0
+		for _, e := range rs[i].Top {
+			direct := NewVertexOut(e.S, q.Ts2, q.Te2)
+			switch {
+			case q.Kind == KindHeavyHitters && q.Dir == DirIn:
+				direct = NewVertexIn(e.S, q.Ts, q.Te)
+			case q.Kind == KindHeavyHitters:
+				direct = NewVertexOut(e.S, q.Ts, q.Te)
+			}
+			if r := Do(f, direct); r.Weight != e.Cur {
+				t.Errorf("%v: vertex %d Cur %d, a direct %v reads %d", q.Kind, e.S, e.Cur, direct.Kind, r.Weight)
+			}
+		}
+		pl := new(plan)
+		pl.do(f, a, []Query{q})
+		for _, g := range pl.probes {
+			planned += len(g)
+		}
+		if n := q.ProbeCount(f.shards); n != planned {
+			t.Errorf("%v: ProbeCount = %d, the planner planned %d", q.Kind, n, planned)
+		}
+		again := q
+		Fill(&again, a)
+		if !reflect.DeepEqual(again, q) {
+			t.Errorf("%v: a second Fill changed the item: %+v → %+v", q.Kind, q, again)
+		}
 	}
 
 	// No backend: stable analytics_disabled code, neighbors untouched.
@@ -262,6 +308,22 @@ func TestSketchKinds(t *testing.T) {
 		if !strings.Contains(rs[i].Err.Error(), "-analytics") {
 			t.Fatalf("result %d: error %v should point at the -analytics flag", i, rs[i].Err)
 		}
+	}
+}
+
+// TestFillDeltaCandidates: a delta_vertex item without candidates gets the
+// backend's, capped at DefaultCandidates; one with its own keeps them.
+func TestFillDeltaCandidates(t *testing.T) {
+	a := &fakeAnalytics{out: make([]uint64, DefaultCandidates+5)}
+	q := NewDeltaVertex(nil, 0, 10, 11, 20)
+	Fill(&q, a)
+	if len(q.Candidates) != DefaultCandidates {
+		t.Fatalf("filled %d candidates, want %d", len(q.Candidates), DefaultCandidates)
+	}
+	q = NewDeltaVertex([]uint64{7}, 0, 10, 11, 20)
+	Fill(&q, a)
+	if !slices.Equal(q.Candidates, []uint64{7}) {
+		t.Fatalf("own candidates replaced: %v", q.Candidates)
 	}
 }
 

@@ -27,14 +27,14 @@ const (
 	// CodeMissingCandidates: a delta_vertex query with no candidate set and
 	// no analytics engine to supply one.
 	CodeMissingCandidates = "missing_candidates"
-	// CodeTooManyCandidates: a delta candidate set over MaxCandidates.
+	// CodeTooManyCandidates: a candidate set over MaxCandidates.
 	CodeTooManyCandidates = "too_many_candidates"
 	// CodeBadTopK: k is negative or over MaxTopK.
 	CodeBadTopK = "bad_topk"
 	// CodeBadDirection: dir is neither "out" nor "in".
 	CodeBadDirection = "bad_direction"
-	// CodeAnalyticsDisabled: a sketch-served kind (heavy_hitters, burst)
-	// reached an executor with no analytics engine attached.
+	// CodeAnalyticsDisabled: a kind that needs the analytics engine's
+	// candidates (heavy_hitters, burst) reached an executor with none.
 	CodeAnalyticsDisabled = "analytics_disabled"
 )
 

@@ -1,9 +1,10 @@
 package query
 
 import (
+	"cmp"
+	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -45,10 +46,11 @@ type Prober interface {
 
 // Entry is one row of a ranked analytics answer. The delta kinds fill
 // Prev/Cur/Delta (base-window weight, compare-window weight, Cur−Prev);
-// heavy_hitters fills Cur with the sketch's weight estimate; burst fills
-// Cur (current-epoch weight), Prev (per-epoch baseline), Score
-// (Cur/max(Prev,1)), and Burst (score cleared the engine's threshold).
-// D is set only for edge-grained entries (delta_edge).
+// heavy_hitters fills Cur with the vertex's weight in the retained summary;
+// burst fills Cur (current-epoch weight), Prev (per-epoch baseline, floored
+// at 1), Score (Cur/Prev), and Burst (score cleared the engine's
+// threshold). Every weight is a probe of the summary. D is set only for
+// edge-grained entries (delta_edge).
 type Entry struct {
 	S     uint64  `json:"s"`
 	D     uint64  `json:"d,omitempty"`
@@ -70,15 +72,57 @@ type Result struct {
 	Err    error
 }
 
-// Analytics serves the sketch-backed query kinds (heavy_hitters, burst)
-// that have no probe decomposition; internal/analytics implements it.
+// Analytics supplies what the analytics kinds cannot read off a query:
+// which vertices to probe, and burst's epoch geometry. It computes no
+// weight — every answer is probes of the summary. internal/analytics
+// implements it.
 type Analytics interface {
-	// HeavyHitters returns the top-k tracked vertices by total out-weight
-	// (dir "out" or "") or in-weight (dir "in"), heaviest first.
-	HeavyHitters(dir string, k int) []Entry
-	// Bursts returns the top-k tracked vertices by rate-of-change score
-	// over recent epochs, highest score first.
-	Bursts(k int) []Entry
+	// Candidates returns up to max tracked vertex ids for an item of kind
+	// k, most promising first: for heavy_hitters and delta_vertex the
+	// sources (dir "out" or "") or destinations (dir "in") tracked by
+	// weight, for burst the sources tracked in the current epoch.
+	Candidates(k Kind, dir string, max int) []uint64
+	// Burst returns burst's windows and flag rule as of now.
+	Burst() Burst
+}
+
+// Burst is the geometry of a burst query: the baseline window [Ts, Te]
+// (the epochs before the current one), the current epoch [Ts2, Te2], and
+// the flag rule — Cur ≥ Factor·Prev and Cur ≥ Min.
+type Burst struct {
+	Ts, Te   int64
+	Ts2, Te2 int64
+	Factor   float64
+	Min      int64
+}
+
+// Fill completes an item from a before it is budgeted and planned: a
+// delta_vertex item without candidates gets a's tracked ids; a
+// heavy_hitters item without a window gets the whole retained range and,
+// unless it carries its own, a's candidates; a burst item without a window
+// gets the current epoch's geometry and candidates. A filled item is left
+// alone, so filling twice plans what was budgeted once.
+func Fill(q *Query, a Analytics) {
+	if a == nil {
+		return
+	}
+	switch {
+	case q.Kind == KindDeltaVertex && len(q.Candidates) == 0:
+		q.Candidates = a.Candidates(q.Kind, q.Dir, DefaultCandidates)
+		return
+	case q.Ts|q.Te|q.Ts2|q.Te2 != 0: // filled, or windowed by its sender
+		return
+	case q.Kind == KindHeavyHitters:
+		q.Ts, q.Te = math.MinInt64, math.MaxInt64
+	case q.Kind == KindBurst:
+		b := a.Burst()
+		q.Ts, q.Te, q.Ts2, q.Te2 = b.Ts, b.Te, b.Ts2, b.Te2
+	default:
+		return
+	}
+	if len(q.Candidates) == 0 {
+		q.Candidates = a.Candidates(q.Kind, q.Dir, MaxCandidates)
+	}
 }
 
 // Do answers one query: the one-element case of DoBatch, so invalid
@@ -87,7 +131,7 @@ type Analytics interface {
 func Do(p Prober, q Query) Result { return DoBatch(p, []Query{q})[0] }
 
 // DoBatch answers a batch of queries, visiting every shard at most once.
-// It is DoBatchWith with no analytics backend: the sketch-served kinds fail
+// It is DoBatchWith with no analytics backend: heavy_hitters and burst fail
 // with CodeAnalyticsDisabled.
 func DoBatch(p Prober, qs []Query) []Result { return DoBatchWith(p, nil, qs) }
 
@@ -99,11 +143,12 @@ func DoBatch(p Prober, qs []Query) []Result { return DoBatchWith(p, nil, qs) }
 // results — the same one-sided merge the per-kind methods perform,
 // amortized over the batch.
 //
-// The delta kinds decompose into the same probes — two one-sided window
-// estimates per candidate, planned contiguously — so they flow through the
-// identical shard/read-cache/lock-bound machinery; only their merge
-// differs (ranked differences instead of a span sum). The sketch kinds
-// never plan probes: they are answered by a, and fail with
+// The analytics kinds decompose into the same probes — per candidate, two
+// window estimates (delta_vertex, delta_edge, burst) or one over the whole
+// retained range (heavy_hitters), planned contiguously — so they flow
+// through the identical shard/read-cache/lock-bound machinery; only their
+// merge differs (a ranking instead of a span sum). Each item is first
+// completed by Fill from a; heavy_hitters and burst fail with
 // CodeAnalyticsDisabled when a is nil.
 //
 // Results align with the input: res[i] answers qs[i], carrying its weight,
@@ -126,6 +171,7 @@ type span struct{ start, end int }
 // the next; nothing in a plan outlives the call it serves.
 type plan struct {
 	p      Prober
+	qs     []Query // the batch as Fill completed it, when an Analytics is given
 	spans  []span
 	probes [][]Probe // per shard
 	slots  [][]int   // per shard: the slot each probe answers
@@ -145,19 +191,21 @@ func putPlan(pl *plan) {
 		return
 	}
 	pl.p = nil
+	clear(pl.qs)
+	pl.qs = pl.qs[:0]
 	planPool.Put(pl)
 }
 
 // held is the most entries the plan keeps room for in one vector: spans,
-// vals, or the shards' probe lists together — batches that pile up on
-// different shards each grow a different list. A shard's slot and answer
-// lists grow with its probe list.
+// queries, vals, or the shards' probe lists together — batches that pile
+// up on different shards each grow a different list. A shard's slot and
+// answer lists grow with its probe list.
 func (pl *plan) held() int {
 	probes := 0
 	for _, g := range pl.probes[:cap(pl.probes)] {
 		probes += cap(g)
 	}
-	return max(cap(pl.vals), cap(pl.spans), probes)
+	return max(cap(pl.vals), cap(pl.spans), cap(pl.qs), probes)
 }
 
 // reset empties the plan for a batch of nq queries over n shards. The
@@ -192,11 +240,31 @@ func (pl *plan) add(i int, pr Probe) {
 	pl.vals = append(pl.vals, 0)
 }
 
+// vertex plans v's out-weight (one probe in v's shard) or in-weight (one
+// probe per shard) over [ts, te].
+func (pl *plan) vertex(in bool, v uint64, ts, te int64) {
+	if !in {
+		pl.add(pl.p.ShardFor(v), Probe{Op: OpVertexOut, S: v, Ts: ts, Te: te})
+		return
+	}
+	for i := range pl.probes {
+		pl.add(i, Probe{Op: OpVertexIn, S: v, Ts: ts, Te: te})
+	}
+}
+
 func (pl *plan) do(p Prober, a Analytics, qs []Query) []Result {
 	res := make([]Result, len(qs))
 	n := p.NumShards()
 	pl.p = p
 	pl.reset(len(qs), n)
+	if a != nil {
+		// Complete copies: the caller's items stay as they were.
+		pl.qs = append(pl.qs[:0], qs...)
+		qs = pl.qs
+		for i := range qs {
+			Fill(&qs[i], a)
+		}
+	}
 
 	// Plan: expand each query into probes. Slots — indices into the flat
 	// result vector — are assigned in expansion order, so each query owns a
@@ -206,16 +274,16 @@ func (pl *plan) do(p Prober, a Analytics, qs []Query) []Result {
 			res[qi].Err = err
 			continue
 		}
+		if a == nil && (q.Kind == KindHeavyHitters || q.Kind == KindBurst) {
+			res[qi].Err = errf(CodeAnalyticsDisabled, "%v query needs the analytics engine (start higgsd with -analytics)", q.Kind)
+			continue
+		}
 		pl.spans[qi].start = len(pl.vals)
 		switch q.Kind {
 		case KindEdge:
 			pl.add(p.ShardFor(q.S), Probe{Op: OpEdge, S: q.S, D: q.D, Ts: q.Ts, Te: q.Te})
-		case KindVertexOut:
-			pl.add(p.ShardFor(q.V), Probe{Op: OpVertexOut, S: q.V, Ts: q.Ts, Te: q.Te})
-		case KindVertexIn:
-			for i := 0; i < n; i++ {
-				pl.add(i, Probe{Op: OpVertexIn, S: q.V, Ts: q.Ts, Te: q.Te})
-			}
+		case KindVertexOut, KindVertexIn:
+			pl.vertex(q.Kind == KindVertexIn, q.V, q.Ts, q.Te)
 		case KindPath:
 			for i := 0; i+1 < len(q.Path); i++ {
 				pl.add(p.ShardFor(q.Path[i]), Probe{Op: OpEdge, S: q.Path[i], D: q.Path[i+1], Ts: q.Ts, Te: q.Te})
@@ -224,20 +292,14 @@ func (pl *plan) do(p Prober, a Analytics, qs []Query) []Result {
 			for _, e := range q.Edges {
 				pl.add(p.ShardFor(e[0]), Probe{Op: OpEdge, S: e[0], D: e[1], Ts: q.Ts, Te: q.Te})
 			}
-		case KindDeltaVertex:
-			// Per candidate: base-window probes, then compare-window probes,
-			// contiguous — the merge walks fixed-size strides.
+		case KindDeltaVertex, KindHeavyHitters, KindBurst:
+			// Per candidate: its weight over the window, then (all but
+			// heavy_hitters) over the compare window, contiguous — the merge
+			// walks fixed-size strides.
 			for _, v := range q.Candidates {
-				if q.Dir == DirIn {
-					for i := 0; i < n; i++ {
-						pl.add(i, Probe{Op: OpVertexIn, S: v, Ts: q.Ts, Te: q.Te})
-					}
-					for i := 0; i < n; i++ {
-						pl.add(i, Probe{Op: OpVertexIn, S: v, Ts: q.Ts2, Te: q.Te2})
-					}
-				} else {
-					pl.add(p.ShardFor(v), Probe{Op: OpVertexOut, S: v, Ts: q.Ts, Te: q.Te})
-					pl.add(p.ShardFor(v), Probe{Op: OpVertexOut, S: v, Ts: q.Ts2, Te: q.Te2})
+				pl.vertex(q.in(), v, q.Ts, q.Te)
+				if q.Kind != KindHeavyHitters {
+					pl.vertex(q.in(), v, q.Ts2, q.Te2)
 				}
 			}
 		case KindDeltaEdge:
@@ -245,8 +307,6 @@ func (pl *plan) do(p Prober, a Analytics, qs []Query) []Result {
 				pl.add(p.ShardFor(e[0]), Probe{Op: OpEdge, S: e[0], D: e[1], Ts: q.Ts, Te: q.Te})
 				pl.add(p.ShardFor(e[0]), Probe{Op: OpEdge, S: e[0], D: e[1], Ts: q.Ts2, Te: q.Te2})
 			}
-		case KindHeavyHitters, KindBurst:
-			// Sketch-served: no probes. Answered after execution below.
 		}
 		pl.spans[qi].end = len(pl.vals)
 	}
@@ -254,31 +314,37 @@ func (pl *plan) do(p Prober, a Analytics, qs []Query) []Result {
 	pl.run()
 	vals := pl.vals
 
-	// Merge: each valid scalar query is the sum of its span; each delta
-	// query ranks its candidates by |compare − base| over fixed-size
-	// strides of its span; each sketch query asks the analytics backend.
+	// Merge: each valid scalar query is the sum of its span; each analytics
+	// query ranks its candidates over fixed-size strides of its span.
 	for qi, q := range qs {
 		if res[qi].Err != nil {
 			continue
 		}
 		sp := pl.spans[qi]
+		per := q.fanout(n)
 		switch q.Kind {
-		case KindDeltaVertex:
-			per := 1
-			if q.Dir == DirIn {
-				per = n
-			}
+		case KindDeltaVertex, KindBurst:
 			entries := make([]Entry, len(q.Candidates))
 			for ci, v := range q.Candidates {
-				base := sp.start + ci*2*per
-				var prev, cur int64
-				for j := 0; j < per; j++ {
-					prev += vals[base+j]
-					cur += vals[base+per+j]
-				}
-				entries[ci] = Entry{S: v, Prev: prev, Cur: cur, Delta: cur - prev}
+				w := vals[sp.start+ci*2*per:][:2*per]
+				entries[ci] = Entry{S: v, Prev: sum(w[:per]), Cur: sum(w[per:])}
+			}
+			if q.Kind == KindBurst {
+				res[qi].Top = rankBursts(entries, q, a.Burst())
+				continue
+			}
+			for i := range entries {
+				entries[i].Delta = entries[i].Cur - entries[i].Prev
 			}
 			res[qi].Top = rankByDelta(entries, q.K)
+		case KindHeavyHitters:
+			entries := make([]Entry, 0, len(q.Candidates))
+			for ci, v := range q.Candidates {
+				if cur := sum(vals[sp.start+ci*per:][:per]); cur > 0 {
+					entries = append(entries, Entry{S: v, Cur: cur})
+				}
+			}
+			res[qi].Top = rank(entries, q.K, func(a, b Entry) int { return cmp.Compare(b.Cur, a.Cur) })
 		case KindDeltaEdge:
 			entries := make([]Entry, len(q.Edges))
 			for ci, e := range q.Edges {
@@ -287,27 +353,18 @@ func (pl *plan) do(p Prober, a Analytics, qs []Query) []Result {
 				entries[ci] = Entry{S: e[0], D: e[1], Prev: prev, Cur: cur, Delta: cur - prev}
 			}
 			res[qi].Top = rankByDelta(entries, q.K)
-		case KindHeavyHitters:
-			if a == nil {
-				res[qi].Err = errf(CodeAnalyticsDisabled, "heavy_hitters query needs the analytics engine (start higgsd with -analytics)")
-				continue
-			}
-			res[qi].Top = a.HeavyHitters(q.Dir, topK(q.K))
-		case KindBurst:
-			if a == nil {
-				res[qi].Err = errf(CodeAnalyticsDisabled, "burst query needs the analytics engine (start higgsd with -analytics)")
-				continue
-			}
-			res[qi].Top = a.Bursts(topK(q.K))
 		default:
-			var sum int64
-			for _, v := range vals[sp.start:sp.end] {
-				sum += v
-			}
-			res[qi].Weight = sum
+			res[qi].Weight = sum(vals[sp.start:sp.end])
 		}
 	}
 	return res
+}
+
+func sum(vs []int64) (s int64) {
+	for _, v := range vs {
+		s += v
+	}
+	return s
 }
 
 // run evaluates every touched shard's group with one ProbeShard call — one
@@ -369,28 +426,37 @@ func topK(k int) int {
 	return k
 }
 
-// rankByDelta sorts entries by |Delta| descending (ties by S then D
-// ascending, so ranking is deterministic) and truncates to the effective
-// top-k.
-func rankByDelta(entries []Entry, k int) []Entry {
-	sort.Slice(entries, func(i, j int) bool {
-		di, dj := entries[i].Delta, entries[j].Delta
-		if di < 0 {
-			di = -di
-		}
-		if dj < 0 {
-			dj = -dj
-		}
-		if di != dj {
-			return di > dj
-		}
-		if entries[i].S != entries[j].S {
-			return entries[i].S < entries[j].S
-		}
-		return entries[i].D < entries[j].D
+// rank sorts entries by by, ties by S then D ascending (so ranking is
+// deterministic), and truncates them to the effective top-k.
+func rank(entries []Entry, k int, by func(a, b Entry) int) []Entry {
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return cmp.Or(by(a, b), cmp.Compare(a.S, b.S), cmp.Compare(a.D, b.D))
 	})
 	if kk := topK(k); len(entries) > kk {
 		entries = entries[:kk]
 	}
 	return entries
+}
+
+// rankByDelta ranks entries by |Delta| descending: a fall ranks as high as
+// a rise.
+func rankByDelta(entries []Entry, k int) []Entry {
+	abs := func(x int64) int64 { return max(x, -x) }
+	return rank(entries, k, func(a, b Entry) int { return cmp.Compare(abs(b.Delta), abs(a.Delta)) })
+}
+
+// rankBursts turns burst's window sums into scores — Prev becomes the
+// baseline's per-epoch mean, floored at 1, and Score is Cur/Prev — flags
+// each entry b's rule clears, and ranks them by score, then Cur.
+func rankBursts(entries []Entry, q Query, b Burst) []Entry {
+	epochs := q.epochs()
+	for i := range entries {
+		e := &entries[i]
+		e.Prev = max(e.Prev/epochs, 1)
+		e.Score = float64(e.Cur) / float64(e.Prev)
+		e.Burst = e.Score >= b.Factor && e.Cur >= b.Min
+	}
+	return rank(entries, q.K, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(b.Cur, a.Cur))
+	})
 }

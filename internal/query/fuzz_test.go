@@ -21,6 +21,8 @@ func FuzzQueryUnmarshal(f *testing.F) {
 		`{"kind":"subgraph","edges":[[1,2],[2,3]],"ts":0,"te":100}`,
 		`{"kind":"edge","ts":100,"te":50}`,
 		`{"kind":"nope"}`,
+		`{"kind":"heavy_hitters","dir":"in","k":3}`,
+		`{"kind":"burst","candidates":[4,5],"ts":0,"te":59,"ts2":60,"te2":79}`,
 		`{}`,
 		`[]`,
 		`{"kind":"edge","s":18446744073709551615,"d":0,"ts":-9223372036854775808,"te":9223372036854775807}`,
@@ -86,8 +88,10 @@ func FuzzQueryUnmarshal(f *testing.F) {
 		if !bytes.Equal(out, out2) {
 			t.Fatalf("marshal not stable: %s then %s", out, out2)
 		}
-		// Planning must not panic, and a valid query always plans work.
-		if n := q2.ProbeCount(4); n <= 0 {
+		// Planning must not panic, and a valid query always plans work —
+		// heavy_hitters and burst one per candidate, once Fill gave them any.
+		ranked := q2.Kind == KindHeavyHitters || q2.Kind == KindBurst
+		if n := q2.ProbeCount(4); n <= 0 && !(ranked && len(q2.Candidates) == 0) {
 			t.Fatalf("valid query plans %d probes", n)
 		}
 	})

@@ -68,8 +68,8 @@ func probeOne(p Prober, i int, pr Probe) int64 {
 }
 
 // referenceDo answers qs without the planner: every probe is its own
-// ProbeShard call, and each kind's merge is written out again. The sketch
-// kinds have no engine to ask.
+// ProbeShard call, and each kind's merge is written out again.
+// heavy_hitters and burst have no engine to ask.
 func referenceDo(p Prober, qs []Query) []Result {
 	edge := func(s, d uint64, ts, te int64) int64 {
 		return probeOne(p, p.ShardFor(s), Probe{Op: OpEdge, S: s, D: d, Ts: ts, Te: te})

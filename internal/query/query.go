@@ -16,6 +16,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -35,16 +36,15 @@ const (
 	KindPath                  // sum of edge weights along Path
 	KindSubgraph              // total weight of the Edges set
 
-	// The analytics kinds (DESIGN.md §17). The delta kinds decompose into
-	// ordinary per-shard probes — two one-sided window estimates per
-	// candidate — and rank candidates by how much their weight changed
-	// between the two windows. The sketch kinds (heavy_hitters, burst) are
-	// answered from an analytics engine's committer-maintained sketches in
-	// O(k) without touching a shard.
+	// The analytics kinds (DESIGN.md §17). Each decomposes into ordinary
+	// per-shard probes of its candidates — two one-sided window estimates per
+	// candidate, or one over the retained range for heavy_hitters — and
+	// ranks the candidates. heavy_hitters and burst take their candidates
+	// (and windows) from an analytics engine (Fill).
 	KindDeltaVertex  // top-k candidates by |window B − window A| out/in-weight
 	KindDeltaEdge    // top-k candidate edges by |window B − window A| weight
-	KindHeavyHitters // top-k vertices by total out/in-weight (sketch-served)
-	KindBurst        // top-k vertices by rate-of-change over recent epochs
+	KindHeavyHitters // top-k vertices by out/in-weight in the retained summary
+	KindBurst        // top-k vertices by current-epoch over baseline out-weight
 )
 
 // kindNames is the wire form of each Kind, in declaration order; the
@@ -113,9 +113,9 @@ type Query struct {
 	// the delta kinds: candidates are ranked by |weight in [Ts2,Te2] −
 	// weight in [Ts,Te]|. K caps the ranked output (0 = DefaultTopK). Dir
 	// selects the degree direction of delta_vertex and heavy_hitters ("" =
-	// "out"). Candidates is the delta_vertex candidate set; the server
-	// fills it from the analytics engine's tracked heavy hitters when a
-	// client omits it.
+	// "out"). Candidates is the vertex set the analytics kinds rank; Fill
+	// sets it from the analytics engine's tracked ids when a client omits
+	// it, and sets the windows of heavy_hitters and burst.
 	Ts2        int64    `json:"ts2,omitempty"`
 	Te2        int64    `json:"te2,omitempty"`
 	K          int      `json:"k,omitempty"`
@@ -136,10 +136,16 @@ const DefaultTopK = 10
 // not full scans in disguise.
 const MaxTopK = 256
 
-// MaxCandidates bounds a delta candidate set, so one item cannot plan an
+// MaxCandidates bounds a candidate set, so one item cannot plan an
 // unbounded number of probes (admission budgets see the real count, but the
 // per-item cap keeps a single query's planning cost sane).
 const MaxCandidates = 4096
+
+// DefaultCandidates caps the candidate set Fill gives a delta_vertex item
+// that omitted its own: the engine's top tracked vertices, enough to rank
+// "what changed most" without letting a convenience default plan
+// thousands of probes.
+const DefaultCandidates = 256
 
 // NewEdge returns an edge-weight query for s→d over [ts, te].
 func NewEdge(s, d uint64, ts, te int64) Query {
@@ -181,16 +187,17 @@ func NewDeltaEdge(edges [][2]uint64, ts, te, ts2, te2 int64) Query {
 	return Query{Kind: KindDeltaEdge, Edges: edges, Ts: ts, Te: te, Ts2: ts2, Te2: te2}
 }
 
-// NewHeavyHitters returns a heavy-hitter query: the top-k vertices by total
-// admitted out-weight (dir DirOut or "") or in-weight (DirIn), served from
-// the analytics engine's sketches in O(k) without touching a shard.
+// NewHeavyHitters returns a heavy-hitter query: the top-k of the analytics
+// engine's tracked vertices by out-weight (dir DirOut or "") or in-weight
+// (DirIn) in the retained summary, one probe (or one per shard) each.
 func NewHeavyHitters(dir string, k int) Query {
 	return Query{Kind: KindHeavyHitters, Dir: dir, K: k}
 }
 
-// NewBurst returns a burst query: the top-k vertices by rate-of-change
-// score over the analytics engine's recent epochs, each flagged when the
-// score clears the engine's burst threshold.
+// NewBurst returns a burst query: the top-k of the vertices the analytics
+// engine tracks in the current epoch, by their current-epoch out-weight
+// over their per-epoch baseline, each flagged when the score clears the
+// engine's burst threshold.
 func NewBurst(k int) Query {
 	return Query{Kind: KindBurst, K: k}
 }
@@ -232,13 +239,19 @@ func (q Query) Validate() error {
 		if len(q.Edges) > MaxCandidates {
 			return errf(CodeTooManyCandidates, "delta_edge query has %d candidate edges, max %d", len(q.Edges), MaxCandidates)
 		}
-	case KindHeavyHitters:
-		if err := q.validateDir(); err != nil {
-			return err
+	case KindHeavyHitters, KindBurst:
+		if q.Kind == KindHeavyHitters {
+			if err := q.validateDir(); err != nil {
+				return err
+			}
 		}
-		return q.validateTopK() // sketch-served: no window to check
-	case KindBurst:
-		return q.validateTopK() // sketch-served: no window to check
+		if len(q.Candidates) > MaxCandidates {
+			return errf(CodeTooManyCandidates, "%v query has %d candidates, max %d", q.Kind, len(q.Candidates), MaxCandidates)
+		}
+		if q.Te < q.Ts || q.Te2 < q.Ts2 {
+			return errf(CodeInvertedWindow, "inverted time range: [%d, %d], [%d, %d]", q.Ts, q.Te, q.Ts2, q.Te2)
+		}
+		return q.validateTopK() // an unset window is Fill's to set, not an error
 	case kindMissing:
 		return errf(CodeMissingKind, "missing query kind (want one of %s)", strings.Join(kindNames[KindEdge:], ", "))
 	default:
@@ -281,14 +294,14 @@ func (q Query) validateTopK() error {
 // ProbeCount returns how many single-shard probes the query plans on an
 // n-shard backend — what its execution will cost — without planning it: 1
 // for edge and vertex-out, n for vertex-in (one partial estimate per
-// shard), one per constituent edge for path and subgraph. A delta query
-// costs two window estimates per candidate (2 probes per candidate edge,
-// 2 or 2n per candidate vertex depending on direction); the sketch-served
-// kinds (heavy_hitters, burst) never touch a shard and count 1 so a batch
-// of them still meters against per-client rate budgets. Invalid queries
-// plan nothing and count 0 (the executor rejects them before expansion),
-// so they can never push a batch over an admission budget. Admission
-// layers use this to bound a batch's total work up front.
+// shard), one per constituent edge for path and subgraph. A delta or burst
+// query costs two window estimates per candidate (2 probes per candidate
+// edge, 2 or 2n per candidate vertex depending on direction), a
+// heavy_hitters query one (1 or n per candidate) — so an analytics item
+// counts what it plans only once Fill has given it its candidates. Invalid
+// queries plan nothing and count 0 (the executor rejects them before
+// expansion), so they can never push a batch over an admission budget.
+// Admission layers use this to bound a batch's total work up front.
 func (q Query) ProbeCount(n int) int {
 	if q.Validate() != nil {
 		return 0
@@ -302,16 +315,35 @@ func (q Query) ProbeCount(n int) int {
 		return len(q.Path) - 1
 	case KindSubgraph:
 		return len(q.Edges)
-	case KindDeltaVertex:
-		per := 1
-		if q.Dir == DirIn {
-			per = n
-		}
-		return 2 * per * len(q.Candidates)
+	case KindDeltaVertex, KindBurst:
+		return 2 * q.fanout(n) * len(q.Candidates)
 	case KindDeltaEdge:
 		return 2 * len(q.Edges)
-	case KindHeavyHitters, KindBurst:
-		return 1
+	case KindHeavyHitters:
+		return q.fanout(n) * len(q.Candidates)
 	}
 	return 0
+}
+
+// in reports whether the analytics kind q ranks in-weights; burst ranks
+// out-weight whatever its Dir.
+func (q Query) in() bool { return q.Dir == DirIn && q.Kind != KindBurst }
+
+// fanout is how many probes one candidate window of q costs on n shards:
+// one in the owner's shard for out-weight, one per shard for in-weight.
+func (q Query) fanout(n int) int {
+	if q.in() {
+		return n
+	}
+	return 1
+}
+
+// epochs is how many current-epoch lengths burst's baseline window spans,
+// at least 1. Lengths are taken in uint64, where no window overflows.
+func (q Query) epochs() int64 {
+	base, cur := uint64(q.Te-q.Ts)+1, uint64(q.Te2-q.Ts2)+1
+	if cur == 0 || base/cur == 0 {
+		return 1
+	}
+	return int64(min(base/cur, math.MaxInt64))
 }

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"higgs/internal/admit"
+	"higgs/internal/analytics"
+	"higgs/internal/httpapi"
 	"higgs/internal/query"
 	"higgs/internal/shard"
 	"higgs/internal/stream"
@@ -213,4 +215,39 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	if !health.Admission.Enabled || health.Admission.RateLimited == 0 {
 		t.Fatalf("admission healthz block = %+v", health.Admission)
 	}
+}
+
+// TestAdmissionMetersAnalyticsCandidates: a heavy_hitters item costs the
+// probes its filled candidates plan, so admission classes one with more
+// candidates than HeavyProbes heavy, and a body of them whose candidates
+// plan more than maxBatchProbes is refused whole.
+func TestAdmissionMetersAnalyticsCandidates(t *testing.T) {
+	ctrl, err := admit.New(admit.Config{HeavyProbes: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := openTestServer(t, 4, Options{Admission: ctrl, Analytics: &analytics.Config{}})
+	var sb strings.Builder
+	sb.WriteString("[")
+	for v := 0; v < 100; v++ { // 100 sources and destinations: 100 candidates each way
+		if v > 0 {
+			sb.WriteString(",")
+		}
+		fmt.Fprintf(&sb, `{"s":%d,"d":%d,"w":1,"t":%d}`, v, v+1000, v)
+	}
+	sb.WriteString("]")
+	post(t, ts.URL+"/v1/insert", sb.String()).Body.Close()
+
+	if got := postBatch(t, ts.URL, `[{"kind":"heavy_hitters","k":3}]`); len(got) != 1 || got[0].Error != "" {
+		t.Fatalf("heavy_hitters = %+v", got)
+	}
+	if st := ctrl.Stats(); st.Heavy.Admitted != 1 || st.Cheap.Admitted != 0 {
+		t.Fatalf("100-candidate heavy_hitters admitted cheap %d / heavy %d, want 0 / 1", st.Cheap.Admitted, st.Heavy.Admitted)
+	}
+
+	// 100 in-candidates × 4 shards = 400 probes an item: 2,622 items pass
+	// the 2^20 budget, where counting each item as one probe would not.
+	items := strings.TrimSuffix(strings.Repeat(`{"kind":"heavy_hitters","dir":"in"},`, 2622), ",")
+	checkEnvelope(t, "filled candidates over budget", post(t, ts.URL+"/v2/query", "["+items+"]"),
+		http.StatusBadRequest, httpapi.CodeProbeBudget)
 }

@@ -350,11 +350,13 @@ func (e *envelope) add(q query.Query, st *state) {
 	if e.probes > maxBatchProbes {
 		return // the envelope is rejected whole once it has been read; plan no more of it
 	}
-	// A delta_vertex item may omit its candidate set: the engine's tracked
-	// heavy hitters are the natural "what changed most" candidates. Filled
-	// before budgeting so admission sees the real probe count.
-	if q.Kind == query.KindDeltaVertex && len(q.Candidates) == 0 && st.eng != nil {
-		q.Candidates = st.eng.CandidateVertices(q.Dir, defaultDeltaCandidates)
+	// Completed before budgeting, so admission sees the real probe count. An
+	// item still invalid is answered here: the planner would fill it again,
+	// and a second fill could plan probes nobody budgeted.
+	query.Fill(&q, st.analytics())
+	if err := q.Validate(); err != nil {
+		e.out[len(e.out)-1] = batchResult{Error: err.Error(), Code: errCode(err)}
+		return
 	}
 	e.probes += q.ProbeCount(st.sum.NumShards())
 	e.batch = append(e.batch, q)

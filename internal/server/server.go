@@ -90,10 +90,19 @@ type state struct {
 	// cache is non-nil exactly when read is the cache, for /healthz stats.
 	cache *rcache.Cache
 	// eng is the analytics engine observing sum (nil when analytics is
-	// off). It swaps with the summary: the sketches mirror exactly one
-	// summary's apply stream, so replacing the summary replaces the engine
-	// in the same atomic pointer swap (DESIGN.md §17).
+	// off). It swaps with the summary: its candidate sets come from exactly
+	// one summary's apply stream, so replacing the summary replaces the
+	// engine in the same atomic pointer swap (DESIGN.md §17).
 	eng *analytics.Engine
+}
+
+// analytics is eng as the planner takes it: a nil interface, not a typed
+// nil *Engine, when analytics is off.
+func (st *state) analytics() query.Analytics {
+	if st.eng == nil {
+		return nil
+	}
+	return st.eng
 }
 
 // Server wraps a sharded HIGGS summary with an HTTP API. The serving state
@@ -130,8 +139,8 @@ type Options struct {
 	// in front of the planner (DESIGN.md §16); 0 serves uncached.
 	CacheBytes int64
 	// Analytics, when non-nil, attaches a stream-analytics engine to the
-	// served summary as its apply observer (DESIGN.md §17). Shards and Seed
-	// are derived from the summary; the zero Config selects the documented
+	// served summary as its apply observer (DESIGN.md §17). Shards is
+	// derived from the summary; the zero Config selects the documented
 	// defaults.
 	Analytics *analytics.Config
 	// Admission, when non-nil, fronts /v2/query: shed requests answer 429
@@ -150,8 +159,7 @@ type Options struct {
 // Open builds a server over the summary: the serving state is attached —
 // read cache and analytics engine included — and only then is
 // opts.Ingest.WAL replayed into the summary (ingest.Recover, DESIGN.md
-// §12), so the engine's sketches absorb recovered edges exactly like live
-// ones.
+// §12), so the engine tracks recovered edges exactly like live ones.
 func Open(sum *shard.Summary, opts Options) (*Server, error) {
 	s := &Server{opts: opts, start: time.Now()}
 	s.cacheBytes.Store(opts.CacheBytes)
@@ -184,8 +192,8 @@ func (s *Server) Replayed() int64 { return s.replayed }
 // newState assembles the swapped-together unit of serving state over a
 // summary: its pipeline, a fresh cache when a budget is set, a fresh
 // analytics engine when configured. Building all of it here, at every swap
-// site, is what makes "bust the cache", "restart the sketches" and "replace
-// the summary" the same atomic operation.
+// site, is what makes "bust the cache", "restart the candidate sets" and
+// "replace the summary" the same atomic operation.
 func (s *Server) newState(sum *shard.Summary) (*state, error) {
 	st := &state{sum: sum}
 	err := st.setReader(s.cacheBytes.Load())
@@ -195,15 +203,14 @@ func (s *Server) newState(sum *shard.Summary) (*state, error) {
 	if s.opts.Analytics != nil {
 		cfg := *s.opts.Analytics
 		cfg.Shards = sum.NumShards()
-		cfg.Seed = sum.Config().Core.Seed
 		if st.eng, err = analytics.New(cfg); err != nil {
 			return nil, err
 		}
 		// Registered before the state becomes visible (and before Open
 		// replays the log), so the engine sees every apply the summary
 		// receives from here on. The summary's pre-existing contents are
-		// not back-filled into the sketches; heavy hitters re-converge from
-		// the live stream.
+		// served but not tracked: candidate ids rebuild from the applied
+		// tail.
 		sum.SetApplyObserver(st.eng)
 	}
 	// Last: the pipeline starts goroutines, and nothing above can fail after.
@@ -246,12 +253,6 @@ func (s *Server) swap(sum *shard.Summary) error {
 	}
 	return nil
 }
-
-// defaultDeltaCandidates caps the server-filled candidate set of a
-// delta_vertex item that omitted its own: the engine's top tracked
-// vertices, enough to rank "what changed most" without letting a
-// convenience default plan thousands of probes.
-const defaultDeltaCandidates = 256
 
 // SetReadCache installs (or, with maxBytes 0, removes) the read cache over
 // the served summary, overriding Options.CacheBytes; every later summary
@@ -639,13 +640,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) error 
 		return err
 	}
 	defer release()
-	// Without analytics the planner must see a nil interface, not a typed
-	// nil *Engine.
-	var eng query.Analytics
-	if st.eng != nil {
-		eng = st.eng
-	}
-	results := query.DoBatchWith(st.read, eng, env.batch)
+	results := query.DoBatchWith(st.read, st.analytics(), env.batch)
 	// Every item has been decoded out of the body; its buffer takes the answer.
 	if wb.b, err = appendAnswers(wb.b[:0], env, results); err != nil {
 		return err
@@ -744,8 +739,8 @@ type AdmissionStatus struct {
 }
 
 // AnalyticsStatus is the stream-analytics state /healthz reports
-// (DESIGN.md §17): whether the engine runs, its tracked-candidate and
-// burst counters when it does.
+// (DESIGN.md §17): whether the engine runs, its configuration and
+// tracked-candidate counters when it does.
 type AnalyticsStatus struct {
 	// Enabled reports whether the analytics engine observes the summary.
 	Enabled bool `json:"enabled"`

@@ -111,24 +111,18 @@ func newSlot(sum *core.Summary, seq uint64) *slot {
 	return sl
 }
 
-// ApplyObserver is notified of every answer-changing mutation, from inside
-// the same write-lock section that bumps the shard's mutation version —
-// the sketch-maintenance invariant of DESIGN.md §17: by the time any
-// reader can observe ShardVersion(i) advanced past a mutation, the
-// observer has already seen it. Because every write path in this
-// repository — sync inserts, async group commits, WAL replay, follower
-// replication, deletes, retention expiry — is a wrapper over mutate, one
-// observer covers them all without a new write path. Callbacks run under
-// the shard's write lock: they must be fast, must not call back into the
+// ApplyObserver is notified of every batch of edges applied to a shard,
+// from inside the same write-lock section that bumps the shard's mutation
+// version (DESIGN.md §17): by the time any reader can observe
+// ShardVersion(i) advanced past a batch, the observer has already seen it.
+// Because every insert path in this repository — async group commits, WAL
+// replay, follower replication — is a wrapper over mutate, one observer
+// covers them all without a new write path. The callback runs under the
+// shard's write lock: it must be fast, must not call back into the
 // Summary, and must not retain the edge slice past the call.
 type ApplyObserver interface {
 	// ObserveApply sees every batch of edges applied to shard i.
 	ObserveApply(shard int, edges []stream.Edge)
-	// ObserveDelete sees every delete that found its entry in shard i.
-	ObserveDelete(shard int, e stream.Edge)
-	// ObserveExpire sees every expire of shard i that reclaimed leaves;
-	// cutoff is the expire's exclusive time cutoff.
-	ObserveExpire(shard int, cutoff int64)
 }
 
 // Summary is a sharded HIGGS graph stream summary. It is safe for
@@ -151,8 +145,8 @@ type Summary struct {
 	walOwned atomic.Bool
 }
 
-// SetApplyObserver registers obs to see every subsequent answer-changing
-// mutation (nil unregisters). Register before feeding the summary —
+// SetApplyObserver registers obs to see every subsequent applied batch
+// (nil unregisters). Register before feeding the summary —
 // mutations applied earlier are not replayed into the observer.
 func (s *Summary) SetApplyObserver(obs ApplyObserver) {
 	if obs == nil {
@@ -241,18 +235,18 @@ type op struct {
 // wrapper over it. Under shard i's lock it runs o against the core
 // summary, advances the durability watermark to max(watermark, seq) — seq
 // 0, the non-durable paths, leaves it alone — and, iff the op changed what
-// queries may answer, notifies the ApplyObserver, publishes what the op
-// could reach — an insert the shard's new append frontier, anything else one
-// more rewrite — and then bumps the mutation version, all before unlocking.
-// So "version advanced ⇒ observer notified" (DESIGN.md §16–§17) and
-// "contents ⇔ watermark" (DESIGN.md §12) hold by construction.
+// queries may answer, publishes what the op could reach — an insert
+// notifies the ApplyObserver and publishes the shard's new append frontier,
+// anything else one more rewrite — and then bumps the mutation version, all
+// before unlocking. So "version advanced past an insert ⇒ observer
+// notified" (DESIGN.md §16–§17) and "contents ⇔ watermark" (DESIGN.md §12)
+// hold by construction.
 //
 // It returns the op's extent — edges applied, 1 for a delete that found
 // its entry, leaves reclaimed, 1 for Finalize and Close — and the op
 // changed answers exactly when that is positive: an empty batch, a missed
 // delete and a vacuous expire leave the version (and so every read cache)
-// alone. Finalize and Close have no observer hook by design: they change
-// no edge multiset, and the version bump already invalidates cached reads.
+// alone.
 func (s *Summary) mutate(i int, seq uint64, o op) (n int64) {
 	sl := s.slots[i]
 	sl.mu.Lock()
@@ -283,17 +277,10 @@ func (s *Summary) mutate(i int, seq uint64, o op) (n int64) {
 		sl.seq = seq
 	}
 	if n > 0 {
-		if obs := s.obs.Load(); obs != nil {
-			switch o.kind {
-			case opInsert:
-				(*obs).ObserveApply(i, o.edges)
-			case opDelete:
-				(*obs).ObserveDelete(i, o.edge)
-			case opExpire:
-				(*obs).ObserveExpire(i, o.cutoff)
-			}
-		}
 		if o.kind == opInsert {
+			if obs := s.obs.Load(); obs != nil {
+				(*obs).ObserveApply(i, o.edges)
+			}
 			sl.frontier.Store(sl.sum.Frontier())
 		} else {
 			sl.rewrites.Add(1)

@@ -74,7 +74,7 @@ func TestAnalyticsFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	eng, err := higgs.NewAnalytics(higgs.AnalyticsConfig{Shards: 2, Seed: cfg.Core.Seed})
+	eng, err := higgs.NewAnalytics(higgs.AnalyticsConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +102,9 @@ func TestAnalyticsFacade(t *testing.T) {
 		t.Fatalf("delta through the facade = %+v", rs[2])
 	}
 
-	// Without an engine the sketch kinds fail per item with a stable code.
+	// Without an engine heavy hitters and bursts fail per item with a stable code.
 	rs = higgs.DoBatchWith(s, nil, []higgs.Query{higgs.NewHeavyHittersQuery()})
 	if rs[0].Err == nil || !strings.Contains(rs[0].Err.Error(), "analytics") {
-		t.Fatalf("nil-engine sketch query = %+v", rs[0])
+		t.Fatalf("nil-engine heavy-hitters query = %+v", rs[0])
 	}
 }
