@@ -1,10 +1,14 @@
 package auxo
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
 	"higgs/internal/exact"
+	"higgs/internal/hashing"
 	"higgs/internal/stream"
 )
 
@@ -176,6 +180,81 @@ func TestHashedKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOverloadedDigest pins every answer of a sketch grown several PET
+// levels deep and into the deep store, with deletes interleaved: all edge,
+// row and column answers over a fixed vertex set, each delete's result and
+// SpaceBytes, hashed into one SHA-256 recorded when the test was written.
+// A change to placement, matching, the descent, the scans or the deep
+// store moves it.
+func TestOverloadedDigest(t *testing.T) {
+	s := build(t, Config{D: 4, FBits: 3, Maps: 2})
+	h := hashing.NewHasher(11)
+	rng := rand.New(rand.NewSource(12))
+	const nv = 96
+	var buf []byte
+	put := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	putBool := func(ok bool) {
+		if ok {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	type edge struct {
+		s, d uint64
+		w    int64
+	}
+	var live []edge
+	for i := 0; i < 3000; i++ {
+		e := edge{uint64(rng.Intn(nv)), uint64(rng.Intn(nv)), int64(1 + rng.Intn(5))}
+		s.AddHashed(h.Hash(e.s), h.Hash(e.d), e.w)
+		live = append(live, e)
+		if i%4 == 3 {
+			k := rng.Intn(len(live))
+			e := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			putBool(s.SubHashed(h.Hash(e.s), h.Hash(e.d), e.w))
+		}
+		if i%16 == 15 {
+			putBool(s.SubHashed(h.Hash(uint64(nv+i)), h.Hash(uint64(nv+i+1)), 1))
+		}
+	}
+	for u := uint64(0); u < nv; u++ {
+		for v := uint64(0); v < nv; v++ {
+			put(s.EdgeWeightHashed(h.Hash(u), h.Hash(v)))
+		}
+		put(s.VertexOutHashed(h.Hash(u)))
+		put(s.VertexInHashed(h.Hash(u)))
+	}
+	put(s.SpaceBytes())
+	if n := depth(s); n < 3 {
+		t.Errorf("PET is %d levels deep, want ≥ 3", n)
+	}
+	if n := deepLen(s); n == 0 {
+		t.Error("deep store unused: the digest does not reach it")
+	}
+	sum := sha256.Sum256(buf)
+	const want = "d95155aac8664141418328b07fa31f3459df22e01b291c4004843a2432790a9f"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("digest = %s, want %s", got, want)
+	}
+}
+
+// depth returns the number of PET levels allocated.
+func depth(s *Sketch) int {
+	var walk func(n *pnode) int
+	walk = func(n *pnode) int {
+		if n == nil {
+			return 0
+		}
+		return 1 + max(walk(n.children[0]), walk(n.children[1]))
+	}
+	return walk(s.root)
+}
+
+func deepLen(s *Sketch) int { return len(s.deep) }
+
 func TestSpaceGrowsWithTree(t *testing.T) {
 	s := build(t, Config{D: 4, FBits: 12, Maps: 2, Seed: 8})
 	before := s.SpaceBytes()
@@ -184,5 +263,60 @@ func TestSpaceGrowsWithTree(t *testing.T) {
 	}
 	if s.SpaceBytes() <= before {
 		t.Error("space accounting did not grow with tree")
+	}
+}
+
+// benchLayer returns a sketch at internal/bench's AuxoTime layer geometry
+// for lkml at CI's scale 0.15 (D = 64, FBits = 11), loaded with the 21,000
+// edges that scale's bottom layer takes, and their pre-hashed endpoint
+// keys: an overloaded layer whose PET has grown below the root.
+func benchLayer(b *testing.B) (*Sketch, [][2]uint64) {
+	b.Helper()
+	s, err := New(Config{D: 64, FBits: 11, Maps: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := hashing.NewHasher(1)
+	rng := rand.New(rand.NewSource(2))
+	keys := make([][2]uint64, 21000)
+	for i := range keys {
+		keys[i] = [2]uint64{h.Hash(uint64(rng.Intn(4000))), h.Hash(uint64(rng.Intn(4000)))}
+		s.AddHashed(keys[i][0], keys[i][1], 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	return s, keys
+}
+
+// The four loops AuxoTime's figures time per layer, re-adding and probing
+// the loaded keys in turn.
+
+func BenchmarkAddHashed(b *testing.B) {
+	s, keys := benchLayer(b)
+	for i := 0; i < b.N; i++ {
+		k := keys[i%len(keys)]
+		s.AddHashed(k[0], k[1], 1)
+	}
+}
+
+func BenchmarkEdgeWeightHashed(b *testing.B) {
+	s, keys := benchLayer(b)
+	for i := 0; i < b.N; i++ {
+		k := keys[i%len(keys)]
+		s.EdgeWeightHashed(k[0], k[1])
+	}
+}
+
+func BenchmarkVertexOutHashed(b *testing.B) {
+	s, keys := benchLayer(b)
+	for i := 0; i < b.N; i++ {
+		s.VertexOutHashed(keys[i%len(keys)][0])
+	}
+}
+
+func BenchmarkVertexInHashed(b *testing.B) {
+	s, keys := benchLayer(b)
+	for i := 0; i < b.N; i++ {
+		s.VertexInHashed(keys[i%len(keys)][1])
 	}
 }

@@ -1,9 +1,13 @@
 package horae
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
+	"higgs/internal/auxo"
 	"higgs/internal/exact"
 	"higgs/internal/gss"
 	"higgs/internal/stream"
@@ -144,6 +148,82 @@ func TestNames(t *testing.T) {
 	}
 	if build(t, 4, true).Name() != "Horae-cpt" {
 		t.Error("wrong name for compact variant")
+	}
+}
+
+// TestOverloadedDigest pins the four baselines the figures run — Horae,
+// Horae-cpt, AuxoTime, AuxoTime-cpt — on overloaded layers with deletes
+// interleaved: every edge, out and in answer over a fixed vertex set and
+// window set, each delete's result, SpaceBytes and Items, hashed into one
+// SHA-256 per variant recorded when the test was written.
+func TestOverloadedDigest(t *testing.T) {
+	const span = 20000
+	st, err := stream.Generate(stream.Config{Nodes: 200, Edges: 4000, Span: span, Skew: 2, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxLevel := trq.LevelsForSpan(span, 30)
+	gssCfg := gss.Config{D: 16, FBits: 6, Maps: 4, MaxBuffer: 64}
+	auxoCfg := auxo.Config{D: 8, FBits: 4, Maps: 4}
+	auxoTime := func(name string, compact bool) func() (*Summary, error) {
+		return func() (*Summary, error) {
+			return NewWithLayers(name, maxLevel, compact, 3, func(int) (Layer, error) { return auxo.New(auxoCfg) })
+		}
+	}
+	for _, c := range []struct {
+		name, want string
+		build      func() (*Summary, error)
+	}{
+		{"Horae", "be1c0ac16330fe65f09ca70c2d75ac1d5cedc83acb6a4ed31e3aa9f7fce752fe", func() (*Summary, error) {
+			return New(Config{MaxLevel: maxLevel, Layer: gssCfg, Seed: 3})
+		}},
+		{"Horae-cpt", "a6d44fd76bf2f5565dea8a11f60c26c39aa27a4023e86fcaa2e766f9a227a2fe", func() (*Summary, error) {
+			return New(Config{MaxLevel: maxLevel, Compact: true, Layer: gssCfg, Seed: 3})
+		}},
+		{"AuxoTime", "f99f9be2ccdb7db01ec825d97a40b69b14be3167f49966c010c72e90189b2147", auxoTime("AuxoTime", false)},
+		{"AuxoTime-cpt", "ca7c2a46f10be0cd843f873b4dae0712b3aed27d5167dc0886a4058189694abf", auxoTime("AuxoTime-cpt", true)},
+	} {
+		s, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name() != c.name {
+			t.Errorf("built %q, want %q", s.Name(), c.name)
+		}
+		var buf []byte
+		put := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+		rng := rand.New(rand.NewSource(22))
+		for i, e := range st {
+			s.Insert(e)
+			if i%5 == 4 {
+				if s.Delete(st[rng.Intn(i+1)]) {
+					put(1)
+				} else {
+					put(0)
+				}
+			}
+		}
+		windows := [][2]int64{{0, span}}
+		for range 8 {
+			ts := int64(rng.Intn(span))
+			windows = append(windows, [2]int64{ts, ts + int64(rng.Intn(span/4))})
+		}
+		const nv = 40
+		for _, w := range windows {
+			for u := uint64(0); u < nv; u++ {
+				for v := uint64(0); v < nv; v++ {
+					put(s.EdgeWeight(u, v, w[0], w[1]))
+				}
+				put(s.VertexOut(u, w[0], w[1]))
+				put(s.VertexIn(u, w[0], w[1]))
+			}
+		}
+		put(s.SpaceBytes())
+		put(s.Items())
+		sum := sha256.Sum256(buf)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: digest = %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 
