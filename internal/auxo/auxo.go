@@ -1,6 +1,6 @@
 // Package auxo implements Auxo (Jiang, Chen, Jin — VLDB 2023), the scalable
 // graph stream sketch organized as a prefix-embedded tree (PET): a tree of
-// GSS-style compressed matrices in which an edge that cannot be placed at a
+// GSS matrices (gss.Matrix) in which an edge that cannot be placed at a
 // node descends to the child selected by the next bit of its fingerprint.
 // Bits consumed by the path are dropped from the stored fingerprint
 // ("prefix embedding"), and nodes are allocated lazily so capacity grows
@@ -12,15 +12,15 @@
 // reproducing Auxo's published trade-off of scalable inserts against
 // subtree-wide vertex scans.
 //
-// Auxo is non-temporal; package auxotime layers it with Horae's time-prefix
-// scheme (the paper's AuxoTime baseline, §VI-A).
+// Auxo is non-temporal. Horae's time-prefix layering over Auxo trees is
+// the paper's AuxoTime baseline (§VI-A), built in internal/bench.
 package auxo
 
 import (
 	"fmt"
 
+	"higgs/internal/gss"
 	"higgs/internal/hashing"
-	"higgs/internal/stream"
 )
 
 // Config sizes an Auxo sketch.
@@ -28,7 +28,6 @@ type Config struct {
 	D     uint32 // per-node matrix dimension; power of two
 	FBits uint   // fingerprint bits at the root; 2..32
 	Maps  int    // candidate positions per vertex; 1..16, ≤ D
-	Seed  uint64
 }
 
 // Validate reports the first invalid field.
@@ -47,38 +46,18 @@ func (c Config) Validate() error {
 	}
 }
 
-type cell struct {
-	fpS, fpD uint32
-	w        int64
-	idx      uint8
-	used     bool
-}
-
 // pnode is one PET node. Children are created lazily.
 type pnode struct {
-	cells    []cell
+	m        gss.Matrix
 	children [2]*pnode
 	level    int
 }
 
-type deepKey struct {
-	fpS, addrS uint32
-	fpD, addrD uint32
-}
-
-type halfKey struct{ fp, addr uint32 }
-
 // Sketch is an Auxo sketch.
 type Sketch struct {
-	cfg     Config
-	lcg     hashing.LCG
-	h       hashing.Hasher
-	root    *pnode
-	nodes   int
-	deep    map[deepKey]int64 // exact store for fingerprint-exhausted edges
-	deepOut map[halfKey]int64
-	deepIn  map[halfKey]int64
-	items   int64
+	cfg  Config
+	root *pnode
+	deep gss.Store // exact store for fingerprint-exhausted edges
 }
 
 // New returns an empty Auxo sketch.
@@ -86,85 +65,28 @@ func New(cfg Config) (*Sketch, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sketch{
-		cfg:     cfg,
-		lcg:     hashing.MustLCG(cfg.D),
-		h:       hashing.NewHasher(cfg.Seed),
-		deep:    make(map[deepKey]int64),
-		deepOut: make(map[halfKey]int64),
-		deepIn:  make(map[halfKey]int64),
-	}
-	s.root = s.newNode(0)
-	return s, nil
+	return &Sketch{cfg: cfg, root: &pnode{m: gss.NewMatrix(cfg.D, cfg.Maps)}}, nil
 }
 
-// Name identifies the structure in benchmark output.
-func (s *Sketch) Name() string { return "Auxo" }
+// The descent: level ℓ consumes bit ℓ/2 of the source fingerprint when ℓ
+// is even and of the destination fingerprint when ℓ is odd, so a node at
+// level ℓ stores the source fingerprint shifted right by (ℓ+1)/2 and the
+// destination's by ℓ/2. Both are used up after level 2·FBits − 1, whose
+// nodes therefore have no children.
 
-func (s *Sketch) newNode(level int) *pnode {
-	s.nodes++
-	return &pnode{cells: make([]cell, int(s.cfg.D)*int(s.cfg.D)), level: level}
+// bit returns the prefix bit an edge's walk consumes at level.
+func bit(k gss.Key, level int) int {
+	if level%2 == 0 {
+		return int(k.FpS >> (level / 2) & 1)
+	}
+	return int(k.FpD >> (level / 2) & 1)
 }
 
-func (s *Sketch) split(h uint64) (fp, addr uint32) {
-	return hashing.Split(h, s.cfg.FBits, s.cfg.D)
-}
-
-// tryNode attempts placement/aggregation of (fpS', fpD') at node n; op
-// selects insert (true) or subtract (false). Returns whether it matched or
-// placed.
-func (s *Sketch) tryNode(n *pnode, fpS, aS, fpD, aD uint32, w int64, insert bool) bool {
-	var (
-		freeCell *cell
-		freeIdx  uint8
-	)
-	row := aS
-	for i := 0; i < s.cfg.Maps; i++ {
-		col := aD
-		for j := 0; j < s.cfg.Maps; j++ {
-			c := &n.cells[int(row)*int(s.cfg.D)+int(col)]
-			idx := uint8(i<<4 | j)
-			if c.used {
-				if c.fpS == fpS && c.fpD == fpD && c.idx == idx {
-					if insert {
-						c.w += w
-					} else {
-						c.w -= w
-					}
-					return true
-				}
-			} else if freeCell == nil && insert {
-				freeCell, freeIdx = c, idx
-			}
-			col = s.lcg.Next(col)
-		}
-		row = s.lcg.Next(row)
-	}
-	if insert && freeCell != nil {
-		*freeCell = cell{fpS: fpS, fpD: fpD, w: w, idx: freeIdx, used: true}
-		return true
-	}
-	return false
-}
-
-// descend computes one PET step: consume the next prefix bit (source
-// fingerprints on even levels, destination on odd) and return the child
-// selector and updated fingerprints/remaining-bit counts.
-func descend(level int, fpS, fpD uint32, remS, remD uint) (bit int, nfpS, nfpD uint32, nremS, nremD uint, ok bool) {
-	useS := level%2 == 0
-	if useS && remS == 0 {
-		useS = false
-	}
-	if !useS && remD == 0 {
-		if remS == 0 {
-			return 0, fpS, fpD, remS, remD, false
-		}
-		useS = true
-	}
-	if useS {
-		return int(fpS & 1), fpS >> 1, fpD, remS - 1, remD, true
-	}
-	return int(fpD & 1), fpS, fpD >> 1, remS, remD - 1, true
+// at returns k as a node at level stores it.
+func at(k gss.Key, level int) gss.Key {
+	k.FpS >>= (level + 1) / 2
+	k.FpD >>= level / 2
+	return k
 }
 
 // AddHashed adds weight w for an edge identified by pre-hashed keys. Once
@@ -172,76 +94,30 @@ func descend(level int, fpS, fpD uint32, remS, remD uint) (bit int, nfpS, nfpD u
 // distinguish edges at all, so such edges go to the exact deep store
 // instead.
 func (s *Sketch) AddHashed(hs, hd uint64, w int64) {
-	fpS0, aS := s.split(hs)
-	fpD0, aD := s.split(hd)
-	fpS, fpD := fpS0, fpD0
-	remS, remD := s.cfg.FBits, s.cfg.FBits
-	n := s.root
-	for {
-		if remS == 0 && remD == 0 {
-			k := deepKey{fpS0, aS, fpD0, aD}
-			s.deep[k] += w
-			s.deepOut[halfKey{fpS0, aS}] += w
-			s.deepIn[halfKey{fpD0, aD}] += w
+	k := gss.NewKey(hs, hd, s.cfg.FBits, s.cfg.D)
+	for n := s.root; !n.m.Add(at(k, n.level), w); {
+		if n.level+1 == 2*int(s.cfg.FBits) {
+			s.deep.Add(k, w, 0)
 			return
 		}
-		if s.tryNode(n, fpS, aS, fpD, aD, w, true) {
-			return
+		c := &n.children[bit(k, n.level)]
+		if *c == nil {
+			*c = &pnode{m: gss.NewMatrix(s.cfg.D, s.cfg.Maps), level: n.level + 1}
 		}
-		bit, nfpS, nfpD, nremS, nremD, _ := descend(n.level, fpS, fpD, remS, remD)
-		fpS, fpD, remS, remD = nfpS, nfpD, nremS, nremD
-		if remS == 0 && remD == 0 {
-			continue // exhausted: route to the deep store without a child
-		}
-		if n.children[bit] == nil {
-			n.children[bit] = s.newNode(n.level + 1)
-		}
-		n = n.children[bit]
+		n = *c
 	}
-}
-
-// Insert adds one stream item (timestamps ignored; Auxo is non-temporal).
-func (s *Sketch) Insert(e stream.Edge) {
-	s.AddHashed(s.h.Hash(e.S), s.h.Hash(e.D), e.W)
-	s.items++
 }
 
 // SubHashed subtracts weight w from the edge identified by pre-hashed
 // keys, reporting whether a matching entry was found.
 func (s *Sketch) SubHashed(hs, hd uint64, w int64) bool {
-	fpS0, aS := s.split(hs)
-	fpD0, aD := s.split(hd)
-	fpS, fpD := fpS0, fpD0
-	remS, remD := s.cfg.FBits, s.cfg.FBits
-	n := s.root
-	for n != nil && !(remS == 0 && remD == 0) {
-		if s.tryNode(n, fpS, aS, fpD, aD, w, false) {
+	k := gss.NewKey(hs, hd, s.cfg.FBits, s.cfg.D)
+	for n := s.root; n != nil; n = n.children[bit(k, n.level)] {
+		if n.m.Sub(at(k, n.level), w) {
 			return true
 		}
-		bit, nfpS, nfpD, nremS, nremD, ok := descend(n.level, fpS, fpD, remS, remD)
-		if !ok {
-			break
-		}
-		fpS, fpD, remS, remD = nfpS, nfpD, nremS, nremD
-		n = n.children[bit]
 	}
-	k := deepKey{fpS0, aS, fpD0, aD}
-	if _, okDeep := s.deep[k]; okDeep {
-		s.deep[k] -= w
-		s.deepOut[halfKey{fpS0, aS}] -= w
-		s.deepIn[halfKey{fpD0, aD}] -= w
-		return true
-	}
-	return false
-}
-
-// Delete removes one previously inserted item.
-func (s *Sketch) Delete(e stream.Edge) bool {
-	ok := s.SubHashed(s.h.Hash(e.S), s.h.Hash(e.D), e.W)
-	if ok {
-		s.items--
-	}
-	return ok
+	return s.deep.Sub(k, w)
 }
 
 // EdgeWeightHashed estimates the whole-stream weight of an edge identified
@@ -249,193 +125,66 @@ func (s *Sketch) Delete(e stream.Edge) bool {
 // edge lives at exactly one level, but fingerprint collisions along the
 // path only over-count, keeping the error one-sided).
 func (s *Sketch) EdgeWeightHashed(hs, hd uint64) int64 {
-	fpS0, aS := s.split(hs)
-	fpD0, aD := s.split(hd)
-	fpS, fpD := fpS0, fpD0
-	remS, remD := s.cfg.FBits, s.cfg.FBits
+	k := gss.NewKey(hs, hd, s.cfg.FBits, s.cfg.D)
 	var sum int64
-	n := s.root
-	for n != nil && !(remS == 0 && remD == 0) {
-		sum += s.matchEdge(n, fpS, aS, fpD, aD)
-		bit, nfpS, nfpD, nremS, nremD, ok := descend(n.level, fpS, fpD, remS, remD)
-		if !ok {
-			break
-		}
-		fpS, fpD, remS, remD = nfpS, nfpD, nremS, nremD
-		n = n.children[bit]
+	for n := s.root; n != nil; n = n.children[bit(k, n.level)] {
+		sum += n.m.Edge(at(k, n.level))
 	}
-	return sum + s.deep[deepKey{fpS0, aS, fpD0, aD}]
-}
-
-func (s *Sketch) matchEdge(n *pnode, fpS, aS, fpD, aD uint32) int64 {
-	var sum int64
-	row := aS
-	for i := 0; i < s.cfg.Maps; i++ {
-		col := aD
-		for j := 0; j < s.cfg.Maps; j++ {
-			c := &n.cells[int(row)*int(s.cfg.D)+int(col)]
-			if c.used && c.fpS == fpS && c.fpD == fpD && c.idx == uint8(i<<4|j) {
-				sum += c.w
-			}
-			col = s.lcg.Next(col)
-		}
-		row = s.lcg.Next(row)
-	}
-	return sum
-}
-
-// EdgeWeightAll estimates the whole-stream aggregated weight of the edge.
-func (s *Sketch) EdgeWeightAll(sv, dv uint64) int64 {
-	return s.EdgeWeightHashed(s.h.Hash(sv), s.h.Hash(dv))
+	return sum + s.deep.Edge(k)
 }
 
 // VertexOutHashed estimates the whole-stream out-weight of a pre-hashed
 // vertex key by scanning its row in every PET node consistent with the
 // source fingerprint prefix.
 func (s *Sketch) VertexOutHashed(hv uint64) int64 {
-	fp0, addr := s.split(hv)
-	var sum int64
-	// remOther tracks the unknown destination fingerprint's remaining bits
-	// so the walk reproduces descend()'s exhaustion fallback exactly.
-	var walk func(n *pnode, fp uint32, rem, remOther uint)
-	walk = func(n *pnode, fp uint32, rem, remOther uint) {
-		if n == nil {
-			return
-		}
-		sum += s.rowScan(n, fp, addr)
-		useKnown := n.level%2 == 0
-		if useKnown && rem == 0 {
-			useKnown = false
-		}
-		if !useKnown && remOther == 0 {
-			if rem == 0 {
-				return // insertion would have gone to the deep store
-			}
-			useKnown = true
-		}
-		if useKnown {
-			walk(n.children[fp&1], fp>>1, rem-1, remOther)
-			return
-		}
-		// Unknown-side bit: both branches.
-		walk(n.children[0], fp, rem, remOther-1)
-		walk(n.children[1], fp, rem, remOther-1)
-	}
-	walk(s.root, fp0, s.cfg.FBits, s.cfg.FBits)
-	return sum + s.deepOut[halfKey{fp0, addr}]
+	fp, addr := hashing.Split(hv, s.cfg.FBits, s.cfg.D)
+	return rows(s.root, fp, addr) + s.deep.Out(fp, addr)
 }
 
-func (s *Sketch) rowScan(n *pnode, fp, addr uint32) int64 {
-	var sum int64
-	row := addr
-	d := int(s.cfg.D)
-	for i := 0; i < s.cfg.Maps; i++ {
-		cells := n.cells[int(row)*d : (int(row)+1)*d]
-		for k := range cells {
-			c := &cells[k]
-			if c.used && c.fpS == fp && int(c.idx>>4) == i {
-				sum += c.w
-			}
-		}
-		row = s.lcg.Next(row)
+// rows sums source fp@addr's row scans over n's subtree: an even level
+// consumes a source bit, which picks one child; an odd level consumes the
+// unknown destination's, so both children are possible.
+func rows(n *pnode, fp, addr uint32) int64 {
+	if n == nil {
+		return 0
 	}
-	return sum
+	sum := n.m.Row(fp>>((n.level+1)/2), addr)
+	if n.level%2 == 0 {
+		return sum + rows(n.children[fp>>(n.level/2)&1], fp, addr)
+	}
+	return sum + rows(n.children[0], fp, addr) + rows(n.children[1], fp, addr)
 }
 
 // VertexInHashed estimates the whole-stream in-weight of a pre-hashed
 // vertex key.
 func (s *Sketch) VertexInHashed(hv uint64) int64 {
-	fp0, addr := s.split(hv)
-	var sum int64
-	// remOther tracks the unknown source fingerprint's remaining bits; the
-	// known side here is the destination, consumed on odd levels.
-	var walk func(n *pnode, fp uint32, rem, remOther uint)
-	walk = func(n *pnode, fp uint32, rem, remOther uint) {
-		if n == nil {
-			return
-		}
-		sum += s.colScan(n, fp, addr)
-		useOther := n.level%2 == 0 // insertion consumes source bits on even levels
-		if useOther && remOther == 0 {
-			useOther = false
-		}
-		if !useOther && rem == 0 {
-			if remOther == 0 {
-				return
-			}
-			useOther = true
-		}
-		if useOther {
-			walk(n.children[0], fp, rem, remOther-1)
-			walk(n.children[1], fp, rem, remOther-1)
-			return
-		}
-		walk(n.children[fp&1], fp>>1, rem-1, remOther)
-	}
-	walk(s.root, fp0, s.cfg.FBits, s.cfg.FBits)
-	return sum + s.deepIn[halfKey{fp0, addr}]
+	fp, addr := hashing.Split(hv, s.cfg.FBits, s.cfg.D)
+	return cols(s.root, fp, addr) + s.deep.In(fp, addr)
 }
 
-func (s *Sketch) colScan(n *pnode, fp, addr uint32) int64 {
-	var sum int64
-	col := addr
-	d := int(s.cfg.D)
-	for j := 0; j < s.cfg.Maps; j++ {
-		for r := 0; r < d; r++ {
-			c := &n.cells[r*d+int(col)]
-			if c.used && c.fpD == fp && int(c.idx&0xf) == j {
-				sum += c.w
-			}
-		}
-		col = s.lcg.Next(col)
+// cols is rows for a destination: odd levels pick one child.
+func cols(n *pnode, fp, addr uint32) int64 {
+	if n == nil {
+		return 0
 	}
-	return sum
+	sum := n.m.Col(fp>>(n.level/2), addr)
+	if n.level%2 == 1 {
+		return sum + cols(n.children[fp>>(n.level/2)&1], fp, addr)
+	}
+	return sum + cols(n.children[0], fp, addr) + cols(n.children[1], fp, addr)
 }
-
-// VertexOutAll estimates the whole-stream out-weight of v.
-func (s *Sketch) VertexOutAll(v uint64) int64 { return s.VertexOutHashed(s.h.Hash(v)) }
-
-// VertexInAll estimates the whole-stream in-weight of v.
-func (s *Sketch) VertexInAll(v uint64) int64 { return s.VertexInHashed(s.h.Hash(v)) }
-
-// Items returns the number of inserted items.
-func (s *Sketch) Items() int64 { return s.items }
-
-// Nodes returns the number of allocated PET nodes.
-func (s *Sketch) Nodes() int { return s.nodes }
-
-// DeepLen returns the number of fingerprint-exhausted edges held exactly.
-func (s *Sketch) DeepLen() int { return len(s.deep) }
 
 // SpaceBytes returns the packed structural size. Deeper nodes store fewer
 // fingerprint bits (prefix embedding); each level ends one bit narrower
 // than its parent.
 func (s *Sketch) SpaceBytes() int64 {
-	idxBits := 2 * int64(hashing.Log2(uint32(nextPow2(s.cfg.Maps))))
-	var bits int64
-	var walk func(n *pnode)
-	walk = func(n *pnode) {
-		if n == nil {
-			return
-		}
-		f := 2*int64(s.cfg.FBits) - int64(n.level)
-		if f < 2 {
-			f = 2
-		}
-		bits += int64(len(n.cells)) * (f + idxBits + 64)
-		walk(n.children[0])
-		walk(n.children[1])
-	}
-	walk(s.root)
-	addrBits := 2 * int64(hashing.Log2(s.cfg.D))
-	bits += int64(len(s.deep)) * (2*int64(s.cfg.FBits) + addrBits + 64)
-	return (bits + 7) / 8
+	return (s.root.spaceBits(s.cfg.FBits) + s.deep.SpaceBits(s.cfg.FBits, s.cfg.D) + 7) / 8
 }
 
-func nextPow2(x int) int {
-	p := 1
-	for p < x {
-		p <<= 1
+func (n *pnode) spaceBits(fbits uint) int64 {
+	if n == nil {
+		return 0
 	}
-	return p
+	return n.m.SpaceBits(max(2, 2*int64(fbits)-int64(n.level))) +
+		n.children[0].spaceBits(fbits) + n.children[1].spaceBits(fbits)
 }

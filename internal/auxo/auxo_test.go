@@ -12,16 +12,40 @@ import (
 	"higgs/internal/stream"
 )
 
-func build(t *testing.T, cfg Config) *Sketch {
+// sketch drives a Sketch by vertex id through a test-side hasher, the way
+// Horae hashes vertices before keying its layers.
+type sketch struct {
+	*Sketch
+	h hashing.Hasher
+}
+
+func build(t *testing.T, cfg Config, seed uint64) sketch {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return sketch{s, hashing.NewHasher(seed)}
 }
 
-func defCfg() Config { return Config{D: 32, FBits: 12, Maps: 4, Seed: 1} }
+func (s sketch) insert(e stream.Edge)      { s.AddHashed(s.h.Hash(e.S), s.h.Hash(e.D), e.W) }
+func (s sketch) delete(e stream.Edge) bool { return s.SubHashed(s.h.Hash(e.S), s.h.Hash(e.D), e.W) }
+func (s sketch) edge(sv, dv uint64) int64  { return s.EdgeWeightHashed(s.h.Hash(sv), s.h.Hash(dv)) }
+func (s sketch) out(v uint64) int64        { return s.VertexOutHashed(s.h.Hash(v)) }
+func (s sketch) in(v uint64) int64         { return s.VertexInHashed(s.h.Hash(v)) }
+
+// nodes counts the allocated PET nodes, and depth the levels they span.
+func (s sketch) nodes() int { return walk(s.root, func(a, b int) int { return a + b }) }
+func (s sketch) depth() int { return walk(s.root, func(a, b int) int { return max(a, b) }) }
+
+func walk(n *pnode, join func(a, b int) int) int {
+	if n == nil {
+		return 0
+	}
+	return 1 + join(walk(n.children[0], join), walk(n.children[1], join))
+}
+
+func defCfg() Config { return Config{D: 32, FBits: 12, Maps: 4} }
 
 func TestValidation(t *testing.T) {
 	bad := []Config{
@@ -41,36 +65,36 @@ func TestValidation(t *testing.T) {
 }
 
 func TestBasicQueries(t *testing.T) {
-	s := build(t, defCfg())
-	s.Insert(stream.Edge{S: 1, D: 2, W: 3})
-	s.Insert(stream.Edge{S: 1, D: 2, W: 2})
-	s.Insert(stream.Edge{S: 1, D: 7, W: 4})
-	s.Insert(stream.Edge{S: 9, D: 2, W: 5})
-	if got := s.EdgeWeightAll(1, 2); got != 5 {
+	s := build(t, defCfg(), 1)
+	s.insert(stream.Edge{S: 1, D: 2, W: 3})
+	s.insert(stream.Edge{S: 1, D: 2, W: 2})
+	s.insert(stream.Edge{S: 1, D: 7, W: 4})
+	s.insert(stream.Edge{S: 9, D: 2, W: 5})
+	if got := s.edge(1, 2); got != 5 {
 		t.Errorf("edge (1,2) = %d, want 5", got)
 	}
-	if got := s.VertexOutAll(1); got != 9 {
+	if got := s.out(1); got != 9 {
 		t.Errorf("out(1) = %d, want 9", got)
 	}
-	if got := s.VertexInAll(2); got != 10 {
+	if got := s.in(2); got != 10 {
 		t.Errorf("in(2) = %d, want 10", got)
 	}
-	if s.Nodes() != 1 {
-		t.Errorf("Nodes = %d, want 1 (no overflow yet)", s.Nodes())
+	if n := s.nodes(); n != 1 {
+		t.Errorf("nodes = %d, want 1 (no overflow yet)", n)
 	}
 }
 
 func TestTreeGrowsUnderLoad(t *testing.T) {
-	s := build(t, Config{D: 4, FBits: 12, Maps: 2, Seed: 2})
+	s := build(t, Config{D: 4, FBits: 12, Maps: 2}, 2)
 	for i := uint64(0); i < 2000; i++ {
-		s.Insert(stream.Edge{S: i, D: i + 10000, W: 1})
+		s.insert(stream.Edge{S: i, D: i + 10000, W: 1})
 	}
-	if s.Nodes() < 4 {
-		t.Fatalf("PET did not grow: %d nodes", s.Nodes())
+	if n := s.nodes(); n < 4 {
+		t.Fatalf("PET did not grow: %d nodes", n)
 	}
 	// Every edge remains queryable with at least its true weight.
 	for i := uint64(0); i < 2000; i++ {
-		if got := s.EdgeWeightAll(i, i+10000); got < 1 {
+		if got := s.edge(i, i+10000); got < 1 {
 			t.Fatalf("edge %d lost: %d", i, got)
 		}
 	}
@@ -82,21 +106,21 @@ func TestOneSidedVsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := exact.FromStream(st)
-	s := build(t, Config{D: 32, FBits: 14, Maps: 4, Seed: 4})
+	s := build(t, Config{D: 32, FBits: 14, Maps: 4}, 4)
 	for _, e := range st {
-		s.Insert(e)
+		s.insert(e)
 	}
 	first, last := truth.Span()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
 		sv, dv := uint64(rng.Intn(300)), uint64(rng.Intn(300))
-		if got, want := s.EdgeWeightAll(sv, dv), truth.EdgeWeight(sv, dv, first, last); got < want {
+		if got, want := s.edge(sv, dv), truth.EdgeWeight(sv, dv, first, last); got < want {
 			t.Fatalf("edge (%d,%d) = %d < truth %d", sv, dv, got, want)
 		}
-		if got, want := s.VertexOutAll(sv), truth.VertexOut(sv, first, last); got < want {
+		if got, want := s.out(sv), truth.VertexOut(sv, first, last); got < want {
 			t.Fatalf("out(%d) = %d < truth %d", sv, got, want)
 		}
-		if got, want := s.VertexInAll(dv), truth.VertexIn(dv, first, last); got < want {
+		if got, want := s.in(dv), truth.VertexIn(dv, first, last); got < want {
 			t.Fatalf("in(%d) = %d < truth %d", dv, got, want)
 		}
 	}
@@ -105,25 +129,25 @@ func TestOneSidedVsExact(t *testing.T) {
 func TestDeepStoreFallback(t *testing.T) {
 	// FBits=2 exhausts prefixes after 4 levels; heavy load must overflow
 	// into the exact deep store without losing weight.
-	s := build(t, Config{D: 2, FBits: 2, Maps: 1, Seed: 6})
+	s := build(t, Config{D: 2, FBits: 2, Maps: 1}, 6)
 	var want int64
 	for i := uint64(0); i < 500; i++ {
-		s.Insert(stream.Edge{S: i, D: i + 600, W: 1})
+		s.insert(stream.Edge{S: i, D: i + 600, W: 1})
 		want++
 	}
-	if s.DeepLen() == 0 {
+	if s.deep.Len() == 0 {
 		t.Fatal("deep store unused under extreme load")
 	}
 	var got int64
 	for i := uint64(0); i < 500; i++ {
-		got += s.EdgeWeightAll(i, i+600)
+		got += s.edge(i, i+600)
 	}
 	if got < want {
 		t.Fatalf("total %d < inserted %d", got, want)
 	}
 	var outSum int64
 	for i := uint64(0); i < 500; i++ {
-		outSum += s.VertexOutAll(i)
+		outSum += s.out(i)
 	}
 	if outSum < want {
 		t.Fatalf("out total %d < inserted %d", outSum, want)
@@ -131,52 +155,35 @@ func TestDeepStoreFallback(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	s := build(t, defCfg())
+	s := build(t, defCfg(), 1)
 	e := stream.Edge{S: 5, D: 6, W: 4}
-	s.Insert(e)
-	if !s.Delete(e) {
+	s.insert(e)
+	if !s.delete(e) {
 		t.Fatal("delete failed")
 	}
-	if got := s.EdgeWeightAll(5, 6); got != 0 {
+	if got := s.edge(5, 6); got != 0 {
 		t.Errorf("after delete = %d, want 0", got)
 	}
-	if s.Delete(stream.Edge{S: 500, D: 600, W: 1}) {
+	if s.delete(stream.Edge{S: 500, D: 600, W: 1}) {
 		t.Error("delete of absent edge succeeded")
 	}
 }
 
 func TestDeleteInDeepTree(t *testing.T) {
-	s := build(t, Config{D: 4, FBits: 12, Maps: 2, Seed: 7})
+	s := build(t, Config{D: 4, FBits: 12, Maps: 2}, 7)
 	var edges []stream.Edge
 	for i := uint64(0); i < 1000; i++ {
 		e := stream.Edge{S: i, D: i + 5000, W: 1}
-		s.Insert(e)
+		s.insert(e)
 		edges = append(edges, e)
 	}
 	for _, e := range edges[:200] {
-		if !s.Delete(e) {
+		if !s.delete(e) {
 			t.Fatalf("delete %+v failed", e)
 		}
-		if got := s.EdgeWeightAll(e.S, e.D); got < 0 {
+		if got := s.edge(e.S, e.D); got < 0 {
 			t.Fatalf("negative weight after delete: %d", got)
 		}
-	}
-}
-
-func TestHashedKeyRoundTrip(t *testing.T) {
-	s := build(t, defCfg())
-	s.AddHashed(111, 222, 9)
-	if got := s.EdgeWeightHashed(111, 222); got != 9 {
-		t.Errorf("hashed edge = %d, want 9", got)
-	}
-	if got := s.VertexOutHashed(111); got != 9 {
-		t.Errorf("hashed out = %d", got)
-	}
-	if got := s.VertexInHashed(222); got != 9 {
-		t.Errorf("hashed in = %d", got)
-	}
-	if !s.SubHashed(111, 222, 9) {
-		t.Error("SubHashed failed")
 	}
 }
 
@@ -187,8 +194,7 @@ func TestHashedKeyRoundTrip(t *testing.T) {
 // A change to placement, matching, the descent, the scans or the deep
 // store moves it.
 func TestOverloadedDigest(t *testing.T) {
-	s := build(t, Config{D: 4, FBits: 3, Maps: 2})
-	h := hashing.NewHasher(11)
+	s := build(t, Config{D: 4, FBits: 3, Maps: 2}, 11)
 	rng := rand.New(rand.NewSource(12))
 	const nv = 96
 	var buf []byte
@@ -200,38 +206,34 @@ func TestOverloadedDigest(t *testing.T) {
 			put(0)
 		}
 	}
-	type edge struct {
-		s, d uint64
-		w    int64
-	}
-	var live []edge
+	var live []stream.Edge
 	for i := 0; i < 3000; i++ {
-		e := edge{uint64(rng.Intn(nv)), uint64(rng.Intn(nv)), int64(1 + rng.Intn(5))}
-		s.AddHashed(h.Hash(e.s), h.Hash(e.d), e.w)
+		e := stream.Edge{S: uint64(rng.Intn(nv)), D: uint64(rng.Intn(nv)), W: int64(1 + rng.Intn(5))}
+		s.insert(e)
 		live = append(live, e)
 		if i%4 == 3 {
 			k := rng.Intn(len(live))
 			e := live[k]
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
-			putBool(s.SubHashed(h.Hash(e.s), h.Hash(e.d), e.w))
+			putBool(s.delete(e))
 		}
 		if i%16 == 15 {
-			putBool(s.SubHashed(h.Hash(uint64(nv+i)), h.Hash(uint64(nv+i+1)), 1))
+			putBool(s.delete(stream.Edge{S: uint64(nv + i), D: uint64(nv + i + 1), W: 1}))
 		}
 	}
 	for u := uint64(0); u < nv; u++ {
 		for v := uint64(0); v < nv; v++ {
-			put(s.EdgeWeightHashed(h.Hash(u), h.Hash(v)))
+			put(s.edge(u, v))
 		}
-		put(s.VertexOutHashed(h.Hash(u)))
-		put(s.VertexInHashed(h.Hash(u)))
+		put(s.out(u))
+		put(s.in(u))
 	}
 	put(s.SpaceBytes())
-	if n := depth(s); n < 3 {
+	if n := s.depth(); n < 3 {
 		t.Errorf("PET is %d levels deep, want ≥ 3", n)
 	}
-	if n := deepLen(s); n == 0 {
+	if s.deep.Len() == 0 {
 		t.Error("deep store unused: the digest does not reach it")
 	}
 	sum := sha256.Sum256(buf)
@@ -241,25 +243,11 @@ func TestOverloadedDigest(t *testing.T) {
 	}
 }
 
-// depth returns the number of PET levels allocated.
-func depth(s *Sketch) int {
-	var walk func(n *pnode) int
-	walk = func(n *pnode) int {
-		if n == nil {
-			return 0
-		}
-		return 1 + max(walk(n.children[0]), walk(n.children[1]))
-	}
-	return walk(s.root)
-}
-
-func deepLen(s *Sketch) int { return len(s.deep) }
-
 func TestSpaceGrowsWithTree(t *testing.T) {
-	s := build(t, Config{D: 4, FBits: 12, Maps: 2, Seed: 8})
+	s := build(t, Config{D: 4, FBits: 12, Maps: 2}, 8)
 	before := s.SpaceBytes()
 	for i := uint64(0); i < 2000; i++ {
-		s.Insert(stream.Edge{S: i, D: i + 9000, W: 1})
+		s.insert(stream.Edge{S: i, D: i + 9000, W: 1})
 	}
 	if s.SpaceBytes() <= before {
 		t.Error("space accounting did not grow with tree")

@@ -15,7 +15,6 @@ import (
 	"os"
 
 	"higgs/internal/auxo"
-	"higgs/internal/auxotime"
 	"higgs/internal/core"
 	"higgs/internal/exact"
 	"higgs/internal/gss"
@@ -204,7 +203,10 @@ func Competitors(ds *Dataset, seed uint64) []Builder {
 	maxLevel, gssCfg, z := layers(ds)
 	higgsF := scaledFBits(z, core.DefaultConfig().D1)
 	auxoD := max(64, gssCfg.D/2)
-	auxoCfg := auxo.Config{D: auxoD, FBits: scaledFBits(z, auxoD), Maps: 4}
+	// AuxoTime (§VI-A) is Horae's time-prefix layering over Auxo trees.
+	auxoLayer := func() (horae.Layer, error) {
+		return auxo.New(auxo.Config{D: auxoD, FBits: scaledFBits(z, auxoD), Maps: 4})
+	}
 	// PGSS has no fingerprints: its collision domain is the d×d bucket
 	// grid itself, so d² plays the role of Z. Its per-bucket granularity
 	// machinery makes buckets expensive, which in the original's memory
@@ -231,10 +233,10 @@ func Competitors(ds *Dataset, seed uint64) []Builder {
 			return horae.New(horae.Config{MaxLevel: maxLevel, Compact: true, Layer: gssCfg, Seed: seed})
 		}},
 		{Name: "AuxoTime", New: func() (trq.Summary, error) {
-			return auxotime.New(auxotime.Config{MaxLevel: maxLevel, Layer: auxoCfg, Seed: seed})
+			return horae.NewWithLayers("AuxoTime", maxLevel, false, seed, auxoLayer)
 		}},
 		{Name: "AuxoTime-cpt", New: func() (trq.Summary, error) {
-			return auxotime.New(auxotime.Config{MaxLevel: maxLevel, Compact: true, Layer: auxoCfg, Seed: seed})
+			return horae.NewWithLayers("AuxoTime-cpt", maxLevel, true, seed, auxoLayer)
 		}},
 	}
 }

@@ -6,16 +6,16 @@
 // chosen index recorded per cell), and an exact adjacency buffer for edges
 // that cannot be placed.
 //
-// GSS summarizes a whole stream without temporal information. The Horae
-// and AuxoTime layers key it with (vertex, time-block) pairs to add
-// temporal support.
+// The matrix and the exact store are exported: they are the kernel Auxo's
+// prefix-embedded tree is built from (DESIGN.md §4). GSS summarizes a
+// whole stream without temporal information; Horae's time-prefix layers
+// key it with (vertex, time-block) pairs to add temporal support.
 package gss
 
 import (
 	"fmt"
 
 	"higgs/internal/hashing"
-	"higgs/internal/stream"
 )
 
 // Config sizes a GSS sketch.
@@ -29,7 +29,6 @@ type Config struct {
 	// which GSS-based structures exhibit their published accuracy loss.
 	// The fallback only ever over-counts, preserving one-sided error.
 	MaxBuffer int
-	Seed      uint64
 }
 
 // Validate reports the first invalid field.
@@ -48,6 +47,17 @@ func (c Config) Validate() error {
 	}
 }
 
+// Key is an edge's hash coordinates: each endpoint's fingerprint and
+// matrix address.
+type Key struct{ FpS, AS, FpD, AD uint32 }
+
+// NewKey splits two pre-hashed endpoint keys into an edge's coordinates.
+func NewKey(hs, hd uint64, fbits uint, d uint32) Key {
+	fpS, aS := hashing.Split(hs, fbits, d)
+	fpD, aD := hashing.Split(hd, fbits, d)
+	return Key{fpS, aS, fpD, aD}
+}
+
 // cell is one matrix slot: a fingerprinted edge and its placement index.
 type cell struct {
 	fpS, fpD uint32
@@ -56,32 +66,194 @@ type cell struct {
 	used     bool
 }
 
-// bufKey identifies a buffered edge by its full hash coordinates.
-type bufKey struct {
-	fpS, addrS uint32
-	fpD, addrD uint32
+// Matrix is the square-hashing matrix. An edge's Maps×Maps candidates are
+// the cells (row i, column j) of its source's and destination's LCG
+// address sequences; a cell records the pair as idx = i<<4 | j, so a row or
+// column scan counts only the cells a vertex placed through that very
+// candidate.
+type Matrix struct {
+	d     int
+	maps  int
+	lcg   hashing.LCG
+	cells []cell
 }
 
-type halfKey struct {
-	fp, addr uint32
+// NewMatrix returns an empty d×d matrix with maps candidates per endpoint;
+// d must be a power of two.
+func NewMatrix(d uint32, maps int) Matrix {
+	return Matrix{d: int(d), maps: maps, lcg: hashing.MustLCG(d), cells: make([]cell, int(d)*int(d))}
 }
 
-// addrKey identifies a coarse-fallback slot by address pair only.
-type addrKey struct{ aS, aD uint32 }
+// find walks k's candidates row-major and returns the first cell holding
+// k. When none does it returns nil, or, with place set, the first free
+// candidate, now holding k at weight 0 (nil if every candidate holds
+// another edge). Placing only after a walk found no match keeps an edge in
+// at most one cell.
+func (m *Matrix) find(k Key, place bool) *cell {
+	var (
+		free *cell
+		tag  uint8
+	)
+	row, d, maps := k.AS, m.d, m.maps
+	for i := 0; i < maps; i++ {
+		col := k.AD
+		for j := 0; j < maps; j++ {
+			c := &m.cells[int(row)*d+int(col)]
+			if !c.used {
+				if free == nil {
+					free, tag = c, uint8(i<<4|j)
+				}
+			} else if c.fpS == k.FpS && c.fpD == k.FpD && c.idx == uint8(i<<4|j) {
+				return c
+			}
+			col = m.lcg.Next(col)
+		}
+		row = m.lcg.Next(row)
+	}
+	if !place || free == nil {
+		return nil
+	}
+	*free = cell{fpS: k.FpS, fpD: k.FpD, idx: tag, used: true}
+	return free
+}
+
+// Add adds w to k's cell, placing k in its first free candidate when no
+// cell holds it yet. It reports false, changing nothing, when every
+// candidate holds another edge.
+func (m *Matrix) Add(k Key, w int64) bool {
+	c := m.find(k, true)
+	if c == nil {
+		return false
+	}
+	c.w += w
+	return true
+}
+
+// Sub subtracts w from k's cell, reporting whether one holds k.
+func (m *Matrix) Sub(k Key, w int64) bool {
+	c := m.find(k, false)
+	if c == nil {
+		return false
+	}
+	c.w -= w
+	return true
+}
+
+// Edge returns the weight of k's cell, 0 when none holds k.
+func (m *Matrix) Edge(k Key) int64 {
+	if c := m.find(k, false); c != nil {
+		return c.w
+	}
+	return 0
+}
+
+// Row sums the cells source fp@addr placed: those in its candidate rows
+// holding fp under that row's index.
+func (m *Matrix) Row(fp, addr uint32) int64 {
+	var sum int64
+	row, d := addr, m.d
+	for i := 0; i < m.maps; i++ {
+		cells := m.cells[int(row)*d : (int(row)+1)*d]
+		for k := range cells {
+			c := &cells[k]
+			if c.used && c.fpS == fp && int(c.idx>>4) == i {
+				sum += c.w
+			}
+		}
+		row = m.lcg.Next(row)
+	}
+	return sum
+}
+
+// Col sums the cells destination fp@addr placed.
+func (m *Matrix) Col(fp, addr uint32) int64 {
+	var sum int64
+	col, d := addr, m.d
+	for j := 0; j < m.maps; j++ {
+		for r := 0; r < d; r++ {
+			c := &m.cells[r*d+int(col)]
+			if c.used && c.fpD == fp && int(c.idx&0xf) == j {
+				sum += c.w
+			}
+		}
+		col = m.lcg.Next(col)
+	}
+	return sum
+}
+
+// SpaceBits returns the packed size of every cell when each stores fpBits
+// of fingerprint: those, the index pair and a 64-bit weight.
+func (m *Matrix) SpaceBits(fpBits int64) int64 {
+	return int64(len(m.cells)) * (fpBits + int64(hashing.IndexPairBits(m.maps)) + 64)
+}
+
+// half is one endpoint's coordinates.
+type half struct{ fp, addr uint32 }
+
+// Store holds edges exactly: weights by full key, plus per-source and
+// per-destination sums so a vertex query reads one entry. The zero value
+// is empty and ready to use.
+type Store struct {
+	edges   map[Key]int64
+	out, in map[half]int64
+}
+
+// Add adds w under k and reports true, unless k is new and the store
+// already holds limit keys (limit > 0).
+func (s *Store) Add(k Key, w int64, limit int) bool {
+	if limit > 0 && len(s.edges) >= limit {
+		if _, ok := s.edges[k]; !ok {
+			return false
+		}
+	}
+	if s.edges == nil {
+		s.edges, s.out, s.in = make(map[Key]int64), make(map[half]int64), make(map[half]int64)
+	}
+	s.edges[k] += w
+	s.out[half{k.FpS, k.AS}] += w
+	s.in[half{k.FpD, k.AD}] += w
+	return true
+}
+
+// Sub subtracts w from k, reporting whether the store holds k.
+func (s *Store) Sub(k Key, w int64) bool {
+	if _, ok := s.edges[k]; !ok {
+		return false
+	}
+	s.edges[k] -= w
+	s.out[half{k.FpS, k.AS}] -= w
+	s.in[half{k.FpD, k.AD}] -= w
+	return true
+}
+
+// Edge returns k's weight.
+func (s *Store) Edge(k Key) int64 { return s.edges[k] }
+
+// Out returns the summed weight of source fp@addr's edges.
+func (s *Store) Out(fp, addr uint32) int64 { return s.out[half{fp, addr}] }
+
+// In returns the summed weight of destination fp@addr's edges.
+func (s *Store) In(fp, addr uint32) int64 { return s.in[half{fp, addr}] }
+
+// Len returns the number of keys held.
+func (s *Store) Len() int { return len(s.edges) }
+
+// SpaceBits returns the packed size of the stored edges at full key plus
+// weight width: two fingerprints of fbits, two addresses into a d-wide
+// matrix, a 64-bit weight.
+func (s *Store) SpaceBits(fbits uint, d uint32) int64 {
+	return int64(len(s.edges)) * (2*int64(fbits) + 2*int64(hashing.Log2(d)) + 64)
+}
 
 // Sketch is a GSS sketch.
 type Sketch struct {
-	cfg       Config
-	lcg       hashing.LCG
-	h         hashing.Hasher
-	cells     []cell
-	buffer    map[bufKey]int64  // exact adjacency buffer
-	bufOut    map[halfKey]int64 // per-source aggregate of the buffer
-	bufIn     map[halfKey]int64 // per-destination aggregate of the buffer
-	coarse    map[addrKey]int64 // fingerprint-free fallback past MaxBuffer
-	coarseOut map[uint32]int64
-	coarseIn  map[uint32]int64
-	items     int64
+	cfg    Config
+	m      Matrix
+	buffer Store // exact adjacency buffer
+	// The fingerprint-free fallback past MaxBuffer, by address pair and by
+	// single address.
+	coarse              map[[2]uint32]int64
+	coarseOut, coarseIn map[uint32]int64
 }
 
 // New returns an empty GSS sketch.
@@ -91,217 +263,68 @@ func New(cfg Config) (*Sketch, error) {
 	}
 	return &Sketch{
 		cfg:       cfg,
-		lcg:       hashing.MustLCG(cfg.D),
-		h:         hashing.NewHasher(cfg.Seed),
-		cells:     make([]cell, int(cfg.D)*int(cfg.D)),
-		buffer:    make(map[bufKey]int64),
-		bufOut:    make(map[halfKey]int64),
-		bufIn:     make(map[halfKey]int64),
-		coarse:    make(map[addrKey]int64),
+		m:         NewMatrix(cfg.D, cfg.Maps),
+		coarse:    make(map[[2]uint32]int64),
 		coarseOut: make(map[uint32]int64),
 		coarseIn:  make(map[uint32]int64),
 	}, nil
 }
 
-// Name identifies the structure in benchmark output.
-func (s *Sketch) Name() string { return "GSS" }
-
-// split derives the fingerprint/address pair of a raw 64-bit hash.
-func (s *Sketch) split(h uint64) (fp, addr uint32) {
-	return hashing.Split(h, s.cfg.FBits, s.cfg.D)
-}
-
-// Insert adds one stream item (timestamps ignored; GSS is non-temporal).
-func (s *Sketch) Insert(e stream.Edge) {
-	s.AddHashed(s.h.Hash(e.S), s.h.Hash(e.D), e.W)
-	s.items++
-}
+func (s *Sketch) key(hs, hd uint64) Key { return NewKey(hs, hd, s.cfg.FBits, s.cfg.D) }
 
 // AddHashed adds weight w for an edge identified by pre-hashed endpoint
 // keys (Horae passes Mix2(vertex, block) values here).
 func (s *Sketch) AddHashed(hs, hd uint64, w int64) {
-	fpS, aS := s.split(hs)
-	fpD, aD := s.split(hd)
-	var (
-		freeCell *cell
-		freeIdx  uint8
-	)
-	row := aS
-	for i := 0; i < s.cfg.Maps; i++ {
-		col := aD
-		for j := 0; j < s.cfg.Maps; j++ {
-			c := &s.cells[int(row)*int(s.cfg.D)+int(col)]
-			idx := uint8(i<<4 | j)
-			if c.used {
-				if c.fpS == fpS && c.fpD == fpD && c.idx == idx {
-					c.w += w
-					return
-				}
-			} else if freeCell == nil {
-				freeCell, freeIdx = c, idx
-			}
-			col = s.lcg.Next(col)
-		}
-		row = s.lcg.Next(row)
+	k := s.key(hs, hd)
+	if !s.m.Add(k, w) && !s.buffer.Add(k, w, s.cfg.MaxBuffer) {
+		s.coarse[[2]uint32{k.AS, k.AD}] += w
+		s.coarseOut[k.AS] += w
+		s.coarseIn[k.AD] += w
 	}
-	if freeCell != nil {
-		*freeCell = cell{fpS: fpS, fpD: fpD, w: w, idx: freeIdx, used: true}
-		return
-	}
-	k := bufKey{fpS, aS, fpD, aD}
-	if _, ok := s.buffer[k]; !ok && s.cfg.MaxBuffer > 0 && len(s.buffer) >= s.cfg.MaxBuffer {
-		// Buffer budget exhausted: degrade to the coarse per-address count.
-		s.coarse[addrKey{aS, aD}] += w
-		s.coarseOut[aS] += w
-		s.coarseIn[aD] += w
-		return
-	}
-	s.buffer[k] += w
-	s.bufOut[halfKey{fpS, aS}] += w
-	s.bufIn[halfKey{fpD, aD}] += w
 }
 
 // SubHashed subtracts weight w from the edge identified by pre-hashed
 // keys, reporting whether a matching entry was found.
 func (s *Sketch) SubHashed(hs, hd uint64, w int64) bool {
-	fpS, aS := s.split(hs)
-	fpD, aD := s.split(hd)
-	row := aS
-	for i := 0; i < s.cfg.Maps; i++ {
-		col := aD
-		for j := 0; j < s.cfg.Maps; j++ {
-			c := &s.cells[int(row)*int(s.cfg.D)+int(col)]
-			if c.used && c.fpS == fpS && c.fpD == fpD && c.idx == uint8(i<<4|j) {
-				c.w -= w
-				return true
-			}
-			col = s.lcg.Next(col)
-		}
-		row = s.lcg.Next(row)
-	}
-	k := bufKey{fpS, aS, fpD, aD}
-	if _, ok := s.buffer[k]; ok {
-		s.buffer[k] -= w
-		s.bufOut[halfKey{fpS, aS}] -= w
-		s.bufIn[halfKey{fpD, aD}] -= w
+	k := s.key(hs, hd)
+	if s.m.Sub(k, w) || s.buffer.Sub(k, w) {
 		return true
 	}
-	if _, ok := s.coarse[addrKey{aS, aD}]; ok {
-		s.coarse[addrKey{aS, aD}] -= w
-		s.coarseOut[aS] -= w
-		s.coarseIn[aD] -= w
-		return true
+	a := [2]uint32{k.AS, k.AD}
+	if _, ok := s.coarse[a]; !ok {
+		return false
 	}
-	return false
+	s.coarse[a] -= w
+	s.coarseOut[k.AS] -= w
+	s.coarseIn[k.AD] -= w
+	return true
 }
 
-// Delete removes one previously inserted item.
-func (s *Sketch) Delete(e stream.Edge) bool {
-	ok := s.SubHashed(s.h.Hash(e.S), s.h.Hash(e.D), e.W)
-	if ok {
-		s.items--
-	}
-	return ok
-}
-
-// EdgeWeightAll estimates the whole-stream aggregated weight of the edge.
-func (s *Sketch) EdgeWeightAll(sv, dv uint64) int64 {
-	return s.EdgeWeightHashed(s.h.Hash(sv), s.h.Hash(dv))
-}
-
-// EdgeWeightHashed is EdgeWeightAll over pre-hashed keys.
+// EdgeWeightHashed estimates the whole-stream aggregated weight of the
+// edge identified by pre-hashed keys.
 func (s *Sketch) EdgeWeightHashed(hs, hd uint64) int64 {
-	fpS, aS := s.split(hs)
-	fpD, aD := s.split(hd)
-	var sum int64
-	row := aS
-	for i := 0; i < s.cfg.Maps; i++ {
-		col := aD
-		for j := 0; j < s.cfg.Maps; j++ {
-			c := &s.cells[int(row)*int(s.cfg.D)+int(col)]
-			if c.used && c.fpS == fpS && c.fpD == fpD && c.idx == uint8(i<<4|j) {
-				sum += c.w
-			}
-			col = s.lcg.Next(col)
-		}
-		row = s.lcg.Next(row)
-	}
-	sum += s.buffer[bufKey{fpS, aS, fpD, aD}]
-	sum += s.coarse[addrKey{aS, aD}]
-	return sum
+	k := s.key(hs, hd)
+	return s.m.Edge(k) + s.buffer.Edge(k) + s.coarse[[2]uint32{k.AS, k.AD}]
 }
 
-// VertexOutAll estimates the whole-stream out-weight of v.
-func (s *Sketch) VertexOutAll(v uint64) int64 { return s.VertexOutHashed(s.h.Hash(v)) }
-
-// VertexOutHashed is VertexOutAll over a pre-hashed key.
+// VertexOutHashed estimates the whole-stream out-weight of a pre-hashed
+// vertex key.
 func (s *Sketch) VertexOutHashed(hv uint64) int64 {
-	fp, addr := s.split(hv)
-	var sum int64
-	row := addr
-	for i := 0; i < s.cfg.Maps; i++ {
-		cells := s.cells[int(row)*int(s.cfg.D) : (int(row)+1)*int(s.cfg.D)]
-		for k := range cells {
-			c := &cells[k]
-			if c.used && c.fpS == fp && int(c.idx>>4) == i {
-				sum += c.w
-			}
-		}
-		row = s.lcg.Next(row)
-	}
-	sum += s.bufOut[halfKey{fp, addr}]
-	sum += s.coarseOut[addr]
-	return sum
+	fp, addr := hashing.Split(hv, s.cfg.FBits, s.cfg.D)
+	return s.m.Row(fp, addr) + s.buffer.Out(fp, addr) + s.coarseOut[addr]
 }
 
-// VertexInAll estimates the whole-stream in-weight of v.
-func (s *Sketch) VertexInAll(v uint64) int64 { return s.VertexInHashed(s.h.Hash(v)) }
-
-// VertexInHashed is VertexInAll over a pre-hashed key.
+// VertexInHashed estimates the whole-stream in-weight of a pre-hashed
+// vertex key.
 func (s *Sketch) VertexInHashed(hv uint64) int64 {
-	fp, addr := s.split(hv)
-	var sum int64
-	col := addr
-	d := int(s.cfg.D)
-	for j := 0; j < s.cfg.Maps; j++ {
-		for r := 0; r < d; r++ {
-			c := &s.cells[r*d+int(col)]
-			if c.used && c.fpD == fp && int(c.idx&0xf) == j {
-				sum += c.w
-			}
-		}
-		col = s.lcg.Next(col)
-	}
-	sum += s.bufIn[halfKey{fp, addr}]
-	sum += s.coarseIn[addr]
-	return sum
+	fp, addr := hashing.Split(hv, s.cfg.FBits, s.cfg.D)
+	return s.m.Col(fp, addr) + s.buffer.In(fp, addr) + s.coarseIn[addr]
 }
-
-// Items returns the number of inserted items.
-func (s *Sketch) Items() int64 { return s.items }
-
-// BufferLen returns the number of edges in the exact adjacency buffer.
-func (s *Sketch) BufferLen() int { return len(s.buffer) }
-
-// CoarseLen returns the number of coarse fallback slots in use.
-func (s *Sketch) CoarseLen() int { return len(s.coarse) }
 
 // SpaceBytes returns the packed structural size: every cell at
 // 2·FBits + idx + 64 bits, plus buffered edges at full key + weight width,
 // plus coarse slots at address pair + weight width.
 func (s *Sketch) SpaceBytes() int64 {
-	idxBits := 2 * int64(hashing.Log2(uint32(nextPow2(s.cfg.Maps))))
-	cellBits := int64(len(s.cells)) * (2*int64(s.cfg.FBits) + idxBits + 64)
-	addrBits := 2 * int64(hashing.Log2(s.cfg.D))
-	bufBits := int64(len(s.buffer)) * (2*int64(s.cfg.FBits) + addrBits + 64)
-	coarseBits := int64(len(s.coarse)) * (addrBits + 64)
-	return (cellBits + bufBits + coarseBits + 7) / 8
-}
-
-func nextPow2(x int) int {
-	p := 1
-	for p < x {
-		p <<= 1
-	}
-	return p
+	coarseBits := int64(len(s.coarse)) * (2*int64(hashing.Log2(s.cfg.D)) + 64)
+	return (s.m.SpaceBits(2*int64(s.cfg.FBits)) + s.buffer.SpaceBits(s.cfg.FBits, s.cfg.D) + coarseBits + 7) / 8
 }

@@ -12,16 +12,29 @@ import (
 	"higgs/internal/stream"
 )
 
-func build(t *testing.T, cfg Config) *Sketch {
+// sketch drives a Sketch by vertex id through a test-side hasher, the way
+// Horae hashes vertices before keying its layers.
+type sketch struct {
+	*Sketch
+	h hashing.Hasher
+}
+
+func build(t *testing.T, cfg Config, seed uint64) sketch {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return sketch{s, hashing.NewHasher(seed)}
 }
 
-func defCfg() Config { return Config{D: 64, FBits: 12, Maps: 4, Seed: 1} }
+func (s sketch) insert(e stream.Edge)      { s.AddHashed(s.h.Hash(e.S), s.h.Hash(e.D), e.W) }
+func (s sketch) delete(e stream.Edge) bool { return s.SubHashed(s.h.Hash(e.S), s.h.Hash(e.D), e.W) }
+func (s sketch) edge(sv, dv uint64) int64  { return s.EdgeWeightHashed(s.h.Hash(sv), s.h.Hash(dv)) }
+func (s sketch) out(v uint64) int64        { return s.VertexOutHashed(s.h.Hash(v)) }
+func (s sketch) in(v uint64) int64         { return s.VertexInHashed(s.h.Hash(v)) }
+
+func defCfg() Config { return Config{D: 64, FBits: 12, Maps: 4} }
 
 func TestValidation(t *testing.T) {
 	bad := []Config{
@@ -41,39 +54,39 @@ func TestValidation(t *testing.T) {
 }
 
 func TestBasicQueries(t *testing.T) {
-	s := build(t, defCfg())
-	s.Insert(stream.Edge{S: 1, D: 2, W: 3})
-	s.Insert(stream.Edge{S: 1, D: 2, W: 2})
-	s.Insert(stream.Edge{S: 1, D: 7, W: 4})
-	s.Insert(stream.Edge{S: 9, D: 2, W: 5})
-	if got := s.EdgeWeightAll(1, 2); got != 5 {
+	s := build(t, defCfg(), 1)
+	s.insert(stream.Edge{S: 1, D: 2, W: 3})
+	s.insert(stream.Edge{S: 1, D: 2, W: 2})
+	s.insert(stream.Edge{S: 1, D: 7, W: 4})
+	s.insert(stream.Edge{S: 9, D: 2, W: 5})
+	if got := s.edge(1, 2); got != 5 {
 		t.Errorf("edge (1,2) = %d, want 5", got)
 	}
-	if got := s.EdgeWeightAll(2, 1); got != 0 {
+	if got := s.edge(2, 1); got != 0 {
 		t.Errorf("edge (2,1) = %d, want 0 (direction matters)", got)
 	}
-	if got := s.VertexOutAll(1); got != 9 {
+	if got := s.out(1); got != 9 {
 		t.Errorf("out(1) = %d, want 9", got)
 	}
-	if got := s.VertexInAll(2); got != 10 {
+	if got := s.in(2); got != 10 {
 		t.Errorf("in(2) = %d, want 10", got)
 	}
 }
 
 func TestBufferPath(t *testing.T) {
 	// A 2×2 matrix with 1 candidate overflows immediately into the buffer.
-	s := build(t, Config{D: 2, FBits: 16, Maps: 1, Seed: 2})
+	s := build(t, Config{D: 2, FBits: 16, Maps: 1}, 2)
 	var want int64
 	for i := uint64(0); i < 64; i++ {
-		s.Insert(stream.Edge{S: i, D: i + 100, W: 1})
+		s.insert(stream.Edge{S: i, D: i + 100, W: 1})
 		want++
 	}
-	if s.BufferLen() == 0 {
+	if bufferLen(s.Sketch) == 0 {
 		t.Fatal("expected buffered edges")
 	}
 	var got int64
 	for i := uint64(0); i < 64; i++ {
-		got += s.EdgeWeightAll(i, i+100)
+		got += s.edge(i, i+100)
 	}
 	if got < want {
 		t.Fatalf("total edge weight %d < inserted %d (buffer lost data)", got, want)
@@ -81,7 +94,7 @@ func TestBufferPath(t *testing.T) {
 	// Vertex queries must see buffered edges too.
 	var outSum int64
 	for i := uint64(0); i < 64; i++ {
-		outSum += s.VertexOutAll(i)
+		outSum += s.out(i)
 	}
 	if outSum < want {
 		t.Fatalf("out-sum %d < inserted %d", outSum, want)
@@ -94,21 +107,21 @@ func TestOneSidedVsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := exact.FromStream(st)
-	s := build(t, Config{D: 128, FBits: 14, Maps: 4, Seed: 4})
+	s := build(t, Config{D: 128, FBits: 14, Maps: 4}, 4)
 	for _, e := range st {
-		s.Insert(e)
+		s.insert(e)
 	}
 	first, last := truth.Span()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
 		sv, dv := uint64(rng.Intn(300)), uint64(rng.Intn(300))
-		if got, want := s.EdgeWeightAll(sv, dv), truth.EdgeWeight(sv, dv, first, last); got < want {
+		if got, want := s.edge(sv, dv), truth.EdgeWeight(sv, dv, first, last); got < want {
 			t.Fatalf("edge (%d,%d) = %d < truth %d", sv, dv, got, want)
 		}
-		if got, want := s.VertexOutAll(sv), truth.VertexOut(sv, first, last); got < want {
+		if got, want := s.out(sv), truth.VertexOut(sv, first, last); got < want {
 			t.Fatalf("out(%d) = %d < truth %d", sv, got, want)
 		}
-		if got, want := s.VertexInAll(dv), truth.VertexIn(dv, first, last); got < want {
+		if got, want := s.in(dv), truth.VertexIn(dv, first, last); got < want {
 			t.Fatalf("in(%d) = %d < truth %d", dv, got, want)
 		}
 	}
@@ -117,13 +130,13 @@ func TestOneSidedVsExact(t *testing.T) {
 func TestFingerprintsBeatTCM(t *testing.T) {
 	// On an overloaded small matrix, fingerprints keep edge queries far
 	// more accurate than counter-only collisions would.
-	s := build(t, Config{D: 16, FBits: 16, Maps: 4, Seed: 6})
+	s := build(t, Config{D: 16, FBits: 16, Maps: 4}, 6)
 	for i := uint64(0); i < 500; i++ {
-		s.Insert(stream.Edge{S: i, D: i + 1000, W: 1})
+		s.insert(stream.Edge{S: i, D: i + 1000, W: 1})
 	}
 	var exactCount int
 	for i := uint64(0); i < 500; i++ {
-		if s.EdgeWeightAll(i, i+1000) == 1 {
+		if s.edge(i, i+1000) == 1 {
 			exactCount++
 		}
 	}
@@ -133,76 +146,58 @@ func TestFingerprintsBeatTCM(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	s := build(t, defCfg())
+	s := build(t, defCfg(), 1)
 	e := stream.Edge{S: 5, D: 6, W: 4}
-	s.Insert(e)
-	if !s.Delete(e) {
+	s.insert(e)
+	if !s.delete(e) {
 		t.Fatal("delete failed")
 	}
-	if got := s.EdgeWeightAll(5, 6); got != 0 {
+	if got := s.edge(5, 6); got != 0 {
 		t.Errorf("after delete = %d, want 0", got)
 	}
-	if s.Delete(stream.Edge{S: 50, D: 60, W: 1}) {
+	if s.delete(stream.Edge{S: 50, D: 60, W: 1}) {
 		t.Error("delete of absent edge succeeded")
 	}
 }
 
 func TestDeleteBufferedEdge(t *testing.T) {
-	s := build(t, Config{D: 2, FBits: 16, Maps: 1, Seed: 7})
+	s := build(t, Config{D: 2, FBits: 16, Maps: 1}, 7)
 	var buffered *stream.Edge
 	for i := uint64(0); i < 64 && buffered == nil; i++ {
 		e := stream.Edge{S: i, D: i + 100, W: 2}
-		s.Insert(e)
-		if s.BufferLen() > 0 && buffered == nil {
+		s.insert(e)
+		if bufferLen(s.Sketch) > 0 && buffered == nil {
 			buffered = &e
 		}
 	}
 	if buffered == nil {
 		t.Skip("no buffered edge produced")
 	}
-	if !s.Delete(*buffered) {
+	if !s.delete(*buffered) {
 		t.Fatal("delete of buffered edge failed")
 	}
-	if got := s.EdgeWeightAll(buffered.S, buffered.D); got != 0 {
+	if got := s.edge(buffered.S, buffered.D); got != 0 {
 		t.Errorf("buffered edge after delete = %d, want 0", got)
 	}
 }
 
-func TestHashedKeyRoundTrip(t *testing.T) {
-	// Horae drives GSS through pre-hashed keys; verify symmetry.
-	s := build(t, defCfg())
-	s.AddHashed(12345, 67890, 7)
-	if got := s.EdgeWeightHashed(12345, 67890); got != 7 {
-		t.Errorf("hashed edge = %d, want 7", got)
-	}
-	if got := s.VertexOutHashed(12345); got != 7 {
-		t.Errorf("hashed out = %d, want 7", got)
-	}
-	if got := s.VertexInHashed(67890); got != 7 {
-		t.Errorf("hashed in = %d, want 7", got)
-	}
-	if !s.SubHashed(12345, 67890, 7) {
-		t.Error("SubHashed failed")
-	}
-}
-
 func TestBoundedBufferCoarseFallback(t *testing.T) {
-	s := build(t, Config{D: 2, FBits: 16, Maps: 1, MaxBuffer: 4, Seed: 9})
+	s := build(t, Config{D: 2, FBits: 16, Maps: 1, MaxBuffer: 4}, 9)
 	var want int64
 	for i := uint64(0); i < 200; i++ {
-		s.Insert(stream.Edge{S: i, D: i + 500, W: 1})
+		s.insert(stream.Edge{S: i, D: i + 500, W: 1})
 		want++
 	}
-	if s.BufferLen() > 4 {
-		t.Fatalf("buffer exceeded budget: %d", s.BufferLen())
+	if n := bufferLen(s.Sketch); n > 4 {
+		t.Fatalf("buffer exceeded budget: %d", n)
 	}
-	if s.CoarseLen() == 0 {
+	if coarseLen(s.Sketch) == 0 {
 		t.Fatal("coarse fallback unused despite exhausted buffer")
 	}
 	// One-sided: every edge still answers at least its true weight.
 	var total int64
 	for i := uint64(0); i < 200; i++ {
-		got := s.EdgeWeightAll(i, i+500)
+		got := s.edge(i, i+500)
 		if got < 1 {
 			t.Fatalf("edge %d lost under coarse fallback: %d", i, got)
 		}
@@ -214,17 +209,17 @@ func TestBoundedBufferCoarseFallback(t *testing.T) {
 	// Vertex queries must see coarse mass too (and may overcount).
 	var outSum int64
 	for i := uint64(0); i < 200; i++ {
-		outSum += s.VertexOutAll(i)
+		outSum += s.out(i)
 	}
 	if outSum < want {
 		t.Fatalf("out-sum %d < inserted %d", outSum, want)
 	}
 	// Deleting a coarse-absorbed edge decrements the coarse slot.
-	before := s.EdgeWeightAll(199, 699)
-	if !s.Delete(stream.Edge{S: 199, D: 699, W: 1}) {
+	before := s.edge(199, 699)
+	if !s.delete(stream.Edge{S: 199, D: 699, W: 1}) {
 		t.Fatal("delete of coarse-absorbed edge failed")
 	}
-	if after := s.EdgeWeightAll(199, 699); after != before-1 {
+	if after := s.edge(199, 699); after != before-1 {
 		t.Fatalf("coarse delete: %d -> %d", before, after)
 	}
 }
@@ -236,8 +231,7 @@ func TestBoundedBufferCoarseFallback(t *testing.T) {
 // A change to placement, matching, the scans or the overflow stores moves
 // it.
 func TestOverloadedDigest(t *testing.T) {
-	s := build(t, Config{D: 8, FBits: 6, Maps: 2, MaxBuffer: 24})
-	h := hashing.NewHasher(11)
+	s := build(t, Config{D: 8, FBits: 6, Maps: 2, MaxBuffer: 24}, 11)
 	rng := rand.New(rand.NewSource(12))
 	const nv = 96
 	var buf []byte
@@ -249,38 +243,34 @@ func TestOverloadedDigest(t *testing.T) {
 			put(0)
 		}
 	}
-	type edge struct {
-		s, d uint64
-		w    int64
-	}
-	var live []edge
+	var live []stream.Edge
 	for i := 0; i < 3000; i++ {
-		e := edge{uint64(rng.Intn(nv)), uint64(rng.Intn(nv)), int64(1 + rng.Intn(5))}
-		s.AddHashed(h.Hash(e.s), h.Hash(e.d), e.w)
+		e := stream.Edge{S: uint64(rng.Intn(nv)), D: uint64(rng.Intn(nv)), W: int64(1 + rng.Intn(5))}
+		s.insert(e)
 		live = append(live, e)
 		if i%4 == 3 {
 			k := rng.Intn(len(live))
 			e := live[k]
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
-			putBool(s.SubHashed(h.Hash(e.s), h.Hash(e.d), e.w))
+			putBool(s.delete(e))
 		}
 		if i%16 == 15 {
-			putBool(s.SubHashed(h.Hash(uint64(nv+i)), h.Hash(uint64(nv+i+1)), 1))
+			putBool(s.delete(stream.Edge{S: uint64(nv + i), D: uint64(nv + i + 1), W: 1}))
 		}
 	}
 	for u := uint64(0); u < nv; u++ {
 		for v := uint64(0); v < nv; v++ {
-			put(s.EdgeWeightHashed(h.Hash(u), h.Hash(v)))
+			put(s.edge(u, v))
 		}
-		put(s.VertexOutHashed(h.Hash(u)))
-		put(s.VertexInHashed(h.Hash(u)))
+		put(s.out(u))
+		put(s.in(u))
 	}
 	put(s.SpaceBytes())
-	if n := bufferLen(s); n != 24 {
+	if n := bufferLen(s.Sketch); n != 24 {
 		t.Errorf("buffer holds %d edges, want it full at 24", n)
 	}
-	if n := coarseLen(s); n == 0 {
+	if n := coarseLen(s.Sketch); n == 0 {
 		t.Error("coarse fallback unused: the digest does not reach it")
 	}
 	sum := sha256.Sum256(buf)
@@ -290,14 +280,14 @@ func TestOverloadedDigest(t *testing.T) {
 	}
 }
 
-func bufferLen(s *Sketch) int { return len(s.buffer) }
+func bufferLen(s *Sketch) int { return s.buffer.Len() }
 func coarseLen(s *Sketch) int { return len(s.coarse) }
 
 func TestSpaceGrowsWithBuffer(t *testing.T) {
-	s := build(t, Config{D: 2, FBits: 16, Maps: 1, Seed: 8})
+	s := build(t, Config{D: 2, FBits: 16, Maps: 1}, 8)
 	empty := s.SpaceBytes()
 	for i := uint64(0); i < 200; i++ {
-		s.Insert(stream.Edge{S: i, D: i + 300, W: 1})
+		s.insert(stream.Edge{S: i, D: i + 300, W: 1})
 	}
 	if s.SpaceBytes() <= empty {
 		t.Error("buffered edges not reflected in space accounting")

@@ -66,6 +66,17 @@ func Log2(x uint32) uint {
 	return n
 }
 
+// IndexPairBits returns the packed width of a stored entry's candidate
+// index pair (i, j) when each endpoint has maps candidates: ⌈log2 maps⌉
+// bits per side.
+func IndexPairBits(maps int) uint {
+	var n uint
+	for 1<<n < maps {
+		n++
+	}
+	return 2 * n
+}
+
 // LCG is a full-period linear congruential permutation of Z_d for d a power
 // of two: x ↦ (a·x + c) mod d with a ≡ 1 (mod 4) and c odd (Hull–Dobell).
 // HIGGS uses LCG sequences to generate the r candidate addresses of a vertex

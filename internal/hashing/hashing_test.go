@@ -154,6 +154,15 @@ func TestLog2(t *testing.T) {
 	}
 }
 
+func TestIndexPairBits(t *testing.T) {
+	cases := map[int]uint{1: 0, 2: 2, 3: 4, 4: 4, 5: 6, 8: 6, 9: 8, 16: 8}
+	for in, want := range cases {
+		if got := IndexPairBits(in); got != want {
+			t.Errorf("IndexPairBits(%d) = %d, want %d", in, got, want)
+		}
+	}
+}
+
 func BenchmarkHash(b *testing.B) {
 	h := NewHasher(1)
 	var sink uint64

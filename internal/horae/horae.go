@@ -15,9 +15,9 @@
 // included): fewer updates and less space, but ranges decompose into more
 // sub-queries (O(log² L) access behaviour reported in the paper).
 //
-// The per-layer sketch is pluggable through the Layer interface; package
-// auxotime reuses this exact structure with Auxo layers to realize the
-// paper's AuxoTime baseline (§VI-A).
+// The per-layer sketch is pluggable through the Layer interface:
+// internal/bench passes Auxo trees to NewWithLayers to realize the paper's
+// AuxoTime baseline (§VI-A) on this exact structure.
 package horae
 
 import (
@@ -50,19 +50,10 @@ type Config struct {
 	// Compact selects the -cpt variant: only even layers are stored and
 	// missing-layer blocks split into stored-layer blocks.
 	Compact bool
-	// Layer is the GSS geometry of each stored layer (the default New
-	// constructor; ignored by NewWithLayers).
+	// Layer is the GSS geometry of each stored layer.
 	Layer gss.Config
 	// Seed seeds the vertex hasher shared by all layers.
 	Seed uint64
-}
-
-// Validate reports the first invalid field.
-func (c Config) Validate() error {
-	if c.MaxLevel < 1 || c.MaxLevel > 40 {
-		return fmt.Errorf("horae: MaxLevel = %d, need 1..40", c.MaxLevel)
-	}
-	return nil
 }
 
 // Summary is a Horae (or Horae-cpt, or AuxoTime via NewWithLayers) summary.
@@ -80,24 +71,17 @@ type Summary struct {
 
 // New returns an empty Horae summary with GSS layers.
 func New(cfg Config) (*Summary, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	name := "Horae"
 	if cfg.Compact {
 		name = "Horae-cpt"
 	}
-	return NewWithLayers(name, cfg.MaxLevel, cfg.Compact, cfg.Seed, func(level int) (Layer, error) {
-		lc := cfg.Layer
-		lc.Seed = cfg.Seed + uint64(level)*0x9e3779b97f4a7c15
-		return gss.New(lc)
-	})
+	return NewWithLayers(name, cfg.MaxLevel, cfg.Compact, cfg.Seed, func() (Layer, error) { return gss.New(cfg.Layer) })
 }
 
-// NewWithLayers builds the layered structure with a caller-supplied layer
-// factory (used by package auxotime). The factory is invoked once per
-// stored level.
-func NewWithLayers(name string, maxLevel int, compact bool, seed uint64, factory func(level int) (Layer, error)) (*Summary, error) {
+// NewWithLayers builds the layered structure over layers from newLayer,
+// which is invoked once per stored level; maxLevel is Config.MaxLevel's,
+// 1..40.
+func NewWithLayers(name string, maxLevel int, compact bool, seed uint64, newLayer func() (Layer, error)) (*Summary, error) {
 	if maxLevel < 1 || maxLevel > 40 {
 		return nil, fmt.Errorf("horae: MaxLevel = %d, need 1..40", maxLevel)
 	}
@@ -112,7 +96,7 @@ func NewWithLayers(name string, maxLevel int, compact bool, seed uint64, factory
 		if compact && !trq.EvenLevels(l) {
 			continue
 		}
-		layer, err := factory(l)
+		layer, err := newLayer()
 		if err != nil {
 			return nil, fmt.Errorf("horae: layer %d: %w", l, err)
 		}
@@ -128,8 +112,9 @@ func (s *Summary) Name() string { return s.name }
 // allowed reports whether a level is stored.
 func (s *Summary) allowed(l int) bool { return l >= 0 && l <= s.maxLevel && s.layers[l] != nil }
 
-// key mixes a vertex hash with a time block index; each layer keeps its own
-// hash seed, so identical block numbers across layers do not alias.
+// key mixes a vertex hash with a time block index. The same block number
+// recurs across levels, but every layer is its own sketch, queried only
+// for blocks of its own level, so those keys never meet.
 func key(hv uint64, block uint64) uint64 { return hashing.Mix2(hv, block) }
 
 // Insert adds one stream item to every stored layer under its time-prefix

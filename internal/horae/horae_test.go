@@ -14,18 +14,43 @@ import (
 	"higgs/internal/trq"
 )
 
-func build(t *testing.T, maxLevel int, compact bool) *Summary {
+// kind is one layer sketch the figures run the time-prefix layering over,
+// built the way internal/bench builds it: GSS through New (Horae), Auxo
+// through NewWithLayers (AuxoTime). d is its layer dimension in the small
+// tests; the accuracy tests double it.
+type kind struct {
+	name string // the full variant's; the compact one adds "-cpt"
+	d    uint32
+	new  func(maxLevel int, compact bool, d uint32, fbits uint, seed uint64) (*Summary, error)
+}
+
+var kinds = []kind{
+	{"Horae", 64, func(maxLevel int, compact bool, d uint32, fbits uint, seed uint64) (*Summary, error) {
+		return New(Config{MaxLevel: maxLevel, Compact: compact, Layer: gss.Config{D: d, FBits: fbits, Maps: 4}, Seed: seed})
+	}},
+	{"AuxoTime", 32, func(maxLevel int, compact bool, d uint32, fbits uint, seed uint64) (*Summary, error) {
+		name := "AuxoTime"
+		if compact {
+			name += "-cpt"
+		}
+		return NewWithLayers(name, maxLevel, compact, seed, func() (Layer, error) {
+			return auxo.New(auxo.Config{D: d, FBits: fbits, Maps: 4})
+		})
+	}},
+}
+
+func (k kind) build(t *testing.T, maxLevel int, compact bool) *Summary {
 	t.Helper()
-	s, err := New(Config{
-		MaxLevel: maxLevel,
-		Compact:  compact,
-		Layer:    gss.Config{D: 64, FBits: 12, Maps: 4},
-		Seed:     1,
-	})
+	s, err := k.new(maxLevel, compact, k.d, 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+func build(t *testing.T, maxLevel int, compact bool) *Summary {
+	t.Helper()
+	return kinds[0].build(t, maxLevel, compact)
 }
 
 func TestValidation(t *testing.T) {
@@ -50,29 +75,33 @@ func TestLayerCounts(t *testing.T) {
 }
 
 func TestTemporalRanges(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		s := build(t, 16, compact)
-		s.Insert(stream.Edge{S: 1, D: 2, W: 3, T: 10})
-		s.Insert(stream.Edge{S: 1, D: 2, W: 2, T: 20})
-		s.Insert(stream.Edge{S: 1, D: 2, W: 5, T: 30})
-		cases := []struct {
-			ts, te int64
-			want   int64
-		}{
-			{0, 100, 10}, {10, 10, 3}, {11, 29, 2}, {15, 35, 7},
-			{31, 100, 0}, {0, 9, 0}, {25, 5, 0},
-		}
-		for _, c := range cases {
-			if got := s.EdgeWeight(1, 2, c.ts, c.te); got != c.want {
-				t.Errorf("compact=%v: edge [%d,%d] = %d, want %d", compact, c.ts, c.te, got, c.want)
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			for _, compact := range []bool{false, true} {
+				s := k.build(t, 16, compact)
+				s.Insert(stream.Edge{S: 1, D: 2, W: 3, T: 10})
+				s.Insert(stream.Edge{S: 1, D: 2, W: 2, T: 20})
+				s.Insert(stream.Edge{S: 1, D: 2, W: 5, T: 30})
+				cases := []struct {
+					ts, te int64
+					want   int64
+				}{
+					{0, 100, 10}, {10, 10, 3}, {11, 29, 2}, {15, 35, 7},
+					{31, 100, 0}, {0, 9, 0}, {25, 5, 0},
+				}
+				for _, c := range cases {
+					if got := s.EdgeWeight(1, 2, c.ts, c.te); got != c.want {
+						t.Errorf("compact=%v: edge [%d,%d] = %d, want %d", compact, c.ts, c.te, got, c.want)
+					}
+				}
+				if got := s.VertexOut(1, 0, 100); got != 10 {
+					t.Errorf("compact=%v: out(1) = %d, want 10", compact, got)
+				}
+				if got := s.VertexIn(2, 11, 30); got != 7 {
+					t.Errorf("compact=%v: in(2) = %d, want 7", compact, got)
+				}
 			}
-		}
-		if got := s.VertexOut(1, 0, 100); got != 10 {
-			t.Errorf("compact=%v: out(1) = %d, want 10", compact, got)
-		}
-		if got := s.VertexIn(2, 11, 30); got != 7 {
-			t.Errorf("compact=%v: in(2) = %d, want 7", compact, got)
-		}
+		})
 	}
 }
 
@@ -83,34 +112,33 @@ func TestOneSidedVsExact(t *testing.T) {
 	}
 	truth := exact.FromStream(st)
 	maxLevel := trq.LevelsForSpan(50000, 30)
-	for _, compact := range []bool{false, true} {
-		s, err := New(Config{
-			MaxLevel: maxLevel,
-			Compact:  compact,
-			Layer:    gss.Config{D: 128, FBits: 13, Maps: 4},
-			Seed:     3,
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			for _, compact := range []bool{false, true} {
+				s, err := k.new(maxLevel, compact, 2*k.d, 13, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range st {
+					s.Insert(e)
+				}
+				rng := rand.New(rand.NewSource(4))
+				for i := 0; i < 200; i++ {
+					ts := int64(rng.Intn(50000))
+					te := ts + int64(rng.Intn(20000))
+					sv, dv := uint64(rng.Intn(200)), uint64(rng.Intn(200))
+					if got, want := s.EdgeWeight(sv, dv, ts, te), truth.EdgeWeight(sv, dv, ts, te); got < want {
+						t.Fatalf("compact=%v: edge (%d,%d) [%d,%d] = %d < truth %d", compact, sv, dv, ts, te, got, want)
+					}
+					if got, want := s.VertexOut(sv, ts, te), truth.VertexOut(sv, ts, te); got < want {
+						t.Fatalf("compact=%v: out(%d) = %d < truth %d", compact, sv, got, want)
+					}
+					if got, want := s.VertexIn(dv, ts, te), truth.VertexIn(dv, ts, te); got < want {
+						t.Fatalf("compact=%v: in(%d) = %d < truth %d", compact, dv, got, want)
+					}
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range st {
-			s.Insert(e)
-		}
-		rng := rand.New(rand.NewSource(4))
-		for i := 0; i < 200; i++ {
-			ts := int64(rng.Intn(50000))
-			te := ts + int64(rng.Intn(20000))
-			sv, dv := uint64(rng.Intn(200)), uint64(rng.Intn(200))
-			if got, want := s.EdgeWeight(sv, dv, ts, te), truth.EdgeWeight(sv, dv, ts, te); got < want {
-				t.Fatalf("compact=%v: edge (%d,%d) [%d,%d] = %d < truth %d", compact, sv, dv, ts, te, got, want)
-			}
-			if got, want := s.VertexOut(sv, ts, te), truth.VertexOut(sv, ts, te); got < want {
-				t.Fatalf("compact=%v: out(%d) = %d < truth %d", compact, sv, got, want)
-			}
-			if got, want := s.VertexIn(dv, ts, te), truth.VertexIn(dv, ts, te); got < want {
-				t.Fatalf("compact=%v: in(%d) = %d < truth %d", compact, dv, got, want)
-			}
-		}
 	}
 }
 
@@ -119,35 +147,78 @@ func TestCompactUsesLessSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := build(t, 16, false)
-	cpt := build(t, 16, true)
-	for _, e := range st {
-		full.Insert(e)
-		cpt.Insert(e)
-	}
-	if cpt.SpaceBytes() >= full.SpaceBytes() {
-		t.Fatalf("cpt space %d not below full %d", cpt.SpaceBytes(), full.SpaceBytes())
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			full, cpt := k.build(t, 16, false), k.build(t, 16, true)
+			if cpt.StoredLayers() >= full.StoredLayers() {
+				t.Fatalf("cpt stores %d layers, full %d", cpt.StoredLayers(), full.StoredLayers())
+			}
+			for _, e := range st {
+				full.Insert(e)
+				cpt.Insert(e)
+			}
+			if cpt.SpaceBytes() >= full.SpaceBytes() {
+				t.Fatalf("cpt space %d not below full %d", cpt.SpaceBytes(), full.SpaceBytes())
+			}
+			if full.Items() != int64(len(st)) || cpt.Items() != int64(len(st)) {
+				t.Fatalf("items: full %d, cpt %d, want %d", full.Items(), cpt.Items(), len(st))
+			}
+		})
 	}
 }
 
 func TestDelete(t *testing.T) {
-	s := build(t, 16, false)
-	e := stream.Edge{S: 1, D: 2, W: 3, T: 10}
-	s.Insert(e)
-	if !s.Delete(e) {
-		t.Fatal("delete failed")
-	}
-	if got := s.EdgeWeight(1, 2, 0, 100); got != 0 {
-		t.Errorf("after delete = %d, want 0", got)
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.build(t, 16, false)
+			e := stream.Edge{S: 1, D: 2, W: 3, T: 10}
+			s.Insert(e)
+			if !s.Delete(e) {
+				t.Fatal("delete failed")
+			}
+			if got := s.EdgeWeight(1, 2, 0, 100); got != 0 {
+				t.Errorf("after delete = %d, want 0", got)
+			}
+		})
 	}
 }
 
 func TestNames(t *testing.T) {
-	if build(t, 4, false).Name() != "Horae" {
-		t.Error("wrong name for full variant")
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			if got := k.build(t, 4, false).Name(); got != k.name {
+				t.Errorf("full variant is named %q", got)
+			}
+			if got := k.build(t, 4, true).Name(); got != k.name+"-cpt" {
+				t.Errorf("compact variant is named %q", got)
+			}
+		})
 	}
-	if build(t, 4, true).Name() != "Horae-cpt" {
-		t.Error("wrong name for compact variant")
+}
+
+func TestRangeAdditivityHolds(t *testing.T) {
+	// Dyadic decomposition plus per-layer sums must tile ranges exactly:
+	// [a,b] equals [a,m] + [m+1,b] over either layer sketch (the same
+	// invariant as HIGGS, via disjoint block covers).
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.build(t, 16, false)
+			rng := rand.New(rand.NewSource(10))
+			for i := 0; i < 3000; i++ {
+				s.Insert(stream.Edge{S: uint64(rng.Intn(50)), D: uint64(rng.Intn(50)), W: 1, T: int64(i * 10)})
+			}
+			for i := 0; i < 200; i++ {
+				lo := int64(rng.Intn(30000))
+				hi := lo + int64(rng.Intn(10000))
+				mid := lo + (hi-lo)/2
+				sv, dv := uint64(rng.Intn(50)), uint64(rng.Intn(50))
+				whole := s.EdgeWeight(sv, dv, lo, hi)
+				parts := s.EdgeWeight(sv, dv, lo, mid) + s.EdgeWeight(sv, dv, mid+1, hi)
+				if whole != parts {
+					t.Fatalf("additivity broken at (%d,%d) [%d,%d]: %d != %d", sv, dv, lo, hi, whole, parts)
+				}
+			}
+		})
 	}
 }
 
@@ -167,7 +238,7 @@ func TestOverloadedDigest(t *testing.T) {
 	auxoCfg := auxo.Config{D: 8, FBits: 4, Maps: 4}
 	auxoTime := func(name string, compact bool) func() (*Summary, error) {
 		return func() (*Summary, error) {
-			return NewWithLayers(name, maxLevel, compact, 3, func(int) (Layer, error) { return auxo.New(auxoCfg) })
+			return NewWithLayers(name, maxLevel, compact, 3, func() (Layer, error) { return auxo.New(auxoCfg) })
 		}
 	}
 	for _, c := range []struct {

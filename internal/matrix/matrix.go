@@ -603,8 +603,7 @@ func Promote(fp, base uint32, childFBits, rbits uint) (pfp, pbase uint32) {
 // level, the β of paper Theorem 1: two fingerprints, the index pair, the
 // weight, and (timed only) the offset.
 func (m *Matrix) EntryBits() int {
-	idxBits := 2 * hashing.Log2(uint32(nextPow2(m.cfg.Maps)))
-	bits := 2*int(m.cfg.FBits) + int(idxBits) + 64
+	bits := 2*int(m.cfg.FBits) + int(hashing.IndexPairBits(m.cfg.Maps)) + 64
 	if m.cfg.Timed {
 		bits += 32
 	}
@@ -673,11 +672,3 @@ func (m *Matrix) ForEach(fn func(fpS, baseS, fpD, baseD uint32, off uint32, w in
 
 // MaxOffset returns the largest representable offset of a timed matrix.
 func MaxOffset() int64 { return math.MaxUint32 }
-
-func nextPow2(x int) int {
-	p := 1
-	for p < x {
-		p <<= 1
-	}
-	return p
-}
