@@ -235,9 +235,6 @@ func (s *Store) Out(fp, addr uint32) int64 { return s.out[half{fp, addr}] }
 // In returns the summed weight of destination fp@addr's edges.
 func (s *Store) In(fp, addr uint32) int64 { return s.in[half{fp, addr}] }
 
-// Len returns the number of keys held.
-func (s *Store) Len() int { return len(s.edges) }
-
 // SpaceBits returns the packed size of the stored edges at full key plus
 // weight width: two fingerprints of fbits, two addresses into a d-wide
 // matrix, a 64-bit weight.
