@@ -4,8 +4,10 @@ package server
 // request body is read once, whole, into a pooled buffer; the bodies of the
 // hot endpoints (/v1/insert, /v1/ingest, /v2/query) are then offered to a
 // scanner that decodes the canonical spelling of their JSON — what
-// json.Marshal and every hand-rolled client emit — without reflection or
-// allocation, and their answers are appended into the same buffer.
+// json.Marshal and json.MarshalIndent emit — without reflection or
+// allocation, and their answers are appended into the same buffer. Edges
+// are read in json.Marshal's key order only, token by token (scanEdges);
+// query items in any key order (scanner). Both read integers with digits.
 //
 // The scanner never rejects a body. On the first byte it does not expect it
 // gives up without an opinion, and the handler decodes the same bytes with
@@ -81,12 +83,13 @@ func writeWire(w http.ResponseWriter, status int, wb *wireBuf) {
 	_, _ = w.Write(wb.b) // a connection-level failure; nothing sensible left to do
 }
 
-// scanner walks a JSON body in its canonical spelling: whitespace
+// scanner walks a /v2/query body in its canonical spelling: whitespace
 // anywhere, exact lower-case keys without escapes, each key at most once,
 // integer literals in range of their field, escape-free ASCII strings.
 // Anything else — null, a float, a folded key, a syntax error — makes it
 // give up: the failure is sticky, every later step fails fast, and the
-// caller checks end once.
+// caller checks end once. Edge bodies have a grammar of their own, read
+// by scanEdges.
 type scanner struct {
 	b      []byte
 	i      int
@@ -98,16 +101,16 @@ func (s *scanner) giveUp() {
 	s.i = len(s.b)
 }
 
-func (s *scanner) ws() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\r', '\n':
-			s.i++
-		default:
-			return
-		}
+// skipWS returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipWS(b []byte, i int) int {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+		i++
 	}
+	return i
 }
+
+func (s *scanner) ws() { s.i = skipWS(s.b, s.i) }
 
 // expect consumes whitespace and then exactly c.
 func (s *scanner) expect(c byte) {
@@ -191,43 +194,68 @@ func (s *scanner) once(seen *uint, f uint) {
 	*seen |= 1 << f
 }
 
-// digits scans the digits of an integer literal no greater than limit, as
-// JSON spells one: at least one digit and no leading zero. What may follow
-// a literal in JSON but not here — a fraction, an exponent — is left
-// unread for the caller, who expects neither.
-func (s *scanner) digits(limit uint64) uint64 {
-	start := s.i
-	var v uint64
-	for ; s.i < len(s.b); s.i++ {
-		d := uint64(s.b[s.i] - '0')
-		if d > 9 {
+// digits reads the integer literal at b[i:] no greater than limit, as
+// JSON spells one: at least one digit and no leading zero. It returns the
+// value and the index just past the literal; ok is false on anything else.
+// What may follow a literal in JSON but not here — a fraction, an exponent
+// — is left unread for the caller, who expects neither. limit is at least
+// 10¹⁸−1, so the first 18 digits accumulate unchecked; only a 19th and 20th
+// are checked against it.
+func digits(b []byte, i int, limit uint64) (v uint64, end int, ok bool) {
+	start := i
+	for _, c := range b[i:min(len(b), i+18)] {
+		if c-'0' > 9 {
 			break
 		}
-		if v > (limit-d)/10 {
-			s.giveUp()
-			return 0
+		v = v*10 + uint64(c-'0')
+		i++
+	}
+	if i-start == 18 {
+		for ; i < len(b); i++ {
+			d := uint64(b[i] - '0')
+			if d > 9 {
+				break
+			}
+			if v > (limit-d)/10 {
+				return 0, i, false
+			}
+			v = v*10 + d
 		}
-		v = v*10 + d
 	}
-	if n := s.i - start; n == 0 || n > 1 && s.b[start] == '0' {
-		s.giveUp()
-		return 0
+	if n := i - start; n == 0 || n > 1 && b[start] == '0' {
+		return 0, i, false
 	}
-	return v
+	return v, i, true
+}
+
+// signed reads an int64 literal at b[i:], as digits does.
+func signed(b []byte, i int) (int64, int, bool) {
+	if i < len(b) && b[i] == '-' {
+		v, end, ok := digits(b, i+1, 1<<63)
+		return int64(-v), end, ok
+	}
+	v, end, ok := digits(b, i, math.MaxInt64)
+	return int64(v), end, ok
 }
 
 func (s *scanner) uint() uint64 {
 	s.ws()
-	return s.digits(math.MaxUint64)
+	v, end, ok := digits(s.b, s.i, math.MaxUint64)
+	s.i = end
+	if !ok {
+		s.giveUp()
+	}
+	return v
 }
 
 func (s *scanner) int() int64 {
 	s.ws()
-	if s.i < len(s.b) && s.b[s.i] == '-' {
-		s.i++
-		return int64(-s.digits(1 << 63))
+	v, end, ok := signed(s.b, s.i)
+	s.i = end
+	if !ok {
+		s.giveUp()
 	}
-	return int64(s.digits(math.MaxInt64))
+	return v
 }
 
 // uints appends an array of unsigned integers to dst and returns the grown
@@ -261,38 +289,88 @@ func (s *scanner) pairs(dst [][2]uint64) (grown, elems [][2]uint64) {
 }
 
 // scanEdges decodes the body of a write endpoint, a JSON array of edges,
-// appending to edges. ok is false when the scanner gave up; the returned
-// slice then holds whatever it had decoded by then.
-func scanEdges(body []byte, edges []stream.Edge) (_ []stream.Edge, ok bool) {
-	s := scanner{b: body}
-	s.expect('[')
-	for first := true; s.more(first, ']'); first = false {
+// appending to edges. It reads every edge in the one order json.Marshal
+// writes a stream.Edge, {"s":…,"d":…,"w":…,"t":…}, all four keys present.
+// Each structural token is compared byte for byte first, followed by a
+// byte that is not whitespace — all a compact body needs, and written out
+// at each token because a comparison against a string literal compiles to
+// word compares where one against a parameter calls memequal. Only when
+// that fails is the token matched again with JSON whitespace around it
+// (token), so indented bodies are read here too. Any other spelling —
+// another key order, a repeated or missing key, {}, an escape, a float,
+// null — is encoding/json's: ok is false, and the returned slice holds
+// whatever was decoded by then.
+func scanEdges(b []byte, edges []stream.Edge) ([]stream.Edge, bool) {
+	i := token(b, 0, "[")
+	if i < len(b) && b[i] == ']' {
+		return edges, skipWS(b, i+1) == len(b)
+	}
+	var ok bool
+	for {
 		var e stream.Edge
-		var seen uint
-		s.expect('{')
-		for first := true; ; first = false {
-			k := s.key(first)
-			if k == nil {
-				break
-			}
-			var f uint
-			switch string(k) {
-			case "s":
-				f, e.S = 0, s.uint()
-			case "d":
-				f, e.D = 1, s.uint()
-			case "w":
-				f, e.W = 2, s.int()
-			case "t":
-				f, e.T = 3, s.int()
-			default:
-				s.giveUp()
-			}
-			s.once(&seen, f)
+		if j := i + 5; j < len(b) && string(b[i:j]) == `{"s":` && b[j] > ' ' {
+			i = j
+		} else {
+			i = token(b, i, `{"s":`)
+		}
+		if e.S, i, ok = digits(b, i, math.MaxUint64); !ok {
+			return edges, false
+		}
+		if j := i + 5; j < len(b) && string(b[i:j]) == `,"d":` && b[j] > ' ' {
+			i = j
+		} else {
+			i = token(b, i, `,"d":`)
+		}
+		if e.D, i, ok = digits(b, i, math.MaxUint64); !ok {
+			return edges, false
+		}
+		if j := i + 5; j < len(b) && string(b[i:j]) == `,"w":` && b[j] > ' ' {
+			i = j
+		} else {
+			i = token(b, i, `,"w":`)
+		}
+		if e.W, i, ok = signed(b, i); !ok {
+			return edges, false
+		}
+		if j := i + 5; j < len(b) && string(b[i:j]) == `,"t":` && b[j] > ' ' {
+			i = j
+		} else {
+			i = token(b, i, `,"t":`)
+		}
+		if e.T, i, ok = signed(b, i); !ok {
+			return edges, false
+		}
+		if i < len(b) && b[i] == '}' {
+			i = skipWS(b, i+1)
+		} else {
+			i = token(b, i, "}")
 		}
 		edges = append(edges, e)
+		if i == len(b) || b[i] != ',' {
+			break
+		}
+		i++
 	}
-	return edges, s.end()
+	return edges, i < len(b) && b[i] == ']' && skipWS(b, i+1) == len(b)
+}
+
+// token matches the structural token tok at b[i:] with JSON whitespace
+// allowed before each of its bytes outside the quoted key, and returns the
+// index past it and the whitespace after it — or len(b) when it does not
+// match, where every later read fails.
+func token(b []byte, i int, tok string) int {
+	inKey := false
+	for j := 0; j < len(tok); j++ {
+		if !inKey {
+			i = skipWS(b, i)
+		}
+		if i == len(b) || b[i] != tok[j] {
+			return len(b)
+		}
+		inKey = inKey != (tok[j] == '"')
+		i++
+	}
+	return skipWS(b, i)
 }
 
 // writeCount answers a write with {"<name>":n}, byte for byte what

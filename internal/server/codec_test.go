@@ -217,6 +217,11 @@ func FuzzQueryEnvelope(f *testing.F) {
 	for _, s := range envelopeSeeds {
 		f.Add([]byte(s))
 	}
+	for _, n := range signedBorders {
+		f.Add([]byte(`[{"kind":"edge","s":1,"d":2,"ts":` + n + `,"te":1}]`))
+		f.Add([]byte(`[{"kind":"edge","s":1,"d":2,"ts":0,"te":` + n + `}]`))
+		f.Add([]byte(`[{"kind":"burst","k":` + n + `}]`))
+	}
 	srv := codecServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkEnvelopeBody(t, srv, body)
@@ -271,6 +276,49 @@ func TestScannerServesTheTraffic(t *testing.T) {
 	}
 }
 
+// TestScannerEdgeSpellings: the edge scanner reads json.Marshal's key
+// order with whitespace around any token, and gives up on every other
+// spelling — another key order, a repeated or missing key — which the
+// fallback decodes exactly as json.Unmarshal does (for a repeated key, the
+// last value wins).
+func TestScannerEdgeSpellings(t *testing.T) {
+	for _, c := range []struct {
+		body    string
+		scanned bool
+	}{
+		{`[{"s": 1, "d": 2, "w": -3, "t": 4}, {"s": 5, "d": 6, "w": 7, "t": 8}]`, true},
+		{" [ { \"s\" :\t1 ,\r\n\"d\" : 2 , \"w\" : 3 , \"t\" : 4 } ] ", true},
+		{`[{"s":1,"d":2,"t":4,"w":3}]`, false},
+		{`[{"d":2,"s":1,"w":3,"t":4}]`, false},
+		{`[{"t":4,"w":3,"d":2,"s":1}]`, false},
+		{`[{"s":1,"d":2,"w":3,"t":4},{"s":5,"d":6,"t":8,"w":7}]`, false},
+		{`[{"s":1,"d":2,"w":3,"t":4,"t":5}]`, false},
+		{`[{"s":1,"s":9,"d":2,"w":3,"t":4}]`, false},
+		{`[{"s":1,"d":2,"w":3}]`, false},
+		{`[{"s":1,"d":2,"t":4}]`, false},
+		{`[{"d":2,"w":3,"t":4}]`, false},
+		{`[{}]`, false},
+		{`[{"s":1,"d":2,"w":3,"t":4},{}]`, false},
+	} {
+		body := []byte(c.body)
+		if got, ok := scanEdges(body, nil); ok != c.scanned {
+			t.Errorf("scanEdges(%s) = %+v, %v; want ok %v", body, got, ok, c.scanned)
+		}
+		var want []stream.Edge
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		b, err := decodeBatch(body)
+		if err != nil {
+			t.Fatalf("decodeBatch(%s): %v", body, err)
+		}
+		if !slices.Equal(b.edges, want) {
+			t.Errorf("decodeBatch(%s) = %+v, json.Unmarshal %+v", body, b.edges, want)
+		}
+		putBatch(b)
+	}
+}
+
 // TestScannerOneEditFromCanonical walks the border of the scanner's
 // grammar, where random fuzzing rarely lands: every body one edit away from
 // a canonical one — each byte deleted, replaced by, or preceded by each of
@@ -286,7 +334,8 @@ func TestScannerOneEditFromCanonical(t *testing.T) {
 			}
 		}
 	}
-	edits(`[{"s":10,"d":2,"w":-3,"t":9223372036854775807}, {}]`, checkBatchBody)
+	edits(`[{"s":10,"d":2,"w":-3,"t":9223372036854775807}, {"s":18446744073709551615,"d":0,"w":-9223372036854775808,"t":1}]`,
+		checkBatchBody)
 	edits(`[{"kind":"delta_vertex","s":1,"d":2,"v":3,"path":[1,20],"edges":[[1,2]],"ts":-1,"te":5,`+
 		`"ts2":6,"te2":7,"k":2,"dir":"in","candidates":[4]}, {}]`,
 		func(t *testing.T, body []byte) { checkEnvelopeBody(t, srv, body) })
@@ -426,11 +475,38 @@ func overwrite[T any](s []T, v T) {
 	}
 }
 
+// TestBatchPoolBound: a batch buffer grown past maxPooledEdges by one huge
+// body is not pooled, so it never comes back to pin its memory under a
+// later small request.
+func TestBatchPoolBound(t *testing.T) {
+	var body bytes.Buffer
+	body.WriteByte('[')
+	for i := 0; i <= maxPooledEdges; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		body.WriteString(`{"s":1,"d":2,"w":3,"t":4}`)
+	}
+	body.WriteByte(']')
+	b, err := decodeBatch(body.Bytes())
+	if err != nil || len(b.edges) != maxPooledEdges+1 {
+		t.Fatalf("decodeBatch: %d edges, %v", len(b.edges), err)
+	}
+	putBatch(b)
+	for i := 0; i < 4; i++ {
+		if c := cap(batchPool.Get().(*batchBuf).edges); c > maxPooledEdges {
+			t.Fatalf("the pool handed back a batch buffer of capacity %d, past the %d bound", c, maxPooledEdges)
+		}
+	}
+}
+
 // BenchmarkDecodeBatch is the body decode of one 256-edge /v1/ingest
-// request. folded-key differs from canonical in one byte — the last edge
+// request. indented is json.MarshalIndent's spelling, which the scanner
+// reads too. folded-key differs from canonical in one byte — the last edge
 // spells "S" — so it pays the scan up to there and then the whole
-// encoding/json decode: the cost of the fallback, which no BENCHMARK.json
-// workload sends and only this row shows.
+// encoding/json decode; reordered spells every edge s, d, t, w, which the
+// scanner gives up on at the first edge. Those two rows are the cost of
+// the fallback, which no BENCHMARK.json workload sends and only they show.
 func BenchmarkDecodeBatch(b *testing.B) {
 	edges := make([]stream.Edge, 256)
 	for i := range edges {
@@ -443,10 +519,23 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	last := bytes.LastIndex(canonical, []byte(`"s"`))
 	folded := bytes.Clone(canonical)
 	folded[last+1] = 'S'
+	indented, err := json.MarshalIndent(edges, "", "\t")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var reordered bytes.Buffer
+	reordered.WriteByte('[')
+	for i, e := range edges {
+		if i > 0 {
+			reordered.WriteByte(',')
+		}
+		fmt.Fprintf(&reordered, `{"s":%d,"d":%d,"t":%d,"w":%d}`, e.S, e.D, e.T, e.W)
+	}
+	reordered.WriteByte(']')
 	for _, c := range []struct {
 		name string
 		body []byte
-	}{{"canonical", canonical}, {"folded-key", folded}} {
+	}{{"canonical", canonical}, {"indented", indented}, {"folded-key", folded}, {"reordered", reordered.Bytes()}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(c.body)))

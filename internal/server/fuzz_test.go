@@ -38,10 +38,32 @@ func FuzzDecodeBatch(f *testing.F) {
 		`[{"s":1.0}]`, `[{"s":1e3}]`, `[{"s":01}]`, `[{"w":- 1}]`, `[{"s":18446744073709551616}]`,
 		`[{"w":9223372036854775808}]`, `[{"w":-9223372036854775809}]`,
 		`[{"\u0073":1}]`, `[{"ſ":1}]`, `[{"s":null}]`, `[{"s":1,}]`, `[{"s":1},]`, `[{"s":1}`,
+		// json.MarshalIndent's spelling, another key order, and whitespace
+		// before and after every token
+		"[\n\t{\n\t\t\"s\": 1,\n\t\t\"d\": 2,\n\t\t\"w\": 3,\n\t\t\"t\": 10\n\t}\n]",
+		`[{"s":1,"d":2,"t":10,"w":3}]`,
+		" [ { \"s\" : 1 , \"d\" : 2 , \"w\" : -3 , \"t\" : 10 } , { \"s\" : 4 , \"d\" : 5 , \"w\" : 6 , \"t\" : 7 } ] ",
 	} {
 		f.Add([]byte(s))
 	}
+	// The integer borders of each field: the last literal read unchecked,
+	// the first checked one, and the field's limit on either side.
+	for _, u := range []string{"999999999999999999", "1000000000000000000", "18446744073709551615", "18446744073709551616"} {
+		f.Add([]byte(`[{"s":` + u + `,"d":1,"w":1,"t":1}]`))
+		f.Add([]byte(`[{"s":1,"d":` + u + `,"w":1,"t":1}]`))
+	}
+	for _, n := range signedBorders {
+		f.Add([]byte(`[{"s":1,"d":1,"w":` + n + `,"t":1}]`))
+		f.Add([]byte(`[{"s":1,"d":1,"w":1,"t":` + n + `}]`))
+	}
 	f.Fuzz(checkBatchBody)
+}
+
+// signedBorders are the int64 literals on the borders of the scanner's
+// integer reader: the last read unchecked, the first checked, and the limits.
+var signedBorders = []string{
+	"999999999999999999", "-999999999999999999", "1000000000000000000", "-1000000000000000000",
+	"9223372036854775807", "-9223372036854775807", "-9223372036854775808", "9223372036854775808",
 }
 
 // checkBatchBody holds decodeBatch, through a dirtied pooled buffer, to the

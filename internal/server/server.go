@@ -486,11 +486,19 @@ type batchBuf struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
 
+// maxPooledEdges is maxPooledBody for a batch buffer: as many edges as a
+// pooled body holds in their shortest canonical spelling.
+const maxPooledEdges = maxPooledBody / len(`{"s":0,"d":0,"w":0,"t":0},`)
+
 // putBatch zeroes what the request decoded before pooling the buffer:
 // encoding/json decodes into a slice's existing elements in place, so a
 // later request's edge that omits a field would otherwise inherit it from
-// whatever edge last sat at that index.
+// whatever edge last sat at that index. A buffer past maxPooledEdges is
+// left to the collector.
 func putBatch(b *batchBuf) {
+	if cap(b.edges) > maxPooledEdges {
+		return
+	}
 	clear(b.edges)
 	b.edges = b.edges[:0]
 	batchPool.Put(b)
