@@ -19,7 +19,8 @@ func TestConcurrentQueriesAfterInsertion(t *testing.T) {
 			s.Insert(e)
 		}
 		// Deliberately do NOT finalize in the parallel case: queries must
-		// be able to force pending seals concurrently via sync.Once.
+		// be able to force pending seals concurrently through the sealState
+		// CAS latch (sealNow).
 		want := make([]int64, 60)
 		for v := range want {
 			want[v] = s.VertexOut(uint64(v), 0, 40000)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"higgs/internal/exact"
+	"higgs/internal/matrix"
 	"higgs/internal/stream"
 )
 
@@ -486,6 +487,73 @@ func TestStats(t *testing.T) {
 	}
 	if stats.SealedMatrices == 0 {
 		t.Error("no sealed matrices after finalize")
+	}
+}
+
+// TestStatsBuildsNoColumnIndex: Stats forces pending seals but builds no read
+// index, and neither does HeapBytes. A VertexIn afterwards raises HeapBytes
+// by exactly the column index bytes of the frozen aggregates its range
+// decomposition touched, and indexes no other matrix; a second VertexIn over
+// the same range, a VertexOut and an EdgeWeight raise it by nothing.
+func TestStatsBuildsNoColumnIndex(t *testing.T) {
+	s := MustNew(smallConfig())
+	for _, e := range denseStream(2000, 40, 20000, 13) {
+		s.Insert(e)
+	}
+	st := s.Stats()
+	var aggs []*matrix.Matrix
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.level > 1 && n.sealed() {
+			aggs = append(aggs, n.mat)
+		}
+		for _, id := range s.ar.children(n) {
+			walk(s.ar.node(nodeID(id)))
+		}
+	}
+	walk(s.root)
+	if len(aggs) != st.SealedMatrices || len(aggs) == 0 {
+		t.Fatalf("walked %d sealed aggregates, Stats counts %d", len(aggs), st.SealedMatrices)
+	}
+	indexed := func() (n int, bytes int64) {
+		for _, m := range aggs {
+			if b := m.IndexBytes(); b > 0 {
+				n, bytes = n+1, bytes+b
+			}
+		}
+		return n, bytes
+	}
+	if n, _ := indexed(); n != 0 || s.HeapBytes() != st.HeapBytes {
+		t.Fatalf("Stats and HeapBytes left %d column indexes; HeapBytes %d, Stats %d", n, s.HeapBytes(), st.HeapBytes)
+	}
+	const ts, te = 3000, 17000
+	touched := map[*matrix.Matrix]bool{}
+	s.collect(s.root, ts, te, func(m *matrix.Matrix, _, _ int64) { touched[m] = true })
+	s.VertexIn(7, ts, te)
+	var want int64
+	frozen := 0
+	for _, m := range aggs {
+		switch b := m.IndexBytes(); {
+		case touched[m] && b == 0:
+			t.Fatal("VertexIn read a frozen aggregate without indexing it")
+		case !touched[m] && b != 0:
+			t.Fatal("VertexIn indexed a matrix outside its decomposition")
+		case touched[m]:
+			want += b
+			frozen++
+		}
+	}
+	if frozen == 0 {
+		t.Fatal("the window covers no sealed aggregate: the fixture is not what it says")
+	}
+	if got := s.HeapBytes() - st.HeapBytes; got != want {
+		t.Fatalf("VertexIn over %d aggregates raised HeapBytes by %d, their indexes hold %d", frozen, got, want)
+	}
+	s.VertexIn(8, ts, te)
+	s.VertexOut(7, 0, 20000)
+	s.EdgeWeight(7, 8, 0, 20000)
+	if n, bytes := indexed(); n != frozen || s.HeapBytes() != st.HeapBytes+want || bytes != want {
+		t.Fatalf("later probes: %d indexes of %d bytes, HeapBytes %d; want %d of %d, %d", n, bytes, s.HeapBytes(), frozen, want, st.HeapBytes+want)
 	}
 }
 

@@ -6,7 +6,8 @@ import "sync"
 // each tree level gets a dedicated goroutine that aggregates freshly closed
 // nodes, taking the aggregation cost off the insertion thread. Correctness
 // does not depend on worker progress — every node's aggregation is guarded
-// by a sync.Once that queries run synchronously on demand.
+// by its sealState CAS latch (sealNow), which queries run synchronously on
+// demand.
 type sealWorkers struct {
 	s       *Summary
 	mu      sync.Mutex

@@ -25,7 +25,9 @@ type Stats struct {
 
 // Stats walks the tree and returns current statistics. Closed non-leaf
 // nodes are sealed on demand so the full aggregate hierarchy is accounted
-// for; call Finalize first to include the open spine.
+// for; call Finalize first to include the open spine. Stats builds no read
+// index: a frozen aggregate's column index counts once ColSum has built it
+// (DESIGN.md §7).
 func (s *Summary) Stats() Stats {
 	st := Stats{
 		Items:    s.items,

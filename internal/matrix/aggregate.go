@@ -263,7 +263,7 @@ func (sc *scratch) place(key, ids uint64, w int64) uint64 {
 // frozen matrix, allocating only what it keeps.
 func (sc *scratch) freeze() *Matrix {
 	n := len(sc.entries)
-	f := newFrozen(int(sc.cfg.D), sc.fills, n)
+	f := newFrozen(int(sc.cfg.D), sc.fills)
 	keys, ws, idxs := make([]uint64, n), make([]int64, n), make([]uint8, n)
 	for i := range sc.entries {
 		a := &sc.entries[i]
@@ -274,7 +274,7 @@ func (sc *scratch) freeze() *Matrix {
 	if len(sc.spill) > 0 {
 		spill = append(make([]spillEntry, 0, len(sc.spill)), sc.spill...)
 	}
-	f.index(keys, spill)
+	f.sortSpill(spill)
 	return &Matrix{
 		cfg:   sc.cfg,
 		lcg:   sc.lcg,

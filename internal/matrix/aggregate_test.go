@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"higgs/internal/wire"
@@ -217,9 +218,13 @@ func FuzzAggregate(f *testing.F) {
 
 // TestAggregateAllocs: once the scratch is warm, Aggregate allocates exactly
 // the arrays the frozen matrix keeps — the Matrix and frozen structs, the
-// shared uint32 array, keys, ws and idxs, and with a spill list that list and
-// its two views' array — however many entries it holds. The cheapest of 101
-// single runs, so it is exact under -race, whose sync.Pool drops Puts.
+// D²+1 bucket offsets, keys, ws and idxs, and with a spill list that list
+// and its two views' array — however many entries it holds. In bytes that is
+// 17 per entry, 4·(D²+1) of offsets, the two structs, 24 per spill entry and
+// 48 for its two view entries, each allocation rounded up to its size class
+// and nothing more: no column index, which the first ColSum builds. The
+// cheapest of 101 single runs, so it is exact under -race, whose sync.Pool
+// drops Puts.
 func TestAggregateAllocs(t *testing.T) {
 	leaves := func(edges int) []*Matrix {
 		rng := rand.New(rand.NewSource(int64(edges)))
@@ -256,16 +261,58 @@ func TestAggregateAllocs(t *testing.T) {
 		if c.spills {
 			want = 8
 		}
-		least := -1.0
+		least, leastBytes := -1.0, uint64(0)
 		for i := 0; i < 101; i++ {
 			if n := testing.AllocsPerRun(1, func() { _, _ = Aggregate(c.cfg, c.kids) }); least < 0 || n < least {
 				least = n
+			}
+			if n := allocBytes(func() { _, _ = Aggregate(c.cfg, c.kids) }); i == 0 || n < leastBytes {
+				leastBytes = n
 			}
 		}
 		if least != want {
 			t.Fatalf("%s (%d entries): Aggregate allocates %v times, want %v", c.name, m.Count(), least, want)
 		}
+		n, ns, nb := m.Count(), m.SpillCount(), int(c.cfg.D)*int(c.cfg.D)
+		sizes := []int{8 * n, 8 * n, n, 4 * (nb + 1), frozenSize, matrixSize}
+		if ns > 0 {
+			sizes = append(sizes, spillSize*ns, 2*spillRefSize*ns)
+		}
+		lo, hi := 0, 0
+		for _, sz := range sizes {
+			lo, hi = lo+sz, hi+sizeClass(sz)
+		}
+		// Entries under 16 bytes may share a block of the tiny allocator.
+		if leastBytes+16 < uint64(lo) || leastBytes > uint64(hi) {
+			t.Fatalf("%s (%d entries, %d spilled): Aggregate allocates %d bytes, want %d..%d", c.name, n, ns, leastBytes, lo, hi)
+		}
+		t.Logf("%s: %d entries, %d spilled: %d bytes in %d..%d", c.name, n, ns, leastBytes, lo, hi)
+		if m.IndexBytes() != 0 {
+			t.Fatalf("%s: Aggregate built a column index of %d bytes", c.name, m.IndexBytes())
+		}
 	}
+}
+
+// allocBytes returns the bytes the heap allocated while f ran. ReadMemStats
+// flushes every P's cache first, so the count is exact, but it includes what
+// other goroutines allocated meanwhile.
+func allocBytes(f func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	f()
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before
+}
+
+// sizeClass bounds the bytes an allocation of size takes: small sizes round
+// up to a size class, at most a fifth or 16 bytes more (4097 bytes take
+// 4864), large ones to whole 8 KB pages.
+func sizeClass(size int) int {
+	if size > 32<<10 {
+		return (size + 8<<10 - 1) &^ (8<<10 - 1)
+	}
+	return size + max(size/5, 16)
 }
 
 // TestAggregateValidation: Aggregate refuses what Absorb refused — a timed

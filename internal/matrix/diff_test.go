@@ -293,12 +293,20 @@ func frozenCopy(t testing.TB, m *Matrix) *Matrix {
 	return fz
 }
 
-// checkWithFrozen runs check on the aggregate m and on a frozen copy of it,
-// and requires the copy to encode to m's bytes.
+// checkWithFrozen runs check on the aggregate m and twice on a frozen copy
+// of it — before it has a column index, which its first ColSum builds, and
+// once it has one — and requires the copy to encode to m's bytes.
 func (r *refMatrix) checkWithFrozen(t *testing.T, m *Matrix, rng *rand.Rand, windows [][2]int64) {
 	t.Helper()
 	r.check(t, m, rng, windows)
 	fz := frozenCopy(t, m)
+	if fz.IndexBytes() != 0 {
+		t.Fatal("Freeze built a column index")
+	}
+	r.check(t, fz, rng, windows)
+	if fz.IndexBytes() == 0 {
+		t.Fatal("ColSum on a frozen matrix built no column index")
+	}
 	r.check(t, fz, rng, windows)
 	if !bytes.Equal(encodeBytes(t, fz), encodeBytes(t, m)) {
 		t.Fatal("frozen copy encodes to different bytes")

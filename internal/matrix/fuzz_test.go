@@ -198,7 +198,9 @@ func dupSpillSeed(t testing.TB) []byte {
 // — EdgeSum, RowSum and ColSum for every stored identity and a few absent
 // ones, the ForEach sequence, the Encode bytes — and Sub changes the same
 // entry in both forms: the slot find reaches, else the first spill entry in
-// list order. Duplicate spill identities all count toward the sums.
+// list order. Duplicate spill identities all count toward the sums. The
+// frozen form answers first without a column index, which Freeze must not
+// build and its first ColSum does, and after the Subs with one.
 func FuzzFreeze(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -219,11 +221,17 @@ func FuzzFreeze(f *testing.F) {
 			t.Fatal(err)
 		}
 		fz.Freeze()
+		if fz.IndexBytes() != 0 {
+			t.Fatal("Freeze built a column index")
+		}
 		var stored []refKey
 		dense.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, _ int64) {
 			stored = append(stored, refKey{fpS: fpS, baseS: baseS, fpD: fpD, baseD: baseD})
 		})
 		sameAnswers(t, dense, fz, stored)
+		if fz.IndexBytes() == 0 {
+			t.Fatal("ColSum on a frozen matrix built no column index")
+		}
 		for _, k := range stored {
 			if a, b := dense.Sub(k.fpS, k.baseS, k.fpD, k.baseD, 0, 1), fz.Sub(k.fpS, k.baseS, k.fpD, k.baseD, 0, 1); a != b {
 				t.Fatalf("Sub(%+v): dense %v, frozen %v", k, a, b)

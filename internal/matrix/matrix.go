@@ -21,8 +21,9 @@
 //
 // A sealed aggregate never changes shape again, so it is held in a compact
 // read-only layout in the manner of a CSR sparse matrix: only the occupied
-// entries with per-bucket offsets, a column index for ColSum, and sorted
-// views of the spill list. Aggregate builds that layout directly from the
+// entries with per-bucket offsets and sorted views of the spill list; the
+// column index ColSum scans is built by the first ColSum, as most sealed
+// aggregates never meet one. Aggregate builds that layout directly from the
 // children, without a dense slab; Freeze converts a dense untimed matrix (a
 // decoded one) to it. The Pool recycles dense slabs, which are then only
 // those of leaves and overflow blocks.
@@ -33,6 +34,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"higgs/internal/hashing"
 )
@@ -121,12 +124,25 @@ type spillRef struct {
 // bucket-major and in fill order within a bucket, and its fills is nil:
 // start replaces it.
 type frozen struct {
-	start    []uint32   // D²+1 offsets: bucket b holds entries start[b]:start[b+1]
-	colStart []uint32   // D+1 offsets into colFps and colAt, one run per column
-	colFps   []uint32   // every entry's destination fingerprint, column by column
-	colAt    []uint32   // the entry each colFps element belongs to
-	bySrc    []spillRef // the spill list ordered by source key
-	byDst    []spillRef // the spill list ordered by destination key
+	start []uint32   // D²+1 offsets: bucket b holds entries start[b]:start[b+1]
+	bySrc []spillRef // the spill list ordered by source key
+	byDst []spillRef // the spill list ordered by destination key
+	// cols is the column index, nil until the first ColSum builds it under
+	// colsOnce and then sets indexed, which publishes it. Readers holding
+	// only a shared lock may race to that first ColSum: one builds, the
+	// others wait for it, and every later call reads indexed and cols.
+	cols     *colIndex
+	indexed  atomic.Bool
+	colsOnce sync.Once
+}
+
+// colIndex is a frozen matrix's column index: every entry's destination
+// fingerprint copied column-major, so ColSum scans contiguous uint32s and
+// touches idxs and ws only on a fingerprint match.
+type colIndex struct {
+	start []uint32 // D+1 offsets into fps and at, one run per column
+	fps   []uint32 // every entry's destination fingerprint, column by column
+	at    []uint32 // the entry each fps element belongs to
 }
 
 // Matrix is a compressed matrix. It is not safe for concurrent mutation;
@@ -200,7 +216,7 @@ func (m *Matrix) Freeze() {
 		panic("matrix: Freeze of a timed or frozen matrix")
 	}
 	bsz, n := m.cfg.B, m.count
-	f := newFrozen(int(m.cfg.D), m.fills, n)
+	f := newFrozen(int(m.cfg.D), m.fills)
 	keys, ws, idxs := make([]uint64, n), make([]int64, n), make([]uint8, n)
 	for bkt, fill := range m.fills {
 		lo, hi, at := bkt*bsz, bkt*bsz+int(fill), f.start[bkt]
@@ -208,68 +224,82 @@ func (m *Matrix) Freeze() {
 		copy(ws[at:], m.ws[lo:hi])
 		copy(idxs[at:], m.idxs[lo:hi])
 	}
-	f.index(keys, m.spill)
+	f.sortSpill(m.spill)
 	m.slab = slab{keys: keys, ws: ws, idxs: idxs}
 	m.frz = f
 }
 
-// newFrozen allocates the frozen arrays of a matrix with n occupied entries
-// in d×d buckets, bucket b holding fills[b] of them, and sets the bucket and
-// column offsets. One allocation per element type: the four uint32 arrays
-// share one.
-func newFrozen(d int, fills []uint8, n int) *frozen {
-	nb := d * d
-	u32 := make([]uint32, nb+1+d+1+2*n)
-	c0, f0 := nb+1, nb+d+2
-	f := &frozen{
-		start:    u32[:c0:c0],
-		colStart: u32[c0:f0:f0],
-		colFps:   u32[f0 : f0+n : f0+n],
-		colAt:    u32[f0+n:],
-	}
-	// Every column's entry count goes to colStart[col+1], summed to the
-	// column offsets after it.
+// newFrozen allocates the bucket offsets of a matrix of d×d buckets, bucket
+// b holding fills[b] entries.
+func newFrozen(d int, fills []uint8) *frozen {
+	f := &frozen{start: make([]uint32, d*d+1)}
 	var at uint32
 	for bkt, fill := range fills {
 		f.start[bkt] = at
 		at += uint32(fill)
-		f.colStart[bkt&(d-1)+1] += uint32(fill)
 	}
-	f.start[nb] = at
-	for c := 1; c <= d; c++ {
-		f.colStart[c] += f.colStart[c-1]
-	}
+	f.start[d*d] = at
 	return f
 }
 
-// index completes f once keys holds the occupied entries where start puts
-// them: it deals every destination fingerprint to its column and builds the
-// sorted views of spill. colStart[c] is column c's write cursor and ends at
-// column c+1's offset; the shift restores it.
-func (f *frozen) index(keys []uint64, spill []spillEntry) {
-	d := len(f.colStart) - 1
-	for bkt := 0; bkt < len(f.start)-1; bkt++ {
+// sortSpill builds the sorted views of spill.
+func (f *frozen) sortSpill(spill []spillEntry) {
+	ns := len(spill)
+	if ns == 0 {
+		return
+	}
+	refs := make([]spillRef, 2*ns)
+	f.bySrc, f.byDst = refs[:ns:ns], refs[ns:]
+	for i := range spill {
+		sp := &spill[i]
+		src, dst := uint64(sp.baseS)<<32|uint64(sp.fpS), uint64(sp.baseD)<<32|uint64(sp.fpD)
+		f.bySrc[i] = spillRef{key: src, other: dst, at: uint32(i)}
+		f.byDst[i] = spillRef{key: dst, other: src, at: uint32(i)}
+	}
+	slices.SortFunc(f.bySrc, byKey)
+	slices.SortFunc(f.byDst, byKey)
+}
+
+// columns returns f's column index over keys, the matrix's entries where
+// start puts them, building it on the first call; a racing caller returns
+// only once it is built.
+func (f *frozen) columns(d int, keys []uint64) *colIndex {
+	if !f.indexed.Load() {
+		f.colsOnce.Do(func() {
+			f.cols = newColIndex(d, f.start, keys)
+			f.indexed.Store(true)
+		})
+	}
+	return f.cols
+}
+
+// newColIndex deals every destination fingerprint of keys to its column, in
+// bucket order: one pass over start counts each column's entries into
+// start[col+1], summed to the offsets after it, and a second deals them.
+// start[c] is column c's write cursor and ends at column c+1's offset; the
+// shift restores it. The three arrays share one allocation.
+func newColIndex(d int, start []uint32, keys []uint64) *colIndex {
+	n := len(keys)
+	u32 := make([]uint32, d+1+2*n)
+	c := &colIndex{start: u32[: d+1 : d+1], fps: u32[d+1 : d+1+n : d+1+n], at: u32[d+1+n:]}
+	nb := len(start) - 1
+	for bkt := 0; bkt < nb; bkt++ {
+		c.start[bkt&(d-1)+1] += start[bkt+1] - start[bkt]
+	}
+	for col := 1; col <= d; col++ {
+		c.start[col] += c.start[col-1]
+	}
+	for bkt := 0; bkt < nb; bkt++ {
 		col := bkt & (d - 1)
-		for e := f.start[bkt]; e < f.start[bkt+1]; e++ {
-			c := f.colStart[col]
-			f.colFps[c], f.colAt[c] = uint32(keys[e]>>32), e
-			f.colStart[col] = c + 1
+		for e := start[bkt]; e < start[bkt+1]; e++ {
+			at := c.start[col]
+			c.fps[at], c.at[at] = uint32(keys[e]>>32), e
+			c.start[col] = at + 1
 		}
 	}
-	copy(f.colStart[1:], f.colStart[:d])
-	f.colStart[0] = 0
-	if ns := len(spill); ns > 0 {
-		refs := make([]spillRef, 2*ns)
-		f.bySrc, f.byDst = refs[:ns:ns], refs[ns:]
-		for i := range spill {
-			sp := &spill[i]
-			src, dst := uint64(sp.baseS)<<32|uint64(sp.fpS), uint64(sp.baseD)<<32|uint64(sp.fpD)
-			f.bySrc[i] = spillRef{key: src, other: dst, at: uint32(i)}
-			f.byDst[i] = spillRef{key: dst, other: src, at: uint32(i)}
-		}
-		slices.SortFunc(f.bySrc, byKey)
-		slices.SortFunc(f.byDst, byKey)
-	}
+	copy(c.start[1:], c.start[:d])
+	c.start[0] = 0
+	return c
 }
 
 func byKey(a, b spillRef) int { return cmp.Compare(a.key, b.key) }
@@ -530,10 +560,11 @@ func (m *Matrix) RowSum(fp, base uint32, loOff, hiOff int64) int64 {
 }
 
 // ColSum is the incoming-vertex analogue of RowSum. A dense column's buckets
-// lie D·B slots apart; a frozen matrix scans its column index instead.
+// lie D·B slots apart; a frozen matrix scans its column index instead,
+// which the first ColSum builds (IndexBytes then counts it).
 func (m *Matrix) ColSum(fp, base uint32, loOff, hiOff int64) int64 {
-	if m.frz != nil {
-		return m.colSumFrozen(fp, base, loOff, hiOff)
+	if f := m.frz; f != nil {
+		return m.colSumFrozen(f.columns(int(m.cfg.D), m.keys), fp, base, loOff, hiOff)
 	}
 	var sum int64
 	if offs, some := m.window(loOff, hiOff); some {
@@ -560,19 +591,26 @@ func (m *Matrix) ColSum(fp, base uint32, loOff, hiOff int64) int64 {
 	return sum
 }
 
-// colSumFrozen is ColSum over the column index: a candidate column's
+// colSumFrozen is ColSum over the column index ci: a candidate column's
 // destination fingerprints are contiguous, and an entry's index pair and
-// weight are read only when its fingerprint matches.
-func (m *Matrix) colSumFrozen(fp, base uint32, loOff, hiOff int64) int64 {
+// weight are read only when its fingerprint matches. ColSum takes the index
+// first, which keeps this function free of calls.
+//
+// The fingerprint loop is six instructions, and its speed hangs on where
+// they sit: straddling a 64-byte line, BenchmarkColSum/agg6 ran 30 % slower
+// (Go 1.24, amd64, Xeon). Slicing at to the column run, as fps is, places
+// the loop inside one 32-byte block, so no placement of the function splits
+// it; check the loop's offsets after editing this function (DESIGN.md §3.4).
+func (m *Matrix) colSumFrozen(ci *colIndex, fp, base uint32, loOff, hiOff int64) int64 {
 	var sum int64
-	f := m.frz
 	if _, some := m.window(loOff, hiOff); some {
 		col := base & (m.cfg.D - 1)
 		for j := 0; j < m.cfg.Maps; j++ {
-			lo, hi := f.colStart[col], f.colStart[col+1]
-			for k, cf := range f.colFps[lo:hi] {
+			lo, hi := ci.start[col], ci.start[col+1]
+			at := ci.at[lo:hi]
+			for k, cf := range ci.fps[lo:hi] {
 				if cf == fp {
-					if e := f.colAt[int(lo)+k]; int(m.idxs[e]&0xf) == j {
+					if e := at[k]; int(m.idxs[e]&0xf) == j {
 						sum += m.ws[e]
 					}
 				}
@@ -580,7 +618,7 @@ func (m *Matrix) colSumFrozen(fp, base uint32, loOff, hiOff int64) int64 {
 			col = m.lcg.Next(col)
 		}
 	}
-	for _, r := range spillRun(f.byDst, m.spillKey(fp, base)) {
+	for _, r := range spillRun(m.frz.byDst, m.spillKey(fp, base)) {
 		sum += m.spill[r.at].w
 	}
 	return sum
@@ -626,19 +664,30 @@ func (m *Matrix) SpaceBytes() int64 {
 const (
 	matrixSize   = 240 // struct Matrix
 	spillSize    = 24  // struct spillEntry
-	frozenSize   = 144 // struct frozen
+	frozenSize   = 96  // struct frozen
+	colIndexSize = 72  // struct colIndex
 	spillRefSize = 24  // struct spillRef
 )
 
 // HeapBytes returns the resident size of the Go representation: the
-// backing arrays actually held plus the structs themselves.
+// backing arrays actually held plus the structs themselves, a frozen
+// matrix's column index only once ColSum has built it.
 func (m *Matrix) HeapBytes() int64 {
-	n := m.slab.heapBytes() + int64(cap(m.spill))*spillSize + matrixSize
+	n := m.slab.heapBytes() + int64(cap(m.spill))*spillSize + matrixSize + m.IndexBytes()
 	if f := m.frz; f != nil {
-		n += int64(cap(f.start)+cap(f.colStart)+cap(f.colFps)+cap(f.colAt))*4 +
-			int64(cap(f.bySrc)+cap(f.byDst))*spillRefSize + frozenSize
+		n += int64(cap(f.start))*4 + int64(cap(f.bySrc)+cap(f.byDst))*spillRefSize + frozenSize
 	}
 	return n
+}
+
+// IndexBytes returns the resident size of a frozen matrix's column index: 0
+// until the first ColSum builds it, and always 0 on a dense matrix.
+func (m *Matrix) IndexBytes() int64 {
+	if m.frz == nil || !m.frz.indexed.Load() {
+		return 0
+	}
+	c := m.frz.cols
+	return int64(cap(c.start)+cap(c.fps)+cap(c.at))*4 + colIndexSize
 }
 
 // ForEach invokes fn for every occupied slot, buckets row-major and slots

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -377,6 +378,55 @@ func TestFrozenRefusesWrites(t *testing.T) {
 	}
 }
 
+// TestColSumBuildsIndexOnce: eight goroutines race to a frozen matrix's
+// first ColSum, as readers holding a shard's shared lock do. Every answer is
+// the dense matrix's, every goroutine meets the one column index published,
+// and later calls allocate nothing.
+func TestColSumBuildsIndexOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dense := mustNew(t, Config{D: 32, B: 3, Maps: 4, FBits: 6}, 0)
+	for i := 0; i < 4000; i++ {
+		dense.addOrSpill(uint32(rng.Intn(64)), uint32(rng.Intn(32)), uint32(rng.Intn(64)), uint32(rng.Intn(32)), 1)
+	}
+	if dense.SpillCount() == 0 {
+		t.Fatal("fixture does not spill")
+	}
+	want := make([]int64, 64*32)
+	for p := range want {
+		want[p] = dense.ColSum(uint32(p/32), uint32(p%32), math.MinInt64, math.MaxInt64)
+	}
+	fz := frozenCopy(t, dense)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	met := make([]*colIndex, 8)
+	for g := range met {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			fz.ColSum(0, 0, math.MinInt64, math.MaxInt64)
+			met[g] = fz.frz.cols // the index this goroutine's first ColSum read
+			for i := range want {
+				p := (i + g*len(want)/8) % len(want) // each starts elsewhere
+				if got := fz.ColSum(uint32(p/32), uint32(p%32), math.MinInt64, math.MaxInt64); got != want[p] {
+					t.Errorf("goroutine %d: ColSum(%d@%d) = %d, want %d", g, p/32, p%32, got, want[p])
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, c := range met {
+		if c == nil || c != fz.frz.cols {
+			t.Fatalf("goroutine %d met column index %p, the matrix holds %p", g, c, fz.frz.cols)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { fz.ColSum(1, 2, math.MinInt64, math.MaxInt64) }); n != 0 {
+		t.Fatalf("ColSum with a column index allocates %v times", n)
+	}
+}
+
 func TestUtilizationAndSpace(t *testing.T) {
 	m := mustNew(t, Config{D: 4, B: 2, Maps: 2, FBits: 10, Timed: true}, 0)
 	if m.Utilization() != 0 {
@@ -548,6 +598,7 @@ func benchProbe(b *testing.B, probe func(m *Matrix, e benchEdge, lo, hi int64) i
 			if !g.cfg.Timed {
 				m.Freeze() // the only form an aggregate is queried in
 			}
+			probe(m, probes[0], g.lo, g.hi) // ColSum's first call builds its index: agg6-first times that
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -567,8 +618,26 @@ func BenchmarkRowSum(b *testing.B) {
 	benchProbe(b, func(m *Matrix, e benchEdge, lo, hi int64) int64 { return m.RowSum(e.fpS, e.baseS, lo, hi) })
 }
 
+// BenchmarkColSum also times, as agg6-first, the first ColSum on a frozen
+// level-6 aggregate: the column index build the seal no longer pays, plus
+// one probe. Each iteration gets a fresh frozen matrix without an index,
+// made outside the timer.
 func BenchmarkColSum(b *testing.B) {
 	benchProbe(b, func(m *Matrix, e benchEdge, lo, hi int64) int64 { return m.ColSum(e.fpD, e.baseD, lo, hi) })
+	b.Run("agg6-first", func(b *testing.B) {
+		m, probes := benchMatrix(b, benchAgg, 16)
+		m.Freeze()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh := *m
+			fresh.frz = &frozen{start: m.frz.start, bySrc: m.frz.bySrc, byDst: m.frz.byDst}
+			e := probes[i%len(probes)]
+			b.StartTimer()
+			benchSink += fresh.ColSum(e.fpD, e.baseD, math.MinInt64, math.MaxInt64)
+		}
+	})
 }
 
 // benchHub fills an untimed matrix to ~54 % with edges of which three in four

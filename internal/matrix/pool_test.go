@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -256,6 +257,9 @@ func TestHeapBytes(t *testing.T) {
 	if got := int(reflect.TypeOf(frozen{}).Size()); got != frozenSize {
 		t.Fatalf("frozenSize = %d, struct frozen is %d bytes", frozenSize, got)
 	}
+	if got := int(reflect.TypeOf(colIndex{}).Size()); got != colIndexSize {
+		t.Fatalf("colIndexSize = %d, struct colIndex is %d bytes", colIndexSize, got)
+	}
 	if got := int(reflect.TypeOf(spillRef{}).Size()); got != spillRefSize {
 		t.Fatalf("spillRefSize = %d, struct spillRef is %d bytes", spillRefSize, got)
 	}
@@ -282,12 +286,21 @@ func TestHeapBytes(t *testing.T) {
 	want := backing(timed)
 	timed.Release(p)
 	// Frozen, the aggregate keeps its one entry in each column (17 bytes),
-	// 5 bucket and 3 column offsets, a fingerprint and a position per entry
-	// (4 bytes each), and two sorted views of its two spill entries; the
-	// dense slab is dropped, and so are the frozen arrays on Release.
+	// 5 bucket offsets (4 bytes each), and two sorted views of its two spill
+	// entries; the dense slab is dropped, and so are the frozen arrays on
+	// Release. The first ColSum adds the column index: 3 column offsets and
+	// a fingerprint and a position per entry (4 bytes each), and its struct.
+	// A second ColSum adds nothing.
 	agg.Freeze()
-	if got, want := agg.HeapBytes(), int64(17+(5+3+2)*4+cap(agg.spill)*spillSize+4*spillRefSize+matrixSize+frozenSize); got != want {
-		t.Fatalf("frozen HeapBytes = %d, want %d", got, want)
+	frozenBytes := int64(17 + 5*4 + cap(agg.spill)*spillSize + 4*spillRefSize + matrixSize + frozenSize)
+	if got := agg.HeapBytes(); got != frozenBytes || agg.IndexBytes() != 0 {
+		t.Fatalf("frozen HeapBytes = %d (index %d), want %d and no index", got, agg.IndexBytes(), frozenBytes)
+	}
+	for range 2 {
+		agg.ColSum(1, 0, math.MinInt64, math.MaxInt64)
+		if got, want := agg.HeapBytes(), frozenBytes+(3+2)*4+colIndexSize; got != want || agg.IndexBytes() != want-frozenBytes {
+			t.Fatalf("frozen HeapBytes after ColSum = %d (index %d), want %d", got, agg.IndexBytes(), want)
+		}
 	}
 	if agg.Capacity() != 4 || agg.SpaceBytes() != (4*int64(agg.EntryBits())+2*(2*8+2+64)+7)/8 {
 		t.Fatalf("frozen Capacity %d / SpaceBytes %d: the paper's accounting must not see Freeze", agg.Capacity(), agg.SpaceBytes())

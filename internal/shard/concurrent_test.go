@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"higgs/internal/query"
 	"higgs/internal/stream"
 )
 
@@ -83,6 +84,64 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 		if got := s.EdgeWeight(k[0], k[1], 0, 60_000); got < want {
 			t.Fatalf("EdgeWeight(%d,%d) = %d undercounts %d", k[0], k[1], got, want)
 		}
+	}
+}
+
+// TestConcurrentFirstColumnIndex: eight goroutines probe VertexIn through
+// ProbeShard, under the shard read lock alone, on a summary whose sealed
+// aggregates have never met a ColSum, so they race to build each column
+// index. Every answer equals the one a twin summary gives single-threaded,
+// and the twins end with the same HeapBytes: each index was built and
+// counted once. Run with -race.
+func TestConcurrentFirstColumnIndex(t *testing.T) {
+	st, err := stream.Generate(stream.Config{
+		Nodes: 80, Edges: 16_000, Span: 40_000, Skew: 2.0, Variance: 700,
+		Slices: 80, Seed: 31,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, s := newSharded(t, 4), newSharded(t, 4)
+	ref.InsertBatch(st)
+	s.InsertBatch(st)
+	// Stats seals every closed node and builds no column index.
+	before := s.Stats().Total
+	if before.SealedMatrices == 0 || ref.Stats().Total.HeapBytes != before.HeapBytes {
+		t.Fatalf("twins differ or hold no sealed aggregate: %+v", before)
+	}
+	const vertices = 80
+	probes := make([]query.Probe, vertices)
+	for v := range probes {
+		probes[v] = query.Probe{Op: query.OpVertexIn, S: uint64(v), Ts: 5_000, Te: 35_000}
+	}
+	want := make([][]int64, s.NumShards())
+	for i := range want {
+		want[i] = make([]int64, vertices)
+		ref.ProbeShard(i, probes, want[i])
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			out := make([]int64, 1)
+			<-start
+			for k := 0; k < s.NumShards()*vertices; k++ { // all in step, to race on each build
+				i, v := k/vertices, k%vertices
+				s.ProbeShard(i, probes[v:v+1], out)
+				if out[0] != want[i][v] {
+					t.Errorf("goroutine %d: shard %d VertexIn(%d) = %d, single-threaded %d", g, i, v, out[0], want[i][v])
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	after, refAfter := s.Stats().Total.HeapBytes, ref.Stats().Total.HeapBytes
+	if after != refAfter || after <= before.HeapBytes {
+		t.Fatalf("HeapBytes %d → %d after concurrent first probes, %d single-threaded", before.HeapBytes, after, refAfter)
 	}
 }
 
