@@ -312,7 +312,7 @@ func BenchmarkFig19Space(b *testing.B) {
 }
 
 // BenchmarkFig20Optimizations measures HIGGS insert cost per optimization
-// variant (Fig. 20a/b): baseline, parallel aggregation, no MMB, no OB.
+// variant (Fig. 20a/b): baseline, no MMB, no OB.
 func BenchmarkFig20Optimizations(b *testing.B) {
 	ds := sharedDataset(b)
 	variants := []struct {
@@ -320,7 +320,6 @@ func BenchmarkFig20Optimizations(b *testing.B) {
 		cfg  func() core.Config
 	}{
 		{"baseline", core.DefaultConfig},
-		{"parallel", func() core.Config { c := core.DefaultConfig(); c.Parallel = true; return c }},
 		{"noMMB", func() core.Config { c := core.DefaultConfig(); c.Maps = 1; return c }},
 		{"noOB", func() core.Config { c := core.DefaultConfig(); c.OverflowBlocks = false; return c }},
 	}
@@ -339,7 +338,6 @@ func BenchmarkFig20Optimizations(b *testing.B) {
 			st := s.Stats()
 			b.ReportMetric(float64(st.Leaves), "leaves")
 			b.ReportMetric(float64(st.SpaceBytes)/float64(st.Items+1), "bytes/item")
-			s.Close()
 		})
 	}
 }

@@ -246,7 +246,6 @@ func TestE2ECrashRecoveryExpireWALDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 	refLog, err := higgs.OpenWAL(higgs.WALConfig{Dir: filepath.Join(t.TempDir(), "refwal")})
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +474,6 @@ func TestE2ESigtermDrainSnapshotExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 	ref.InsertBatch([]higgs.Edge{
 		{S: 1, D: 2, W: 3, T: 10}, {S: 2, D: 3, W: 5, T: 20}, {S: 1, D: 2, W: 4, T: 30},
 	})
@@ -495,7 +493,6 @@ func TestE2ESigtermDrainSnapshotExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
 	if w := loaded.EdgeWeight(1, 2, 0, 100); w != 7 {
 		t.Fatalf("restored edge 1→2 weight = %d, want 7", w)
 	}

@@ -57,7 +57,6 @@ func ExampleSummary_Delete() {
 // Result slot without failing the batch.
 func ExampleSharded_DoBatch() {
 	s, _ := higgs.NewSharded(higgs.DefaultShardedConfig())
-	defer s.Close()
 	s.Insert(higgs.Edge{S: 1, D: 2, W: 3, T: 100})
 	s.Insert(higgs.Edge{S: 2, D: 3, W: 5, T: 200})
 

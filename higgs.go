@@ -155,8 +155,8 @@ var (
 func DefaultIngestConfig() IngestConfig { return ingest.DefaultConfig() }
 
 // NewIngest returns a group-commit ingest pipeline over the summary. The
-// pipeline does not own the summary: close the pipeline first (draining
-// accepted edges), then the summary.
+// pipeline does not own the summary: closing the pipeline drains accepted
+// edges into it, and the summary stays queryable.
 func NewIngest(s *Sharded, cfg IngestConfig) (*Ingest, error) { return ingest.New(s, cfg) }
 
 // WAL is a segmented, fsync-batched write-ahead log of stream edges: the

@@ -15,7 +15,6 @@ func TestIngestFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	p, err := higgs.NewIngest(s, higgs.DefaultIngestConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +52,6 @@ func TestIngestFacadeConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	p, err := higgs.NewIngest(s, higgs.IngestConfig{QueueDepth: 128})
 	if err != nil {
 		t.Fatal(err)

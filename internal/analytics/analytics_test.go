@@ -27,7 +27,6 @@ func newPair(t *testing.T, shards int, cfg Config) (*shard.Summary, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	cfg.Shards = shards
 	e, err := New(cfg)
 	if err != nil {

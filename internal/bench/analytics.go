@@ -222,7 +222,6 @@ func analyticsRow(c *gateCase) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	eng, err := analytics.New(analytics.Config{Shards: n, EpochSeconds: pl.epochLen})
 	if err != nil {
 		return nil, err

@@ -128,7 +128,6 @@ func contendedIngestEPS(c *gateCase, async bool) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer s.Close()
 	var p *ingest.Pipeline
 	if async {
 		// A short accumulation window builds large groups under sustained
@@ -186,7 +185,6 @@ func asyncEquivalence(c *gateCase) error {
 		if err != nil {
 			return nil, err
 		}
-		defer s.Close()
 		var p *ingest.Pipeline
 		if async {
 			p, err = ingest.New(s, ingest.Config{QueueDepth: 512, CommitInterval: 100 * time.Microsecond})

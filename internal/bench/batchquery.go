@@ -142,7 +142,6 @@ func verifyAgainstCoreRefs(s *shard.Summary, ccfg core.Config, st stream.Stream,
 	refs := make([]*core.Summary, s.NumShards())
 	for i := range refs {
 		refs[i] = core.MustNew(ccfg)
-		defer refs[i].Close()
 	}
 	for _, e := range st {
 		refs[s.ShardFor(e.S)].Insert(e)
@@ -200,7 +199,6 @@ func batchQueryRow(c *gateCase) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 
 	split := len(ds.Stream) * 9 / 10
 	s.InsertBatch(ds.Stream[:split])

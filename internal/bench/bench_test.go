@@ -92,7 +92,7 @@ func TestCompetitorsBuildAndAgree(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	if len(Experiments()) != 24 {
+	if len(Experiments()) != 23 {
 		t.Fatalf("registry has %d experiments", len(Experiments()))
 	}
 	var buf bytes.Buffer
@@ -187,7 +187,7 @@ func TestPaperGolden(t *testing.T) {
 }
 
 // TestExperimentsSmoke runs every figure experiment at tiny scale and
-// checks each prints rows for every competitor, then runs the eight CI
+// checks each prints rows for every competitor, then runs the seven CI
 // gates with CI's own arguments (-scale 0.15 -presets lkml -seed 42). A
 // gate's contracts fail inside its own rows; on top of that this test holds
 // each run to the metric names CI's BENCH_<id>.json artifacts are keyed by
@@ -206,7 +206,6 @@ func TestExperimentsSmoke(t *testing.T) {
 		{"batchquery", []string{"lkml_s#_percall_qps", "lkml_s#_batched_qps", "lkml_s#_locks_per_batch"}},
 		{"walrecovery", []string{"lkml_s#_replay_eps"}},
 		{"retention", []string{"lkml_s#_dropped"}},
-		{"allocs", []string{"lkml_steady_insert_allocs", "lkml_edge_probe_allocs", "lkml_insert_eps"}},
 		{"replication", []string{"lkml_s#_catchup_eps", "lkml_read_qps_r1", "lkml_read_qps_r2", "lkml_read_scaling"}},
 		{"readcache", []string{"lkml_s#_uncached_qps", "lkml_s#_cached_qps", "lkml_s#_hit_rate", "lkml_s#_locks_full_hit"}},
 		{"analytics", []string{"lkml_s#_ingest_eps", "lkml_s#_hh_out_match", "lkml_s#_hh_in_match", "lkml_s#_burst_flagged",

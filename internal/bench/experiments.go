@@ -93,14 +93,14 @@ var figures = []figure{
 			return []string{c.space(), fmt.Sprintf("%.1f", perEdge)}
 		}},
 
-	// Fig. 20: the three HIGGS optimizations — parallelization (insert
-	// throughput), multiple mapping buckets (space), overflow blocks
-	// (accuracy, leaf count).
+	// Fig. 20: the HIGGS optimizations this repository keeps — multiple
+	// mapping buckets (space) and overflow blocks (accuracy, leaf count).
+	// The paper's third, per-level seal workers (§IV-C), is not implemented
+	// (DESIGN.md §4).
 	{id: "fig20", title: "Fig. 20: optimization ablations", header: "Fig. 20: HIGGS optimization ablations",
 		subject: "variant", points: func(d draw) []point { return []point{{qs: d.edges(midRange)}} },
 		subjects: variants{
 			{"baseline", func(*core.Config) {}},
-			{"+parallel", func(c *core.Config) { c.Parallel = true }},
 			{"-MMB (r=1)", func(c *core.Config) { c.Maps = 1 }},
 			{"-OB", func(c *core.Config) { c.OverflowBlocks = false }}}.builders,
 		columns: []string{"throughput", "space", "leaves", "edge-AAE(1e5)"},

@@ -14,7 +14,7 @@ import (
 var shardCounts = []int{1, 2, 4, 8}
 
 // gate is an experiment shaped as one table row per (dataset, shard
-// count) — the eight CI gates, the sharded sweep and the paper's Table II.
+// count) — the seven CI gates, the sharded sweep and the paper's Table II.
 // A gate states only what is its own: titles, columns and the row. The
 // driver (run) owns what they all share: sheet's plumbing, the sweep, the
 // "<n> shards:" error prefix, the leading table cells, and the

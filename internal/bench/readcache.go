@@ -110,7 +110,6 @@ func readCacheRow(c *gateCase) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	cache, err := rcache.New(s, rcache.Config{MaxBytes: readCacheBudget})
 	if err != nil {
 		return nil, err
@@ -187,7 +186,6 @@ func readCacheRow(c *gateCase) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer swapped.Close()
 	swapped.InsertBatch(ds.Stream[:2*third])
 	swapCache, err := rcache.New(swapped, rcache.Config{MaxBytes: readCacheBudget})
 	if err != nil {

@@ -25,7 +25,7 @@ var registry = func() []Experiment {
 	}
 	out = append(out, Experiment{ID: "sharded", Title: "Extra: sharded ingest scaling (internal/shard)", Run: shardedIngest})
 	for _, g := range []gate{asyncIngestGate, batchQueryGate, walRecoveryGate, retentionGate,
-		allocsGate, replicationGate, readCacheGate, analyticsGate} {
+		replicationGate, readCacheGate, analyticsGate} {
 		out = append(out, g.experiment())
 	}
 	return out

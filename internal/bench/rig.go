@@ -86,9 +86,6 @@ func (r *rig) close() {
 	if r.log != nil {
 		r.log.Close()
 	}
-	if r.sum != nil {
-		r.sum.Close()
-	}
 	os.RemoveAll(r.dir)
 }
 
@@ -135,16 +132,15 @@ func (r *rig) snap() error {
 }
 
 // crashRecover abandons the served state — no flush, no orderly close of
-// the summary and its queues — and reboots from the directory alone:
-// reopened log, the latest snapshot or an empty summary, ingest.Recover.
-// (The Close calls only reclaim goroutines and the file handle; every
-// accepted batch and expire was fsync'd before its Submit/Expire
-// returned, so the directory is exactly what a hard kill would leave.) It
-// returns the edges replayed and how long the replay took; the rig then
-// holds the recovered summary and no pipeline.
+// the summary's queues — and reboots from the directory alone: reopened
+// log, the latest snapshot or an empty summary, ingest.Recover. (The Close
+// calls only reclaim goroutines and the file handle; every accepted batch
+// and expire was fsync'd before its Submit/Expire returned, so the
+// directory is exactly what a hard kill would leave.) It returns the edges
+// replayed and how long the replay took; the rig then holds the recovered
+// summary and no pipeline.
 func (r *rig) crashRecover() (replayed int64, took time.Duration, err error) {
 	r.pipe.Close()
-	r.sum.Close()
 	r.pipe, r.sum = nil, nil
 	if err := r.log.Close(); err != nil {
 		return 0, 0, err

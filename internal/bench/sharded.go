@@ -53,7 +53,6 @@ func shardedRun(c *gateCase) (eps float64, verified, total int, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	defer s.Close()
 
 	// Partition up front with the summary's own hash so each producer owns
 	// exactly one shard and the per-shard timestamp order is preserved.

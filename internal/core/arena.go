@@ -1,7 +1,5 @@
 package core
 
-import "sync/atomic"
-
 // nodeID indexes a node inside the Summary's arena. IDs — not pointers —
 // are what tree links store, so the whole structure lives in a handful of
 // large slabs instead of one heap object per node.
@@ -21,12 +19,10 @@ const (
 // arena owns the node slab and the child-index slab of one Summary.
 //
 // Chunks are fixed-size arrays that never move once allocated, so a *node
-// obtained from the arena stays valid for the node's lifetime — the seal
-// workers and the spine hold raw pointers safely while the arena keeps
-// growing. Only the outer chunk directories change on growth; they are
-// published copy-on-write through atomic pointers because parallel seal
-// workers resolve child IDs concurrently with the insert goroutine
-// allocating new nodes.
+// obtained from the arena stays valid for the node's lifetime — the spine
+// holds raw pointers safely while the arena keeps growing. Only the outer
+// chunk directories change on growth, and only on the write path; readers
+// resolve IDs while nothing allocates (no read path allocates nodes).
 //
 // Children of a node occupy one Theta-stride block in the child-index slab
 // (every non-leaf has at most Theta children). Blocks are pow2-aligned
@@ -38,13 +34,13 @@ const (
 type arena struct {
 	theta int // child block stride
 
-	nodes     atomic.Pointer[[]*[nodeChunkLen]node]
+	nodes     []*[nodeChunkLen]node
 	nextNode  nodeID
 	freeNodes []nodeID
 
 	kidChunkLen   int
 	kidChunkMask  int32
-	kids          atomic.Pointer[[][]int32]
+	kids          [][]int32
 	nextKid       int32
 	freeKidBlocks []int32 // block base indices
 }
@@ -55,18 +51,12 @@ func newArena(theta int) *arena {
 		a.kidChunkLen <<= 1
 	}
 	a.kidChunkMask = int32(a.kidChunkLen - 1)
-	empty := []*[nodeChunkLen]node{}
-	a.nodes.Store(&empty)
-	emptyKids := [][]int32{}
-	a.kids.Store(&emptyKids)
 	return a
 }
 
-// node resolves an ID to its stable address. Safe to call concurrently
-// with allocation.
+// node resolves an ID to its stable address.
 func (a *arena) node(id nodeID) *node {
-	chunks := *a.nodes.Load()
-	return &chunks[id>>nodeChunkShift][id&nodeChunkMask]
+	return &a.nodes[id>>nodeChunkShift][id&nodeChunkMask]
 }
 
 // alloc returns a zeroed node. Write path only.
@@ -79,22 +69,17 @@ func (a *arena) alloc() (nodeID, *node) {
 		return id, n
 	}
 	id := a.nextNode
-	chunks := *a.nodes.Load()
-	if int(id)>>nodeChunkShift == len(chunks) {
-		grown := make([]*[nodeChunkLen]node, len(chunks)+1)
-		copy(grown, chunks)
-		grown[len(chunks)] = new([nodeChunkLen]node)
-		a.nodes.Store(&grown)
-		chunks = grown
+	if int(id)>>nodeChunkShift == len(a.nodes) {
+		a.nodes = append(a.nodes, new([nodeChunkLen]node))
 	}
 	a.nextNode++
-	n := &chunks[id>>nodeChunkShift][id&nodeChunkMask]
+	n := a.node(id)
 	*n = node{kidBase: noKids}
 	return id, n
 }
 
 // freeNode recycles a node. The caller must guarantee nothing references
-// it anymore (Expire drains the seal workers first).
+// it anymore.
 func (a *arena) freeNode(id nodeID) {
 	a.freeNodes = append(a.freeNodes, id)
 }
@@ -111,12 +96,8 @@ func (a *arena) allocKids() int32 {
 		return base
 	}
 	base := a.nextKid
-	chunks := *a.kids.Load()
-	if int(base)/a.kidChunkLen == len(chunks) {
-		grown := make([][]int32, len(chunks)+1)
-		copy(grown, chunks)
-		grown[len(chunks)] = make([]int32, a.kidChunkLen)
-		a.kids.Store(&grown)
+	if int(base)/a.kidChunkLen == len(a.kids) {
+		a.kids = append(a.kids, make([]int32, a.kidChunkLen))
 	}
 	a.nextKid += int32(a.theta)
 	return base
@@ -127,11 +108,9 @@ func (a *arena) freeKids(base int32) {
 	a.freeKidBlocks = append(a.freeKidBlocks, base)
 }
 
-// kidBlock returns the full Theta-stride block at base. Safe to call
-// concurrently with allocation.
+// kidBlock returns the full Theta-stride block at base.
 func (a *arena) kidBlock(base int32) []int32 {
-	chunks := *a.kids.Load()
-	c := chunks[base/int32(a.kidChunkLen)]
+	c := a.kids[base/int32(a.kidChunkLen)]
 	off := base & a.kidChunkMask
 	return c[off : off+int32(a.theta)]
 }

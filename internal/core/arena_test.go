@@ -97,13 +97,26 @@ func TestSnapshotFixtureRebuild(t *testing.T) {
 
 // TestSteadyStateInsertAllocs: re-inserting an existing (s, d, t) item
 // merges into its leaf slot — the steady-state ingest hot loop — and must
-// not allocate.
+// not allocate, on a summary holding one edge and on one warmed with a
+// whole preset stream (a deep tree of sealed, frozen aggregates).
 func TestSteadyStateInsertAllocs(t *testing.T) {
-	s := MustNew(DefaultConfig())
-	e := stream.Edge{S: 1, D: 2, W: 1, T: 100}
-	s.Insert(e)
-	if n := testing.AllocsPerRun(1000, func() { s.Insert(e) }); n != 0 {
-		t.Fatalf("steady-state Insert allocates %.2f allocs/op, want 0", n)
+	st, cfg := loadFixtureStream(t)
+	for _, c := range []struct {
+		name string
+		warm stream.Stream
+	}{
+		{"one edge", stream.Stream{{S: 1, D: 2, W: 1, T: 100}}},
+		{"lkml stream", st},
+	} {
+		s := MustNew(cfg)
+		for _, e := range c.warm {
+			s.Insert(e)
+		}
+		e := c.warm[len(c.warm)-1]
+		s.Insert(e)
+		if n := testing.AllocsPerRun(1000, func() { s.Insert(e) }); n != 0 {
+			t.Fatalf("%s: steady-state Insert allocates %.2f allocs/op, want 0", c.name, n)
+		}
 	}
 }
 

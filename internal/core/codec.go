@@ -32,7 +32,7 @@ func (s *Summary) WriteTo(w io.Writer) (int64, error) {
 	ww.Int(s.cfg.Maps)
 	ww.Bool(s.cfg.OverflowBlocks)
 	ww.Int(s.cfg.OBBucket)
-	ww.Bool(s.cfg.Parallel)
+	ww.Bool(false) // retired seal-worker flag: always 0, ignored on read
 	ww.U64(s.cfg.Seed)
 	// Stream state.
 	ww.I64(s.lastT)
@@ -63,8 +63,8 @@ func (s *Summary) encodeNode(w *wire.Writer, n *node) {
 		}
 		return
 	}
-	// Force pending aggregation so the snapshot does not depend on worker
-	// progress; open nodes legitimately have no matrix yet.
+	// A closed node is stored with its aggregate (forced here if still
+	// pending); open nodes legitimately have no matrix yet.
 	if n.closed {
 		s.sealNow(n)
 	}
@@ -94,9 +94,9 @@ func Read(r io.Reader) (*Summary, error) {
 		Maps:           rr.Int(),
 		OverflowBlocks: rr.Bool(),
 		OBBucket:       rr.Int(),
-		Parallel:       rr.Bool(),
-		Seed:           rr.U64(),
 	}
+	rr.Bool() // retired seal-worker flag
+	cfg.Seed = rr.U64()
 	if err := rr.Err(); err != nil {
 		return nil, fmt.Errorf("core: read snapshot header: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"higgs/internal/stream"
+	"higgs/internal/wire"
 )
 
 func roundTrip(t *testing.T, s *Summary) *Summary {
@@ -167,19 +168,65 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSnapshotParallelSummary(t *testing.T) {
+// TestSnapshotIgnoresParallelByte pins the header's retired seal-worker
+// flag: writers emit 0, and a snapshot carrying 1 there (written when the
+// flag still selected per-level seal workers) loads, answers and re-encodes
+// exactly like the one carrying 0.
+func TestSnapshotIgnoresParallelByte(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Parallel = true
 	orig := MustNew(cfg)
 	for _, e := range denseStream(2000, 40, 20000, 24) {
 		orig.Insert(e)
 	}
-	defer orig.Close()
-	loaded := roundTrip(t, orig)
+	var buf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	zero := buf.Bytes()
+
+	// The flag follows OBBucket in the header.
+	var hdr bytes.Buffer
+	w := wire.NewWriter(&hdr)
+	w.U64(snapshotMagic)
+	w.U64(snapshotVersion)
+	w.U32(cfg.D1)
+	w.U64(uint64(cfg.F1))
+	w.Int(cfg.B)
+	w.Int(cfg.Theta)
+	w.Int(cfg.Maps)
+	w.Bool(cfg.OverflowBlocks)
+	w.Int(cfg.OBBucket)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	at := hdr.Len()
+	if !bytes.HasPrefix(zero, hdr.Bytes()) || zero[at] != 0 {
+		t.Fatalf("header layout moved: flag byte at %d is %d", at, zero[at])
+	}
+	one := append([]byte(nil), zero...)
+	one[at] = 1
+
+	a, err := Read(bytes.NewReader(zero))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Read(bytes.NewReader(one))
+	if err != nil {
+		t.Fatalf("snapshot with the flag set: %v", err)
+	}
 	for v := uint64(0); v < 40; v++ {
-		if a, b := orig.VertexOut(v, 0, 20000), loaded.VertexOut(v, 0, 20000); a != b {
-			t.Fatalf("out(%d): %d vs %d", v, a, b)
+		if x, y := a.VertexOut(v, 0, 20000), b.VertexOut(v, 0, 20000); x != y {
+			t.Fatalf("out(%d): %d with the flag clear, %d with it set", v, x, y)
+		}
+		if x, y := a.EdgeWeight(v, (v+1)%40, 5000, 15000), b.EdgeWeight(v, (v+1)%40, 5000, 15000); x != y {
+			t.Fatalf("edge (%d,%d): %d with the flag clear, %d with it set", v, (v+1)%40, x, y)
 		}
 	}
-	loaded.Close()
+	var re bytes.Buffer
+	if _, err := b.WriteTo(&re); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re.Bytes(), zero) {
+		t.Fatal("a snapshot loaded with the flag set re-encodes differently")
+	}
 }

@@ -50,11 +50,6 @@ type Config struct {
 	// D1 and F1 with leaves so they aggregate identically, but are smaller
 	// per bucket). Default 1.
 	OBBucket int
-	// Parallel offloads seal-time aggregation to one worker goroutine per
-	// tree level (paper §IV-C parallelization). Queries remain correct at
-	// any time: a query that reaches a node whose aggregation is pending
-	// performs it synchronously.
-	Parallel bool
 	// Seed seeds the vertex hash function.
 	Seed uint64
 }

@@ -26,11 +26,6 @@ func (s *Summary) Expire(cutoff int64) (leavesDropped int) {
 	if s.root == nil {
 		return 0
 	}
-	// Parallel seal workers may still hold nodes of subtrees about to be
-	// released; wait for them before recycling anything.
-	if s.workers != nil {
-		s.workers.drain()
-	}
 	dropped := s.expireNode(s.root, cutoff)
 	// The root may have degenerated to a single-child chain; keep the
 	// structure as-is (filler chains are normal in HIGGS) but make sure
@@ -91,7 +86,7 @@ func (s *Summary) expireNode(n *node, cutoff int64) int {
 // releaseSubtree releases every matrix of the subtree — the pool parks the
 // timed slabs of leaves and overflow blocks, frozen aggregates go to the
 // GC — and every node and child block to the arena free lists. The caller
-// must guarantee exclusivity (workers drained, no concurrent queries).
+// must guarantee exclusivity (no concurrent queries).
 func (s *Summary) releaseSubtree(id nodeID) {
 	n := s.ar.node(id)
 	if n.level > 1 {

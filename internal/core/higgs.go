@@ -13,9 +13,11 @@ import (
 // Insert requires timestamps to be non-decreasing (graph streams arrive in
 // time order); out-of-order items are clamped to the newest timestamp and
 // counted in Stats().Clamped. A Summary is not safe for concurrent use by
-// multiple goroutines, with one exception: when Config.Parallel is set, the
-// internal aggregation workers run concurrently with insertions, and
-// queries may run concurrently with each other once insertion has finished.
+// multiple goroutines, with one exception: queries may run concurrently with
+// each other while nothing mutates the summary. A node seals inline when it
+// closes (paper Algorithm 1); a reader that meets an aggregate still pending
+// builds it through the sealState latch, so concurrent readers may race on
+// it safely.
 //
 // All tree nodes live in an arena owned by the Summary (see arena.go) and
 // leaf slabs draw from a pool that Expire refills, so steady-state ingest
@@ -39,8 +41,6 @@ type Summary struct {
 	leaves    int
 	obCount   int
 	finalized bool
-
-	workers *sealWorkers
 }
 
 // New returns an empty HIGGS summary for the given configuration.
@@ -48,17 +48,13 @@ func New(cfg Config) (*Summary, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Summary{
+	return &Summary{
 		cfg:  cfg,
 		rb:   cfg.rbits(),
 		h:    hashing.NewHasher(cfg.Seed),
 		ar:   newArena(cfg.Theta),
 		pool: matrix.NewPool(),
-	}
-	if cfg.Parallel {
-		s.workers = newSealWorkers(s)
-	}
-	return s, nil
+	}, nil
 }
 
 // MustNew is New for configurations known to be valid; it panics otherwise.
@@ -220,16 +216,11 @@ func (s *Summary) setSpineBelow(child *node) {
 	}
 }
 
-// closeAndSeal freezes a full non-leaf node and triggers its aggregation,
-// inline or on the level worker depending on Config.Parallel.
+// closeAndSeal freezes a full non-leaf node and builds its aggregate.
 func (s *Summary) closeAndSeal(n *node) {
 	n.closed = true
 	kids := s.ar.children(n)
 	n.lastT = s.ar.node(nodeID(kids[len(kids)-1])).lastT
-	if s.workers != nil {
-		s.workers.schedule(n)
-		return
-	}
 	s.sealNow(n)
 }
 
@@ -250,9 +241,6 @@ func (s *Summary) Finalize() {
 		kids := s.ar.children(n)
 		n.lastT = s.ar.node(nodeID(kids[len(kids)-1])).lastT
 	}
-	if s.workers != nil {
-		s.workers.drain()
-	}
 	var sealAll func(n *node)
 	sealAll = func(n *node) {
 		if n.level == 1 {
@@ -265,13 +253,5 @@ func (s *Summary) Finalize() {
 	}
 	if s.root != nil {
 		sealAll(s.root)
-	}
-}
-
-// Close releases the parallel aggregation workers (no-op otherwise). The
-// summary remains queryable.
-func (s *Summary) Close() {
-	if s.workers != nil {
-		s.workers.stop()
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"higgs/internal/exact"
@@ -393,34 +394,51 @@ func TestDeletePropagatesToAggregates(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	st := denseStream(4000, 70, 40000, 11)
-	seq := MustNew(smallConfig())
-	parCfg := smallConfig()
-	parCfg.Parallel = true
-	par := MustNew(parCfg)
-	for _, e := range st {
-		seq.Insert(e)
-		par.Insert(e)
+// TestDeletesDuringInsertNeverUndercount interleaves deletes of recent
+// items with the stream, on one P so that nothing but the insert path runs
+// between them, and checks the paper's one-sided-error contract on every
+// distinct edge and source vertex once the stream ends. A delete that
+// reaches a closed node whose aggregate is built after the leaf was
+// decremented would subtract the same weight twice and read below exact.
+func TestDeletesDuringInsertNeverUndercount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	st, err := stream.Load(stream.Lkml, 0.3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq.Finalize()
-	par.Finalize()
-	defer par.Close()
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 300; i++ {
-		ts := int64(rng.Intn(40000))
-		te := ts + int64(rng.Intn(10000))
-		sv, dv := uint64(rng.Intn(70)), uint64(rng.Intn(70))
-		if a, b := seq.EdgeWeight(sv, dv, ts, te), par.EdgeWeight(sv, dv, ts, te); a != b {
-			t.Fatalf("edge (%d,%d) [%d,%d]: seq %d vs par %d", sv, dv, ts, te, a, b)
-		}
-		if a, b := seq.VertexOut(sv, ts, te), par.VertexOut(sv, ts, te); a != b {
-			t.Fatalf("out(%d) [%d,%d]: seq %d vs par %d", sv, ts, te, a, b)
+	s := MustNew(DefaultConfig())
+	truth := exact.New()
+	deleted := 0
+	for i, e := range st {
+		s.Insert(e)
+		truth.Insert(e)
+		if i >= 40 && i%7 == 0 {
+			if d := st[i-40]; s.Delete(d) {
+				truth.Delete(d)
+				deleted++
+			}
 		}
 	}
-	if seq.Leaves() != par.Leaves() || seq.Layers() != par.Layers() {
-		t.Fatalf("tree shapes diverge: %d/%d vs %d/%d",
-			seq.Leaves(), seq.Layers(), par.Leaves(), par.Layers())
+	s.Finalize()
+	if deleted == 0 {
+		t.Fatal("no delete found its item")
+	}
+	ts, te := truth.Span()
+	edges, under := truth.Edges(), 0
+	for _, e := range edges {
+		if got, want := s.EdgeWeight(e[0], e[1], ts, te), truth.EdgeWeight(e[0], e[1], ts, te); got < want {
+			under++
+		}
+	}
+	vertices, vunder := truth.Vertices(), 0
+	for _, v := range vertices {
+		if got, want := s.VertexOut(v, ts, te), truth.VertexOut(v, ts, te); got < want {
+			vunder++
+		}
+	}
+	if under > 0 || vunder > 0 {
+		t.Fatalf("after %d deletes, %d of %d edges and %d of %d vertices read below exact",
+			deleted, under, len(edges), vunder, len(vertices))
 	}
 }
 

@@ -18,9 +18,8 @@ import (
 //
 // Mutation happens only on the insertion path; once a node is closed its
 // subtree is immutable except for the one-shot aggregation guarded by the
-// sealState latch (safe to race between queries and the parallel seal
-// worker) and for deletions, which the caller must not run concurrently
-// with queries.
+// sealState latch (safe to race between concurrent queries) and for
+// deletions, which the caller must not run concurrently with queries.
 type node struct {
 	firstT    int64            // earliest timestamp in the subtree
 	lastT     int64            // latest timestamp; valid once closed
@@ -53,7 +52,8 @@ func (n *node) last(streamLast int64) int64 {
 
 // sealNow builds the aggregate matrix of a non-leaf node exactly once. It
 // recursively forces children first, so it is safe to call in any order.
-// The parallel workers and queries may race; the sealState CAS arbitrates:
+// Concurrent queries may race to force the same pending node; the
+// sealState CAS arbitrates:
 // exactly one caller builds, the rest spin until the winner publishes the
 // matrix with the sealDone store (atomic release/acquire pairing makes
 // n.mat safe to read afterwards).

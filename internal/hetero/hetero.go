@@ -125,12 +125,6 @@ func (s *Summary) Finalize() {
 	s.labeled.Finalize()
 }
 
-// Close releases background workers of both internal summaries.
-func (s *Summary) Close() {
-	s.all.Close()
-	s.labeled.Close()
-}
-
 // SpaceBytes returns the combined packed size of both views.
 func (s *Summary) SpaceBytes() int64 {
 	return s.all.SpaceBytes() + s.labeled.SpaceBytes()

@@ -117,15 +117,12 @@ func TestOneSidedPerLabel(t *testing.T) {
 }
 
 func TestLifecycle(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Parallel = true
-	s, err := New(cfg)
+	s, err := New(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Insert(Edge{S: 1, D: 2, Label: 1, W: 1, T: 1})
 	s.Finalize()
-	s.Close()
 	if s.SpaceBytes() <= 0 {
 		t.Error("space not accounted")
 	}

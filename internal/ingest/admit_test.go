@@ -83,7 +83,6 @@ func TestOneAdmitPath(t *testing.T) {
 	cutoff := st[len(st)/4].T
 
 	direct := newShardedFor(t, 4)
-	defer direct.Close()
 	for _, o := range ops {
 		switch {
 		case o.del > 0:
@@ -101,7 +100,6 @@ func TestOneAdmitPath(t *testing.T) {
 	run := func(t *testing.T, cfg Config) admitOutcome {
 		t.Helper()
 		sum := newShardedFor(t, 4)
-		defer sum.Close()
 		p, err := New(sum, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +158,6 @@ func TestOneAdmitPath(t *testing.T) {
 		log = openWAL(t, dir, 0)
 		defer log.Close()
 		fresh := newShardedFor(t, 4)
-		defer fresh.Close()
 		replayed, err := Recover(fresh, log)
 		if err != nil {
 			t.Fatal(err)
@@ -229,6 +226,5 @@ func TestSequentialSubmitsApplyInOrder(t *testing.T) {
 			t.Errorf("wal=%v: committers applied edges out of submission order (or dropped some)", withWAL)
 		}
 		p.Close()
-		sum.Close()
 	}
 }

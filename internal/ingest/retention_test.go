@@ -71,7 +71,6 @@ func cleanReferenceWithExpires(t *testing.T, st stream.Stream, shards, batch int
 	dir := t.TempDir()
 	log := openWAL(t, dir, 0)
 	sum := newShardedFor(t, shards)
-	defer sum.Close()
 	p, err := New(sum, Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,6 @@ func TestRecoverReplaysExpires(t *testing.T) {
 	submitWithExpires(t, p, st, batch, exps)
 	// Simulated crash: only the fsync'd log survives.
 	p.Close()
-	crashed.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +112,6 @@ func TestRecoverReplaysExpires(t *testing.T) {
 	log2 := openWAL(t, dir, 0)
 	defer log2.Close()
 	recovered := newShardedFor(t, shards)
-	defer recovered.Close()
 	if _, err := Recover(recovered, log2); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +151,6 @@ func TestRecoverExpireSnapshotPlusTail(t *testing.T) {
 	tail := []expirePoint{{at: exps[1].at - mid, cutoff: exps[1].cutoff}}
 	submitWithExpires(t, p, st[mid:], batch, tail)
 	p.Close()
-	crashed.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +164,6 @@ func TestRecoverExpireSnapshotPlusTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer recovered.Close()
 	log2 := openWAL(t, dir, 4096)
 	defer log2.Close()
 	replayed, err := Recover(recovered, log2)
@@ -189,7 +184,6 @@ func TestRecoverExpireSnapshotPlusTail(t *testing.T) {
 // before the expire runs, even with committers parked on a long interval.
 func TestPipelineExpireBarrier(t *testing.T) {
 	sum := newShardedFor(t, 2)
-	defer sum.Close()
 	p, err := New(sum, Config{QueueDepth: 4096, CommitInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +207,6 @@ func TestPipelineExpireBarrier(t *testing.T) {
 // TestPipelineExpireClosed: Expire after Close reports ErrClosed.
 func TestPipelineExpireClosed(t *testing.T) {
 	sum := newShardedFor(t, 1)
-	defer sum.Close()
 	p, err := New(sum, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +225,6 @@ func TestDirectExpirePanicsWhenWALOwned(t *testing.T) {
 	log := openWAL(t, dir, 0)
 	defer log.Close()
 	sum := newShardedFor(t, 2)
-	defer sum.Close()
 	p, err := New(sum, Config{WAL: log})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +242,6 @@ func TestDirectExpirePanicsWhenWALOwned(t *testing.T) {
 // pipeline and keeps its counters.
 func TestRetainerTicks(t *testing.T) {
 	sum := newShardedFor(t, 2)
-	defer sum.Close()
 	p, err := New(sum, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +283,6 @@ func TestRetainerTicks(t *testing.T) {
 // Close.
 func TestRetainerBackgroundLoop(t *testing.T) {
 	sum := newShardedFor(t, 1)
-	defer sum.Close()
 	p, err := New(sum, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +330,6 @@ func TestRetentionConfigValidate(t *testing.T) {
 // (the HTTP server's snapshot upload) instead of dying with the old one.
 func TestRetainerFollowsPipelineSwap(t *testing.T) {
 	sumA := newShardedFor(t, 1)
-	defer sumA.Close()
 	pA, err := New(sumA, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +349,6 @@ func TestRetainerFollowsPipelineSwap(t *testing.T) {
 	// Swap: the old pipeline closes (as handleSnapshot does), a new one
 	// takes over. Ticks must hit the new pipeline, not ErrClosed.
 	sumB := newShardedFor(t, 1)
-	defer sumB.Close()
 	pB, err := New(sumB, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,6 @@ func (p *appendProgram) run(t testing.TB) (Stats, *shard.Summary, core.Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	c, err := New(s, Config{MaxBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)

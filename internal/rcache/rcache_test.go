@@ -33,7 +33,6 @@ func newSharded(t *testing.T, shards int) *shard.Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	return s
 }
 
@@ -268,7 +267,6 @@ func noStaleUnderWrites(t *testing.T, windows [][2]int64) Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 	expected := make([][]int64, len(windows))
 	for w := range expected {
 		expected[w] = make([]int64, steps+1)
@@ -297,7 +295,6 @@ func noStaleUnderWrites(t *testing.T, windows [][2]int64) Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer live.Close()
 	pipe, err := ingest.New(live, ingest.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -48,10 +48,8 @@ type FollowerConfig struct {
 	// than a dead follower.
 	OnError func(error)
 	// OnSwap, when non-nil, is called after a full resync replaced the
-	// summary (the primary truncated past our resume point). The callback
-	// owns closing the previous summary — the read-only server swaps its
-	// served state here. Without a callback the follower closes the old
-	// summary itself.
+	// summary (the primary truncated past our resume point); the read-only
+	// server swaps its served state here.
 	OnSwap func(old, new *shard.Summary)
 }
 
@@ -312,8 +310,6 @@ func (f *Follower) resync() (*ingest.Applier, error) {
 	f.setApplied(a.Position())
 	if f.cfg.OnSwap != nil {
 		f.cfg.OnSwap(old, sum)
-	} else if old != nil {
-		old.Close()
 	}
 	return a, nil
 }

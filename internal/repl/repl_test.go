@@ -51,7 +51,6 @@ func newPrimaryRig(t *testing.T, shards int, segBytes int64) *primaryRig {
 		srv.Close()
 		pipe.Close()
 		log.Close()
-		sum.Close()
 	})
 	return &primaryRig{sum: sum, log: log, pipe: pipe, srv: srv, dir: dir}
 }
@@ -247,8 +246,7 @@ func TestFollowerResyncOn410(t *testing.T) {
 }
 
 // TestFollowerOnSwapOwnsOldSummary checks the resync swap contract: with
-// an OnSwap callback installed, the old summary is handed over, not closed
-// by the follower.
+// an OnSwap callback installed, the old summary is handed over to it.
 func TestFollowerOnSwapOwnsOldSummary(t *testing.T) {
 	p := newPrimaryRig(t, 1, 1<<10)
 	st := testStream(t, 1200)
@@ -270,7 +268,6 @@ func TestFollowerOnSwapOwnsOldSummary(t *testing.T) {
 		Dir:    dir,
 		OnSwap: func(old, new *shard.Summary) {
 			swapped <- old
-			old.Close()
 		},
 	})
 	converge(t, p, f2)
@@ -320,7 +317,6 @@ func TestFollowerBootThenStart(t *testing.T) {
 				t.Errorf("OnSwap(old=%p) while serving %p", old, served)
 			}
 			served = new
-			old.Close()
 		},
 	})
 	if err != nil {

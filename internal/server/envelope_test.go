@@ -336,7 +336,6 @@ func TestErrorEnvelopeRepl(t *testing.T) {
 		ts.Close()
 		pipe.Close()
 		log.Close()
-		sum.Close()
 	})
 
 	for _, c := range []struct {

@@ -68,7 +68,6 @@ func TestOpenReplaysWALIntoAnalytics(t *testing.T) {
 	}
 	ts.Close()
 	srv.Close()
-	sum.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +304,6 @@ func TestAnalyticsWeightsAcrossRestart(t *testing.T) {
 	before := analyticsWeights(t, ts.URL)
 	ts.Close()
 	srv.Close()
-	sum.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,6 @@ func TestReplicaReplaceSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer other.Close()
 	if err := standalone.ReplaceSummary(other); err == nil {
 		t.Fatal("ReplaceSummary on a non-replica did not error")
 	}

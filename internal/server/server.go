@@ -233,9 +233,9 @@ func (st *state) setReader(maxBytes int64) (err error) {
 	return nil
 }
 
-// swap replaces the served summary. The old pipeline is drained into the
-// old summary before both are closed: in-flight /v1/ingest requests that
-// were already accepted complete their contract against the summary they
+// swap replaces the served summary. The old pipeline is closed, which
+// drains it into the old summary: in-flight /v1/ingest requests that were
+// already accepted complete their contract against the summary they
 // targeted, even though the swap then discards that summary wholesale.
 func (s *Server) swap(sum *shard.Summary) error {
 	st, err := s.newState(sum)
@@ -244,7 +244,6 @@ func (s *Server) swap(sum *shard.Summary) error {
 	}
 	old := s.st.Swap(st)
 	old.pipe.Close()
-	old.sum.Close()
 	if s.closed.Load() {
 		// Close ran concurrently with the swap; nothing may outlive its drain
 		// contract (Close's own loop usually catches this — both closes are
@@ -278,8 +277,8 @@ func (s *Server) SetReadCache(maxBytes int64) error {
 // ReplaceSummary swaps the served summary — the replica resync path, wired
 // to repl.FollowerConfig.OnSwap: when the primary truncated past the
 // follower's resume point, the follower re-bootstraps from a fresh
-// snapshot and the server must serve it. The old summary is drained and
-// closed exactly like a snapshot upload's. Only replicas may swap this
+// snapshot and the server must serve it. The old summary's pipeline is
+// drained exactly like a snapshot upload's. Only replicas may swap this
 // way; on a writable server the summary swaps only through POST
 // /v1/snapshot.
 func (s *Server) ReplaceSummary(sum *shard.Summary) error {
@@ -832,7 +831,6 @@ func (s *Server) handleSnapshotUpload(w http.ResponseWriter, r *http.Request) er
 	if err := s.swap(loaded); err != nil {
 		// The options were validated by Open; a failure here means the
 		// uploaded summary cannot carry them.
-		loaded.Close()
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	writeJSON(w, map[string]any{

@@ -1128,7 +1128,6 @@ func TestInsertIsLoggedAndVisible(t *testing.T) {
 		}
 		ts.Close()
 		srv.Close()
-		sum.Close()
 		if !withWAL {
 			continue
 		}
@@ -1152,7 +1151,6 @@ func TestInsertIsLoggedAndVisible(t *testing.T) {
 			t.Errorf("recovery from the log alone replayed %d edges, weight %d; want %d edges, weight %d",
 				replayed, recovered.EdgeWeight(1, 2, 0, 1000), 2*n, 2*once)
 		}
-		recovered.Close()
 		if err := log.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -61,24 +61,39 @@ func TestShardedFixtureByteIdentity(t *testing.T) {
 
 // TestProbeShardAllocs: single-shard edge and vertex probes — the batch
 // executor's hot loop — must not allocate, over sealed aggregates that are
-// frozen and spilled.
+// frozen and spilled: on the 4-shard fixture mid-stream, and on one shard
+// holding the whole stream after Finalize.
 func TestProbeShardAllocs(t *testing.T) {
-	s, st := fixtureSet(t)
-	if stats := s.Stats().Total; stats.SealedMatrices == 0 || stats.SpillEntries == 0 {
-		t.Fatalf("%d sealed aggregates, %d spill entries: the probes would miss the frozen kernels", stats.SealedMatrices, stats.SpillEntries)
+	four, st := fixtureSet(t)
+	cfg := DefaultConfig()
+	cfg.Shards = 1
+	cfg.Core.Seed = 42
+	one, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e := st[0]
-	shard := s.ShardFor(e.S)
-	out := make([]int64, 1)
-	for _, p := range []query.Probe{
-		{Op: query.OpEdge, S: e.S, D: e.D, Ts: 0, Te: 1 << 40},
-		{Op: query.OpVertexOut, S: e.S, Ts: 0, Te: 1 << 40},
-		{Op: query.OpVertexIn, S: e.D, Ts: 0, Te: 1 << 40},
-	} {
-		probes := []query.Probe{p}
-		s.ProbeShard(shard, probes, out)
-		if n := testing.AllocsPerRun(1000, func() { s.ProbeShard(shard, probes, out) }); n != 0 {
-			t.Fatalf("ProbeShard op %d allocates %.2f allocs/op, want 0", p.Op, n)
+	for _, e := range st {
+		one.Insert(e)
+	}
+	one.Finalize()
+	for _, s := range []*Summary{four, one} {
+		if stats := s.Stats().Total; stats.SealedMatrices == 0 || stats.SpillEntries == 0 {
+			t.Fatalf("%d shards: %d sealed aggregates, %d spill entries: the probes would miss the frozen kernels",
+				s.NumShards(), stats.SealedMatrices, stats.SpillEntries)
+		}
+		e := st[0]
+		shard := s.ShardFor(e.S)
+		out := make([]int64, 1)
+		for _, p := range []query.Probe{
+			{Op: query.OpEdge, S: e.S, D: e.D, Ts: 0, Te: 1 << 40},
+			{Op: query.OpVertexOut, S: e.S, Ts: 0, Te: 1 << 40},
+			{Op: query.OpVertexIn, S: e.D, Ts: 0, Te: 1 << 40},
+		} {
+			probes := []query.Probe{p}
+			s.ProbeShard(shard, probes, out)
+			if n := testing.AllocsPerRun(1000, func() { s.ProbeShard(shard, probes, out) }); n != 0 {
+				t.Fatalf("%d shards: ProbeShard op %d allocates %.2f allocs/op, want 0", s.NumShards(), p.Op, n)
+			}
 		}
 	}
 }

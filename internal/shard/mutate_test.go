@@ -86,7 +86,6 @@ func TestMutatorContract(t *testing.T) {
 		{name: "ExpireShardAt/reclaiming", run: func(s *Summary, i int) { s.ExpireShardAt(i, late, 9) }, seq: 9, changes: true, partial: true},
 		{name: "ExpireShardAt/vacuous", run: func(s *Summary, i int) { s.ExpireShardAt(i, early, 9) }, seq: 9},
 		{name: "Finalize", run: func(s *Summary, _ int) { s.Finalize() }, all: true, changes: true},
-		{name: "Close", run: func(s *Summary, _ int) { s.Close() }, all: true, changes: true},
 		{name: "Stats", run: func(s *Summary, _ int) { s.Stats() }, all: true},
 		{name: "WriteTo", run: func(s *Summary, _ int) {
 			if _, err := s.WriteTo(&bytes.Buffer{}); err != nil {
@@ -120,7 +119,6 @@ func TestMutatorContract(t *testing.T) {
 
 			tc.run(s, owner)
 
-			s.SetApplyObserver(nil) // the Cleanup Close is not part of the case
 			notified := make(map[int]bool)
 			for _, c := range rec.calls {
 				if !tc.hook {
@@ -193,7 +191,6 @@ func TestMutateMoves(t *testing.T) {
 		{"expire/reclaiming", op{kind: opExpire, cutoff: first + (last-first)*2/3}, 1, 1, last},
 		{"expire/vacuous", op{kind: opExpire, cutoff: first - 1}, 0, 0, last},
 		{"finalize", op{kind: opFinalize}, 1, 1, last},
-		{"close", op{kind: opClose}, 1, 1, last},
 	}
 	covered := make(map[opKind]bool)
 	for _, tc := range cases {
@@ -217,7 +214,7 @@ func TestMutateMoves(t *testing.T) {
 			}
 		})
 	}
-	for k := opInsert; k <= opClose; k++ {
+	for k := opInsert; k <= opFinalize; k++ {
 		if !covered[k] {
 			t.Errorf("opKind %d has no row", k)
 		}
@@ -238,7 +235,6 @@ func TestDecodedSlotStartsAtItsFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	built, st := fixtureSet(t)
-	defer built.Close()
 	newest := make([]int64, restored.NumShards())
 	for _, e := range st { // time-ordered: the last edge of a shard is its newest
 		newest[built.ShardFor(e.S)] = e.T
@@ -275,7 +271,6 @@ func TestInsertShardAtAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, func() { s.Insert(lastEdge) }); n != 0 {
 			t.Errorf("Insert (observer=%v) allocates %.2f allocs/op, want 0", observed, n)
 		}
-		s.Close()
 	}
 }
 

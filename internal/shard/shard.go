@@ -93,7 +93,7 @@ type slot struct {
 	// accepted: core.Insert clamps older items up to it, so an insert changes
 	// no answer over a window that ends before it. rewrites counts the ops
 	// that can change such a window anyway — a delete that found its entry, a
-	// reclaiming expire, Finalize, Close. Like ver, both are stored by mutate
+	// reclaiming expire, Finalize. Like ver, both are stored by mutate
 	// before it unlocks and by newSlot, nowhere else (lock_test.go holds that).
 	frontier atomic.Int64
 	rewrites atomic.Uint64
@@ -218,7 +218,6 @@ const (
 	opDelete                  // remove op.edge if present
 	opExpire                  // drop subtrees wholly before op.cutoff
 	opFinalize                // seal estimator state at end of stream
-	opClose                   // release background resources
 )
 
 // op is one operation for mutate, as plain data rather than a closure so
@@ -243,7 +242,7 @@ type op struct {
 // hold by construction.
 //
 // It returns the op's extent — edges applied, 1 for a delete that found
-// its entry, leaves reclaimed, 1 for Finalize and Close — and the op
+// its entry, leaves reclaimed, 1 for Finalize — and the op
 // changed answers exactly when that is positive: an empty batch, a missed
 // delete and a vacuous expire leave the version (and so every read cache)
 // alone.
@@ -268,9 +267,6 @@ func (s *Summary) mutate(i int, seq uint64, o op) (n int64) {
 		n = int64(sl.sum.Expire(o.cutoff))
 	case opFinalize:
 		sl.sum.Finalize()
-		n = 1
-	case opClose:
-		sl.sum.Close()
 		n = 1
 	}
 	if seq > sl.seq {
@@ -347,7 +343,7 @@ func (s *Summary) ShardSeq(i int) uint64 {
 // The version advances (inside the write-lock section, before the lock is
 // released) on every applied mutation that may change a query answer:
 // inserts — WAL-sequenced or not — deletes that found their entry, expires
-// that reclaimed at least one leaf, Finalize, and Close. Unlike ShardSeq it
+// that reclaimed at least one leaf, and Finalize. Unlike ShardSeq it
 // therefore also moves for writes the durability watermark ignores, which
 // is what makes it an exact invalidation token for read caches: a probe
 // result obtained between two equal ShardVersion reads is exactly the
@@ -363,7 +359,7 @@ func (s *Summary) ShardVersion(i int) uint64 {
 // accepted (math.MinInt64 while it is empty); every later insert lands at or
 // after it, so the answer over a window with te < frontier changes only when
 // the rewrite count does — on a delete that found its entry, an expire that
-// reclaimed a leaf, Finalize or Close. Both are published inside the
+// reclaimed a leaf, or Finalize. Both are published inside the
 // write-lock section, before the version bump: a reader that loads them
 // before a probe it fences with two equal ShardVersion reads holds a pair
 // at most as new as that version, and an older pair only errs towards not
@@ -542,16 +538,6 @@ func (s *Summary) checkUnlogged(seq uint64) {
 // core.Summary.Finalize. Finalize is idempotent.
 func (s *Summary) Finalize() {
 	s.eachShard(func(i int) { s.mutate(i, 0, op{kind: opFinalize}) })
-}
-
-// Close releases per-shard background resources. The summary remains
-// queryable, and Close takes every shard's write lock, so it serializes
-// behind in-flight mutations rather than interrupting them. Close does NOT
-// drain asynchronous ingest queues layered above this package: callers
-// running an ingest.Pipeline must close the pipeline first (which applies
-// everything still queued) and only then close the summary (DESIGN.md §9).
-func (s *Summary) Close() {
-	s.eachShard(func(i int) { s.mutate(i, 0, op{kind: opClose}) })
 }
 
 // eachShard runs f on every shard index concurrently and waits.

@@ -31,7 +31,6 @@ func newSharded(t *testing.T, shards int) *Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	return s
 }
 
@@ -230,7 +229,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(loaded.Close)
 	if loaded.NumShards() != 4 {
 		t.Fatalf("loaded shards = %d, want 4", loaded.NumShards())
 	}
@@ -270,7 +268,6 @@ func TestReadLegacyCoreSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	if s.NumShards() != 1 {
 		t.Fatalf("legacy snapshot shards = %d, want 1", s.NumShards())
 	}
@@ -323,7 +320,6 @@ func TestAdoptPreservesContents(t *testing.T) {
 	cs := core.MustNew(core.DefaultConfig())
 	cs.Insert(stream.Edge{S: 5, D: 6, W: 9, T: 50})
 	s := Adopt(cs)
-	t.Cleanup(s.Close)
 	if got := s.EdgeWeight(5, 6, 0, 100); got != 9 {
 		t.Fatalf("EdgeWeight = %d, want 9", got)
 	}
@@ -334,7 +330,6 @@ func TestAdoptPreservesContents(t *testing.T) {
 
 func TestInsertShardAtWatermark(t *testing.T) {
 	s := newSharded(t, 4)
-	defer s.Close()
 	for i := 0; i < s.NumShards(); i++ {
 		if got := s.ShardSeq(i); got != 0 {
 			t.Fatalf("fresh shard %d watermark = %d, want 0", i, got)
@@ -366,7 +361,6 @@ func TestInsertShardAtWatermark(t *testing.T) {
 
 func TestSnapshotPreservesWatermarks(t *testing.T) {
 	s := newSharded(t, 3)
-	defer s.Close()
 	st := testStream(t, 50, 400)
 	for k, e := range st {
 		i := s.ShardFor(e.S)
@@ -384,7 +378,6 @@ func TestSnapshotPreservesWatermarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
 	if loaded.NumShards() != s.NumShards() {
 		t.Fatalf("loaded %d shards, want %d", loaded.NumShards(), s.NumShards())
 	}
@@ -402,7 +395,6 @@ func TestAdoptedLegacySummaryHasZeroWatermark(t *testing.T) {
 	cs := core.MustNew(core.DefaultConfig())
 	cs.Insert(stream.Edge{S: 1, D: 2, W: 3, T: 5})
 	s := Adopt(cs)
-	defer s.Close()
 	if got := s.ShardSeq(0); got != 0 {
 		t.Fatalf("adopted watermark = %d, want 0", got)
 	}

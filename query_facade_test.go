@@ -17,7 +17,6 @@ func newSeededSharded(t *testing.T, shards int) *higgs.Sharded {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	s.Insert(higgs.Edge{S: 1, D: 2, W: 3, T: 100})
 	s.Insert(higgs.Edge{S: 1, D: 2, W: 4, T: 200})
 	s.Insert(higgs.Edge{S: 2, D: 3, W: 5, T: 300})
@@ -83,7 +82,6 @@ func TestShardedExpireFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	// Enough spread-out leaves that a mid-stream cutoff has whole closed
 	// subtrees to reclaim.
 	st, err := higgs.GenerateStream(higgs.StreamConfig{
@@ -111,7 +109,6 @@ func TestShardedExpireFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer un.Close()
 	for _, e := range st {
 		un.Insert(e)
 	}
@@ -139,7 +136,6 @@ func TestLoadShardedLegacyFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSharded(legacy snapshot): %v", err)
 	}
-	defer adopted.Close()
 	if adopted.NumShards() != 1 {
 		t.Fatalf("adopted shards = %d, want 1", adopted.NumShards())
 	}
@@ -163,7 +159,6 @@ func TestLoadShardedLegacyFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer back.Close()
 	if got := back.EdgeWeight(4, 5, 0, 40); got != 7 {
 		t.Fatalf("round-tripped EdgeWeight = %d, want 7", got)
 	}

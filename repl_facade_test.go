@@ -27,7 +27,6 @@ func TestReplicationFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sum.Close()
 	icfg := higgs.DefaultIngestConfig()
 	icfg.WAL = w
 	pipe, err := higgs.NewIngest(sum, icfg)

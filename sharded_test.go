@@ -13,7 +13,6 @@ func TestShardedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.Insert(higgs.Edge{S: 1, D: 2, W: 3, T: 100})
 	s.Insert(higgs.Edge{S: 1, D: 2, W: 4, T: 200})
 	s.Insert(higgs.Edge{S: 2, D: 3, W: 5, T: 300})
@@ -40,7 +39,6 @@ func TestShardedFacadeConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -63,7 +61,6 @@ func TestShardedFacadeSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.Insert(higgs.Edge{S: 1, D: 2, W: 3, T: 100})
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
@@ -73,7 +70,6 @@ func TestShardedFacadeSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
 	if got := loaded.EdgeWeight(1, 2, 0, 200); got != 3 {
 		t.Fatalf("EdgeWeight after reload = %d, want 3", got)
 	}
@@ -92,7 +88,6 @@ func TestShardedFacadeSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer adopted.Close()
 	if adopted.NumShards() != 1 {
 		t.Fatalf("adopted shards = %d, want 1", adopted.NumShards())
 	}

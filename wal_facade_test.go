@@ -42,7 +42,6 @@ func TestWALFacadeCrashRecovery(t *testing.T) {
 	// Crash: reclaim the goroutines and file handle, discard the summary.
 	// Every accepted batch was fsync'd before Submit returned.
 	p.Close()
-	crashed.Close()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,6 @@ func TestWALFacadeCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer recovered.Close()
 	replayed, err := higgs.Recover(recovered, w2)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +134,6 @@ func TestWALFacadeDurableExpire(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
-	crashed.Close()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +147,6 @@ func TestWALFacadeDurableExpire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer recovered.Close()
 	if _, err := higgs.Recover(recovered, w2); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +169,6 @@ func TestRetainerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	p, err := higgs.NewIngest(s, higgs.DefaultIngestConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +217,6 @@ func TestWALFacadeSnapshotter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	icfg := higgs.DefaultIngestConfig()
 	icfg.WAL = w
 	p, err := higgs.NewIngest(s, icfg)
@@ -250,7 +244,6 @@ func TestWALFacadeSnapshotter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
 	if got := loaded.Items(); got != 1 {
 		t.Fatalf("snapshot items = %d, want 1 (taken before the second submit)", got)
 	}

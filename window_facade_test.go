@@ -73,7 +73,6 @@ func TestAnalyticsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	eng, err := higgs.NewAnalytics(higgs.AnalyticsConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
