@@ -119,7 +119,6 @@ func BenchmarkFig16InsertThroughput(b *testing.B) {
 				s.Insert(ds.Stream[i%len(ds.Stream)])
 			}
 			b.StopTimer()
-			trq.Close(s)
 		})
 	}
 }
@@ -289,7 +288,6 @@ func BenchmarkFig18DeleteThroughput(b *testing.B) {
 				del.Delete(sample[i%len(sample)])
 			}
 			b.StopTimer()
-			trq.Close(s)
 		})
 	}
 }

@@ -30,8 +30,8 @@
 //	GET  /v1/stats
 //	GET  /v1/snapshot  (binary download)   POST /v1/snapshot (restore)
 //
-// Snapshots are written in the sharded framing; -load also accepts legacy
-// unsharded snapshots, which come up as a single shard.
+// Snapshots are written and read in the sharded framing only: -load and
+// POST /v1/snapshot refuse an unsharded (core) snapshot on its magic.
 //
 // Durability (DESIGN.md §12): with -wal-dir, /v1/ingest, /v1/insert,
 // /v1/expire and /v1/delete append every accepted record to a segmented

@@ -88,8 +88,9 @@ func GenerateStream(cfg StreamConfig) (Stream, error) { return stream.Generate(c
 type StreamConfig = stream.Config
 
 // Load restores a summary from a snapshot previously written with
-// Summary.WriteTo. Unless the snapshot was finalized, the loaded summary
-// continues accepting inserts where the original left off.
+// Summary.WriteTo, reading r to its end first. Unless the snapshot was
+// finalized, the loaded summary continues accepting inserts where the
+// original left off.
 func Load(r io.Reader) (*Summary, error) { return core.Read(r) }
 
 // Sharded is a hash-partitioned HIGGS summary: edges are partitioned by
@@ -127,8 +128,8 @@ func DefaultShardedConfig() ShardedConfig { return shard.DefaultConfig() }
 func NewSharded(cfg ShardedConfig) (*Sharded, error) { return shard.New(cfg) }
 
 // LoadSharded restores a sharded summary from a snapshot previously
-// written with Sharded.WriteTo. It also accepts unsharded snapshots
-// (written by Summary.WriteTo), which load as a one-shard summary.
+// written with Sharded.WriteTo. An unsharded snapshot (written by
+// Summary.WriteTo) is refused; Load reads those.
 func LoadSharded(r io.Reader) (*Sharded, error) { return shard.Read(r) }
 
 // Ingest is an asynchronous group-commit pipeline in front of a Sharded

@@ -82,7 +82,6 @@ func TestCompetitorsBuildAndAgree(t *testing.T) {
 		if s.SpaceBytes() <= 0 {
 			t.Errorf("%s: non-positive space", s.Name())
 		}
-		trq.Close(s)
 	}
 	for _, want := range competitorNames {
 		if !names[want] {

@@ -159,7 +159,6 @@ func (f figure) run(o Options) error {
 				}
 				t.AddRow(append(cells, f.row(c, i)...)...)
 			}
-			trq.Close(c.s)
 		}
 		return nil
 	})

@@ -15,39 +15,44 @@ const (
 	snapshotVersion = 1
 )
 
-// WriteTo serializes the summary in the snapshot wire format. Pending
-// aggregations of closed nodes are forced first so the snapshot is
-// self-contained; open-spine nodes are stored without aggregate matrices
-// and re-aggregate on demand after loading. WriteTo implements
-// io.WriterTo.
+// WriteTo writes the summary's snapshot (AppendSnapshot) to w, encoding it
+// whole in memory first. WriteTo implements io.WriterTo.
 func (s *Summary) WriteTo(w io.Writer) (int64, error) {
-	ww := wire.NewWriter(w)
-	ww.U64(snapshotMagic)
-	ww.U64(snapshotVersion)
+	n, err := w.Write(s.AppendSnapshot(nil))
+	return int64(n), err
+}
+
+// AppendSnapshot appends the summary in the snapshot wire format to b.
+// Pending aggregations of closed nodes are forced first so the snapshot is
+// self-contained; open-spine nodes are stored without aggregate matrices
+// and re-aggregate on demand after loading.
+func (s *Summary) AppendSnapshot(b []byte) []byte {
+	w := wire.Writer(b)
+	w.U64(snapshotMagic)
+	w.U64(snapshotVersion)
 	// Config.
-	ww.U32(s.cfg.D1)
-	ww.U64(uint64(s.cfg.F1))
-	ww.Int(s.cfg.B)
-	ww.Int(s.cfg.Theta)
-	ww.Int(s.cfg.Maps)
-	ww.Bool(s.cfg.OverflowBlocks)
-	ww.Int(s.cfg.OBBucket)
-	ww.Bool(false) // retired seal-worker flag: always 0, ignored on read
-	ww.U64(s.cfg.Seed)
+	w.U32(s.cfg.D1)
+	w.U64(uint64(s.cfg.F1))
+	w.Int(s.cfg.B)
+	w.Int(s.cfg.Theta)
+	w.Int(s.cfg.Maps)
+	w.Bool(s.cfg.OverflowBlocks)
+	w.Int(s.cfg.OBBucket)
+	w.Bool(false) // retired seal-worker flag: always 0, ignored on read
+	w.U64(s.cfg.Seed)
 	// Stream state.
-	ww.I64(s.lastT)
-	ww.I64(s.items)
-	ww.I64(s.clamped)
-	ww.I64(s.rejected)
-	ww.Int(s.leaves)
-	ww.Int(s.obCount)
-	ww.Bool(s.finalized)
-	ww.Bool(s.root != nil)
+	w.I64(s.lastT)
+	w.I64(s.items)
+	w.I64(s.clamped)
+	w.I64(s.rejected)
+	w.Int(s.leaves)
+	w.Int(s.obCount)
+	w.Bool(s.finalized)
+	w.Bool(s.root != nil)
 	if s.root != nil {
-		s.encodeNode(ww, s.root)
+		s.encodeNode(&w, s.root)
 	}
-	err := ww.Flush()
-	return ww.Written(), err
+	return w
 }
 
 func (s *Summary) encodeNode(w *wire.Writer, n *node) {
@@ -79,11 +84,21 @@ func (s *Summary) encodeNode(w *wire.Writer, n *node) {
 	}
 }
 
-// Read deserializes a summary written by WriteTo. The loaded summary is
-// fully queryable and, unless it was finalized, continues to accept
-// inserts where the original left off.
+// Read reads r to its end and decodes the snapshot it holds (Decode): the
+// whole encoded snapshot is in memory while it decodes.
 func Read(r io.Reader) (*Summary, error) {
-	rr := wire.NewReader(r)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: read snapshot: %w", err)
+	}
+	return Decode(b)
+}
+
+// Decode deserializes a snapshot written by AppendSnapshot; bytes after it
+// are ignored. The loaded summary is fully queryable and, unless it was
+// finalized, continues to accept inserts where the original left off.
+func Decode(b []byte) (*Summary, error) {
+	rr := wire.NewReader(b)
 	rr.Expect(snapshotMagic, "snapshot magic")
 	rr.Expect(snapshotVersion, "snapshot version")
 	cfg := Config{
@@ -111,20 +126,16 @@ func Read(r io.Reader) (*Summary, error) {
 	s.leaves = rr.Int()
 	s.obCount = rr.Int()
 	s.finalized = rr.Bool()
-	hasRoot := rr.Bool()
-	if err := rr.Err(); err != nil {
-		return nil, fmt.Errorf("core: read snapshot state: %w", err)
-	}
-	if hasRoot {
-		rootID, root, err := s.decodeNode(rr)
+	if rr.Bool() { // has a root; a failed read is false and fails below
+		rootID, root, err := s.decodeNode(&rr)
 		if err != nil {
 			return nil, err
 		}
-		if err := rr.Err(); err != nil {
-			return nil, fmt.Errorf("core: read snapshot tree: %w", err)
-		}
 		s.root, s.rootID = root, rootID
 		s.rebuildSpine()
+	}
+	if err := rr.Err(); err != nil {
+		return nil, fmt.Errorf("core: read snapshot: %w", err)
 	}
 	return s, nil
 }
@@ -142,29 +153,24 @@ func (s *Summary) decodeNode(r *wire.Reader) (nodeID, *node, error) {
 		return 0, nil, fmt.Errorf("core: decode node: implausible level %d", n.level)
 	}
 	if n.level == 1 {
-		m, err := matrix.Decode(r)
+		leafCfg, obCfg := s.leafCfg(), s.obCfg()
+		m, err := matrix.Decode(r, &leafCfg)
 		if err != nil {
 			return 0, nil, err
 		}
 		n.mat = m
-		nobs := r.Int()
-		if r.Err() == nil && nobs > 1<<24 {
-			return 0, nil, fmt.Errorf("core: decode node: implausible overflow block count %d", nobs)
-		}
+		nobs := r.Int() // sizes nothing: each block is decoded before it is appended
 		for i := 0; i < nobs; i++ {
-			ob, err := matrix.Decode(r)
+			ob, err := matrix.Decode(r, &obCfg)
 			if err != nil {
 				return 0, nil, err
 			}
 			n.obs = append(n.obs, ob)
 		}
-		if err := r.Err(); err != nil {
-			return 0, nil, fmt.Errorf("core: decode leaf: %w", err)
-		}
-		return id, n, nil
+		return id, n, nil // a failed count read is Decode's final check
 	}
 	if r.Bool() {
-		m, err := matrix.Decode(r)
+		m, err := matrix.Decode(r, nil)
 		if err != nil {
 			return 0, nil, err
 		}

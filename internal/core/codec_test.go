@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"higgs/internal/matrix"
 	"higgs/internal/stream"
 	"higgs/internal/wire"
 )
@@ -168,6 +169,34 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusesForeignGeometry: a leaf or an overflow block whose
+// header is not the geometry the snapshot's config implies is refused
+// before anything is sized by that header.
+func TestSnapshotRefusesForeignGeometry(t *testing.T) {
+	other := func(c matrix.Config) *matrix.Matrix {
+		m, err := matrix.New(c, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for name, swap := range map[string]func(s *Summary, leaf *node){
+		"leaf": func(s *Summary, leaf *node) {
+			c := s.leafCfg()
+			c.D *= 2
+			leaf.mat = other(c)
+		},
+		"overflow block": func(s *Summary, leaf *node) { leaf.obs = append(leaf.obs, other(s.leafCfg())) },
+	} {
+		s := MustNew(DefaultConfig())
+		s.Insert(stream.Edge{S: 1, D: 2, W: 1, T: 5})
+		swap(s, s.root)
+		if _, err := Decode(s.AppendSnapshot(nil)); err == nil || !strings.Contains(err.Error(), "geometry") {
+			t.Errorf("%s of a foreign geometry: err = %v", name, err)
+		}
+	}
+}
+
 // TestSnapshotIgnoresParallelByte pins the header's retired seal-worker
 // flag: writers emit 0, and a snapshot carrying 1 there (written when the
 // flag still selected per-level seal workers) loads, answers and re-encodes
@@ -185,22 +214,18 @@ func TestSnapshotIgnoresParallelByte(t *testing.T) {
 	zero := buf.Bytes()
 
 	// The flag follows OBBucket in the header.
-	var hdr bytes.Buffer
-	w := wire.NewWriter(&hdr)
-	w.U64(snapshotMagic)
-	w.U64(snapshotVersion)
-	w.U32(cfg.D1)
-	w.U64(uint64(cfg.F1))
-	w.Int(cfg.B)
-	w.Int(cfg.Theta)
-	w.Int(cfg.Maps)
-	w.Bool(cfg.OverflowBlocks)
-	w.Int(cfg.OBBucket)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	at := hdr.Len()
-	if !bytes.HasPrefix(zero, hdr.Bytes()) || zero[at] != 0 {
+	var hdr wire.Writer
+	hdr.U64(snapshotMagic)
+	hdr.U64(snapshotVersion)
+	hdr.U32(cfg.D1)
+	hdr.U64(uint64(cfg.F1))
+	hdr.Int(cfg.B)
+	hdr.Int(cfg.Theta)
+	hdr.Int(cfg.Maps)
+	hdr.Bool(cfg.OverflowBlocks)
+	hdr.Int(cfg.OBBucket)
+	at := len(hdr)
+	if !bytes.HasPrefix(zero, hdr) || zero[at] != 0 {
 		t.Fatalf("header layout moved: flag byte at %d is %d", at, zero[at])
 	}
 	one := append([]byte(nil), zero...)

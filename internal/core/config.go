@@ -69,6 +69,12 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxLeafSlots bounds the slots of one leaf or overflow-block matrix,
+// D1²·max(B, OBBucket): the paper's default is 16²·3 = 768 and the fig21
+// sweep peaks at 64²·3 = 12,288. A snapshot's header is a Config, so the
+// bound is also what a snapshot can make its decoder allocate per leaf.
+const maxLeafSlots = 1 << 16
+
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
 	switch {
@@ -86,6 +92,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Maps = %d exceeds D1 = %d", c.Maps, c.D1)
 	case c.OBBucket < 1:
 		return fmt.Errorf("core: OBBucket = %d, need ≥ 1", c.OBBucket)
+	case uint64(max(c.B, c.OBBucket)) > maxLeafSlots/(uint64(c.D1)*uint64(c.D1)):
+		return fmt.Errorf("core: D1² · max(B, OBBucket) = %d² · %d exceeds %d slots a leaf", c.D1, max(c.B, c.OBBucket), maxLeafSlots)
 	default:
 		return nil
 	}

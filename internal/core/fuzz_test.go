@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"higgs/internal/stream"
@@ -15,11 +14,7 @@ func FuzzSnapshotRead(f *testing.F) {
 	for _, e := range paperStream() {
 		s.Insert(e)
 	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := s.AppendSnapshot(nil)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:4])
@@ -32,7 +27,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		f.Add(c)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sum, err := Read(bytes.NewReader(data))
+		sum, err := Decode(data)
 		if err != nil {
 			return
 		}

@@ -77,6 +77,14 @@ func (s *Summary) leafCfg() matrix.Config {
 	return matrix.Config{D: s.cfg.D1, B: s.cfg.B, Maps: s.cfg.Maps, FBits: s.cfg.F1, Timed: true}
 }
 
+// obCfg returns the matrix configuration of overflow blocks: a leaf's, with
+// OBBucket entries per bucket.
+func (s *Summary) obCfg() matrix.Config {
+	c := s.leafCfg()
+	c.B = s.cfg.OBBucket
+	return c
+}
+
 // newLeaf allocates a leaf node anchored at time t.
 func (s *Summary) newLeaf(t int64) (nodeID, *node) {
 	m, err := matrix.NewIn(s.pool, s.leafCfg(), t)
@@ -139,9 +147,7 @@ func (s *Summary) Insert(e stream.Edge) {
 				return
 			}
 		}
-		obCfg := s.leafCfg()
-		obCfg.B = s.cfg.OBBucket
-		ob, err := matrix.NewIn(s.pool, obCfg, e.T)
+		ob, err := matrix.NewIn(s.pool, s.obCfg(), e.T)
 		if err != nil {
 			panic(fmt.Sprintf("core: overflow block config invalid: %v", err))
 		}

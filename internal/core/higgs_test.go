@@ -32,6 +32,8 @@ func TestConfigValidate(t *testing.T) {
 		mod(func(c *Config) { c.Maps = 20 }),
 		mod(func(c *Config) { c.Maps = 8; c.D1 = 4 }),
 		mod(func(c *Config) { c.OBBucket = 0 }),
+		mod(func(c *Config) { c.D1 = 1 << 9 }),       // 2^18 · 3 slots a leaf
+		mod(func(c *Config) { c.OBBucket = 1 << 9 }), // 16² · 2^9 slots a block
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -371,26 +373,29 @@ func TestDeletePropagatesToAggregates(t *testing.T) {
 	}
 	s.Finalize()
 	truth := exact.FromStream(st)
+	before := make(map[uint64]int64)
+	for v := uint64(0); v < 60; v++ {
+		before[v] = s.VertexOut(v, 0, 30000)
+	}
 	// Delete the first 100 items and verify full-range queries (which are
-	// served from sealed aggregates) reflect the removals.
+	// served from sealed aggregates) reflect the removals: every source
+	// of a deleted item reads at least its deleted weight lower.
+	deleted := make(map[uint64]int64)
 	for _, e := range st[:100] {
 		if !s.Delete(e) {
 			t.Fatalf("delete of replayed item %+v failed", e)
 		}
 		truth.Delete(e)
+		deleted[e.S] += e.W
 	}
 	for v := uint64(0); v < 60; v++ {
 		got, want := s.VertexOut(v, 0, 30000), truth.VertexOut(v, 0, 30000)
 		if got < want {
 			t.Fatalf("out(%d) after deletes: %d < %d", v, got, want)
 		}
-	}
-	var total int64
-	for v := uint64(0); v < 60; v++ {
-		total += s.VertexOut(v, 0, 30000)
-	}
-	if want := truth.Len(); total < int64(0) {
-		_ = want
+		if drop := before[v] - got; drop < deleted[v] {
+			t.Fatalf("out(%d) dropped by %d after deleting weight %d from it", v, drop, deleted[v])
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"math/rand"
@@ -119,7 +118,7 @@ func TestAggregateMatchesAbsorb(t *testing.T) {
 						}
 						parent := aggregateChecked(t, agg(8, 5), kids)
 						again := aggregateChecked(t, agg(8, 5), kids)
-						if !bytes.Equal(encodeBytes(t, parent), encodeBytes(t, again)) {
+						if !bytes.Equal(encodeBytes(parent), encodeBytes(again)) {
 							t.Fatal("a second Aggregate of the same children differs")
 						}
 						spills += aggregateChecked(t, agg(4, 6), kids).SpillCount()
@@ -135,7 +134,7 @@ func TestAggregateMatchesAbsorb(t *testing.T) {
 						frozen, dense = append(frozen, parent), append(dense, d)
 					}
 					grand := aggregateChecked(t, agg(16, 4), frozen)
-					if !bytes.Equal(encodeBytes(t, grand), encodeBytes(t, aggregateChecked(t, agg(16, 4), dense))) {
+					if !bytes.Equal(encodeBytes(grand), encodeBytes(aggregateChecked(t, agg(16, 4), dense))) {
 						t.Fatal("aggregates of frozen and of dense children differ")
 					}
 					spills += aggregateChecked(t, agg(8, 5), frozen).SpillCount()
@@ -148,7 +147,7 @@ func TestAggregateMatchesAbsorb(t *testing.T) {
 		}
 	}
 	t.Run("dupSpillSeed", func(t *testing.T) {
-		dup, err := Decode(wire.NewReader(bytes.NewReader(dupSpillSeed(t))))
+		dup, err := decode(dupSpillSeed(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,16 +159,15 @@ func TestAggregateMatchesAbsorb(t *testing.T) {
 	})
 }
 
-// decodeSmall decodes the next matrix from br unless its header is
+// decodeSmall decodes the next matrix from r unless its header is
 // unreadable or its slab would exceed 2^16 slots, as in FuzzMatrixDecode.
-func decodeSmall(br *bufio.Reader) (*Matrix, bool) {
-	head, _ := br.Peek(32)
-	hdr := wire.NewReader(bytes.NewReader(head))
+func decodeSmall(r *wire.Reader) (*Matrix, bool) {
+	hdr := *r // a copy: reading the header consumes nothing from r
 	hdr.U64()
 	if d, b := uint64(hdr.U32()), uint64(hdr.Int()); hdr.Err() != nil || d*d*b > 1<<16 {
 		return nil, false
 	}
-	m, err := Decode(wire.NewReader(br)) // adopts br: no bytes are lost to a second buffer
+	m, err := Decode(r, nil)
 	return m, err == nil
 }
 
@@ -184,10 +182,10 @@ func FuzzAggregate(f *testing.F) {
 	}
 	f.Add(bytes.Join([][]byte{seeds[0], seeds[1], seeds[0]}, nil), uint8(6)) // a leaf, an aggregate one level up, a leaf
 	f.Fuzz(func(t *testing.T, data []byte, shape uint8) {
-		br := bufio.NewReader(bytes.NewReader(data))
+		r := wire.NewReader(data)
 		var children []*Matrix
 		for len(children) < 1+int(shape&3) {
-			c, ok := decodeSmall(br)
+			c, ok := decodeSmall(&r)
 			if !ok {
 				break
 			}

@@ -10,7 +10,7 @@ import (
 // matrixTag guards matrix records inside snapshot streams.
 const matrixTag = 0x4d58 // "MX"
 
-// Encode writes the matrix onto w in the snapshot wire format: geometry,
+// Encode appends the matrix to w in the snapshot wire format: geometry,
 // then only the occupied slots (sparse encoding), then the spill list. A
 // frozen matrix writes the bytes its dense form did.
 func (m *Matrix) Encode(w *wire.Writer) {
@@ -49,8 +49,10 @@ func (m *Matrix) Encode(w *wire.Writer) {
 	}
 }
 
-// Decode reads a matrix written by Encode.
-func Decode(r *wire.Reader) (*Matrix, error) {
+// Decode reads a matrix written by Encode. Unless want is nil, the header
+// must carry exactly the geometry *want, which is checked before anything
+// is sized by it.
+func Decode(r *wire.Reader, want *Config) (*Matrix, error) {
 	r.Expect(matrixTag, "matrix tag")
 	cfg := Config{
 		D:     r.U32(),
@@ -64,6 +66,9 @@ func Decode(r *wire.Reader) (*Matrix, error) {
 	count := r.Int()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("matrix: decode header: %w", err)
+	}
+	if want != nil && cfg != *want {
+		return nil, fmt.Errorf("matrix: decode: geometry %+v, want %+v", cfg, *want)
 	}
 	// Guard allocations against corrupted or adversarial inputs: a matrix
 	// bigger than 2^28 slots (several GB) is not something this library
@@ -114,10 +119,9 @@ func Decode(r *wire.Reader) (*Matrix, error) {
 		m.fills[bkt]++
 	}
 	m.count = count
+	// Nothing is sized by the spill count: each entry is read before it is
+	// appended, so a count beyond the input ends at the first failed read.
 	nspill := r.Int()
-	if r.Err() == nil && nspill > 1<<28 {
-		return nil, fmt.Errorf("matrix: decode: implausible spill count %d", nspill)
-	}
 	for i := 0; i < nspill && r.Err() == nil; i++ {
 		m.spill = append(m.spill, spillEntry{
 			fpS:   r.U32(),

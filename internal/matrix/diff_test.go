@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"higgs/internal/wire"
 )
 
 // Absorb is the seal as it was before Aggregate, and its reference: it folds
@@ -149,7 +147,7 @@ func checkFirstFit(t testing.TB, m *Matrix) {
 // that copy.
 func absorbChecked(t *testing.T, parent, child *Matrix, rbits uint) {
 	t.Helper()
-	shadow, err := Decode(wire.NewReader(bytes.NewReader(encodeBytes(t, parent))))
+	shadow, err := decode(encodeBytes(parent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +160,7 @@ func absorbChecked(t *testing.T, parent, child *Matrix, rbits uint) {
 	if err := parent.Absorb(child); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeBytes(t, parent), encodeBytes(t, shadow)) {
+	if !bytes.Equal(encodeBytes(parent), encodeBytes(shadow)) {
 		t.Fatal("Absorb and entry-by-entry addOrSpill built different matrices")
 	}
 }
@@ -285,7 +283,7 @@ func (r *refMatrix) check(t *testing.T, m *Matrix, rng *rand.Rand, windows [][2]
 // sealed aggregate is queried in, built the way a snapshot load builds it.
 func frozenCopy(t testing.TB, m *Matrix) *Matrix {
 	t.Helper()
-	fz, err := Decode(wire.NewReader(bytes.NewReader(encodeBytes(t, m))))
+	fz, err := decode(encodeBytes(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +306,7 @@ func (r *refMatrix) checkWithFrozen(t *testing.T, m *Matrix, rng *rand.Rand, win
 		t.Fatal("ColSum on a frozen matrix built no column index")
 	}
 	r.check(t, fz, rng, windows)
-	if !bytes.Equal(encodeBytes(t, fz), encodeBytes(t, m)) {
+	if !bytes.Equal(encodeBytes(fz), encodeBytes(m)) {
 		t.Fatal("frozen copy encodes to different bytes")
 	}
 }

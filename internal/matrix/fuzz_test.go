@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"bufio"
 	"bytes"
 	"math"
 	"slices"
@@ -10,15 +9,16 @@ import (
 	"higgs/internal/wire"
 )
 
-func encodeBytes(t testing.TB, m *Matrix) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	m.Encode(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+func encodeBytes(m *Matrix) []byte {
+	var w wire.Writer
+	m.Encode(&w)
+	return w
+}
+
+// decode decodes b as one matrix of any geometry.
+func decode(b []byte) (*Matrix, error) {
+	r := wire.NewReader(b)
+	return Decode(&r, nil)
 }
 
 // fuzzSeeds returns encoded matrices covering both layouts: a timed leaf
@@ -38,7 +38,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		t.Fatal("seed aggregate did not spill")
 	}
 	empty := mustNew(t, Config{D: 2, B: 3, Maps: 1, FBits: 1}, -5)
-	return [][]byte{encodeBytes(t, leaf), encodeBytes(t, agg), encodeBytes(t, empty)}
+	return [][]byte{encodeBytes(leaf), encodeBytes(agg), encodeBytes(empty)}
 }
 
 // TestDecodeRejects: an entry that is out of range, repeated, out of order
@@ -90,9 +90,8 @@ func TestDecodeRejects(t *testing.T) {
 		{"implausible geometry", Config{D: 1 << 15, B: 1, Maps: 1, FBits: 8}, nil, false},
 		{"bucket wider than a fill byte", Config{D: 2, B: 256, Maps: 1, FBits: 8}, nil, false},
 	} {
-		var buf bytes.Buffer
-		w := wire.NewWriter(&buf)
-		header(w, c.cfg, len(c.entries))
+		var w wire.Writer
+		header(&w, c.cfg, len(c.entries))
 		for _, e := range c.entries {
 			w.Int(e.k)
 			w.U32(1) // fpS
@@ -102,10 +101,7 @@ func TestDecodeRejects(t *testing.T) {
 			w.U64(e.idx)
 		}
 		w.Int(0) // spill
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		m, err := Decode(wire.NewReader(&buf))
+		m, err := decode(w)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
 		}
@@ -136,14 +132,13 @@ func FuzzMatrixDecode(f *testing.F) {
 		// The geometry guard admits slabs of gigabytes; keep the fuzzer's
 		// own memory bounded by not following it there (TestDecodeRejects
 		// pins the guard itself).
-		hdr := wire.NewReader(bytes.NewReader(data))
+		hdr := wire.NewReader(data)
 		hdr.U64()
 		if d, b := uint64(hdr.U32()), uint64(hdr.Int()); d*d*b > 1<<16 {
 			return
 		}
-		src := bytes.NewReader(data)
-		br := bufio.NewReader(src) // wire.NewReader adopts it, so what Decode consumed can be counted
-		m, err := Decode(wire.NewReader(br))
+		r := wire.NewReader(data)
+		m, err := Decode(&r, nil)
 		if err != nil {
 			return
 		}
@@ -156,19 +151,19 @@ func FuzzMatrixDecode(f *testing.F) {
 				t.Fatalf("EdgeSum(%+v) = %d, a sweep of every candidate slot finds %d", k, got, want)
 			}
 		})
-		consumed := len(data) - src.Len() - br.Buffered()
-		enc := encodeBytes(t, m)
+		consumed := len(data) - r.Len()
+		enc := encodeBytes(m)
 		// Varints have one shortest form and Decode drops nothing, so the
 		// encoding is never longer than what was read, and equally long
 		// only when it is the same bytes.
 		if len(enc) > consumed || (len(enc) == consumed && !bytes.Equal(enc, data[:consumed])) {
 			t.Fatalf("decoded %d bytes, re-encoded to %d different ones", consumed, len(enc))
 		}
-		m2, err := Decode(wire.NewReader(bytes.NewReader(enc)))
+		m2, err := decode(enc)
 		if err != nil {
 			t.Fatalf("own encoding rejected: %v", err)
 		}
-		if enc2 := encodeBytes(t, m2); !bytes.Equal(enc, enc2) {
+		if enc2 := encodeBytes(m2); !bytes.Equal(enc, enc2) {
 			t.Fatal("encoding is not a fixed point")
 		}
 		m.EdgeSum(0, 0, 0, 0, 0, 1)
@@ -191,7 +186,7 @@ func dupSpillSeed(t testing.TB) []byte {
 	}
 	m.spill = append(m.spill, m.spill[0], spillEntry{fpS: 9, baseS: 5, fpD: 9, baseD: 1, w: 4}, m.spill[1])
 	m.spill[len(m.spill)-1].w = -7
-	return encodeBytes(t, m)
+	return encodeBytes(m)
 }
 
 // FuzzFreeze: any untimed matrix Decode accepts answers the same once frozen
@@ -207,16 +202,16 @@ func FuzzFreeze(f *testing.F) {
 	}
 	f.Add(dupSpillSeed(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr := wire.NewReader(bytes.NewReader(data))
+		hdr := wire.NewReader(data)
 		hdr.U64()
 		if d, b := uint64(hdr.U32()), uint64(hdr.Int()); d*d*b > 1<<16 {
 			return // as in FuzzMatrixDecode
 		}
-		dense, err := Decode(wire.NewReader(bytes.NewReader(data)))
+		dense, err := decode(data)
 		if err != nil || dense.cfg.Timed {
 			return
 		}
-		fz, err := Decode(wire.NewReader(bytes.NewReader(data)))
+		fz, err := decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +241,7 @@ func FuzzFreeze(f *testing.F) {
 // mostly absent: another fingerprint, another base, an unmasked base.
 func sameAnswers(t *testing.T, dense, fz *Matrix, stored []refKey) {
 	t.Helper()
-	if !bytes.Equal(encodeBytes(t, dense), encodeBytes(t, fz)) {
+	if !bytes.Equal(encodeBytes(dense), encodeBytes(fz)) {
 		t.Fatal("frozen matrix encodes to different bytes")
 	}
 	type rec struct {
@@ -291,12 +286,12 @@ func sameAnswers(t *testing.T, dense, fz *Matrix, stored []refKey) {
 // repeated spill identities — decode and re-encode to the same bytes.
 func TestCodecRoundTrip(t *testing.T) {
 	for i, seed := range append(fuzzSeeds(t), dupSpillSeed(t)) {
-		m, err := Decode(wire.NewReader(bytes.NewReader(seed)))
+		m, err := decode(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 		zeroBeyondFill(t, m)
-		if !bytes.Equal(encodeBytes(t, m), seed) {
+		if !bytes.Equal(encodeBytes(m), seed) {
 			t.Fatalf("seed %d does not re-encode to itself", i)
 		}
 	}

@@ -814,8 +814,8 @@ func (s *Server) handleSnapshotDownload(w http.ResponseWriter, r *http.Request) 
 	return nil
 }
 
-// handleSnapshotUpload replaces the summary from an uploaded snapshot
-// (sharded or legacy unsharded; see shard.Read).
+// handleSnapshotUpload replaces the summary from an uploaded sharded
+// snapshot (see shard.Read).
 func (s *Server) handleSnapshotUpload(w http.ResponseWriter, r *http.Request) error {
 	if s.closed.Load() {
 		return errShuttingDown

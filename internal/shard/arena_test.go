@@ -12,7 +12,7 @@ import (
 // fixtureSet rebuilds the sharded summary the committed pre-refactor
 // fixture was generated from: default 4-shard config, hash seed 42, full
 // lkml stream at scale 0.25.
-func fixtureSet(t *testing.T) (*Summary, stream.Stream) {
+func fixtureSet(t testing.TB) (*Summary, stream.Stream) {
 	t.Helper()
 	st, err := stream.Load(stream.Lkml, 0.25)
 	if err != nil {

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"higgs/internal/core"
 	"higgs/internal/wire"
@@ -21,100 +23,89 @@ import (
 const (
 	snapshotMagic   = 0x48494753 // "HIGS" (core snapshots start "HIGG")
 	snapshotVersion = 2
-
-	// maxShardSnapshot guards the decoder against corrupted length
-	// prefixes allocating unbounded memory.
-	maxShardSnapshot = 1<<31 - 1
 )
 
 // WriteTo serializes the sharded summary. Each shard is encoded under its
-// write lock (core's WriteTo seals pending aggregates — answer-neutral, so
-// it is not a mutate op and bumps no version) together with its
-// durability watermark — the pair is captured atomically, so a snapshot
-// taken during live WAL-backed ingest is per-shard consistent: the frame
-// holds exactly the edges its watermark claims. Shards not being encoded
-// continue ingesting. WriteTo implements io.WriterTo.
+// write lock (core's AppendSnapshot seals pending aggregates —
+// answer-neutral, so it is not a mutate op and bumps no version) together
+// with its durability watermark — the pair is captured atomically, so a
+// snapshot taken during live WAL-backed ingest is per-shard consistent: the
+// frame holds exactly the edges its watermark claims. Shards not being
+// encoded continue ingesting. One shard's frame is in memory at a time.
+// WriteTo implements io.WriterTo.
 func (s *Summary) WriteTo(w io.Writer) (int64, error) {
-	ww := wire.NewWriter(w)
-	ww.U64(snapshotMagic)
-	ww.U64(snapshotVersion)
-	ww.Int(len(s.slots))
-	var buf bytes.Buffer
+	var frame wire.Writer
+	frame.U64(snapshotMagic)
+	frame.U64(snapshotVersion)
+	frame.Int(len(s.slots))
+	var blob []byte
+	var written int64
 	for i, sl := range s.slots {
-		buf.Reset()
 		sl.mu.Lock()
-		seq := sl.seq
-		_, err := sl.sum.WriteTo(&buf)
+		frame.U64(sl.seq)
+		blob = sl.sum.AppendSnapshot(blob[:0])
 		sl.mu.Unlock()
+		frame.Bytes(blob)
+		n, err := w.Write(frame)
+		written += int64(n)
 		if err != nil {
-			return ww.Written(), fmt.Errorf("shard: encode shard %d: %w", i, err)
+			return written, fmt.Errorf("shard: write shard %d: %w", i, err)
 		}
-		ww.U64(seq)
-		ww.Bytes(buf.Bytes())
+		frame = frame[:0]
 	}
-	err := ww.Flush()
-	return ww.Written(), err
+	return written, nil
 }
 
-// Read deserializes a summary written by Summary.WriteTo. For
-// compatibility it also accepts a bare (unsharded) core snapshot, which
-// loads as a one-shard summary, so snapshots taken before sharding existed
-// keep working.
+// Read deserializes a summary written by Summary.WriteTo. It streams the
+// frame shard by shard, reading each shard's core snapshot into one buffer
+// reused across shards and decoding it in place. Anything else — a bare
+// core snapshot included — is refused.
 func Read(r io.Reader) (*Summary, error) {
 	br := bufio.NewReader(r)
-	if !sniffSharded(br) {
-		cs, err := core.Read(br)
-		if err != nil {
-			return nil, err
-		}
-		return Adopt(cs), nil
-	}
-	rr := wire.NewReader(br)
-	rr.Expect(snapshotMagic, "sharded snapshot magic")
-	version := rr.U64()
-	if err := rr.Err(); err == nil && version != snapshotVersion {
-		return nil, fmt.Errorf("shard: unsupported snapshot version %d (want %d)", version, snapshotVersion)
-	}
-	n := rr.Int()
-	if err := rr.Err(); err != nil {
+	var magic, version, n uint64
+	if err := readUvarints(br, &magic, &version, &n); err != nil {
 		return nil, fmt.Errorf("shard: read snapshot header: %w", err)
 	}
-	if n < 1 || n > MaxShards {
+	switch {
+	case magic != snapshotMagic:
+		return nil, fmt.Errorf("shard: bad sharded snapshot magic: got %d, want %d", magic, snapshotMagic)
+	case version != snapshotVersion:
+		return nil, fmt.Errorf("shard: unsupported snapshot version %d (want %d)", version, snapshotVersion)
+	case n < 1 || n > MaxShards:
 		return nil, fmt.Errorf("shard: snapshot shard count %d out of range 1..%d", n, MaxShards)
 	}
 	slots := make([]*slot, n)
+	var blob bytes.Buffer
 	for i := range slots {
-		seq := rr.U64()
-		blob := rr.Bytes(maxShardSnapshot)
-		if err := rr.Err(); err != nil {
+		var seq, size uint64
+		err := readUvarints(br, &seq, &size)
+		if err == nil {
+			// blob grows as the bytes arrive: a length prefix alone sizes
+			// nothing, and one beyond the input fails at its end.
+			blob.Reset()
+			_, err = io.CopyN(&blob, br, int64(min(size, math.MaxInt64)))
+		}
+		if err != nil {
 			return nil, fmt.Errorf("shard: read shard %d frame: %w", i, err)
 		}
-		cs, err := core.Read(bytes.NewReader(blob))
+		cs, err := core.Decode(blob.Bytes())
+		if err == nil && i > 0 && cs.Config() != slots[0].sum.Config() {
+			err = errors.New("config differs from shard 0")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("shard: decode shard %d: %w", i, err)
 		}
 		slots[i] = newSlot(cs, seq)
 	}
-	cfg := Config{Shards: n, Core: slots[0].sum.Config()}
-	for i, sl := range slots {
-		if sl.sum.Config() != cfg.Core {
-			return nil, fmt.Errorf("shard: shard %d config differs from shard 0", i)
-		}
-	}
-	return &Summary{
-		cfg:   cfg,
-		part:  hasherFor(cfg),
-		slots: slots,
-	}, nil
+	return assemble(Config{Shards: len(slots), Core: slots[0].sum.Config()}, slots), nil
 }
 
-// sniffSharded reports whether the buffered reader starts with the sharded
-// snapshot magic, without consuming input.
-func sniffSharded(br *bufio.Reader) bool {
-	peek, err := br.Peek(binary.MaxVarintLen64)
-	if err != nil && len(peek) == 0 {
-		return false
+// readUvarints reads one unsigned varint from br into each of dst.
+func readUvarints(br io.ByteReader, dst ...*uint64) (err error) {
+	for _, p := range dst {
+		if *p, err = binary.ReadUvarint(br); err != nil {
+			return err
+		}
 	}
-	magic, n := binary.Uvarint(peek)
-	return n > 0 && magic == snapshotMagic
+	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"higgs/internal/core"
 	"higgs/internal/stream"
 )
 
@@ -223,8 +222,8 @@ func TestMutateMoves(t *testing.T) {
 
 // TestDecodedSlotStartsAtItsFrontier: a slot built around restored contents
 // publishes their frontier at once — the pre-refactor fixture's shards come
-// back with the timestamp of the last edge each received, and an adopted
-// core summary with its own — while version and rewrite count start over.
+// back with the timestamp of the last edge each received — while version
+// and rewrite count start over.
 func TestDecodedSlotStartsAtItsFrontier(t *testing.T) {
 	raw, err := os.ReadFile("testdata/prerefactor_sharded.higgs")
 	if err != nil {
@@ -243,12 +242,6 @@ func TestDecodedSlotStartsAtItsFrontier(t *testing.T) {
 		if f, rw := restored.ShardFrontier(i); f != want || rw != 0 || restored.ShardVersion(i) != 0 {
 			t.Errorf("decoded shard %d: frontier %d, %d rewrites, version %d; want %d, 0, 0", i, f, rw, restored.ShardVersion(i), want)
 		}
-	}
-
-	cs := core.MustNew(core.DefaultConfig())
-	cs.Insert(stream.Edge{S: 1, D: 2, W: 3, T: 77})
-	if f, _ := Adopt(cs).ShardFrontier(0); f != 77 {
-		t.Errorf("adopted summary: frontier %d, want 77", f)
 	}
 }
 

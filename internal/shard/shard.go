@@ -103,7 +103,7 @@ type slot struct {
 	one [1]stream.Edge
 }
 
-// newSlot wraps a core summary — empty, adopted or decoded — at durability
+// newSlot wraps a core summary — empty or decoded — at durability
 // watermark seq, publishing the frontier its contents already have.
 func newSlot(sum *core.Summary, seq uint64) *slot {
 	sl := &slot{sum: sum, seq: seq}
@@ -161,36 +161,25 @@ func New(cfg Config) (*Summary, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Summary{
-		cfg:   cfg,
-		part:  hasherFor(cfg),
-		slots: make([]*slot, cfg.Shards),
-	}
-	for i := range s.slots {
+	slots := make([]*slot, cfg.Shards)
+	for i := range slots {
 		cs, err := core.New(cfg.Core)
 		if err != nil {
 			return nil, err
 		}
-		s.slots[i] = newSlot(cs, 0)
+		slots[i] = newSlot(cs, 0)
 	}
-	return s, nil
+	return assemble(cfg, slots), nil
 }
 
-// Adopt wraps an existing core summary as a one-shard sharded summary,
-// preserving its contents. It is how legacy (unsharded) snapshots enter the
-// sharded world.
-func Adopt(sum *core.Summary) *Summary {
-	cfg := Config{Shards: 1, Core: sum.Config()}
+// assemble builds the summary of cfg over slots, partitioned by the hasher
+// cfg derives.
+func assemble(cfg Config, slots []*slot) *Summary {
 	return &Summary{
 		cfg:   cfg,
-		part:  hasherFor(cfg),
-		slots: []*slot{newSlot(sum, 0)},
+		part:  hashing.NewHasher(cfg.Core.Seed ^ partitionSeedMix),
+		slots: slots,
 	}
-}
-
-// hasherFor derives the partitioning hasher of a configuration.
-func hasherFor(cfg Config) hashing.Hasher {
-	return hashing.NewHasher(cfg.Core.Seed ^ partitionSeedMix)
 }
 
 // Config returns the summary's configuration.

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -254,25 +256,87 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadLegacyCoreSnapshot: a bare core snapshot loads as a one-shard
-// summary, so pre-sharding snapshots keep working.
+// BenchmarkRead decodes a finalized 4-shard lkml snapshot (the fixture
+// stream), what -load, a snapshot upload and a follower boot pay:
+//
+//	go test -run '^$' -bench Read -benchmem ./internal/shard
+func BenchmarkRead(b *testing.B) {
+	s, _ := fixtureSet(b)
+	s.Finalize()
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	raw := buf.Bytes()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Read(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestReadLegacyCoreSnapshot: a bare core snapshot is not a sharded one;
+// Read refuses it on its magic and returns no summary.
 func TestReadLegacyCoreSnapshot(t *testing.T) {
 	cs := core.MustNew(core.DefaultConfig())
 	cs.Insert(stream.Edge{S: 1, D: 2, W: 3, T: 100})
 	cs.Insert(stream.Edge{S: 1, D: 2, W: 4, T: 200})
-	var buf bytes.Buffer
-	if _, err := cs.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	s, err := Read(bytes.NewReader(cs.AppendSnapshot(nil)))
+	if err == nil || !strings.Contains(err.Error(), "bad sharded snapshot magic") || s != nil {
+		t.Fatalf("Read(core snapshot) = %v, %v; want a magic refusal", s, err)
 	}
-	s, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestReadRefusesOversizedGeometry: a 49-byte sharded snapshot whose core
+// header and only leaf claim D1 = 1024, B = 16 — a slab of 2^24 slots,
+// about 337 MiB — is refused before anything is sized by that geometry.
+func TestReadRefusesOversizedGeometry(t *testing.T) {
+	varints := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
 	}
-	if s.NumShards() != 1 {
-		t.Fatalf("legacy snapshot shards = %d, want 1", s.NumShards())
+	blob := varints(
+		0x48494747, 1, // core magic, version
+		1024, 19, 16, 4, 4, 1, 1, 0, 0, // D1, F1, B, Theta, Maps, OverflowBlocks, OBBucket, retired flag, Seed
+		0, 0, 0, 0, 1, 0, 0, 1, // lastT, items, clamped, rejected, leaves, obCount, finalized, hasRoot
+		1, 0, 0, 0, // leaf: level, firstT, lastT, closed
+		0x4d58, 1024, 16, 4, 19, 1, 0, 0, 0, // matrix: tag, D, B, Maps, FBits, Timed, startT, added, count
+	)
+	in := append(varints(snapshotMagic, snapshotVersion, 1, 0, uint64(len(blob))), blob...)
+	if len(in) != 49 {
+		t.Fatalf("the crafted snapshot is %d bytes, want 49", len(in))
 	}
-	if got := s.EdgeWeight(1, 2, 0, 300); got != 7 {
-		t.Fatalf("EdgeWeight = %d, want 7", got)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Read(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil || s != nil {
+		t.Fatalf("Read = %v, %v; want a refusal", s, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing a 49-byte snapshot allocated %d bytes, want < 1 MiB (err: %v)", grew, err)
+	}
+}
+
+// TestReadRefusesMixedConfigs: every shard of a snapshot must carry shard
+// 0's core config.
+func TestReadRefusesMixedConfigs(t *testing.T) {
+	var frame wire.Writer
+	frame.U64(snapshotMagic)
+	frame.U64(snapshotVersion)
+	frame.Int(2)
+	for seed := uint64(1); seed <= 2; seed++ {
+		cfg := core.DefaultConfig()
+		cfg.Seed = seed
+		frame.U64(0)
+		frame.Bytes(core.MustNew(cfg).AppendSnapshot(nil))
+	}
+	if s, err := Read(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "config differs") || s != nil {
+		t.Fatalf("Read(mixed configs) = %v, %v; want a refusal", s, err)
 	}
 }
 
@@ -295,36 +359,17 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 func TestReadRejectsV1Frame(t *testing.T) {
 	cs := core.MustNew(core.DefaultConfig())
 	cs.Insert(stream.Edge{S: 5, D: 6, W: 9, T: 50})
-	var blob, frame bytes.Buffer
-	if _, err := cs.WriteTo(&blob); err != nil {
-		t.Fatal(err)
-	}
-	w := wire.NewWriter(&frame)
-	w.U64(snapshotMagic)
-	w.U64(1)
-	w.Int(1)
-	w.Bytes(blob.Bytes())
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Read(&frame)
+	var frame wire.Writer
+	frame.U64(snapshotMagic)
+	frame.U64(1)
+	frame.Int(1)
+	frame.Bytes(cs.AppendSnapshot(nil))
+	s, err := Read(bytes.NewReader(frame))
 	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
 		t.Fatalf("Read(v1 frame) error = %v, want an unsupported-version refusal", err)
 	}
 	if s != nil {
 		t.Fatal("Read(v1 frame) returned a summary alongside its error")
-	}
-}
-
-func TestAdoptPreservesContents(t *testing.T) {
-	cs := core.MustNew(core.DefaultConfig())
-	cs.Insert(stream.Edge{S: 5, D: 6, W: 9, T: 50})
-	s := Adopt(cs)
-	if got := s.EdgeWeight(5, 6, 0, 100); got != 9 {
-		t.Fatalf("EdgeWeight = %d, want 9", got)
-	}
-	if s.NumShards() != 1 {
-		t.Fatalf("NumShards = %d, want 1", s.NumShards())
 	}
 }
 
@@ -388,14 +433,5 @@ func TestSnapshotPreservesWatermarks(t *testing.T) {
 	}
 	if got, want := loaded.Items(), s.Items(); got != want {
 		t.Fatalf("loaded items = %d, want %d", got, want)
-	}
-}
-
-func TestAdoptedLegacySummaryHasZeroWatermark(t *testing.T) {
-	cs := core.MustNew(core.DefaultConfig())
-	cs.Insert(stream.Edge{S: 1, D: 2, W: 3, T: 5})
-	s := Adopt(cs)
-	if got := s.ShardSeq(0); got != 0 {
-		t.Fatalf("adopted watermark = %d, want 0", got)
 	}
 }

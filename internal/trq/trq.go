@@ -34,9 +34,6 @@ type Deleter interface {
 // end-of-stream signal (HIGGS seals its open spine).
 type Finalizer interface{ Finalize() }
 
-// Closer is implemented by summaries owning background resources.
-type Closer interface{ Close() }
-
 // PathWeight evaluates a path query on any summary as the sum of its edge
 // queries (paper §III).
 func PathWeight(s Summary, path []uint64, ts, te int64) int64 {
@@ -61,12 +58,5 @@ func SubgraphWeight(s Summary, edges [][2]uint64, ts, te int64) int64 {
 func Finalize(s Summary) {
 	if f, ok := s.(Finalizer); ok {
 		f.Finalize()
-	}
-}
-
-// Close releases background resources if the summary owns any.
-func Close(s Summary) {
-	if c, ok := s.(Closer); ok {
-		c.Close()
 	}
 }

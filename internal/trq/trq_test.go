@@ -224,5 +224,4 @@ func TestGenericPathAndSubgraph(t *testing.T) {
 		t.Errorf("SubgraphWeight = %d, want 3", got)
 	}
 	Finalize(s) // no-op, must not panic
-	Close(s)    // no-op, must not panic
 }

@@ -11,41 +11,56 @@ import (
 	"testing"
 
 	"higgs/internal/stream"
-	"higgs/internal/wire"
 )
 
 // decodeRecordWire is the payload decoder as it was before decodeRecord
-// parsed bytes in place, kept verbatim (bar its name and getEdgeWire's) as
-// FuzzDecodeRecord's reference: a sticky-error wire.Reader over a
-// bytes.Reader, and a fresh edge slice sized by the record's count.
+// parsed bytes in place, kept as FuzzDecodeRecord's reference: sticky
+// errors and a fresh edge slice sized by the record's count. It reads its
+// varints with binary.ReadUvarint over a bytes.Reader, so it shares no code
+// with the wire.Reader decodeRecord runs on.
 func decodeRecordWire(payload []byte) (Record, error) {
-	r := wire.NewReader(bytes.NewReader(payload))
-	typ := RecordType(r.U64())
-	if err := r.Err(); err != nil {
+	r := bytes.NewReader(payload)
+	var err error
+	u64 := func() uint64 {
+		if err != nil {
+			return 0
+		}
+		v, e := binary.ReadUvarint(r)
+		if e != nil {
+			err = e
+			return 0
+		}
+		return v
+	}
+	i64 := func() int64 {
+		v := u64()
+		return int64(v>>1) ^ -int64(v&1)
+	}
+	edge := func() stream.Edge { return stream.Edge{S: u64(), D: u64(), W: i64(), T: i64()} }
+	typ := RecordType(u64())
+	if err != nil {
 		return Record{}, fmt.Errorf("record type: %w", err)
 	}
 	switch typ {
 	case RecordEdges:
-		first := r.U64()
-		n := r.Int()
-		if err := r.Err(); err != nil {
+		first, n := u64(), u64()
+		if err != nil {
 			return Record{}, fmt.Errorf("record header: %w", err)
 		}
-		if first == 0 || n <= 0 || n > maxRecordBytes/4 {
+		if first == 0 || n == 0 || n > maxRecordBytes/4 {
 			return Record{}, fmt.Errorf("record header out of range (first=%d count=%d)", first, n)
 		}
 		edges := make([]stream.Edge, n)
 		for i := range edges {
-			edges[i] = getEdgeWire(r)
+			edges[i] = edge()
 		}
-		if err := r.Err(); err != nil {
+		if err != nil {
 			return Record{}, fmt.Errorf("record edges: %w", err)
 		}
 		return Record{Type: RecordEdges, FirstSeq: first, Edges: edges}, nil
 	case RecordExpire:
-		seq := r.U64()
-		cutoff := r.I64()
-		if err := r.Err(); err != nil {
+		seq, cutoff := u64(), i64()
+		if err != nil {
 			return Record{}, fmt.Errorf("expire record: %w", err)
 		}
 		if seq == 0 {
@@ -53,9 +68,8 @@ func decodeRecordWire(payload []byte) (Record, error) {
 		}
 		return Record{Type: RecordExpire, FirstSeq: seq, Cutoff: cutoff}, nil
 	case RecordDelete:
-		seq := r.U64()
-		e := getEdgeWire(r)
-		if err := r.Err(); err != nil {
+		seq, e := u64(), edge()
+		if err != nil {
 			return Record{}, fmt.Errorf("delete record: %w", err)
 		}
 		if seq == 0 {
@@ -65,10 +79,6 @@ func decodeRecordWire(payload []byte) (Record, error) {
 	default:
 		return Record{}, fmt.Errorf("unknown record type %d", uint8(typ))
 	}
-}
-
-func getEdgeWire(r *wire.Reader) stream.Edge {
-	return stream.Edge{S: r.U64(), D: r.U64(), W: r.I64(), T: r.I64()}
 }
 
 // amplified is a 6-byte edge-batch payload (type 1, first sequence 1)
@@ -93,9 +103,11 @@ func streamWith(payloads ...[]byte) []byte {
 // bytes an edge — the payloads decodeRecord refuses before sizing
 // anything by the count.
 func overclaimed(payload []byte) bool {
-	p := cursor{b: payload}
-	typ, _, n := RecordType(p.u64()), p.u64(), p.u64()
-	return !p.bad && typ == RecordEdges && n > uint64(len(p.b))/4
+	r := bytes.NewReader(payload)
+	typ, err1 := binary.ReadUvarint(r)
+	_, err2 := binary.ReadUvarint(r)
+	n, err3 := binary.ReadUvarint(r)
+	return errors.Join(err1, err2, err3) == nil && RecordType(typ) == RecordEdges && n > uint64(r.Len())/4
 }
 
 // TestDecodeRecordRefusesCountBeyondPayload: a count the payload cannot

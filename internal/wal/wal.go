@@ -78,6 +78,7 @@ import (
 	"time"
 
 	"higgs/internal/stream"
+	"higgs/internal/wire"
 )
 
 const (
@@ -761,7 +762,7 @@ func scanSegment(path string, expect uint64, fn func(Record, []byte) error) (tai
 }
 
 // appendPayload appends rec's payload (record-type prefix included) to b:
-// unsigned varints, zigzag for the signed fields.
+// unsigned varints, zigzag (binary.AppendVarint) for the signed fields.
 func appendPayload(b []byte, rec Record) []byte {
 	b = binary.AppendUvarint(b, uint64(rec.Type))
 	b = binary.AppendUvarint(b, rec.FirstSeq)
@@ -772,53 +773,23 @@ func appendPayload(b []byte, rec Record) []byte {
 			b = appendEdge(b, e)
 		}
 	case RecordExpire:
-		b = binary.AppendUvarint(b, zigzag(rec.Cutoff))
+		b = binary.AppendVarint(b, rec.Cutoff)
 	case RecordDelete:
 		b = appendEdge(b, rec.Edge)
 	}
 	return b
 }
 
-// appendEdge and cursor.edge are an edge's one spelling inside a payload.
+// appendEdge and getEdge are an edge's one spelling inside a payload.
 func appendEdge(b []byte, e stream.Edge) []byte {
 	b = binary.AppendUvarint(b, e.S)
 	b = binary.AppendUvarint(b, e.D)
-	b = binary.AppendUvarint(b, zigzag(e.W))
-	return binary.AppendUvarint(b, zigzag(e.T))
+	b = binary.AppendVarint(b, e.W)
+	return binary.AppendVarint(b, e.T)
 }
 
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// cursor is the unread rest of a record payload. A varint that does not
-// parse — too short or overflowing — marks it bad and reads as 0, so a
-// record is decoded whole and checked once.
-type cursor struct {
-	b   []byte
-	bad bool
-}
-
-func (p *cursor) u64() uint64 {
-	if len(p.b) > 0 && p.b[0] < 0x80 { // every small value: one byte
-		v := uint64(p.b[0])
-		p.b = p.b[1:]
-		return v
-	}
-	v, n := binary.Uvarint(p.b)
-	if n <= 0 {
-		p.b, p.bad = nil, true
-		return 0
-	}
-	p.b = p.b[n:]
-	return v
-}
-
-func (p *cursor) i64() int64 {
-	v := p.u64()
-	return int64(v>>1) ^ -int64(v&1)
-}
-
-func (p *cursor) edge() stream.Edge {
-	return stream.Edge{S: p.u64(), D: p.u64(), W: p.i64(), T: p.i64()}
+func getEdge(p *wire.Reader) stream.Edge {
+	return stream.Edge{S: p.U64(), D: p.U64(), W: p.I64(), T: p.I64()}
 }
 
 // decodeRecord parses one record payload, which opens with its RecordType,
@@ -828,49 +799,34 @@ func (p *cursor) edge() stream.Edge {
 // rest of the payload can hold is refused before anything is sized by its
 // count. Bytes after the record are ignored.
 func decodeRecord(b []byte, buf []stream.Edge) (Record, error) {
-	p := cursor{b: b}
-	typ := RecordType(p.u64())
-	if p.bad {
-		return Record{}, errors.New("record type: short or overflowing varint")
-	}
-	switch typ {
+	p := wire.NewReader(b)
+	rec := Record{Type: RecordType(p.U64()), FirstSeq: p.U64()}
+	switch rec.Type {
 	case RecordEdges:
-		first, n := p.u64(), p.u64()
-		if p.bad {
-			return Record{}, errors.New("record header: short or overflowing varint")
+		n := p.U64()
+		if p.Err() == nil && (n == 0 || n > uint64(p.Len())/4) {
+			return Record{}, fmt.Errorf("record header out of range (count=%d, %d bytes left)", n, p.Len())
 		}
-		if first == 0 || n == 0 || n > uint64(len(p.b))/4 {
-			return Record{}, fmt.Errorf("record header out of range (first=%d count=%d, %d bytes left)", first, n, len(p.b))
+		rec.Edges = slices.Grow(buf[:0], int(n))[:n]
+		for i := range rec.Edges {
+			rec.Edges[i] = getEdge(&p)
 		}
-		edges := slices.Grow(buf[:0], int(n))[:n]
-		for i := range edges {
-			edges[i] = p.edge()
-		}
-		if p.bad {
-			return Record{}, errors.New("record edges: short or overflowing varint")
-		}
-		return Record{Type: RecordEdges, FirstSeq: first, Edges: edges}, nil
 	case RecordExpire:
-		seq, cutoff := p.u64(), p.i64()
-		if p.bad {
-			return Record{}, errors.New("expire record: short or overflowing varint")
-		}
-		if seq == 0 {
-			return Record{}, errors.New("expire record header out of range (seq=0)")
-		}
-		return Record{Type: RecordExpire, FirstSeq: seq, Cutoff: cutoff}, nil
+		rec.Cutoff = p.I64()
 	case RecordDelete:
-		seq, e := p.u64(), p.edge()
-		if p.bad {
-			return Record{}, errors.New("delete record: short or overflowing varint")
-		}
-		if seq == 0 {
-			return Record{}, errors.New("delete record header out of range (seq=0)")
-		}
-		return Record{Type: RecordDelete, FirstSeq: seq, Edge: e}, nil
+		rec.Edge = getEdge(&p)
 	default:
-		return Record{}, fmt.Errorf("unknown record type %d", uint8(typ))
+		if p.Err() == nil {
+			return Record{}, fmt.Errorf("unknown record type %d", uint8(rec.Type))
+		}
 	}
+	if err := p.Err(); err != nil {
+		return Record{}, fmt.Errorf("record type %d: %w", uint8(rec.Type), err)
+	}
+	if rec.FirstSeq == 0 {
+		return Record{}, fmt.Errorf("record type %d: sequence 0", uint8(rec.Type))
+	}
+	return rec, nil
 }
 
 // SyncDir best-effort fsyncs a directory so file creations, removals, and

@@ -716,36 +716,23 @@ func TestExpireRecordsRotateAndTruncate(t *testing.T) {
 // seed, so the refusal stays fuzzed).
 func v1Segment(tb testing.TB, batches ...[]stream.Edge) []byte {
 	tb.Helper()
-	var seg bytes.Buffer
-	w := wire.NewWriter(&seg)
-	w.U64(walMagic)
-	w.U64(1)
-	if err := w.Flush(); err != nil {
-		tb.Fatal(err)
-	}
+	var seg wire.Writer
+	seg.U64(walMagic)
+	seg.U64(1)
 	seq := uint64(1)
 	for _, b := range batches {
-		var pay bytes.Buffer
-		w := wire.NewWriter(&pay)
-		w.U64(seq)
-		w.Int(len(b))
+		var pay wire.Writer
+		pay.U64(seq)
+		pay.Int(len(b))
 		for _, e := range b {
-			w.U64(e.S)
-			w.U64(e.D)
-			w.I64(e.W)
-			w.I64(e.T)
+			pay = appendEdge(pay, e)
 		}
-		if err := w.Flush(); err != nil {
-			tb.Fatal(err)
-		}
-		var head [frameHeadLen]byte
-		binary.LittleEndian.PutUint32(head[0:4], uint32(pay.Len()))
-		binary.LittleEndian.PutUint32(head[4:8], crc32.ChecksumIEEE(pay.Bytes()))
-		seg.Write(head[:])
-		seg.Write(pay.Bytes())
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(pay)))
+		seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(pay))
+		seg = append(seg, pay...)
 		seq += uint64(len(b))
 	}
-	return seg.Bytes()
+	return seg
 }
 
 // TestV1SegmentRejected: a version-1 segment — with records or header

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -9,12 +11,14 @@ import (
 // decoders always pass a cap.
 const fuzzMaxBytes = 1 << 16
 
-// FuzzWireReader drives a Reader over arbitrary bytes with an
-// arbitrary op sequence: the decoder must never panic, errors must be
-// sticky (every read after a failure is a zero value, not garbage), and
-// every value successfully decoded must re-encode through Writer and
-// decode back identical — encode∘decode is the identity on values even
-// when the original input used non-canonical varints.
+// FuzzWireReader drives a Reader over arbitrary bytes with an arbitrary op
+// sequence: the decoder must never panic; errors must be sticky (every
+// read after a failure is a zero value, not garbage); every varint it reads
+// must be the one binary.ReadUvarint reads over the same bytes, and a
+// varint must fail as short exactly where ReadUvarint fails; and every
+// value successfully decoded must re-encode through Writer and decode back
+// identical — encode∘decode is the identity on values even when the
+// original input used non-canonical varints.
 func FuzzWireReader(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, []byte{})
 	f.Add([]byte{0, 0, 0}, []byte{0x80, 0x80, 0x01, 0x05, 0xff})
@@ -29,14 +33,13 @@ func FuzzWireReader(f *testing.F) {
 			b  bool
 			bs []byte
 		}
-		r := NewReader(bytes.NewReader(data))
+		r := NewReader(data)
 		var reads []read
 		for _, op := range ops {
-			if r.Err() != nil {
-				break
-			}
 			op %= 6
 			rd := read{op: op}
+			// Every op opens with one varint: ReadUvarint's reading of it.
+			want, wantErr := binary.ReadUvarint(bytes.NewReader(data[len(data)-r.Len():]))
 			switch op {
 			case 0:
 				rd.u = r.U64()
@@ -51,6 +54,9 @@ func FuzzWireReader(f *testing.F) {
 			case 5:
 				rd.bs = bytes.Clone(r.Bytes(fuzzMaxBytes))
 			}
+			if (wantErr != nil) != errors.Is(r.Err(), errShort) {
+				t.Fatalf("read %d: ReadUvarint err = %v, Reader err = %v", len(reads), wantErr, r.Err())
+			}
 			if r.Err() != nil {
 				// Sticky failure: later reads must return zero values.
 				if got := r.U64(); got != 0 {
@@ -61,14 +67,29 @@ func FuzzWireReader(f *testing.F) {
 				}
 				break
 			}
+			// The varint each op opened with, as the Reader decoded it.
+			got := rd.u
+			switch op {
+			case 3:
+				got = uint64(rd.i<<1) ^ uint64(rd.i>>63)
+			case 4:
+				got = 0
+				if rd.b {
+					got = 1
+				}
+			case 5:
+				got = uint64(len(rd.bs))
+			}
+			if got != want {
+				t.Fatalf("read %d (op %d): Reader decodes %d, ReadUvarint %d", len(reads), op, got, want)
+			}
 			reads = append(reads, rd)
 		}
 		if len(reads) == 0 {
 			return
 		}
 		// Re-encode every successfully decoded value and read it back.
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		var w Writer
 		for _, rd := range reads {
 			switch rd.op {
 			case 0:
@@ -85,10 +106,7 @@ func FuzzWireReader(f *testing.F) {
 				w.Bytes(rd.bs)
 			}
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		r2 := NewReader(bytes.NewReader(buf.Bytes()))
+		r2 := NewReader(w)
 		for k, rd := range reads {
 			switch rd.op {
 			case 0:
@@ -119,6 +137,9 @@ func FuzzWireReader(f *testing.F) {
 			if err := r2.Err(); err != nil {
 				t.Fatalf("read %d: re-decode: %v", k, err)
 			}
+		}
+		if r2.Len() != 0 {
+			t.Fatalf("re-decode left %d bytes", r2.Len())
 		}
 	})
 }

@@ -1,142 +1,115 @@
-// Package wire provides the sticky-error varint encoder/decoder the
-// snapshot codecs are built on (internal/matrix and internal/core persist
-// summaries with it). Values are encoded as unsigned varints; signed
-// values use zigzag encoding. A Writer or Reader records the first error
-// and turns every subsequent operation into a no-op, so codec code can
-// encode whole structures and check the error once.
+// Package wire is the one varint codec of the snapshots and the WAL: an
+// append encoder (Writer) and a cursor over encoded bytes (Reader), which
+// the WAL's record decoder shares.
+// Values are encoded as unsigned varints; signed values use zigzag
+// encoding. A Reader records the first error and reads every later value
+// as zero, so codec code can decode whole structures and check the error
+// once.
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
+	"math"
 )
 
-// Writer encodes varint-based records onto an io.Writer.
-type Writer struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
-	n   int64
-	err error
-}
+// Writer appends varint-based records to a byte slice; it cannot fail.
+// Start one from nil or from a slice to append to (wire.Writer(b[:0])).
+type Writer []byte
 
-// NewWriter returns a buffered Writer.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
+// U64 appends an unsigned varint.
+func (w *Writer) U64(v uint64) { *w = binary.AppendUvarint(*w, v) }
 
-// Err returns the first error encountered.
-func (w *Writer) Err() error { return w.err }
-
-// Written returns the number of bytes written so far (pre-flush bytes
-// included).
-func (w *Writer) Written() int64 { return w.n }
-
-// Flush flushes buffered output and returns the first error.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	w.err = w.w.Flush()
-	return w.err
-}
-
-// U64 writes an unsigned varint.
-func (w *Writer) U64(v uint64) {
-	if w.err != nil {
-		return
-	}
-	n := binary.PutUvarint(w.buf[:], v)
-	nn, err := w.w.Write(w.buf[:n])
-	w.n += int64(nn)
-	w.err = err
-}
-
-// U32 writes a 32-bit unsigned value as a varint.
+// U32 appends a 32-bit unsigned value as a varint.
 func (w *Writer) U32(v uint32) { w.U64(uint64(v)) }
 
-// Int writes a non-negative int as a varint.
-func (w *Writer) Int(v int) {
-	if v < 0 {
-		if w.err == nil {
-			w.err = fmt.Errorf("wire: negative int %d", v)
-		}
-		return
-	}
-	w.U64(uint64(v))
-}
+// Int appends a non-negative int as a varint. A negative v appends a value
+// Reader.Int refuses.
+func (w *Writer) Int(v int) { w.U64(uint64(v)) }
 
-// I64 writes a signed value with zigzag encoding.
-func (w *Writer) I64(v int64) {
-	w.U64(uint64(v<<1) ^ uint64(v>>63))
-}
+// I64 appends a signed value with zigzag encoding.
+func (w *Writer) I64(v int64) { *w = binary.AppendVarint(*w, v) }
 
-// Bool writes a boolean as one varint.
+// Bool appends a boolean as one varint.
 func (w *Writer) Bool(v bool) {
+	var b uint64
 	if v {
-		w.U64(1)
-	} else {
-		w.U64(0)
+		b = 1
 	}
+	w.U64(b)
 }
 
-// Bytes writes a length-prefixed byte string.
+// Bytes appends a length-prefixed byte string.
 func (w *Writer) Bytes(b []byte) {
-	w.U64(uint64(len(b)))
-	if w.err != nil {
-		return
-	}
-	n, err := w.w.Write(b)
-	w.n += int64(n)
-	w.err = err
+	w.Int(len(b))
+	*w = append(*w, b...)
 }
 
-// Reader decodes varint-based records from an io.Reader.
+// errShort is the error of a varint that is cut short or overflows 64 bits.
+// It is preallocated, so the varint read stays small enough to inline.
+var errShort = errors.New("wire: short or overflowing varint")
+
+// Reader is a cursor over encoded bytes. After the first error it holds no
+// bytes, so every later read is a zero value.
 type Reader struct {
-	r   *bufio.Reader
+	b   []byte
+	off int
 	err error
 }
 
-// NewReader returns a buffered Reader.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
+// NewReader returns a cursor over b. Bytes returns subslices of b.
+func NewReader(b []byte) Reader { return Reader{b: b} }
 
 // Err returns the first error encountered.
 func (r *Reader) Err() error { return r.err }
 
-// fail records the first error.
+// Len returns the number of unread bytes.
+func (r *Reader) Len() int { return len(r.b) - r.off }
+
+// fail records the first error and drops the unread bytes.
 func (r *Reader) fail(err error) {
-	if r.err == nil && err != nil {
+	r.off = len(r.b)
+	if r.err == nil {
 		r.err = err
 	}
 }
 
-// U64 reads an unsigned varint (0 after an error).
+// U64 reads an unsigned varint (0 after an error). It calls nothing that
+// does not inline, so it inlines into the decoders; a one-byte value, most
+// of every record, returns on the loop's first pass.
 func (r *Reader) U64() uint64 {
-	if r.err != nil {
-		return 0
+	var v uint64
+	var s uint
+	for i, c := range r.b[r.off:] {
+		if i == 9 && c > 1 {
+			break // a tenth byte holds bit 63 alone
+		}
+		if c < 0x80 {
+			r.off += i + 1
+			return v | uint64(c)<<s
+		}
+		v |= uint64(c&0x7f) << s
+		s += 7
 	}
-	v, err := binary.ReadUvarint(r.r)
-	r.fail(err)
-	return v
+	r.fail(errShort)
+	return 0
 }
 
 // U32 reads a 32-bit unsigned value, failing on overflow.
-func (r *Reader) U32() uint32 {
-	v := r.U64()
-	if v > 0xffffffff {
-		r.fail(fmt.Errorf("wire: value %d overflows uint32", v))
-		return 0
-	}
-	return uint32(v)
-}
+func (r *Reader) U32() uint32 { return uint32(r.upTo(math.MaxUint32, "uint32")) }
 
 // Int reads a non-negative int, failing on overflow.
-func (r *Reader) Int() int {
+func (r *Reader) Int() int { return int(r.upTo(math.MaxInt, "int")) }
+
+// upTo reads an unsigned varint, failing if it exceeds max.
+func (r *Reader) upTo(max uint64, what string) uint64 {
 	v := r.U64()
-	if v > uint64(int(^uint(0)>>1)) {
-		r.fail(fmt.Errorf("wire: value %d overflows int", v))
+	if v > max {
+		r.fail(fmt.Errorf("wire: value %d overflows %s", v, what))
 		return 0
 	}
-	return int(v)
+	return v
 }
 
 // I64 reads a zigzag-encoded signed value.
@@ -147,34 +120,25 @@ func (r *Reader) I64() int64 {
 
 // Bool reads a boolean, failing on values other than 0 or 1.
 func (r *Reader) Bool() bool {
-	switch r.U64() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail(fmt.Errorf("wire: invalid boolean"))
-		return false
+	v := r.U64()
+	if v > 1 {
+		r.fail(errors.New("wire: invalid boolean"))
 	}
+	return v == 1
 }
 
-// Bytes reads a length-prefixed byte string, rejecting lengths above max
-// (a guard against corrupted inputs allocating unbounded memory).
+// Bytes reads a length-prefixed byte string, refusing lengths above max or
+// beyond the unread bytes. The result aliases the Reader's input.
 func (r *Reader) Bytes(max int) []byte {
 	n := r.Int()
+	if n > min(max, r.Len()) {
+		r.fail(fmt.Errorf("wire: byte string of %d exceeds limit %d or the %d bytes left", n, max, r.Len()))
+	}
 	if r.err != nil {
 		return nil
 	}
-	if n > max {
-		r.fail(fmt.Errorf("wire: byte string of %d exceeds limit %d", n, max))
-		return nil
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.fail(err)
-		return nil
-	}
-	return b
+	r.off += n
+	return r.b[r.off-n : r.off : r.off]
 }
 
 // Expect reads a varint and fails unless it equals want; used for format

@@ -1,16 +1,13 @@
 package wire
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var w Writer
 	w.U64(0)
 	w.U64(math.MaxUint64)
 	w.U32(42)
@@ -21,10 +18,7 @@ func TestRoundTrip(t *testing.T) {
 	w.Bool(true)
 	w.Bool(false)
 	w.Bytes([]byte("snapshot"))
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf)
+	r := NewReader(w)
 	if r.U64() != 0 || r.U64() != math.MaxUint64 {
 		t.Fatal("u64 round trip failed")
 	}
@@ -40,20 +34,16 @@ func TestRoundTrip(t *testing.T) {
 	if string(r.Bytes(100)) != "snapshot" {
 		t.Fatal("bytes round trip failed")
 	}
-	if r.Err() != nil {
-		t.Fatal(r.Err())
+	if r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("err %v, %d bytes left", r.Err(), r.Len())
 	}
 }
 
 func TestZigzagProperty(t *testing.T) {
 	f := func(v int64) bool {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		var w Writer
 		w.I64(v)
-		if w.Flush() != nil {
-			return false
-		}
-		r := NewReader(&buf)
+		r := NewReader(w)
 		return r.I64() == v && r.Err() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -61,108 +51,85 @@ func TestZigzagProperty(t *testing.T) {
 	}
 }
 
+// TestStickyErrors: the first error stays, and every read after it is a
+// zero value with no bytes left.
 func TestStickyErrors(t *testing.T) {
-	// Underlying write failures surface at (or before) Flush and stick.
-	w := NewWriter(failingWriter{})
-	w.U64(1)
-	if w.Flush() == nil {
-		t.Fatal("flush did not surface the write error")
+	var w Writer
+	w.U64(7) // an invalid boolean
+	w.U64(5)
+	w.Bytes([]byte("x"))
+	r := NewReader(w)
+	r.Bool()
+	first := r.Err()
+	if first == nil {
+		t.Fatal("bool=7 accepted")
 	}
-	if w.Err() == nil {
-		t.Fatal("error not sticky")
+	if r.U64() != 0 || r.Bytes(10) != nil || r.Len() != 0 {
+		t.Fatal("a read after the error returned data")
 	}
-	w.U64(2) // must be a no-op after the error
-	w.I64(-5)
-	if w.Flush() == nil {
-		t.Fatal("flush should keep returning the sticky error")
+	if r.Err() != first {
+		t.Fatalf("error changed from %v to %v", first, r.Err())
 	}
 
-	w2 := NewWriter(&bytes.Buffer{})
-	w2.Int(-1)
-	if w2.Err() == nil {
+	// A negative int encodes a value Int refuses.
+	w = nil
+	w.Int(-1)
+	r = NewReader(w)
+	r.Int()
+	if r.Err() == nil {
 		t.Fatal("negative int accepted")
 	}
 }
 
 func TestReaderGuards(t *testing.T) {
-	// Truncated input.
-	r := NewReader(strings.NewReader(""))
-	r.U64()
-	if r.Err() == nil {
-		t.Fatal("EOF not recorded")
+	read := func(w Writer, op func(*Reader)) error {
+		r := NewReader(w)
+		op(&r)
+		return r.Err()
 	}
-
-	// U32 overflow.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.U64(1 << 40)
-	w.Flush()
-	r = NewReader(&buf)
-	r.U32()
-	if r.Err() == nil {
-		t.Fatal("u32 overflow accepted")
+	u64 := func(v uint64) Writer {
+		var w Writer
+		w.U64(v)
+		return w
 	}
-
-	// Invalid bool.
-	buf.Reset()
-	w = NewWriter(&buf)
-	w.U64(7)
-	w.Flush()
-	r = NewReader(&buf)
-	r.Bool()
-	if r.Err() == nil {
-		t.Fatal("bool=7 accepted")
-	}
-
-	// Oversized byte string.
-	buf.Reset()
-	w = NewWriter(&buf)
-	w.Bytes(make([]byte, 100))
-	w.Flush()
-	r = NewReader(&buf)
-	r.Bytes(10)
-	if r.Err() == nil {
-		t.Fatal("oversized bytes accepted")
+	for name, err := range map[string]error{
+		"empty input":        read(nil, func(r *Reader) { r.U64() }),
+		"truncated varint":   read(Writer{0x80}, func(r *Reader) { r.U64() }),
+		"64-bit overflow":    read(Writer{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, func(r *Reader) { r.U64() }),
+		"eleven-byte varint": read(Writer{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, func(r *Reader) { r.U64() }),
+		"u32 overflow":       read(u64(1<<40), func(r *Reader) { r.U32() }),
+		"int overflow":       read(u64(math.MaxUint64), func(r *Reader) { r.Int() }),
+		"invalid bool":       read(u64(7), func(r *Reader) { r.Bool() }),
+		"oversized bytes":    read(append(u64(100), make([]byte, 100)...), func(r *Reader) { r.Bytes(10) }),
+		"bytes past the end": read(append(u64(5), "abc"...), func(r *Reader) { r.Bytes(10) }),
+	} {
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 func TestExpect(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var w Writer
 	w.U64(0xCAFE)
-	w.Flush()
-	r := NewReader(&buf)
+	w.U64(1)
+	r := NewReader(w)
 	r.Expect(0xCAFE, "magic")
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	buf.Reset()
-	w = NewWriter(&buf)
-	w.U64(1)
-	w.Flush()
-	r = NewReader(&buf)
 	r.Expect(2, "version")
 	if r.Err() == nil {
 		t.Fatal("mismatched expect accepted")
 	}
 }
 
+// TestWritten: the encoder appends a value's shortest varint after what
+// its slice already holds.
 func TestWritten(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := Writer("ab")
 	w.U64(300) // 2-byte varint
-	w.Flush()
-	if w.Written() != 2 || buf.Len() != 2 {
-		t.Fatalf("Written = %d, buffer = %d", w.Written(), buf.Len())
+	if string(w) != "ab\xac\x02" {
+		t.Fatalf("appended % x", []byte(w))
 	}
 }
-
-type failingWriter struct{}
-
-func (failingWriter) Write([]byte) (int, error) { return 0, errFail }
-
-var errFail = &failError{}
-
-type failError struct{}
-
-func (*failError) Error() string { return "injected failure" }

@@ -117,9 +117,9 @@ func TestShardedExpireFacade(t *testing.T) {
 	}
 }
 
-// TestLoadShardedLegacyFallback: an unsharded (core-framed) snapshot loads
-// through LoadSharded as a one-shard summary that stays fully usable —
-// querying, batch-querying, and accepting further inserts.
+// TestLoadShardedLegacyFallback: an unsharded (core-framed) snapshot is
+// not a sharded one. LoadSharded refuses it on its magic; Load still reads
+// it.
 func TestLoadShardedLegacyFallback(t *testing.T) {
 	un, err := higgs.New(higgs.DefaultConfig())
 	if err != nil {
@@ -131,35 +131,14 @@ func TestLoadShardedLegacyFallback(t *testing.T) {
 	if _, err := un.WriteTo(&legacy); err != nil {
 		t.Fatal(err)
 	}
-
-	adopted, err := higgs.LoadSharded(&legacy)
-	if err != nil {
-		t.Fatalf("LoadSharded(legacy snapshot): %v", err)
+	if s, err := higgs.LoadSharded(bytes.NewReader(legacy.Bytes())); err == nil || !strings.Contains(err.Error(), "magic") || s != nil {
+		t.Fatalf("LoadSharded(core snapshot) = %v, %v; want a magic refusal", s, err)
 	}
-	if adopted.NumShards() != 1 {
-		t.Fatalf("adopted shards = %d, want 1", adopted.NumShards())
-	}
-	if got := adopted.Items(); got != 2 {
-		t.Fatalf("adopted items = %d, want 2", got)
-	}
-	if r := adopted.Do(higgs.NewPathQuery([]uint64{4, 5, 6}, higgs.Between(0, 30))); r.Err != nil || r.Weight != 8 {
-		t.Fatalf("adopted path query = %+v, want weight 8", r)
-	}
-	// The adopted summary keeps ingesting where the original left off.
-	adopted.Insert(higgs.Edge{S: 4, D: 5, W: 1, T: 30})
-	if got := adopted.EdgeWeight(4, 5, 0, 40); got != 7 {
-		t.Fatalf("EdgeWeight after post-adoption insert = %d, want 7", got)
-	}
-	// Re-snapshotting writes the sharded framing, which round-trips.
-	var resnap bytes.Buffer
-	if _, err := adopted.WriteTo(&resnap); err != nil {
-		t.Fatal(err)
-	}
-	back, err := higgs.LoadSharded(&resnap)
+	back, err := higgs.Load(&legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := back.EdgeWeight(4, 5, 0, 40); got != 7 {
-		t.Fatalf("round-tripped EdgeWeight = %d, want 7", got)
+	if got := back.EdgeWeight(4, 5, 0, 40); got != 6 {
+		t.Fatalf("Load(core snapshot) EdgeWeight = %d, want 6", got)
 	}
 }

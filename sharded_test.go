@@ -74,24 +74,4 @@ func TestShardedFacadeSnapshot(t *testing.T) {
 		t.Fatalf("EdgeWeight after reload = %d, want 3", got)
 	}
 
-	// Unsharded snapshots load too.
-	un, err := higgs.New(higgs.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	un.Insert(higgs.Edge{S: 4, D: 5, W: 6, T: 10})
-	buf.Reset()
-	if _, err := un.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	adopted, err := higgs.LoadSharded(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adopted.NumShards() != 1 {
-		t.Fatalf("adopted shards = %d, want 1", adopted.NumShards())
-	}
-	if got := adopted.EdgeWeight(4, 5, 0, 20); got != 6 {
-		t.Fatalf("adopted EdgeWeight = %d, want 6", got)
-	}
 }
