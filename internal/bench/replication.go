@@ -109,6 +109,19 @@ func (p *primary) feedExpiring(st stream.Stream, lo, hi int) error {
 // is its local cache ("" for none). Closing the follower is the kill: it
 // refreshes no cache.
 func (p *primary) attach(dir string) (*repl.Follower, error) {
+	f, err := p.boot(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Start(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// boot is attach without Start: the follower holds its boot position until
+// the caller starts its tail loop.
+func (p *primary) boot(dir string) (*repl.Follower, error) {
 	f, err := repl.NewFollower(repl.FollowerConfig{
 		Source:        p.srv.URL,
 		Dir:           dir,
@@ -118,7 +131,7 @@ func (p *primary) attach(dir string) (*repl.Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Start(); err != nil {
+	if err := f.Boot(); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -257,13 +270,18 @@ func replRestart(c *gateCase) error {
 	if err := p.feed(st, half+half/2, len(st), nil); err != nil {
 		return err
 	}
-	f2, err := p.attach(dir)
+	// The boot position is read before the tail loop starts: once it runs,
+	// it can apply the whole tail before the check.
+	f2, err := p.boot(dir)
 	if err != nil {
 		return err
 	}
 	defer f2.Close()
 	if boot := f2.Status().AppliedSeq; boot >= diedAt {
 		return fmt.Errorf("vacuous: restart booted at seq %d, want a stale cache below %d (no overlap to deduplicate)", boot, diedAt)
+	}
+	if err := f2.Start(); err != nil {
+		return err
 	}
 	return p.converge(f2)
 }

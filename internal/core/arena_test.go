@@ -12,7 +12,7 @@ import (
 // loadFixtureStream regenerates the deterministic stream the committed
 // pre-refactor fixtures were built from (lkml preset, scale 0.25, hash
 // seed 42 — see testdata/README).
-func loadFixtureStream(t *testing.T) (stream.Stream, Config) {
+func loadFixtureStream(t testing.TB) (stream.Stream, Config) {
 	t.Helper()
 	st, err := stream.Load(stream.Lkml, 0.25)
 	if err != nil {
@@ -193,13 +193,15 @@ func TestExpireRecyclesArena(t *testing.T) {
 
 // TestPoolHoldsTimedSlabsOnly: seals build their aggregates frozen, so after
 // seals at three levels and more and an Expire that drops sealed subtrees,
-// every slab the pool holds is a leaf's or an overflow block's.
+// every slab the pool holds is a leaf's or an overflow block's. Stats pays
+// the pending seals first: a closed node seals on its first read.
 func TestPoolHoldsTimedSlabsOnly(t *testing.T) {
 	st, cfg := loadFixtureStream(t)
 	s := MustNew(cfg)
 	for _, e := range st {
 		s.Insert(e)
 	}
+	s.Stats()
 	levels := map[int32]bool{}
 	var walk func(n *node)
 	walk = func(n *node) {

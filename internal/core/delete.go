@@ -8,9 +8,10 @@ import (
 // Delete removes weight e.W of edge (e.S, e.D) recorded at time e.T. It
 // locates the leaf entry holding that exact item, decrements it, and then
 // decrements the matching aggregated entries in every sealed ancestor, so
-// subsequent queries at any level reflect the removal. It reports whether a
-// matching leaf entry was found; deleting an item that was never inserted
-// is a no-op returning false.
+// subsequent queries at any level reflect the removal. An ancestor still
+// pending is left alone: its seal builds from the decremented leaf. It
+// reports whether a matching leaf entry was found; deleting an item that
+// was never inserted is a no-op returning false.
 //
 // Delete must not run concurrently with queries or inserts.
 func (s *Summary) Delete(e stream.Edge) bool {
@@ -34,8 +35,7 @@ func (s *Summary) deleteRec(n *node, e stream.Edge, hs, hd uint64) bool {
 	kids := s.ar.children(n)
 	for i := len(kids) - 1; i >= 0; i-- {
 		if s.deleteRec(s.ar.node(nodeID(kids[i])), e, hs, hd) {
-			if n.closed {
-				s.sealNow(n)
+			if n.sealed() {
 				fpS, baseS := split(hs, n.mat)
 				fpD, baseD := split(hd, n.mat)
 				n.mat.Sub(fpS, baseS, fpD, baseD, 0, e.W)

@@ -5,21 +5,22 @@ package core
 // summary into a sliding-window summary (the windowed operation mode the
 // paper's related work addresses with hopping sketches): periodically
 // expiring `now − W` keeps memory proportional to the live window while
-// all queries inside the window remain untouched — range decomposition
-// never descends into dropped subtrees, and surviving aggregates are only
-// consulted for ranges they still fully serve.
+// every answer over a window inside [cutoff, now] stays what it was before
+// the expire: range decomposition never descends into dropped subtrees, and
+// no surviving aggregate holds a dropped child's weight.
 //
-// Nodes straddling the cutoff are kept whole (their leaves still hold live
-// entries); their sealed aggregates may retain weight from expired
-// siblings' timestamps, which is only reachable by queries that themselves
-// reach before the cutoff. Callers enforcing a strict window should query
-// within [cutoff, now], where results are unaffected.
+// A node that straddles the cutoff keeps its surviving children, and a leaf
+// is kept whole (some of its entries may predate the cutoff), so windows
+// that reach before the cutoff can still read expired weight. Every closed
+// node whose subtree lost a child has its aggregate released, not rebuilt:
+// the next read that needs it builds it from the surviving children, and
+// one that expires unread is never built.
 //
 // Dropped subtrees are recycled in place: their leaf slabs go back to the
 // Summary's pool and their arena slots onto the free lists, so new leaves
-// reuse the memory of the ones just dropped. A dropped aggregate is frozen,
-// sized to its entries, and its arrays go to the GC: the pool holds leaf and
-// overflow-block slabs only.
+// reuse the memory of the ones just dropped. A dropped or released
+// aggregate is frozen, sized to its entries, and its arrays go to the GC:
+// the pool holds leaf and overflow-block slabs only.
 //
 // Expire must not run concurrently with inserts or queries.
 func (s *Summary) Expire(cutoff int64) (leavesDropped int) {
@@ -39,7 +40,8 @@ func (s *Summary) Expire(cutoff int64) (leavesDropped int) {
 
 // expireNode removes fully expired children of n recursively and returns
 // the number of leaves dropped. n itself is never dropped (the caller owns
-// that decision; the root always survives).
+// that decision; the root always survives). If anything below n was
+// dropped, n's aggregate is released.
 func (s *Summary) expireNode(n *node, cutoff int64) int {
 	if n.level == 1 {
 		return 0
@@ -77,7 +79,8 @@ func (s *Summary) expireNode(n *node, cutoff int64) int {
 	for _, id := range drops {
 		s.releaseSubtree(id)
 	}
-	if n.firstT < cutoff {
+	if dropped > 0 {
+		n.unseal()
 		n.firstT = s.ar.node(nodeID(kids[0])).firstT
 	}
 	return dropped

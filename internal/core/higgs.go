@@ -14,10 +14,12 @@ import (
 // time order); out-of-order items are clamped to the newest timestamp and
 // counted in Stats().Clamped. A Summary is not safe for concurrent use by
 // multiple goroutines, with one exception: queries may run concurrently with
-// each other while nothing mutates the summary. A node seals inline when it
-// closes (paper Algorithm 1); a reader that meets an aggregate still pending
-// builds it through the sealState latch, so concurrent readers may race on
-// it safely.
+// each other while nothing mutates the summary. A closed node seals on its
+// first read, not when it closes (paper Algorithm 1; DESIGN.md §4): the
+// reader that meets a pending aggregate builds it through the sealState
+// latch, so concurrent readers may race on it safely, and an aggregate that
+// expires before anything reads it is never built. Stats, AppendSnapshot
+// and Finalize seal every closed node.
 //
 // All tree nodes live in an arena owned by the Summary (see arena.go) and
 // leaf slabs draw from a pool that Expire refills, so steady-state ingest
@@ -166,7 +168,7 @@ func (s *Summary) Insert(e stream.Edge) {
 }
 
 // attach links a freshly opened node (a new leaf or a filler wrapping one)
-// into the open spine, sealing full ancestors and growing the root as
+// into the open spine, closing full ancestors and growing the root as
 // needed — the upward timestamp transmission of Algorithm 1.
 func (s *Summary) attach(childID nodeID, child *node) {
 	for {
@@ -193,10 +195,9 @@ func (s *Summary) attach(childID nodeID, child *node) {
 			s.setSpineBelow(child)
 			return
 		}
-		// Parent is full: close and seal it, then wrap the child in a
-		// filler node (keeps all leaves on the bottom layer) and continue
-		// one level up.
-		s.closeAndSeal(parent)
+		// Parent is full: close it, then wrap the child in a filler node
+		// (keeps all leaves on the bottom layer) and continue one level up.
+		s.close(parent)
 		fid, filler := s.ar.alloc()
 		filler.level = parent.level
 		filler.firstT = child.firstT
@@ -222,12 +223,12 @@ func (s *Summary) setSpineBelow(child *node) {
 	}
 }
 
-// closeAndSeal freezes a full non-leaf node and builds its aggregate.
-func (s *Summary) closeAndSeal(n *node) {
+// close freezes a full non-leaf node. Its aggregate stays pending until
+// the first read that needs it.
+func (s *Summary) close(n *node) {
 	n.closed = true
 	kids := s.ar.children(n)
 	n.lastT = s.ar.node(nodeID(kids[len(kids)-1])).lastT
-	s.sealNow(n)
 }
 
 // Finalize marks the end of the stream: every node on the open spine is
@@ -240,24 +241,13 @@ func (s *Summary) Finalize() {
 	}
 	s.finalized = true
 	for _, n := range s.spine {
-		n.closed = true
 		if n.level == 1 {
+			n.closed = true
 			continue
 		}
-		kids := s.ar.children(n)
-		n.lastT = s.ar.node(nodeID(kids[len(kids)-1])).lastT
-	}
-	var sealAll func(n *node)
-	sealAll = func(n *node) {
-		if n.level == 1 {
-			return
-		}
-		for _, id := range s.ar.children(n) {
-			sealAll(s.ar.node(nodeID(id)))
-		}
-		s.sealNow(n)
+		s.close(n)
 	}
 	if s.root != nil {
-		sealAll(s.root)
+		s.sealNow(s.root) // seals the whole tree: a build forces its children
 	}
 }

@@ -11,19 +11,26 @@ import (
 // node is one HIGGS tree node, stored by value inside the Summary's arena.
 // Leaves (level 1) own a timed compressed matrix filled directly from the
 // stream, plus optional overflow blocks. Non-leaf nodes own an untimed
-// aggregate matrix built when the node seals.
+// aggregate matrix built when the node seals: on the first read that needs
+// it, not when the node closes.
 //
 // Children are recorded as a range into the arena's child-index slab:
 // kidBase is the node's Theta-stride block, nKids the occupied prefix.
 //
 // Mutation happens only on the insertion path; once a node is closed its
 // subtree is immutable except for the one-shot aggregation guarded by the
-// sealState latch (safe to race between concurrent queries) and for
-// deletions, which the caller must not run concurrently with queries.
+// sealState latch (safe to race between concurrent queries) and for Delete
+// and Expire, which the caller must not run concurrently with queries. Two
+// invariants hold between operations: a sealed node's descendants are all
+// sealed, and every aggregate equals the Aggregate of its node's current
+// children. A seal builds from sealed children, so it keeps both; Delete
+// subtracts from sealed aggregates only (an unsealed one builds later from
+// the decremented leaf); Expire releases the aggregate of every node whose
+// subtree lost a child, so a released node's ancestors are released too.
 type node struct {
 	firstT    int64            // earliest timestamp in the subtree
 	lastT     int64            // latest timestamp; valid once closed
-	mat       *matrix.Matrix   // leaf: from construction; non-leaf: after seal
+	mat       *matrix.Matrix   // leaf: from construction; non-leaf: once sealed
 	obs       []*matrix.Matrix // leaf overflow blocks
 	kidBase   int32            // child block base in the arena; noKids for leaves
 	nKids     int32
@@ -50,10 +57,11 @@ func (n *node) last(streamLast int64) int64 {
 	return streamLast
 }
 
-// sealNow builds the aggregate matrix of a non-leaf node exactly once. It
-// recursively forces children first, so it is safe to call in any order.
-// Concurrent queries may race to force the same pending node; the
-// sealState CAS arbitrates:
+// sealNow builds the aggregate matrix of a closed non-leaf node once per
+// release: the first read that needs it pays the build (paper Algorithm 1
+// builds it at close). It recursively forces children first, so it is safe
+// to call in any order. Concurrent queries may race to force the same
+// pending node; the sealState CAS arbitrates:
 // exactly one caller builds, the rest spin until the winner publishes the
 // matrix with the sealDone store (atomic release/acquire pairing makes
 // n.mat safe to read afterwards).
@@ -80,6 +88,14 @@ func (s *Summary) sealNow(n *node) {
 // sealed reports whether the node's aggregate has been published.
 func (n *node) sealed() bool {
 	return atomic.LoadUint32(&n.sealState) == sealDone
+}
+
+// unseal drops a node's aggregate and rearms its latch, so the next read
+// builds it again from the current children. Write path only: no reader may
+// be inside the latch.
+func (n *node) unseal() {
+	n.mat = nil
+	n.sealState = sealPending
 }
 
 // buildAggregate implements paper Algorithm 2: a √θ·d × √θ·d matrix one

@@ -307,10 +307,12 @@ func (f *Follower) resync() (*ingest.Applier, error) {
 	old := f.sum.Swap(sum)
 	f.resyncs.Add(1)
 	a := ingest.NewApplier(sum)
-	f.setApplied(a.Position())
+	// OnSwap runs before the new position is published, so a caller that
+	// waits on WaitApplied sees the swap done.
 	if f.cfg.OnSwap != nil {
 		f.cfg.OnSwap(old, sum)
 	}
+	f.setApplied(a.Position())
 	return a, nil
 }
 

@@ -135,6 +135,17 @@ func converge(t *testing.T, p *primaryRig, f *Follower) {
 
 func newFollowerT(t *testing.T, cfg FollowerConfig) *Follower {
 	t.Helper()
+	f := bootFollowerT(t, cfg)
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// bootFollowerT is newFollowerT without Start: the follower holds its boot
+// position until the caller starts its tail loop.
+func bootFollowerT(t *testing.T, cfg FollowerConfig) *Follower {
+	t.Helper()
 	cfg.PollWait = 100 * time.Millisecond
 	cfg.RetryInterval = 20 * time.Millisecond
 	cfg.OnError = func(err error) { t.Logf("follower: %v", err) }
@@ -142,7 +153,7 @@ func newFollowerT(t *testing.T, cfg FollowerConfig) *Follower {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Start(); err != nil {
+	if err := f.Boot(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Close)
@@ -206,9 +217,14 @@ func TestFollowerRestartResume(t *testing.T) {
 	f1.Close()
 
 	p.feed(t, st, half+half/2, len(st), 0)
-	f2 := newFollowerT(t, FollowerConfig{Source: p.srv.URL, Dir: dir})
+	// Read the boot position before the tail loop starts: once it runs, it
+	// can apply the whole tail before the check.
+	f2 := bootFollowerT(t, FollowerConfig{Source: p.srv.URL, Dir: dir})
 	if boot := f2.Status().AppliedSeq; boot >= cachedAt {
 		t.Fatalf("restart booted at %d, want a stale cache below %d (no overlap to de-duplicate)", boot, cachedAt)
+	}
+	if err := f2.Start(); err != nil {
+		t.Fatal(err)
 	}
 	converge(t, p, f2)
 	if n := f2.Status().Resyncs; n != 0 {
@@ -276,7 +292,7 @@ func TestFollowerOnSwapOwnsOldSummary(t *testing.T) {
 		if old == f2.Summary() {
 			t.Fatal("OnSwap received the new summary as old")
 		}
-	default:
+	case <-time.After(30 * time.Second):
 		t.Fatal("resync did not invoke OnSwap")
 	}
 }

@@ -140,6 +140,30 @@ func TestDecodeRecordRefusesCountBeyondPayload(t *testing.T) {
 	}
 }
 
+// TestReadFramesBoundsFrameByInput: a frame head that claims the largest
+// payload a record may have, with no payload after it, fails as a torn
+// payload without allocating anything near the claim — the frame buffer
+// grows as payload bytes arrive, so a 14-byte stream (a /repl/wal body can
+// be one) costs what its bytes do.
+func TestReadFramesBoundsFrameByInput(t *testing.T) {
+	in := binary.LittleEndian.AppendUint32(bytes.Clone(header), maxRecordBytes)
+	in = binary.LittleEndian.AppendUint32(in, 0)
+	if len(in) != 14 {
+		t.Fatalf("the stream is %d bytes, want 14", len(in))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, off, err := framesOf(in)
+	runtime.ReadMemStats(&after)
+	var class malformed
+	if !errors.As(err, &class) || class != tornPayload || off != int64(len(header)) {
+		t.Fatalf("ReadFrames = offset %d, %v; want %d, %q", off, err, len(header), tornPayload)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a 14-byte stream allocated %d bytes, want < 1 MiB", grew)
+	}
+}
+
 // FuzzDecodeRecord holds decodeRecord to the decoder it replaced: on any
 // payload both accept or both refuse, and what they accept is the same
 // record — decoded into a dirty buffer, so nothing stale may show through.

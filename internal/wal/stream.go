@@ -158,11 +158,10 @@ func ReadFrames(r io.Reader, fn func(rec Record, frame []byte) error) (off int64
 		if n == 0 || n > maxRecordBytes {
 			return off, fmt.Errorf("%w: %d", frameLength, n)
 		}
-		frame = slices.Grow(frame, int(n))[:frameHeadLen+int(n)]
-		payload := frame[frameHeadLen:]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		if frame, err = readPayload(br, frame, int(n)); err != nil {
 			return off, tornPayload
 		}
+		payload := frame[frameHeadLen:]
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:8]) {
 			return off, badChecksum
 		}
@@ -178,4 +177,23 @@ func ReadFrames(r io.Reader, fn func(rec Record, frame []byte) error) (off int64
 		}
 		off += int64(len(frame))
 	}
+}
+
+// readPayload appends the n payload bytes that follow a frame head to
+// frame. The buffer grows as bytes arrive, at most doubling a step, so a
+// head that claims more than the stream holds costs about what the stream
+// held, not what the head claimed.
+func readPayload(r io.Reader, frame []byte, n int) ([]byte, error) {
+	want := len(frame) + n
+	for len(frame) < want {
+		if len(frame) == cap(frame) {
+			frame = slices.Grow(frame, min(want-len(frame), max(len(frame), 4<<10)))
+		}
+		end := min(want, cap(frame))
+		if _, err := io.ReadFull(r, frame[len(frame):end]); err != nil {
+			return frame, err
+		}
+		frame = frame[:end]
+	}
+	return frame, nil
 }
