@@ -299,6 +299,7 @@ func TestE2ECrashRecoveryExpireWALDir(t *testing.T) {
 		t.Fatalf("recovered snapshot (%d bytes) diverges from clean post-expire reference (%d bytes): expired edges were resurrected or tail edges lost\n%s",
 			len(got), want.Len(), logs2.String())
 	}
+	sameAggregates(t, daemonStats(t, "http://"+addr2), ref.Stats())
 	// The post-crash tail survived too.
 	if got := queryWeight(t, "http://"+addr2, `{"kind":"edge","s":1,"d":2,"ts":3000,"te":3600}`); got <= 0 {
 		t.Fatalf("post-expire tail edge lost: weight = %d, want > 0", got)
@@ -328,6 +329,39 @@ func waitHTTP(t *testing.T, addr string) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("server at %s never came up", addr)
+}
+
+// daemonStats reads a daemon's /v1/stats.
+func daemonStats(t *testing.T, base string) higgs.ShardedStats {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st higgs.ShardedStats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// sameAggregates fails unless two summaries hold the same aggregates, as
+// far as Stats counts them. A snapshot holds no aggregates, so equal
+// snapshot bytes pin only the leaves; Stats seals every closed node from
+// the aggregates each summary holds.
+func sameAggregates(t *testing.T, got, want higgs.ShardedStats) {
+	t.Helper()
+	if len(got.PerShard) != len(want.PerShard) {
+		t.Fatalf("%d shards, want %d", len(got.PerShard), len(want.PerShard))
+	}
+	for i, g := range got.PerShard {
+		w := want.PerShard[i]
+		if g.SealedMatrices != w.SealedMatrices || g.SpillEntries != w.SpillEntries || g.SpaceBytes != w.SpaceBytes {
+			t.Fatalf("shard %d aggregates: sealed %d, spill %d, space %d; want %d, %d, %d",
+				i, g.SealedMatrices, g.SpillEntries, g.SpaceBytes, w.SealedMatrices, w.SpillEntries, w.SpaceBytes)
+		}
+	}
 }
 
 // queryWeight asks a daemon's /v2/query one item and returns its weight.

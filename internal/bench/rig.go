@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -167,7 +168,10 @@ func (r *rig) crashRecover() (replayed int64, took time.Duration, err error) {
 // summaryBytes serializes a summary, finalized first when the run is over.
 // Without finalizing, a live primary and its replica stay comparable
 // mid-stream. Either way the bytes cover the per-shard watermarks, so
-// equality is sequence equality, not just tree equality.
+// equality is sequence equality, not just tree equality. A snapshot holds
+// no aggregates, so each shard's aggregate counts follow it: Stats seals
+// every closed node from the aggregates the summary holds, and equal
+// counts pin those to the clean run's.
 func summaryBytes(s *shard.Summary, finalize bool) ([]byte, error) {
 	if finalize {
 		s.Finalize()
@@ -176,7 +180,13 @@ func summaryBytes(s *shard.Summary, finalize bool) ([]byte, error) {
 	if _, err := s.WriteTo(&buf); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	b := buf.Bytes()
+	for _, ps := range s.Stats().PerShard {
+		b = binary.AppendUvarint(b, uint64(ps.SealedMatrices))
+		b = binary.AppendUvarint(b, uint64(ps.SpillEntries))
+		b = binary.AppendUvarint(b, uint64(ps.SpaceBytes))
+	}
+	return b, nil
 }
 
 // cleanReference is what every durable scenario must equal byte for byte:

@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"higgs/internal/matrix"
 	"higgs/internal/stream"
+	"higgs/internal/wire"
 )
 
 // loadFixtureStream regenerates the deterministic stream the committed
@@ -23,74 +26,129 @@ func loadFixtureStream(t testing.TB) (stream.Stream, Config) {
 	return st, cfg
 }
 
-// TestSnapshotFixtureRoundTrip proves the arena-backed layout reads
-// snapshots written by the pre-refactor pointer-linked layout and
-// re-encodes them byte-for-byte — the equivalence contract behind the
-// bench gates.
+// TestSnapshotFixtureRoundTrip: the committed fixtures are version-1
+// snapshots, aggregates included, and the decoder refuses every one of them
+// at the header with an error naming the version: the two core fixtures and
+// each shard's blob in the sharded one.
 func TestSnapshotFixtureRoundTrip(t *testing.T) {
+	blobs := map[string][]byte{}
 	for _, name := range []string{"testdata/prerefactor_open.higgs", "testdata/prerefactor_final.higgs"} {
 		raw, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Read(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		var buf bytes.Buffer
-		if _, err := s.WriteTo(&buf); err != nil {
-			t.Fatalf("%s: re-encode: %v", name, err)
-		}
-		if !bytes.Equal(raw, buf.Bytes()) {
-			t.Fatalf("%s: re-encode differs (%d vs %d bytes)", name, buf.Len(), len(raw))
+		blobs[name] = raw
+	}
+	for i, sh := range readShardedFrame(t, "../shard/testdata/prerefactor_sharded.higgs") {
+		blobs[fmt.Sprintf("sharded shard %d", i)] = sh.blob
+	}
+	for name, raw := range blobs {
+		if s, err := Decode(raw); err == nil || s != nil || !strings.Contains(err.Error(), "snapshot version: got 1, want 2") {
+			t.Errorf("%s: Decode = %v, %v; want a refusal naming version 1", name, s, err)
 		}
 	}
 }
 
 // TestSnapshotFixtureRebuild replays the fixture stream through the
-// current implementation and requires the snapshot bytes to equal the
-// committed pre-refactor output — mid-stream (open spine) and finalized.
+// current implementation and requires its version-1 encoding (appendV1) to
+// equal the committed fixtures — mid-stream (open spine) and finalized —
+// both directly and after a round trip through the version-2 codec, whose
+// decoded leaves must seal into the aggregates the live summary held.
 func TestSnapshotFixtureRebuild(t *testing.T) {
 	st, cfg := loadFixtureStream(t)
-
+	open, err := os.ReadFile("testdata/prerefactor_open.higgs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := os.ReadFile("testdata/prerefactor_final.higgs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, s *Summary, want []byte) {
+		t.Helper()
+		if got := appendV1(s); !bytes.Equal(got, want) {
+			t.Fatalf("%s: version-1 encoding differs from the fixture (%d vs %d bytes)", what, len(got), len(want))
+		}
+		rt, err := Decode(s.AppendSnapshot(nil))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := appendV1(rt); !bytes.Equal(got, want) {
+			t.Fatalf("%s, through version 2: version-1 encoding differs from the fixture (%d vs %d bytes)", what, len(got), len(want))
+		}
+	}
 	s := MustNew(cfg)
 	for _, e := range st[:len(st)/2] {
 		s.Insert(e)
 	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile("testdata/prerefactor_open.higgs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, buf.Bytes()) {
-		t.Fatalf("open snapshot differs from pre-refactor fixture (%d vs %d bytes)", buf.Len(), len(raw))
-	}
-	// The open snapshot must keep accepting the rest of the stream and then
-	// match the finalized fixture exactly.
-	restored, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s2 := range []*Summary{s, restored} {
-		for _, e := range st[len(st)/2:] {
-			s2.Insert(e)
-		}
-		s2.Finalize()
-	}
-	want, err := os.ReadFile("testdata/prerefactor_final.higgs")
+	check("open", s, open)
+	// The open summary, and its version-2 round trip, must keep accepting
+	// the rest of the stream and then match the finalized fixture.
+	restored, err := Decode(s.AppendSnapshot(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, s2 := range []*Summary{s, restored} {
-		var out bytes.Buffer
-		if _, err := s2.WriteTo(&out); err != nil {
-			t.Fatal(err)
+		for _, e := range st[len(st)/2:] {
+			s2.Insert(e)
 		}
-		if !bytes.Equal(want, out.Bytes()) {
-			t.Fatalf("final snapshot %d differs from pre-refactor fixture (%d vs %d bytes)", i, out.Len(), len(want))
+		s2.Finalize()
+		check(fmt.Sprintf("final %d", i), s2, final)
+	}
+}
+
+// shardFrame is one shard of a sharded snapshot frame: its durability
+// watermark and its core snapshot blob.
+type shardFrame struct {
+	seq  uint64
+	blob []byte
+}
+
+// readShardedFrame splits a sharded snapshot file (internal/shard's frame
+// version 2: magic, version, shard count, then per shard a watermark and a
+// length-prefixed core snapshot) into its shards.
+func readShardedFrame(t *testing.T, name string) []shardFrame {
+	t.Helper()
+	raw, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(raw)
+	r.Expect(0x48494753, "sharded snapshot magic")
+	r.Expect(2, "sharded snapshot version")
+	out := make([]shardFrame, r.Int())
+	for i := range out {
+		out[i] = shardFrame{seq: r.U64(), blob: r.Bytes(len(raw))}
+	}
+	if err := r.Err(); err != nil || r.Len() != 0 {
+		t.Fatalf("%s: %v, %d bytes left over", name, err, r.Len())
+	}
+	return out
+}
+
+// TestShardedFixtureTwin: the version-2 sharded fixture is the version-1
+// one without aggregates. Shard for shard the watermarks are equal, and the
+// version-1 encoding of the decoded version-2 blob, every aggregate sealed
+// from the decoded leaves, is the version-1 blob byte for byte.
+func TestShardedFixtureTwin(t *testing.T) {
+	v1 := readShardedFrame(t, "../shard/testdata/prerefactor_sharded.higgs")
+	v2 := readShardedFrame(t, "../shard/testdata/sharded_v2.higgs")
+	if len(v1) != 4 || len(v2) != len(v1) {
+		t.Fatalf("%d shards in the version-1 fixture, %d in its twin; want 4 and 4", len(v1), len(v2))
+	}
+	for i := range v1 {
+		s, err := Decode(v2[i].blob)
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if v2[i].seq != v1[i].seq {
+			t.Errorf("shard %d: watermark %d in the twin, %d in the version-1 fixture", i, v2[i].seq, v1[i].seq)
+		}
+		if got := appendV1(s); !bytes.Equal(got, v1[i].blob) {
+			t.Errorf("shard %d: version-1 encoding of the twin differs from the fixture (%d vs %d bytes)", i, len(got), len(v1[i].blob))
+		}
+		if len(v2[i].blob) >= len(v1[i].blob) {
+			t.Errorf("shard %d: the twin's blob is %d bytes, the version-1 one %d", i, len(v2[i].blob), len(v1[i].blob))
 		}
 	}
 }

@@ -8,11 +8,14 @@ import (
 	"higgs/internal/wire"
 )
 
-// Snapshot format identification. The format is versioned so future layout
-// changes can stay readable.
+// Snapshot format identification. Version 2 holds the tree shape and the
+// leaf and overflow-block matrices only: every aggregate equals Aggregate of
+// its node's current children (node.go), so a decoded interior node is
+// pending and seals on its first read. Any other version is refused at the
+// header (version 1, which carried the aggregates, included).
 const (
 	snapshotMagic   = 0x48494747 // "HIGG"
-	snapshotVersion = 1
+	snapshotVersion = 2
 )
 
 // WriteTo writes the summary's snapshot (AppendSnapshot) to w, encoding it
@@ -22,10 +25,9 @@ func (s *Summary) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// AppendSnapshot appends the summary in the snapshot wire format to b.
-// Pending aggregations of closed nodes are forced first so the snapshot is
-// self-contained; open-spine nodes are stored without aggregate matrices
-// and re-aggregate on demand after loading.
+// AppendSnapshot appends the summary in the snapshot wire format to b. It
+// is a pure reader: it stores no aggregate, so it seals nothing, and it may
+// run concurrently with queries.
 func (s *Summary) AppendSnapshot(b []byte) []byte {
 	w := wire.Writer(b)
 	w.U64(snapshotMagic)
@@ -38,7 +40,6 @@ func (s *Summary) AppendSnapshot(b []byte) []byte {
 	w.Int(s.cfg.Maps)
 	w.Bool(s.cfg.OverflowBlocks)
 	w.Int(s.cfg.OBBucket)
-	w.Bool(false) // retired seal-worker flag: always 0, ignored on read
 	w.U64(s.cfg.Seed)
 	// Stream state.
 	w.I64(s.lastT)
@@ -68,15 +69,6 @@ func (s *Summary) encodeNode(w *wire.Writer, n *node) {
 		}
 		return
 	}
-	// A closed node is stored with its aggregate (forced here if still
-	// pending); open nodes legitimately have no matrix yet.
-	if n.closed {
-		s.sealNow(n)
-	}
-	w.Bool(n.mat != nil)
-	if n.mat != nil {
-		n.mat.Encode(w)
-	}
 	kids := s.ar.children(n)
 	w.Int(len(kids))
 	for _, id := range kids {
@@ -96,7 +88,9 @@ func Read(r io.Reader) (*Summary, error) {
 
 // Decode deserializes a snapshot written by AppendSnapshot; bytes after it
 // are ignored. The loaded summary is fully queryable and, unless it was
-// finalized, continues to accept inserts where the original left off.
+// finalized, continues to accept inserts where the original left off. Its
+// closed interior nodes are pending: the first read of each builds its
+// aggregate from the decoded leaves.
 func Decode(b []byte) (*Summary, error) {
 	rr := wire.NewReader(b)
 	rr.Expect(snapshotMagic, "snapshot magic")
@@ -109,9 +103,8 @@ func Decode(b []byte) (*Summary, error) {
 		Maps:           rr.Int(),
 		OverflowBlocks: rr.Bool(),
 		OBBucket:       rr.Int(),
+		Seed:           rr.U64(),
 	}
-	rr.Bool() // retired seal-worker flag
-	cfg.Seed = rr.U64()
 	if err := rr.Err(); err != nil {
 		return nil, fmt.Errorf("core: read snapshot header: %w", err)
 	}
@@ -152,6 +145,11 @@ func (s *Summary) decodeNode(r *wire.Reader) (nodeID, *node, error) {
 	if n.level < 1 || n.level > 64 {
 		return 0, nil, fmt.Errorf("core: decode node: implausible level %d", n.level)
 	}
+	if n.level > 1 && n.closed && !s.cfg.aggregateFits(n.level) {
+		// Its first read would build an aggregate of that geometry. An open
+		// node never seals, so a root that outgrew the limit still loads.
+		return 0, nil, fmt.Errorf("core: decode node: a level-%d aggregate exceeds %d slots", n.level, matrix.MaxSlots)
+	}
 	if n.level == 1 {
 		leafCfg, obCfg := s.leafCfg(), s.obCfg()
 		m, err := matrix.Decode(r, &leafCfg)
@@ -168,21 +166,6 @@ func (s *Summary) decodeNode(r *wire.Reader) (nodeID, *node, error) {
 			n.obs = append(n.obs, ob)
 		}
 		return id, n, nil // a failed count read is Decode's final check
-	}
-	if r.Bool() {
-		m, err := matrix.Decode(r, nil)
-		if err != nil {
-			return 0, nil, err
-		}
-		if m.Cfg().Timed {
-			return 0, nil, fmt.Errorf("core: decode node: level-%d aggregate matrix is timed", n.level)
-		}
-		// The decoded matrix is final: freeze it into the layout a seal
-		// builds, dropping its dense slab, and mark the aggregation latch
-		// done.
-		m.Freeze()
-		n.mat = m
-		n.sealState = sealDone
 	}
 	nc := r.Int()
 	if err := r.Err(); err != nil {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,6 +12,66 @@ import (
 	"higgs/internal/stream"
 	"higgs/internal/wire"
 )
+
+// appendV1 is the version-1 snapshot encoder, kept as the oracle for the
+// tests that compare aggregates through snapshot bytes: the whole tree in
+// the version-1 layout, with every closed node's aggregate forced and
+// written after its node's header. Version 2 (AppendSnapshot) is this
+// layout without the header's retired seal-worker byte and without the
+// interior nodes' has-aggregate flag and aggregate.
+func appendV1(s *Summary) []byte {
+	var w wire.Writer
+	w.U64(snapshotMagic)
+	w.U64(1)
+	w.U32(s.cfg.D1)
+	w.U64(uint64(s.cfg.F1))
+	w.Int(s.cfg.B)
+	w.Int(s.cfg.Theta)
+	w.Int(s.cfg.Maps)
+	w.Bool(s.cfg.OverflowBlocks)
+	w.Int(s.cfg.OBBucket)
+	w.Bool(false) // seal-worker flag, retired before version 2
+	w.U64(s.cfg.Seed)
+	w.I64(s.lastT)
+	w.I64(s.items)
+	w.I64(s.clamped)
+	w.I64(s.rejected)
+	w.Int(s.leaves)
+	w.Int(s.obCount)
+	w.Bool(s.finalized)
+	w.Bool(s.root != nil)
+	var encode func(n *node)
+	encode = func(n *node) {
+		w.Int(int(n.level))
+		w.I64(n.firstT)
+		w.I64(n.lastT)
+		w.Bool(n.closed)
+		if n.level == 1 {
+			n.mat.Encode(&w)
+			w.Int(len(n.obs))
+			for _, ob := range n.obs {
+				ob.Encode(&w)
+			}
+			return
+		}
+		if n.closed {
+			s.sealNow(n)
+		}
+		w.Bool(n.mat != nil)
+		if n.mat != nil {
+			n.mat.Encode(&w)
+		}
+		kids := s.ar.children(n)
+		w.Int(len(kids))
+		for _, id := range kids {
+			encode(s.ar.node(nodeID(id)))
+		}
+	}
+	if s.root != nil {
+		encode(s.root)
+	}
+	return w
+}
 
 func roundTrip(t *testing.T, s *Summary) *Summary {
 	t.Helper()
@@ -147,26 +209,6 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 			t.Fatalf("truncated snapshot (%d bytes) accepted", cut)
 		}
 	}
-	// A timed matrix where an aggregate belongs: a decoded aggregate is
-	// frozen, and only untimed matrices freeze.
-	orig = MustNew(smallConfig())
-	for _, e := range denseStream(2000, 40, 20000, 25) {
-		orig.Insert(e)
-	}
-	orig.Finalize()
-	orig.sealNow(orig.root)
-	leaf := orig.root
-	for leaf.level > 1 {
-		leaf = orig.ar.node(nodeID(orig.ar.children(leaf)[0]))
-	}
-	orig.root.mat = leaf.mat
-	buf.Reset()
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "timed") {
-		t.Fatalf("snapshot with a timed aggregate: err = %v", err)
-	}
 }
 
 // TestSnapshotRefusesForeignGeometry: a leaf or an overflow block whose
@@ -197,61 +239,101 @@ func TestSnapshotRefusesForeignGeometry(t *testing.T) {
 	}
 }
 
-// TestSnapshotIgnoresParallelByte pins the header's retired seal-worker
-// flag: writers emit 0, and a snapshot carrying 1 there (written when the
-// flag still selected per-level seal workers) loads, answers and re-encodes
-// exactly like the one carrying 0.
-func TestSnapshotIgnoresParallelByte(t *testing.T) {
-	cfg := smallConfig()
-	orig := MustNew(cfg)
-	for _, e := range denseStream(2000, 40, 20000, 24) {
-		orig.Insert(e)
+// TestSnapshotIsAPureReader: encoding seals nothing, and a decoded
+// summary's closed interior nodes are all pending until a read builds them.
+func TestSnapshotIsAPureReader(t *testing.T) {
+	s := MustNew(smallConfig())
+	for _, e := range denseStream(3000, 60, 30000, 26) {
+		s.Insert(e)
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	snap := s.AppendSnapshot(nil)
+	if sealed, pending := sealCounts(s); sealed != 0 || pending == 0 {
+		t.Fatalf("after AppendSnapshot: %d sealed, %d pending aggregates; want 0 and > 0", sealed, pending)
 	}
-	zero := buf.Bytes()
-
-	// The flag follows OBBucket in the header.
-	var hdr wire.Writer
-	hdr.U64(snapshotMagic)
-	hdr.U64(snapshotVersion)
-	hdr.U32(cfg.D1)
-	hdr.U64(uint64(cfg.F1))
-	hdr.Int(cfg.B)
-	hdr.Int(cfg.Theta)
-	hdr.Int(cfg.Maps)
-	hdr.Bool(cfg.OverflowBlocks)
-	hdr.Int(cfg.OBBucket)
-	at := len(hdr)
-	if !bytes.HasPrefix(zero, hdr) || zero[at] != 0 {
-		t.Fatalf("header layout moved: flag byte at %d is %d", at, zero[at])
-	}
-	one := append([]byte(nil), zero...)
-	one[at] = 1
-
-	a, err := Read(bytes.NewReader(zero))
+	loaded, err := Decode(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Read(bytes.NewReader(one))
-	if err != nil {
-		t.Fatalf("snapshot with the flag set: %v", err)
+	if sealed, pending := sealCounts(loaded); sealed != 0 || pending == 0 {
+		t.Fatalf("decoded: %d sealed, %d pending aggregates; want 0 and > 0", sealed, pending)
 	}
-	for v := uint64(0); v < 40; v++ {
-		if x, y := a.VertexOut(v, 0, 20000), b.VertexOut(v, 0, 20000); x != y {
-			t.Fatalf("out(%d): %d with the flag clear, %d with it set", v, x, y)
+	loaded.Stats()
+	if _, pending := sealCounts(loaded); pending != 0 {
+		t.Fatalf("%d aggregates still pending after Stats", pending)
+	}
+	if got, want := appendV1(loaded), appendV1(s); !bytes.Equal(got, want) {
+		t.Fatal("the decoded summary seals different aggregates than the one it was encoded from")
+	}
+}
+
+// TestDecodeRefusesVersion1: a version-1 snapshot is refused at the header
+// with an error naming the version, before anything it claims is sized.
+// This 40-byte one — the default config, a level-8 root claiming an untimed
+// 2048×2048×3 aggregate with no entries, and nothing after that matrix's
+// header — made the version-1 decoder allocate 208 MiB before it failed on
+// the truncation.
+func TestDecodeRefusesVersion1(t *testing.T) {
+	cfg := DefaultConfig()
+	var in []byte
+	for _, v := range []uint64{
+		snapshotMagic, 1,
+		uint64(cfg.D1), uint64(cfg.F1), uint64(cfg.B), uint64(cfg.Theta), uint64(cfg.Maps), 1, uint64(cfg.OBBucket), 0, 0, // config, retired flag, Seed 0
+		0, 0, 0, 0, 1, 0, 0, 1, // lastT, items, clamped, rejected, leaves, obCount, finalized, hasRoot
+		8, 0, 0, 1, // root: level, firstT, lastT, closed
+		1, 0x4d58, 2048, uint64(cfg.B), uint64(cfg.Maps), 12, 0, 0, 0, 0, // has aggregate; matrix: tag, D, B, Maps, FBits, Timed, startT, added, count
+	} {
+		in = binary.AppendUvarint(in, v)
+	}
+	if len(in) != 40 {
+		t.Fatalf("the crafted snapshot is %d bytes, want 40", len(in))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Decode(in)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing a 40-byte snapshot allocated %d bytes, want < 1 MiB (err: %v)", grew, err)
+	}
+	if err == nil || s != nil || !strings.Contains(err.Error(), "snapshot version: got 1, want 2") {
+		t.Fatalf("Decode = %v, %v; want a refusal naming version 1", s, err)
+	}
+}
+
+// TestDecodeRefusesOversizedLevel: a decoded aggregate is built by its
+// first read, so a closed node whose level's aggregate geometry exceeds
+// matrix.MaxSlots — which the version-1 decoder refused as a decoded
+// aggregate — is refused at decode. The first read of a 103-byte snapshot
+// of a closed single-child chain from a level-10 root down to one leaf
+// allocates 427 MiB, each level up quadruples that, and a level-19 root
+// asks for 2^44 bytes at once. An open node never seals, so an open root
+// above the limit loads: with the default config a shard's root reaches
+// level 11 after 4^9 leaves, and Expire never lowers it.
+func TestDecodeRefusesOversizedLevel(t *testing.T) {
+	for _, tc := range []struct {
+		top        int32
+		openTop    bool
+		wantLoaded bool
+	}{
+		{10, false, true},
+		{11, false, false},
+		{19, false, false},
+		{11, true, true},
+	} {
+		s := MustNew(DefaultConfig())
+		s.Insert(stream.Edge{S: 1, D: 2, W: 1, T: 5})
+		s.Finalize()
+		for lv := int32(2); lv <= tc.top; lv++ {
+			id, n := s.ar.alloc()
+			n.level, n.firstT, n.lastT, n.closed = lv, 5, 5, !(tc.openTop && lv == tc.top)
+			n.kidBase = s.ar.allocKids()
+			s.ar.kidBlock(n.kidBase)[0] = int32(s.rootID)
+			n.nKids = 1
+			s.root, s.rootID = n, id
 		}
-		if x, y := a.EdgeWeight(v, (v+1)%40, 5000, 15000), b.EdgeWeight(v, (v+1)%40, 5000, 15000); x != y {
-			t.Fatalf("edge (%d,%d): %d with the flag clear, %d with it set", v, (v+1)%40, x, y)
+		_, err := Decode(s.AppendSnapshot(nil))
+		if fits := DefaultConfig().aggregateFits(tc.top); fits != (tc.top == 10) || (err == nil) != tc.wantLoaded {
+			t.Fatalf("level-%d chain (open top %v): aggregateFits %v, Decode error %v; want loaded %v",
+				tc.top, tc.openTop, fits, err, tc.wantLoaded)
 		}
-	}
-	var re bytes.Buffer
-	if _, err := b.WriteTo(&re); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re.Bytes(), zero) {
-		t.Fatal("a snapshot loaded with the flag set re-encodes differently")
 	}
 }

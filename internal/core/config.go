@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"higgs/internal/hashing"
+	"higgs/internal/matrix"
 )
 
 // Config parameterizes a HIGGS summary. The zero value is invalid; start
@@ -102,6 +103,19 @@ func (c Config) Validate() error {
 // rbits returns R = log4(Theta), the number of fingerprint bits promoted
 // into the address per level.
 func (c Config) rbits() uint { return hashing.Log2(uint32(c.Theta)) / 2 }
+
+// aggregateFits reports whether an aggregate at the given level keeps
+// within matrix.MaxSlots: each level promotes R fingerprint bits into the
+// address until one fingerprint bit is left (buildAggregate), so its D is
+// D1 << min((level−1)·R, F1−1).
+func (c Config) aggregateFits(level int32) bool {
+	logD := hashing.Log2(c.D1) + min(uint(level-1)*c.rbits(), c.F1-1)
+	if logD > 14 { // D² alone exceeds 2^28
+		return false
+	}
+	d := uint64(1) << logD
+	return d*d*uint64(c.B) <= matrix.MaxSlots
+}
 
 func isPow4(x int) bool {
 	if x <= 0 || x&(x-1) != 0 {

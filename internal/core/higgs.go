@@ -18,8 +18,9 @@ import (
 // first read, not when it closes (paper Algorithm 1; DESIGN.md §4): the
 // reader that meets a pending aggregate builds it through the sealState
 // latch, so concurrent readers may race on it safely, and an aggregate that
-// expires before anything reads it is never built. Stats, AppendSnapshot
-// and Finalize seal every closed node.
+// expires before anything reads it is never built. Stats and Finalize
+// seal every closed node; AppendSnapshot seals none, since a snapshot
+// holds no aggregates.
 //
 // All tree nodes live in an arena owned by the Summary (see arena.go) and
 // leaf slabs draw from a pool that Expire refills, so steady-state ingest

@@ -9,7 +9,8 @@ import (
 )
 
 // TestPlacementGolden pins where every entry of a 20K-edge stream lands. The
-// hashes are of the snapshot bytes — open spine, then finalized — and were
+// hashes are of the version-1 snapshot bytes (appendV1, every closed node's
+// aggregate included) — open spine, then finalized — and were
 // recorded at the commit whose matrix.find still walked all r×r candidate
 // buckets before placing anything, so they hold the first-fit walk to that
 // one's placements slot for slot: leaf inserts, overflow blocks, seal-time
@@ -42,14 +43,10 @@ func TestPlacementGolden(t *testing.T) {
 				}
 			}
 			h := sha256.New()
-			if _, err := s.WriteTo(h); err != nil {
-				t.Fatal(err)
-			}
+			h.Write(appendV1(s))
 			stats := s.Stats()
 			s.Finalize()
-			if _, err := s.WriteTo(h); err != nil {
-				t.Fatal(err)
-			}
+			h.Write(appendV1(s))
 			if stats.OverflowBlocks == 0 || stats.Leaves < 16 || deleted < 100 {
 				t.Fatalf("stream too tame: %d overflow blocks, %d leaves, %d deletes", stats.OverflowBlocks, stats.Leaves, deleted)
 			}

@@ -81,9 +81,10 @@ func (m mutation) apply(s *Summary) (deleted, dropped int) {
 }
 
 // read is one observation of a summary: probes over a window, Stats, or a
-// snapshot. Its result is a string, so two observations compare with ==.
+// version-1 snapshot, every aggregate included (appendV1). Its result is a
+// string, so two observations compare with ==.
 type read struct {
-	kind   int // 0 probes, 1 Stats, 2 AppendSnapshot
+	kind   int // 0 probes, 1 Stats, 2 appendV1
 	ts, te int64
 	vs     [][2]uint64
 }
@@ -95,7 +96,7 @@ func (r read) on(s *Summary) string {
 		st.HeapBytes = 0 // column indexes count once a VertexIn builds them
 		return fmt.Sprintf("%+v", st)
 	case 2:
-		return string(s.AppendSnapshot(nil))
+		return string(appendV1(s))
 	}
 	var b bytes.Buffer
 	for _, v := range r.vs {
@@ -111,11 +112,12 @@ func (r read) on(s *Summary) string {
 // never-inserted items) and expires at leaf boundaries, with probes over
 // random windows, Stats and snapshots interleaved at random. At every read,
 // a twin replayed from the same mutations and never read before answers the
-// same read the same: equal probe answers, equal Stats, equal snapshot
-// bytes. At the end, a twin that took every mutation alongside and no read
-// encodes to the same bytes. Red without Delete's sealed-only rule (a seal
-// after a delete subtracts twice) and without Expire's release (a straddling
-// aggregate keeps its dropped children's weight).
+// same read the same: equal probe answers, equal Stats, equal version-1
+// snapshot bytes. At the end, a twin that took every mutation alongside and
+// no read encodes to the same version-1 bytes. Red without Delete's
+// sealed-only rule (a seal after a delete subtracts twice) and without
+// Expire's release (a straddling aggregate keeps its dropped children's
+// weight).
 func TestSealTimingNeverChangesBytes(t *testing.T) {
 	small := DefaultConfig()
 	small.D1 = 4
@@ -233,7 +235,7 @@ func checkSealTiming(t *testing.T, cfg Config, seed int64) {
 			guard.reads++
 		}
 	}
-	if got, want := s.AppendSnapshot(nil), twin.AppendSnapshot(nil); !bytes.Equal(got, want) {
+	if got, want := appendV1(s), appendV1(twin); !bytes.Equal(got, want) {
 		t.Fatalf("after %d steps the snapshot is %d bytes, the unread twin's %d, and they differ", steps, len(got), len(want))
 	}
 	if s.Layers() < 3 || guard.deletesSealed == 0 || guard.deletesPending == 0 || guard.releases == 0 || guard.reads < steps/4 {
@@ -243,11 +245,13 @@ func checkSealTiming(t *testing.T, cfg Config, seed int64) {
 }
 
 // TestExpireKeepsInWindowAnswers: after Expire(c), every answer over
-// [c, last] equals a twin's that never expired. The summary is fully
-// sealed first (as a snapshot or Stats leaves it), and the cutoffs are the
-// first timestamps of the non-first children of closed level-2 nodes, so
-// each expire leaves a node whose surviving children all start at or after
-// the cutoff: a stale aggregate there would serve the whole window.
+// [c, last] equals a twin's that never expired. Each expiring copy is
+// decoded from one snapshot and fully sealed by Stats first (a decoded
+// aggregate is pending, and an expire over pending aggregates passes
+// without releasing any). The cutoffs are the first timestamps of the
+// non-first children of closed level-2 nodes, so each expire leaves a node
+// whose surviving children all start at or after the cutoff: a stale
+// aggregate there would serve the whole window.
 func TestExpireKeepsInWindowAnswers(t *testing.T) {
 	st, cfg := loadFixtureStream(t)
 	cfg.D1 = 4
@@ -255,7 +259,7 @@ func TestExpireKeepsInWindowAnswers(t *testing.T) {
 	for _, e := range st {
 		ref.Insert(e)
 	}
-	snap := ref.AppendSnapshot(nil) // seals every closed node
+	snap := ref.AppendSnapshot(nil)
 	last := st[len(st)-1].T
 	var cuts []int64
 	var walk func(n *node)
@@ -297,6 +301,7 @@ func TestExpireKeepsInWindowAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.Stats() // seals every closed node
 		if s.Expire(c) == 0 {
 			t.Fatalf("Expire(%d) dropped nothing", c)
 		}

@@ -47,8 +47,9 @@ func Recover(sum *shard.Summary, log *wal.Log) (replayed int64, err error) {
 // replaying an overlapping stream — a recovery tail, a re-delivered
 // replication chunk after a follower restart — never double-applies a
 // record. The applier is not safe for concurrent Apply calls; concurrent
-// readers of the summary are fine (Insert/ExpireShardAt take the shard
-// write lock).
+// readers of the summary — queries, Stats and snapshot encodes, all under
+// the shard read lock — are fine: its applies go through shard's mutate,
+// the only holder of the write lock.
 type Applier struct {
 	sum   *shard.Summary
 	marks []uint64
@@ -199,8 +200,9 @@ func WriteSnapshot(sum *shard.Summary, path string) error {
 // the pipeline (every accepted edge ≤ S becomes applied — Flush never
 // blocks admission), write the snapshot atomically, then drop every log
 // segment wholly ≤ S. Ingest is never stalled: the flush barrier waits
-// without blocking Submit, and the snapshot encoder locks one shard at a
-// time.
+// without blocking Submit, and the snapshot encoder read-locks one shard
+// at a time and seals nothing (a snapshot holds no aggregates), so readers
+// run beside it and only that shard's committer waits.
 type Snapshotter struct {
 	sum      *shard.Summary
 	pipe     *Pipeline

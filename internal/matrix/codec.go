@@ -10,6 +10,11 @@ import (
 // matrixTag guards matrix records inside snapshot streams.
 const matrixTag = 0x4d58 // "MX"
 
+// MaxSlots bounds the D²·B slots of a matrix a decoder accepts, guarding
+// allocations against corrupted or adversarial inputs: a matrix that big
+// (several GB dense) is not something this library ever writes.
+const MaxSlots = 1 << 28
+
 // Encode appends the matrix to w in the snapshot wire format: geometry,
 // then only the occupied slots (sparse encoding), then the spill list. A
 // frozen matrix writes the bytes its dense form did.
@@ -70,12 +75,8 @@ func Decode(r *wire.Reader, want *Config) (*Matrix, error) {
 	if want != nil && cfg != *want {
 		return nil, fmt.Errorf("matrix: decode: geometry %+v, want %+v", cfg, *want)
 	}
-	// Guard allocations against corrupted or adversarial inputs: a matrix
-	// bigger than 2^28 slots (several GB) is not something this library
-	// ever writes.
-	const maxSlots = 1 << 28
 	if cfg.B > 0 && cfg.D > 0 {
-		if int64(cfg.D)*int64(cfg.D) > maxSlots || int64(cfg.D)*int64(cfg.D)*int64(cfg.B) > maxSlots {
+		if int64(cfg.D)*int64(cfg.D) > MaxSlots || int64(cfg.D)*int64(cfg.D)*int64(cfg.B) > MaxSlots {
 			return nil, fmt.Errorf("matrix: decode: implausible geometry %d×%d×%d", cfg.D, cfg.D, cfg.B)
 		}
 	}

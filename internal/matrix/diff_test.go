@@ -33,6 +33,31 @@ func (m *Matrix) Absorb(child *Matrix) error {
 	return nil
 }
 
+// Freeze is the other half of Aggregate's reference: it converts a finished
+// untimed matrix — one Absorb built, or one Decode read — to the read-only
+// layout of frozen and drops its dense slab. Every kernel answers as before —
+// EdgeSum and Sub keep their first-fit stop, RowSum its contiguous rows,
+// ForEach and Encode their order and bytes — and Sub still changes weights,
+// of slots and spill entries alike; Add panics. Freeze panics on a timed or
+// already frozen matrix.
+func (m *Matrix) Freeze() {
+	if m.cfg.Timed || m.frz != nil {
+		panic("matrix: Freeze of a timed or frozen matrix")
+	}
+	bsz, n := m.cfg.B, m.count
+	f := newFrozen(int(m.cfg.D), m.fills)
+	keys, ws, idxs := make([]uint64, n), make([]int64, n), make([]uint8, n)
+	for bkt, fill := range m.fills {
+		lo, hi, at := bkt*bsz, bkt*bsz+int(fill), f.start[bkt]
+		copy(keys[at:], m.keys[lo:hi])
+		copy(ws[at:], m.ws[lo:hi])
+		copy(idxs[at:], m.idxs[lo:hi])
+	}
+	f.sortSpill(m.spill)
+	m.slab = slab{keys: keys, ws: ws, idxs: idxs}
+	m.frz = f
+}
+
 func (m *Matrix) addOrSpill(fpS, baseS, fpD, baseD uint32, w int64) {
 	if m.Add(fpS, baseS, fpD, baseD, 0, w) {
 		return
@@ -280,7 +305,7 @@ func (r *refMatrix) check(t *testing.T, m *Matrix, rng *rand.Rand, windows [][2]
 }
 
 // frozenCopy returns m decoded from its own encoding and frozen: the form a
-// sealed aggregate is queried in, built the way a snapshot load builds it.
+// sealed aggregate is queried in, built by the reference path.
 func frozenCopy(t testing.TB, m *Matrix) *Matrix {
 	t.Helper()
 	fz, err := decode(encodeBytes(m))

@@ -175,7 +175,7 @@ func FuzzMatrixDecode(f *testing.F) {
 
 // dupSpillSeed encodes an untimed aggregate with several mapping positions
 // whose spill list repeats an identity and carries a base wider than D —
-// what a crafted snapshot can hold and Absorb never writes.
+// what a crafted encoding can hold and Absorb never writes.
 func dupSpillSeed(t testing.TB) []byte {
 	m := mustNew(t, Config{D: 4, B: 1, Maps: 2, FBits: 8}, 0)
 	for fp := uint32(1); fp <= 24; fp++ {

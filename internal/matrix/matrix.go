@@ -24,8 +24,8 @@
 // entries with per-bucket offsets and sorted views of the spill list; the
 // column index ColSum scans is built by the first ColSum, as most sealed
 // aggregates never meet one. Aggregate builds that layout directly from the
-// children, without a dense slab; Freeze converts a dense untimed matrix (a
-// decoded one) to it. The Pool recycles dense slabs, which are then only
+// children, without a dense slab, and nothing else builds it: a snapshot
+// holds no aggregates. The Pool recycles dense slabs, which are then only
 // those of leaves and overflow blocks.
 package matrix
 
@@ -119,7 +119,7 @@ type spillRef struct {
 	at         uint32
 }
 
-// frozen is the read-only layout of a sealed aggregate (Aggregate, Freeze).
+// frozen is the read-only layout of a sealed aggregate (Aggregate).
 // The slab's keys, ws and idxs then hold only the occupied entries,
 // bucket-major and in fill order within a bucket, and its fills is nil:
 // start replaces it.
@@ -153,7 +153,7 @@ type colIndex struct {
 // weights without vacating slots. On a dense matrix everything but RowSum and
 // ColSum stays inside the prefix fills records; those two sweep whole
 // buckets, because a free slot is all zeros and adds nothing to any sum. A
-// frozen matrix (Aggregate, Freeze) stores nothing but the prefixes, so every
+// frozen matrix (Aggregate) stores nothing but the prefixes, so every
 // kernel reads occupied entries only.
 //
 // First fit: every stored entry lies at or before the first non-full bucket
@@ -163,7 +163,7 @@ type Matrix struct {
 	cfg Config
 	lcg hashing.LCG
 	slab
-	frz    *frozen // set by Aggregate and Freeze
+	frz    *frozen // set by Aggregate
 	spill  []spillEntry
 	count  int   // used slots
 	startT int64 // reference time for offsets (timed matrices)
@@ -202,31 +202,6 @@ func (m *Matrix) Release(p *Pool) {
 	}
 	m.slab, m.spill, m.frz = slab{}, nil, nil
 	m.count = 0
-}
-
-// Freeze converts a finished untimed matrix — in practice a decoded
-// aggregate; a seal builds its frozen form with Aggregate — to the read-only
-// layout of frozen and drops its dense slab. Every kernel answers as before —
-// EdgeSum and Sub keep their first-fit stop, RowSum its contiguous rows,
-// ForEach and Encode their order and bytes — and Sub still changes weights,
-// of slots and spill entries alike; Add panics. Freeze panics on a timed or
-// already frozen matrix.
-func (m *Matrix) Freeze() {
-	if m.cfg.Timed || m.frz != nil {
-		panic("matrix: Freeze of a timed or frozen matrix")
-	}
-	bsz, n := m.cfg.B, m.count
-	f := newFrozen(int(m.cfg.D), m.fills)
-	keys, ws, idxs := make([]uint64, n), make([]int64, n), make([]uint8, n)
-	for bkt, fill := range m.fills {
-		lo, hi, at := bkt*bsz, bkt*bsz+int(fill), f.start[bkt]
-		copy(keys[at:], m.keys[lo:hi])
-		copy(ws[at:], m.ws[lo:hi])
-		copy(idxs[at:], m.idxs[lo:hi])
-	}
-	f.sortSpill(m.spill)
-	m.slab = slab{keys: keys, ws: ws, idxs: idxs}
-	m.frz = f
 }
 
 // newFrozen allocates the bucket offsets of a matrix of d×d buckets, bucket

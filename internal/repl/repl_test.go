@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,6 +231,44 @@ func TestFollowerRestartResume(t *testing.T) {
 	if n := f2.Status().Resyncs; n != 0 {
 		t.Fatalf("restart resume needed %d resyncs", n)
 	}
+}
+
+// TestFollowerRefetchesOverVersion1Cache: a snapshot cache written before
+// core snapshot version 2 (the committed 4-shard fixture, whose core blobs
+// carry aggregates) is refused on load, reported with the version it
+// carries, and the follower boots from the primary's snapshot instead.
+func TestFollowerRefetchesOverVersion1Cache(t *testing.T) {
+	p := newPrimaryRig(t, 4, 0)
+	st := testStream(t, 3000)
+	p.feed(t, st, 0, len(st)/2, 0)
+	dir := t.TempDir()
+	v1, err := os.ReadFile("../shard/testdata/prerefactor_sharded.higgs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, localSnapshot), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var reported []string
+	f, err := NewFollower(FollowerConfig{
+		Source: p.srv.URL, Dir: dir, PollWait: 100 * time.Millisecond, RetryInterval: 20 * time.Millisecond,
+		OnError: func(err error) { reported = append(reported, err.Error()) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	if len(reported) != 1 || !strings.Contains(reported[0], "snapshot version: got 1, want 2") {
+		t.Fatalf("boot reported %q, want one refusal of the cache naming core version 1", reported)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	p.feed(t, st, len(st)/2, len(st), 0)
+	converge(t, p, f)
 }
 
 // TestFollowerResyncOn410 restarts a follower whose resume point the

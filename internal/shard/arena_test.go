@@ -9,9 +9,9 @@ import (
 	"higgs/internal/stream"
 )
 
-// fixtureSet rebuilds the sharded summary the committed pre-refactor
-// fixture was generated from: default 4-shard config, hash seed 42, full
-// lkml stream at scale 0.25.
+// fixtureSet rebuilds the sharded summary the committed fixtures were
+// generated from: default 4-shard config, hash seed 42, full lkml stream at
+// scale 0.25.
 func fixtureSet(t testing.TB) (*Summary, stream.Stream) {
 	t.Helper()
 	st, err := stream.Load(stream.Lkml, 0.25)
@@ -31,10 +31,12 @@ func fixtureSet(t testing.TB) (*Summary, stream.Stream) {
 }
 
 // TestShardedFixtureByteIdentity proves sharded snapshot frames are
-// byte-identical to the pre-refactor layout: rebuild the fixture stream,
-// encode, and compare against the committed bytes; then round-trip.
+// byte-identical to the committed version-2 fixture: rebuild the fixture
+// stream, encode, and compare against the committed bytes; then round-trip.
+// core's TestShardedFixtureTwin ties that fixture to the version-1 one,
+// aggregates included, that the pre-refactor layout wrote.
 func TestShardedFixtureByteIdentity(t *testing.T) {
-	raw, err := os.ReadFile("testdata/prerefactor_sharded.higgs")
+	raw, err := os.ReadFile("testdata/sharded_v2.higgs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestShardedFixtureByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, buf.Bytes()) {
-		t.Fatalf("sharded snapshot differs from pre-refactor fixture (%d vs %d bytes)", buf.Len(), len(raw))
+		t.Fatalf("sharded snapshot differs from the fixture (%d vs %d bytes)", buf.Len(), len(raw))
 	}
 	restored, err := Read(bytes.NewReader(raw))
 	if err != nil {

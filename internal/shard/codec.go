@@ -26,13 +26,13 @@ const (
 )
 
 // WriteTo serializes the sharded summary. Each shard is encoded under its
-// write lock (core's AppendSnapshot seals pending aggregates —
-// answer-neutral, so it is not a mutate op and bumps no version) together
-// with its durability watermark — the pair is captured atomically, so a
-// snapshot taken during live WAL-backed ingest is per-shard consistent: the
-// frame holds exactly the edges its watermark claims. Shards not being
-// encoded continue ingesting. One shard's frame is in memory at a time.
-// WriteTo implements io.WriterTo.
+// read lock (core's AppendSnapshot writes leaves and tree shape, seals
+// nothing and may run beside queries) together with its durability
+// watermark — mutate advances both under the write lock, so the pair is
+// captured atomically and a snapshot taken during live WAL-backed ingest is
+// per-shard consistent: the frame holds exactly the edges its watermark
+// claims. Shards not being encoded continue ingesting. One shard's frame is
+// in memory at a time. WriteTo implements io.WriterTo.
 func (s *Summary) WriteTo(w io.Writer) (int64, error) {
 	var frame wire.Writer
 	frame.U64(snapshotMagic)
@@ -41,10 +41,10 @@ func (s *Summary) WriteTo(w io.Writer) (int64, error) {
 	var blob []byte
 	var written int64
 	for i, sl := range s.slots {
-		sl.mu.Lock()
+		sl.mu.RLock()
 		frame.U64(sl.seq)
 		blob = sl.sum.AppendSnapshot(blob[:0])
-		sl.mu.Unlock()
+		sl.mu.RUnlock()
 		frame.Bytes(blob)
 		n, err := w.Write(frame)
 		written += int64(n)

@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"higgs/internal/core"
 	"higgs/internal/query"
 	"higgs/internal/stream"
 )
@@ -145,7 +147,79 @@ func TestConcurrentFirstColumnIndex(t *testing.T) {
 	}
 }
 
-// TestConcurrentSnapshotDuringIngest: WriteTo locks shard by shard, so a
+// TestConcurrentStatsSnapshotAndFirstReads: Stats, WriteTo and first
+// whole-range probes all run under the read lock, on a never-read 4-shard
+// summary, so they race on its pending seals. Nine goroutines, three of
+// each kind, start together; every probe answer, every Stats().Total and
+// every snapshot equals what a twin read serially gives. Run with -race.
+func TestConcurrentStatsSnapshotAndFirstReads(t *testing.T) {
+	st, err := stream.Generate(stream.Config{
+		Nodes: 80, Edges: 24_000, Span: 40_000, Skew: 2.0, Variance: 700,
+		Slices: 80, Seed: 37,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, twin := newSharded(t, 4), newSharded(t, 4)
+	s.InsertBatch(st)
+	twin.InsertBatch(st)
+	const vertices = 80
+	ts, te := st[0].T, st[len(st)-1].T
+	probe := func(s *Summary, v uint64) [3]int64 {
+		return [3]int64{s.VertexOut(v, ts, te), s.VertexIn(v, ts, te), s.EdgeWeight(v, (v+1)%vertices, ts, te)}
+	}
+	total := func(s *Summary) core.Stats {
+		st := s.Stats().Total
+		st.HeapBytes = 0 // column indexes count once a VertexIn builds them
+		return st
+	}
+	snapshot := func(s *Summary) string {
+		var b bytes.Buffer
+		if _, err := s.WriteTo(&b); err != nil {
+			t.Error(err)
+		}
+		return b.String()
+	}
+	var want [vertices][3]int64
+	for v := range want {
+		want[v] = probe(twin, uint64(v))
+	}
+	wantStats, wantSnap := total(twin), snapshot(twin)
+	if wantStats.SealedMatrices == 0 {
+		t.Fatal("the stream seals no aggregate")
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < 9; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			switch g % 3 {
+			case 0:
+				for k := range want {
+					v := (k + g*9) % vertices
+					if got := probe(s, uint64(v)); got != want[v] {
+						t.Errorf("goroutine %d: vertex %d answers %v, the serial twin %v", g, v, got, want[v])
+						return
+					}
+				}
+			case 1:
+				if got := total(s); got != wantStats {
+					t.Errorf("goroutine %d: Stats().Total %+v, the serial twin's %+v", g, got, wantStats)
+				}
+			default:
+				if snapshot(s) != wantSnap {
+					t.Errorf("goroutine %d: the snapshot differs from the serial twin's", g)
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+}
+
+// TestConcurrentSnapshotDuringIngest: WriteTo read-locks shard by shard, so a
 // snapshot taken mid-ingest is a valid, loadable summary.
 func TestConcurrentSnapshotDuringIngest(t *testing.T) {
 	st, err := stream.Generate(stream.Config{

@@ -221,11 +221,11 @@ func TestMutateMoves(t *testing.T) {
 }
 
 // TestDecodedSlotStartsAtItsFrontier: a slot built around restored contents
-// publishes their frontier at once — the pre-refactor fixture's shards come
+// publishes their frontier at once — the committed fixture's shards come
 // back with the timestamp of the last edge each received — while version
 // and rewrite count start over.
 func TestDecodedSlotStartsAtItsFrontier(t *testing.T) {
-	raw, err := os.ReadFile("testdata/prerefactor_sharded.higgs")
+	raw, err := os.ReadFile("testdata/sharded_v2.higgs")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,10 @@ func (c Config) Validate() error {
 	return c.Core.Validate()
 }
 
-// slot pairs one core summary with its lock. Every answer-changing write
-// takes the write lock in mutate and nowhere else; queries take the read
-// lock (core queries are mutually concurrency-safe but must not run during
+// slot pairs one core summary with its lock. mutate is the only holder of
+// the write lock, taken for every answer-changing write; queries, Stats and
+// the snapshot encoder take the read lock (core reads are mutually
+// concurrency-safe, pending seals included, but must not run during
 // mutation).
 type slot struct {
 	mu  sync.RWMutex
@@ -337,8 +338,9 @@ func (s *Summary) ShardSeq(i int) uint64 {
 // is what makes it an exact invalidation token for read caches: a probe
 // result obtained between two equal ShardVersion reads is exactly the
 // shard's state at that version, and the counter never repeats a value
-// (DESIGN.md §16). Stats does not advance it — on-demand sealing is
-// answer-neutral, so monitoring traffic must not invalidate caches.
+// (DESIGN.md §16). Stats and WriteTo do not advance it — they take the read
+// lock, and the seals Stats forces are answer-neutral, so monitoring and
+// snapshot traffic invalidate no cache.
 func (s *Summary) ShardVersion(i int) uint64 {
 	return s.slots[i].ver.Load()
 }
@@ -553,19 +555,21 @@ type Stats struct {
 	PerShard []core.Stats // one entry per shard, in shard order
 }
 
-// Stats gathers statistics from every shard concurrently. Per-shard
-// figures follow core.Summary.Stats; Total sums them, except Layers (the
-// maximum tree height) and AvgLeafUtil (leaf-weighted mean).
+// Stats gathers statistics from every shard concurrently, each under its
+// shard's read lock. Per-shard figures follow core.Summary.Stats, which
+// builds every pending aggregate first: a Stats after ingest or a load pays
+// the seals no read has paid yet, beside queries, while that shard's
+// writers wait. Total sums them, except Layers (the maximum tree height)
+// and AvgLeafUtil (leaf-weighted mean).
 func (s *Summary) Stats() Stats {
 	st := Stats{Shards: len(s.slots), PerShard: make([]core.Stats, len(s.slots))}
 	s.eachShard(func(i int) {
-		// Stats seals closed nodes on demand: a mutation of the tree, so the
-		// write lock — but an answer-neutral one, so not through mutate:
-		// monitoring traffic must not bump versions and invalidate caches.
+		// Its seals go through the latch first reads share, and it bumps
+		// no version: monitoring traffic invalidates no cache.
 		sl := s.slots[i]
-		sl.mu.Lock()
+		sl.mu.RLock()
 		st.PerShard[i] = sl.sum.Stats()
-		sl.mu.Unlock()
+		sl.mu.RUnlock()
 	})
 	var utilWeighted float64
 	for _, ps := range st.PerShard {

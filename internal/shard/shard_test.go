@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"higgs/internal/core"
+	"higgs/internal/query"
 	"higgs/internal/stream"
 	"higgs/internal/wire"
 )
@@ -257,23 +258,65 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // BenchmarkRead decodes a finalized 4-shard lkml snapshot (the fixture
-// stream), what -load, a snapshot upload and a follower boot pay:
+// stream), what -load, a snapshot upload and a follower boot pay. A
+// snapshot holds no aggregates, so the seals are paid by the first reads:
+// then-first-read adds one whole-range probe per shard, which builds every
+// aggregate of that shard's tree. Both report the snapshot's size.
 //
 //	go test -run '^$' -bench Read -benchmem ./internal/shard
 func BenchmarkRead(b *testing.B) {
-	s, _ := fixtureSet(b)
+	s, st := fixtureSet(b)
 	s.Finalize()
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := Read(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
+	probes := []query.Probe{{Op: query.OpVertexOut, S: st[0].S, Ts: st[0].T, Te: st[len(st)-1].T}}
+	out := make([]int64, 1)
+	for _, firstRead := range []bool{false, true} {
+		name := "decode"
+		if firstRead {
+			name = "then-first-read"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				r, err := Read(bytes.NewReader(raw))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; firstRead && i < r.NumShards(); i++ {
+					r.ProbeShard(i, probes, out)
+				}
+			}
+			b.ReportMetric(float64(len(raw)), "snapshot-B")
+		})
 	}
+}
+
+// varints appends every v as an unsigned varint.
+func varints(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// framed wraps one core snapshot blob in a one-shard frame at watermark 0.
+func framed(blob []byte) []byte {
+	return append(varints(snapshotMagic, snapshotVersion, 1, 0, uint64(len(blob))), blob...)
+}
+
+// readAllocs reads in and returns the summary, the bytes Read allocated
+// and the error.
+func readAllocs(in []byte) (*Summary, uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Read(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	return s, after.TotalAlloc - before.TotalAlloc, err
 }
 
 // TestReadLegacyCoreSnapshot: a bare core snapshot is not a sharded one;
@@ -288,37 +331,52 @@ func TestReadLegacyCoreSnapshot(t *testing.T) {
 	}
 }
 
-// TestReadRefusesOversizedGeometry: a 49-byte sharded snapshot whose core
+// TestReadRefusesOversizedGeometry: a 48-byte sharded snapshot whose core
 // header and only leaf claim D1 = 1024, B = 16 — a slab of 2^24 slots,
 // about 337 MiB — is refused before anything is sized by that geometry.
 func TestReadRefusesOversizedGeometry(t *testing.T) {
-	varints := func(vs ...uint64) []byte {
-		var b []byte
-		for _, v := range vs {
-			b = binary.AppendUvarint(b, v)
-		}
-		return b
-	}
-	blob := varints(
-		0x48494747, 1, // core magic, version
-		1024, 19, 16, 4, 4, 1, 1, 0, 0, // D1, F1, B, Theta, Maps, OverflowBlocks, OBBucket, retired flag, Seed
+	in := framed(varints(
+		0x48494747, 2, // core magic, version
+		1024, 19, 16, 4, 4, 1, 1, 0, // D1, F1, B, Theta, Maps, OverflowBlocks, OBBucket, Seed
 		0, 0, 0, 0, 1, 0, 0, 1, // lastT, items, clamped, rejected, leaves, obCount, finalized, hasRoot
 		1, 0, 0, 0, // leaf: level, firstT, lastT, closed
 		0x4d58, 1024, 16, 4, 19, 1, 0, 0, 0, // matrix: tag, D, B, Maps, FBits, Timed, startT, added, count
-	)
-	in := append(varints(snapshotMagic, snapshotVersion, 1, 0, uint64(len(blob))), blob...)
+	))
+	if len(in) != 48 {
+		t.Fatalf("the crafted snapshot is %d bytes, want 48", len(in))
+	}
+	s, grew, err := readAllocs(in)
+	if err == nil || s != nil || !strings.Contains(err.Error(), "slots a leaf") {
+		t.Fatalf("Read = %v, %v; want a leaf-geometry refusal", s, err)
+	}
+	if grew >= 1<<20 {
+		t.Fatalf("refusing a 48-byte snapshot allocated %d bytes, want < 1 MiB (err: %v)", grew, err)
+	}
+}
+
+// TestReadRefusesVersion1Core: a 49-byte sharded snapshot whose core blob
+// is version 1 — the default config and a level-8 root claiming an untimed
+// 2048×2048×3 aggregate with no entries, truncated after that matrix's
+// header — is refused at the core header with an error naming the version.
+// The version-1 decoder sized that aggregate first: 208 MiB.
+func TestReadRefusesVersion1Core(t *testing.T) {
+	cfg := core.DefaultConfig()
+	in := framed(varints(
+		0x48494747, 1, // core magic, version
+		uint64(cfg.D1), uint64(cfg.F1), uint64(cfg.B), uint64(cfg.Theta), uint64(cfg.Maps), 1, uint64(cfg.OBBucket), 0, 0, // config, retired flag, Seed 0
+		0, 0, 0, 0, 1, 0, 0, 1, // lastT, items, clamped, rejected, leaves, obCount, finalized, hasRoot
+		8, 0, 0, 1, // root: level, firstT, lastT, closed
+		1, 0x4d58, 2048, uint64(cfg.B), uint64(cfg.Maps), 12, 0, 0, 0, 0, // has aggregate; matrix: tag, D, B, Maps, FBits, Timed, startT, added, count
+	))
 	if len(in) != 49 {
 		t.Fatalf("the crafted snapshot is %d bytes, want 49", len(in))
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	s, err := Read(bytes.NewReader(in))
-	runtime.ReadMemStats(&after)
-	if err == nil || s != nil {
-		t.Fatalf("Read = %v, %v; want a refusal", s, err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+	s, grew, err := readAllocs(in)
+	if grew >= 1<<20 {
 		t.Fatalf("refusing a 49-byte snapshot allocated %d bytes, want < 1 MiB (err: %v)", grew, err)
+	}
+	if err == nil || s != nil || !strings.Contains(err.Error(), "snapshot version: got 1, want 2") {
+		t.Fatalf("Read = %v, %v; want a refusal naming core version 1", s, err)
 	}
 }
 

@@ -79,6 +79,7 @@ func TestReplicationFacade(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("replica differs from primary (%d vs %d bytes)", got.Len(), want.Len())
 	}
+	sameAggregates(t, f.Summary().Stats(), sum.Stats())
 	st2 := f.Status()
 	if st2.AppliedSeq == 0 || st2.PrimarySeq < st2.AppliedSeq {
 		t.Fatalf("status = %+v", st2)

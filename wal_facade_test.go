@@ -158,6 +158,7 @@ func TestWALFacadeDurableExpire(t *testing.T) {
 		t.Fatalf("recovery diverged from the live post-expire state (%d vs %d bytes): expired edges resurrected",
 			got.Len(), want.Len())
 	}
+	sameAggregates(t, recovered.Stats(), crashed.Stats())
 }
 
 // TestRetainerFacade runs the public retention loop against a pipeline
