@@ -14,6 +14,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"higgs/internal/ingest"
+	"higgs/internal/shard"
+	"higgs/internal/stream"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/ from this build")
@@ -197,4 +201,65 @@ func TestHealthzGolden(t *testing.T) {
 		}
 	}
 	golden(t, "healthz_follower.golden", healthzShape(t, follower))
+}
+
+// TestBootRefusesForeignSnapshot: a -wal-dir holding another directory's
+// snapshot.higgs — shard watermarks up to 300 beside an empty log — must
+// not boot. Served, it would number new edges from 1, under the
+// watermarks, and the next recovery would skip every acknowledged one as a
+// replay.
+func TestBootRefusesForeignSnapshot(t *testing.T) {
+	bin := buildDaemon(t)
+	cfg := shard.DefaultConfig()
+	cfg.Shards = 2
+	sum, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 300; seq++ {
+		e := stream.Edge{S: seq % 37, D: seq % 11, W: 1, T: int64(seq)}
+		sum.InsertShardAt(sum.ShardFor(e.S), []stream.Edge{e}, seq)
+	}
+	dir := t.TempDir()
+	if err := ingest.WriteSnapshot(sum, filepath.Join(dir, "snapshot.higgs")); err != nil {
+		t.Fatal(err)
+	}
+
+	addr := freeAddr(t)
+	var logs bytes.Buffer
+	cmd := exec.Command(bin, "-addr", addr, "-wal-dir", dir)
+	cmd.Stderr = &logs
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan struct{})
+	go func() {
+		cmd.Wait()
+		close(exited)
+	}()
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		<-exited
+	})
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		select {
+		case <-exited:
+			if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(logs.String(), "write-ahead log ends at 0") {
+				t.Fatalf("boot over a foreign snapshot: exit %d, stderr %q; want 1 and the refusal", code, logs.String())
+			}
+			return
+		default:
+		}
+		if resp, err := http.Get("http://" + addr + "/healthz"); err == nil {
+			resp.Body.Close()
+			cmd.Process.Kill()
+			<-exited
+			t.Fatalf("daemon booted over a snapshot whose watermarks run ahead of its empty log:\n%s", logs.String())
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			<-exited
+			t.Fatalf("daemon neither exited nor served:\n%s", logs.String())
+		}
+	}
 }

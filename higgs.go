@@ -157,7 +157,9 @@ func DefaultIngestConfig() IngestConfig { return ingest.DefaultConfig() }
 
 // NewIngest returns a group-commit ingest pipeline over the summary. The
 // pipeline does not own the summary: closing the pipeline drains accepted
-// edges into it, and the summary stays queryable.
+// edges into it, and the summary stays queryable. With IngestConfig.WAL
+// set it refuses a summary that holds sequence numbers past the log's
+// last one — a snapshot that belongs to another log.
 func NewIngest(s *Sharded, cfg IngestConfig) (*Ingest, error) { return ingest.New(s, cfg) }
 
 // WAL is a segmented, fsync-batched write-ahead log of stream edges: the
@@ -177,8 +179,8 @@ type WALConfig = wal.Config
 func OpenWAL(cfg WALConfig) (*WAL, error) { return wal.Open(cfg) }
 
 // Recover replays a write-ahead log into a sharded summary — freshly
-// built, or loaded from the latest snapshot, whose per-shard watermarks
-// tell Recover exactly which edges to skip. It returns the number of
+// built, or loaded from the latest snapshot, whose shards skip every
+// record their watermarks already hold. It returns the number of
 // edges applied and must run before the log backs a live pipeline.
 func Recover(s *Sharded, w *WAL) (int64, error) { return ingest.Recover(s, w) }
 

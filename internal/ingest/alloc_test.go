@@ -50,13 +50,14 @@ func TestSubmitGroupingAllocs(t *testing.T) {
 	}
 }
 
-// TestApplyAllocs pins the replay half's grouping: Applier.Apply splits a
-// record into per-shard runs that keep their capacity from record to
-// record, so a warmed Apply of a 256-edge record over 4 shards — what boot
-// recovery and a follower do per record — allocates nothing. (Runs kept in
-// a map that is cleared per record regrow every one of them, every time.)
-// The edges repeat, so the core merges them into existing entries and
-// the tree does not grow; the pin is the cheapest of many single applies.
+// TestApplyAllocs pins the replay half's grouping: Applier.Apply hands a
+// record to shard.Mutate, which splits it into per-shard runs held in
+// pooled scratch that keeps its capacity from record to record, so a
+// warmed Apply of a 256-edge record over 4 shards — what boot recovery and
+// a follower do per record — allocates nothing. (Runs kept in a map that
+// is cleared per record regrow every one of them, every time.) The edges
+// repeat, so the core merges them into existing entries and the tree does
+// not grow; the pin is the cheapest of many single applies.
 func TestApplyAllocs(t *testing.T) {
 	s := newSharded(t, 4)
 	a := NewApplier(s)
@@ -71,7 +72,7 @@ func TestApplyAllocs(t *testing.T) {
 	}
 	next := uint64(1)
 	apply := func() {
-		if err := a.Apply(wal.Record{Type: wal.RecordEdges, FirstSeq: next, Edges: batch}); err != nil {
+		if err := a.Apply(wal.Record{Mutation: stream.Mutation{Kind: stream.Insert, Edges: batch}, FirstSeq: next}); err != nil {
 			t.Fatal(err)
 		}
 		next += uint64(len(batch))

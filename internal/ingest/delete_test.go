@@ -67,7 +67,7 @@ func synchronousReference(t *testing.T, st stream.Stream, shards int, dels []del
 		for _, d := range dels {
 			if d.at == i {
 				seq++
-				sum.DeleteAt(d.e, seq)
+				sum.Mutate(seq, stream.Mutation{Kind: stream.Delete, Edge: d.e})
 			}
 		}
 		seq++
@@ -200,10 +200,9 @@ func TestDirectDeletePanicsWhenWALOwned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("direct Delete on a WAL-owned summary did not panic")
-		}
-	}()
-	sum.Delete(stream.Edge{S: 1, D: 2, W: 1, T: 1})
+	e := stream.Edge{S: 1, D: 2, W: 1, T: 1}
+	m := stream.Mutation{Kind: stream.Delete, Edge: e}
+	mustPanicHere(t, "Delete", func() { sum.Delete(e) })
+	mustPanicHere(t, "Mutate(0, delete)", func() { sum.Mutate(0, m) })
+	mustPanicHere(t, "Apply(i, 0, delete)", func() { sum.Apply(sum.ShardFor(e.S), 0, m) })
 }

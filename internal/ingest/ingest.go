@@ -5,7 +5,7 @@
 // pays lock overhead proportional to the edge count. The pipeline instead
 // routes accepted edges into one bounded queue per shard; a committer
 // goroutine per shard drains whatever has accumulated and applies it under
-// a single lock acquisition (shard.Summary.InsertShardAt), so N tiny
+// a single lock acquisition (shard.Summary.Apply), so N tiny
 // submits cost ~1 lock per shard per drain.
 //
 // The base contract is admission, not durability: Submit returning nil
@@ -23,7 +23,7 @@
 // edge survives a crash, not just an orderly shutdown. Admission then runs
 // inside the log's Append — the log's mutex becomes the ordering point, so
 // each shard receives its edges in WAL sequence order and the per-shard
-// watermarks (shard.Summary.InsertShardAt) stay exact. Recovery is
+// watermarks (shard.Summary.Apply) stay exact. Recovery is
 // Recover: load the latest snapshot, replay the log tail, resume.
 package ingest
 
@@ -179,7 +179,8 @@ type Pipeline struct {
 
 // New returns a pipeline over the summary and starts one committer
 // goroutine per shard. The pipeline does not own the summary: Close drains
-// the queues but leaves the summary open.
+// the queues but leaves the summary open. With a WAL, New refuses a
+// summary with a shard watermark above the log's last sequence number.
 func New(sum *shard.Summary, cfg Config) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -191,6 +192,17 @@ func New(sum *shard.Summary, cfg Config) (*Pipeline, error) {
 		stop: make(chan struct{}),
 	}
 	if cfg.WAL != nil {
+		// Every sequence number the log issues from here on lies above
+		// LastSeq, and a shard skips any at or below its watermark as a
+		// replay: over a summary ahead of its log (a snapshot from another
+		// directory), the committers and every later recovery would skip
+		// acknowledged edges without an error.
+		last := cfg.WAL.LastSeq()
+		for i := range sum.NumShards() {
+			if w := sum.ShardSeq(i); w > last {
+				return nil, fmt.Errorf("ingest: shard %d holds sequence numbers through %d, but the write-ahead log ends at %d: the snapshot does not belong to this log", i, w, last)
+			}
+		}
 		p.log = cfg.WAL
 		// The log owns the durable state from here on: a direct
 		// shard.Summary.Expire or Delete would be silently undone by crash
@@ -247,7 +259,7 @@ func (p *Pipeline) Submit(edges []stream.Edge) (bool, error) {
 	if len(edges) == 0 {
 		return false, nil
 	}
-	return false, p.admit(wal.Record{Type: wal.RecordEdges, Edges: edges}, func(first uint64) error {
+	return false, p.admit(stream.Mutation{Kind: stream.Insert, Edges: edges}, func(first uint64) error {
 		if len(edges) == 1 {
 			// One edge has one target: skip the grouping.
 			return p.enqueueOne(p.sum.ShardFor(edges[0].S), edges[0], first)
@@ -260,14 +272,14 @@ func (p *Pipeline) Submit(edges []stream.Edge) (bool, error) {
 }
 
 // admit is the one admission body under Submit, Expire and Delete: refuse
-// after Close, append the record — deliver runs inside the append, at the
+// after Close, append m's record — deliver runs inside the append, at the
 // record's sequence position, and its error aborts the append — then wait
 // for the covering group fsync.
-func (p *Pipeline) admit(rec wal.Record, deliver func(seq uint64) error) error {
+func (p *Pipeline) admit(m stream.Mutation, deliver func(seq uint64) error) error {
 	if p.closed.Load() {
 		return ErrClosed
 	}
-	last, err := p.log.AppendRecord(rec, deliver)
+	last, err := p.log.AppendRecord(wal.Record{Mutation: m}, deliver)
 	if err != nil {
 		return err
 	}
@@ -473,7 +485,7 @@ func (p *Pipeline) drain(i int) {
 	if h := p.applyHook; h != nil {
 		h(i, edges)
 	}
-	p.sum.InsertShardAt(i, edges, seq)
+	p.sum.Apply(i, seq, stream.Mutation{Kind: stream.Insert, Edges: edges})
 	q.mu.Lock()
 	q.applied += uint64(len(edges))
 	// Recycle the drained backing array: the two arrays ping-pong between
@@ -530,11 +542,11 @@ func (p *Pipeline) Flush() {
 // log's mutex (so it receives its own sequence number, totally ordered
 // against every edge batch), a per-shard flush barrier applies everything
 // admitted before it, the expire itself advances each shard's durability
-// watermark (shard.Summary.ExpireAt), and an expire control record is
-// appended and group-fsync'd before Expire returns — crash recovery
-// replays it at exactly its point in the stream, so expired edges stay
-// expired. Under the null log the same steps flush and expire in process
-// memory at sequence 0, the guarantee every other accepted mutation has.
+// watermark, and an expire control record is appended and group-fsync'd
+// before Expire returns — crash recovery replays it at exactly its point
+// in the stream, so expired edges stay expired. Under the null log the
+// same steps flush and expire in process memory at sequence 0, the
+// guarantee every other accepted mutation has.
 //
 // Expire returns ErrClosed after Close has begun. A WAL write or sync
 // failure is returned after the in-memory expire applied: the summary is
@@ -542,15 +554,7 @@ func (p *Pipeline) Flush() {
 // recovery would resurrect the expired edges — callers should surface the
 // error rather than acknowledge the expire.
 func (p *Pipeline) Expire(cutoff int64) (dropped int64, err error) {
-	err = p.admit(wal.Record{Type: wal.RecordExpire, Cutoff: cutoff}, func(seq uint64) error {
-		// Under the log mutex no batch can be admitted, so every admitted
-		// edge has a lower sequence number; the flush barrier applies them
-		// all, and the expire lands in exact sequence position.
-		p.Flush()
-		dropped = p.sum.ExpireAt(cutoff, seq)
-		return nil
-	})
-	return dropped, err
+	return p.rewrite(stream.Mutation{Kind: stream.Expire, Cutoff: cutoff})
 }
 
 // Delete removes one previously inserted item, reporting whether a matching
@@ -558,16 +562,25 @@ func (p *Pipeline) Expire(cutoff int64) (dropped int64, err error) {
 // delete is sequenced against in-flight batches (an edge accepted before
 // the call is applied, and so deletable, before the delete runs — even
 // while it still sits in a committer's queue), it advances the owning
-// shard's watermark (shard.Summary.DeleteAt), and with a WAL it is a
-// durable record that recovery and followers replay at exactly its point
-// in the stream. Errors are Expire's.
+// shard's watermark, and with a WAL it is a durable record that recovery
+// and followers replay at exactly its point in the stream. Errors are
+// Expire's.
 func (p *Pipeline) Delete(e stream.Edge) (found bool, err error) {
-	err = p.admit(wal.Record{Type: wal.RecordDelete, Edge: e}, func(seq uint64) error {
+	n, err := p.rewrite(stream.Mutation{Kind: stream.Delete, Edge: e})
+	return n > 0, err
+}
+
+// rewrite is Expire's and Delete's one body. m is admitted like a batch,
+// but applied inside deliver: under the log mutex no batch can be
+// admitted, so every admitted edge has a lower sequence number, the flush
+// barrier applies them all, and m lands in exact sequence position.
+func (p *Pipeline) rewrite(m stream.Mutation) (n int64, err error) {
+	err = p.admit(m, func(seq uint64) error {
 		p.Flush()
-		found = p.sum.DeleteAt(e, seq)
+		n = p.sum.Mutate(seq, m)
 		return nil
 	})
-	return found, err
+	return n, err
 }
 
 // Close stops admission (further Submits return ErrClosed), drains every

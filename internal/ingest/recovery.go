@@ -16,21 +16,17 @@ import (
 // Recover replays a write-ahead log into a summary — the boot half of the
 // snapshot + WAL-replay recovery design (DESIGN.md §12). The summary is
 // either freshly constructed (replay-from-scratch) or loaded from the
-// latest snapshot; each shard's durability watermark (shard.ShardSeq)
-// tells Recover which of its records the snapshot already contains, so
-// replay applies exactly the tail each shard is missing and never double
-// counts. Edges are applied through the same group-commit primitive the
-// committers use (InsertShardAt), one log record at a time, preserving
-// per-shard sequence order; expire control records (DESIGN.md §13) are
-// re-run at exactly their sequence position via ExpireShardAt, shard by
-// shard, so a snapshot that already reflects an expire on some shards
-// never double-applies it there while the remaining shards still catch
-// up. Skipping an expire would resurrect every edge it dropped — the bug
-// this record type exists to prevent.
+// latest snapshot; each record goes through shard.Summary.Mutate in log
+// order, and each shard skips every record its durability watermark
+// (shard.ShardSeq) already holds — so replay applies exactly the tail each
+// shard is missing and never double counts, and a snapshot that already
+// reflects an expire on some shards never re-applies it there while the
+// remaining shards catch up. Skipping an expire or a delete would
+// resurrect what it removed — the bug those record types exist to prevent.
 //
 // Recover must run after wal.Open and before the log is handed to a
 // pipeline (Replay must not race Append). It returns the number of edges
-// applied (replayed expires are not counted).
+// applied (replayed expires and deletes are not counted).
 func Recover(sum *shard.Summary, log *wal.Log) (replayed int64, err error) {
 	a := NewApplier(sum)
 	if err = log.Replay(a.Apply); err != nil {
@@ -39,67 +35,39 @@ func Recover(sum *shard.Summary, log *wal.Log) (replayed int64, err error) {
 	return a.Applied(), nil
 }
 
-// Applier replays a stream of WAL records into a summary through the
-// per-shard watermark machinery — the shared core of boot recovery
-// (Recover) and of a replication follower (internal/repl). Each shard's
-// watermark (shard.ShardSeq) splits "already in this summary" from "apply
-// me": records at or below a shard's mark are skipped for that shard, so
-// replaying an overlapping stream — a recovery tail, a re-delivered
+// Applier replays a stream of WAL records into a summary — the shared core
+// of boot recovery (Recover) and of a replication follower
+// (internal/repl). Each shard skips the records at or below its watermark,
+// so replaying an overlapping stream — a recovery tail, a re-delivered
 // replication chunk after a follower restart — never double-applies a
 // record. The applier is not safe for concurrent Apply calls; concurrent
 // readers of the summary — queries, Stats and snapshot encodes, all under
-// the shard read lock — are fine: its applies go through shard's mutate,
-// the only holder of the write lock.
+// the shard read lock — are fine.
 type Applier struct {
-	sum   *shard.Summary
-	marks []uint64
-	// groups[i] is the current record's run for shard i, reset to length 0
-	// per record so its capacity carries over; gmax[i] is the run's last
-	// sequence number.
-	groups  [][]stream.Edge
-	gmax    []uint64
+	sum     *shard.Summary
 	pos     uint64
 	primed  bool // a first record arrived; gap-check the ones that follow
 	applied int64
 }
 
-// NewApplier returns an applier over the summary's current watermarks.
+// NewApplier returns an applier positioned at the summary's lowest shard
+// watermark: every record at or below it is applied on every shard, and
+// records above it may or may not be, which each shard's skip resolves.
 func NewApplier(sum *shard.Summary) *Applier {
-	n := sum.NumShards()
-	a := &Applier{
-		sum:    sum,
-		marks:  make([]uint64, n),
-		groups: make([][]stream.Edge, n),
-		gmax:   make([]uint64, n),
+	a := &Applier{sum: sum, pos: sum.ShardSeq(0)}
+	for i := 1; i < sum.NumShards(); i++ {
+		a.pos = min(a.pos, sum.ShardSeq(i))
 	}
-	for i := range a.marks {
-		a.marks[i] = sum.ShardSeq(i)
-	}
-	a.pos = a.ResumeSeq()
 	return a
 }
 
-// ResumeSeq returns the sequence number from which a record stream must
-// (re)start to be lossless: the minimum per-shard watermark. Every record
-// at or below it is fully applied on every shard; records above it may or
-// may not be, which is exactly what the per-shard skip in Apply resolves.
-func (a *Applier) ResumeSeq() uint64 {
-	min := uint64(0)
-	for i, m := range a.marks {
-		if i == 0 || m < min {
-			min = m
-		}
-	}
-	return min
-}
-
 // Position returns the highest record boundary processed so far — the
-// "applied sequence" a follower reports and resumes its live tail from.
-// Unlike ResumeSeq it advances past records the watermarks skipped.
+// "applied sequence" a follower reports and resumes its live tail from. It
+// only ever advances.
 func (a *Applier) Position() uint64 { return a.pos }
 
-// Applied returns the number of edges inserted (skipped edges and expires
-// are not counted).
+// Applied returns the number of edges inserted (skipped edges, expires and
+// deletes are not counted).
 func (a *Applier) Applied() int64 { return a.applied }
 
 // Apply replays one record. After the first record, records must arrive
@@ -116,48 +84,11 @@ func (a *Applier) Apply(rec wal.Record) error {
 		return fmt.Errorf("ingest: apply: record starts at seq %d, want ≤ %d (gap)", rec.FirstSeq, a.pos+1)
 	}
 	a.primed = true
-	switch rec.Type {
-	case wal.RecordExpire:
-		for i := range a.marks {
-			if rec.FirstSeq <= a.marks[i] {
-				continue // this shard is already post-expire
-			}
-			a.sum.ExpireShardAt(i, rec.Cutoff, rec.FirstSeq)
-			a.marks[i] = rec.FirstSeq
-		}
-		a.pos = rec.FirstSeq
-		return nil
-	case wal.RecordDelete:
-		if i := a.sum.ShardFor(rec.Edge.S); rec.FirstSeq > a.marks[i] {
-			a.sum.DeleteAt(rec.Edge, rec.FirstSeq)
-			a.marks[i] = rec.FirstSeq
-		}
-		a.pos = rec.FirstSeq
-		return nil
+	n := a.sum.Mutate(rec.FirstSeq, rec.Mutation)
+	if rec.Kind == stream.Insert {
+		a.applied += n
 	}
-	for i := range a.groups {
-		a.groups[i] = a.groups[i][:0]
-	}
-	for j, e := range rec.Edges {
-		seq := rec.FirstSeq + uint64(j)
-		i := a.sum.ShardFor(e.S)
-		if seq <= a.marks[i] {
-			continue // this shard already holds this edge
-		}
-		a.groups[i] = append(a.groups[i], e)
-		a.gmax[i] = seq
-	}
-	for i, g := range a.groups {
-		if len(g) == 0 {
-			continue
-		}
-		a.sum.InsertShardAt(i, g, a.gmax[i])
-		a.marks[i] = a.gmax[i]
-		a.applied += int64(len(g))
-	}
-	if last := rec.LastSeq(); last > a.pos {
-		a.pos = last
-	}
+	a.pos = max(a.pos, rec.LastSeq())
 	return nil
 }
 
@@ -167,6 +98,13 @@ func (a *Applier) Apply(rec wal.Record) error {
 // intact and a renamed snapshot is durably the new one. It is the write
 // half of the Snapshotter and of higgsd's shutdown path.
 func WriteSnapshot(sum *shard.Summary, path string) error {
+	return writeSnapshot(sum, path, nil)
+}
+
+// writeSnapshot is WriteSnapshot with a commit gate: beforeRename, when
+// non-nil, runs once the temp file is durable and before it replaces path,
+// and its error abandons the snapshot.
+func writeSnapshot(sum *shard.Summary, path string, beforeRename func() error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -185,6 +123,12 @@ func WriteSnapshot(sum *shard.Summary, path string) error {
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("ingest: snapshot: %w", err)
+	}
+	if beforeRename != nil {
+		if err := beforeRename(); err != nil {
+			os.Remove(tmp)
+			return fmt.Errorf("ingest: snapshot: %w", err)
+		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
@@ -269,12 +213,19 @@ func (s *Snapshotter) run() {
 // covered WAL prefix, and record the covered sequence for LastSeq. It is
 // safe to call concurrently with the background loop and with live
 // ingest.
+//
+// Committers keep applying records past floor while the encode runs, and
+// they apply a record as soon as it is admitted, before its fsync. So the
+// new snapshot replaces the old one only once the log is durable through
+// everything appended by the end of the encode. Otherwise a power loss
+// could leave a snapshot whose watermarks run ahead of the surviving log,
+// and the next boot would refuse the pair (New).
 func (s *Snapshotter) Snap() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	floor := s.log.LastSeq()
 	s.pipe.Flush()
-	if err := WriteSnapshot(s.sum, s.path); err != nil {
+	if err := writeSnapshot(s.sum, s.path, func() error { return s.log.WaitSynced(s.log.LastSeq()) }); err != nil {
 		return err
 	}
 	if _, err := s.log.TruncateThrough(floor); err != nil {

@@ -3,9 +3,11 @@ package ingest
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -320,6 +322,68 @@ func TestRecoverOntoCoveringSnapshotReplaysNothing(t *testing.T) {
 	if got := loaded.Items(); got != int64(len(st)) {
 		t.Fatalf("items = %d, want %d", got, len(st))
 	}
+}
+
+// TestNewRefusesSummaryAheadOfLog: a -wal-dir holding another
+// directory's snapshot pairs a summary whose watermarks run to 300 with an
+// empty log that numbers new edges from 1. Every one of them sits under a
+// watermark, so recovery would skip it as a replay: acknowledged edges
+// lost without an error. New refuses the pair, naming the shard and both
+// sequence numbers. (Without the refusal, a crash after 50 acknowledged
+// edges recovers none of them.)
+func TestNewRefusesSummaryAheadOfLog(t *testing.T) {
+	const shards = 2
+	st := testStreamFor(t, 350)
+	foreign := newShardedFor(t, shards)
+	log := openWAL(t, t.TempDir(), 0)
+	p, err := New(foreign, Config{WAL: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAll(t, p, st[:300], 50)
+	p.Close()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if _, err := foreign.WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	load := func() *shard.Summary {
+		s, err := shard.Read(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	dir := t.TempDir()
+	log = openWAL(t, dir, 0)
+	sum := load()
+	p, err = New(sum, Config{WAL: log})
+	if err == nil {
+		// Show what accepting the pair costs: 50 acknowledged edges, a
+		// crash, and a reboot from the same snapshot and log.
+		submitAll(t, p, st[300:], 50)
+		p.Close()
+		log.Close()
+		log = openWAL(t, dir, 0)
+		defer log.Close()
+		rebooted := load()
+		if _, err := Recover(rebooted, log); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("New accepted a summary whose watermarks (%d, %d) run ahead of an empty log; after a crash %d of 50 acknowledged edges were recovered",
+			sum.ShardSeq(0), sum.ShardSeq(1), rebooted.Items()-300)
+	}
+	defer log.Close()
+	for _, want := range []string{"shard 0", fmt.Sprint(sum.ShardSeq(0)), "ends at 0"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("New's refusal %q does not name %q", err, want)
+		}
+	}
+	// The refusal armed no guard: an unlogged delete still runs.
+	sum.Delete(st[0])
 }
 
 func TestSnapshotterBackgroundLoop(t *testing.T) {

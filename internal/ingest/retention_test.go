@@ -219,7 +219,8 @@ func TestPipelineExpireClosed(t *testing.T) {
 
 // TestDirectExpirePanicsWhenWALOwned: building a WAL-backed pipeline over
 // a summary arms the guard — a direct Sharded.Expire would be silently
-// undone by recovery, so it must be unreachable by accident.
+// undone by recovery, so it must be unreachable by accident, through every
+// entry point an unlogged expire can take.
 func TestDirectExpirePanicsWhenWALOwned(t *testing.T) {
 	dir := t.TempDir()
 	log := openWAL(t, dir, 0)
@@ -230,12 +231,24 @@ func TestDirectExpirePanicsWhenWALOwned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	m := stream.Mutation{Kind: stream.Expire, Cutoff: 100}
+	mustPanicHere(t, "Expire", func() { sum.Expire(100) })
+	mustPanicHere(t, "ExpireAt(c, 0)", func() { sum.ExpireAt(100, 0) })
+	mustPanicHere(t, "Mutate(0, expire)", func() { sum.Mutate(0, m) })
+	mustPanicHere(t, "Apply(i, 0, expire)", func() { sum.Apply(1, 0, m) })
+}
+
+// mustPanicHere fails the test unless f panics on the calling goroutine:
+// the guard must fire before an all-shard op fans out, since a panic on
+// one of its per-shard goroutines kills the process instead.
+func mustPanicHere(t *testing.T, entry string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("direct Expire on a WAL-owned summary did not panic")
+			t.Errorf("unlogged %s on a WAL-owned summary did not panic", entry)
 		}
 	}()
-	sum.Expire(100)
+	f()
 }
 
 // TestRetainerTicks: the retainer enforces now−Window through the

@@ -12,8 +12,10 @@ import (
 )
 
 // applyMethods are the shard.Summary operations that admit data into (or
-// expire or delete it from) the queryable structure.
+// expire or delete it from) the queryable structure — with the names of
+// those that are gone, so a reintroduced one is caught too.
 var applyMethods = map[string]bool{
+	"Apply": true, "Mutate": true,
 	"Insert": true, "InsertBatch": true, "InsertShardAt": true,
 	"ExpireAt": true, "ExpireShardAt": true, "DeleteAt": true,
 }
@@ -78,10 +80,10 @@ func applySites(files ...*ast.File) []string {
 //   - in drain, the committers' one apply: it applies batches Submit
 //     enqueued inside its append's deliver callback — under the log mutex,
 //     so per-shard queue order is sequence order and nothing becomes
-//     queryable that the log has not sequenced (InsertShardAt has no other
-//     caller on the live path);
-//   - inside the deliver callback Expire and Delete hand admit, behind a
-//     flush barrier, at the record's own sequence position;
+//     queryable that the log has not sequenced;
+//   - inside the deliver callback rewrite, Expire's and Delete's one body,
+//     hands admit, behind a flush barrier, at the record's own sequence
+//     position;
 //   - in Applier.Apply, which replays records already durable in a log,
 //     in log order — there is no admission to gate.
 //
@@ -106,12 +108,9 @@ func TestShardApplySites(t *testing.T) {
 		files = append(files, f)
 	}
 	want := []string{
-		"Apply: DeleteAt",
-		"Apply: ExpireShardAt",
-		"Apply: InsertShardAt",
-		"Delete in admit deliver: DeleteAt",
-		"Expire in admit deliver: ExpireAt",
-		"drain: InsertShardAt",
+		"Apply: Mutate",
+		"drain: Apply",
+		"rewrite in admit deliver: Mutate",
 	}
 	if got := applySites(files...); !reflect.DeepEqual(got, want) {
 		t.Fatalf("shard apply sites in package ingest = %q, want %q", got, want)
@@ -121,7 +120,7 @@ func TestShardApplySites(t *testing.T) {
 	// merely shares a function with an append for one inside its callback.
 	sneak, err := parser.ParseFile(fset, "sneak.go", `package ingest
 func (p *Pipeline) Sneak(e []stream.Edge) {
-	p.admit(wal.Record{Type: wal.RecordEdges, Edges: e}, func(uint64) error { return nil })
+	p.admit(stream.Mutation{Kind: stream.Insert, Edges: e}, func(uint64) error { return nil })
 	p.sum.InsertShardAt(0, e, 0)
 }`, 0)
 	if err != nil {

@@ -28,7 +28,7 @@ const (
 // WriteTo serializes the sharded summary. Each shard is encoded under its
 // read lock (core's AppendSnapshot writes leaves and tree shape, seals
 // nothing and may run beside queries) together with its durability
-// watermark — mutate advances both under the write lock, so the pair is
+// watermark — Apply advances both under the write lock, so the pair is
 // captured atomically and a snapshot taken during live WAL-backed ingest is
 // per-shard consistent: the frame holds exactly the edges its watermark
 // claims. Shards not being encoded continue ingesting. One shard's frame is

@@ -232,12 +232,12 @@ func tokenWriteSites(files ...*ast.File) []string {
 
 // TestWriteLockSites holds two rules about a slot's mutex.
 //
-// Where it is taken: the write lock in mutate — which bumps the version and
+// Where it is taken: the write lock in apply — which bumps the version and
 // notifies the observer for every answer-changing op — and nowhere else;
 // the read lock in five readers (Stats and WriteTo among them: pending
 // seals go through core's latch, which readers share). A new mu.Lock()
 // anywhere else is a write path that can skip the version bump; route it
-// through mutate instead of extending this list.
+// through Apply instead of extending this list.
 //
 // What runs under it: nothing that blocks (DESIGN.md §18). Every query
 // fans out behind these locks, so one fsync, sleep or channel wait inside
@@ -261,7 +261,7 @@ func TestWriteLockSites(t *testing.T) {
 		}
 		files = append(files, f)
 	}
-	want := []string{"Items: RLock", "ProbeShard: RLock", "ShardSeq: RLock", "Stats: RLock", "WriteTo: RLock", "mutate: Lock"}
+	want := []string{"Items: RLock", "ProbeShard: RLock", "ShardSeq: RLock", "Stats: RLock", "WriteTo: RLock", "apply: Lock"}
 	if got := lockSites(files...); !reflect.DeepEqual(got, want) {
 		t.Fatalf("mu lock sites in package shard = %q, want %q", got, want)
 	}
@@ -304,11 +304,11 @@ func (s *Summary) Sneak(wg *sync.WaitGroup, ch chan int) {
 
 	// What the read cache fences on (DESIGN.md §16) is written under that
 	// lock and nowhere else: version, append frontier and rewrite count in
-	// mutate, and the frontier once more where a slot is built — newSlot,
+	// apply, and the frontier once more where a slot is built — newSlot,
 	// the only constructor — so a decoded snapshot starts at its restored
 	// lastT. A frontier stored anywhere else can run ahead of the contents
 	// and freeze an answer an insert still changes.
-	want = []string{"mutate: frontier.Store", "mutate: rewrites.Add", "mutate: ver.Add", "newSlot: frontier.Store", "newSlot: slot{}"}
+	want = []string{"apply: frontier.Store", "apply: rewrites.Add", "apply: ver.Add", "newSlot: frontier.Store", "newSlot: slot{}"}
 	if got := tokenWriteSites(files...); !reflect.DeepEqual(got, want) {
 		t.Fatalf("writes to ver / frontier / rewrites in package shard = %q, want %q", got, want)
 	}

@@ -31,14 +31,15 @@ func (r *recorder) ObserveApply(i int, _ []stream.Edge) {
 	r.mu.Unlock()
 }
 
-// TestMutatorContract pins what mutate promises, through every public
+// TestMutatorContract pins what Apply promises, through every public
 // entry point (DESIGN.md §12, §16, §17): a shard's version advances by
 // exactly one iff the op changed what queries may answer there; an applied
 // batch reaches the observer inside the section, i.e. while ShardVersion
-// still reads the old value, and nothing else reaches it; the addressed shards' watermarks
-// become max(old, seq) and nobody else's moves. Stats and WriteTo take the
-// write lock to seal aggregates but are answer-neutral, and reads are
-// reads: none of them may move anything.
+// still reads the old value, and nothing else reaches it; the addressed
+// shards' watermarks become max(old, seq) and nobody else's moves. A
+// sequenced op at or below a shard's watermark is a replay and moves
+// nothing there. Stats and WriteTo take the read lock (Stats' seals go
+// through core's latch) and, like reads, may move nothing.
 func TestMutatorContract(t *testing.T) {
 	const preSeq = 5 // every shard's watermark before the op under test
 	st := testStream(t, 50, 2_000)
@@ -62,7 +63,8 @@ func TestMutatorContract(t *testing.T) {
 		{name: "InsertBatch", run: func(s *Summary, _ int) { s.InsertBatch(st) }, all: true, hook: true, changes: true},
 		{name: "InsertShardAt/seq0", run: func(s *Summary, i int) { s.InsertShardAt(i, []stream.Edge{fresh}, 0) }, hook: true, changes: true},
 		{name: "InsertShardAt/seq9", run: func(s *Summary, i int) { s.InsertShardAt(i, []stream.Edge{fresh}, 9) }, seq: 9, hook: true, changes: true},
-		{name: "InsertShardAt/lower-seq", run: func(s *Summary, i int) { s.InsertShardAt(i, []stream.Edge{fresh}, 3) }, seq: 3, hook: true, changes: true},
+		{name: "InsertShardAt/lower-seq", run: func(s *Summary, i int) { s.InsertShardAt(i, []stream.Edge{fresh}, 3) }, seq: 3},
+		{name: "InsertShardAt/at-watermark", run: func(s *Summary, i int) { s.InsertShardAt(i, []stream.Edge{fresh}, preSeq) }, seq: preSeq},
 		{name: "InsertShardAt/empty", run: func(s *Summary, i int) { s.InsertShardAt(i, nil, 9) }, seq: 9},
 		{name: "Delete/hit", run: func(s *Summary, _ int) {
 			if !s.Delete(known) {
@@ -74,6 +76,16 @@ func TestMutatorContract(t *testing.T) {
 				t.Error("Delete of an absent edge reported found")
 			}
 		}},
+		{name: "Apply/delete-seq9", run: func(s *Summary, i int) {
+			if s.Apply(i, 9, stream.Mutation{Kind: stream.Delete, Edge: known}) != 1 {
+				t.Error("sequenced delete of a present edge reported not found")
+			}
+		}, seq: 9, changes: true},
+		{name: "Mutate/delete-replayed", run: func(s *Summary, _ int) {
+			if s.Mutate(preSeq, stream.Mutation{Kind: stream.Delete, Edge: known}) != 0 {
+				t.Error("replayed delete removed an edge")
+			}
+		}, seq: preSeq},
 		{name: "Expire/reclaiming", run: func(s *Summary, _ int) { s.Expire(late) }, all: true, changes: true, partial: true},
 		{name: "Expire/vacuous", run: func(s *Summary, _ int) {
 			if n := s.Expire(early); n != 0 {
@@ -82,8 +94,13 @@ func TestMutatorContract(t *testing.T) {
 		}, all: true},
 		{name: "ExpireAt/reclaiming", run: func(s *Summary, _ int) { s.ExpireAt(late, 9) }, seq: 9, all: true, changes: true, partial: true},
 		{name: "ExpireAt/vacuous", run: func(s *Summary, _ int) { s.ExpireAt(early, 9) }, seq: 9, all: true},
-		{name: "ExpireShardAt/reclaiming", run: func(s *Summary, i int) { s.ExpireShardAt(i, late, 9) }, seq: 9, changes: true, partial: true},
-		{name: "ExpireShardAt/vacuous", run: func(s *Summary, i int) { s.ExpireShardAt(i, early, 9) }, seq: 9},
+		{name: "ExpireAt/replayed", run: func(s *Summary, _ int) {
+			if n := s.ExpireAt(late, 4); n != 0 {
+				t.Errorf("replayed expire reclaimed %d leaves", n)
+			}
+		}, seq: 4, all: true},
+		{name: "Apply/expire-reclaiming", run: func(s *Summary, i int) { s.Apply(i, 9, stream.Mutation{Kind: stream.Expire, Cutoff: late}) }, seq: 9, changes: true, partial: true},
+		{name: "Apply/expire-vacuous", run: func(s *Summary, i int) { s.Apply(i, 9, stream.Mutation{Kind: stream.Expire, Cutoff: early}) }, seq: 9},
 		{name: "Finalize", run: func(s *Summary, _ int) { s.Finalize() }, all: true, changes: true},
 		{name: "Stats", run: func(s *Summary, _ int) { s.Stats() }, all: true},
 		{name: "WriteTo", run: func(s *Summary, _ int) {
@@ -164,36 +181,37 @@ func TestMutatorContract(t *testing.T) {
 }
 
 // TestMutateMoves is the table behind the read cache's frozen entries
-// (DESIGN.md §16), one row per way each opKind can go: which of the shard's
-// version, rewrite count and append frontier the op moves. An insert moves
-// the version and — when it carries a newer timestamp — the frontier, never
-// the rewrite count: that is what lets an entry over a closed window outlive
-// it. Every other answer-changing op moves version and rewrite count
-// together and leaves the frontier where the newest insert put it. An op
-// that changed nothing moves nothing.
+// (DESIGN.md §16), one row per way each stream.Kind can go: which of the
+// shard's version, rewrite count and append frontier the op moves. An
+// insert moves the version and — when it carries a newer timestamp — the
+// frontier, never the rewrite count: that is what lets an entry over a
+// closed window outlive it. Every other answer-changing op moves version
+// and rewrite count together and leaves the frontier where the newest
+// insert put it. An op that changed nothing moves nothing.
 func TestMutateMoves(t *testing.T) {
 	st := testStream(t, 50, 2_000)
 	first, last := st[0].T, st[len(st)-1].T
 	known := stream.Edge{S: 1, D: 2, W: 3, T: last}
 	cases := []struct {
 		name     string
-		op       op
+		m        stream.Mutation
+		one      bool   // Insert's single-edge form
 		ver, rw  uint64 // how far each counter moves
 		frontier int64
 	}{
-		{"insert/newer", op{kind: opInsert, edges: []stream.Edge{{S: 1, D: 7, W: 1, T: last + 5}}}, 1, 0, last + 5},
-		{"insert/out-of-order", op{kind: opInsert, edges: []stream.Edge{{S: 1, D: 7, W: 1, T: first}}}, 1, 0, last},
-		{"insert/empty", op{kind: opInsert}, 0, 0, last},
-		{"insertOne", op{kind: opInsertOne, edge: stream.Edge{S: 1, D: 7, W: 1, T: last + 9}}, 1, 0, last + 9},
-		{"delete/found", op{kind: opDelete, edge: known}, 1, 1, last},
-		{"delete/missed", op{kind: opDelete, edge: stream.Edge{S: 1, D: 9999, W: 1, T: last}}, 0, 0, last},
-		{"expire/reclaiming", op{kind: opExpire, cutoff: first + (last-first)*2/3}, 1, 1, last},
-		{"expire/vacuous", op{kind: opExpire, cutoff: first - 1}, 0, 0, last},
-		{"finalize", op{kind: opFinalize}, 1, 1, last},
+		{"insert/newer", stream.Mutation{Kind: stream.Insert, Edges: []stream.Edge{{S: 1, D: 7, W: 1, T: last + 5}}}, false, 1, 0, last + 5},
+		{"insert/out-of-order", stream.Mutation{Kind: stream.Insert, Edges: []stream.Edge{{S: 1, D: 7, W: 1, T: first}}}, false, 1, 0, last},
+		{"insert/empty", stream.Mutation{Kind: stream.Insert}, false, 0, 0, last},
+		{"insertOne", stream.Mutation{Kind: stream.Insert, Edge: stream.Edge{S: 1, D: 7, W: 1, T: last + 9}}, true, 1, 0, last + 9},
+		{"delete/found", stream.Mutation{Kind: stream.Delete, Edge: known}, false, 1, 1, last},
+		{"delete/missed", stream.Mutation{Kind: stream.Delete, Edge: stream.Edge{S: 1, D: 9999, W: 1, T: last}}, false, 0, 0, last},
+		{"expire/reclaiming", stream.Mutation{Kind: stream.Expire, Cutoff: first + (last-first)*2/3}, false, 1, 1, last},
+		{"expire/vacuous", stream.Mutation{Kind: stream.Expire, Cutoff: first - 1}, false, 0, 0, last},
+		{"finalize", stream.Mutation{Kind: stream.Finalize}, false, 1, 1, last},
 	}
-	covered := make(map[opKind]bool)
+	covered := make(map[stream.Kind]bool)
 	for _, tc := range cases {
-		covered[tc.op.kind] = true
+		covered[tc.m.Kind] = true
 		t.Run(tc.name, func(t *testing.T) {
 			s := newSharded(t, 1)
 			if f, rw := s.ShardFrontier(0); f != math.MinInt64 || rw != 0 {
@@ -205,7 +223,7 @@ func TestMutateMoves(t *testing.T) {
 				t.Fatalf("after the preload: frontier %d, %d rewrites; want %d, 0", f, rw, last)
 			}
 
-			s.mutate(0, 0, tc.op)
+			s.apply(0, 0, tc.m, tc.one)
 
 			f, rw := s.ShardFrontier(0)
 			if dv := s.ShardVersion(0) - ver; dv != tc.ver || rw != tc.rw || f != tc.frontier {
@@ -213,10 +231,50 @@ func TestMutateMoves(t *testing.T) {
 			}
 		})
 	}
-	for k := opInsert; k <= opFinalize; k++ {
+	for k := stream.Insert; k <= stream.Finalize; k++ {
 		if !covered[k] {
-			t.Errorf("opKind %d has no row", k)
+			t.Errorf("stream.Kind %d has no row", k)
 		}
+	}
+}
+
+// TestMutateSplitsInserts: Mutate hands each shard its run of an insert
+// at the sequence number of the run's last edge, so the shard's watermark
+// lands exactly on a run boundary, and a replay of the same record — any
+// overlap a recovery tail or a re-delivered replication chunk brings —
+// is skipped whole, on every shard, while unlogged inserts still apply.
+func TestMutateSplitsInserts(t *testing.T) {
+	s := newSharded(t, 3)
+	batch := testStream(t, 50, 300)
+	const first = 11
+	want := make([]uint64, s.NumShards())
+	for j, e := range batch {
+		want[s.ShardFor(e.S)] = first + uint64(j)
+	}
+	m := stream.Mutation{Kind: stream.Insert, Edges: batch}
+	if n := s.Mutate(first, m); n != int64(len(batch)) {
+		t.Fatalf("Mutate applied %d edges, want %d", n, len(batch))
+	}
+	vers := make([]uint64, s.NumShards())
+	for i := range want {
+		if got := s.ShardSeq(i); got != want[i] || want[i] == 0 {
+			t.Fatalf("shard %d watermark = %d, want %d, its run's last sequence number", i, got, want[i])
+		}
+		vers[i] = s.ShardVersion(i)
+	}
+	if n := s.Mutate(first, m); n != 0 || s.Items() != int64(len(batch)) {
+		t.Fatalf("replayed record applied %d edges (items %d), want 0 (%d)", n, s.Items(), len(batch))
+	}
+	for i, v := range vers {
+		if s.ShardVersion(i) != v || s.ShardSeq(i) != want[i] {
+			t.Fatalf("replay moved shard %d: version %d → %d, watermark %d", i, v, s.ShardVersion(i), s.ShardSeq(i))
+		}
+	}
+	// The split's scratch is pooled: an unlogged batch after a logged one
+	// must not inherit its sequence numbers and be skipped.
+	s.InsertBatch(batch)
+	if got := s.Items(); got != 2*int64(len(batch)) {
+		t.Fatalf("items after an unlogged InsertBatch = %d, want %d", got, 2*len(batch))
 	}
 }
 
@@ -245,9 +303,11 @@ func TestDecodedSlotStartsAtItsFrontier(t *testing.T) {
 	}
 }
 
-// TestInsertShardAtAllocs: a warm group commit — re-applying a batch that
+// TestInsertShardAtAllocs: a warm group commit — applying a batch that
 // merges into existing leaf slots — must not allocate, with or without an
-// observer registered: mutate's op must stay on the stack.
+// observer registered: Apply's mutation must stay on the stack. Each
+// commit carries the next sequence number, as a committer's do, so every
+// one is applied rather than skipped as a replay.
 func TestInsertShardAtAllocs(t *testing.T) {
 	for _, observed := range []bool{false, true} {
 		s, st := fixtureSet(t)
@@ -257,9 +317,16 @@ func TestInsertShardAtAllocs(t *testing.T) {
 		lastEdge := st[len(st)-1]
 		i := s.ShardFor(lastEdge.S)
 		batch := []stream.Edge{lastEdge, lastEdge, lastEdge, lastEdge}
-		s.InsertShardAt(i, batch, 1)
-		if n := testing.AllocsPerRun(1000, func() { s.InsertShardAt(i, batch, 1) }); n != 0 {
+		seq := s.ShardSeq(i) + 1
+		s.InsertShardAt(i, batch, seq)
+		items := s.Items()
+		const runs = 1000
+		if n := testing.AllocsPerRun(runs, func() { seq++; s.InsertShardAt(i, batch, seq) }); n != 0 {
 			t.Errorf("InsertShardAt (observer=%v) allocates %.2f allocs/op, want 0", observed, n)
+		}
+		// AllocsPerRun makes one warm-up call beyond runs.
+		if got, want := s.Items()-items, int64(len(batch)*(runs+1)); got != want || s.ShardSeq(i) != seq {
+			t.Fatalf("measured commits applied %d edges up to watermark %d, want %d up to %d: the pin timed skips", got, s.ShardSeq(i), want, seq)
 		}
 		if n := testing.AllocsPerRun(1000, func() { s.Insert(lastEdge) }); n != 0 {
 			t.Errorf("Insert (observer=%v) allocates %.2f allocs/op, want 0", observed, n)

@@ -64,7 +64,7 @@ func (c Config) Validate() error {
 	return c.Core.Validate()
 }
 
-// slot pairs one core summary with its lock. mutate is the only holder of
+// slot pairs one core summary with its lock. apply is the only holder of
 // the write lock, taken for every answer-changing write; queries, Stats and
 // the snapshot encoder take the read lock (core reads are mutually
 // concurrency-safe, pending seals included, but must not run during
@@ -75,11 +75,11 @@ type slot struct {
 	// seq is the shard's durability watermark: the highest write-ahead-log
 	// sequence number applied to this shard (0 when the shard has never
 	// seen WAL-sequenced edges). It advances under mu together with the
-	// apply (mutate), so a snapshot frame — serialized under the same lock
+	// op (Apply), so a snapshot frame — serialized under the same lock
 	// — always pairs the shard's contents with the exact watermark
 	// splitting "already in the snapshot" from "replay me" (DESIGN.md §12).
 	seq uint64
-	// ver is the shard's mutation version: a counter mutate bumps, before
+	// ver is the shard's mutation version: a counter apply bumps, before
 	// it unlocks, for every op that may change query answers — including
 	// the non-durable seq-0 paths that leave the durability watermark
 	// alone. It is the read cache's invalidation token (DESIGN.md §16):
@@ -94,7 +94,7 @@ type slot struct {
 	// accepted: core.Insert clamps older items up to it, so an insert changes
 	// no answer over a window that ends before it. rewrites counts the ops
 	// that can change such a window anyway — a delete that found its entry, a
-	// reclaiming expire, Finalize. Like ver, both are stored by mutate
+	// reclaiming expire, Finalize. Like ver, both are stored by apply
 	// before it unlocks and by newSlot, nowhere else (lock_test.go holds that).
 	frontier atomic.Int64
 	rewrites atomic.Uint64
@@ -117,7 +117,7 @@ func newSlot(sum *core.Summary, seq uint64) *slot {
 // version (DESIGN.md §17): by the time any reader can observe
 // ShardVersion(i) advanced past a batch, the observer has already seen it.
 // Because every insert path in this repository — async group commits, WAL
-// replay, follower replication — is a wrapper over mutate, one observer
+// replay, follower replication — is a wrapper over Apply, one observer
 // covers them all without a new write path. The callback runs under the
 // shard's write lock: it must be fast, must not call back into the
 // Summary, and must not retain the edge slice past the call.
@@ -136,14 +136,16 @@ type Summary struct {
 	slots []*slot
 
 	// obs is the registered ApplyObserver (nil when none). An atomic
-	// pointer so registration needs no lock; mutate loads it once inside
+	// pointer so registration needs no lock; apply loads it once inside
 	// its write-lock section.
 	obs atomic.Pointer[ApplyObserver]
 
 	// walOwned, once set (MarkWALOwned), marks the summary's durable state
-	// as owned by a write-ahead log: direct Expire and Delete calls panic,
-	// because crash recovery would undo an unlogged one.
+	// as owned by a write-ahead log: unlogged expires and deletes panic,
+	// because crash recovery would undo them.
 	walOwned atomic.Bool
+
+	runs sync.Pool // recycled *runs, Mutate's insert-splitting scratch
 }
 
 // SetApplyObserver registers obs to see every subsequent applied batch
@@ -199,73 +201,73 @@ func (s *Summary) ShardFor(v uint64) int {
 	return int(s.part.Hash(v) % uint64(len(s.slots)))
 }
 
-// opKind names the answer-changing operations mutate can run on a shard.
-type opKind uint8
-
-const (
-	opInsert    opKind = iota // apply op.edges in order
-	opInsertOne               // apply op.edge (Insert's single-edge form of opInsert)
-	opDelete                  // remove op.edge if present
-	opExpire                  // drop subtrees wholly before op.cutoff
-	opFinalize                // seal estimator state at end of stream
-)
-
-// op is one operation for mutate, as plain data rather than a closure so
-// the per-batch hot path (InsertShardAt) allocates nothing.
-type op struct {
-	kind   opKind
-	edges  []stream.Edge
-	edge   stream.Edge
-	cutoff int64
+// Apply runs m on shard i under one write-lock acquisition and returns
+// its extent — edges applied, 1 for a delete that found its entry, leaves
+// reclaimed, 1 for Finalize. It is the write path: every public mutator is
+// a wrapper over it, and its body is the only place an answer-changing
+// write lock is taken (lock_test.go holds that). Every edge of an insert
+// must satisfy ShardFor(e.S) == i; routing an edge to the wrong shard
+// silently corrupts query results, so callers that do not partition with
+// ShardFor themselves use Mutate.
+//
+// seq is m's write-ahead-log sequence number — for an insert, that of its
+// last edge — and 0 on the non-durable paths. A sequenced op at or below
+// the shard's durability watermark is a replay the shard already holds:
+// it is skipped, and nothing moves. Otherwise m runs, the watermark
+// advances to seq (0 leaves it alone), and iff m changed what queries may
+// answer the section publishes what m could reach — an insert notifies the
+// ApplyObserver and publishes the shard's new append frontier, anything
+// else one more rewrite — and then bumps the mutation version, all before
+// unlocking. So "version advanced past an insert ⇒ observer notified"
+// (DESIGN.md §16–§17) and "contents ⇔ watermark" (DESIGN.md §12) hold by
+// construction. An empty batch, a missed delete and a vacuous expire
+// change no answer and leave the version (and so every read cache) alone.
+//
+// Callers sequencing against a WAL must apply each shard's ops in
+// ascending sequence order, whole records at a time (DESIGN.md §12).
+func (s *Summary) Apply(i int, seq uint64, m stream.Mutation) int64 {
+	s.checkUnlogged(seq, m.Kind)
+	return s.apply(i, seq, m, false)
 }
 
-// mutate is the write path: the only place an answer-changing write lock
-// is taken (lock_test.go holds that), and every public mutator is a
-// wrapper over it. Under shard i's lock it runs o against the core
-// summary, advances the durability watermark to max(watermark, seq) — seq
-// 0, the non-durable paths, leaves it alone — and, iff the op changed what
-// queries may answer, publishes what the op could reach — an insert
-// notifies the ApplyObserver and publishes the shard's new append frontier,
-// anything else one more rewrite — and then bumps the mutation version, all
-// before unlocking. So "version advanced past an insert ⇒ observer
-// notified" (DESIGN.md §16–§17) and "contents ⇔ watermark" (DESIGN.md §12)
-// hold by construction.
-//
-// It returns the op's extent — edges applied, 1 for a delete that found
-// its entry, leaves reclaimed, 1 for Finalize — and the op
-// changed answers exactly when that is positive: an empty batch, a missed
-// delete and a vacuous expire leave the version (and so every read cache)
-// alone.
-func (s *Summary) mutate(i int, seq uint64, o op) (n int64) {
+// apply is Apply's body. one marks Insert's single-edge form: m.Edge is
+// copied into the slot's one-edge buffer under the lock, so the batch the
+// observer sees is not a slice of the caller's stack escaping to the heap
+// on every Insert.
+func (s *Summary) apply(i int, seq uint64, m stream.Mutation, one bool) (n int64) {
 	sl := s.slots[i]
 	sl.mu.Lock()
-	switch o.kind {
-	case opInsertOne:
-		sl.one[0] = o.edge
-		o.kind, o.edges = opInsert, sl.one[:]
-		fallthrough
-	case opInsert:
-		for _, e := range o.edges {
+	defer sl.mu.Unlock()
+	if seq != 0 {
+		if seq <= sl.seq {
+			return 0
+		}
+		sl.seq = seq
+	}
+	switch m.Kind {
+	case stream.Insert:
+		if one {
+			sl.one[0] = m.Edge
+			m.Edges = sl.one[:]
+		}
+		for _, e := range m.Edges {
 			sl.sum.Insert(e)
 		}
-		n = int64(len(o.edges))
-	case opDelete:
-		if sl.sum.Delete(o.edge) {
+		n = int64(len(m.Edges))
+	case stream.Delete:
+		if sl.sum.Delete(m.Edge) {
 			n = 1
 		}
-	case opExpire:
-		n = int64(sl.sum.Expire(o.cutoff))
-	case opFinalize:
+	case stream.Expire:
+		n = int64(sl.sum.Expire(m.Cutoff))
+	case stream.Finalize:
 		sl.sum.Finalize()
 		n = 1
 	}
-	if seq > sl.seq {
-		sl.seq = seq
-	}
 	if n > 0 {
-		if o.kind == opInsert {
+		if m.Kind == stream.Insert {
 			if obs := s.obs.Load(); obs != nil {
-				(*obs).ObserveApply(i, o.edges)
+				(*obs).ObserveApply(i, m.Edges)
 			}
 			sl.frontier.Store(sl.sum.Frontier())
 		} else {
@@ -273,8 +275,64 @@ func (s *Summary) mutate(i int, seq uint64, o op) (n int64) {
 		}
 		sl.ver.Add(1)
 	}
-	sl.mu.Unlock()
 	return n
+}
+
+// runs is Mutate's scratch for splitting an insert: edges[i] is shard i's
+// run of the batch, in order, and seqs[i] the sequence number of its last
+// edge. Instances recycle through Summary.runs and the runs keep their
+// capacity, so a warm split — every record a replay applies — allocates
+// nothing.
+type runs struct {
+	edges [][]stream.Edge
+	seqs  []uint64
+}
+
+// Mutate routes m, logged at sequence number seq (0 when unlogged), to
+// the shards it addresses and returns its summed extent (see Apply): an
+// insert's edges go to their owners, one run per shard at the sequence
+// number of that run's last edge (edge j of a batch logged at seq has
+// seq+j); a delete goes to its edge's owner; an expire or a finalize goes
+// to every shard, concurrently. Each shard skips what its watermark
+// already holds, so replaying an overlapping stream of records — a
+// recovery tail over a snapshot, a re-delivered replication chunk —
+// applies every record exactly once per shard.
+func (s *Summary) Mutate(seq uint64, m stream.Mutation) int64 {
+	s.checkUnlogged(seq, m.Kind)
+	switch m.Kind {
+	case stream.Insert:
+		if len(s.slots) == 1 {
+			if seq != 0 && len(m.Edges) > 0 {
+				seq += uint64(len(m.Edges)) - 1
+			}
+			return s.Apply(0, seq, m)
+		}
+		r, _ := s.runs.Get().(*runs)
+		if r == nil {
+			r = &runs{edges: make([][]stream.Edge, len(s.slots)), seqs: make([]uint64, len(s.slots))}
+		}
+		for j, e := range m.Edges {
+			i := s.ShardFor(e.S)
+			r.edges[i] = append(r.edges[i], e)
+			if seq != 0 {
+				r.seqs[i] = seq + uint64(j)
+			}
+		}
+		var n int64
+		for i, run := range r.edges {
+			if len(run) > 0 {
+				n += s.Apply(i, r.seqs[i], stream.Mutation{Kind: stream.Insert, Edges: run})
+				r.edges[i], r.seqs[i] = run[:0], 0
+			}
+		}
+		s.runs.Put(r)
+		return n
+	case stream.Delete:
+		return s.Apply(s.ShardFor(m.Edge.S), seq, m)
+	}
+	var n atomic.Int64
+	s.eachShard(func(i int) { n.Add(s.Apply(i, seq, m)) })
+	return n.Load()
 }
 
 // Insert adds one stream item to the shard of its source vertex.
@@ -282,46 +340,28 @@ func (s *Summary) mutate(i int, seq uint64, o op) (n int64) {
 // subsequence of the stream, any globally time-ordered stream satisfies
 // this (out-of-order items are clamped per shard, see core.Summary).
 func (s *Summary) Insert(e stream.Edge) {
-	s.mutate(s.ShardFor(e.S), 0, op{kind: opInsertOne, edge: e})
+	s.apply(s.ShardFor(e.S), 0, stream.Mutation{Kind: stream.Insert, Edge: e}, true)
 }
 
-// InsertBatch adds a batch of stream items, grouping them by shard so each
+// InsertBatch adds a batch of stream items, one run per shard, so each
 // shard's lock is taken once per batch rather than once per edge. Relative
 // order within a shard is preserved.
 func (s *Summary) InsertBatch(edges []stream.Edge) {
-	if len(s.slots) == 1 {
-		s.InsertShardAt(0, edges, 0)
-		return
-	}
-	groups := make(map[int][]stream.Edge)
-	for _, e := range edges {
-		i := s.ShardFor(e.S)
-		groups[i] = append(groups[i], e)
-	}
-	for i, g := range groups {
-		s.InsertShardAt(i, g, 0)
-	}
+	s.Mutate(0, stream.Mutation{Kind: stream.Insert, Edges: edges})
 }
 
-// InsertShardAt applies a batch of stream items that all belong to shard i
-// under a single write-lock acquisition — the group-commit primitive
-// internal/ingest builds on (DESIGN.md §9) — and advances the shard's
-// durability watermark to seq, the highest write-ahead-log sequence number
-// in the batch, under the same acquisition. Every edge must satisfy
-// ShardFor(e.S) == i; routing an edge to the wrong shard silently corrupts
-// query results, so only callers that partition with ShardFor (as
-// InsertBatch and the ingest pipeline do) may use this. Callers must apply
-// each shard's edges in ascending sequence order (the WAL's deliver
-// callback guarantees admission order is sequence order); seq 0 leaves the
-// watermark untouched, which is how the non-durable paths behave.
+// InsertShardAt is Apply of an insert: it applies a batch of stream items
+// that all belong to shard i under one write-lock acquisition — the
+// group-commit primitive internal/ingest builds on (DESIGN.md §9) — at
+// seq, the highest write-ahead-log sequence number in the batch. The
+// signature is frozen: benchmark/ compiles against it (frozen_test.go).
 func (s *Summary) InsertShardAt(i int, edges []stream.Edge, seq uint64) {
-	s.mutate(i, seq, op{kind: opInsert, edges: edges})
+	s.Apply(i, seq, stream.Mutation{Kind: stream.Insert, Edges: edges})
 }
 
 // ShardSeq returns shard i's durability watermark: every WAL-sequenced
-// edge owned by the shard with sequence number ≤ ShardSeq(i) has been
-// applied. Recovery uses it to skip replaying edges a snapshot already
-// contains.
+// op owned by the shard with sequence number ≤ ShardSeq(i) has been
+// applied, and Apply skips any that is replayed.
 func (s *Summary) ShardSeq(i int) uint64 {
 	sl := s.slots[i]
 	sl.mu.RLock()
@@ -361,20 +401,11 @@ func (s *Summary) ShardFrontier(i int) (frontier int64, rewrites uint64) {
 }
 
 // Delete removes one previously inserted item from the shard of its source
-// vertex, reporting whether a matching entry was found. Like Expire it
-// leaves the durability watermark alone and so trips the WAL-ownership
-// guard; on a summary a WAL-backed pipeline feeds, use the pipeline's
-// Delete.
+// vertex, reporting whether a matching entry was found. It is unlogged, so
+// it trips the WAL-ownership guard; on a summary a WAL-backed pipeline
+// feeds, use the pipeline's Delete.
 func (s *Summary) Delete(e stream.Edge) bool {
-	return s.DeleteAt(e, 0)
-}
-
-// DeleteAt is Delete at write-ahead-log sequence number seq: the owning
-// shard's watermark advances to seq under the same lock acquisition that
-// removes the entry, exactly as ExpireAt sits beside Expire.
-func (s *Summary) DeleteAt(e stream.Edge, seq uint64) bool {
-	s.checkUnlogged(seq)
-	return s.mutate(s.ShardFor(e.S), seq, op{kind: opDelete, edge: e}) > 0
+	return s.Mutate(0, stream.Mutation{Kind: stream.Delete, Edge: e}) > 0
 }
 
 // ProbeShard evaluates every probe against shard i under a single
@@ -470,57 +501,37 @@ func (s *Summary) SubgraphWeight(edges [][2]uint64, ts, te int64) int64 {
 // simply serialize behind each shard's lock, so a live sharded deployment
 // can expire periodically without pausing service.
 //
-// Expire leaves the durability watermarks untouched and therefore must
-// not be called on a summary owned by a WAL-backed ingest pipeline: an
-// unlogged expire would be silently undone by crash recovery (the replay
-// re-inserts every expired edge). MarkWALOwned arms a guard that turns
-// such a call into a panic; route retention through the pipeline's Expire
-// instead, which sequences and logs it (DESIGN.md §13).
+// Expire is unlogged and therefore must not be called on a summary owned
+// by a WAL-backed ingest pipeline: crash recovery would silently undo it
+// (the replay re-inserts every expired edge). MarkWALOwned arms a guard
+// that turns such a call into a panic; route retention through the
+// pipeline's Expire instead, which sequences and logs it (DESIGN.md §13).
 func (s *Summary) Expire(cutoff int64) int64 {
 	return s.ExpireAt(cutoff, 0)
 }
 
-// MarkWALOwned arms the guard that makes direct Expire and Delete calls
+// MarkWALOwned arms the guard that makes unlogged expires and deletes
 // panic: the summary's durable state is owned by a write-ahead log, so
 // every expire and delete must be sequenced and logged by the ingest
 // pipeline. It is called by ingest.New when the pipeline is WAL-backed and
 // is never unset.
 func (s *Summary) MarkWALOwned() { s.walOwned.Store(true) }
 
-// ExpireAt expires every shard concurrently (each under its write lock)
-// and advances each shard's durability watermark to seq — the expire's
-// write-ahead-log sequence number — making it the expire-shaped sibling of
-// InsertShardAt: the snapshot codec captures (contents, watermark) under
-// one lock acquisition, so a snapshot taken after an expire can never
-// replay it twice. seq 0 is the non-durable path (watermarks untouched)
-// and trips the WAL-ownership guard, exactly like Expire. Callers
-// sequencing against a WAL must order ExpireAt between the applies of
-// lower and higher sequence numbers, exactly as InsertShardAt.
+// ExpireAt is Mutate of an expire logged at seq (0 is unlogged, exactly
+// Expire). The signature is frozen: benchmark/ compiles against it
+// (frozen_test.go).
 func (s *Summary) ExpireAt(cutoff int64, seq uint64) int64 {
-	// ExpireShardAt checks too, but on eachShard's goroutines, where a
-	// panic kills the process instead of reaching the caller.
-	s.checkUnlogged(seq)
-	var dropped atomic.Int64
-	s.eachShard(func(i int) { dropped.Add(s.ExpireShardAt(i, cutoff, seq)) })
-	return dropped.Load()
+	return s.Mutate(seq, stream.Mutation{Kind: stream.Expire, Cutoff: cutoff})
 }
 
-// ExpireShardAt expires shard i under a single write-lock acquisition,
-// advancing its durability watermark to seq (0 is unlogged and trips the
-// WAL-ownership guard), and returns the number of leaves reclaimed.
-// Recovery replays expire records with it shard by shard, skipping shards
-// whose watermark already covers the record.
-func (s *Summary) ExpireShardAt(i int, cutoff int64, seq uint64) int64 {
-	s.checkUnlogged(seq)
-	return s.mutate(i, seq, op{kind: opExpire, cutoff: cutoff})
-}
-
-// checkUnlogged panics on any unlogged (seq 0) expire or delete of a
+// checkUnlogged panics on an unlogged (seq 0) expire or delete of a
 // WAL-owned summary, whichever entry point it arrives through: applied in
 // memory with no record and no watermark advance, it would be silently
-// undone by the next crash recovery, resurrecting what it removed.
-func (s *Summary) checkUnlogged(seq uint64) {
-	if seq == 0 && s.walOwned.Load() {
+// undone by the next crash recovery, resurrecting what it removed. Apply
+// and Mutate both call it before any shard is touched, so the panic
+// reaches the caller's goroutine, never one of eachShard's.
+func (s *Summary) checkUnlogged(seq uint64, k stream.Kind) {
+	if seq == 0 && (k == stream.Expire || k == stream.Delete) && s.walOwned.Load() {
 		panic("shard: unlogged expire or delete on a WAL-owned summary would be undone by crash recovery; use the ingest pipeline's Expire / Delete")
 	}
 }
@@ -528,7 +539,7 @@ func (s *Summary) checkUnlogged(seq uint64) {
 // Finalize marks the end of the stream on every shard concurrently; see
 // core.Summary.Finalize. Finalize is idempotent.
 func (s *Summary) Finalize() {
-	s.eachShard(func(i int) { s.mutate(i, 0, op{kind: opFinalize}) })
+	s.Mutate(0, stream.Mutation{Kind: stream.Finalize})
 }
 
 // eachShard runs f on every shard index concurrently and waits.

@@ -444,9 +444,17 @@ func TestInsertShardAtWatermark(t *testing.T) {
 	if got := s.ShardSeq(i); got != 7 {
 		t.Fatalf("watermark after seq-7 apply = %d, want 7", got)
 	}
-	// Watermarks only advance: a lower (or zero) seq leaves them alone.
+	// Watermarks only advance. A lower seq is a replay the shard already
+	// holds, so its edge is skipped; seq 0 is unlogged and always applies.
+	// Neither moves the watermark.
 	s.InsertShardAt(i, []stream.Edge{{S: e.S, D: 3, W: 1, T: 11}}, 5)
+	if got := s.Items(); got != 1 {
+		t.Fatalf("items after a seq-5 apply below watermark 7 = %d, want 1: the replay was applied", got)
+	}
 	s.InsertShardAt(i, []stream.Edge{{S: e.S, D: 4, W: 1, T: 12}}, 0)
+	if got := s.Items(); got != 2 {
+		t.Fatalf("items after a seq-0 apply = %d, want 2: an unlogged edge was skipped", got)
+	}
 	if got := s.ShardSeq(i); got != 7 {
 		t.Fatalf("watermark after lower/zero seq = %d, want 7", got)
 	}

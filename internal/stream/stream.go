@@ -34,6 +34,30 @@ type Edge struct {
 	T int64  `json:"t"` // arrival timestamp (seconds)
 }
 
+// Kind names an operation a summary applies. The daemon adds deletes and
+// window expiry to the paper's insert-only stream; Insert, Expire and
+// Delete are also the write-ahead log's record-type bytes (internal/wal),
+// so their values are a file format. Finalize is never logged.
+type Kind uint8
+
+const (
+	Insert   Kind = 1 // apply Edges in order
+	Expire   Kind = 2 // drop every subtree wholly before Cutoff
+	Delete   Kind = 3 // remove Edge, if present
+	Finalize Kind = 4 // mark the end of the stream
+)
+
+// Mutation is one operation on a summary: the one spelling every layer —
+// the shard write path, the write-ahead log, recovery and replication —
+// uses for it. Edges is set only for Insert, Edge only for Delete, Cutoff
+// only for Expire.
+type Mutation struct {
+	Kind   Kind
+	Edges  []Edge
+	Edge   Edge
+	Cutoff int64
+}
+
 // Stream is a time-ordered sequence of edges.
 type Stream []Edge
 

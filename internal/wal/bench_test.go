@@ -19,7 +19,7 @@ func BenchmarkAppendRecord(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	rec := Record{Type: RecordEdges, Edges: edges(0, benchBatch)}
+	rec := insert(edges(0, benchBatch))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {

@@ -37,12 +37,12 @@ func decodeRecordWire(payload []byte) (Record, error) {
 		return int64(v>>1) ^ -int64(v&1)
 	}
 	edge := func() stream.Edge { return stream.Edge{S: u64(), D: u64(), W: i64(), T: i64()} }
-	typ := RecordType(u64())
+	typ := stream.Kind(u64())
 	if err != nil {
 		return Record{}, fmt.Errorf("record type: %w", err)
 	}
 	switch typ {
-	case RecordEdges:
+	case stream.Insert:
 		first, n := u64(), u64()
 		if err != nil {
 			return Record{}, fmt.Errorf("record header: %w", err)
@@ -57,8 +57,8 @@ func decodeRecordWire(payload []byte) (Record, error) {
 		if err != nil {
 			return Record{}, fmt.Errorf("record edges: %w", err)
 		}
-		return Record{Type: RecordEdges, FirstSeq: first, Edges: edges}, nil
-	case RecordExpire:
+		return Record{Mutation: stream.Mutation{Kind: stream.Insert, Edges: edges}, FirstSeq: first}, nil
+	case stream.Expire:
 		seq, cutoff := u64(), i64()
 		if err != nil {
 			return Record{}, fmt.Errorf("expire record: %w", err)
@@ -66,8 +66,8 @@ func decodeRecordWire(payload []byte) (Record, error) {
 		if seq == 0 {
 			return Record{}, fmt.Errorf("expire record header out of range (seq=0)")
 		}
-		return Record{Type: RecordExpire, FirstSeq: seq, Cutoff: cutoff}, nil
-	case RecordDelete:
+		return Record{Mutation: stream.Mutation{Kind: stream.Expire, Cutoff: cutoff}, FirstSeq: seq}, nil
+	case stream.Delete:
 		seq, e := u64(), edge()
 		if err != nil {
 			return Record{}, fmt.Errorf("delete record: %w", err)
@@ -75,7 +75,7 @@ func decodeRecordWire(payload []byte) (Record, error) {
 		if seq == 0 {
 			return Record{}, fmt.Errorf("delete record header out of range (seq=0)")
 		}
-		return Record{Type: RecordDelete, FirstSeq: seq, Edge: e}, nil
+		return Record{Mutation: stream.Mutation{Kind: stream.Delete, Edge: e}, FirstSeq: seq}, nil
 	default:
 		return Record{}, fmt.Errorf("unknown record type %d", uint8(typ))
 	}
@@ -84,7 +84,7 @@ func decodeRecordWire(payload []byte) (Record, error) {
 // amplified is a 6-byte edge-batch payload (type 1, first sequence 1)
 // claiming maxRecordBytes/4 edges: the count the old decoder sized a
 // 512 MiB slice by before reading a single edge.
-var amplified = binary.AppendUvarint([]byte{byte(RecordEdges), 1}, maxRecordBytes/4)
+var amplified = binary.AppendUvarint([]byte{byte(stream.Insert), 1}, maxRecordBytes/4)
 
 // streamWith frames payloads, each under a valid length and CRC, behind
 // the segment header.
@@ -107,7 +107,7 @@ func overclaimed(payload []byte) bool {
 	typ, err1 := binary.ReadUvarint(r)
 	_, err2 := binary.ReadUvarint(r)
 	n, err3 := binary.ReadUvarint(r)
-	return errors.Join(err1, err2, err3) == nil && RecordType(typ) == RecordEdges && n > uint64(r.Len())/4
+	return errors.Join(err1, err2, err3) == nil && stream.Kind(typ) == stream.Insert && n > uint64(r.Len())/4
 }
 
 // TestDecodeRecordRefusesCountBeyondPayload: a count the payload cannot
@@ -131,7 +131,7 @@ func TestDecodeRecordRefusesCountBeyondPayload(t *testing.T) {
 	}
 	// The bound refuses only what cannot be there: an edge of four one-byte
 	// varints decodes, three bytes are a short payload.
-	four := binary.AppendUvarint([]byte{byte(RecordEdges), 1}, 1)
+	four := binary.AppendUvarint([]byte{byte(stream.Insert), 1}, 1)
 	if rec, err := decodeRecord(append(four, 1, 2, 3, 4), nil); err != nil || len(rec.Edges) != 1 {
 		t.Fatalf("a one-edge batch in four bytes = %+v, %v; want it decoded", rec, err)
 	}
@@ -175,7 +175,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	for _, seg := range [][]byte{
 		fuzzSeedV2(f),
 		func() []byte {
-			_, seg := streamOf(f, Record{Type: RecordEdges, Edges: edges(0, 2)}, Record{Type: RecordDelete, Edge: edge(1)})
+			_, seg := streamOf(f, insert(edges(0, 2)), del(edge(1)))
 			return seg
 		}(),
 	} {
@@ -187,11 +187,11 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	}
 	f.Add(amplified)
-	// A type varint that truncates to RecordExpire, trailing bytes after a
+	// A type varint that truncates to stream.Expire, trailing bytes after a
 	// record, and a sequence varint that overflows 64 bits.
-	f.Add(binary.AppendUvarint(nil, 256+uint64(RecordExpire)))
-	f.Add([]byte{byte(RecordExpire), 1, 3, 0xff})
-	f.Add([]byte{byte(RecordDelete), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02})
+	f.Add(binary.AppendUvarint(nil, 256+uint64(stream.Expire)))
+	f.Add([]byte{byte(stream.Expire), 1, 3, 0xff})
+	f.Add([]byte{byte(stream.Delete), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		buf := edges(100, 4)
 		got, err := decodeRecord(payload, buf)
@@ -219,7 +219,7 @@ func TestReadFramesAllocs(t *testing.T) {
 	segment := func(records int) []byte {
 		recs := make([]Record, records)
 		for i := range recs {
-			recs[i] = Record{Type: RecordEdges, Edges: batch}
+			recs[i] = insert(batch)
 		}
 		_, seg := streamOf(t, recs...)
 		return seg

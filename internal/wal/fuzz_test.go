@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"higgs/internal/stream"
 )
 
 // fuzzSeedV2 builds a real version-2 segment — edge batches interleaved
@@ -51,6 +53,20 @@ func TestSegmentGolden(t *testing.T) {
 	data := fuzzSeedV2(t)
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want || len(data) != 71 || walVersion != 2 {
 		t.Fatalf("segment = %d bytes, sha256 %s, version %d; want 71 bytes, %s, version 2", len(data), got, walVersion, want)
+	}
+}
+
+// TestDeleteSegmentGolden pins the third record-type byte the way
+// TestSegmentGolden pins the first two: a segment holding type-3 frames —
+// one with a wide source and negative weight and time — beside an edge
+// batch and an expire. The hash is of this segment as it was written while
+// the log still spelled its record types itself, before they became
+// stream.Kind values.
+func TestDeleteSegmentGolden(t *testing.T) {
+	const want = "27630ec39984947f2daf9aa58b3ca414654e0bfd15017465e74ccf7f79bc37f8"
+	_, data := streamOf(t, insert(edges(0, 3)), del(stream.Edge{S: 1 << 40, D: 7, W: -3, T: -9}), expire(-7), del(edge(1)))
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want || len(data) != 73 {
+		t.Fatalf("segment = %d bytes, sha256 %s; want 73 bytes, %s", len(data), got, want)
 	}
 }
 
@@ -145,17 +161,17 @@ func FuzzReplay(f *testing.F) {
 		next := uint64(1)
 		var lastRec uint64
 		if err := l.Replay(func(rec Record) error {
-			switch rec.Type {
-			case RecordEdges:
+			switch rec.Kind {
+			case stream.Insert:
 				if len(rec.Edges) == 0 {
 					t.Fatalf("empty edge batch at seq %d", rec.FirstSeq)
 				}
-			case RecordExpire:
+			case stream.Expire:
 				if len(rec.Edges) != 0 {
 					t.Fatalf("expire record at seq %d carries %d edges", rec.FirstSeq, len(rec.Edges))
 				}
 			default:
-				t.Fatalf("unknown record type %d at seq %d", rec.Type, rec.FirstSeq)
+				t.Fatalf("unknown record type %d at seq %d", rec.Kind, rec.FirstSeq)
 			}
 			if rec.FirstSeq != next {
 				t.Fatalf("record starts at seq %d, want %d (gap or overlap)", rec.FirstSeq, next)
@@ -185,7 +201,7 @@ func FuzzReplay(f *testing.F) {
 func FuzzFrames(f *testing.F) {
 	fuzzSeeds(f)
 	hdr := len(header)
-	del, _ := streamOf(f, Record{Type: RecordEdges, Edges: edges(0, 2)}, Record{Type: RecordDelete, Edge: edge(1)})
+	del, _ := streamOf(f, insert(edges(0, 2)), del(edge(1)))
 	f.Add(del)
 	unknown := bytes.Clone(del)
 	unknown[hdr+frameHeadLen] = 9 // first payload's type byte, under a valid CRC

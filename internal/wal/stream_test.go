@@ -288,10 +288,10 @@ func framesOf(in []byte) (recs []Record, off int64, err error) {
 // bytes, and the follower's parser reads back exactly what was appended.
 func TestStreamRoundTrip(t *testing.T) {
 	want := []Record{
-		{Type: RecordEdges, FirstSeq: 1, Edges: edges(0, 4)},
-		{Type: RecordExpire, FirstSeq: 5, Cutoff: -7},
-		{Type: RecordDelete, FirstSeq: 6, Edge: edge(2)},
-		{Type: RecordEdges, FirstSeq: 7, Edges: edges(4, 1)},
+		{Mutation: stream.Mutation{Kind: stream.Insert, Edges: edges(0, 4)}, FirstSeq: 1},
+		{Mutation: stream.Mutation{Kind: stream.Expire, Cutoff: -7}, FirstSeq: 5},
+		{Mutation: stream.Mutation{Kind: stream.Delete, Edge: edge(2)}, FirstSeq: 6},
+		{Mutation: stream.Mutation{Kind: stream.Insert, Edges: edges(4, 1)}, FirstSeq: 7},
 	}
 	body, segment := streamOf(t, want...)
 	if !bytes.Equal(body, segment) {
@@ -310,7 +310,7 @@ func TestStreamRoundTrip(t *testing.T) {
 // has a class, the offset reported is the end of the last intact frame, and
 // only a frame boundary is a clean end.
 func TestStreamReaderRefusesDamage(t *testing.T) {
-	full, _ := streamOf(t, Record{Type: RecordEdges, Edges: edges(0, 8)}, Record{Type: RecordEdges, Edges: edges(8, 8)})
+	full, _ := streamOf(t, insert(edges(0, 8)), insert(edges(8, 8)))
 	_, first, _ := framesOf(full[:len(full)-1]) // end of the first frame
 	hdr := len(header)
 	unknown := bytes.Clone(full[:first])

@@ -105,35 +105,20 @@ const (
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
-// RecordType discriminates the payloads a segment frames.
-type RecordType uint8
-
-const (
-	// RecordEdges is an appended edge batch.
-	RecordEdges RecordType = 1
-	// RecordExpire is a retention control record: every subtree wholly
-	// before Cutoff was dropped at this point of the sequence.
-	RecordExpire RecordType = 2
-	// RecordDelete removes Edge, if present, at this point of the sequence.
-	RecordDelete RecordType = 3
-)
-
-// Record is one log record. FirstSeq is the sequence number of Edges[0]
-// for an edge batch, or the record's own (single) sequence number for an
-// expire or a delete; AppendRecord assigns it. Edges is valid only for the
-// duration of the callback a reader hands the record to; Cutoff is set
-// only for RecordExpire, Edge only for RecordDelete.
+// Record is one log record: a mutation and the sequence number it was
+// logged at. FirstSeq is the sequence number of Edges[0] for an insert,
+// or the record's own (single) sequence number for an expire or a delete;
+// AppendRecord assigns it. The mutation's Kind is the payload's
+// record-type byte, and a Finalize is never logged. Edges is valid only
+// for the duration of the callback a reader hands the record to.
 type Record struct {
-	Type     RecordType
+	stream.Mutation
 	FirstSeq uint64
-	Edges    []stream.Edge
-	Cutoff   int64
-	Edge     stream.Edge
 }
 
 // LastSeq returns the highest sequence number the record covers.
 func (r Record) LastSeq() uint64 {
-	if r.Type == RecordEdges {
+	if r.Kind == stream.Insert {
 		return r.FirstSeq + uint64(len(r.Edges)) - 1
 	}
 	return r.FirstSeq
@@ -436,9 +421,9 @@ func (l *Log) appendLocked(rec Record, deliver func(firstSeq uint64) error) (uin
 	// The one well-formedness check: what passes it is what ReadFrames
 	// accepts, so no reader ever meets a frame it must refuse.
 	switch {
-	case rec.Type < RecordEdges || rec.Type > RecordDelete:
-		return 0, fmt.Errorf("wal: unknown record type %d", rec.Type)
-	case rec.Type == RecordEdges && len(rec.Edges) == 0:
+	case rec.Kind < stream.Insert || rec.Kind > stream.Delete:
+		return 0, fmt.Errorf("wal: unknown record type %d", rec.Kind)
+	case rec.Kind == stream.Insert && len(rec.Edges) == 0:
 		return l.appended, nil
 	}
 	rec.FirstSeq = l.nextSeq
@@ -487,7 +472,7 @@ func (l *Log) writeFrameLocked(frame []byte, last uint64) error {
 // Append is AppendRecord for an edge batch. Its signature is frozen:
 // benchmark/ compiles against it (frozen_test.go).
 func (l *Log) Append(edges []stream.Edge, deliver func(firstSeq uint64) error) (lastSeq uint64, err error) {
-	return l.AppendRecord(Record{Type: RecordEdges, Edges: edges}, deliver)
+	return l.AppendRecord(Record{Mutation: stream.Mutation{Kind: stream.Insert, Edges: edges}}, deliver)
 }
 
 // kick wakes the syncer (at-least-once; a dropped send means one is already
@@ -764,17 +749,17 @@ func scanSegment(path string, expect uint64, fn func(Record, []byte) error) (tai
 // appendPayload appends rec's payload (record-type prefix included) to b:
 // unsigned varints, zigzag (binary.AppendVarint) for the signed fields.
 func appendPayload(b []byte, rec Record) []byte {
-	b = binary.AppendUvarint(b, uint64(rec.Type))
+	b = binary.AppendUvarint(b, uint64(rec.Kind))
 	b = binary.AppendUvarint(b, rec.FirstSeq)
-	switch rec.Type {
-	case RecordEdges:
+	switch rec.Kind {
+	case stream.Insert:
 		b = binary.AppendUvarint(b, uint64(len(rec.Edges)))
 		for _, e := range rec.Edges {
 			b = appendEdge(b, e)
 		}
-	case RecordExpire:
+	case stream.Expire:
 		b = binary.AppendVarint(b, rec.Cutoff)
-	case RecordDelete:
+	case stream.Delete:
 		b = appendEdge(b, rec.Edge)
 	}
 	return b
@@ -792,7 +777,7 @@ func getEdge(p *wire.Reader) stream.Edge {
 	return stream.Edge{S: p.U64(), D: p.U64(), W: p.I64(), T: p.I64()}
 }
 
-// decodeRecord parses one record payload, which opens with its RecordType,
+// decodeRecord parses one record payload, which opens with its Kind,
 // in place: an edge batch's edges are decoded into buf's backing array
 // (grown if it is too small), which the record's Edges then shares. An
 // edge takes at least four bytes, so a batch claiming more edges than the
@@ -800,9 +785,10 @@ func getEdge(p *wire.Reader) stream.Edge {
 // count. Bytes after the record are ignored.
 func decodeRecord(b []byte, buf []stream.Edge) (Record, error) {
 	p := wire.NewReader(b)
-	rec := Record{Type: RecordType(p.U64()), FirstSeq: p.U64()}
-	switch rec.Type {
-	case RecordEdges:
+	var rec Record
+	rec.Kind, rec.FirstSeq = stream.Kind(p.U64()), p.U64()
+	switch rec.Kind {
+	case stream.Insert:
 		n := p.U64()
 		if p.Err() == nil && (n == 0 || n > uint64(p.Len())/4) {
 			return Record{}, fmt.Errorf("record header out of range (count=%d, %d bytes left)", n, p.Len())
@@ -811,20 +797,20 @@ func decodeRecord(b []byte, buf []stream.Edge) (Record, error) {
 		for i := range rec.Edges {
 			rec.Edges[i] = getEdge(&p)
 		}
-	case RecordExpire:
+	case stream.Expire:
 		rec.Cutoff = p.I64()
-	case RecordDelete:
+	case stream.Delete:
 		rec.Edge = getEdge(&p)
 	default:
 		if p.Err() == nil {
-			return Record{}, fmt.Errorf("unknown record type %d", uint8(rec.Type))
+			return Record{}, fmt.Errorf("unknown record type %d", uint8(rec.Kind))
 		}
 	}
 	if err := p.Err(); err != nil {
-		return Record{}, fmt.Errorf("record type %d: %w", uint8(rec.Type), err)
+		return Record{}, fmt.Errorf("record type %d: %w", uint8(rec.Kind), err)
 	}
 	if rec.FirstSeq == 0 {
-		return Record{}, fmt.Errorf("record type %d: sequence 0", uint8(rec.Type))
+		return Record{}, fmt.Errorf("record type %d: sequence 0", uint8(rec.Kind))
 	}
 	return rec, nil
 }

@@ -32,7 +32,18 @@ func edges(from, n int) []stream.Edge {
 }
 
 // expire builds the expire control record AppendRecord sequences.
-func expire(cutoff int64) Record { return Record{Type: RecordExpire, Cutoff: cutoff} }
+func expire(cutoff int64) Record {
+	return Record{Mutation: stream.Mutation{Kind: stream.Expire, Cutoff: cutoff}}
+}
+
+// insert and del build the edge-batch and delete records AppendRecord
+// sequences.
+func insert(es []stream.Edge) Record {
+	return Record{Mutation: stream.Mutation{Kind: stream.Insert, Edges: es}}
+}
+func del(e stream.Edge) Record {
+	return Record{Mutation: stream.Mutation{Kind: stream.Delete, Edge: e}}
+}
 
 func openT(t *testing.T, cfg Config) *Log {
 	t.Helper()
@@ -54,7 +65,7 @@ func collect(t *testing.T, l *Log, wantFirst uint64) []stream.Edge {
 		if rec.FirstSeq != next {
 			t.Fatalf("record first seq = %d, want %d", rec.FirstSeq, next)
 		}
-		if rec.Type == RecordEdges {
+		if rec.Kind == stream.Insert {
 			out = append(out, rec.Edges...)
 			next = rec.FirstSeq + uint64(len(rec.Edges))
 		} else {
@@ -386,9 +397,9 @@ func TestClosedLogRejectsOperations(t *testing.T) {
 	if _, err := l.ReadFrom(0, 0, func(Record, []byte) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ReadFrom on closed log: %v", err)
 	}
-	for _, rec := range []Record{expire(5), {Type: RecordDelete, Edge: edge(0)}} {
+	for _, rec := range []Record{expire(5), del(edge(0))} {
 		if _, err := l.AppendRecord(rec, nil); !errors.Is(err, ErrClosed) {
-			t.Fatalf("AppendRecord(type %d) on closed log: %v", rec.Type, err)
+			t.Fatalf("AppendRecord(type %d) on closed log: %v", rec.Kind, err)
 		}
 	}
 	// The read-only accessors keep answering with the log's last state.
@@ -417,7 +428,7 @@ func TestClosedLogRejectsOperations(t *testing.T) {
 func TestAppendAllocs(t *testing.T) {
 	l := openT(t, Config{Dir: t.TempDir()})
 	defer l.Close()
-	rec := Record{Type: RecordEdges, Edges: edges(0, 64)}
+	rec := insert(edges(0, 64))
 	deliver := func(uint64) error { return nil }
 	appendOne := func() {
 		if _, err := l.AppendRecord(rec, deliver); err != nil {
@@ -557,13 +568,13 @@ func TestExpireRecordRoundtrip(t *testing.T) {
 		if len(recs) != 3 {
 			t.Fatalf("replayed %d records, want 3", len(recs))
 		}
-		if recs[0].Type != RecordEdges || recs[0].FirstSeq != 1 || len(recs[0].Edges) != 4 {
+		if recs[0].Kind != stream.Insert || recs[0].FirstSeq != 1 || len(recs[0].Edges) != 4 {
 			t.Fatalf("record 0 = %+v, want 4-edge batch at seq 1", recs[0])
 		}
-		if recs[1].Type != RecordExpire || recs[1].FirstSeq != 5 || recs[1].Cutoff != 42 {
+		if recs[1].Kind != stream.Expire || recs[1].FirstSeq != 5 || recs[1].Cutoff != 42 {
 			t.Fatalf("record 1 = %+v, want expire(42) at seq 5", recs[1])
 		}
-		if recs[2].Type != RecordEdges || recs[2].FirstSeq != 6 || len(recs[2].Edges) != 3 {
+		if recs[2].Kind != stream.Insert || recs[2].FirstSeq != 6 || len(recs[2].Edges) != 3 {
 			t.Fatalf("record 2 = %+v, want 3-edge batch at seq 6", recs[2])
 		}
 	}
@@ -602,7 +613,7 @@ func TestAppendRecordDeliverAbort(t *testing.T) {
 	if err != nil || seq != 3 {
 		t.Fatalf("expire after abort: seq = %d, err = %v; want 3", seq, err)
 	}
-	if recs := replayAll(t, l); len(recs) != 2 || recs[1].Type != RecordExpire {
+	if recs := replayAll(t, l); len(recs) != 2 || recs[1].Kind != stream.Expire {
 		t.Fatalf("replay after abort = %+v, want edge batch + expire", recs)
 	}
 }
@@ -613,9 +624,9 @@ func TestAppendRecordClosed(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []Record{expire(1), {Type: RecordDelete, Edge: edge(1)}, {Type: RecordEdges, Edges: edges(0, 1)}} {
+	for _, rec := range []Record{expire(1), del(edge(1)), insert(edges(0, 1))} {
 		if _, err := l.AppendRecord(rec, nil); !errors.Is(err, ErrClosed) {
-			t.Fatalf("type-%d record on closed log: %v", rec.Type, err)
+			t.Fatalf("type-%d record on closed log: %v", rec.Kind, err)
 		}
 	}
 }
@@ -628,12 +639,12 @@ func TestAppendRecordWellFormed(t *testing.T) {
 	l := openT(t, Config{Dir: t.TempDir()})
 	defer l.Close()
 	deliver := func(uint64) error { t.Fatal("deliver ran for a refused record"); return nil }
-	for _, typ := range []RecordType{0, 4, 99} {
-		if _, err := l.AppendRecord(Record{Type: typ, Edges: edges(0, 1)}, deliver); err == nil {
+	for _, typ := range []stream.Kind{0, 4, 99} {
+		if _, err := l.AppendRecord(Record{Mutation: stream.Mutation{Kind: typ, Edges: edges(0, 1)}}, deliver); err == nil {
 			t.Fatalf("record type %d accepted", typ)
 		}
 	}
-	if last, err := l.AppendRecord(Record{Type: RecordEdges}, deliver); err != nil || last != 0 {
+	if last, err := l.AppendRecord(Record{Mutation: stream.Mutation{Kind: stream.Insert}}, deliver); err != nil || last != 0 {
 		t.Fatalf("empty edge batch: last = %d, err = %v; want 0, nil", last, err)
 	}
 	if got := l.LastSeq(); got != 0 {
@@ -652,7 +663,7 @@ func TestDeleteRecordRoundtrip(t *testing.T) {
 	if _, err := l.Append(edges(0, 2), nil); err != nil { // seqs 1..2
 		t.Fatal(err)
 	}
-	del := Record{Type: RecordDelete, Edge: stream.Edge{S: 1 << 40, D: 7, W: -3, T: -9}}
+	del := del(stream.Edge{S: 1 << 40, D: 7, W: -3, T: -9})
 	seq, err := l.AppendRecord(del, func(seq uint64) error {
 		if seq != 3 {
 			t.Fatalf("delete deliver seq = %d, want 3", seq)
