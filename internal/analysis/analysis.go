@@ -1,15 +1,10 @@
-// Package analysis implements the paper's theoretical analysis (§V) as
-// executable formulas: collision probabilities (Eq. 9–10), the error-bound
-// parameterization of Theorems 2–3, the aggregation space savings of
-// Theorem 1, and the expected matrix utilization of Eq. 6–7. Tests
-// cross-check the formulas against empirically built structures, and the
-// formulas are useful for capacity planning when configuring a summary.
+// Package analysis implements part of the paper's theoretical analysis
+// (§V) as executable formulas: the error-bound parameterization of
+// Theorems 2–3 and the expected matrix utilization of Eq. 6–7. Tests
+// cross-check the formulas against empirically built structures.
 package analysis
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // HashRange returns Z = d1·2^F1, the size of the combined address +
 // fingerprint space at leaf level (§V-D).
@@ -17,52 +12,10 @@ func HashRange(d1 uint32, f1 uint) float64 {
 	return float64(d1) * math.Pow(2, float64(f1))
 }
 
-// NodeCollisionBound returns the Eq. 9 upper bound on the probability that
-// some other vertex collides with a query vertex's (address, fingerprint)
-// pair: 1 − e^(−K/Z), where K is the number of distinct other source (or
-// destination) vertices in the stream.
-func NodeCollisionBound(k int, d1 uint32, f1 uint) float64 {
-	return 1 - math.Exp(-float64(k)/HashRange(d1, f1))
-}
-
-// EdgeCollisionBound returns the Eq. 10 upper bound on the probability
-// that some other edge collides with a query edge, where phiOut/phiIn are
-// the maximum out/in degrees (Φo, Φi) and c is the number of distinct
-// edges (C).
-func EdgeCollisionBound(phiOut, phiIn, c int, d1 uint32, f1 uint) float64 {
-	z := HashRange(d1, f1)
-	phi := float64(phiOut)
-	if float64(phiIn) > phi {
-		phi = float64(phiIn)
-	}
-	return 1 - math.Exp(-((z-1)*phi+float64(c))/(z*z))
-}
-
 // Epsilon returns the ε for which a (d1, F1) configuration satisfies the
 // Theorem 2 guarantee: F1 = log2(e/(d1·ε)) ⇔ ε = e/Z.
 func Epsilon(d1 uint32, f1 uint) float64 {
 	return math.E / HashRange(d1, f1)
-}
-
-// FingerprintBitsFor returns the smallest F1 meeting a target ε for a
-// given leaf dimension (Theorem 2 setup: F1 = ⌈log2(e/(d1·ε))⌉), clamped
-// to [1, 32].
-func FingerprintBitsFor(d1 uint32, eps float64) (uint, error) {
-	if eps <= 0 {
-		return 0, fmt.Errorf("analysis: eps = %g must be > 0", eps)
-	}
-	if d1 == 0 {
-		return 0, fmt.Errorf("analysis: d1 must be > 0")
-	}
-	f := math.Ceil(math.Log2(math.E / (float64(d1) * eps)))
-	switch {
-	case f < 1:
-		return 1, nil
-	case f > 32:
-		return 32, fmt.Errorf("analysis: eps = %g needs %g fingerprint bits (max 32)", eps, f)
-	default:
-		return uint(f), nil
-	}
 }
 
 // VertexErrorBound returns the Theorem 2 additive bound ε·‖w‖′ on vertex
@@ -77,17 +30,6 @@ func VertexErrorBound(d1 uint32, f1 uint, weightSum int64) float64 {
 func EdgeErrorBound(d1 uint32, f1 uint, weightSum int64) float64 {
 	eps := Epsilon(d1, f1)
 	return eps * eps * float64(weightSum) / math.E
-}
-
-// SpaceSavingsRatio returns the Theorem 1 fraction of space saved by
-// fingerprint-shifting aggregation across layers layers, relative to
-// storing full fingerprints at every level: R·(l−1)/β, where entryBits is
-// the entry width β in bits and rBits is R.
-func SpaceSavingsRatio(layers int, rBits uint, entryBits int) float64 {
-	if layers < 1 || entryBits <= 0 {
-		return 0
-	}
-	return float64(rBits) * float64(layers-1) / float64(entryBits)
 }
 
 // ExpectedUtilization returns E(α) from Eq. 6–7: the expected fraction of

@@ -17,63 +17,16 @@ func TestHashRange(t *testing.T) {
 	}
 }
 
-func TestNodeCollisionBoundMonotone(t *testing.T) {
-	if NodeCollisionBound(0, 16, 19) != 0 {
-		t.Error("zero competitors should give zero collision probability")
-	}
-	prev := 0.0
-	for _, k := range []int{10, 1000, 100000, 10000000} {
-		p := NodeCollisionBound(k, 16, 19)
-		if p <= prev || p >= 1 {
-			t.Fatalf("bound not in (prev, 1): k=%d p=%g", k, p)
-		}
-		prev = p
-	}
-	// More fingerprint bits reduce the bound (paper's remark after Eq. 9).
-	if NodeCollisionBound(1000, 16, 20) >= NodeCollisionBound(1000, 16, 19) {
-		t.Error("larger F1 should shrink the bound")
-	}
-	if NodeCollisionBound(1000, 32, 19) >= NodeCollisionBound(1000, 16, 19) {
-		t.Error("larger d1 should shrink the bound")
-	}
-}
-
-func TestEdgeCollisionBound(t *testing.T) {
-	p := EdgeCollisionBound(100, 80, 10000, 16, 19)
-	if p <= 0 || p >= 1 {
-		t.Fatalf("edge bound out of range: %g", p)
-	}
-	// Edge collisions need both endpoints to collide, so the bound sits
-	// far below the node bound for the same stream.
-	if node := NodeCollisionBound(10000, 16, 19); p >= node {
-		t.Fatalf("edge bound %g should undercut node bound %g", p, node)
-	}
-	// Max-degree argument: a larger Φ raises the bound.
-	if EdgeCollisionBound(1000, 80, 10000, 16, 19) <= p {
-		t.Error("larger Φo should raise the bound")
-	}
-}
-
+// TestEpsilonAndFingerprintBits: Theorem 2 picks F1 = log2(e/(d1·ε)), so
+// Epsilon must invert it — the paper's d1 = 16, F1 = 19 gives ε = e/2^23,
+// and one more fingerprint bit halves ε.
 func TestEpsilonAndFingerprintBits(t *testing.T) {
 	eps := Epsilon(16, 19)
-	f, err := FingerprintBitsFor(16, eps)
-	if err != nil {
-		t.Fatal(err)
+	if f1 := math.Log2(math.E / (16 * eps)); math.Abs(f1-19) > 1e-9 {
+		t.Fatalf("log2(e/(d1·ε)) = %g, want F1 = 19", f1)
 	}
-	if f != 19 {
-		t.Fatalf("FingerprintBitsFor(ε(19)) = %d, want 19", f)
-	}
-	if _, err := FingerprintBitsFor(16, 0); err == nil {
-		t.Error("eps=0 accepted")
-	}
-	if _, err := FingerprintBitsFor(0, 0.1); err == nil {
-		t.Error("d1=0 accepted")
-	}
-	if _, err := FingerprintBitsFor(1, 1e-12); err == nil {
-		t.Error("impossible eps accepted")
-	}
-	if f, err := FingerprintBitsFor(1<<20, 1); err != nil || f != 1 {
-		t.Errorf("tiny requirement should clamp to 1 bit, got %d (%v)", f, err)
+	if got := Epsilon(16, 20); math.Abs(got-eps/2) > 1e-18 {
+		t.Fatalf("ε(F1 = 20) = %g, want half of ε(19) = %g", got, eps/2)
 	}
 }
 
@@ -89,21 +42,6 @@ func TestErrorBoundsScale(t *testing.T) {
 	}
 	if VertexErrorBound(16, 19, 2_000_000) != 2*v {
 		t.Error("vertex bound should scale linearly with ‖w‖′")
-	}
-}
-
-func TestSpaceSavingsRatio(t *testing.T) {
-	// Theorem 1 example: R=1, β=118 bits (timed leaf entry), 7 layers.
-	got := SpaceSavingsRatio(7, 1, 118)
-	want := 6.0 / 118.0
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ratio = %g, want %g", got, want)
-	}
-	if SpaceSavingsRatio(1, 1, 118) != 0 {
-		t.Error("single layer saves nothing")
-	}
-	if SpaceSavingsRatio(0, 1, 118) != 0 || SpaceSavingsRatio(3, 1, 0) != 0 {
-		t.Error("degenerate inputs should give 0")
 	}
 }
 

@@ -7,12 +7,14 @@ import (
 	"higgs/internal/wal"
 )
 
-// TestSubmitGroupingAllocs pins the pooled-scratch contract of the
-// grouping stage: Submit takes a batchGroups out of Pipeline.gpool, and the
-// deferred putGroups is what lets the next Submit reuse its per-shard runs.
-// Drop that Put and every submit rebuilds the scratch and regrows each run
-// (27 allocs for this batch); with it, what is left is the deliver closure,
-// escaping through the admitLog interface.
+// TestSubmitGroupingAllocs pins the pooled-scratch contract of routing:
+// Submit hands its batch to shard.Summary.Route, which takes the per-shard
+// runs out of the summary's pool and puts them back once enqueue has
+// copied them into the queues, so the next Submit reuses them. Drop that
+// Put and every submit rebuilds the scratch and regrows each run (25
+// allocs for the 64-edge batch, 4 for one edge); with it, what is left is
+// the deliver closure, escaping through the admitLog interface. A one-edge
+// batch takes the same route as any other.
 //
 // The pin is the cheapest of many single submits, not an average: pools
 // only ever add to a run — the collector empties them, and under -race
@@ -30,29 +32,32 @@ func TestSubmitGroupingAllocs(t *testing.T) {
 	if len(targeted) != 4 {
 		t.Fatalf("batch targets %d of 4 shards; the pin is for a multi-shard batch", len(targeted))
 	}
-	submit := func() {
-		if _, err := p.Submit(batch); err != nil {
-			t.Fatal(err)
+	for _, b := range [][]stream.Edge{batch, batch[:1]} {
+		submit := func() {
+			if _, err := p.Submit(b); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	// Steady state: the first submits create the leaf slots and the queues'
-	// two backing arrays, every later one merges into the slots and refills
-	// the arrays, so neither the enqueue nor the committers' drains allocate
-	// (the count is process-wide, committers included). The flush between
-	// runs, outside the count, starts each from empty queues.
-	least := testing.AllocsPerRun(1, submit)
-	for i := 0; i < 100; i++ {
-		p.Flush()
-		least = min(least, testing.AllocsPerRun(1, submit))
-	}
-	if least != 1 {
-		t.Fatalf("steady-state Submit of a 64-edge, 4-shard batch = %v allocs at best, want 1: is the grouping scratch still returned to its pool?", least)
+		// Steady state: the first submits create the leaf slots and the
+		// queues' two backing arrays, every later one merges into the slots
+		// and refills the arrays, so neither the enqueue nor the committers'
+		// drains allocate (the count is process-wide, committers included).
+		// The flush between runs, outside the count, starts each from empty
+		// queues.
+		least := testing.AllocsPerRun(1, submit)
+		for i := 0; i < 100; i++ {
+			p.Flush()
+			least = min(least, testing.AllocsPerRun(1, submit))
+		}
+		if least != 1 {
+			t.Fatalf("steady-state Submit of %d edges over 4 shards = %v allocs at best, want 1: is the routing scratch still returned to its pool?", len(b), least)
+		}
 	}
 }
 
-// TestApplyAllocs pins the replay half's grouping: Applier.Apply hands a
-// record to shard.Mutate, which splits it into per-shard runs held in
-// pooled scratch that keeps its capacity from record to record, so a
+// TestApplyAllocs pins the replay half of routing: Applier.Apply hands a
+// record to shard.Mutate, whose Route splits it into per-shard runs held
+// in pooled scratch that keeps its capacity from record to record, so a
 // warmed Apply of a 256-edge record over 4 shards — what boot recovery and
 // a follower do per record — allocates nothing. (Runs kept in a map that
 // is cleared per record regrow every one of them, every time.) The edges

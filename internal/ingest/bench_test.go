@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -9,6 +10,48 @@ import (
 	"higgs/internal/stream"
 	"higgs/internal/wal"
 )
+
+// BenchmarkSubmit times one Submit into a 4-shard pipeline without a WAL,
+// committers running: routing, the all-or-nothing enqueue and the kicks.
+// edges=1 is the smallest post; edges=256 is the benchmark's batch, which
+// spans all four shards. The edges repeat, so the committers merge them
+// into existing entries and the summary does not grow. A batch refused
+// with ErrQueueFull is retried after a yield, so a row also pays for
+// committers that fall behind.
+func BenchmarkSubmit(b *testing.B) {
+	for _, n := range []int{1, 256} {
+		b.Run(fmt.Sprintf("edges=%d", n), func(b *testing.B) {
+			cfg := shard.DefaultConfig()
+			cfg.Shards = 4
+			s, err := shard.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := New(s, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			batch := make([]stream.Edge, n)
+			for i := range batch {
+				batch[i] = stream.Edge{S: uint64(i%64 + 1), D: uint64(i%7 + 1), W: 1, T: 10}
+			}
+			b.ReportAllocs()
+			for range b.N {
+				for {
+					_, err := p.Submit(batch)
+					if err == nil {
+						break
+					}
+					if !errors.Is(err, ErrQueueFull) {
+						b.Fatal(err)
+					}
+					runtime.Gosched()
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkRecover times boot recovery's replay — the WAL tail a daemon
 // applies before it serves, which the benchmark's setup_s includes — into

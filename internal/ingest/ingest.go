@@ -51,8 +51,8 @@ var ErrClosed = errors.New("ingest: pipeline closed")
 // default, so Config{} is the default configuration.
 type Config struct {
 	// QueueDepth is the per-shard queue capacity in edges (default 4096).
-	// A batch whose shard group does not fit is rejected with ErrQueueFull
-	// — except into an empty queue, which accepts one oversized group so a
+	// A batch whose run for a shard does not fit is rejected with ErrQueueFull
+	// — except into an empty queue, which accepts one oversized run so a
 	// batch larger than the queue can never be wedged forever.
 	QueueDepth int
 	// CommitInterval is how long a committer accumulates after waking on a
@@ -168,7 +168,6 @@ type Pipeline struct {
 	wg     sync.WaitGroup
 	closed atomic.Bool
 	once   sync.Once
-	gpool  sync.Pool // recycled *batchGroups grouping scratch
 
 	// applyHook, when non-nil, runs in the committer just before each
 	// group is applied, with the group. Test-only: set after New and before
@@ -260,14 +259,7 @@ func (p *Pipeline) Submit(edges []stream.Edge) (bool, error) {
 		return false, nil
 	}
 	return false, p.admit(stream.Mutation{Kind: stream.Insert, Edges: edges}, func(first uint64) error {
-		if len(edges) == 1 {
-			// One edge has one target: skip the grouping.
-			return p.enqueueOne(p.sum.ShardFor(edges[0].S), edges[0], first)
-		}
-		g := p.getGroups()
-		defer p.putGroups(g)
-		p.group(g, edges, first)
-		return p.enqueueGroups(g)
+		return p.sum.Route(first, edges, p.enqueue)
 	})
 }
 
@@ -286,127 +278,51 @@ func (p *Pipeline) admit(m stream.Mutation, deliver func(seq uint64) error) erro
 	return p.log.WaitSynced(last)
 }
 
-// batchGroups is the reusable per-submit scratch of the grouping stage:
-// per-shard edge runs, each run's highest WAL sequence number, and
-// committer kick flags, all indexed by shard. A shard is targeted by the
-// batch iff its run is non-empty. Instances recycle through Pipeline.gpool
-// and the runs keep their capacity across submits, so steady-state
-// grouping allocates nothing.
-//
-// Ownership: a batchGroups belongs to the submitting goroutine only until
-// enqueueGroups returns — it copies the edges into the queue buffers and
-// retains nothing, which is what makes immediate reuse after Submit safe.
-type batchGroups struct {
-	edges [][]stream.Edge
-	seqs  []uint64
-	kicks []bool
-}
-
-// getGroups returns a reset batchGroups sized for the summary's shards.
-func (p *Pipeline) getGroups() *batchGroups {
-	g, _ := p.gpool.Get().(*batchGroups)
-	n := p.sum.NumShards()
-	if g == nil || len(g.edges) != n {
-		g = &batchGroups{
-			edges: make([][]stream.Edge, n),
-			seqs:  make([]uint64, n),
-			kicks: make([]bool, n),
-		}
-	}
-	for i := range g.edges {
-		g.edges[i] = g.edges[i][:0]
-		g.seqs[i] = 0
-		g.kicks[i] = false
-	}
-	return g
-}
-
-func (p *Pipeline) putGroups(g *batchGroups) { p.gpool.Put(g) }
-
-// group partitions a batch by target shard into g, preserving relative
-// order, and records each group's highest sequence number: edge j of a
-// record whose first sequence number is first carries first+j, and 0 — the
-// null log's "no record" — stays 0 for every edge.
-func (p *Pipeline) group(g *batchGroups, edges []stream.Edge, first uint64) {
-	for j, e := range edges {
-		i := p.sum.ShardFor(e.S)
-		g.edges[i] = append(g.edges[i], e)
-		if first != 0 {
-			g.seqs[i] = first + uint64(j)
-		}
-	}
-}
-
-// fits reports whether a group of n edges may enter the queue: it fits
-// within QueueDepth, or the queue is empty (one oversized group is always
+// fits reports whether a run of n edges may enter the queue: it fits
+// within QueueDepth, or the queue is empty (one oversized run is always
 // admissible, so batches larger than the queue cannot starve forever).
 func (p *Pipeline) fits(q *queue, n int) bool {
 	return len(q.buf) == 0 || len(q.buf)+n <= p.cfg.QueueDepth
 }
 
-// enqueueOne is the single-edge fast path: no grouping, one queue lock.
-// The committer is kicked only on the empty→non-empty transition (an edge
-// appended to a non-empty buffer is already covered by the pending kick,
+// enqueue admits a routed batch (shard.Summary.Route) all-or-nothing:
+// the involved queues are locked in ascending shard order (deadlock-free
+// against concurrent multi-shard submits), capacity is checked for every
+// run, and only then is anything appended. A rejected batch leaves no
+// partial state, so a 429 retry cannot double-insert. seqs carries each
+// run's highest WAL sequence number and advances the queues' walSeq marks.
+// It copies the runs into the queue buffers and retains nothing of them.
+//
+// A committer is kicked only on its queue's empty→non-empty transition
+// (an edge appended to a non-empty buffer is covered by the pending kick,
 // or by the drain that must serialize after this append to empty the
 // buffer) and at capacity, so a stream of tiny submits pays one channel
-// send per drain, not per edge. seq is the edge's WAL sequence number
-// (0 under the null log).
-func (p *Pipeline) enqueueOne(i int, e stream.Edge, seq uint64) error {
-	q := p.queues[i]
-	q.mu.Lock()
-	if p.closed.Load() {
-		q.mu.Unlock()
-		return ErrClosed
-	}
-	if !p.fits(q, 1) {
-		q.mu.Unlock()
-		return ErrQueueFull
-	}
-	wasEmpty := len(q.buf) == 0
-	q.buf = append(q.buf, e)
-	q.enqueued++
-	if seq > q.walSeq {
-		q.walSeq = seq
-	}
-	full := len(q.buf) >= p.cfg.QueueDepth
-	q.mu.Unlock()
-	if wasEmpty || full {
-		q.kickCommitter()
-	}
-	return nil
-}
-
-// enqueueGroups admits a batch all-or-nothing: the involved queues are
-// locked in ascending shard order (deadlock-free against concurrent
-// multi-shard submits), capacity is checked for every group, and only then
-// is anything appended. A rejected batch leaves no partial state, so a 429
-// retry cannot double-insert. g.seqs carries each group's highest WAL
-// sequence number and advances the queues' walSeq marks.
-func (p *Pipeline) enqueueGroups(g *batchGroups) error {
-	unlockTo := func(limit int) {
-		for i := 0; i < limit; i++ {
-			if len(g.edges[i]) > 0 {
+// send per drain, not per edge. The kick is sent under the queue lock; it
+// never blocks.
+func (p *Pipeline) enqueue(runs [][]stream.Edge, seqs []uint64) error {
+	unlock := func() {
+		for i, run := range runs {
+			if len(run) > 0 {
 				p.queues[i].mu.Unlock()
 			}
 		}
 	}
-	n := len(g.edges)
-	for i, run := range g.edges {
+	for i, run := range runs {
 		if len(run) > 0 {
 			p.queues[i].mu.Lock()
 		}
 	}
 	if p.closed.Load() {
-		unlockTo(n)
+		unlock()
 		return ErrClosed
 	}
-	for i, run := range g.edges {
+	for i, run := range runs {
 		if len(run) > 0 && !p.fits(p.queues[i], len(run)) {
-			unlockTo(n)
+			unlock()
 			return ErrQueueFull
 		}
 	}
-	for i, run := range g.edges {
+	for i, run := range runs {
 		if len(run) == 0 {
 			continue
 		}
@@ -414,16 +330,11 @@ func (p *Pipeline) enqueueGroups(g *batchGroups) error {
 		wasEmpty := len(q.buf) == 0
 		q.buf = append(q.buf, run...)
 		q.enqueued += uint64(len(run))
-		if s := g.seqs[i]; s > q.walSeq {
-			q.walSeq = s
+		q.walSeq = max(q.walSeq, seqs[i])
+		if wasEmpty || len(q.buf) >= p.cfg.QueueDepth {
+			q.kickCommitter()
 		}
-		g.kicks[i] = wasEmpty || len(q.buf) >= p.cfg.QueueDepth
-	}
-	unlockTo(n)
-	for i, kick := range g.kicks {
-		if kick {
-			p.queues[i].kickCommitter()
-		}
+		q.mu.Unlock()
 	}
 	return nil
 }

@@ -413,3 +413,57 @@ func TestSnapshotterBackgroundLoop(t *testing.T) {
 		t.Fatalf("snapshot file missing: %v", err)
 	}
 }
+
+// TestWriteSnapshotCommitGate: writeSnapshot's beforeRename gate runs
+// while the previous snapshot is still in place, and its error abandons
+// the new one — the old file stays byte-identical and no temp file is
+// left — while a passing gate lets the new snapshot replace it. Snap uses
+// the gate to wait for the log to be durable through the encode; a gate
+// run after the rename would let a power loss pair a snapshot with a
+// shorter log.
+func TestWriteSnapshotCommitGate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snapshot.higgs")
+	st := testStreamFor(t, 400)
+	sum := newShardedFor(t, 2)
+	sum.InsertBatch(st[:200])
+	if err := WriteSnapshot(sum, path); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noTemp := func() {
+		t.Helper()
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("temp file left behind: %v", err)
+		}
+	}
+	sum.InsertBatch(st[200:])
+	gateErr := errors.New("log not durable")
+	err = writeSnapshot(sum, path, func() error {
+		if cur, err := os.ReadFile(path); err != nil || !bytes.Equal(cur, old) {
+			t.Errorf("the gate ran after the previous snapshot was replaced (%v)", err)
+		}
+		return gateErr
+	})
+	if !errors.Is(err, gateErr) {
+		t.Fatalf("writeSnapshot with a failing gate = %v, want the gate's error", err)
+	}
+	if cur, err := os.ReadFile(path); err != nil || !bytes.Equal(cur, old) {
+		t.Fatalf("a refused snapshot changed the previous one (%v)", err)
+	}
+	noTemp()
+
+	if err := writeSnapshot(sum, path, func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := sum.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if cur, err := os.ReadFile(path); err != nil || !bytes.Equal(cur, want.Bytes()) || bytes.Equal(cur, old) {
+		t.Fatalf("a passing gate did not replace the snapshot (%v)", err)
+	}
+	noTemp()
+}

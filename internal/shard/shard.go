@@ -145,7 +145,7 @@ type Summary struct {
 	// because crash recovery would undo them.
 	walOwned atomic.Bool
 
-	runs sync.Pool // recycled *runs, Mutate's insert-splitting scratch
+	runs sync.Pool // recycled *runs, Route's insert-splitting scratch
 }
 
 // SetApplyObserver registers obs to see every subsequent applied batch
@@ -207,8 +207,8 @@ func (s *Summary) ShardFor(v uint64) int {
 // a wrapper over it, and its body is the only place an answer-changing
 // write lock is taken (lock_test.go holds that). Every edge of an insert
 // must satisfy ShardFor(e.S) == i; routing an edge to the wrong shard
-// silently corrupts query results, so callers that do not partition with
-// ShardFor themselves use Mutate.
+// silently corrupts query results, so callers split batches with Route
+// or use Mutate.
 //
 // seq is m's write-ahead-log sequence number — for an insert, that of its
 // last edge — and 0 on the non-durable paths. A sequenced op at or below
@@ -278,54 +278,63 @@ func (s *Summary) apply(i int, seq uint64, m stream.Mutation, one bool) (n int64
 	return n
 }
 
-// runs is Mutate's scratch for splitting an insert: edges[i] is shard i's
-// run of the batch, in order, and seqs[i] the sequence number of its last
-// edge. Instances recycle through Summary.runs and the runs keep their
-// capacity, so a warm split — every record a replay applies — allocates
-// nothing.
+// runs is Route's scratch: edges[i] is shard i's run of a batch, in
+// order, and seqs[i] the sequence number of its last edge. Instances
+// recycle through Summary.runs and the runs keep their capacity, so a warm
+// split — every record a replay applies, every batch the pipeline admits —
+// allocates nothing.
 type runs struct {
 	edges [][]stream.Edge
 	seqs  []uint64
 }
 
+// Route is the one place an insert batch is split by owner. It hands fn
+// the batch's per-shard runs (runs[i] is shard i's, in batch order, empty
+// when the batch has none for it) and seqs[i], the sequence number of
+// run i's last edge: edge j of a batch logged at seq has seq+j, and an
+// unlogged batch (seq 0) numbers every run 0. The runs are pooled scratch,
+// valid only until fn returns; Route returns fn's error.
+func (s *Summary) Route(seq uint64, edges []stream.Edge, fn func(runs [][]stream.Edge, seqs []uint64) error) error {
+	r, _ := s.runs.Get().(*runs)
+	if r == nil {
+		r = &runs{edges: make([][]stream.Edge, len(s.slots)), seqs: make([]uint64, len(s.slots))}
+	}
+	for j, e := range edges {
+		i := s.ShardFor(e.S)
+		r.edges[i] = append(r.edges[i], e)
+		if seq != 0 {
+			r.seqs[i] = seq + uint64(j)
+		}
+	}
+	err := fn(r.edges, r.seqs)
+	for i, run := range r.edges {
+		r.edges[i], r.seqs[i] = run[:0], 0
+	}
+	s.runs.Put(r)
+	return err
+}
+
 // Mutate routes m, logged at sequence number seq (0 when unlogged), to
 // the shards it addresses and returns its summed extent (see Apply): an
-// insert's edges go to their owners, one run per shard at the sequence
-// number of that run's last edge (edge j of a batch logged at seq has
-// seq+j); a delete goes to its edge's owner; an expire or a finalize goes
-// to every shard, concurrently. Each shard skips what its watermark
-// already holds, so replaying an overlapping stream of records — a
-// recovery tail over a snapshot, a re-delivered replication chunk —
+// insert applies each shard's run of it at the sequence number Route
+// gives the run; a delete goes to its edge's owner; an expire or a
+// finalize goes to every shard, concurrently. Each shard skips what its
+// watermark already holds, so replaying an overlapping stream of records —
+// a recovery tail over a snapshot, a re-delivered replication chunk —
 // applies every record exactly once per shard.
 func (s *Summary) Mutate(seq uint64, m stream.Mutation) int64 {
 	s.checkUnlogged(seq, m.Kind)
 	switch m.Kind {
 	case stream.Insert:
-		if len(s.slots) == 1 {
-			if seq != 0 && len(m.Edges) > 0 {
-				seq += uint64(len(m.Edges)) - 1
-			}
-			return s.Apply(0, seq, m)
-		}
-		r, _ := s.runs.Get().(*runs)
-		if r == nil {
-			r = &runs{edges: make([][]stream.Edge, len(s.slots)), seqs: make([]uint64, len(s.slots))}
-		}
-		for j, e := range m.Edges {
-			i := s.ShardFor(e.S)
-			r.edges[i] = append(r.edges[i], e)
-			if seq != 0 {
-				r.seqs[i] = seq + uint64(j)
-			}
-		}
 		var n int64
-		for i, run := range r.edges {
-			if len(run) > 0 {
-				n += s.Apply(i, r.seqs[i], stream.Mutation{Kind: stream.Insert, Edges: run})
-				r.edges[i], r.seqs[i] = run[:0], 0
+		s.Route(seq, m.Edges, func(runs [][]stream.Edge, seqs []uint64) error {
+			for i, run := range runs {
+				if len(run) > 0 {
+					n += s.Apply(i, seqs[i], stream.Mutation{Kind: stream.Insert, Edges: run})
+				}
 			}
-		}
-		s.runs.Put(r)
+			return nil
+		})
 		return n
 	case stream.Delete:
 		return s.Apply(s.ShardFor(m.Edge.S), seq, m)
