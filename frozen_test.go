@@ -1,6 +1,7 @@
 package higgs_test
 
 import (
+	"higgs/internal/core"
 	"higgs/internal/ingest"
 	"higgs/internal/query"
 	"higgs/internal/rcache"
@@ -35,4 +36,13 @@ var (
 	_ func(uint64) int                                                  = (*shard.Summary)(nil).ShardFor
 	_ func(rcache.Backend, rcache.Config) (*rcache.Cache, error)        = rcache.New
 	_ func(query.Prober, query.Analytics, []query.Query) []query.Result = query.DoBatchWith
+	_ func() shard.Config                                               = (*shard.Summary)(nil).Config
+	_ func(core.Config) (*core.Summary, error)                          = core.New
+	_ func(stream.Edge)                                                 = (*core.Summary)(nil).Insert
+	_ func(int64) int                                                   = (*core.Summary)(nil).Expire
+	_ func(uint64, uint64, int64, int64) int64                          = (*core.Summary)(nil).EdgeWeight
+	_ func(uint64, int64, int64) int64                                  = (*core.Summary)(nil).VertexOut
+	_ func(uint64, int64, int64) int64                                  = (*core.Summary)(nil).VertexIn
+	_ core.Config                                                       = shard.Config{}.Core
+	_                                                                   = query.Probe{Op: query.OpEdge, S: 0, D: 0, Ts: 0, Te: 0}
 )

@@ -104,14 +104,14 @@ func Load(r io.Reader) (*Summary, error) { return core.Read(r) }
 // locks. See package shard for full method documentation and DESIGN.md §8
 // for the partitioning model.
 //
-// Durable-retention invariant: once a Sharded summary is fed by a
-// WAL-backed Ingest pipeline (IngestConfig.WAL), the pipeline's Expire and
-// Delete are the ONLY expire and delete entry points — they sequence the
-// operation against in-flight batches and record it in the log, so crash
-// recovery reproduces it. Calling Sharded.Expire or Sharded.Delete
-// directly on such a summary panics: the unlogged operation would be
-// silently undone on the next recovery, resurrecting what it removed
-// (DESIGN.md §12–§13).
+// Durability invariant: once a Sharded summary is fed by a WAL-backed
+// Ingest pipeline (IngestConfig.WAL), the pipeline's Submit, Expire and
+// Delete are the ONLY write entry points — they sequence the operation
+// against in-flight batches and record it in the log, so crash recovery
+// reproduces it. Calling Sharded.Insert, InsertBatch, Expire, Delete or
+// Finalize directly on such a summary panics: the unlogged write would be
+// silently undone on the next recovery, losing an edge or resurrecting
+// what it removed (DESIGN.md §12–§13).
 type Sharded = shard.Summary
 
 // ShardedConfig parameterizes a sharded summary: the shard count and the

@@ -166,19 +166,25 @@ func (r *rig) crashRecover() (replayed int64, took time.Duration, err error) {
 }
 
 // summaryBytes serializes a summary, finalized first when the run is over.
-// Without finalizing, a live primary and its replica stay comparable
-// mid-stream. Either way the bytes cover the per-shard watermarks, so
-// equality is sequence equality, not just tree equality. A snapshot holds
-// no aggregates, so each shard's aggregate counts follow it: Stats seals
-// every closed node from the aggregates the summary holds, and equal
-// counts pin those to the clean run's.
+// A WAL-owned summary refuses an unlogged Finalize, so the finalized form
+// is that of its decoded twin. Without finalizing, a live primary and its
+// replica stay comparable mid-stream. Either way the bytes cover the
+// per-shard watermarks, so equality is sequence equality, not just tree
+// equality. A snapshot holds no aggregates, so each shard's aggregate
+// counts follow it: Stats seals every closed node from the aggregates the
+// summary holds, and equal counts pin those to the clean run's.
 func summaryBytes(s *shard.Summary, finalize bool) ([]byte, error) {
-	if finalize {
-		s.Finalize()
-	}
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		return nil, err
+	}
+	if finalize {
+		twin, err := shard.Read(&buf)
+		if err != nil {
+			return nil, err
+		}
+		twin.Finalize()
+		return summaryBytes(twin, false)
 	}
 	b := buf.Bytes()
 	for _, ps := range s.Stats().PerShard {

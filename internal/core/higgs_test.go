@@ -7,6 +7,7 @@ import (
 
 	"higgs/internal/exact"
 	"higgs/internal/matrix"
+	"higgs/internal/query"
 	"higgs/internal/stream"
 )
 
@@ -106,8 +107,8 @@ func TestEmptySummary(t *testing.T) {
 	if s.Layers() != 0 || s.Leaves() != 0 {
 		t.Error("empty summary has nonzero shape")
 	}
-	if s.RangeMatrixCount(0, 10) != 0 {
-		t.Error("empty summary decomposes into matrices")
+	if a := s.Probe(query.Probe{Op: query.OpEdge, S: 1, D: 2, Ts: 0, Te: 10}); a != (Answer{}) {
+		t.Errorf("empty summary answers %+v", a)
 	}
 	if s.Delete(stream.Edge{S: 1, D: 2, W: 1, T: 5}) {
 		t.Error("delete on empty summary succeeded")
@@ -272,7 +273,7 @@ func TestAggregateConsistency(t *testing.T) {
 		}
 	}
 	// The aggregate path must touch far fewer matrices.
-	if ca, cb := a.RangeMatrixCount(first, last), b.RangeMatrixCount(first, last); cb >= ca {
+	if ca, cb := matrices(a, first, last), matrices(b, first, last); cb >= ca {
 		t.Fatalf("aggregates not used: %d matrices before finalize, %d after", ca, cb)
 	}
 }
@@ -285,12 +286,12 @@ func TestRangeDecompositionBound(t *testing.T) {
 	}
 	s.Finalize()
 	// A point query touches at most one leaf (plus its overflow blocks).
-	if c := s.RangeMatrixCount(20000, 20000); c > 4 {
+	if c := matrices(s, 20000, 20000); c > 4 {
 		t.Fatalf("point query touches %d matrices", c)
 	}
 	// The full range touches O(1) matrices after finalize (root + open
 	// fringe), far fewer than the number of leaves.
-	full := s.RangeMatrixCount(0, 40000)
+	full := matrices(s, 0, 40000)
 	if full >= s.Leaves() {
 		t.Fatalf("full-range decomposition (%d) not better than leaf scan (%d leaves)", full, s.Leaves())
 	}
@@ -301,9 +302,60 @@ func TestRangeDecompositionBound(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ts := int64(rng.Intn(40000))
 		te := ts + int64(rng.Intn(40000-int(ts)))
-		if c := s.RangeMatrixCount(ts, te); c > bound {
+		if c := matrices(s, ts, te); c > bound {
 			t.Fatalf("range [%d,%d] touches %d matrices, bound %d", ts, te, c, bound)
 		}
+	}
+}
+
+// matrices is the number of matrices the probe walk visits for [ts, te].
+func matrices(s *Summary, ts, te int64) int {
+	return s.Probe(query.Probe{Op: query.OpVertexOut, Ts: ts, Te: te}).Matrices
+}
+
+// TestProbeMatrices pins Answer.Matrices exactly, whatever the op: after
+// Finalize a whole-range probe visits the root's aggregate alone, and a
+// point query inside a leaf that spans more than one timestamp visits that
+// leaf and each of its overflow blocks (with overflow blocks on, leaves'
+// time ranges are disjoint, and no ancestor fits inside the point).
+func TestProbeMatrices(t *testing.T) {
+	c := smallConfig()
+	c.OverflowBlocks = true
+	s := MustNew(c)
+	rng := rand.New(rand.NewSource(21))
+	for ts := int64(0); ts < 3000; ts++ {
+		n := 1
+		if ts%25 == 0 {
+			n = 40 // a burst on one timestamp fills overflow blocks
+		}
+		for range n {
+			s.Insert(stream.Edge{S: uint64(rng.Intn(60)), D: uint64(rng.Intn(60)), W: 1, T: ts})
+		}
+	}
+	s.Finalize()
+	ops := []query.Op{query.OpEdge, query.OpVertexOut, query.OpVertexIn}
+	for _, op := range ops {
+		if got := s.Probe(query.Probe{Op: op, S: 1, D: 2, Ts: 0, Te: 3000}).Matrices; got != 1 {
+			t.Fatalf("op %d: a whole-range probe after Finalize visits %d matrices, want 1", op, got)
+		}
+	}
+	points, withBlocks := 0, 0
+	for id := range s.ar.nextNode {
+		n := s.ar.node(nodeID(id))
+		if n.level != 1 || n.firstT == n.lastT {
+			continue
+		}
+		points++
+		if len(n.obs) > 0 {
+			withBlocks++
+		}
+		tp := n.firstT + int64(id)%(n.lastT-n.firstT+1)
+		if got, want := s.Probe(query.Probe{Op: ops[id%3], S: 1, D: 2, Ts: tp, Te: tp}).Matrices, 1+len(n.obs); got != want {
+			t.Fatalf("point %d in leaf [%d, %d] with %d overflow blocks visits %d matrices, want %d", tp, n.firstT, n.lastT, len(n.obs), got, want)
+		}
+	}
+	if points == 0 || withBlocks == 0 {
+		t.Fatalf("%d multi-timestamp leaves, %d with overflow blocks: the fixture is not what it says", points, withBlocks)
 	}
 }
 
@@ -550,8 +602,23 @@ func TestStatsBuildsNoColumnIndex(t *testing.T) {
 		t.Fatalf("Stats and HeapBytes left %d column indexes; HeapBytes %d, Stats %d", n, s.HeapBytes(), st.HeapBytes)
 	}
 	const ts, te = 3000, 17000
+	// touched is the set of aggregates the walk's decomposition of [ts, te]
+	// uses whole.
 	touched := map[*matrix.Matrix]bool{}
-	s.collect(s.root, ts, te, func(m *matrix.Matrix, _, _ int64) { touched[m] = true })
+	var cover func(n *node)
+	cover = func(n *node) {
+		last := n.last(s.lastT)
+		switch {
+		case n.firstT > te || last < ts:
+		case n.level > 1 && n.closed && ts <= n.firstT && last <= te:
+			touched[n.mat] = true
+		default:
+			for _, id := range s.ar.children(n) {
+				cover(s.ar.node(nodeID(id)))
+			}
+		}
+	}
+	cover(s.root)
 	s.VertexIn(7, ts, te)
 	var want int64
 	frozen := 0
@@ -604,16 +671,27 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkEdgeQuery(b *testing.B) {
+// probeSink keeps BenchmarkProbe's answers live.
+var probeSink Answer
+
+// BenchmarkProbe times one probe walk per op over a finalized 100K-edge
+// summary, each window 100K seconds wide and sliding across the stream.
+func BenchmarkProbe(b *testing.B) {
 	s := MustNew(DefaultConfig())
 	st := denseStream(100000, 2000, 1_000_000, 16)
 	for _, e := range st {
 		s.Insert(e)
 	}
 	s.Finalize()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts := int64(i % 900000)
-		s.EdgeWeight(uint64(i%2000), uint64((i+7)%2000), ts, ts+100000)
+	for _, bc := range []struct {
+		name string
+		op   query.Op
+	}{{"edge", query.OpEdge}, {"out", query.OpVertexOut}, {"in", query.OpVertexIn}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ts := int64(i % 900000)
+				probeSink = s.Probe(query.Probe{Op: bc.op, S: uint64(i % 2000), D: uint64((i + 7) % 2000), Ts: ts, Te: ts + 100000})
+			}
+		})
 	}
 }

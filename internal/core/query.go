@@ -4,93 +4,107 @@ import (
 	"math"
 
 	"higgs/internal/matrix"
+	"higgs/internal/query"
 )
 
-// visitFn receives one matrix of the range decomposition together with the
-// offset window queries must apply ([MinInt64, MaxInt64] when the matrix is
-// fully covered, so no per-entry timestamp checks are needed).
-type visitFn func(m *matrix.Matrix, loOff, hiOff int64)
+// Answer is what one probe walk reports: its one-sided estimate and the
+// number of matrices the range decomposition visited — aggregates, leaves
+// and overflow blocks alike (the paper bounds it by 2(θ−1)·log_θ(Lq/L′)).
+type Answer struct {
+	Weight   int64
+	Matrices int
+}
 
-// collect performs the boundary search (paper Algorithm 3) as a recursive
+// walkState is one probe's state on its way down the tree: the op, the hashed
+// endpoints (hd only for query.OpEdge), the window and the running answer.
+type walkState struct {
+	op     query.Op
+	hs, hd uint64
+	ts, te int64
+	ans    Answer
+}
+
+// Probe answers one single-shard primitive of the query planner over
+// [p.Ts, p.Te]: the weight of edge S→D (query.OpEdge), or S's out- or
+// in-weight (query.OpVertexOut, query.OpVertexIn). Every estimate is
+// one-sided: it never undercounts the truth (paper §V-D).
+func (s *Summary) Probe(p query.Probe) Answer {
+	if s.root == nil || p.Ts > p.Te {
+		return Answer{}
+	}
+	w := walkState{op: p.Op, hs: s.h.Hash(p.S), ts: p.Ts, te: p.Te}
+	if p.Op == query.OpEdge {
+		w.hd = s.h.Hash(p.D)
+	}
+	s.walk(s.root, &w)
+	return w.ans
+}
+
+// walk performs the boundary search (paper Algorithm 3) as a recursive
 // range decomposition over the tree: a closed node fully inside [ts, te]
 // contributes its aggregate matrix; partially covered or still-open nodes
 // recurse into children; leaves contribute their matrices (and overflow
 // blocks) with an entry-level offset filter at the range fringes.
-func (s *Summary) collect(n *node, ts, te int64, visit visitFn) {
+func (s *Summary) walk(n *node, w *walkState) {
 	last := n.last(s.lastT)
-	if n.firstT > te || last < ts {
+	if n.firstT > w.te || last < w.ts {
 		return
 	}
+	whole := w.ts <= n.firstT && last <= w.te
 	if n.level > 1 {
-		if ts <= n.firstT && last <= te && n.closed {
+		if whole && n.closed {
 			s.sealNow(n)
-			visit(n.mat, math.MinInt64, math.MaxInt64)
+			w.visit(n.mat, true)
 			return
 		}
 		for _, id := range s.ar.children(n) {
-			s.collect(s.ar.node(nodeID(id)), ts, te, visit)
+			s.walk(s.ar.node(nodeID(id)), w)
 		}
 		return
 	}
-	// Leaf: fully covered leaves skip timestamp checks too.
-	if ts <= n.firstT && last <= te {
-		visit(n.mat, math.MinInt64, math.MaxInt64)
-		for _, ob := range n.obs {
-			visit(ob, math.MinInt64, math.MaxInt64)
-		}
-		return
-	}
-	visit(n.mat, ts-n.mat.StartT(), te-n.mat.StartT())
+	w.visit(n.mat, whole)
 	for _, ob := range n.obs {
-		visit(ob, ts-ob.StartT(), te-ob.StartT())
+		w.visit(ob, whole)
+	}
+}
+
+// visit adds matrix m's share to the answer. The op is switched on here
+// and nowhere else. A wholly covered matrix needs no per-entry timestamp
+// check; a fringe leaf filters its entries to the window's offsets.
+func (w *walkState) visit(m *matrix.Matrix, whole bool) {
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	if !whole {
+		lo, hi = w.ts-m.StartT(), w.te-m.StartT()
+	}
+	w.ans.Matrices++
+	fp, base := split(w.hs, m)
+	switch w.op {
+	case query.OpEdge:
+		fpD, baseD := split(w.hd, m)
+		w.ans.Weight += m.EdgeSum(fp, base, fpD, baseD, lo, hi)
+	case query.OpVertexOut:
+		w.ans.Weight += m.RowSum(fp, base, lo, hi)
+	case query.OpVertexIn:
+		w.ans.Weight += m.ColSum(fp, base, lo, hi)
 	}
 }
 
 // EdgeWeight returns the estimated aggregated weight of edge (sv → dv)
-// within [ts, te] (TRQ edge-query primitive, paper Def. 2). The estimate
-// never undercounts the true weight (one-sided error, paper §V-D).
+// within [ts, te] (TRQ edge-query primitive, paper Def. 2).
 func (s *Summary) EdgeWeight(sv, dv uint64, ts, te int64) int64 {
-	if s.root == nil || ts > te {
-		return 0
-	}
-	hs, hd := s.h.Hash(sv), s.h.Hash(dv)
-	var sum int64
-	s.collect(s.root, ts, te, func(m *matrix.Matrix, lo, hi int64) {
-		fpS, baseS := split(hs, m)
-		fpD, baseD := split(hd, m)
-		sum += m.EdgeSum(fpS, baseS, fpD, baseD, lo, hi)
-	})
-	return sum
+	return s.Probe(query.Probe{Op: query.OpEdge, S: sv, D: dv, Ts: ts, Te: te}).Weight
 }
 
 // VertexOut returns the estimated aggregated weight of v's outgoing edges
 // within [ts, te] (TRQ vertex-query primitive).
 func (s *Summary) VertexOut(v uint64, ts, te int64) int64 {
-	if s.root == nil || ts > te {
-		return 0
-	}
-	hv := s.h.Hash(v)
-	var sum int64
-	s.collect(s.root, ts, te, func(m *matrix.Matrix, lo, hi int64) {
-		fp, base := split(hv, m)
-		sum += m.RowSum(fp, base, lo, hi)
-	})
-	return sum
+	return s.Probe(query.Probe{Op: query.OpVertexOut, S: v, Ts: ts, Te: te}).Weight
 }
 
 // VertexIn returns the estimated aggregated weight of v's incoming edges
 // within [ts, te].
 func (s *Summary) VertexIn(v uint64, ts, te int64) int64 {
-	if s.root == nil || ts > te {
-		return 0
-	}
-	hv := s.h.Hash(v)
-	var sum int64
-	s.collect(s.root, ts, te, func(m *matrix.Matrix, lo, hi int64) {
-		fp, base := split(hv, m)
-		sum += m.ColSum(fp, base, lo, hi)
-	})
-	return sum
+	return s.Probe(query.Probe{Op: query.OpVertexIn, S: v, Ts: ts, Te: te}).Weight
 }
 
 // PathWeight returns the estimated sum of edge weights along the vertex
@@ -111,16 +125,4 @@ func (s *Summary) SubgraphWeight(edges [][2]uint64, ts, te int64) int64 {
 		sum += s.EdgeWeight(e[0], e[1], ts, te)
 	}
 	return sum
-}
-
-// RangeMatrixCount returns the number of matrices the boundary search
-// touches for [ts, te]; the paper bounds it by 2(θ−1)·log_θ(Lq/L′). It is
-// exported for tests and the latency analysis.
-func (s *Summary) RangeMatrixCount(ts, te int64) int {
-	if s.root == nil || ts > te {
-		return 0
-	}
-	count := 0
-	s.collect(s.root, ts, te, func(*matrix.Matrix, int64, int64) { count++ })
-	return count
 }

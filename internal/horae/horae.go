@@ -198,9 +198,6 @@ func (s *Summary) VertexIn(v uint64, ts, te int64) int64 {
 // Items returns the number of inserted items.
 func (s *Summary) Items() int64 { return s.items }
 
-// StoredLayers returns the number of stored layers.
-func (s *Summary) StoredLayers() int { return len(s.stored) }
-
 // SpaceBytes returns the packed structural size: the sum over stored
 // layers.
 func (s *Summary) SpaceBytes() int64 {

@@ -66,10 +66,10 @@ func TestValidation(t *testing.T) {
 }
 
 func TestLayerCounts(t *testing.T) {
-	if got := build(t, 10, false).StoredLayers(); got != 11 {
+	if got := len(build(t, 10, false).stored); got != 11 {
 		t.Errorf("full variant stores %d layers, want 11", got)
 	}
-	if got := build(t, 10, true).StoredLayers(); got != 6 {
+	if got := len(build(t, 10, true).stored); got != 6 {
 		t.Errorf("cpt variant stores %d layers, want 6 (levels 0,2,4,6,8,10)", got)
 	}
 }
@@ -150,8 +150,8 @@ func TestCompactUsesLessSpace(t *testing.T) {
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
 			full, cpt := k.build(t, 16, false), k.build(t, 16, true)
-			if cpt.StoredLayers() >= full.StoredLayers() {
-				t.Fatalf("cpt stores %d layers, full %d", cpt.StoredLayers(), full.StoredLayers())
+			if len(cpt.stored) >= len(full.stored) {
+				t.Fatalf("cpt stores %d layers, full %d", len(cpt.stored), len(full.stored))
 			}
 			for _, e := range st {
 				full.Insert(e)

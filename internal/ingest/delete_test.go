@@ -206,3 +206,43 @@ func TestDirectDeletePanicsWhenWALOwned(t *testing.T) {
 	mustPanicHere(t, "Mutate(0, delete)", func() { sum.Mutate(0, m) })
 	mustPanicHere(t, "Apply(i, 0, delete)", func() { sum.Apply(sum.ShardFor(e.S), 0, m) })
 }
+
+// TestUnloggedWritePanicsWhenWALOwned: the guard covers every write, not
+// just the rewrites. An unlogged insert (through any entry point) or
+// Finalize on a WAL-owned summary panics before it touches a shard, so the
+// summary never answers what crash recovery of its log would lose.
+func TestUnloggedWritePanicsWhenWALOwned(t *testing.T) {
+	dir := t.TempDir()
+	log := openWAL(t, dir, 0)
+	sum := newShardedFor(t, 4)
+	p, err := New(sum, Config{WAL: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := testStreamFor(t, 1000)
+	submitAll(t, p, st, 100)
+	p.Flush()
+	last := st[len(st)-1]
+	e := stream.Edge{S: last.S, D: last.D, W: 7, T: last.T}
+	before := sum.EdgeWeight(e.S, e.D, e.T, e.T)
+	edges := []stream.Edge{e}
+	mustPanicHere(t, "Insert", func() { sum.Insert(e) })
+	mustPanicHere(t, "InsertBatch", func() { sum.InsertBatch(edges) })
+	mustPanicHere(t, "InsertShardAt(i, edges, 0)", func() { sum.InsertShardAt(sum.ShardFor(e.S), edges, 0) })
+	mustPanicHere(t, "Mutate(0, insert)", func() { sum.Mutate(0, stream.Mutation{Kind: stream.Insert, Edges: edges}) })
+	mustPanicHere(t, "Finalize", sum.Finalize)
+	p.Close()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log = openWAL(t, dir, 0)
+	defer log.Close()
+	recovered := newShardedFor(t, 4)
+	if _, err := Recover(recovered, log); err != nil {
+		t.Fatal(err)
+	}
+	got, want := sum.EdgeWeight(e.S, e.D, e.T, e.T), recovered.EdgeWeight(e.S, e.D, e.T, e.T)
+	if got != before || got != want {
+		t.Fatalf("edge answers %d after the unlogged writes (%d before), %d after recovery", got, before, want)
+	}
+}

@@ -203,9 +203,9 @@ func New(sum *shard.Summary, cfg Config) (*Pipeline, error) {
 			}
 		}
 		p.log = cfg.WAL
-		// The log owns the durable state from here on: a direct
-		// shard.Summary.Expire or Delete would be silently undone by crash
-		// recovery, so arm the guard that forces both through the pipeline.
+		// The log owns the durable state from here on: any direct write
+		// to the summary would be silently undone by crash recovery, so arm
+		// the guard that forces every write through the pipeline.
 		sum.MarkWALOwned()
 	}
 	p.queues = make([]*queue, sum.NumShards())

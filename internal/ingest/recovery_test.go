@@ -70,12 +70,21 @@ func submitAll(t *testing.T, p *Pipeline, st stream.Stream, batch int) {
 	}
 }
 
-// snapshotBytes finalizes and serializes a summary.
+// snapshotBytes serializes a summary finalized. A WAL-owned summary
+// refuses an unlogged Finalize, so the bytes are its decoded twin's.
 func snapshotBytes(t *testing.T, s *shard.Summary) []byte {
 	t.Helper()
-	s.Finalize()
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := shard.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.Finalize()
+	buf.Reset()
+	if _, err := twin.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

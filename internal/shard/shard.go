@@ -141,8 +141,8 @@ type Summary struct {
 	obs atomic.Pointer[ApplyObserver]
 
 	// walOwned, once set (MarkWALOwned), marks the summary's durable state
-	// as owned by a write-ahead log: unlogged expires and deletes panic,
-	// because crash recovery would undo them.
+	// as owned by a write-ahead log: every unlogged write panics, because
+	// crash recovery would undo it.
 	walOwned atomic.Bool
 
 	runs sync.Pool // recycled *runs, Route's insert-splitting scratch
@@ -226,7 +226,7 @@ func (s *Summary) ShardFor(v uint64) int {
 // Callers sequencing against a WAL must apply each shard's ops in
 // ascending sequence order, whole records at a time (DESIGN.md §12).
 func (s *Summary) Apply(i int, seq uint64, m stream.Mutation) int64 {
-	s.checkUnlogged(seq, m.Kind)
+	s.checkUnlogged(seq)
 	return s.apply(i, seq, m, false)
 }
 
@@ -323,7 +323,7 @@ func (s *Summary) Route(seq uint64, edges []stream.Edge, fn func(runs [][]stream
 // a recovery tail over a snapshot, a re-delivered replication chunk —
 // applies every record exactly once per shard.
 func (s *Summary) Mutate(seq uint64, m stream.Mutation) int64 {
-	s.checkUnlogged(seq, m.Kind)
+	s.checkUnlogged(seq)
 	switch m.Kind {
 	case stream.Insert:
 		var n int64
@@ -347,8 +347,11 @@ func (s *Summary) Mutate(seq uint64, m stream.Mutation) int64 {
 // Insert adds one stream item to the shard of its source vertex.
 // Timestamps must be non-decreasing per shard; since each shard receives a
 // subsequence of the stream, any globally time-ordered stream satisfies
-// this (out-of-order items are clamped per shard, see core.Summary).
+// this (out-of-order items are clamped per shard, see core.Summary). It is
+// unlogged, so it trips the WAL-ownership guard, as do InsertBatch and
+// Finalize; on a summary a WAL-backed pipeline feeds, use its Submit.
 func (s *Summary) Insert(e stream.Edge) {
+	s.checkUnlogged(0)
 	s.apply(s.ShardFor(e.S), 0, stream.Mutation{Kind: stream.Insert, Edge: e}, true)
 }
 
@@ -428,14 +431,7 @@ func (s *Summary) ProbeShard(i int, probes []query.Probe, out []int64) {
 	sl.mu.RLock()
 	defer sl.mu.RUnlock()
 	for j, p := range probes {
-		switch p.Op {
-		case query.OpEdge:
-			out[j] = sl.sum.EdgeWeight(p.S, p.D, p.Ts, p.Te)
-		case query.OpVertexOut:
-			out[j] = sl.sum.VertexOut(p.S, p.Ts, p.Te)
-		case query.OpVertexIn:
-			out[j] = sl.sum.VertexIn(p.S, p.Ts, p.Te)
-		}
+		out[j] = sl.sum.Probe(p).Weight
 	}
 }
 
@@ -519,9 +515,9 @@ func (s *Summary) Expire(cutoff int64) int64 {
 	return s.ExpireAt(cutoff, 0)
 }
 
-// MarkWALOwned arms the guard that makes unlogged expires and deletes
-// panic: the summary's durable state is owned by a write-ahead log, so
-// every expire and delete must be sequenced and logged by the ingest
+// MarkWALOwned arms the guard that makes every unlogged write panic: the
+// summary's durable state is owned by a write-ahead log, so every insert,
+// expire, delete and finalize must be sequenced and logged by the ingest
 // pipeline. It is called by ingest.New when the pipeline is WAL-backed and
 // is never unset.
 func (s *Summary) MarkWALOwned() { s.walOwned.Store(true) }
@@ -533,15 +529,17 @@ func (s *Summary) ExpireAt(cutoff int64, seq uint64) int64 {
 	return s.Mutate(seq, stream.Mutation{Kind: stream.Expire, Cutoff: cutoff})
 }
 
-// checkUnlogged panics on an unlogged (seq 0) expire or delete of a
-// WAL-owned summary, whichever entry point it arrives through: applied in
-// memory with no record and no watermark advance, it would be silently
-// undone by the next crash recovery, resurrecting what it removed. Apply
-// and Mutate both call it before any shard is touched, so the panic
-// reaches the caller's goroutine, never one of eachShard's.
-func (s *Summary) checkUnlogged(seq uint64, k stream.Kind) {
-	if seq == 0 && (k == stream.Expire || k == stream.Delete) && s.walOwned.Load() {
-		panic("shard: unlogged expire or delete on a WAL-owned summary would be undone by crash recovery; use the ingest pipeline's Expire / Delete")
+// checkUnlogged panics on an unlogged (seq 0) write of a WAL-owned
+// summary, whatever its kind and whichever entry point it arrives through:
+// applied in memory with no record and no watermark advance, it would be
+// silently undone by the next crash recovery — an insert lost, an expired
+// or deleted edge resurrected — and never reach a follower. Apply, Mutate
+// and Insert call it before any shard is touched, so the panic reaches the
+// caller's goroutine, never one of eachShard's. A sequenced write pays
+// nothing: seq != 0 short-circuits before the atomic load.
+func (s *Summary) checkUnlogged(seq uint64) {
+	if seq == 0 && s.walOwned.Load() {
+		panic("shard: unlogged insert, expire, delete or finalize on a WAL-owned summary would be undone by crash recovery; write through the ingest pipeline (Submit, Expire, Delete)")
 	}
 }
 

@@ -51,9 +51,6 @@ func Decompose(ts, te int64, maxLevel int, allowed func(level int) bool) []Block
 	return out
 }
 
-// AllLevels reports every level as allowed.
-func AllLevels(int) bool { return true }
-
 // EvenLevels reports only even levels (and level 0) as allowed — the layer
 // thinning used by the -cpt compact variants.
 func EvenLevels(l int) bool { return l%2 == 0 }

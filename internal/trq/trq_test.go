@@ -9,6 +9,9 @@ import (
 	"higgs/internal/stream"
 )
 
+// allLevels allows every level: the full dyadic decomposition.
+func allLevels(int) bool { return true }
+
 // TestDecomposeCoversExactly: the blocks must tile [ts, te] exactly —
 // disjoint, in order, and covering every timestamp.
 func TestDecomposeCoversExactly(t *testing.T) {
@@ -34,12 +37,12 @@ func TestDecomposeCoversExactly(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		ts := int64(rng.Intn(1 << 20))
 		te := ts + int64(rng.Intn(1<<20))
-		check(ts, te, AllLevels)
+		check(ts, te, allLevels)
 		check(ts, te, EvenLevels)
 	}
-	check(0, 0, AllLevels)
-	check(5, 5, AllLevels)
-	check(0, (1<<25)-1, AllLevels)
+	check(0, 0, allLevels)
+	check(5, 5, allLevels)
+	check(0, (1<<25)-1, allLevels)
 }
 
 func TestDecomposeBlockCountBound(t *testing.T) {
@@ -49,7 +52,7 @@ func TestDecomposeBlockCountBound(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		ts := int64(rng.Intn(1 << 24))
 		te := ts + int64(rng.Intn(1<<24))
-		all := Decompose(ts, te, 30, AllLevels)
+		all := Decompose(ts, te, 30, allLevels)
 		if len(all) > 2*30+1 {
 			t.Fatalf("[%d,%d]: %d blocks exceeds bound", ts, te, len(all))
 		}
@@ -62,16 +65,16 @@ func TestDecomposeBlockCountBound(t *testing.T) {
 }
 
 func TestDecomposeEdgeCases(t *testing.T) {
-	if got := Decompose(10, 5, 30, AllLevels); got != nil {
+	if got := Decompose(10, 5, 30, allLevels); got != nil {
 		t.Errorf("inverted range: %v", got)
 	}
-	if got := Decompose(-100, 3, 30, AllLevels); len(got) == 0 {
+	if got := Decompose(-100, 3, 30, allLevels); len(got) == 0 {
 		t.Error("negative ts should clamp, not vanish")
 	} else if got[0].Index<<got[0].Level != 0 {
 		t.Error("clamped range should start at 0")
 	}
 	// maxLevel 0 degenerates to per-timestamp blocks.
-	if got := Decompose(0, 7, 0, AllLevels); len(got) != 8 {
+	if got := Decompose(0, 7, 0, allLevels); len(got) != 8 {
 		t.Errorf("maxLevel 0 gave %d blocks, want 8", len(got))
 	}
 }
@@ -82,7 +85,7 @@ func TestDecomposeAlignedRangeProperty(t *testing.T) {
 		l := int(lvl % 20)
 		lo := int64(idx) << l
 		hi := lo + (1 << l) - 1
-		blocks := Decompose(lo, hi, 30, AllLevels)
+		blocks := Decompose(lo, hi, 30, allLevels)
 		return len(blocks) == 1 && blocks[0].Level == l
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
