@@ -675,7 +675,9 @@ func BenchmarkInsert(b *testing.B) {
 var probeSink Answer
 
 // BenchmarkProbe times one probe walk per op over a finalized 100K-edge
-// summary, each window 100K seconds wide and sliding across the stream.
+// summary, each window 100K seconds wide and sliding across the stream. Its
+// 2,000 keys keep the leaves they visit in cache; the cold row does not
+// (coldProbes).
 func BenchmarkProbe(b *testing.B) {
 	s := MustNew(DefaultConfig())
 	st := denseStream(100000, 2000, 1_000_000, 16)
@@ -694,4 +696,46 @@ func BenchmarkProbe(b *testing.B) {
 			}
 		})
 	}
+	cold, probes := coldProbes()
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			probeSink = cold.Probe(probes[i%len(probes)])
+		}
+	})
+}
+
+// coldProbes returns one finalized summary the size of the daemon
+// benchmark's live state — 320K edges over 32K vertices and 320K seconds,
+// whose 501 leaves hold 8.3 MiB, more than a 4 MiB L2 — and 64K distinct
+// probes in the daemon benchmark's mix, 22 edge : 3 out : 4 in. Each probe
+// asks about an edge or an endpoint of one stored edge, over a window of
+// span/256, span/32 or the whole span that holds the edge's arrival.
+func coldProbes() (*Summary, []query.Probe) {
+	const n, span = 320_000, 320_000
+	s := MustNew(DefaultConfig())
+	st := denseStream(n, 32_000, span, 17)
+	for _, e := range st {
+		s.Insert(e)
+	}
+	s.Finalize()
+	rng := rand.New(rand.NewSource(18))
+	seen := map[query.Probe]bool{}
+	probes := make([]query.Probe, 0, 1<<16)
+	for len(probes) < cap(probes) {
+		e := st[rng.Intn(n)]
+		length := [3]int64{span / 256, span / 32, span}[rng.Intn(3)]
+		ts := max(0, min(e.T-rng.Int63n(length), span-length))
+		p := query.Probe{Op: query.OpEdge, S: e.S, D: e.D, Ts: ts, Te: ts + length - 1}
+		switch k := len(probes) % 29; {
+		case k >= 25:
+			p.Op, p.S, p.D = query.OpVertexIn, e.D, 0
+		case k >= 22:
+			p.Op, p.D = query.OpVertexOut, 0
+		}
+		if !seen[p] {
+			seen[p] = true
+			probes = append(probes, p)
+		}
+	}
+	return s, probes
 }

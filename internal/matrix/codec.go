@@ -117,6 +117,8 @@ func Decode(r *wire.Reader, want *Config) (*Matrix, error) {
 		if cfg.Timed {
 			m.offs[k] = off
 		}
+		baseS, baseD := m.lcg.Base(uint32(bkt)/cfg.D, int(idx>>4)), m.lcg.Base(uint32(bkt)%cfg.D, int(idx&0xf))
+		m.note(m.spillKey(fpS, baseS), m.spillKey(fpD, baseD))
 		m.fills[bkt]++
 	}
 	m.count = count

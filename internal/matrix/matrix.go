@@ -26,7 +26,9 @@
 // aggregates never meet one. Aggregate builds that layout directly from the
 // children, without a dense slab, and nothing else builds it: a snapshot
 // holds no aggregates. The Pool recycles dense slabs, which are then only
-// those of leaves and overflow blocks.
+// those of leaves and overflow blocks. A dense slab also keeps a presence
+// filter over its entries (note), so a probe skips the slots of a leaf that
+// cannot hold its key.
 package matrix
 
 import (
@@ -73,21 +75,24 @@ func (c Config) Validate() error {
 // arrival offset from the matrix start time and exists only for timed
 // matrices. fills is the occupied prefix length per bucket (len D*D) and is
 // the only record of occupancy: every column is zero at and beyond a
-// bucket's fill, so a free slot reads as key 0 with weight 0.
+// bucket's fill, so a free slot reads as key 0 with weight 0. filter is the
+// presence filter of a dense slab (note) and nil in a frozen one.
 type slab struct {
-	keys  []uint64 // fpS | fpD<<32
-	ws    []int64
-	idxs  []uint8  // (i << 4) | j: mapping-position pair
-	offs  []uint32 // nil when untimed
-	fills []uint8
+	keys   []uint64 // fpS | fpD<<32
+	ws     []int64
+	idxs   []uint8  // (i << 4) | j: mapping-position pair
+	offs   []uint32 // nil when untimed
+	fills  []uint8
+	filter []uint64 // one byte per slot
 }
 
 func newSlab(n, b int, timed bool) slab {
 	s := slab{
-		keys:  make([]uint64, n),
-		ws:    make([]int64, n),
-		idxs:  make([]uint8, n),
-		fills: make([]uint8, n/b),
+		keys:   make([]uint64, n),
+		ws:     make([]int64, n),
+		idxs:   make([]uint8, n),
+		fills:  make([]uint8, n/b),
+		filter: make([]uint64, (n+7)/8),
 	}
 	if timed {
 		s.offs = make([]uint32, n)
@@ -98,7 +103,58 @@ func newSlab(n, b int, timed bool) slab {
 // heapBytes is the size of the backing arrays the slab holds.
 func (s *slab) heapBytes() int64 {
 	return int64(cap(s.keys))*8 + int64(cap(s.ws))*8 + int64(cap(s.idxs)) +
-		int64(cap(s.offs))*4 + int64(cap(s.fills))
+		int64(cap(s.offs))*4 + int64(cap(s.fills)) + int64(cap(s.filter))*8
+}
+
+// The presence filter is a blocked Bloom filter over a dense slab's slot
+// entries. It holds three items per entry — the source endpoint, the
+// destination endpoint and the edge, each endpoint packed as spillKey packs
+// it — and an item sets two bits of one 64-bit word. Entries are only ever
+// noted, never removed (Sub keeps a slot at weight 0), so the filter never
+// rules out an entry the slots hold; a probe it rules out skips the slot
+// walk. Spill entries are not noted: the kernels scan the spill list
+// whatever the filter says.
+
+// dstSalt keeps a vertex's destination item apart from its source item.
+const dstSalt = 0x9e3779b97f4a7c15
+
+// mixItem spreads an item over the filter: the multiply carries every input
+// bit into the high half, which picks the word, and the xor folds the high
+// half into the low bits, which pick the two bits. An endpoint is already a
+// hash's fingerprint and address, and the full murmur3 finalizer ruled out
+// no more absent items than this one multiply does on the leaf fixture of
+// TestFilterRulesOutAbsentEdges: 89–90 % of edges, 88–89 % of vertices.
+func mixItem(x uint64) uint64 {
+	x *= 0xff51afd7ed558ccd
+	return x ^ x>>32
+}
+
+func srcItem(src uint64) uint64       { return mixItem(src) }
+func dstItem(dst uint64) uint64       { return mixItem(dst ^ dstSalt) }
+func edgeItem(src, dst uint64) uint64 { return mixItem(src*0xbf58476d1ce4e5b9 + dst) }
+
+// filterBits returns the word of an n-word filter that item h sets, from the
+// high half of h, and the two bits it sets there, from the low twelve bits.
+func filterBits(h uint64, n int) (int, uint64) {
+	return int((h >> 32) * uint64(n) >> 32), 1<<(h&63) | 1<<(h>>6&63)
+}
+
+// note records the slot entry of endpoints src and dst.
+func (s *slab) note(src, dst uint64) {
+	f := s.filter
+	ws, bs := filterBits(srcItem(src), len(f))
+	wd, bd := filterBits(dstItem(dst), len(f))
+	we, be := filterBits(edgeItem(src, dst), len(f))
+	f[ws] |= bs
+	f[wd] |= bd
+	f[we] |= be
+}
+
+// mayHold reports whether item h can be in the filter. A frozen slab has
+// none, so callers test filter for nil first and skip the item's hash.
+func (s *slab) mayHold(h uint64) bool {
+	w, bits := filterBits(h, len(s.filter))
+	return s.filter[w]&bits == bits
 }
 
 func packKey(fpS, fpD uint32) uint64 { return uint64(fpS) | uint64(fpD)<<32 }
@@ -396,6 +452,7 @@ func (m *Matrix) Add(fpS, baseS, fpD, baseD uint32, off uint32, w int64) bool {
 		if m.offs != nil {
 			m.offs[k] = off
 		}
+		m.note(m.spillKey(fpS, baseS), m.spillKey(fpD, baseD))
 		m.fills[k/m.cfg.B]++
 		m.count++
 	default:
@@ -451,10 +508,11 @@ func inWindow(offs []uint32, k int, loOff, hiOff int64) bool {
 // EdgeSum returns the aggregated weight of the edge within the offset range
 // [loOff, hiOff] (pass math.MinInt64/MaxInt64 for untimed matrices or fully
 // covered ranges). Like find, it stops after the first candidate bucket with
-// room: no entry of this edge lies beyond it.
+// room: no entry of this edge lies beyond it. A dense matrix whose filter
+// rules the edge out walks no bucket.
 func (m *Matrix) EdgeSum(fpS, baseS, fpD, baseD uint32, loOff, hiOff int64) int64 {
 	var sum int64
-	if offs, some := m.window(loOff, hiOff); some {
+	if offs, some := m.window(loOff, hiOff); some && (m.filter == nil || m.mayHold(edgeItem(m.spillKey(fpS, baseS), m.spillKey(fpD, baseD)))) {
 		key := packKey(fpS, fpD)
 		d, bsz := int(m.cfg.D), m.cfg.B
 		rowS := baseS & (m.cfg.D - 1)
@@ -500,10 +558,11 @@ func (m *Matrix) EdgeSum(fpS, baseS, fpD, baseD uint32, loOff, hiOff int64) int6
 // the fingerprint/base pair within the offset range — the vertex (outgoing)
 // query primitive (paper Eq. 2). A row's slots are contiguous, so each of
 // the r candidate rows is one linear pass: over all D·B slots when dense,
-// over the occupied ones when frozen.
+// over the occupied ones when frozen. A dense matrix whose filter rules the
+// source out scans no row.
 func (m *Matrix) RowSum(fp, base uint32, loOff, hiOff int64) int64 {
 	var sum int64
-	if offs, some := m.window(loOff, hiOff); some {
+	if offs, some := m.window(loOff, hiOff); some && (m.filter == nil || m.mayHold(srcItem(m.spillKey(fp, base)))) {
 		d, rowLen := int(m.cfg.D), int(m.cfg.D)*m.cfg.B
 		row := base & (m.cfg.D - 1)
 		for i := 0; i < m.cfg.Maps; i++ {
@@ -535,14 +594,15 @@ func (m *Matrix) RowSum(fp, base uint32, loOff, hiOff int64) int64 {
 }
 
 // ColSum is the incoming-vertex analogue of RowSum. A dense column's buckets
-// lie D·B slots apart; a frozen matrix scans its column index instead,
-// which the first ColSum builds (IndexBytes then counts it).
+// lie D·B slots apart, and none is scanned when the filter rules the
+// destination out; a frozen matrix scans its column index instead, which
+// the first ColSum builds (IndexBytes then counts it).
 func (m *Matrix) ColSum(fp, base uint32, loOff, hiOff int64) int64 {
 	if f := m.frz; f != nil {
 		return m.colSumFrozen(f.columns(int(m.cfg.D), m.keys), fp, base, loOff, hiOff)
 	}
 	var sum int64
-	if offs, some := m.window(loOff, hiOff); some {
+	if offs, some := m.window(loOff, hiOff); some && (m.filter == nil || m.mayHold(dstItem(m.spillKey(fp, base)))) {
 		bsz := m.cfg.B
 		rowLen := int(m.cfg.D) * bsz
 		col := base & (m.cfg.D - 1)
@@ -637,7 +697,7 @@ func (m *Matrix) SpaceBytes() int64 {
 // Sizes of the Go representation HeapBytes adds to the column backing;
 // TestHeapBytes pins them to the types.
 const (
-	matrixSize   = 240 // struct Matrix
+	matrixSize   = 264 // struct Matrix
 	spillSize    = 24  // struct spillEntry
 	frozenSize   = 96  // struct frozen
 	colIndexSize = 72  // struct colIndex

@@ -559,7 +559,7 @@ type benchEdge struct{ fpS, baseS, fpD, baseD uint32 }
 
 // benchMatrix fills a matrix of the given geometry to ~54 % — the leaf fill
 // the paper stream reaches — and returns it with probes of which half hit.
-func benchMatrix(b *testing.B, cfg Config, seed int64) (*Matrix, []benchEdge) {
+func benchMatrix(b testing.TB, cfg Config, seed int64) (*Matrix, []benchEdge) {
 	b.Helper()
 	m, err := New(cfg, 0)
 	if err != nil {

@@ -3,15 +3,16 @@ package matrix
 import "sync"
 
 // Pool recycles dense matrix slab backing (the entry columns plus the
-// matching fill array) across matrix lifetimes, keyed by exact slot count and
-// by whether the slab carries an offset column. A HIGGS tree draws dense
-// slabs for two geometries only — the leaf matrix and the overflow-block
-// matrix, both timed; aggregates are built frozen (Aggregate) and never
-// hold one — so an exact-size class map stays tiny while letting Expire hand
-// the memory of dropped subtrees straight back to the insert path.
+// matching fill array and presence filter) across matrix lifetimes, keyed by
+// exact slot count and by whether the slab carries an offset column. A HIGGS
+// tree draws dense slabs for two geometries only — the leaf matrix and the
+// overflow-block matrix, both timed; aggregates are built frozen (Aggregate)
+// and never hold one — so an exact-size class map stays tiny while letting
+// Expire hand the memory of dropped subtrees straight back to the insert
+// path.
 //
-// Slabs are zeroed on put, so get returns ready-to-use backing without a
-// memclr on the hot path. Pool is safe for concurrent use.
+// Slabs are zeroed on put, filter included, so get returns ready-to-use
+// backing without a memclr on the hot path. Pool is safe for concurrent use.
 type Pool struct {
 	mu      sync.Mutex
 	classes map[class][]slab
@@ -43,7 +44,8 @@ func (p *Pool) get(n, b int, timed bool) slab {
 			p.mu.Unlock()
 			if len(s.fills) != n/b {
 				// Same slot count under a different bucket size: reshape
-				// the fill array, keep the (already zeroed) columns.
+				// the fill array, keep the (already zeroed) columns and
+				// filter, which are sized by the slot count alone.
 				s.fills = make([]uint8, n/b)
 			}
 			return s
@@ -79,6 +81,7 @@ func (p *Pool) put(s slab) {
 		}
 	}
 	clear(s.fills)
+	clear(s.filter)
 	p.mu.Lock()
 	if len(p.classes[c]) < maxSlabsPerClass {
 		p.classes[c] = append(p.classes[c], s)

@@ -264,14 +264,15 @@ func TestHeapBytes(t *testing.T) {
 		t.Fatalf("spillRefSize = %d, struct spillRef is %d bytes", spillRefSize, got)
 	}
 	backing := func(m *Matrix) int64 {
-		return int64(cap(m.keys)*8 + cap(m.ws)*8 + cap(m.idxs) + cap(m.offs)*4 + cap(m.fills))
+		return int64(cap(m.keys)*8 + cap(m.ws)*8 + cap(m.idxs) + cap(m.offs)*4 + cap(m.fills) + cap(m.filter)*8)
 	}
+	// A timed slot costs 22 bytes: 21 of columns and one of filter.
 	timed := mustNew(t, testCfg(), 0)
-	if got, want := timed.HeapBytes(), int64(768*21+256+matrixSize); got != want || backing(timed) != 768*21+256 {
+	if got, want := timed.HeapBytes(), int64(768*22+256+matrixSize); got != want || backing(timed) != 768*22+256 {
 		t.Fatalf("timed HeapBytes = %d (backing %d), want %d", got, backing(timed), want)
 	}
-	// An aggregate that spilled: 4 slots of 17 bytes, 4 fill bytes, and
-	// whatever capacity append gave the spill list.
+	// An aggregate that spilled: 4 slots of 17 bytes, 4 fill bytes, one
+	// filter word, and whatever capacity append gave the spill list.
 	agg := mustNew(t, Config{D: 2, B: 1, Maps: 1, FBits: 8}, 0)
 	for fp := uint32(1); fp <= 3; fp++ {
 		agg.addOrSpill(fp, 0, fp, 0, 1)
@@ -279,7 +280,7 @@ func TestHeapBytes(t *testing.T) {
 	if agg.offs != nil || agg.SpillCount() != 2 {
 		t.Fatalf("untimed matrix: offs=%v spill=%d", agg.offs != nil, agg.SpillCount())
 	}
-	if got, want := agg.HeapBytes(), backing(agg)+int64(cap(agg.spill)*spillSize+matrixSize); got != want || backing(agg) != 4*17+4 {
+	if got, want := agg.HeapBytes(), backing(agg)+int64(cap(agg.spill)*spillSize+matrixSize); got != want || backing(agg) != 4*17+4+8 {
 		t.Fatalf("untimed HeapBytes = %d (backing %d), want %d", got, backing(agg), want)
 	}
 	p := NewPool()
@@ -287,10 +288,10 @@ func TestHeapBytes(t *testing.T) {
 	timed.Release(p)
 	// Frozen, the aggregate keeps its one entry in each column (17 bytes),
 	// 5 bucket offsets (4 bytes each), and two sorted views of its two spill
-	// entries; the dense slab is dropped, and so are the frozen arrays on
-	// Release. The first ColSum adds the column index: 3 column offsets and
-	// a fingerprint and a position per entry (4 bytes each), and its struct.
-	// A second ColSum adds nothing.
+	// entries; the dense slab is dropped, filter included, and so are the
+	// frozen arrays on Release. The first ColSum adds the column index: 3
+	// column offsets and a fingerprint and a position per entry (4 bytes
+	// each), and its struct. A second ColSum adds nothing.
 	agg.Freeze()
 	frozenBytes := int64(17 + 5*4 + cap(agg.spill)*spillSize + 4*spillRefSize + matrixSize + frozenSize)
 	if got := agg.HeapBytes(); got != frozenBytes || agg.IndexBytes() != 0 {
