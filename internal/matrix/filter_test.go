@@ -17,7 +17,7 @@ func checkFilter(t testing.TB, m *Matrix, step string) {
 			i, j := int(m.idxs[k]>>4), int(m.idxs[k]&0xf)
 			src := m.spillKey(uint32(m.keys[k]), m.lcg.Base(uint32(bkt/d), i))
 			dst := m.spillKey(uint32(m.keys[k]>>32), m.lcg.Base(uint32(bkt%d), j))
-			if !m.mayHold(srcItem(src)) || !m.mayHold(dstItem(dst)) || !m.mayHold(edgeItem(src, dst)) {
+			if !m.mayHoldEdge(src, dst) { // the edge's item and both endpoints'
 				t.Fatalf("%s: the filter rules out slot %d (source %#x, destination %#x)", step, k, src, dst)
 			}
 		}
@@ -96,28 +96,43 @@ func TestFilterHasNoFalseNegatives(t *testing.T) {
 }
 
 // TestFilterRulesOutAbsentEdges puts a floor under the filter's worth on
-// benchMatrix's leaf fixture, where half the probes are random edges: at
-// least 80 % of the absent ones must be ruled out. An all-ones filter keeps
-// every answer right and saves nothing; this is the test that sees it.
+// benchMatrix's leaf fixture: at least 80 % of the absent edges must be
+// ruled out, both among its random probes and among edges joining a stored
+// source to the stored destination of another entry, whose endpoint items
+// pass, so that only the edge item can rule them out. An all-ones filter
+// keeps every answer right and saves nothing; this is the test that sees it.
 func TestFilterRulesOutAbsentEdges(t *testing.T) {
 	m, probes := benchMatrix(t, benchLeaf, 16)
 	mask := m.cfg.D - 1
 	held := map[benchEdge]bool{}
+	var stored []benchEdge
 	m.ForEach(func(fpS, baseS, fpD, baseD, _ uint32, _ int64) {
-		held[benchEdge{fpS, baseS & mask, fpD, baseD & mask}] = true
+		e := benchEdge{fpS, baseS & mask, fpD, baseD & mask}
+		held[e] = true
+		stored = append(stored, e)
 	})
-	absent, out := 0, 0
-	for _, e := range probes {
-		if held[benchEdge{e.fpS, e.baseS & mask, e.fpD, e.baseD & mask}] {
-			continue
-		}
-		absent++
-		if !m.mayHold(edgeItem(m.spillKey(e.fpS, e.baseS), m.spillKey(e.fpD, e.baseD))) {
-			out++
-		}
+	var crossed []benchEdge
+	for i, e := range stored {
+		other := stored[(i+1)%len(stored)]
+		crossed = append(crossed, benchEdge{e.fpS, e.baseS, other.fpD, other.baseD})
 	}
-	if absent < 300 || out*100 < absent*80 {
-		t.Fatalf("the filter rules out %d of %d absent edges, want at least 80 %%", out, absent)
+	for _, c := range []struct {
+		name  string
+		edges []benchEdge
+	}{{"random", probes}, {"crossed", crossed}} {
+		absent, out := 0, 0
+		for _, e := range c.edges {
+			if held[benchEdge{e.fpS, e.baseS & mask, e.fpD, e.baseD & mask}] {
+				continue
+			}
+			absent++
+			if !m.mayHoldEdge(m.spillKey(e.fpS, e.baseS), m.spillKey(e.fpD, e.baseD)) {
+				out++
+			}
+		}
+		if absent < 300 || out*100 < absent*80 {
+			t.Fatalf("%s: the filter rules out %d of %d absent edges, want at least 80 %%", c.name, out, absent)
+		}
+		t.Logf("%s: ruled out %d of %d absent edges (%.1f %%)", c.name, out, absent, 100*float64(out)/float64(absent))
 	}
-	t.Logf("ruled out %d of %d absent edges (%.1f %%)", out, absent, 100*float64(out)/float64(absent))
 }
